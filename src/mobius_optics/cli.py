@@ -2,9 +2,12 @@
 
 One binary with subcommands; a JSON configuration file (path or "-" for
 stdin) selects the molecule, the medium options and the sweep grids.
-Outputs are written atomically (temp file + rename) and are byte-stable
-across runs: CSV uses 17-significant-digit floats (exact round trip for
-64-bit values), '.' decimals and '\n' line endings.
+Each subcommand returns its table as columns (a numpy structured array)
+and `emit_table` serialises it.  Outputs are written atomically (temp file
++ rename) and are byte-stable across runs: CSV uses 17-significant-digit
+floats (exact round trip for 64-bit values), '.' decimals and '\n' line
+endings; JSON uses the shortest round-trip float repr, with NaN and
+Infinity as bare tokens.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -12,13 +15,12 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -227,6 +229,7 @@ def parse_config(text: bytes | str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _format_value(value) -> str:
+    """CSV token of one value: floats with 17 significant digits, bools 1/0."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -238,29 +241,59 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit_table(header: list[str], rows: list[dict], fmt: str) -> bytes:
-    """Serialise rectangular rows deterministically (bit-stable floats)."""
+def _json_value(value) -> str:
+    """JSON token of one value: shortest round-trip floats, NaN and Infinity."""
+    return json.dumps(value.item() if isinstance(value, np.generic) else value)
+
+
+def _column_tokens(column: np.ndarray, fmt: str) -> list[str]:
+    """Tokens of one column, formatting each distinct value once.
+
+    Floats are told apart by their bit pattern, so -0.0 keeps its sign.
+    Object columns (mixed types) are formatted value by value.
+    """
+    kind = column.dtype.kind
+    if kind == "O":
+        values, inverse = column.tolist(), None
+    else:
+        keys = column.view(np.uint64) if kind == "f" else column
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        values = (distinct.view(np.float64) if kind == "f" else distinct).tolist()
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_format_value(row[col]) for col in header) + "\n")
-        return buf.getvalue().encode("utf-8")
-    if fmt == "json":
-        clean = []
-        for row in rows:
-            item = {}
-            for col in header:
-                val = row[col]
-                if isinstance(val, (np.integer,)):
-                    val = int(val)
-                elif isinstance(val, (np.floating,)):
-                    val = float(val)
-                item[col] = val
-            clean.append(item)
-        return (json.dumps({"columns": header, "rows": clean},
-                           separators=(",", ":")) + "\n").encode("utf-8")
-    raise ConfigError("format must be csv or json")
+        tokens = [_format_value(v) for v in values]
+    elif kind in "OU":
+        tokens = [_json_value(v) for v in values]
+    else:
+        # one encoder call; number and bool tokens never contain ", "
+        tokens = json.dumps(values)[1:-1].split(", ")
+    if inverse is None:
+        return tokens
+    return np.array(tokens, dtype=object)[inverse].tolist()
+
+
+def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
+    """Serialise the columns `header` of a table deterministically.
+
+    `table` is a numpy structured array: ``table[col]`` is one column and
+    ``len(table)`` the row count.  CSV writes floats with 17 significant
+    digits (exact round trip) and bools as 1/0; JSON writes floats in their
+    shortest round-trip form, NaN and Infinity as bare tokens, and bools as
+    true/false.  Float, int, bool and string columns format each distinct
+    value once; object columns, whose values may mix types and None, are
+    formatted value by value under the same rules.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError("format must be csv or json")
+    columns = [_column_tokens(table[col], fmt) for col in header]
+    if fmt == "csv":
+        text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+    else:
+        row = "{%s}" % ",".join(json.dumps(col).replace("%", "%%") + ":%s"
+                                for col in header)
+        text = '{"columns":%s,"rows":[%s]}\n' % (
+            json.dumps(header, separators=(",", ":")),
+            ",".join(map(row.__mod__, zip(*columns))))
+    return text.encode("utf-8")
 
 
 def _atomic_write(path: str, data: bytes):
@@ -325,30 +358,26 @@ def _theta_grid(config: RunConfig):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _table(**columns) -> np.ndarray:
+    """Structured array with one field per keyword argument, in order."""
+    return np.rec.fromarrays(list(columns.values()), names=list(columns))
+
+
 def _cmd_spectrum(config: RunConfig):
     _require_mobius(config, "spectrum")
-    rows = [
-        {
-            "l": lab.momentum_index,
-            "band": lab.band.value,
-            "energy_ev": band_energy(config.ring, lab),
-        }
-        for lab in all_labels(config.ring.n_per_ring)
-    ]
-    header = ["l", "band", "energy_ev"]
-    minimum = min(r["energy_ev"] for r in rows)
-    summary = (f"spectrum: {len(rows)} states, ground energy "
-               f"{format(minimum, '.6g')} eV")
-    return header, rows, summary, EXIT_OK
+    table = np.rec.fromrecords(
+        [(lab.momentum_index, lab.band.value, band_energy(config.ring, lab))
+         for lab in all_labels(config.ring.n_per_ring)],
+        names=["l", "band", "energy_ev"])
+    summary = (f"spectrum: {len(table)} states, ground energy "
+               f"{format(table['energy_ev'].min(), '.6g')} eV")
+    return table, summary, EXIT_OK
 
 
 def _cmd_elements(config: RunConfig):
     _require_mobius(config, "elements")
     n = config.ring.n_per_ring
     labels = all_labels(n)
-    header = ["kind", "from_l", "from_band", "to_l", "to_band",
-              "x_re", "x_im", "y_re", "y_im", "z_re", "z_im",
-              "nonzero_components", "selection_rule"]
     rows = []
     for kind, element_fn, selection_fn in (
         (DipoleKind.ELECTRIC, electric_element, electric_selection),
@@ -369,20 +398,20 @@ def _cmd_elements(config: RunConfig):
                 nonzero = "".join(
                     c for c, comp in zip("xyz", vec) if abs(comp) > 1e-13 * scale)
                 rule = "".join(sorted(selection_fn(n, la, lb)))
-                rows.append({
-                    "kind": kind.value,
-                    "from_l": la.momentum_index, "from_band": la.band.value,
-                    "to_l": lb.momentum_index, "to_band": lb.band.value,
-                    "x_re": vec[0].real, "x_im": vec[0].imag,
-                    "y_re": vec[1].real, "y_im": vec[1].imag,
-                    "z_re": vec[2].real, "z_im": vec[2].imag,
-                    "nonzero_components": nonzero,
-                    "selection_rule": rule,
-                })
-    n_e = sum(1 for r in rows if r["kind"] == "electric")
-    summary = (f"elements: {n_e} electric and {len(rows) - n_e} magnetic "
+                rows.append((
+                    kind.value, la.momentum_index, la.band.value,
+                    lb.momentum_index, lb.band.value,
+                    vec[0].real, vec[0].imag, vec[1].real, vec[1].imag,
+                    vec[2].real, vec[2].imag, nonzero, rule,
+                ))
+    table = np.rec.fromrecords(rows, names=[
+        "kind", "from_l", "from_band", "to_l", "to_band",
+        "x_re", "x_im", "y_re", "y_im", "z_re", "z_im",
+        "nonzero_components", "selection_rule"])
+    n_e = int(np.count_nonzero(table["kind"] == DipoleKind.ELECTRIC.value))
+    summary = (f"elements: {n_e} electric and {len(table) - n_e} magnetic "
                "nonzero dipole elements")
-    return header, rows, summary, EXIT_OK
+    return table, summary, EXIT_OK
 
 
 def _cmd_response(config: RunConfig):
@@ -391,44 +420,28 @@ def _cmd_response(config: RunConfig):
     delta0 = resonance_frequency(medium)
     omegas = _omega_grid(config)
     a, b = alpha_beta(medium)
-    header = ["omega_rad_s", "detuning_rad_s", "detuning_ev",
-              "eta_re", "eta_im",
-              "eps1_re", "eps1_im", "mu1_re", "mu1_im",
-              "eps_xx_re", "eps_xx_im", "eps_yz_re", "eps_yz_im",
-              "eps_zz_re", "eps_zz_im",
-              "mu_xx_re", "mu_xx_im", "mu_yz_re", "mu_yz_im",
-              "mu_zz_re", "mu_zz_im", "near_resonance"]
-    rows = []
-    for om in omegas:
-        t = response_tensors(medium, float(om))
-        h = t.eta if config.lossy else complex(t.eta.real)
-        eps1_c, mu1_c = complex(t.eps1), complex(t.mu1)
-        det = float(om) - delta0
-        rows.append({
-            "omega_rad_s": float(om),
-            "detuning_rad_s": det,
-            "detuning_ev": angular_frequency_to_ev(det),
-            "eta_re": t.eta.real, "eta_im": t.eta.imag,
-            "eps1_re": eps1_c.real, "eps1_im": eps1_c.imag,
-            "mu1_re": mu1_c.real, "mu1_im": mu1_c.imag,
-            "eps_xx_re": complex(t.eps_r[0, 0]).real,
-            "eps_xx_im": complex(t.eps_r[0, 0]).imag,
-            "eps_yz_re": complex(t.eps_r[1, 2]).real,
-            "eps_yz_im": complex(t.eps_r[1, 2]).imag,
-            "eps_zz_re": complex(t.eps_r[2, 2]).real,
-            "eps_zz_im": complex(t.eps_r[2, 2]).imag,
-            "mu_xx_re": complex(t.mu_r[0, 0]).real,
-            "mu_xx_im": complex(t.mu_r[0, 0]).imag,
-            "mu_yz_re": complex(t.mu_r[1, 2]).real,
-            "mu_yz_im": complex(t.mu_r[1, 2]).imag,
-            "mu_zz_re": complex(t.mu_r[2, 2]).real,
-            "mu_zz_im": complex(t.mu_r[2, 2]).imag,
-            "near_resonance": bool(t.near_resonance),
-        })
-    n_neg = sum(1 for r in rows if r["eps1_re"] < 0 and r["mu1_re"] < 0)
-    summary = (f"response: {len(rows)} frequencies, "
+    tensors = [response_tensors(medium, float(om)) for om in omegas]
+    eps = np.array([t.eps_r for t in tensors], dtype=complex)
+    mu = np.array([t.mu_r for t in tensors], dtype=complex)
+    complex_columns = {
+        "eta": np.array([t.eta for t in tensors], dtype=complex),
+        "eps1": np.array([t.eps1 for t in tensors], dtype=complex),
+        "mu1": np.array([t.mu1 for t in tensors], dtype=complex),
+    }
+    for name, tensor in (("eps", eps), ("mu", mu)):
+        for comp, (i, j) in (("xx", (0, 0)), ("yz", (1, 2)), ("zz", (2, 2))):
+            complex_columns[f"{name}_{comp}"] = tensor[:, i, j]
+    detuning = omegas - delta0
+    columns = {"omega_rad_s": omegas, "detuning_rad_s": detuning,
+               "detuning_ev": angular_frequency_to_ev(detuning)}
+    for name, values in complex_columns.items():
+        columns[f"{name}_re"], columns[f"{name}_im"] = values.real, values.imag
+    columns["near_resonance"] = np.array([bool(t.near_resonance) for t in tensors])
+    table = _table(**columns)
+    n_neg = int(np.count_nonzero((table["eps1_re"] < 0) & (table["mu1_re"] < 0)))
+    summary = (f"response: {len(table)} frequencies, "
                f"{n_neg} with eps1 < 0 and mu1 < 0; alpha={a:.4g} beta={b:.4g}")
-    return header, rows, summary, EXIT_OK
+    return table, summary, EXIT_OK
 
 
 _CLASS_LABEL = {
@@ -446,18 +459,17 @@ def _cmd_phase_diagram(config: RunConfig):
     thetas = _theta_grid(config)
     omegas = _omega_grid(config)
     diagram = phase_diagram(medium, config.polarization, thetas, omegas)
-    header = ["theta_deg", "omega_rad_s", "detuning_rad_s", "code", "label"]
-    rows = []
-    for i, th in enumerate(thetas):
-        for j, om in enumerate(omegas):
-            code = int(diagram.codes[i, j])
-            rows.append({
-                "theta_deg": math.degrees(float(th)),
-                "omega_rad_s": float(om),
-                "detuning_rad_s": float(om) - delta0,
-                "code": code,
-                "label": _CLASS_LABEL[code],
-            })
+    codes = diagram.codes.ravel()
+    labels = np.empty(codes.size, dtype="U6")
+    for code, label in _CLASS_LABEL.items():
+        labels[codes == code] = label
+    table = _table(
+        theta_deg=np.repeat(np.degrees(thetas), len(omegas)),
+        omega_rad_s=np.tile(omegas, len(thetas)),
+        detuning_rad_s=np.tile(omegas - delta0, len(thetas)),
+        code=codes,
+        label=labels,
+    )
     counts = {name: diagram.count(cls) for name, cls in (
         ("LH", Classification.LH), ("RH", Classification.RH),
         ("TR", Classification.TR), ("masked", Classification.MASKED))}
@@ -465,7 +477,7 @@ def _cmd_phase_diagram(config: RunConfig):
                f"LH cells {counts['LH']}, RH cells {counts['RH']}, "
                f"TR cells {counts['TR']}, masked {counts['masked']} "
                "(codes: LH=-1, RH=+1, TR=0, masked=2)")
-    return header, rows, summary, EXIT_OK
+    return table, summary, EXIT_OK
 
 
 def _default_surface_detunings(medium: MediumConfig) -> list[float]:
@@ -486,8 +498,6 @@ def _cmd_surface(config: RunConfig):
     detunings = (config.surface_detunings_ev
                  if config.surface_detunings_ev is not None
                  else _default_surface_detunings(medium))
-    header = ["detuning_ev", "omega_rad_s", "conic",
-              "n_ty", "n_tz", "normal_y", "normal_z"]
     rows, conics = [], []
     for det_ev in detunings:
         om = delta0 + det_ev * EV / HBAR
@@ -498,82 +508,60 @@ def _cmd_surface(config: RunConfig):
         result = wave_vector_surface(tensors, config.polarization,
                                      config.surface_samples)
         conics.append(f"{det_ev:+.4g} eV -> {result.conic.value}")
-        for pt in result.points:
-            rows.append({
-                "detuning_ev": det_ev,
-                "omega_rad_s": om,
-                "conic": result.conic.value,
-                "n_ty": pt.n_ty,
-                "n_tz": pt.n_tz,
-                "normal_y": float(pt.normal_dir[0]),
-                "normal_z": float(pt.normal_dir[1]),
-            })
+        rows.extend((det_ev, om, result.conic.value, pt.n_ty, pt.n_tz,
+                     pt.normal_dir[0], pt.normal_dir[1]) for pt in result.points)
+    table = np.rec.fromrecords(rows, names=[
+        "detuning_ev", "omega_rad_s", "conic",
+        "n_ty", "n_tz", "normal_y", "normal_z"])
     summary = "surface: " + "; ".join(conics)
-    return header, rows, summary, EXIT_OK
+    return table, summary, EXIT_OK
 
 
 def _cmd_bandwidth(config: RunConfig):
     _require_mobius(config, "bandwidth")
-    header = ["volume_convention", "molecular_volume_m3", "eta_prefactor_rad_s",
-              "alpha", "beta", "bandwidth_rad_s", "tau_c_s", "tau_c_ns",
-              "gamma_per_s"]
     rows = []
     values = {}
     for convention in (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W):
-        ring = RingParams(
-            n_per_ring=config.ring.n_per_ring, v_inter=config.ring.v_inter,
-            xi_intra=config.ring.xi_intra, eps_onsite=config.ring.eps_onsite,
-            half_width=config.ring.half_width, radius=config.ring.radius,
-            decay_rate=config.ring.decay_rate, topology=config.ring.topology,
-            volume_convention=convention,
-        )
+        ring = replace(config.ring, volume_convention=convention)
         medium = MediumConfig(ring)
         a, b = alpha_beta(medium)
         tau = critical_lifetime(medium)
         values[convention] = tau
-        rows.append({
-            "volume_convention": convention.value,
-            "molecular_volume_m3": molecular_volume(medium),
-            "eta_prefactor_rad_s": eta_prefactor(medium),
-            "alpha": a, "beta": b,
-            "bandwidth_rad_s": bandwidth(medium),
-            "tau_c_s": tau, "tau_c_ns": tau / NS,
-            "gamma_per_s": ring.decay_rate,
-        })
+        rows.append((convention.value, molecular_volume(medium),
+                     eta_prefactor(medium), a, b, bandwidth(medium),
+                     tau, tau / NS, ring.decay_rate))
+    table = np.rec.fromrecords(rows, names=[
+        "volume_convention", "molecular_volume_m3", "eta_prefactor_rad_s",
+        "alpha", "beta", "bandwidth_rad_s", "tau_c_s", "tau_c_ns", "gamma_per_s"])
     summary = (
         f"bandwidth: tau_c {values[VolumeConvention.CYLINDER_4W] / NS:.4g} ns "
         f"(cylinder_4w) vs {values[VolumeConvention.CYLINDER_2W] / NS:.4g} ns "
         "(cylinder_2w); the conventions differ by exactly a factor 2"
     )
-    return header, rows, summary, EXIT_OK
+    return table, summary, EXIT_OK
 
 
 def _cmd_validate(config: RunConfig):
     report = validation_report(config.ring if config.ring.topology is
                                Topology.MOBIUS else RingParams(12))
-    header = ["name", "value", "threshold", "passed", "note"]
-    rows = [
-        {
-            "name": c["name"],
-            "value": (float(c["value"]) if isinstance(c["value"], (int, float,
-                                                                   np.floating,
-                                                                   np.integer))
-                      else c["value"]),
-            "threshold": c["threshold"],
-            "passed": bool(c["passed"]),
-            "note": c["note"].replace(",", ";"),
-        }
-        for c in report["checks"]
-    ]
-    n_failed = sum(1 for c in report["checks"] if not c["passed"])
+    checks = report["checks"]
+    table = _table(
+        name=[c["name"] for c in checks],
+        value=np.array([c["value"] for c in checks], dtype=float),
+        # ints, floats and None: each value keeps its own JSON type
+        threshold=np.array([c["threshold"] for c in checks], dtype=object),
+        passed=np.array([bool(c["passed"]) for c in checks]),
+        note=[c["note"].replace(",", ";") for c in checks],
+    )
+    n_failed = sum(1 for c in checks if not c["passed"])
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['value']!r}"
-        for c in report["checks"]
+        for c in checks
     ]
     status = "all checks passed" if report["all_passed"] else f"{n_failed} checks FAILED"
-    summary = "\n".join(lines + [f"validate: {len(rows)} checks, {status}"])
+    summary = "\n".join(lines + [f"validate: {len(table)} checks, {status}"])
     code = EXIT_OK if report["all_passed"] else EXIT_VALIDATION_FAILURE
-    return header, rows, summary, code
+    return table, summary, code
 
 
 _COMMANDS = {
@@ -592,11 +580,11 @@ def run_command(command: str, config: RunConfig, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command: {command!r}")
-    header, rows, summary, code = _COMMANDS[command](config)
+    table, summary, code = _COMMANDS[command](config)
     path = config.output_path or f"{command}.{config.format}"
-    _atomic_write(path, emit_table(header, rows, config.format))
+    _atomic_write(path, emit_table(list(table.dtype.names), table, config.format))
     print(summary, file=stdout)
-    print(f"wrote {path} ({len(rows)} rows)", file=stdout)
+    print(f"wrote {path} ({len(table)} rows)", file=stdout)
     return code
 
 

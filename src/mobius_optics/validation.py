@@ -9,6 +9,7 @@ and scripts can assert on it.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,32 +45,16 @@ def _check(name, value, threshold, passed=None, note=""):
     }
 
 
-def _ring(params: RingParams, **overrides) -> RingParams:
-    fields = dict(
-        n_per_ring=params.n_per_ring,
-        v_inter=params.v_inter,
-        xi_intra=params.xi_intra,
-        eps_onsite=params.eps_onsite,
-        half_width=params.half_width,
-        radius=params.radius,
-        decay_rate=params.decay_rate,
-        topology=params.topology,
-        volume_convention=params.volume_convention,
-    )
-    fields.update(overrides)
-    return RingParams(**fields)
-
-
 def spectrum_checks(params: RingParams) -> list[dict]:
     worst_e, worst_u = 0.0, 0.0
     for n in SPECTRUM_NS:
-        p = _ring(params, n_per_ring=n, radius=None)
+        p = replace(params, n_per_ring=n, radius=None)
         closed = np.sort([band_energy(p, lab) for lab in all_labels(n)])
         w, _ = bf.numeric_eigensystem(bf.build_hamiltonian(p))
         worst_e = max(worst_e, float(np.abs(closed - w).max()))
         u = amplitude_matrix(p)
         worst_u = max(worst_u, float(np.abs(u.conj().T @ u - np.eye(2 * n)).max()))
-    proj = bf.eigenspace_projector_residual(_ring(params, radius=None))
+    proj = bf.eigenspace_projector_residual(replace(params, radius=None))
     return [
         _check("spectrum_closed_vs_dense_ev", worst_e, 1e-10,
                note=f"N in {SPECTRUM_NS}"),
@@ -83,7 +68,7 @@ def dipole_checks(params: RingParams) -> list[dict]:
     worst_tbl = {"electric": 0.0, "magnetic": 0.0}
     worst_dyad = {"electric": 0.0, "magnetic": 0.0}
     for n in TABLE_NS:
-        p = _ring(params, n_per_ring=n, radius=None)
+        p = replace(params, n_per_ring=n, radius=None)
         for kind, ana_fn, num_fn in (
             ("electric", dp.electric_table,
              lambda q: bf.numeric_electric_elements(q, momentum_basis=True)),
@@ -100,7 +85,7 @@ def dipole_checks(params: RingParams) -> list[dict]:
                           note=f"momentum basis, N in {TABLE_NS}"))
         out.append(_check(f"{kind}_dyads_vs_dense_eigenvectors", worst_dyad[kind], 1e-8,
                           note="ground-state dyads summed over degenerate levels"))
-    p12 = _ring(params, n_per_ring=12, radius=None)
+    p12 = replace(params, n_per_ring=12, radius=None)
     cal_e = bf.calibrate_conventions(
         dp.electric_table(p12), bf.numeric_electric_elements(p12, momentum_basis=True),
         12, float(np.abs(dp.electric_table(p12)).max()))
@@ -183,13 +168,13 @@ def _sparsity_deviation(params: RingParams) -> float:
 
 
 def topology_checks(params: RingParams) -> list[dict]:
-    single = _ring(params, topology=Topology.SINGLE_RING, radius=None)
+    single = replace(params, topology=Topology.SINGLE_RING, radius=None)
     ring_report = bf.perfect_ring_regression(single)
     annulene = bf.annulene_cross_check(
-        _ring(params, topology=Topology.DOUBLE_RING_PERIODIC, radius=None))
-    mobius = bf.shared_transition_scan(_ring(params, radius=None))
-    delta0_ev = (band_energy(_ring(params, radius=None), EigenLabel(0, Band.UP))
-                 - band_energy(_ring(params, radius=None), EigenLabel(0, Band.DOWN)))
+        replace(params, topology=Topology.DOUBLE_RING_PERIODIC, radius=None))
+    mobius = bf.shared_transition_scan(replace(params, radius=None))
+    delta0_ev = (band_energy(replace(params, radius=None), EigenLabel(0, Band.UP))
+                 - band_energy(replace(params, radius=None), EigenLabel(0, Band.DOWN)))
     shared_at_resonance = any(
         t.electric > 1e-9 and t.magnetic > 1e-9
         and abs(t.frequency_ev - delta0_ev) < 1e-9
@@ -213,7 +198,7 @@ def topology_checks(params: RingParams) -> list[dict]:
 
 def response_checks(params: RingParams) -> list[dict]:
     out = []
-    cfg = rs.MediumConfig(_ring(params, radius=None))
+    cfg = rs.MediumConfig(replace(params, radius=None))
     delta0 = rs.resonance_frequency(cfg)
     bw = rs.bandwidth(cfg)
     zeros = rs.mu1_zero_detunings(cfg)
@@ -236,7 +221,7 @@ def response_checks(params: RingParams) -> list[dict]:
     from .ring import VolumeConvention
 
     for conv in ("cylinder_4w", "cylinder_2w"):
-        cfg_c = rs.MediumConfig(_ring(params, radius=None,
+        cfg_c = rs.MediumConfig(replace(params, radius=None,
                                       volume_convention=VolumeConvention(conv)))
         out.append({
             "name": f"critical_lifetime_{conv}",
@@ -269,14 +254,13 @@ def response_checks(params: RingParams) -> list[dict]:
         delta0 + 1e8 * cfg.ring.decay_rate, xtol=1e-3)
     out.append(_check("uncorrected_zero_crossing", abs(rs.eps1(cfg, om_unc)), 1e-9,
                       note="eps1 vanishes where eta' = 1/5"))
-    overlap = (rs.eps1(cfg, om_corr) < 0.0) and (corrected_principal(om_unc + 0.0) < 0.0
-                                                 or corrected_principal(om_corr) <= 0.0)
-    both_negative_sample = delta0 + 0.5 * (
-        rs.mu1_zero_detunings(cfg)[0] + rs.mu1_zero_detunings(cfg)[1]
-    ) if rs.mu1_zero_detunings(cfg) else None
-    if both_negative_sample is not None:
+    if zeros is not None:
+        both_negative_sample = delta0 + 0.5 * (zeros[0] + zeros[1])
         overlap = (rs.eps1(cfg, both_negative_sample) < 0.0
                    and corrected_principal(both_negative_sample) < 0.0)
+    else:
+        overlap = (rs.eps1(cfg, om_corr) < 0.0) and (corrected_principal(om_unc) < 0.0
+                                                     or corrected_principal(om_corr) <= 0.0)
     out.append(_check("corrected_window_overlaps_uncorrected", int(overlap), 1,
                       passed=bool(overlap),
                       note="both negative-permittivity windows share frequencies"))
@@ -285,7 +269,7 @@ def response_checks(params: RingParams) -> list[dict]:
 
 def refraction_checks(params: RingParams) -> list[dict]:
     out = []
-    cfg = rs.MediumConfig(_ring(params, radius=None))
+    cfg = rs.MediumConfig(replace(params, radius=None))
     delta0 = rs.resonance_frequency(cfg)
     bw = rs.bandwidth(cfg)
     zeros = rs.mu1_zero_detunings(cfg)
@@ -335,7 +319,7 @@ def refraction_checks(params: RingParams) -> list[dict]:
         out.append(_check("lossy_window_shift", float(shift), 0.1,
                           note="endpoint shift relative to bandwidth"))
     tau_c = rs.critical_lifetime(cfg)
-    cfg_over = rs.MediumConfig(_ring(params, radius=None,
+    cfg_over = rs.MediumConfig(replace(params, radius=None,
                                      decay_rate=1.0 / (0.8 * tau_c)))
     win_over = rf.lossy_lh_window(cfg_over, grid)
     out.append(_check("overdamped_window_empty", int(win_over is None), 1,

@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mobius_optics import cli
@@ -66,17 +67,18 @@ def test_config_diagnostics_name_the_offending_key(snippet, match):
 
 
 def test_emit_table_header_only_for_empty_rows():
-    data = cli.emit_table(["a", "b"], [], "csv")
-    assert data == b"a,b\n"
+    table = np.empty(0, dtype=[("a", float), ("b", int)])
+    assert cli.emit_table(["a", "b"], table, "csv") == b"a,b\n"
+    assert cli.emit_table(["a", "b"], table, "json") == b'{"columns":["a","b"],"rows":[]}\n'
 
 
 def test_emit_table_floats_round_trip_exactly():
     values = [0.1, 1.0 / 3.0, 7.445334050718708, 1e-300, -2.5e8]
-    rows = [{"x": v} for v in values]
-    data = cli.emit_table(["x"], rows, "csv").decode()
+    table = np.rec.fromarrays([values], names=["x"])
+    data = cli.emit_table(["x"], table, "csv").decode()
     parsed = [float(line) for line in data.splitlines()[1:]]
     assert parsed == values
-    as_json = cli.emit_table(["x"], rows, "json")
+    as_json = cli.emit_table(["x"], table, "json")
     loaded = json.loads(as_json)
     assert [r["x"] for r in loaded["rows"]] == values
 
