@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from mobius_optics import refraction as rf
 from mobius_optics import response as rs
+from mobius_optics.constants import NS
 from mobius_optics.ring import RingParams
 
 CFG = rs.MediumConfig(RingParams(12))
@@ -372,3 +373,69 @@ def test_polarization_guards():
         rf.fresnel_roots_E(t, wave(H, 0.0, DELTA0))
     with pytest.raises(ValueError):
         rf.classify_H(t, wave(E, 0.0, DELTA0))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: scalar and vectorised paths, cell by cell
+# ---------------------------------------------------------------------------
+
+LIFETIMES_NS = (0.6, 1.0, 4.0, 40.0)
+
+
+def _medium(n, gamma_inv_ns):
+    return rs.MediumConfig(RingParams(n, decay_rate=1.0 / (gamma_inv_ns * NS)))
+
+
+@pytest.mark.parametrize("n", (12, 24))
+@pytest.mark.parametrize("gamma_inv_ns", LIFETIMES_NS)
+def test_classify_matches_phase_diagram_cell_by_cell(gamma_inv_ns, n):
+    cfg = _medium(n, gamma_inv_ns)
+    d0 = rs.resonance_frequency(cfg)
+    span = 10 * rs.bandwidth(cfg)
+    theta = np.linspace(0.0, math.radians(89.0), 24)
+    omega = np.linspace(d0 - span, d0 + span, 128)
+    compared = 0
+    for pol in (E, H):
+        codes = rf.phase_diagram(cfg, pol, theta, omega).codes
+        for j, om in enumerate(omega):
+            t = rs.response_tensors(cfg, float(om))
+            for i, th in enumerate(theta):
+                if codes[i, j] == int(rf.Classification.MASKED):
+                    continue
+                cls = rf.classify(t, rf.IncidentWave(pol, float(th), float(om)))
+                assert int(cls.classification) == codes[i, j], (pol, th, om)
+                compared += 1
+    assert compared > 0.99 * 2 * theta.size * omega.size
+
+
+@pytest.mark.parametrize("gamma_inv_ns", (0.3,) + LIFETIMES_NS)
+def test_lossy_normal_incidence_matches_lossy_lh_window(gamma_inv_ns):
+    cfg = _medium(12, gamma_inv_ns)
+    grid = np.linspace(DELTA0 - 2 * BW, DELTA0 + 2 * BW, 2000)
+    lh = [om for om in grid
+          if rf.lossy_normal_incidence(cfg, float(om)).classification is LH]
+    expected = (min(lh), max(lh)) if lh else None
+    assert rf.lossy_lh_window(cfg, grid) == expected
+
+
+def test_lossy_lh_verdict_matches_negative_phase_velocity_condition():
+    # Depine & Lakhtakia, Microw. Opt. Technol. Lett. 41, 315 (2004): a
+    # passive medium with scalar eps and mu has negative phase velocity
+    # exactly when Re(eps)|mu| + Re(mu)|eps| < 0.  At normal incidence the
+    # E-polarized wave sees eps_xx and the effective mu = det(mu_yz) / mu_zz.
+    grid = np.linspace(DELTA0 - 2 * BW, DELTA0 + 2 * BW, 2000)
+    verdicts = {LH: 0, RH: 0}
+    for gamma_inv_ns in LIFETIMES_NS:
+        cfg = _medium(12, gamma_inv_ns)
+        lossy = rs.MediumConfig(cfg.ring, lossy=True)
+        for om in grid:
+            cls = rf.lossy_normal_incidence(cfg, float(om)).classification
+            if cls is TR:
+                continue
+            t = rs.response_tensors(lossy, float(om))
+            eps = t.eps_r[0, 0]
+            mu = (t.mu_r[1, 1] * t.mu_r[2, 2] - t.mu_r[1, 2] ** 2) / t.mu_r[2, 2]
+            npv = eps.real * abs(mu) + mu.real * abs(eps) < 0.0
+            assert (cls is LH) == npv, (gamma_inv_ns, om)
+            verdicts[cls] += 1
+    assert verdicts[LH] > 0 and verdicts[RH] > 0
