@@ -419,16 +419,9 @@ def _cmd_response(config: RunConfig):
     medium = _medium(config)
     delta0 = resonance_frequency(medium)
     omegas = _omega_grid(config)
-    a, b = alpha_beta(medium)
-    tensors = [response_tensors(medium, float(om)) for om in omegas]
-    eps = np.array([t.eps_r for t in tensors], dtype=complex)
-    mu = np.array([t.mu_r for t in tensors], dtype=complex)
-    complex_columns = {
-        "eta": np.array([t.eta for t in tensors], dtype=complex),
-        "eps1": np.array([t.eps1 for t in tensors], dtype=complex),
-        "mu1": np.array([t.mu1 for t in tensors], dtype=complex),
-    }
-    for name, tensor in (("eps", eps), ("mu", mu)):
+    t = response_tensors(medium, omegas)
+    complex_columns = {"eta": t.eta, "eps1": t.eps1, "mu1": t.mu1}
+    for name, tensor in (("eps", t.eps_r), ("mu", t.mu_r)):
         for comp, (i, j) in (("xx", (0, 0)), ("yz", (1, 2)), ("zz", (2, 2))):
             complex_columns[f"{name}_{comp}"] = tensor[:, i, j]
     detuning = omegas - delta0
@@ -436,11 +429,11 @@ def _cmd_response(config: RunConfig):
                "detuning_ev": angular_frequency_to_ev(detuning)}
     for name, values in complex_columns.items():
         columns[f"{name}_re"], columns[f"{name}_im"] = values.real, values.imag
-    columns["near_resonance"] = np.array([bool(t.near_resonance) for t in tensors])
+    columns["near_resonance"] = t.near_resonance
     table = _table(**columns)
     n_neg = int(np.count_nonzero((table["eps1_re"] < 0) & (table["mu1_re"] < 0)))
-    summary = (f"response: {len(table)} frequencies, "
-               f"{n_neg} with eps1 < 0 and mu1 < 0; alpha={a:.4g} beta={b:.4g}")
+    summary = (f"response: {len(table)} frequencies, {n_neg} with eps1 < 0 and "
+               f"mu1 < 0; alpha={t.alpha:.4g} beta={t.beta:.4g}")
     return table, summary, EXIT_OK
 
 
@@ -645,8 +638,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(_read_config_text(args.config))
         if getattr(args, "pol", None):
-            config = RunConfig(**{**config.__dict__,
-                                  "polarization": Polarization(args.pol)})
+            config = replace(config, polarization=Polarization(args.pol))
         return run_command(args.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,15 +9,22 @@ principal value mu1 for the Mobius tensors):
 
     mu_zz k_tz^2 + 2 mu_yz k_iy k_tz + mu_yy k_iy^2 - d (omega/c)^2 eps_xx = 0
 
-The two roots carry opposite Poynting z components S_tz = +/- sqrt(disc)/2d,
-so causality (S_tz > 0, energy flowing into the medium) always selects
-exactly one branch: the "+" root when d > 0 and the "-" root when d < 0.
+There is one propagation rule: a cell propagates exactly when the two
+roots are real and distinct (disc > 0) and the yz block is not singular.
+The two real roots carry opposite Poynting z components
+S_tz = +/- sqrt(disc)/2d, so causality (S_tz > 0, energy flowing into the
+medium) always selects exactly one branch: the "+" root when d > 0 and the
+"-" root when d < 0.
 
 Classification of each (theta, omega) cell:
 
     TR  no real propagating root reaches S_tz > 0 (total reflection)
     LH  causal branch has k_t . S_t < 0 (left-handed, negative refraction)
     RH  otherwise (ordinary refraction)
+
+One vectorised kernel applies these rules; ``phase_diagram`` runs it over a
+grid, ``classify`` on one cell and the lossy normal-incidence path on the
+lossless limit of each frequency.
 
 The H-polarized case is the exact dual with eps and mu exchanged.
 """
@@ -27,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,13 +43,11 @@ from .response import (
     MediumConfig,
     ResponseTensors,
     bandwidth,
-    is_near_resonance,
     mu1_zero_detunings,
     resonance_frequency,
     response_tensors,
 )
 
-REALNESS_TOL = 1e-9      # |Im k_tz| <= tol * k_i counts as propagating
 DEGENERACY_TOL = 1e-12   # |det yz block| below this is a degenerate quadratic
 
 
@@ -111,14 +116,44 @@ def _blocks(tensors: ResponseTensors, pol: Polarization):
 
     E-polarized fields see mu in the double curl and eps_xx on the source
     side; H-polarized is the dual.
+    Works on one tensor pair or on a batch: the entries are read as
+    ``[..., i, j]``.
     """
     if pol is Polarization.E:
-        t, other_xx = tensors.mu_r, tensors.eps_r[0, 0]
+        t, other_xx = tensors.mu_r, tensors.eps_r[..., 0, 0]
     else:
-        t, other_xx = tensors.eps_r, tensors.mu_r[0, 0]
-    tyy, tyz, tzz = t[1, 1], t[1, 2], t[2, 2]
+        t, other_xx = tensors.eps_r, tensors.mu_r[..., 0, 0]
+    tyy, tyz, tzz = t[..., 1, 1], t[..., 1, 2], t[..., 2, 2]
     det = tyy * tzz - tyz * tyz
     return tyy, tyz, tzz, det, other_xx
+
+
+def _propagation(tyy, tyz, tzz, det, other_xx, k_iy, k_i):
+    """Causal-branch classification; broadcasts over any shape.
+
+    Returns the int8 Classification codes (LH, RH or TR) and the causal
+    branch's S_ty and S_tz, which are meaningful only where the code is not
+    TR.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qb = 2.0 * tyz * k_iy
+        qc = tyy * k_iy**2 - det * k_i**2 * other_xx
+        disc = qb**2 - 4.0 * tzz * qc
+        # real roots have S_tz = +/- sqrt(disc) / (2 det): the causal branch
+        # exists whenever disc > 0 and det != 0, with
+        # k_tz = (-qb + sign(det) sqrt(disc)) / (2 tzz)
+        propagating = disc > 0.0
+        degenerate = np.abs(det) < DEGENERACY_TOL
+        sqrt_disc = np.sqrt(np.where(propagating, disc, 0.0))
+        k_tz = (-qb + np.sign(det) * sqrt_disc) / (2.0 * tzz)
+        s_ty = (tyz * k_tz + tyy * k_iy) / det
+        s_tz = (tyz * k_iy + tzz * k_tz) / det
+        k_dot_s = k_iy * s_ty + k_tz * s_tz
+    codes = np.full(disc.shape, int(Classification.TR), dtype=np.int8)
+    ok = propagating & ~degenerate & (s_tz > 0.0)
+    codes[ok & (k_dot_s < 0.0)] = int(Classification.LH)
+    codes[ok & (k_dot_s >= 0.0)] = int(Classification.RH)
+    return codes, s_ty, s_tz
 
 
 def _quadratic(tensors, pol, k_iy, k_i):
@@ -142,18 +177,6 @@ def fresnel_roots(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
     return np.array([(-b + root) / (2.0 * a), (-b - root) / (2.0 * a)])
 
 
-def fresnel_roots_E(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
-    if wave.polarization is not Polarization.E:
-        raise ValueError("fresnel_roots_E expects an E-polarized wave")
-    return fresnel_roots(tensors, wave)
-
-
-def fresnel_roots_H(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
-    if wave.polarization is not Polarization.H:
-        raise ValueError("fresnel_roots_H expects an H-polarized wave")
-    return fresnel_roots(tensors, wave)
-
-
 def _poynting(tensors, pol, k_iy, k_tz):
     """(S_ty, S_tz) up to the positive prefactor amplitude^2 t^2 / (2 omega mu0|eps0).
 
@@ -166,22 +189,12 @@ def _poynting(tensors, pol, k_iy, k_tz):
     return float(s_ty), float(s_tz)
 
 
-def poynting_E(tensors: ResponseTensors, wave: IncidentWave, k_tz: float):
-    """Refracted-wave Poynting components for a real propagating E-pol root."""
-    return _poynting(tensors, Polarization.E, wave.k_iy, k_tz)
+def classify(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
+    """Classify one incident (polarization, theta, omega) cell (lossless tensors).
 
-
-def poynting_H(tensors: ResponseTensors, wave: IncidentWave, k_tz: float):
-    return _poynting(tensors, Polarization.H, wave.k_iy, k_tz)
-
-
-def classify(tensors: ResponseTensors, wave: IncidentWave,
-             realness_tol: float = REALNESS_TOL) -> RefractionResult:
-    """Classify one incident (polarization, theta, omega) cell.
-
-    A root counts as propagating when |Im k_tz| <= realness_tol * k_i.  The
-    causal branch must carry energy into the medium (S_tz > 0); if no
-    propagating root does, the wave is totally reflected.
+    A root propagates when the two roots are real and distinct.  The causal
+    branch must carry energy into the medium (S_tz > 0); if no propagating
+    root does, the wave is totally reflected.
     """
     try:
         roots = fresnel_roots(tensors, wave)
@@ -190,34 +203,15 @@ def classify(tensors: ResponseTensors, wave: IncidentWave,
             wave, np.array([np.nan + 0j, np.nan + 0j]), None, wave.k_iy, None,
             Classification.TR,
         )
-    tol = realness_tol * wave.k_i
-    chosen, s_dir = None, None
-    for idx in range(2):
-        if abs(roots[idx].imag) > tol:
-            continue
-        k_tz = roots[idx].real
-        s_ty, s_tz = _poynting(tensors, wave.polarization, wave.k_iy, k_tz)
-        if s_tz > 0.0:
-            chosen, s_dir = idx, (s_ty, s_tz)
-            break
-    if chosen is None:
-        return RefractionResult(wave, roots, None, wave.k_iy, None, Classification.TR)
-    k_tz = roots[chosen].real
-    k_dot_s = wave.k_iy * s_dir[0] + k_tz * s_dir[1]
-    cls = Classification.LH if k_dot_s < 0.0 else Classification.RH
-    return RefractionResult(wave, roots, chosen, wave.k_iy, s_dir, cls)
-
-
-def classify_E(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
-    if wave.polarization is not Polarization.E:
-        raise ValueError("classify_E expects an E-polarized wave")
-    return classify(tensors, wave)
-
-
-def classify_H(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
-    if wave.polarization is not Polarization.H:
-        raise ValueError("classify_H expects an H-polarized wave")
-    return classify(tensors, wave)
+    blocks = _blocks(tensors, wave.polarization)
+    code, s_ty, s_tz = _propagation(*blocks, wave.k_iy, wave.k_i)
+    cls = Classification(int(code))
+    if cls is Classification.TR:
+        return RefractionResult(wave, roots, None, wave.k_iy, None, cls)
+    # the causal branch is the "+" root when det > 0 and the "-" root otherwise
+    chosen = 0 if blocks[3] > 0.0 else 1
+    return RefractionResult(wave, roots, chosen, wave.k_iy,
+                            (float(s_ty), float(s_tz)), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -235,53 +229,11 @@ class PhaseDiagram:
         return int(np.count_nonzero(self.codes == int(cls)))
 
 
-def _classify_grid(config: MediumConfig, pol: Polarization, theta, omega) -> np.ndarray:
-    """Vectorised lossless classification; same rules as ``classify``."""
-    from .response import alpha_beta, eta
-
-    theta = np.asarray(theta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    h = np.real(eta(config, omega))[None, :]          # (1, n_omega)
-    a, b = alpha_beta(config)
-    if pol is Polarization.E:
-        tyy = 1.0 - a**2 * h
-        tyz = -2.0 * a * b * h
-        tzz = 1.0 - 4.0 * b**2 * h
-        other_xx = 1.0 - h
-    else:
-        tyy = 1.0 - h
-        tyz = -2.0 * h
-        tzz = 1.0 - 4.0 * h
-        other_xx = 1.0 - a**2 * h
-    det = tyy * tzz - tyz**2
-    k_i = (omega / C_LIGHT)[None, :]
-    sin_t = np.sin(theta)[:, None]
-    k_iy = k_i * sin_t
-    qa = tzz
-    qb = 2.0 * tyz * k_iy
-    qc = tyy * k_iy**2 - det * k_i**2 * other_xx
-    disc = qb**2 - 4.0 * qa * qc
-    # real roots have S_tz = +/- sqrt(disc) / (2 det): the causal branch exists
-    # whenever disc > 0 and det != 0, with k_tz = (-qb + sign(det) sqrt(disc)) / (2 qa)
-    propagating = disc > 0.0
-    degenerate = np.abs(det) < DEGENERACY_TOL
-    sqrt_disc = np.sqrt(np.where(propagating, disc, 0.0))
-    k_tz = (-qb + np.sign(det) * sqrt_disc) / (2.0 * qa)
-    s_ty = (tyz * k_tz + tyy * k_iy) / det
-    s_tz = (tyz * k_iy + tzz * k_tz) / det
-    k_dot_s = k_iy * s_ty + k_tz * s_tz
-    codes = np.full(disc.shape, int(Classification.TR), dtype=np.int8)
-    ok = propagating & ~degenerate & (s_tz > 0.0)
-    codes[ok & (k_dot_s < 0.0)] = int(Classification.LH)
-    codes[ok & (k_dot_s >= 0.0)] = int(Classification.RH)
-    masked = np.broadcast_to(is_near_resonance(config, omega)[None, :], codes.shape)
-    codes[masked] = int(Classification.MASKED)
-    return codes
-
-
 def phase_diagram(config: MediumConfig, pol: Polarization,
                   theta_grid, omega_grid) -> PhaseDiagram:
-    """Classify every (theta, omega) cell of a monotone grid.
+    """Classify every (theta, omega) cell of a monotone grid (lossless response).
+
+    Near-resonance frequency bins are marked MASKED.
 
     Emits a warning when the omega spacing is too coarse to resolve the
     mu1 < 0 window (target: bandwidth / 50), if that window overlaps the
@@ -304,7 +256,10 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
                 f"of bandwidth/50 = {bw / 50.0:.3e} is recommended",
                 stacklevel=2,
             )
-    codes = _classify_grid(config, pol, theta, omega)
+    tensors = response_tensors(replace(config, lossy=False), omega)
+    k_i = omega / C_LIGHT
+    codes = _propagation(*_blocks(tensors, pol), k_i * np.sin(theta)[:, None], k_i)[0]
+    codes[:, tensors.near_resonance] = int(Classification.MASKED)
     return PhaseDiagram(pol, theta, omega, codes)
 
 
@@ -454,13 +409,35 @@ def surface_normal_check(tensors: ResponseTensors, pol: Polarization,
 # Lossy normal incidence
 # ---------------------------------------------------------------------------
 
+def _lossy_normal(config: MediumConfig, omega: np.ndarray):
+    """Codes, decaying roots k_tz and S_tz of E-polarized normal incidence."""
+    k_i = omega / C_LIGHT
+    lossless = response_tensors(replace(config, lossy=False), omega)
+    codes = _propagation(*_blocks(lossless, Polarization.E), 0.0, k_i)[0]
+    _, _, tzz, det, eps_xx = _blocks(response_tensors(replace(config, lossy=True), omega),
+                                     Polarization.E)
+    root = np.sqrt(k_i**2 * det * eps_xx / tzz)
+    root = np.where((root.imag < 0.0) | ((root.imag == 0.0) & (root.real < 0.0)),
+                    -root, root)
+    # decaying branch; verify it actually carries energy into the medium
+    s_tz = np.real(tzz * root / det)
+    root = np.where((root.imag == 0.0) & (s_tz <= 0.0), -root, root)
+    s_tz = np.real(tzz * root / det)
+    tr = (codes == int(Classification.TR)) | (s_tz <= 0.0)
+    codes = np.where(tr, int(Classification.TR),
+                     np.where(root.real * s_tz < 0.0, int(Classification.LH),
+                              int(Classification.RH)))
+    return codes, root, s_tz
+
+
 def lossy_normal_incidence(config: MediumConfig, omega: float) -> RefractionResult:
     """E-polarized normal incidence with the complex response kept.
 
     The quadratic becomes k_tz^2 = (omega/c)^2 det eps_xx / mu_zz with
-    complex tensors; the branch with Im(k_tz) > 0 decays into the medium.
-    Phase velocity runs along Re(k_tz), so a propagating cell is
-    left-handed when Re(k_tz) S_tz < 0 with S_tz > 0 into the medium.
+    complex tensors; the branch with Im(k_tz) > 0 decays into the medium
+    and is returned first in ``roots``.  Phase velocity runs along
+    Re(k_tz), so a propagating cell is left-handed when Re(k_tz) S_tz < 0
+    with S_tz > 0 into the medium.
 
     With absorption nothing is exactly totally reflected, so the
     propagating/TR boundary is not intrinsically defined; here a cell
@@ -471,40 +448,20 @@ def lossy_normal_incidence(config: MediumConfig, omega: float) -> RefractionResu
     which it does for the default molecule.
     """
     wave = IncidentWave(Polarization.E, 0.0, omega)
-    lossless = classify(
-        response_tensors(MediumConfig(config.ring, lossy=False), omega), wave
-    )
-    if lossless.classification is Classification.TR:
-        return RefractionResult(
-            wave, lossless.roots, None, 0.0, None, Classification.TR
-        )
-    tensors = response_tensors(MediumConfig(config.ring, lossy=True), omega)
-    t = tensors.mu_r
-    tyy, tyz, tzz = t[1, 1], t[1, 2], t[2, 2]
-    det = tyy * tzz - tyz * tyz
-    k_sq = wave.k_i**2 * det * tensors.eps_r[0, 0] / tzz
-    root = complex(np.sqrt(complex(k_sq)))
-    if root.imag < 0.0 or (root.imag == 0.0 and root.real < 0.0):
-        root = -root
-    roots = np.array([root, -root])
-    # decaying branch; verify it actually carries energy into the medium
-    s_tz = float(np.real(tzz * root / det))
-    if root.imag == 0.0 and s_tz <= 0.0:
-        root = -root
-        roots = roots[::-1]
-        s_tz = float(np.real(tzz * root / det))
-    if s_tz <= 0.0:
-        return RefractionResult(wave, roots, None, 0.0, None, Classification.TR)
-    cls = Classification.LH if root.real * s_tz < 0.0 else Classification.RH
-    return RefractionResult(wave, roots, 0, 0.0, (0.0, s_tz), cls)
+    codes, root, s_tz = _lossy_normal(config, np.array([wave.omega], dtype=float))
+    cls = Classification(int(codes[0]))
+    roots = np.array([root[0], -root[0]])
+    if cls is Classification.TR:
+        return RefractionResult(wave, roots, None, 0.0, None, cls)
+    return RefractionResult(wave, roots, 0, 0.0, (0.0, float(s_tz[0])), cls)
 
 
 def lossy_lh_window(config: MediumConfig, omega_grid) -> tuple[float, float] | None:
     """(omega_low, omega_high) bounds of LH cells at theta = 0, or None."""
-    lh = [
-        om for om in np.asarray(omega_grid, dtype=float)
-        if lossy_normal_incidence(config, float(om)).classification is Classification.LH
-    ]
-    if not lh:
+    omega = np.asarray(omega_grid, dtype=float)
+    if np.any(omega <= 0.0):
+        raise ValueError("omega must be positive")
+    lh = omega[_lossy_normal(config, omega)[0] == int(Classification.LH)]
+    if not lh.size:
         return None
-    return min(lh), max(lh)
+    return lh.min(), lh.max()

@@ -22,9 +22,13 @@ In lossless mode eta' = Re(eta) is used; in lossy mode the full complex
 eta replaces it entrywise.  The yz blocks have exact eigenvalue pairs
 {1, 1 - 5 eta'} and {1, 1 - (a^2 + 4 b^2) eta'}; the second members are the
 principal values eps1 and mu1 whose zero crossings bound the negative
-windows.  Both tensors follow from the Green-Kubo dipole sums restricted to
-the resonant pair; the full sums over all 2N - 1 excited states are kept in
-``full_polarization`` / ``full_magnetization`` as a validation route.
+windows.  ``response_tensors`` is the one place these entries are written:
+it takes a scalar omega or an array of them and evaluates Delta_0, eta and
+(a, b) once per call; ``epsilon_tensor``, ``mu_tensor``, ``eps1`` and
+``mu1`` read its fields.  Both tensors follow from the Green-Kubo dipole
+sums restricted to the resonant pair; the full sums over all 2N - 1 excited
+states are kept in ``full_polarization`` / ``full_magnetization`` as a
+validation route.
 """
 
 from __future__ import annotations
@@ -71,15 +75,21 @@ class MediumConfig:
 
 @dataclass(frozen=True)
 class ResponseTensors:
-    omega: float
-    eta: complex
-    eps_r: np.ndarray   # (3, 3), real lossless / complex lossy
+    """Response at one omega, or at each of an array of n omegas.
+
+    For an array the tensors have shape (n, 3, 3) and eta, eps1, mu1 and
+    near_resonance shape (n,).
+    """
+
+    omega: float | np.ndarray
+    eta: complex | np.ndarray
+    eps_r: np.ndarray   # (3, 3) or (n, 3, 3), real lossless / complex lossy
     mu_r: np.ndarray
     alpha: float
     beta: float
-    eps1: complex       # 1 - 5 eta'
-    mu1: complex        # 1 - (alpha^2 + 4 beta^2) eta'
-    near_resonance: bool = False
+    eps1: complex | np.ndarray   # 1 - 5 eta'
+    mu1: complex | np.ndarray    # 1 - (alpha^2 + 4 beta^2) eta'
+    near_resonance: bool | np.ndarray = False
 
 
 def molecular_volume(config: MediumConfig) -> float:
@@ -107,23 +117,24 @@ def eta_prefactor(config: MediumConfig) -> float:
 
 def eta(config: MediumConfig, omega):
     """Complex response eta(omega); accepts scalars or arrays (rad/s)."""
-    gamma = config.ring.decay_rate
-    delta0 = resonance_frequency(config)
     omega = np.asarray(omega, dtype=float)
-    if gamma == 0.0 and np.any(omega == delta0):
+    value = _eta_at(config, omega - resonance_frequency(config))
+    return complex(value) if value.ndim == 0 else value
+
+
+def _eta_at(config: MediumConfig, detuning):
+    """eta at the detuning omega - Delta_0 (rad/s)."""
+    gamma = config.ring.decay_rate
+    if gamma == 0.0 and np.any(detuning == 0.0):
         raise ResonanceSingularityError(
             "eta diverges exactly on resonance when the decay rate is zero"
         )
-    value = eta_prefactor(config) / (omega - delta0 + 1j * gamma)
-    return complex(value) if value.ndim == 0 else value
+    return eta_prefactor(config) / (detuning + 1j * gamma)
 
 
 def is_near_resonance(config: MediumConfig, omega) -> bool | np.ndarray:
     """Bins within 1e-3 gamma of the resonance; masked in lossless sweeps."""
-    gamma = config.ring.decay_rate
-    delta0 = resonance_frequency(config)
-    out = np.abs(np.asarray(omega, dtype=float) - delta0) < NEAR_RESONANCE_FACTOR * gamma
-    return bool(out) if out.ndim == 0 else out
+    return response_tensors(config, omega).near_resonance
 
 
 def alpha_beta(config: MediumConfig) -> tuple[float, float]:
@@ -137,60 +148,52 @@ def alpha_beta(config: MediumConfig) -> tuple[float, float]:
     return alpha, beta
 
 
-def _effective_eta(config: MediumConfig, omega):
-    """eta' in lossless mode, complex eta in lossy mode."""
-    h = eta(config, omega)
-    return h if config.lossy else np.real(h)
+def response_tensors(config: MediumConfig, omega) -> ResponseTensors:
+    """eta, eps_r, mu_r, eps1, mu1 and the near-resonance flag at omega.
+
+    omega is a scalar or an array of n frequencies (rad/s); an array gives
+    (n, 3, 3) tensors and (n,) values.  Lossless mode uses eta' = Re(eta) in
+    every entry, lossy mode the complex eta.
+    """
+    scalar = np.ndim(omega) == 0
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    detuning = omega - resonance_frequency(config)
+    h = _eta_at(config, detuning)
+    h_eff = h if config.lossy else h.real
+    a, b = alpha_beta(config)
+    eps = np.zeros((omega.size, 3, 3), dtype=h_eff.dtype)
+    eps[:, 0, 0] = eps[:, 1, 1] = 1.0 - h_eff
+    eps[:, 2, 2] = 1.0 - 4.0 * h_eff
+    eps[:, 1, 2] = eps[:, 2, 1] = -2.0 * h_eff
+    mu = np.zeros_like(eps)
+    mu[:, 0, 0] = mu[:, 1, 1] = 1.0 - a**2 * h_eff
+    mu[:, 2, 2] = 1.0 - 4.0 * b**2 * h_eff
+    mu[:, 1, 2] = mu[:, 2, 1] = -2.0 * a * b * h_eff
+    eps1 = 1.0 - 5.0 * h_eff
+    mu1 = 1.0 - (a**2 + 4.0 * b**2) * h_eff
+    near = np.abs(detuning) < NEAR_RESONANCE_FACTOR * config.ring.decay_rate
+    if scalar:
+        return ResponseTensors(float(omega[0]), complex(h[0]), eps[0], mu[0], a, b,
+                               eps1[0].item(), mu1[0].item(), bool(near[0]))
+    return ResponseTensors(omega, h, eps, mu, a, b, eps1, mu1, near)
 
 
 def epsilon_tensor(config: MediumConfig, omega) -> np.ndarray:
-    h = _effective_eta(config, omega)
-    dtype = complex if config.lossy else float
-    out = np.zeros((3, 3), dtype=dtype)
-    out[0, 0] = 1.0 - h
-    out[1, 1] = 1.0 - h
-    out[2, 2] = 1.0 - 4.0 * h
-    out[1, 2] = out[2, 1] = -2.0 * h
-    return out
+    return response_tensors(config, omega).eps_r
 
 
 def mu_tensor(config: MediumConfig, omega) -> np.ndarray:
-    h = _effective_eta(config, omega)
-    a, b = alpha_beta(config)
-    dtype = complex if config.lossy else float
-    out = np.zeros((3, 3), dtype=dtype)
-    out[0, 0] = 1.0 - a**2 * h
-    out[1, 1] = 1.0 - a**2 * h
-    out[2, 2] = 1.0 - 4.0 * b**2 * h
-    out[1, 2] = out[2, 1] = -2.0 * a * b * h
-    return out
+    return response_tensors(config, omega).mu_r
 
 
 def eps1(config: MediumConfig, omega):
     """Principal permittivity 1 - 5 eta' (complex eta when lossy)."""
-    return 1.0 - 5.0 * _effective_eta(config, omega)
+    return response_tensors(config, omega).eps1
 
 
 def mu1(config: MediumConfig, omega):
     """Principal permeability 1 - (alpha^2 + 4 beta^2) eta'."""
-    a, b = alpha_beta(config)
-    return 1.0 - (a**2 + 4.0 * b**2) * _effective_eta(config, omega)
-
-
-def response_tensors(config: MediumConfig, omega: float) -> ResponseTensors:
-    h = eta(config, omega)
-    a, b = alpha_beta(config)
-    return ResponseTensors(
-        omega=float(omega),
-        eta=h,
-        eps_r=epsilon_tensor(config, omega),
-        mu_r=mu_tensor(config, omega),
-        alpha=a,
-        beta=b,
-        eps1=eps1(config, omega),
-        mu1=mu1(config, omega),
-        near_resonance=bool(is_near_resonance(config, omega)),
-    )
+    return response_tensors(config, omega).mu1
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +319,8 @@ def local_field_epsilon(config: MediumConfig, omega) -> np.ndarray:
     The corrected principal value crosses zero at eta' = 3/10 instead of the
     uncorrected 1/5.
     """
-    h = _effective_eta(config, omega)
+    h = eta(config, omega)
+    h = h if config.lossy else np.real(h)
     pole_x = 3.0 + h
     pole_yz = 3.0 + 5.0 * h
     if min(abs(pole_x), abs(pole_yz)) < 1e-12:

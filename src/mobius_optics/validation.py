@@ -267,36 +267,49 @@ def response_checks(params: RingParams) -> list[dict]:
     return out
 
 
+def _overdamped(*names) -> list[dict]:
+    """Failed checks for a ring whose mu1 < 0 window they would sample."""
+    return [_check(name, float("nan"), None, passed=False,
+                   note="overdamped: no mu1 window") for name in names]
+
+
 def refraction_checks(params: RingParams) -> list[dict]:
     out = []
     cfg = rs.MediumConfig(replace(params, radius=None))
     delta0 = rs.resonance_frequency(cfg)
     bw = rs.bandwidth(cfg)
     zeros = rs.mu1_zero_detunings(cfg)
-    theta = np.linspace(0.0, math.radians(89.0), 128)
-    omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
-    pd_e = rf.phase_diagram(cfg, rf.Polarization.E, theta, omega)
-    pd_h = rf.phase_diagram(cfg, rf.Polarization.H, theta, omega)
-    lh_e = pd_e.count(rf.Classification.LH)
-    lh_h = pd_h.count(rf.Classification.LH)
-    out.append(_check("phase_diagram_E_has_lh_band", lh_e, 1,
-                      passed=lh_e > 0, note=f"{lh_e} cells"))
-    out.append(_check("phase_diagram_H_no_lh", lh_h, 0, passed=lh_h == 0))
-    lh_rows = np.where((pd_e.codes == int(rf.Classification.LH)).any(axis=0))[0]
-    step = float(omega[1] - omega[0])
-    if lh_rows.size:
-        lo_err = abs(omega[lh_rows[0]] - (delta0 + zeros[0]))
-        hi_err = abs(omega[lh_rows[-1]] - (delta0 + zeros[1]))
-        out.append(_check("lh_band_bounded_by_mu1_zeros",
-                          float(max(lo_err, hi_err)), step,
-                          note="band endpoints within one grid step"))
-        contiguous = np.array_equal(lh_rows, np.arange(lh_rows[0], lh_rows[-1] + 1))
-        out.append(_check("lh_band_contiguous", int(contiguous), 1, passed=contiguous))
+    if zeros is None:
+        out += _overdamped("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
+                           "lh_band_bounded_by_mu1_zeros")
+    else:
+        theta = np.linspace(0.0, math.radians(89.0), 128)
+        omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
+        pd_e = rf.phase_diagram(cfg, rf.Polarization.E, theta, omega)
+        pd_h = rf.phase_diagram(cfg, rf.Polarization.H, theta, omega)
+        lh_e = pd_e.count(rf.Classification.LH)
+        lh_h = pd_h.count(rf.Classification.LH)
+        out.append(_check("phase_diagram_E_has_lh_band", lh_e, 1,
+                          passed=lh_e > 0, note=f"{lh_e} cells"))
+        out.append(_check("phase_diagram_H_no_lh", lh_h, 0, passed=lh_h == 0))
+        lh_rows = np.where((pd_e.codes == int(rf.Classification.LH)).any(axis=0))[0]
+        step = float(omega[1] - omega[0])
+        if lh_rows.size:
+            lo_err = abs(omega[lh_rows[0]] - (delta0 + zeros[0]))
+            hi_err = abs(omega[lh_rows[-1]] - (delta0 + zeros[1]))
+            out.append(_check("lh_band_bounded_by_mu1_zeros",
+                              float(max(lo_err, hi_err)), step,
+                              note="band endpoints within one grid step"))
+            contiguous = np.array_equal(lh_rows, np.arange(lh_rows[0], lh_rows[-1] + 1))
+            out.append(_check("lh_band_contiguous", int(contiguous), 1, passed=contiguous))
     t_low = rs.response_tensors(cfg, 0.5 * delta0)
     sr = rf.wave_vector_surface(t_low, rf.Polarization.E, 200)
     h = rs.eta(cfg, 0.5 * delta0).real
     circ = max(abs(p.n_ty**2 + p.n_tz**2 - (1.0 - h)) for p in sr.points)
     out.append(_check("surface_circle_residual", float(circ), 1e-3))
+    if zeros is None:
+        return out + _overdamped("surface_hyperbola_residual", "poynting_normal_to_surface",
+                                 "lossy_window_shift", "overdamped_window_empty")
     mid = delta0 + 0.5 * (zeros[0] + zeros[1])
     t_mid = rs.response_tensors(cfg, mid)
     sr2 = rf.wave_vector_surface(t_mid, rf.Polarization.E, 200)
@@ -311,7 +324,7 @@ def refraction_checks(params: RingParams) -> list[dict]:
     out.append(_check("poynting_normal_to_surface", float(worst_normal), 1e-6))
     grid = np.linspace(delta0 - 2 * bw, delta0 + 2 * bw, 2000)
     win = rf.lossy_lh_window(cfg, grid)
-    if win is None or zeros is None:
+    if win is None:
         out.append(_check("lossy_window_shift", float("nan"), 0.1, passed=False))
     else:
         shift = max(abs((win[0] - delta0) - zeros[0]),

@@ -197,3 +197,23 @@ def test_commands_requiring_closed_forms_reject_other_topologies(tmp_path):
         "topology": "single_ring", "output_path": str(tmp_path / "x.csv")}).encode())
     with pytest.raises(cli.ConfigError, match="requires topology=mobius"):
         cli.run_command("spectrum", cfg)
+
+
+@pytest.mark.parametrize("gamma_inv_ns", (0.3, 0.51))
+def test_validate_overdamped_reports_failed_window_checks(tmp_path, gamma_inv_ns):
+    path = tmp_path / "validate.csv"
+    cfg = cli.parse_config(json.dumps(
+        {"gamma_inv_ns": gamma_inv_ns, "output_path": str(path)}).encode())
+    out = io.StringIO()
+    assert cli.run_command("validate", cfg, stdout=out) == cli.EXIT_VALIDATION_FAILURE
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    failed = {row[0] for row in rows if row[3] == "0"}
+    assert failed == {
+        "bandwidth_closed_vs_roots", "phase_diagram_E_has_lh_band",
+        "phase_diagram_H_no_lh", "lh_band_bounded_by_mu1_zeros",
+        "surface_hyperbola_residual", "poynting_normal_to_surface",
+        "lossy_window_shift", "overdamped_window_empty",
+    }
+    assert all(row[4] == "overdamped: no mu1 window"
+               for row in rows if row[0] in failed)
+    assert "8 checks FAILED" in out.getvalue()

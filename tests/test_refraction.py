@@ -28,15 +28,15 @@ def test_identity_medium_roots_and_classification():
     t = rs.response_tensors(CFG, DELTA0)
     for theta in (0.0, 20.0, 75.0):
         w = wave(E, theta, DELTA0)
-        roots = rf.fresnel_roots_E(t, w)
+        roots = rf.fresnel_roots(t, w)
         expected = w.k_i * math.cos(w.theta)
         assert sorted(np.real(roots)) == pytest.approx([-expected, expected], rel=1e-12)
         assert np.abs(np.imag(roots)).max() < 1e-12 * w.k_i
-        assert rf.classify_E(t, w).classification is RH
+        assert rf.classify(t, w).classification is RH
         wh = wave(H, theta, DELTA0)
-        assert sorted(np.real(rf.fresnel_roots_H(t, wh))) == pytest.approx(
+        assert sorted(np.real(rf.fresnel_roots(t, wh))) == pytest.approx(
             [-expected, expected], rel=1e-12)
-        assert rf.classify_H(t, wh).classification is RH
+        assert rf.classify(t, wh).classification is RH
 
 
 def _closed_form_roots_E(t, w):
@@ -61,7 +61,7 @@ def test_quadratic_matches_closed_form_roots():
         theta = rng.uniform(0.0, 89.0)
         t = rs.response_tensors(CFG, om)
         w = wave(E, theta, om)
-        got = sorted(rf.fresnel_roots_E(t, w), key=lambda z: (z.real, z.imag))
+        got = sorted(rf.fresnel_roots(t, w), key=lambda z: (z.real, z.imag))
         want = sorted(_closed_form_roots_E(t, w), key=lambda z: (z.real, z.imag))
         scale = max(abs(z) for z in want) + w.k_i
         assert max(abs(g - v) for g, v in zip(got, want)) < 1e-10 * scale
@@ -73,9 +73,9 @@ def test_total_reflection_when_discriminant_negative():
     t = rs.response_tensors(CFG, om)
     assert t.mu1 > 0 and t.eta.real > 1
     w = wave(E, 10.0, om)
-    roots = rf.fresnel_roots_E(t, w)
+    roots = rf.fresnel_roots(t, w)
     assert np.abs(np.imag(roots)).min() > 1e-6 * w.k_i
-    assert rf.classify_E(t, w).classification is TR
+    assert rf.classify(t, w).classification is TR
 
 
 def test_branch_flip_reverses_energy_flow():
@@ -86,11 +86,11 @@ def test_branch_flip_reverses_energy_flow():
         theta = rng.uniform(0.0, 89.0)
         t = rs.response_tensors(CFG, om)
         w = wave(E, theta, om)
-        roots = rf.fresnel_roots_E(t, w)
+        roots = rf.fresnel_roots(t, w)
         if np.abs(np.imag(roots)).max() > 1e-12 * w.k_i:
             continue
-        s0 = rf.poynting_E(t, w, roots[0].real)[1]
-        s1 = rf.poynting_E(t, w, roots[1].real)[1]
+        s0 = rf._poynting(t, E, w.k_iy, roots[0].real)[1]
+        s1 = rf._poynting(t, E, w.k_iy, roots[1].real)[1]
         assert s0 * s1 < 0, "the two branches must carry opposite S_tz"
         checked += 1
 
@@ -99,7 +99,7 @@ def test_tangential_wavevector_is_conserved():
     for om in (0.7 * DELTA0, WINDOW_MID, 1.3 * DELTA0):
         t = rs.response_tensors(CFG, om)
         w = wave(E, 37.0, om)
-        res = rf.classify_E(t, w)
+        res = rf.classify(t, w)
         assert res.k_ty == w.k_iy
 
 
@@ -107,7 +107,7 @@ def test_left_handed_inside_negative_mu_window():
     t = rs.response_tensors(CFG, WINDOW_MID)
     assert t.mu1 < 0
     for theta in (0.0, 15.0, 45.0, 80.0):
-        res = rf.classify_E(t, wave(E, theta, WINDOW_MID))
+        res = rf.classify(t, wave(E, theta, WINDOW_MID))
         assert res.classification is LH
         k_tz = res.roots[res.chosen].real
         s_ty, s_tz = res.poynting_dir
@@ -119,7 +119,7 @@ def test_poynting_nearly_parallel_to_wavevector_far_below_resonance():
     om = 0.5 * DELTA0
     t = rs.response_tensors(CFG, om)
     w = wave(E, 30.0, om)
-    res = rf.classify_E(t, w)
+    res = rf.classify(t, w)
     assert res.classification is RH
     k = np.array([res.k_ty, res.roots[res.chosen].real])
     s = np.array(res.poynting_dir)
@@ -140,7 +140,7 @@ def test_h_polarization_total_reflection_far_above_resonance_at_grazing():
     om = 1.4 * DELTA0
     t = rs.response_tensors(CFG, om)
     found_tr = any(
-        rf.classify_H(t, wave(H, th, om)).classification is TR
+        rf.classify(t, wave(H, th, om)).classification is TR
         for th in (80.0, 85.0, 89.0)
     )
     assert found_tr
@@ -177,17 +177,18 @@ def test_grid_cells_are_exhaustive_and_lh_implies_negative_mu1():
     assert np.all(mu1_vals[lh_cols] < 0)
 
 
-def test_realness_tolerance_monotonicity():
+def test_propagating_exactly_when_roots_are_real_and_distinct():
     theta = np.linspace(0.0, math.radians(89.0), 16)
     omega = np.linspace(DELTA0 - 10 * BW, DELTA0 + 10 * BW, 64)
-    for th in theta:
-        for om in omega:
-            t = rs.response_tensors(CFG, om)
-            w = rf.IncidentWave(E, float(th), float(om))
-            loose = rf.classify(t, w, realness_tol=1e-9).classification
-            tight = rf.classify(t, w, realness_tol=1e-13).classification
-            if loose is not tight:
-                assert tight is TR and loose in (LH, RH)
+    for om in omega:
+        t = rs.response_tensors(CFG, om)
+        for pol in (E, H):
+            for th in theta:
+                res = rf.classify(t, rf.IncidentWave(pol, float(th), float(om)))
+                real = np.all(res.roots.imag == 0.0) and res.roots[0] != res.roots[1]
+                assert (res.classification is not TR) == real
+                if real:
+                    assert res.poynting_dir[1] > 0.0
 
 
 def test_phase_diagram_lh_band_bounded_by_mu1_zeros():
@@ -312,8 +313,8 @@ def test_degenerate_yz_block_signaled_and_classified_tr():
                            near_resonance=False)
     w = wave(E, 10.0, DELTA0)
     with pytest.raises(rf.DegenerateFresnelError):
-        rf.fresnel_roots_E(t, w)
-    assert rf.classify_E(t, w).classification is TR
+        rf.fresnel_roots(t, w)
+    assert rf.classify(t, w).classification is TR
 
 
 def test_classification_flips_from_lh_to_tr_across_upper_mu1_zero():
@@ -321,8 +322,8 @@ def test_classification_flips_from_lh_to_tr_across_upper_mu1_zero():
                      WINDOW_MID, DELTA0 + 2 * ZEROS[1], xtol=1e-6)
     below = rs.response_tensors(CFG, om_zero - 1e3)
     above = rs.response_tensors(CFG, om_zero + 1e3)
-    assert rf.classify_E(below, wave(E, 10.0, om_zero - 1e3)).classification is LH
-    assert rf.classify_E(above, wave(E, 10.0, om_zero + 1e3)).classification is TR
+    assert rf.classify(below, wave(E, 10.0, om_zero - 1e3)).classification is LH
+    assert rf.classify(above, wave(E, 10.0, om_zero + 1e3)).classification is TR
 
 
 def test_lossy_limit_reproduces_lossless_at_normal_incidence():
@@ -337,7 +338,7 @@ def test_lossy_limit_reproduces_lossless_at_normal_incidence():
     for om, expected in cases:
         lossy = rf.lossy_normal_incidence(sharp, om).classification
         t = rs.response_tensors(sharp, om)
-        lossless = rf.classify_E(t, rf.IncidentWave(E, 0.0, om)).classification
+        lossless = rf.classify(t, rf.IncidentWave(E, 0.0, om)).classification
         assert lossy is lossless is expected
 
 
@@ -365,14 +366,6 @@ def test_incident_wave_validation():
         rf.IncidentWave(E, -0.1, DELTA0)
     with pytest.raises(ValueError):
         rf.IncidentWave(E, 0.0, 0.0)
-
-
-def test_polarization_guards():
-    t = rs.response_tensors(CFG, DELTA0)
-    with pytest.raises(ValueError):
-        rf.fresnel_roots_E(t, wave(H, 0.0, DELTA0))
-    with pytest.raises(ValueError):
-        rf.classify_H(t, wave(E, 0.0, DELTA0))
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +420,13 @@ def test_lossy_lh_verdict_matches_negative_phase_velocity_condition():
     verdicts = {LH: 0, RH: 0}
     for gamma_inv_ns in LIFETIMES_NS:
         cfg = _medium(12, gamma_inv_ns)
-        lossy = rs.MediumConfig(cfg.ring, lossy=True)
-        for om in grid:
+        t = rs.response_tensors(rs.MediumConfig(cfg.ring, lossy=True), grid)
+        eps = t.eps_r[:, 0, 0]
+        mu = (t.mu_r[:, 1, 1] * t.mu_r[:, 2, 2] - t.mu_r[:, 1, 2] ** 2) / t.mu_r[:, 2, 2]
+        npv = eps.real * np.abs(mu) + mu.real * np.abs(eps) < 0.0
+        for om, backward in zip(grid, npv):
             cls = rf.lossy_normal_incidence(cfg, float(om)).classification
-            if cls is TR:
-                continue
-            t = rs.response_tensors(lossy, float(om))
-            eps = t.eps_r[0, 0]
-            mu = (t.mu_r[1, 1] * t.mu_r[2, 2] - t.mu_r[1, 2] ** 2) / t.mu_r[2, 2]
-            npv = eps.real * abs(mu) + mu.real * abs(eps) < 0.0
-            assert (cls is LH) == npv, (gamma_inv_ns, om)
-            verdicts[cls] += 1
+            if cls is not TR:
+                assert (cls is LH) == backward, (gamma_inv_ns, om)
+                verdicts[cls] += 1
     assert verdicts[LH] > 0 and verdicts[RH] > 0

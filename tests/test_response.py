@@ -237,3 +237,30 @@ def test_near_resonance_flag():
     assert not rs.is_near_resonance(CFG, DELTA0 + 1e-2 * GAMMA)
     flags = rs.is_near_resonance(CFG, np.array([DELTA0, DELTA0 + GAMMA]))
     assert flags.tolist() == [True, False]
+
+
+def _bits(x):
+    return np.ascontiguousarray(np.asarray(x, dtype=complex)).view(np.uint64)
+
+
+@pytest.mark.parametrize("lossy", (False, True))
+@pytest.mark.parametrize("n", (12, 33))
+@pytest.mark.parametrize("gamma_inv_ns", (4.0, 0.3))
+def test_batched_response_matches_scalar_calls_bit_for_bit(gamma_inv_ns, n, lossy):
+    cfg = rs.MediumConfig(RingParams(n, decay_rate=1.0 / (gamma_inv_ns * 1e-9)),
+                          lossy=lossy)
+    d0 = rs.resonance_frequency(cfg)
+    span = 10 * rs.bandwidth(cfg) or 1e-3 * d0
+    omega = np.concatenate([np.linspace(d0 - span, d0 + span, 509),
+                            [d0, d0 + 1e-4 * cfg.ring.decay_rate, 0.5 * d0]])
+    batch = rs.response_tensors(cfg, omega)
+    scalars = [rs.response_tensors(cfg, float(om)) for om in omega]
+    assert batch.eps_r.shape == batch.mu_r.shape == (omega.size, 3, 3)
+    for field in ("omega", "eta", "eps_r", "mu_r", "eps1", "mu1", "near_resonance"):
+        stacked = np.array([getattr(t, field) for t in scalars])
+        assert np.array_equal(_bits(getattr(batch, field)), _bits(stacked)), field
+    assert batch.near_resonance[-2] and not batch.near_resonance[-1]
+    one = scalars[0]
+    assert type(one.omega) is float and type(one.eta) is complex
+    assert type(one.eps1) is type(one.mu1) is (complex if lossy else float)
+    assert type(one.near_resonance) is bool and one.eps_r.shape == (3, 3)
