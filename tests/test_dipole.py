@@ -150,3 +150,18 @@ def test_non_mobius_topology_rejected():
     ring = RingParams(6, topology=Topology.DOUBLE_RING_PERIODIC)
     with pytest.raises(ValueError):
         dp.electric_element(ring, EigenLabel(0, DOWN), EigenLabel(0, UP))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 12))
+@pytest.mark.parametrize("kind", ["electric", "magnetic"])
+def test_tables_equal_elements_bit_for_bit(n, kind):
+    # table[to, from] = <to| O |from> = element(from, to).vector, aliased
+    # small rings included
+    p = RingParams(n)
+    table_fn, element_fn = ((dp.electric_table, dp.electric_element) if kind == "electric"
+                            else (dp.magnetic_table, dp.magnetic_element))
+    labels = all_labels(n)
+    elements = np.array([[element_fn(p, lb, la).vector for lb in labels] for la in labels])
+    table = table_fn(p)
+    assert table.dtype == elements.dtype == complex
+    assert np.array_equal(table.view(np.uint64), elements.view(np.uint64))

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from mobius_optics import response as rs
-from mobius_optics.constants import EV, HBAR
+from mobius_optics.constants import EPSILON_0, EV, HBAR
 from mobius_optics.ring import RingParams, VolumeConvention
 
 CFG = rs.MediumConfig(RingParams(12))
@@ -122,6 +122,21 @@ def test_ground_state_excluded_from_sums():
     freqs, dyads = rs._ground_dyads(CFG, np.zeros((24, 24, 3), dtype=complex))
     assert len(freqs) == 23  # 2N - 1 excited labels
     assert np.all(freqs > 0)
+
+
+@pytest.mark.parametrize("lossy", (False, True))
+def test_full_sum_tensors_are_the_unit_drive_responses_bit_for_bit(lossy):
+    cfg = rs.MediumConfig(CFG.ring, lossy=lossy)
+    om = DELTA0 + 50 * GAMMA
+    eye = np.eye(3)
+    eps = rs.epsilon_from_full_sum(cfg, om)
+    mu = rs.mu_from_full_sum(cfg, om)
+    assert eps.dtype == mu.dtype == (complex if lossy else float)
+    for c in range(3):
+        p = eye[:, c] + rs.full_polarization(cfg, om, eye[c]) / EPSILON_0
+        m = eye[:, c] + rs.full_magnetization(cfg, om, eye[c])
+        assert np.array_equal(_bits(eps[:, c]), _bits(p))
+        assert np.array_equal(_bits(mu[:, c]), _bits(m))
 
 
 @pytest.mark.parametrize("detuning_gammas", [10, 60, 100])
