@@ -27,10 +27,10 @@ import numpy as np
 from .constants import EV, HBAR, NM, NS, angular_frequency_to_ev
 from .dipole import (
     DipoleKind,
-    electric_element,
     electric_selection,
-    magnetic_element,
+    electric_table,
     magnetic_selection,
+    magnetic_table,
 )
 from .refraction import (
     Classification,
@@ -66,7 +66,6 @@ CONFIG_KEYS = {
     "n_per_ring": (12, "count (alias: N)", "atoms per sub-ring, >= 3"),
     "v_inter_ev": (3.6, "eV", "inter-ring resonance integral V, > 0"),
     "xi_intra_ev": (3.6, "eV", "intra-ring resonance integral xi, > 0"),
-    "eps_onsite_ev": (0.0, "eV", "on-site energy splitting (0 for identical atoms)"),
     "half_width_nm": (0.077, "nm", "half-width parameter W (molecule width is 4W)"),
     "radius_nm": (None, "nm", "ring radius R; default N * W / pi"),
     "gamma_inv_ns": (4.0, "ns", "excited-state lifetime 1/gamma"),
@@ -117,6 +116,11 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
+def _finite(val) -> bool:
+    """Whether a JSON number is finite: NaN compares false, so do ints beyond the float range."""
+    return abs(val) <= sys.float_info.max
+
+
 def parse_config(text: bytes | str) -> RunConfig:
     """Parse and validate a JSON configuration; unknown keys are rejected."""
     if isinstance(text, bytes):
@@ -140,6 +144,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         val = cfg[key]
         _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
                 f"{key} must be a number")
+        _expect(_finite(val), f"{key} must be finite")
         if positive:
             _expect(val > 0, f"{key} must be > 0")
         if nonneg:
@@ -156,7 +161,6 @@ def parse_config(text: bytes | str) -> RunConfig:
     n = integer("n_per_ring", 3)
     v_ev = number("v_inter_ev", positive=True)
     xi_ev = number("xi_intra_ev", positive=True)
-    eps_ev = number("eps_onsite_ev")
     w_m = number("half_width_nm", positive=True) * NM
     radius = cfg["radius_nm"]
     if radius is not None:
@@ -174,7 +178,7 @@ def parse_config(text: bytes | str) -> RunConfig:
     _expect(isinstance(cfg["lossy"], bool), "lossy must be a boolean")
     try:
         ring = RingParams(
-            n_per_ring=n, v_inter=v_ev, xi_intra=xi_ev, eps_onsite=eps_ev,
+            n_per_ring=n, v_inter=v_ev, xi_intra=xi_ev,
             half_width=w_m, radius=radius, decay_rate=gamma,
             topology=topology, volume_convention=convention,
         )
@@ -208,6 +212,7 @@ def parse_config(text: bytes | str) -> RunConfig:
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                         for x in detunings),
                 "surface_detunings_ev must be a non-empty list of numbers")
+        _expect(all(map(_finite, detunings)), "surface_detunings_ev must be finite")
         detunings = [float(x) for x in detunings]
     samples = integer("surface_samples", 10)
     out_path = cfg["output_path"]
@@ -378,36 +383,27 @@ def _cmd_elements(config: RunConfig):
     _require_mobius(config, "elements")
     n = config.ring.n_per_ring
     labels = all_labels(n)
-    rows = []
-    for kind, element_fn, selection_fn in (
-        (DipoleKind.ELECTRIC, electric_element, electric_selection),
-        (DipoleKind.MAGNETIC, magnetic_element, magnetic_selection),
-    ):
-        scale = 0.0
-        cached = {}
-        for la in labels:
-            for lb in labels:
-                vec = element_fn(config.ring, la, lb).vector
-                cached[(la, lb)] = vec
-                scale = max(scale, float(np.abs(vec).max()))
-        for la in labels:
-            for lb in labels:
-                vec = cached[(la, lb)]
-                if np.abs(vec).max() <= 1e-13 * scale:
-                    continue
-                nonzero = "".join(
-                    c for c, comp in zip("xyz", vec) if abs(comp) > 1e-13 * scale)
-                rule = "".join(sorted(selection_fn(n, la, lb)))
-                rows.append((
-                    kind.value, la.momentum_index, la.band.value,
-                    lb.momentum_index, lb.band.value,
-                    vec[0].real, vec[0].imag, vec[1].real, vec[1].imag,
-                    vec[2].real, vec[2].imag, nonzero, rule,
-                ))
-    table = np.rec.fromrecords(rows, names=[
-        "kind", "from_l", "from_band", "to_l", "to_band",
-        "x_re", "x_im", "y_re", "y_im", "z_re", "z_im",
-        "nonzero_components", "selection_rule"])
+    label_l = np.array([lab.momentum_index for lab in labels])
+    label_band = np.array([lab.band.value for lab in labels])
+    kinds = np.array([DipoleKind.ELECTRIC.value, DipoleKind.MAGNETIC.value])
+    selection = (electric_selection, magnetic_selection)
+    # [kind, from, to] = <to| O |from>; each kind keeps what is above its own floor
+    vecs = np.stack([electric_table(config.ring),
+                     magnetic_table(config.ring)]).transpose(0, 2, 1, 3)
+    mags = np.abs(vecs)
+    floor = 1e-13 * mags.max(axis=(1, 2, 3))
+    kind, src, dst = np.nonzero(mags.max(axis=3) > floor[:, None, None])
+    vec = vecs[kind, src, dst]
+    table = _table(
+        kind=kinds[kind], from_l=label_l[src], from_band=label_band[src],
+        to_l=label_l[dst], to_band=label_band[dst],
+        x_re=vec[:, 0].real, x_im=vec[:, 0].imag, y_re=vec[:, 1].real,
+        y_im=vec[:, 1].imag, z_re=vec[:, 2].real, z_im=vec[:, 2].imag,
+        nonzero_components=["".join(c for c, on in zip("xyz", row) if on) for row in
+                            (mags[kind, src, dst] > floor[kind, None]).tolist()],
+        selection_rule=["".join(sorted(selection[k](n, labels[a], labels[b])))
+                        for k, a, b in zip(kind.tolist(), src.tolist(), dst.tolist())],
+    )
     n_e = int(np.count_nonzero(table["kind"] == DipoleKind.ELECTRIC.value))
     summary = (f"elements: {n_e} electric and {len(table) - n_e} magnetic "
                "nonzero dipole elements")

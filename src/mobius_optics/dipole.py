@@ -4,7 +4,10 @@ Matrix elements between band eigenstates come in momentum-transfer blocks
 dl = l_ket - l_bra in {0, +/-1, +/-2}; every other momentum transfer is
 forbidden by the ring geometry.  Each block is a 2x2 matrix over the band
 pair (up, down) of 3-vectors, evaluated at the bra momentum k = l_bra *
-delta.  For small rings the blocks alias (dl = +2 and -2 coincide for
+delta.  One row builder, ``_rows``, evaluates them for an array of bra
+momenta and scatters them to the ket columns (l_bra + dl) mod N; it feeds
+the tables, the single elements and the ground row of the Kubo sums.  For
+small rings the blocks alias in that scatter (dl = +2 and -2 coincide for
 N = 4, +/-2 with -/+1 for N = 3) and the aliased contributions add.
 
 Conventions frozen against the brute-force construction in ``bruteforce``
@@ -69,35 +72,29 @@ def _require_mobius(params: RingParams):
         raise ValueError("closed-form dipole tables exist only for the Mobius topology")
 
 
-def _electric_block(k: float, dl: int, r: float, w: float) -> np.ndarray:
-    """(2, 2, 3) block <k,s| d |k + dl*delta, s'>; k-independent in fact."""
-    out = np.zeros((2, 2, 3), dtype=complex)
+def _electric_block(dl: int, r: float, w: float) -> np.ndarray:
+    """(2, 2, 3) block <k,s| d |k + dl*delta, s'>, the same at every k."""
     if dl == 0:
-        for c, e_c in enumerate([_EX, _EY, _EZ]):
-            out[:, :, c] = -E_CHARGE * w / 4.0 * ((e_c[1] + 2.0 * e_c[2]) * _SX - e_c[0] * _SY)
-    elif dl in (1, -1):
+        return -E_CHARGE * w / 4.0 * ((_EY + 2.0 * _EZ) * _SX[..., None] - _EX * _SY[..., None])
+    s_pm = _SM if dl > 0 else _SP
+    if dl in (1, -1):
         exy = _EX - 1j * _EY if dl == 1 else _EX + 1j * _EY
-        s_pm = _SM if dl == 1 else _SP
-        for c in range(3):
-            out[:, :, c] = -E_CHARGE / 4.0 * (
-                exy[c] * (2.0 * r * _I2 + w * _SY) + 2.0 * w * _EZ[c] * s_pm
-            )
-    elif dl in (2, -2):
-        v = -1j * _EX - _EY if dl == 2 else 1j * _EX - _EY
-        s_pm = _SM if dl == 2 else _SP
-        for c in range(3):
-            out[:, :, c] = -E_CHARGE * w / 4.0 * v[c] * s_pm
-    return out
+        return -E_CHARGE / 4.0 * (
+            exy * (2.0 * r * _I2 + w * _SY)[..., None] + 2.0 * w * _EZ * s_pm[..., None]
+        )
+    v = -1j * _EX - _EY if dl == 2 else 1j * _EX - _EY
+    return -E_CHARGE * w / 4.0 * v * s_pm[..., None]
 
 
-def _magnetic_block(k: float, dl: int, v: float, xi: float, r: float, w: float, delta: float) -> np.ndarray:
-    """(2, 2, 3) block <k,s| m |k + dl*delta, s'> in A m^2 (v, xi in joules)."""
+def _magnetic_block(k: np.ndarray, dl: int, v: float, xi: float, r: float, w: float, delta: float) -> np.ndarray:
+    """(m, 2, 2, 3) blocks <k,s| m |k + dl*delta, s'> in A m^2 at m momenta k (v, xi in joules)."""
     c, s = np.cos, np.sin
     d = delta
-    out = np.zeros((2, 2, 3), dtype=complex)
+    k = k[:, None]   # trailing axis: every expression broadcasts against _EX, _EY, _EZ
+    out = np.zeros((k.shape[0], 2, 2, 3), dtype=complex)
     pre = E_CHARGE / HBAR
     if dl == 0:
-        out[0, 0] = -pre * xi / 8.0 * (
+        out[:, 0, 0] = -pre * xi / 8.0 * (
             2.0 * w**2 * (c(k - d) - c(k)) * _EY
             + (
                 w**2 * (c(k) - c(k - 2 * d) - c(k - d) + c(k + d))
@@ -106,67 +103,77 @@ def _magnetic_block(k: float, dl: int, v: float, xi: float, r: float, w: float, 
         )
         inter = v + xi * (c(k - d) - c(k + d / 2))
         zpart = 2j * xi * c(d / 4) * (c(k - 1.25 * d) - c(k + 0.75 * d))
-        out[0, 1] = pre * r * w / 4.0 * (-inter * (_EX - 1j * _EY) - zpart * _EZ)
-        out[1, 0] = pre * r * w / 4.0 * (-inter * (_EX + 1j * _EY) + zpart * _EZ)
-        out[1, 1] = -pre * xi / 2.0 * s(k) * (
+        out[:, 0, 1] = pre * r * w / 4.0 * (-inter * (_EX - 1j * _EY) - zpart * _EZ)
+        out[:, 1, 0] = pre * r * w / 4.0 * (-inter * (_EX + 1j * _EY) + zpart * _EZ)
+        out[:, 1, 1] = -pre * xi / 2.0 * s(k) * (
             w**2 * s(d / 2) * _EY - (2.0 * r**2 + w**2 * c(d / 2)) * s(d) * _EZ
         )
     elif dl == 1:
         amp = w**2 * xi / 8.0
-        out[0, 0] = pre * amp * (c(k - d) - c(k + d)) * (1j * _EX + _EY - _EZ)
+        out[:, 0, 0] = pre * amp * (c(k - d) - c(k + d)) * (1j * _EX + _EY - _EZ)
         # the z component of this entry vanishes identically (Hermitian partner
         # of the dl=-1 down->up entry); confirmed by the numeric tables
-        out[0, 1] = -pre * r * w / 4.0 * (v + xi * (c(k) - c(k + d / 2))) * (_EX - 1j * _EY)
-        out[1, 0] = pre * r * w / 4.0 * (
+        out[:, 0, 1] = -pre * r * w / 4.0 * (v + xi * (c(k) - c(k + d / 2))) * (_EX - 1j * _EY)
+        out[:, 1, 0] = pre * r * w / 4.0 * (
             (v + xi * (c(k + d) - c(k - d / 2))) * (_EX - 1j * _EY)
             - 1j * xi * (c(k - d) - c(k + d) - c(k + 1.5 * d) + c(k - d / 2)) * _EZ
         )
-        out[1, 1] = pre * amp * (c(k - d / 2) - c(k + 1.5 * d)) * (1j * _EX + _EY - _EZ)
+        out[:, 1, 1] = pre * amp * (c(k - d / 2) - c(k + 1.5 * d)) * (1j * _EX + _EY - _EZ)
     elif dl == -1:
         amp = w**2 * xi / 8.0
-        out[0, 0] = -pre * amp * (c(k - 2 * d) - c(k)) * (1j * _EX - _EY + _EZ)
-        out[0, 1] = pre * r * w / 4.0 * (
+        out[:, 0, 0] = -pre * amp * (c(k - 2 * d) - c(k)) * (1j * _EX - _EY + _EZ)
+        out[:, 0, 1] = pre * r * w / 4.0 * (
             (v + xi * (c(k) - c(k - 1.5 * d))) * (_EX + 1j * _EY)
             + 1j * xi * (c(k - 1.5 * d) + c(k - 2 * d) - c(k) - c(k + d / 2)) * _EZ
         )
-        out[1, 0] = -pre * r * w / 4.0 * (v + xi * (c(k - d) - c(k - d / 2))) * (_EX + 1j * _EY)
-        out[1, 1] = pre * amp * (c(k - 1.5 * d) - c(k + d / 2)) * (-1j * _EX + _EY - _EZ)
+        out[:, 1, 0] = -pre * r * w / 4.0 * (v + xi * (c(k - d) - c(k - d / 2))) * (_EX + 1j * _EY)
+        out[:, 1, 1] = pre * amp * (c(k - 1.5 * d) - c(k + d / 2)) * (-1j * _EX + _EY - _EZ)
     elif dl == 2:
         amp = 1j * w**2 * xi / 8.0
-        out[0, 0] = pre * amp * (c(k) - c(k + d)) * (_EX - 1j * _EY)
-        out[1, 0] = pre * r * w / 4.0 * (v + xi * (c(k + d) - c(k + d / 2))) * (_EX - 1j * _EY)
-        out[1, 1] = pre * amp * (c(k + d / 2) - c(k + 1.5 * d)) * (_EX - 1j * _EY)
+        out[:, 0, 0] = pre * amp * (c(k) - c(k + d)) * (_EX - 1j * _EY)
+        out[:, 1, 0] = pre * r * w / 4.0 * (v + xi * (c(k + d) - c(k + d / 2))) * (_EX - 1j * _EY)
+        out[:, 1, 1] = pre * amp * (c(k + d / 2) - c(k + 1.5 * d)) * (_EX - 1j * _EY)
     elif dl == -2:
         amp = 1j * w**2 * xi / 8.0
-        out[0, 0] = -pre * amp * (c(k - 2 * d) - c(k - d)) * (_EX + 1j * _EY)
-        out[0, 1] = pre * r * w / 4.0 * (v + xi * (c(k - d) - c(k - 1.5 * d))) * (_EX + 1j * _EY)
-        out[1, 1] = -pre * amp * (c(k - 1.5 * d) - c(k - d / 2)) * (_EX + 1j * _EY)
+        out[:, 0, 0] = -pre * amp * (c(k - 2 * d) - c(k - d)) * (_EX + 1j * _EY)
+        out[:, 0, 1] = pre * r * w / 4.0 * (v + xi * (c(k - d) - c(k - 1.5 * d))) * (_EX + 1j * _EY)
+        out[:, 1, 1] = -pre * amp * (c(k - 1.5 * d) - c(k - d / 2)) * (_EX + 1j * _EY)
     return out
 
 
-def _element(params: RingParams, from_label: EigenLabel, to_label: EigenLabel, kind: DipoleKind) -> np.ndarray:
+def _rows(params: RingParams, kind: DipoleKind, l_to) -> np.ndarray:
+    """(m, N, 2, 2, 3) element rows of the m bra momenta l_to.
+
+    [i, l_from, s_to, s_from] = <l_to[i], s_to| O |l_from, s_from>, bands
+    ordered (up, down).  Block dl lands in ket column (l_to + dl) % N, and
+    blocks that alias onto the same column (N = 3, 4) add there.
+    """
+    _require_mobius(params)
     n = params.n_per_ring
-    l_to = to_label.momentum_index % n
-    l_from = from_label.momentum_index % n
-    k = l_to * params.delta  # bra momentum
-    vec = np.zeros(3, dtype=complex)
+    l_to = np.asarray(l_to)
+    k = l_to * params.delta
+    out = np.zeros((l_to.size, n, 2, 2, 3), dtype=complex)
+    bra = np.arange(l_to.size)
     for dl in (0, 1, -1, 2, -2):
-        if (l_from - l_to) % n != dl % n:
-            continue
         if kind is DipoleKind.ELECTRIC:
-            block = _electric_block(k, dl, params.radius, params.half_width)
+            block = _electric_block(dl, params.radius, params.half_width)
         else:
             block = _magnetic_block(
                 k, dl, params.v_inter * EV, params.xi_intra * EV,
                 params.radius, params.half_width, params.delta,
             )
-        vec = vec + block[_BAND_ROW[to_label.band], _BAND_ROW[from_label.band]]
-    return vec
+        out[bra, (l_to + dl) % n] += block
+    return out
+
+
+def _element(params: RingParams, from_label: EigenLabel, to_label: EigenLabel, kind: DipoleKind) -> np.ndarray:
+    n = params.n_per_ring
+    row = _rows(params, kind, [to_label.momentum_index % n])[0]
+    return row[from_label.momentum_index % n, _BAND_ROW[to_label.band], _BAND_ROW[from_label.band]]
 
 
 def electric_element(params: RingParams, from_label: EigenLabel, to_label: EigenLabel) -> TransitionElement:
     """Electric dipole element <to| -e r |from> in C m (zero vector if forbidden)."""
-    _require_mobius(params)
     return TransitionElement(
         from_label, to_label, DipoleKind.ELECTRIC,
         _element(params, from_label, to_label, DipoleKind.ELECTRIC),
@@ -175,19 +182,10 @@ def electric_element(params: RingParams, from_label: EigenLabel, to_label: Eigen
 
 def magnetic_element(params: RingParams, from_label: EigenLabel, to_label: EigenLabel) -> TransitionElement:
     """Magnetic dipole element <to| m |from> in A m^2 (zero vector if forbidden)."""
-    _require_mobius(params)
     return TransitionElement(
         from_label, to_label, DipoleKind.MAGNETIC,
         _element(params, from_label, to_label, DipoleKind.MAGNETIC),
     )
-
-
-def _signed_dl(n: int, from_label: EigenLabel, to_label: EigenLabel) -> int:
-    """Minimal signed momentum transfer l_to - l_from, in (-N/2, N/2]."""
-    dl = (to_label.momentum_index - from_label.momentum_index) % n
-    if dl > n // 2:
-        dl -= n
-    return dl
 
 
 def electric_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> PolarizationSet:
@@ -261,25 +259,18 @@ def magnetic_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> 
 
 
 def _table(params: RingParams, kind: DipoleKind) -> np.ndarray:
-    from .ring import all_labels
-
     n = params.n_per_ring
-    labels = all_labels(n)
-    out = np.zeros((2 * n, 2 * n, 3), dtype=complex)
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            # table[a, b] = <a| O |b>: bra "to" = a, ket "from" = b
-            out[a, b] = _element(params, lb, la, kind)
-    return out
+    rows = _rows(params, kind, np.arange(n))
+    # [l_to, l_from, s_to, s_from] with bands (up, down) -> all_labels order
+    # (down band first): [s_to * N + l_to, s_from * N + l_from]
+    return rows[:, :, ::-1, ::-1].transpose(2, 0, 3, 1, 4).reshape(2 * n, 2 * n, 3)
 
 
 def electric_table(params: RingParams) -> np.ndarray:
     """(2N, 2N, 3) closed-form table, [a, b, c] = <a| d_c |b> over all_labels."""
-    _require_mobius(params)
     return _table(params, DipoleKind.ELECTRIC)
 
 
 def magnetic_table(params: RingParams) -> np.ndarray:
     """(2N, 2N, 3) closed-form table, [a, b, c] = <a| m_c |b> over all_labels."""
-    _require_mobius(params)
     return _table(params, DipoleKind.MAGNETIC)

@@ -28,7 +28,8 @@ it takes a scalar omega or an array of them and evaluates Delta_0, eta and
 ``mu1`` read its fields.  Both tensors follow from the Green-Kubo dipole
 sums restricted to the resonant pair; the full sums over all 2N - 1 excited
 states are kept in ``full_polarization`` / ``full_magnetization`` as a
-validation route.
+validation route.  They read only the ground row of the dipole tables
+(O(N) work, no 2N x 2N table).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, EV, E_CHARGE, HBAR, MU_0
-from .dipole import electric_table, magnetic_table
+from .dipole import DipoleKind, _rows
 from .ring import (
     Band,
     EigenLabel,
@@ -200,40 +201,35 @@ def mu1(config: MediumConfig, omega):
 # Full Green-Kubo sums over every excited state (validation route)
 # ---------------------------------------------------------------------------
 
-def _ground_dyads(config: MediumConfig, table: np.ndarray):
-    """Per-excited-label dyads v v^dag with v = <ground| O |excited>."""
-    n = config.ring.n_per_ring
-    labels = all_labels(n)
-    g = 0  # index of (0, down) in all_labels ordering
-    freqs, dyads = [], []
-    for idx, lab in enumerate(labels):
-        if idx == g:
-            continue
-        vec = table[g, idx]  # <ground| O |excited>
-        freqs.append(transition_frequency(config.ring, lab))
-        dyads.append(np.outer(vec, vec.conj()))
-    return np.array(freqs), np.array(dyads)
+def _ground_dyads(config: MediumConfig, kind: DipoleKind):
+    """Per-excited-label dyads v v^dag with v = <ground| O |excited>, in all_labels order."""
+    ring = config.ring
+    row = _rows(ring, kind, [0])[0, :, 1]   # bra (0, down); [l, s], bands (up, down)
+    vecs = np.concatenate([row[1:, 1], row[:, 0]])   # down band first, ground left out
+    freqs = [transition_frequency(ring, lab) for lab in all_labels(ring.n_per_ring)[1:]]
+    return np.array(freqs), vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
-def _kubo_sum(config: MediumConfig, omega: float, freqs, dyads) -> np.ndarray:
-    gamma = config.ring.decay_rate
-    lorentz = 1.0 / (omega - freqs + 1j * gamma)
+def _kubo_sum(config: MediumConfig, omega: float, kind: DipoleKind):
+    """Prefactor -1 / (hbar v0) (electric) or -mu0 / (hbar v0) (magnetic) and
+    the 3x3 sum over every excited state of dyad / (omega - Delta + i gamma)."""
+    freqs, dyads = _ground_dyads(config, kind)
+    lorentz = 1.0 / (omega - freqs + 1j * config.ring.decay_rate)
     total = np.tensordot(lorentz, dyads, axes=(0, 0))
-    return total if config.lossy else total.real
+    scale = 1.0 if kind is DipoleKind.ELECTRIC else MU_0
+    return -(scale / (HBAR * molecular_volume(config))), total if config.lossy else total.real
 
 
 def full_polarization(config: MediumConfig, omega: float, e_field) -> np.ndarray:
-    """Polarization P (C/m^2) from the full dipole sum; ground state excluded."""
-    freqs, dyads = _ground_dyads(config, electric_table(config.ring))
-    s = _kubo_sum(config, omega, freqs, dyads)
-    return -(1.0 / (HBAR * molecular_volume(config))) * (s @ np.asarray(e_field))
+    """Polarization P (C/m^2) from the full sum over the ground row; ground state excluded."""
+    pre, s = _kubo_sum(config, omega, DipoleKind.ELECTRIC)
+    return pre * (s @ np.asarray(e_field))
 
 
 def full_magnetization(config: MediumConfig, omega: float, h_field) -> np.ndarray:
-    """Magnetization M (A/m) from the full magnetic sum, drive given as H."""
-    freqs, dyads = _ground_dyads(config, magnetic_table(config.ring))
-    s = _kubo_sum(config, omega, freqs, dyads)
-    return -(MU_0 / (HBAR * molecular_volume(config))) * (s @ np.asarray(h_field))
+    """Magnetization M (A/m) from the full magnetic sum over the ground row, drive given as H."""
+    pre, s = _kubo_sum(config, omega, DipoleKind.MAGNETIC)
+    return pre * (s @ np.asarray(h_field))
 
 
 def full_response_sums(config: MediumConfig, omega: float, e_field, h_field):
@@ -245,23 +241,15 @@ def full_response_sums(config: MediumConfig, omega: float, e_field, h_field):
 
 
 def epsilon_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
-    """3x3 permittivity rebuilt from full_polarization on unit drives."""
-    out = np.eye(3, dtype=complex if config.lossy else float)
-    for c in range(3):
-        unit = np.zeros(3)
-        unit[c] = 1.0
-        out[:, c] += full_polarization(config, omega, unit) / EPSILON_0
-    return out
+    """3x3 permittivity I + P / eps0: column c is full_polarization on unit drive c."""
+    pre, s = _kubo_sum(config, omega, DipoleKind.ELECTRIC)
+    return np.eye(3) + pre * s / EPSILON_0
 
 
 def mu_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
-    """3x3 permeability rebuilt from full_magnetization on unit drives."""
-    out = np.eye(3, dtype=complex if config.lossy else float)
-    for c in range(3):
-        unit = np.zeros(3)
-        unit[c] = 1.0
-        out[:, c] += full_magnetization(config, omega, unit)
-    return out
+    """3x3 permeability I + M: column c is full_magnetization on unit drive c."""
+    pre, s = _kubo_sum(config, omega, DipoleKind.MAGNETIC)
+    return np.eye(3) + pre * s
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +332,7 @@ def molecular_polarizability(
     With resonant_only=True the sum keeps just the degenerate resonant pair,
     which is the regime where the closed-form corrected permittivity applies.
     """
-    freqs, dyads = _ground_dyads(config, electric_table(config.ring))
+    freqs, dyads = _ground_dyads(config, DipoleKind.ELECTRIC)
     if resonant_only:
         delta0 = resonance_frequency(config)
         keep = np.abs(freqs - delta0) < 1e-6 * delta0

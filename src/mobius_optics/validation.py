@@ -218,6 +218,7 @@ def response_checks(params: RingParams) -> list[dict]:
     else:
         out.append(_check("bandwidth_closed_vs_roots", float("nan"), 1e-6,
                           passed=False, note="overdamped: no mu1 window"))
+        out += _overdamped("simultaneous_negative_window")
     from .ring import VolumeConvention
 
     for conv in ("cylinder_4w", "cylinder_2w"):
@@ -267,10 +268,9 @@ def response_checks(params: RingParams) -> list[dict]:
     return out
 
 
-def _overdamped(*names) -> list[dict]:
-    """Failed checks for a ring whose mu1 < 0 window they would sample."""
-    return [_check(name, float("nan"), None, passed=False,
-                   note="overdamped: no mu1 window") for name in names]
+def _overdamped(*names, note="overdamped: no mu1 window") -> list[dict]:
+    """Failed checks with nothing to sample, so every ring reports the same names."""
+    return [_check(name, float("nan"), None, passed=False, note=note) for name in names]
 
 
 def refraction_checks(params: RingParams) -> list[dict]:
@@ -281,7 +281,7 @@ def refraction_checks(params: RingParams) -> list[dict]:
     zeros = rs.mu1_zero_detunings(cfg)
     if zeros is None:
         out += _overdamped("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
-                           "lh_band_bounded_by_mu1_zeros")
+                           "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
     else:
         theta = np.linspace(0.0, math.radians(89.0), 128)
         omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
@@ -302,6 +302,9 @@ def refraction_checks(params: RingParams) -> list[dict]:
                               note="band endpoints within one grid step"))
             contiguous = np.array_equal(lh_rows, np.arange(lh_rows[0], lh_rows[-1] + 1))
             out.append(_check("lh_band_contiguous", int(contiguous), 1, passed=contiguous))
+        else:
+            out += _overdamped("lh_band_bounded_by_mu1_zeros", "lh_band_contiguous",
+                               note="no LH cells in the E diagram")
     t_low = rs.response_tensors(cfg, 0.5 * delta0)
     sr = rf.wave_vector_surface(t_low, rf.Polarization.E, 200)
     h = rs.eta(cfg, 0.5 * delta0).real

@@ -60,6 +60,13 @@ def test_malformed_json_rejected():
     ('{"topology": "torus"}', "topology must be one of"),
     ('{"lossy": 1}', "lossy must be a boolean"),
     ('{"surface_detunings_ev": []}', "surface_detunings_ev"),
+    ('{"gamma_inv_ns": Infinity}', "gamma_inv_ns must be finite"),
+    ('{"omega_center_ev": Infinity}', "omega_center_ev must be finite"),
+    ('{"omega_span_rad_s": Infinity}', "omega_span_rad_s must be finite"),
+    pytest.param('{"radius_nm": 1%s}' % ("0" * 400), "radius_nm must be finite",
+                 id="radius_nm-int-beyond-float-range"),
+    ('{"surface_detunings_ev": [NaN]}', "surface_detunings_ev must be finite"),
+    ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
 ])
 def test_config_diagnostics_name_the_offending_key(snippet, match):
     with pytest.raises(cli.ConfigError, match=match):
@@ -209,11 +216,23 @@ def test_validate_overdamped_reports_failed_window_checks(tmp_path, gamma_inv_ns
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     failed = {row[0] for row in rows if row[3] == "0"}
     assert failed == {
-        "bandwidth_closed_vs_roots", "phase_diagram_E_has_lh_band",
-        "phase_diagram_H_no_lh", "lh_band_bounded_by_mu1_zeros",
+        "bandwidth_closed_vs_roots", "simultaneous_negative_window",
+        "phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
+        "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous",
         "surface_hyperbola_residual", "poynting_normal_to_surface",
         "lossy_window_shift", "overdamped_window_empty",
     }
     assert all(row[4] == "overdamped: no mu1 window"
                for row in rows if row[0] in failed)
-    assert "8 checks FAILED" in out.getvalue()
+    assert "10 checks FAILED" in out.getvalue()
+
+
+def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
+    names = []
+    for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3}):
+        path = tmp_path / "validate.csv"
+        cfg = cli.parse_config(json.dumps({**extra, "output_path": str(path)}).encode())
+        cli.run_command("validate", cfg, stdout=io.StringIO())
+        names.append([line.split(",")[0] for line in path.read_text().splitlines()[1:]])
+    assert len(names[0]) == 33
+    assert names[1] == names[0] and names[2] == names[0]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics.constants import EPSILON_0, EV, HBAR
+from mobius_optics.dipole import DipoleKind
 from mobius_optics.ring import RingParams, VolumeConvention
 
 CFG = rs.MediumConfig(RingParams(12))
@@ -119,7 +121,7 @@ def test_full_sums_linear_and_zero_field():
 
 
 def test_ground_state_excluded_from_sums():
-    freqs, dyads = rs._ground_dyads(CFG, np.zeros((24, 24, 3), dtype=complex))
+    freqs, dyads = rs._ground_dyads(CFG, DipoleKind.ELECTRIC)
     assert len(freqs) == 23  # 2N - 1 excited labels
     assert np.all(freqs > 0)
 
@@ -137,6 +139,17 @@ def test_full_sum_tensors_are_the_unit_drive_responses_bit_for_bit(lossy):
         m = eye[:, c] + rs.full_magnetization(cfg, om, eye[c])
         assert np.array_equal(_bits(eps[:, c]), _bits(p))
         assert np.array_equal(_bits(mu[:, c]), _bits(m))
+
+
+def test_full_sums_never_build_a_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the full sums read only the ground row")
+
+    monkeypatch.setattr(dp, "_table", no_table)
+    cfg = rs.MediumConfig(RingParams(64))
+    om = rs.resonance_frequency(cfg) + 50 * cfg.ring.decay_rate
+    assert rs.epsilon_from_full_sum(cfg, om).shape == (3, 3)
+    assert rs.mu_from_full_sum(cfg, om).shape == (3, 3)
 
 
 @pytest.mark.parametrize("detuning_gammas", [10, 60, 100])
