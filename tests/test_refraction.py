@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,3 +431,129 @@ def test_lossy_lh_verdict_matches_negative_phase_velocity_condition():
                 assert (cls is LH) == backward, (gamma_inv_ns, om)
                 verdicts[cls] += 1
     assert verdicts[LH] > 0 and verdicts[RH] > 0
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the per-cell Fresnel solve as an oracle
+# ---------------------------------------------------------------------------
+
+def _fresnel_oracle(tyy, tyz, tzz, det, other_xx, k_iy, k_i):
+    """Classify by solving the Fresnel quadratic cell by cell.
+
+    Returns the int8 Classification codes and the causal branch's S_ty and
+    S_tz (meaningful only where the code is not TR).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        qb = 2.0 * tyz * k_iy
+        qc = tyy * k_iy**2 - det * k_i**2 * other_xx
+        disc = qb**2 - 4.0 * tzz * qc
+        propagating = disc > 0.0
+        degenerate = np.abs(det) < rf.DEGENERACY_TOL
+        sqrt_disc = np.sqrt(np.where(propagating, disc, 0.0))
+        k_tz = (-qb + np.sign(det) * sqrt_disc) / (2.0 * tzz)
+        s_ty = (tyz * k_tz + tyy * k_iy) / det
+        s_tz = (tyz * k_iy + tzz * k_tz) / det
+        k_dot_s = k_iy * s_ty + k_tz * s_tz
+        codes = np.full(disc.shape, int(TR), dtype=np.int8)
+        ok = propagating & ~degenerate & (s_tz > 0.0)
+        codes[ok & (k_dot_s < 0.0)] = int(LH)
+        codes[ok & (k_dot_s >= 0.0)] = int(RH)
+    return codes, s_ty, s_tz
+
+
+@pytest.mark.filterwarnings("ignore:omega grid spacing")   # the wide grid
+@pytest.mark.parametrize("n", (12, 24))
+@pytest.mark.parametrize("gamma_inv_ns", LIFETIMES_NS)
+def test_phase_diagram_matches_fresnel_oracle_cell_by_cell(gamma_inv_ns, n):
+    cfg = _medium(n, gamma_inv_ns)
+    d0 = rs.resonance_frequency(cfg)
+    span = 10 * rs.bandwidth(cfg)
+    theta = np.linspace(0.0, math.radians(89.0), 96)
+    for omega in (np.linspace(d0 - span, d0 + span, 1024),
+                  np.linspace(0.2 * d0, 1.8 * d0, 1024)):
+        tensors = rs.response_tensors(cfg, omega)
+        k_i = omega / rf.C_LIGHT
+        for pol in (E, H):
+            want = _fresnel_oracle(*rf._blocks(tensors, pol),
+                                   k_i * np.sin(theta)[:, None], k_i)[0]
+            want[:, tensors.near_resonance] = int(rf.Classification.MASKED)
+            got = rf.phase_diagram(cfg, pol, theta, omega).codes
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, want, err_msg=str(pol))
+
+
+def _tensors(mu, eps=np.eye(3)):
+    return rs.ResponseTensors(omega=DELTA0, eta=0j, eps_r=np.asarray(eps, float),
+                              mu_r=np.asarray(mu, float), alpha=0.0, beta=0.0,
+                              eps1=1.0, mu1=1.0, near_resonance=False)
+
+
+def _yz(tyy, tyz, tzz, txx=1.0):
+    return [[txx, 0.0, 0.0], [0.0, tyy, tyz], [0.0, tyz, tzz]]
+
+
+NAN = float("nan")
+TOL = rf.DEGENERACY_TOL
+EDGE_TENSORS = {
+    # |det| = 0.5 * tzz just below and just above DEGENERACY_TOL, both signs
+    "det_below_tol": _tensors(_yz(0.5, 0.0, 1.8 * TOL)),
+    "det_above_tol": _tensors(_yz(0.5, 0.0, 2.2 * TOL)),
+    "neg_det_below_tol": _tensors(_yz(-0.5, 0.0, 1.8 * TOL)),
+    "neg_det_above_tol": _tensors(_yz(-0.5, 0.0, 2.2 * TOL)),
+    "neg_det_above_tol_neg_eps": _tensors(_yz(-0.5, 0.0, 2.2 * TOL), _yz(1, 0, 1, -2.0)),
+    "tzz_zero": _tensors(_yz(1.0, 0.5, 0.0)),
+    "tzz_zero_singular": _tensors(_yz(1.0, 0.0, 0.0)),
+    "nan_eps_xx": _tensors(_yz(1.2, 0.3, 0.9), _yz(1, 0, 1, NAN)),
+    "nan_mu_yy": _tensors(_yz(NAN, 0.3, 0.9)),
+    "nan_mu_yz": _tensors(_yz(1.2, NAN, 0.9)),
+    "nan_mu_zz": _tensors(_yz(1.2, 0.3, NAN)),
+    "hyperbolic_lh": _tensors(_yz(-0.7, 0.4, 1.3), _yz(1, 0, 1, -0.8)),
+    "hyperbolic_rh": _tensors(_yz(-0.7, 0.4, 1.3), _yz(1, 0, 1, 0.6)),
+    "elliptic": _tensors(_yz(1.4, -0.2, 0.8), _yz(1, 0, 1, 1.7)),
+    "default_window_mid": rs.response_tensors(CFG, WINDOW_MID),
+    "default_below": rs.response_tensors(CFG, 0.5 * DELTA0),
+    "default_above_window": rs.response_tensors(CFG, DELTA0 + 2.5 * ZEROS[1]),
+}
+
+
+def _assert_classify_matches_oracle(t, pol, theta, om):
+    w = rf.IncidentWave(pol, theta, om)
+    # fresnel_roots divides by t_zz, which some edge cases set to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = rf.classify(t, w)
+    code, s_ty, s_tz = _fresnel_oracle(*rf._blocks(t, pol), w.k_iy, w.k_i)
+    assert int(res.classification) == int(code)
+    if int(code) == int(TR):
+        assert res.chosen is None and res.poynting_dir is None
+        return
+    assert res.chosen == (0 if rf._blocks(t, pol)[3] > 0.0 else 1)
+    want = np.array([s_ty, s_tz], dtype=float)
+    assert np.abs(np.subtract(res.poynting_dir, want)).max() <= 1e-12 * np.hypot(*want)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TENSORS))
+@pytest.mark.parametrize("pol", (E, H))
+def test_classify_matches_fresnel_oracle_at_edges(name, pol):
+    t = EDGE_TENSORS[name]
+    if pol is H:   # the dual: the edge moves into the blocks H-polarized waves see
+        t = replace(t, eps_r=t.mu_r, mu_r=t.eps_r)
+    om = float(t.omega)
+    for theta_deg in (0.0, 1e-6, 5.0, 30.0, 60.0, 89.0):
+        _assert_classify_matches_oracle(t, pol, math.radians(theta_deg), om)
+
+
+def test_classify_matches_fresnel_oracle_on_random_symmetric_tensors():
+    rng = np.random.default_rng(2024)
+    thetas = np.radians([0.0, 10.0, 35.0, 50.0, 70.0, 88.0])
+    counts = {LH: 0, RH: 0, TR: 0}
+    for _ in range(300):
+        eps, mu = (np.diag(rng.uniform(-2.0, 2.0, 3)) for _ in range(2))
+        eps[1, 2] = eps[2, 1] = rng.uniform(-1.0, 1.0)
+        mu[1, 2] = mu[2, 1] = rng.uniform(-1.0, 1.0)
+        t = _tensors(mu, eps)
+        for pol in (E, H):
+            for theta in thetas:
+                _assert_classify_matches_oracle(t, pol, float(theta), DELTA0)
+                counts[rf.classify(t, rf.IncidentWave(pol, float(theta), DELTA0))
+                       .classification] += 1
+    assert min(counts.values()) > 100
