@@ -184,6 +184,12 @@ def parse_config(text: bytes | str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        volume = molecular_volume(MediumConfig(ring))
+    except OverflowError:
+        volume = math.inf
+    _expect(0.0 < volume < math.inf,
+            "half_width_nm (with radius_nm) must give a finite molecular volume > 0")
 
     theta_min = number("theta_min_deg", nonneg=True)
     theta_max = number("theta_max_deg")
@@ -348,7 +354,13 @@ def _omega_grid(config: RunConfig):
         if span == 0.0:
             span = 0.1 * center
     if config.omega_count == 1:
-        return np.array([center])
+        span = 0.0
+    if not 0.0 < center - span <= center + span < math.inf:
+        key = "omega_span_ev" if config.omega_span_ev is not None else "omega_span_rad_s"
+        raise ConfigError(
+            f"omega must be positive and finite: the sweep {center - span:.6g} to "
+            f"{center + span:.6g} rad/s leaves that range; reduce {key} or change "
+            "omega_center_ev")
     return np.linspace(center - span, center + span, config.omega_count)
 
 

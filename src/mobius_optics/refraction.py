@@ -2,31 +2,32 @@
 
 A monochromatic wave arrives from vacuum in the y-z plane at angle theta
 from the interface normal.  Two polarizations are treated: E along x
-("E-polarized") and H along x ("H-polarized").  Matching the tangential
-wave vector k_ty = (omega/c) sin(theta) leaves a quadratic for k_tz; for
-the E case (mu block relevant, d = det of the mu yz block, equal to the
-principal value mu1 for the Mobius tensors):
+("E-polarized") and H along x ("H-polarized").  Write t for the tensor in
+the double curl (mu for E, eps for H: the H case is the exact dual), x for
+the transverse entry (eps_xx for E, mu_xx for H), d = t_yy t_zz - t_yz^2
+(for the Mobius E case the principal value mu1) and k_i = omega/c.
+Matching k_ty = k_i sin(theta) leaves a quadratic for k_tz,
 
-    mu_zz k_tz^2 + 2 mu_yz k_iy k_tz + mu_yy k_iy^2 - d (omega/c)^2 eps_xx = 0
+    t_zz k_tz^2 + 2 t_yz k_ty k_tz + t_yy k_ty^2 - d k_i^2 x = 0,
 
-There is one propagation rule: a cell propagates exactly when the two
-roots are real and distinct (disc > 0) and the yz block is not singular.
-The two real roots carry opposite Poynting z components
-S_tz = +/- sqrt(disc)/2d, so causality (S_tz > 0, energy flowing into the
-medium) always selects exactly one branch: the "+" root when d > 0 and the
-"-" root when d < 0.
+whose discriminant collapses to disc = 4 k_i^2 d (lim - sin^2 theta) with
+lim = t_zz x, one number per frequency.  The two real roots carry opposite
+Poynting z components S_tz = +/- sqrt(disc) / 2d, so causality (S_tz > 0,
+energy into the medium) selects exactly one branch: the "+" root when
+d > 0 and the "-" root when d < 0.  On it the quadratic gives
+k . S = (t_yy k_ty^2 + 2 t_yz k_ty k_tz + t_zz k_tz^2) / d = k_i^2 x.
+Each (theta, omega) cell is therefore classified by one comparison:
 
-Classification of each (theta, omega) cell:
+    LH  sin^2 theta < lim with d > 0, or > lim with d < 0, and x < 0
+        (k . S < 0: negative refraction)
+    RH  the same with x >= 0 (ordinary refraction)
+    TR  otherwise (total reflection), and wherever |d| < DEGENERACY_TOL (a
+        degenerate quadratic), t_zz == 0 or an entry is not finite
 
-    TR  no real propagating root reaches S_tz > 0 (total reflection)
-    LH  causal branch has k_t . S_t < 0 (left-handed, negative refraction)
-    RH  otherwise (ordinary refraction)
-
-One vectorised kernel applies these rules; ``phase_diagram`` runs it over a
-grid, ``classify`` on one cell and the lossy normal-incidence path on the
-lossless limit of each frequency.
-
-The H-polarized case is the exact dual with eps and mu exchanged.
+One kernel applies these rules; ``phase_diagram`` runs it over a grid,
+``classify`` on one cell (solving the quadratic only to report the roots
+and the chosen one's Poynting direction) and the lossy normal-incidence
+path on the lossless limit of each frequency.
 """
 
 from __future__ import annotations
@@ -128,53 +129,39 @@ def _blocks(tensors: ResponseTensors, pol: Polarization):
     return tyy, tyz, tzz, det, other_xx
 
 
-def _propagation(tyy, tyz, tzz, det, other_xx, k_iy, k_i):
-    """Causal-branch classification; broadcasts over any shape.
+def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta):
+    """int8 Classification codes (LH, RH or TR); see the module docstring.
 
-    Returns the int8 Classification codes (LH, RH or TR) and the causal
-    branch's S_ty and S_tz, which are meaningful only where the code is not
-    TR.
+    ``sin2_theta`` broadcasts against the tensors' frequency shape.  A cell
+    costs one comparison with lim and one int8 product.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qb = 2.0 * tyz * k_iy
-        qc = tyy * k_iy**2 - det * k_i**2 * other_xx
-        disc = qb**2 - 4.0 * tzz * qc
-        # real roots have S_tz = +/- sqrt(disc) / (2 det): the causal branch
-        # exists whenever disc > 0 and det != 0, with
-        # k_tz = (-qb + sign(det) sqrt(disc)) / (2 tzz)
-        propagating = disc > 0.0
-        degenerate = np.abs(det) < DEGENERACY_TOL
-        sqrt_disc = np.sqrt(np.where(propagating, disc, 0.0))
-        k_tz = (-qb + np.sign(det) * sqrt_disc) / (2.0 * tzz)
-        s_ty = (tyz * k_tz + tyy * k_iy) / det
-        s_tz = (tyz * k_iy + tzz * k_tz) / det
-        k_dot_s = k_iy * s_ty + k_tz * s_tz
-    codes = np.full(disc.shape, int(Classification.TR), dtype=np.int8)
-    ok = propagating & ~degenerate & (s_tz > 0.0)
-    codes[ok & (k_dot_s < 0.0)] = int(Classification.LH)
-    codes[ok & (k_dot_s >= 0.0)] = int(Classification.RH)
-    return codes, s_ty, s_tz
+    _, _, tzz, det, other_xx = _blocks(tensors, pol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lim = tzz * other_xx
+        valid = (np.abs(det) >= DEGENERACY_TOL) & (tzz != 0.0) & np.isfinite(det * lim)
+    # per-frequency code of a propagating cell; 0 (TR) where none propagates
+    code = np.where(other_xx < 0.0, np.int8(Classification.LH),
+                    np.int8(Classification.RH)) * valid
+    propagating = np.zeros(np.broadcast(sin2_theta, lim).shape, bool)
+    np.less(sin2_theta, lim, out=propagating, where=det > 0.0)
+    np.greater(sin2_theta, lim, out=propagating, where=det < 0.0)
+    codes = propagating.view(np.int8)
+    codes *= code
+    return codes
 
 
-def _quadratic(tensors, pol, k_iy, k_i):
-    tyy, tyz, tzz, det, other_xx = _blocks(tensors, pol)
+def fresnel_roots(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
+    """Both k_tz roots (complex ndarray, shape (2,)), '+' discriminant first."""
+    tyy, tyz, tzz, det, other_xx = _blocks(tensors, wave.polarization)
     if abs(det) < DEGENERACY_TOL:
         raise DegenerateFresnelError(
             "the yz response block is singular (principal value 0); the "
             "boundary between the propagating regimes is classified TR"
         )
-    a = tzz
-    b = 2.0 * tyz * k_iy
-    c = tyy * k_iy**2 - det * k_i**2 * other_xx
-    return a, b, c, det
-
-
-def fresnel_roots(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
-    """Both k_tz roots (complex ndarray, shape (2,)), '+' discriminant first."""
-    a, b, c, _ = _quadratic(tensors, wave.polarization, wave.k_iy, wave.k_i)
-    disc = complex(b * b - 4.0 * a * c)
-    root = np.sqrt(disc)
-    return np.array([(-b + root) / (2.0 * a), (-b - root) / (2.0 * a)])
+    b = 2.0 * tyz * wave.k_iy
+    c = tyy * wave.k_iy**2 - det * wave.k_i**2 * other_xx
+    root = np.sqrt(complex(b * b - 4.0 * tzz * c))
+    return np.array([(-b + root) / (2.0 * tzz), (-b - root) / (2.0 * tzz)])
 
 
 def _poynting(tensors, pol, k_iy, k_tz):
@@ -198,20 +185,16 @@ def classify(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
     """
     try:
         roots = fresnel_roots(tensors, wave)
-    except DegenerateFresnelError:
-        return RefractionResult(
-            wave, np.array([np.nan + 0j, np.nan + 0j]), None, wave.k_iy, None,
-            Classification.TR,
-        )
-    blocks = _blocks(tensors, wave.polarization)
-    code, s_ty, s_tz = _propagation(*blocks, wave.k_iy, wave.k_i)
-    cls = Classification(int(code))
+    except DegenerateFresnelError:   # classified TR below
+        roots = np.array([np.nan + 0j, np.nan + 0j])
+    pol = wave.polarization
+    cls = Classification(int(_propagation(tensors, pol, np.sin(wave.theta) ** 2)))
     if cls is Classification.TR:
         return RefractionResult(wave, roots, None, wave.k_iy, None, cls)
     # the causal branch is the "+" root when det > 0 and the "-" root otherwise
-    chosen = 0 if blocks[3] > 0.0 else 1
+    chosen = 0 if _blocks(tensors, pol)[3] > 0.0 else 1
     return RefractionResult(wave, roots, chosen, wave.k_iy,
-                            (float(s_ty), float(s_tz)), cls)
+                            _poynting(tensors, pol, wave.k_iy, roots[chosen].real), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +216,8 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
                   theta_grid, omega_grid) -> PhaseDiagram:
     """Classify every (theta, omega) cell of a monotone grid (lossless response).
 
-    Near-resonance frequency bins are marked MASKED.
+    Near-resonance frequency bins are marked MASKED.  Every omega must be
+    positive: at omega = 0 the quadratic degenerates for every theta.
 
     Emits a warning when the omega spacing is too coarse to resolve the
     mu1 < 0 window (target: bandwidth / 50), if that window overlaps the
@@ -241,6 +225,8 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
     """
     theta = np.asarray(theta_grid, dtype=float)
     omega = np.asarray(omega_grid, dtype=float)
+    if not np.all(omega > 0.0):
+        raise ValueError("omega must be positive")
     if np.any(np.diff(theta) <= 0) or (omega.size > 1 and np.any(np.diff(omega) <= 0)):
         raise ValueError("theta and omega grids must be strictly increasing")
     bw = bandwidth(config)
@@ -257,8 +243,7 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
                 stacklevel=2,
             )
     tensors = response_tensors(replace(config, lossy=False), omega)
-    k_i = omega / C_LIGHT
-    codes = _propagation(*_blocks(tensors, pol), k_i * np.sin(theta)[:, None], k_i)[0]
+    codes = _propagation(tensors, pol, np.sin(theta)[:, None] ** 2)
     codes[:, tensors.near_resonance] = int(Classification.MASKED)
     return PhaseDiagram(pol, theta, omega, codes)
 
@@ -413,7 +398,7 @@ def _lossy_normal(config: MediumConfig, omega: np.ndarray):
     """Codes, decaying roots k_tz and S_tz of E-polarized normal incidence."""
     k_i = omega / C_LIGHT
     lossless = response_tensors(replace(config, lossy=False), omega)
-    codes = _propagation(*_blocks(lossless, Polarization.E), 0.0, k_i)[0]
+    codes = _propagation(lossless, Polarization.E, 0.0)
     _, _, tzz, det, eps_xx = _blocks(response_tensors(replace(config, lossy=True), omega),
                                      Polarization.E)
     root = np.sqrt(k_i**2 * det * eps_xx / tzz)

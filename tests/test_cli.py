@@ -67,10 +67,33 @@ def test_malformed_json_rejected():
                  id="radius_nm-int-beyond-float-range"),
     ('{"surface_detunings_ev": [NaN]}', "surface_detunings_ev must be finite"),
     ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
+    ('{"half_width_nm": 1e-300}', "half_width_nm .* finite molecular volume > 0"),
+    ('{"half_width_nm": 1e300}', "half_width_nm .* finite molecular volume > 0"),
 ])
 def test_config_diagnostics_name_the_offending_key(snippet, match):
     with pytest.raises(cli.ConfigError, match=match):
         cli.parse_config(snippet.encode())
+
+
+@pytest.mark.parametrize("command", ("phase-diagram", "response"))
+@pytest.mark.parametrize("extra,key", [
+    ({"omega_span_rad_s": 1e300}, "omega_span_rad_s"),
+    ({"omega_span_ev": 8.0}, "omega_span_ev"),
+    ({"omega_center_ev": 1e300}, "omega_center_ev"),
+    ({"omega_center_ev": 1e300, "omega_count": 1}, "omega_center_ev"),
+])
+def test_omega_sweep_outside_the_positive_range_is_a_config_error(
+        tmp_path, capsys, monkeypatch, command, extra, key):
+    path = tmp_path / "out.csv"
+    cfg = cli.parse_config(json.dumps({**extra, "output_path": str(path)}).encode())
+    with pytest.raises(cli.ConfigError, match=f"omega must be positive.*{key}"):
+        cli.run_command(command, cfg, stdout=io.StringIO())
+    assert not path.exists()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(extra))
+    assert cli.main([command, "c.json"]) == cli.EXIT_CONFIG_ERROR
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_emit_table_header_only_for_empty_rows():

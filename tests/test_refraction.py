@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -202,6 +203,27 @@ def test_phase_diagram_lh_band_bounded_by_mu1_zeros():
     step = omega[1] - omega[0]
     assert abs(omega[lh_cols[0]] - (DELTA0 + ZEROS[0])) <= step
     assert abs(omega[lh_cols[-1]] - (DELTA0 + ZEROS[1])) <= step
+
+
+@pytest.mark.parametrize("omega", ([0.0, DELTA0], [-DELTA0, DELTA0], [np.nan]))
+def test_phase_diagram_rejects_non_positive_omega(omega):
+    with pytest.raises(ValueError, match="omega must be positive"):
+        rf.phase_diagram(CFG, E, np.array([0.0, 0.5]), np.array(omega))
+
+
+def test_phase_diagram_allocates_less_than_one_float_grid():
+    # 512 x 4096 cells: one float64 temporary of the grid alone is 8 B/cell
+    theta = np.linspace(0.0, math.radians(89.0), 512)
+    omega = np.linspace(DELTA0 - 10 * BW, DELTA0 + 10 * BW, 4096)
+    rf.phase_diagram(CFG, E, theta, omega)   # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        pd = rf.phase_diagram(CFG, E, theta, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pd.codes.size == 512 * 4096
+    assert peak < 8 * pd.codes.size, f"{peak / pd.codes.size:.1f} B/cell"
 
 
 def test_single_cell_grid_with_negligible_response():
