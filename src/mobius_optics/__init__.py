@@ -1,6 +1,6 @@
 """Electromagnetic response and negative refraction of Mobius molecular rings.
 
-A small numpy/scipy library that takes a twisted double-ring tight-binding
+A small numpy library that takes a twisted double-ring tight-binding
 molecule from its Hamiltonian to a full optical-medium description:
 
 * ``ring``        band structure, eigenstates, geometry

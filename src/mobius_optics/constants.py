@@ -27,14 +27,5 @@ NM = 1e-9
 NS = 1e-9
 
 
-def ev_to_joule(energy_ev):
-    return energy_ev * EV
-
-
-def ev_to_angular_frequency(energy_ev):
-    """Convert an energy in eV to an angular frequency in rad/s."""
-    return energy_ev * EV / HBAR
-
-
 def angular_frequency_to_ev(omega):
     return omega * HBAR / EV

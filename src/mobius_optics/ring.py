@@ -138,11 +138,6 @@ def all_labels(n: int) -> list[EigenLabel]:
     ]
 
 
-def label_index(n: int, label: EigenLabel) -> int:
-    l = label.momentum_index % n
-    return l if label.band is Band.DOWN else n + l
-
-
 GROUND_LABEL = EigenLabel(0, Band.DOWN)
 
 

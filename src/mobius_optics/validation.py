@@ -9,10 +9,10 @@ and scripts can assert on it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bruteforce as bf
 from . import dipole as dp
@@ -31,6 +31,63 @@ from .ring import (
 
 SPECTRUM_NS = (3, 4, 6, 12, 24, 33, 64)
 TABLE_NS = (4, 6, 12, 24)
+RTOL = 4.0 * sys.float_info.epsilon
+NO_ROOT = "no root found in the bracket"
+NONPOSITIVE_SWEEP = "frequency sweep would reach omega <= 0"
+
+
+def _brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
+    """Root of f in [a, b] by Brent's method, or None when there is none to find.
+
+    A line-for-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4): the same
+    steps in the same IEEE order, so it returns the same float bits.  None when
+    f(a) and f(b) are of one sign, f is NaN, or maxiter steps do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
+        return None
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C gets inf or NaN, and bisects
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            return None
+    return None
 
 
 def _check(name, value, threshold, passed=None, note=""):
@@ -204,12 +261,15 @@ def response_checks(params: RingParams) -> list[dict]:
     zeros = rs.mu1_zero_detunings(cfg)
     if zeros is not None:
         f = lambda om: rs.mu1(cfg, om)
-        lo = brentq(f, delta0 + 0.2 * zeros[0], delta0 + 2.0 * zeros[0], xtol=1e-3)
-        hi = brentq(f, delta0 + 0.5 * (zeros[0] + zeros[1]), delta0 + 2.0 * zeros[1],
-                    xtol=1e-3)
-        rel = abs((hi - lo) - bw) / bw
-        out.append(_check("bandwidth_closed_vs_roots", rel, 1e-6,
-                          note="mu1 root separation vs closed form"))
+        lo = _brentq(f, delta0 + 0.2 * zeros[0], delta0 + 2.0 * zeros[0], xtol=1e-3)
+        hi = _brentq(f, delta0 + 0.5 * (zeros[0] + zeros[1]), delta0 + 2.0 * zeros[1],
+                     xtol=1e-3)
+        if lo is None or hi is None:
+            out += _overdamped("bandwidth_closed_vs_roots", note=NO_ROOT)
+        else:
+            rel = abs((hi - lo) - bw) / bw
+            out.append(_check("bandwidth_closed_vs_roots", rel, 1e-6,
+                              note="mu1 root separation vs closed form"))
         mid = delta0 + 0.5 * (zeros[0] + zeros[1])
         simultaneous = rs.eps1(cfg, mid) < 0.0 and rs.mu1(cfg, mid) < 0.0
         out.append(_check("simultaneous_negative_window", int(simultaneous), 1,
@@ -236,29 +296,42 @@ def response_checks(params: RingParams) -> list[dict]:
     full = rs.epsilon_from_full_sum(cfg, om)
     single = rs.epsilon_tensor(cfg, om)
     dominant = np.abs(single) > 1.0
-    rel = float((np.abs(full - single)[dominant] / np.abs(single)[dominant]).max())
-    out.append(_check("full_sum_vs_single_resonance_eps", rel, 1e-2,
-                      note="50 linewidths above resonance"))
+    if dominant.any():
+        rel = float((np.abs(full - single)[dominant] / np.abs(single)[dominant]).max())
+        out.append(_check("full_sum_vs_single_resonance_eps", rel, 1e-2,
+                          note="50 linewidths above resonance"))
+    else:
+        out += _overdamped("full_sum_vs_single_resonance_eps",
+                           note="no tensor entry above 1 in magnitude to compare")
     # corrected principal value crosses zero at eta' = 3/10 (uncorrected: 1/5)
     def corrected_principal(om):
         t = rs.local_field_epsilon(cfg, om)
         return float(np.linalg.eigvalsh(t[1:, 1:]).min())
 
-    om_corr = brentq(
-        lambda om: rs.eta(cfg, om).real - 0.3, delta0 + cfg.ring.decay_rate,
-        delta0 + 1e8 * cfg.ring.decay_rate, xtol=1e-3)
-    out.append(_check("local_field_zero_crossing",
-                      abs(corrected_principal(om_corr)), 1e-9,
-                      note="corrected principal value vanishes where eta' = 3/10"))
-    om_unc = brentq(
-        lambda om: rs.eta(cfg, om).real - 0.2, delta0 + cfg.ring.decay_rate,
-        delta0 + 1e8 * cfg.ring.decay_rate, xtol=1e-3)
-    out.append(_check("uncorrected_zero_crossing", abs(rs.eps1(cfg, om_unc)), 1e-9,
-                      note="eps1 vanishes where eta' = 1/5"))
+    def eta_crossing(level):
+        return _brentq(lambda om: rs.eta(cfg, om).real - level,
+                       delta0 + cfg.ring.decay_rate, delta0 + 1e8 * cfg.ring.decay_rate,
+                       xtol=1e-3)
+
+    om_corr = eta_crossing(0.3)
+    if om_corr is None:
+        out += _overdamped("local_field_zero_crossing", note=NO_ROOT)
+    else:
+        out.append(_check("local_field_zero_crossing",
+                          abs(corrected_principal(om_corr)), 1e-9,
+                          note="corrected principal value vanishes where eta' = 3/10"))
+    om_unc = eta_crossing(0.2)
+    if om_unc is None:
+        out += _overdamped("uncorrected_zero_crossing", note=NO_ROOT)
+    else:
+        out.append(_check("uncorrected_zero_crossing", abs(rs.eps1(cfg, om_unc)), 1e-9,
+                          note="eps1 vanishes where eta' = 1/5"))
     if zeros is not None:
         both_negative_sample = delta0 + 0.5 * (zeros[0] + zeros[1])
         overlap = (rs.eps1(cfg, both_negative_sample) < 0.0
                    and corrected_principal(both_negative_sample) < 0.0)
+    elif om_corr is None or om_unc is None:
+        return out + _overdamped("corrected_window_overlaps_uncorrected", note=NO_ROOT)
     else:
         overlap = (rs.eps1(cfg, om_corr) < 0.0) and (corrected_principal(om_unc) < 0.0
                                                      or corrected_principal(om_corr) <= 0.0)
@@ -279,9 +352,12 @@ def refraction_checks(params: RingParams) -> list[dict]:
     delta0 = rs.resonance_frequency(cfg)
     bw = rs.bandwidth(cfg)
     zeros = rs.mu1_zero_detunings(cfg)
+    diagram_checks = ("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
+                      "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
     if zeros is None:
-        out += _overdamped("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
-                           "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
+        out += _overdamped(*diagram_checks)
+    elif delta0 - 10 * bw <= 0.0:
+        out += _overdamped(*diagram_checks, note=NONPOSITIVE_SWEEP)
     else:
         theta = np.linspace(0.0, math.radians(89.0), 128)
         omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
@@ -325,6 +401,9 @@ def refraction_checks(params: RingParams) -> list[dict]:
                 worst_normal,
                 rf.surface_normal_check(tensors, rf.Polarization.E, pt))
     out.append(_check("poynting_normal_to_surface", float(worst_normal), 1e-6))
+    if delta0 - 2 * bw <= 0.0:
+        return out + _overdamped("lossy_window_shift", "overdamped_window_empty",
+                                 note=NONPOSITIVE_SWEEP)
     grid = np.linspace(delta0 - 2 * bw, delta0 + 2 * bw, 2000)
     win = rf.lossy_lh_window(cfg, grid)
     if win is None:

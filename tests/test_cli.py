@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mobius_optics import cli
+from mobius_optics import cli, validation
 from mobius_optics.refraction import Polarization
 from mobius_optics.ring import Topology, VolumeConvention
 
@@ -252,10 +256,55 @@ def test_validate_overdamped_reports_failed_window_checks(tmp_path, gamma_inv_ns
 
 def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
     names = []
-    for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3}):
+    for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3},
+                  {"half_width_nm": 0.01}, {"half_width_nm": 1e5}):
         path = tmp_path / "validate.csv"
         cfg = cli.parse_config(json.dumps({**extra, "output_path": str(path)}).encode())
         cli.run_command("validate", cfg, stdout=io.StringIO())
         names.append([line.split(",")[0] for line in path.read_text().splitlines()[1:]])
     assert len(names[0]) == 33
-    assert names[1] == names[0] and names[2] == names[0]
+    assert all(other == names[0] for other in names[1:])
+
+
+@pytest.mark.parametrize("half_width_nm,failed_notes", [
+    (0.01, {"bandwidth_closed_vs_roots": validation.NO_ROOT}),
+    (1e5, {"full_sum_vs_single_resonance_eps":
+           "no tensor entry above 1 in magnitude to compare",
+           "local_field_zero_crossing": validation.NO_ROOT,
+           "phase_diagram_E_has_lh_band": validation.NONPOSITIVE_SWEEP,
+           "lh_band_contiguous": validation.NONPOSITIVE_SWEEP}),
+])
+def test_validate_reports_checks_without_a_root_or_sweep_as_failed(
+        tmp_path, half_width_nm, failed_notes):
+    path = tmp_path / "validate.csv"
+    cfg = cli.parse_config(json.dumps(
+        {"half_width_nm": half_width_nm, "output_path": str(path)}).encode())
+    code = cli.run_command("validate", cfg, stdout=io.StringIO())
+    assert code == cli.EXIT_VALIDATION_FAILURE
+    rows = {row[0]: row for row in
+            (line.split(",") for line in path.read_text().splitlines()[1:])}
+    for name, note in failed_notes.items():
+        assert rows[name][1:] == ["nan", "", "0", note]
+
+
+IMPORT_GUARD = """
+import io, json, os, sys
+import mobius_optics
+from mobius_optics import cli
+small = {"N": 6, "theta_count": 4, "omega_count": 8, "surface_samples": 10}
+for command in ("spectrum", "elements", "response", "phase-diagram", "surface",
+                "bandwidth", "validate"):
+    path = os.path.join(sys.argv[1], command + ".csv")
+    config = cli.parse_config(json.dumps({**small, "output_path": path}))
+    code = cli.run_command(command, config, stdout=io.StringIO())
+    assert code in (0, cli.EXIT_VALIDATION_FAILURE) and os.path.exists(path), command
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_library_and_every_command_run_without_scipy(tmp_path):
+    # a fresh interpreter: other test modules import scipy into this one
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

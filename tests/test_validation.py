@@ -1,7 +1,15 @@
 import json
+import math
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from mobius_optics import response as rs
+from mobius_optics.constants import NS
 from mobius_optics.ring import RingParams
-from mobius_optics.validation import validation_report
+from mobius_optics.validation import _brentq, validation_report
 
 
 def test_full_report_passes_and_serialises():
@@ -31,3 +39,62 @@ def test_full_report_passes_and_serialises():
     assert expected <= set(names)
     # the report is plain data, consumable as JSON downstream
     json.dumps(report)
+
+
+# --- the Brent port against scipy's brentq, bit for bit ---------------------
+
+def _scipy_root(f, a, b, xtol):
+    """scipy's brentq, with None where it finds no root."""
+    try:
+        root, info = brentq(f, a, b, xtol=xtol, full_output=True, disp=False)
+    except ValueError:   # f(a) and f(b) of one sign
+        return None
+    return root if info.converged else None
+
+
+def _cubic(c):
+    return lambda x: ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+
+
+_coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=st.lists(_coeff, min_size=4, max_size=4), a=_coeff, b=_coeff,
+       xtol=st.sampled_from((1e-3, 1e-9, 2e-12)) | st.floats(1e-12, 1.0))
+def test_brent_port_matches_scipy_on_cubics(c, a, b, xtol):
+    f = _cubic(c)
+    assume(f(a) != 0.0 and f(b) != 0.0 and (f(a) < 0.0) != (f(b) < 0.0))
+    assert _brentq(f, a, b, xtol) == _scipy_root(f, a, b, xtol)
+
+
+@pytest.mark.parametrize("n", (6, 12, 24))
+@pytest.mark.parametrize("gamma_inv_ns", (0.6, 1.0, 4.0, 40.0))
+def test_brent_port_matches_scipy_on_the_validate_brackets(n, gamma_inv_ns):
+    cfg = rs.MediumConfig(RingParams(n, decay_rate=1.0 / (gamma_inv_ns * NS)))
+    delta0, gamma = rs.resonance_frequency(cfg), cfg.ring.decay_rate
+    brackets = [(lambda om, level=level: rs.eta(cfg, om).real - level,
+                 delta0 + gamma, delta0 + 1e8 * gamma) for level in (0.3, 0.2)]
+    zeros = rs.mu1_zero_detunings(cfg)
+    if zeros is not None:
+        mu1 = lambda om: rs.mu1(cfg, om)
+        brackets += [(mu1, delta0 + 0.2 * zeros[0], delta0 + 2.0 * zeros[0]),
+                     (mu1, delta0 + 0.5 * (zeros[0] + zeros[1]), delta0 + 2.0 * zeros[1])]
+    for f, a, b in brackets:
+        assert _brentq(f, a, b, xtol=1e-3) == _scipy_root(f, a, b, 1e-3)
+
+
+def test_brent_port_returns_an_exact_zero_endpoint():
+    f = _cubic([1.0, 0.0, -1.0, 0.0])  # roots -1, 0 and 1
+    for a, b in ((1.0, 3.0), (-3.0, -1.0), (0.0, 0.5), (-0.5, 0.0)):
+        expected = a if f(a) == 0.0 else b
+        assert _brentq(f, a, b, 1e-9) == brentq(f, a, b, xtol=1e-9) == expected
+
+
+def test_brent_port_returns_none_without_a_sign_change():
+    f = _cubic([1.0, 0.0, -1.0, 0.0])
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(f, 2.0, 3.0)
+    assert _brentq(f, 2.0, 3.0, 1e-9) is None
+    assert _brentq(f, -3.0, -2.0, 1e-9) is None
+    assert _brentq(lambda x: math.nan, 0.0, 1.0, 1e-9) is None
