@@ -91,6 +91,8 @@ def _brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
 
 
 def _check(name, value, threshold, passed=None, note=""):
+    if isinstance(value, np.generic):   # report plain Python scalars
+        value = value.item()
     if passed is None:
         passed = bool(value <= threshold)
     return {

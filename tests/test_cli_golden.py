@@ -85,10 +85,10 @@ GOLDEN = {
         "5d589f46088c96a29a787d86916862dfb79c9c623e36e23810179620d4b2fec6"),
     ("validate", "csv"): (
         "0459f07c65f5bdd03559ddcb6e542a229addd52073add790b05f60a13be379c7",
-        "bc0430d62d8e3bff0c693bc501864daeaedc98a0010c888066bef237aff2489f"),
+        "77169c05d938ae985c0e47e42c0c17a209c91f0c7e3fb3160f2ad10c8994a22c"),
     ("validate", "json"): (
         "962d41c79770be2a61062d0e2ba49c93a6bc7b9d4b2ccd937b544724bfc26ba6",
-        "67890c2d68ec9407b1d69d6c35e76f4e777ae968fd95569257715e7e50f61ea0"),
+        "c41f74e4737522a6a2022b8ab3c20e1c93348d18278fc794f32bcb30160b27af"),
 }
 
 
