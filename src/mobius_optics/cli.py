@@ -33,7 +33,6 @@ from .dipole import (
     magnetic_table,
 )
 from .refraction import (
-    Classification,
     Polarization,
     phase_diagram,
     wave_vector_surface,
@@ -184,12 +183,20 @@ def parse_config(text: bytes | str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    medium = MediumConfig(ring)
     try:
-        volume = molecular_volume(MediumConfig(ring))
+        volume = molecular_volume(medium)
     except OverflowError:
         volume = math.inf
     _expect(0.0 < volume < math.inf,
             "half_width_nm (with radius_nm) must give a finite molecular volume > 0")
+    try:
+        width, tau_c = bandwidth(medium), critical_lifetime(medium)
+    except OverflowError:
+        width = tau_c = math.nan
+    _expect(math.isfinite(width) and 0.0 < tau_c < math.inf,
+            "v_inter_ev, xi_intra_ev, half_width_nm and gamma_inv_ns must give a "
+            "finite bandwidth and critical lifetime > 0")
 
     theta_min = number("theta_min_deg", nonneg=True)
     theta_max = number("theta_max_deg")
@@ -445,14 +452,6 @@ def _cmd_response(config: RunConfig):
     return table, summary, EXIT_OK
 
 
-_CLASS_LABEL = {
-    int(Classification.LH): "LH",
-    int(Classification.RH): "RH",
-    int(Classification.TR): "TR",
-    int(Classification.MASKED): "masked",
-}
-
-
 def _cmd_phase_diagram(config: RunConfig):
     _require_mobius(config, "phase-diagram")
     medium = MediumConfig(config.ring, lossy=False)
@@ -461,22 +460,17 @@ def _cmd_phase_diagram(config: RunConfig):
     omegas = _omega_grid(config)
     diagram = phase_diagram(medium, config.polarization, thetas, omegas)
     codes = diagram.codes.ravel()
-    labels = np.empty(codes.size, dtype="U6")
-    for code, label in _CLASS_LABEL.items():
-        labels[codes == code] = label
+    by_code = codes + 1   # LH, TR, RH, masked
     table = _table(
         theta_deg=np.repeat(np.degrees(thetas), len(omegas)),
         omega_rad_s=np.tile(omegas, len(thetas)),
         detuning_rad_s=np.tile(omegas - delta0, len(thetas)),
         code=codes,
-        label=labels,
+        label=np.array(["LH", "TR", "RH", "masked"], dtype="U6")[by_code],
     )
-    counts = {name: diagram.count(cls) for name, cls in (
-        ("LH", Classification.LH), ("RH", Classification.RH),
-        ("TR", Classification.TR), ("masked", Classification.MASKED))}
+    n_lh, n_tr, n_rh, n_masked = np.bincount(by_code, minlength=4)
     summary = (f"phase-diagram {config.polarization.value}: "
-               f"LH cells {counts['LH']}, RH cells {counts['RH']}, "
-               f"TR cells {counts['TR']}, masked {counts['masked']} "
+               f"LH cells {n_lh}, RH cells {n_rh}, TR cells {n_tr}, masked {n_masked} "
                "(codes: LH=-1, RH=+1, TR=0, masked=2)")
     return table, summary, EXIT_OK
 

@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 from mobius_optics import bruteforce as bf
 from mobius_optics import cli
-from mobius_optics import dipole as dp
 from mobius_optics import refraction as rf
 from mobius_optics import response as rs
 from mobius_optics import validation as val
@@ -53,26 +52,17 @@ def test_criterion_01_spectrum_and_degeneracy():
 
 def test_criterion_02_dipole_reference_equivalence():
     start = time.monotonic()
-    worst = 0.0
-    for n in (4, 6, 12, 24):
-        p = RingParams(n)
-        for kind in ("electric", "magnetic"):
-            worst = max(worst, val._dyad_deviation(p, kind))
-            if kind == "electric":
-                ana = dp.electric_table(p)
-                num = bf.numeric_electric_elements(p, momentum_basis=True)
-            else:
-                ana = dp.magnetic_table(p)
-                num = bf.numeric_magnetic_elements(p, momentum_basis=True)
-            worst = max(worst, float(np.abs(ana - num).max() / np.abs(num).max()))
+    values = {c["name"]: c["value"] for c in val.dipole_checks(P12)}
+    worst = max(values[f"{kind}_{check}"] for kind in ("electric", "magnetic")
+                for check in ("table_vs_numeric", "dyads_vs_dense_eigenvectors"))
     elapsed = time.monotonic() - start
     _report(2, f"analytic vs numeric dipole tables and level-projected dyads: "
                f"max relative deviation {worst:.1e} for N in 4..24, {elapsed:.2f}s",
-            worst <= 1e-8 and elapsed < 10.0)
+            val.TABLE_NS == (4, 6, 12, 24) and worst <= 1e-8 and elapsed < 10.0)
 
 
 def test_criterion_03_selection_rule_sparsity():
-    dev = val._sparsity_deviation(P12)
+    dev = {c["name"]: c["value"] for c in val.dipole_checks(P12)}["selection_rule_sparsity"]
     _report(3, f"numeric elements outside the allowed blocks: {dev:.1e} "
                "of the natural scales e*W and e*xi*R*W/hbar", dev < 1e-12)
 

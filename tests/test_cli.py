@@ -73,6 +73,12 @@ def test_malformed_json_rejected():
     ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
     ('{"half_width_nm": 1e-300}', "half_width_nm .* finite molecular volume > 0"),
     ('{"half_width_nm": 1e300}', "half_width_nm .* finite molecular volume > 0"),
+    ('{"xi_intra_ev": 1e100}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
+    ('{"v_inter_ev": 1e100}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
+    ('{"xi_intra_ev": 1e300}', "v_inter_ev, xi_intra_ev, half_width_nm .* critical lifetime"),
+    ('{"gamma_inv_ns": 1e-200}', "gamma_inv_ns must give a finite bandwidth"),
+    # the denominator of tau_c overflows, so it evaluates to 0
+    ('{"half_width_nm": 1e100}', "half_width_nm .* critical lifetime > 0"),
 ])
 def test_config_diagnostics_name_the_offending_key(snippet, match):
     with pytest.raises(cli.ConfigError, match=match):
@@ -257,7 +263,7 @@ def test_validate_overdamped_reports_failed_window_checks(tmp_path, gamma_inv_ns
 def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
     names = []
     for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3},
-                  {"half_width_nm": 0.01}, {"half_width_nm": 1e5}):
+                  {"half_width_nm": 0.01}, {"half_width_nm": 1e5}, {"half_width_nm": 1e30}):
         path = tmp_path / "validate.csv"
         cfg = cli.parse_config(json.dumps({**extra, "output_path": str(path)}).encode())
         cli.run_command("validate", cfg, stdout=io.StringIO())
@@ -273,6 +279,7 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
            "local_field_zero_crossing": validation.NO_ROOT,
            "phase_diagram_E_has_lh_band": validation.NONPOSITIVE_SWEEP,
            "lh_band_contiguous": validation.NONPOSITIVE_SWEEP}),
+    (1e30, {"surface_circle_residual": validation.NO_SURFACE}),
 ])
 def test_validate_reports_checks_without_a_root_or_sweep_as_failed(
         tmp_path, half_width_nm, failed_notes):
@@ -285,6 +292,24 @@ def test_validate_reports_checks_without_a_root_or_sweep_as_failed(
             (line.split(",") for line in path.read_text().splitlines()[1:])}
     for name, note in failed_notes.items():
         assert rows[name][1:] == ["nan", "", "0", note]
+
+
+def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
+    # the largest decade that parse_config accepts; the squared magnetic dyads
+    # overflow.  A fresh interpreter: numpy's overflow warnings at this width
+    # are errors under pytest
+    (tmp_path / "c.json").write_text('{"half_width_nm": 1e91}')
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "mobius_optics", "validate", "c.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_VALIDATION_FAILURE
+    assert "Traceback" not in proc.stderr
+    assert "validate: 33 checks" in proc.stdout
+    rows = {row[0]: row for row in (line.split(",") for line in
+                                    (tmp_path / "validate.csv").read_text().splitlines()[1:])}
+    assert len(rows) == 33
+    assert rows["magnetic_dyads_vs_dense_eigenvectors"][1:] == [
+        "nan", "", "0", validation.OVERFLOW]
 
 
 IMPORT_GUARD = """

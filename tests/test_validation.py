@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mobius_optics import response as rs
+from mobius_optics import validation
 from mobius_optics.constants import NS
 from mobius_optics.ring import RingParams
 from mobius_optics.validation import _brentq, validation_report
@@ -39,6 +40,25 @@ def test_full_report_passes_and_serialises():
     assert expected <= set(names)
     # the report is plain data, consumable as JSON downstream
     json.dumps(report)
+
+
+def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
+    sizes = []
+    build = validation.bf.build_hamiltonian
+
+    def recording(params):
+        sizes.append(params.n_per_ring)
+        return build(params)
+
+    monkeypatch.setattr(validation.bf, "build_hamiltonian", recording)
+    checks = validation_report(RingParams(40))["checks"]
+    assert sizes and set(sizes) <= {*validation.SPECTRUM_NS, *validation.TABLE_NS, 12}
+    # spectrum (3), dipole (8) and topology (5) checks: every dense oracle
+    dense = checks[:16]
+    assert [c["name"] for c in dense[::15]] == [
+        "spectrum_closed_vs_dense_ev", "mobius_shared_transition"]
+    monkeypatch.undo()
+    assert dense == validation_report(RingParams(12))["checks"][:16]
 
 
 # --- the Brent port against scipy's brentq, bit for bit ---------------------
