@@ -1,15 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics import validation
-from mobius_optics.constants import NS
-from mobius_optics.ring import RingParams
+from mobius_optics.constants import E_CHARGE, EV, HBAR, NS
+from mobius_optics.ring import RingParams, all_labels
 from mobius_optics.validation import _brentq, validation_report
 
 
@@ -59,6 +61,47 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
         "spectrum_closed_vs_dense_ev", "mobius_shared_transition"]
     monkeypatch.undo()
     assert dense == validation_report(RingParams(12))["checks"][:16]
+
+
+def _sparsity_by_pairs(params, d_num, m_num):
+    """The per-label-pair loop that the selection-rule masks replace."""
+    n = params.n_per_ring
+    labels = all_labels(n)
+    d_scale = E_CHARGE * params.half_width
+    m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
+    worst = 0.0
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels):
+            dl = (lb.momentum_index - la.momentum_index) % n
+            if dl > n // 2:
+                dl -= n
+            sel_e = dp.electric_selection(n, lb, la)  # from b to a: <a|O|b>
+            for c in range(3):
+                if "xyz"[c] not in sel_e:
+                    worst = max(worst, abs(d_num[a, b, c]) / d_scale)
+            if abs(dl) > 2:
+                worst = max(worst, float(np.abs(m_num[a, b]).max()) / m_scale)
+            elif la.band is not lb.band:
+                sel_m = dp.magnetic_selection(n, lb, la)
+                for c in range(3):
+                    if "xyz"[c] not in sel_m:
+                        worst = max(worst, abs(m_num[a, b, c]) / m_scale)
+    return worst
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 12))
+def test_sparsity_masks_match_the_loop_over_label_pairs(n):
+    params = RingParams(n)
+    rng = np.random.default_rng(n)
+    shape = (2 * n, 2 * n, 3)
+    zero = np.zeros(shape, dtype=complex)
+    for _ in range(20):
+        # magnitudes spread over 20 decades, so one element sets the maximum
+        table = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 * 10.0 ** rng.integers(-40, -20, shape))
+        for d_num, m_num in ((table, zero), (zero, table)):   # each rule on its own
+            assert (validation._sparsity_deviation(params, d_num, m_num)
+                    == _sparsity_by_pairs(params, d_num, m_num))
 
 
 # --- the Brent port against scipy's brentq, bit for bit ---------------------
