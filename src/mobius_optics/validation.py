@@ -178,9 +178,8 @@ def _dyad_deviation(params: RingParams, w: np.ndarray, num: np.ndarray,
                     tbl: np.ndarray) -> float:
     """Ground-state transition dyads, numeric vs analytic, level-projected.
 
-    ``num`` is the operator in the dense eigenbasis of levels ``w``, ``tbl``
-    its closed-form table; both are (2N, 2N, 3).  Infinite when the squared
-    elements leave the float range.
+    ``num`` is the operator in the dense eigenbasis of levels ``w`` and ``tbl``
+    its closed-form table; infinite when the squared elements overflow.
     """
     labels = all_labels(params.n_per_ring)
     energies = np.array([band_energy(params, lab) for lab in labels])
@@ -214,8 +213,7 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     from b to a; magnetic elements count beyond |dl| = 2 and between bands.
     """
     n = params.n_per_ring
-    band = np.arange(2 * n) // n                  # 0 down, 1 up, as in all_labels
-    ell = np.arange(2 * n) % n
+    band, ell = np.divmod(np.arange(2 * n), n)    # band 0 down, 1 up, as in all_labels
     dl = (ell[:, None] - ell[None, :]) % n        # l_a - l_b
     far = np.abs(np.where(dl > n // 2, dl - n, dl)) > 2
     inter = band[:, None] != band[None, :]
@@ -229,6 +227,7 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
 
     d_scale = E_CHARGE * params.half_width
     m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
+    # np.hypot rounds like scalar abs(complex), array np.abs may not: keep each form's bits
     off_e = np.hypot(d_num.real, d_num.imag)[~allowed(dp.electric_selection)] / d_scale
     off_far = np.abs(m_num[far]) / m_scale
     off_m = np.hypot(m_num.real, m_num.imag)[
@@ -241,7 +240,8 @@ def topology_checks(params: RingParams) -> list[dict]:
     ring_report = bf.perfect_ring_regression(replace(p12, topology=Topology.SINGLE_RING))
     annulene = bf.annulene_cross_check(replace(p12, topology=Topology.DOUBLE_RING_PERIODIC))
     mobius = bf.shared_transition_scan(p12)
-    delta0_ev = band_energy(p12, EigenLabel(0, Band.UP)) - band_energy(p12, EigenLabel(0, Band.DOWN))
+    delta0_ev = (band_energy(p12, EigenLabel(0, Band.UP))
+                 - band_energy(p12, EigenLabel(0, Band.DOWN)))
     shared_at_resonance = any(
         t.electric > 1e-9 and t.magnetic > 1e-9
         and abs(t.frequency_ev - delta0_ev) < 1e-9
