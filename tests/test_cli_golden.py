@@ -24,6 +24,9 @@ SMALL_GRID = {"theta_count": 7, "omega_count": 33}
 CASES = {
     "spectrum": ("spectrum", [], {}),
     "elements": ("elements", [], {}),
+    "elements_n3": ("elements", [], {"N": 3}),
+    "elements_n4": ("elements", [], {"N": 4}),
+    "elements_n64": ("elements", [], {"N": 64}),
     "response": ("response", [], {"omega_count": 33}),
     "response_lossy": ("response", [], {"omega_count": 33, "lossy": True}),
     "phase_diagram": ("phase-diagram", [], SMALL_GRID),
@@ -47,6 +50,24 @@ GOLDEN = {
     ("elements", "json"): (
         "f3ede766507ca596e4a5c2cdc24af7b7243a7d5f954ece86d6611b1c10dc50d0",
         "3f0cab8a863abb871af8bc6cd2869b270db53af08a7b5e0c29a537c6d7ec5105"),
+    ("elements_n3", "csv"): (
+        "1766294708a253a3555dde95d88182e5c1c9ca3f9ceb25569472bb52bfc5427b",
+        "c1b2ada308bd4222e41f402028b48ca8b03f662220574066aa9569526b17e748"),
+    ("elements_n3", "json"): (
+        "e2abda1c2ef9acd84c8da838c65800fb6b501c2b60524d49592c3f4d8b11152a",
+        "333f097fee13c7812a95a874c3def6203bbf9bb56eb3ac47e67f963523954451"),
+    ("elements_n4", "csv"): (
+        "ff8a685e3730b6a6e5b98dd6297a463f3e420c829806379e6b9b4f398ba08906",
+        "95407996f0b23cf12e7a640f284071066a78b833cec27e64c3ba09e61ea9a9da"),
+    ("elements_n4", "json"): (
+        "9c8437b9cce39946b457a2076d431e180f2137dec58f4ec9b60cbcb43052b9aa",
+        "929bfb67c8ab409b00532bcf310be341495fe637c67d3ff86bc272979770245e"),
+    ("elements_n64", "csv"): (
+        "290f58fd29a77d880857c86e8c6c256ff155910c241816f961fcfc69b0fe64ea",
+        "a57be0bcfa54ff365b21add80234e97a49c75fe9c38ff9e43a08a2bacdc68573"),
+    ("elements_n64", "json"): (
+        "c515b65a10f565bd2417a3a2249a1923cd34f7d13d87153298d3063dbdfd1b1c",
+        "7eca6b9566472ad5842084b50b93a202de26b1cfaa1eb9cacf9a0a1b4bf3ccc6"),
     ("response", "csv"): (
         "8e843c2b526dcb8fc698a1e1daa7f976299f38b5511532809b51c1103cc804d1",
         "ab4c89871053a403e5beef7f69ea67071f1141f15d00f637d3465fd125259047"),

@@ -115,6 +115,62 @@ def test_selection_rule_examples():
     assert dp.magnetic_selection(12, EigenLabel(3, UP), EigenLabel(5, DOWN)) == frozenset()
 
 
+def _branch_electric_selection(n, from_label, to_label):
+    """The electric rule as a per-dl branch ladder, kept as an independent oracle."""
+    allowed = set()
+    dl_mod = (to_label.momentum_index - from_label.momentum_index) % n
+    fb, tb = from_label.band, to_label.band
+    for dl in (0, 1, -1, 2, -2):
+        if dl_mod != dl % n:
+            continue
+        if dl == 0:
+            if fb is not tb:
+                allowed |= {"x", "y", "z"}
+        elif dl in (1, -1):
+            allowed |= {"x", "y"}
+            if (dl == 1 and fb is DOWN and tb is UP) or (dl == -1 and fb is UP and tb is DOWN):
+                allowed |= {"z"}
+        elif dl == 2 and fb is DOWN and tb is UP:
+            allowed |= {"x", "y"}
+        elif dl == -2 and fb is UP and tb is DOWN:
+            allowed |= {"x", "y"}
+    return frozenset(allowed)
+
+
+def _branch_magnetic_selection(n, from_label, to_label):
+    """The inter-band magnetic rule as a per-dl branch ladder."""
+    if from_label.band is to_label.band:
+        return frozenset()
+    allowed = set()
+    dl_mod = (to_label.momentum_index - from_label.momentum_index) % n
+    down_up = from_label.band is DOWN
+    for dl in (0, 1, -1, 2, -2):
+        if dl_mod != dl % n:
+            continue
+        if dl == 0:
+            allowed |= {"x", "y", "z"}
+        elif dl == 1:
+            allowed |= {"x", "y", "z"} if down_up else {"x", "y"}
+        elif dl == -1:
+            allowed |= {"x", "y"} if down_up else {"x", "y", "z"}
+        elif dl == 2 and down_up:
+            allowed |= {"x", "y"}
+        elif dl == -2 and not down_up:
+            allowed |= {"x", "y"}
+    return frozenset(allowed)
+
+
+@pytest.mark.parametrize("kind", ["electric", "magnetic"])
+def test_selection_rules_match_the_branch_ladder_for_every_pair(kind):
+    # every label pair at N = 3..40, aliased small rings included
+    rule, oracle = ((dp.electric_selection, _branch_electric_selection) if kind == "electric"
+                    else (dp.magnetic_selection, _branch_magnetic_selection))
+    for n in range(3, 41):
+        labels = all_labels(n)
+        for la, lb in itertools.product(labels, labels):
+            assert rule(n, la, lb) == oracle(n, la, lb), (n, la, lb)
+
+
 def test_sparsity_outside_allowed_blocks():
     d_num = bf.numeric_electric_elements(P12, momentum_basis=True)
     m_num = bf.numeric_magnetic_elements(P12, momentum_basis=True)
