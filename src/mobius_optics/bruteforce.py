@@ -172,34 +172,20 @@ def _sandwich(table: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def numeric_electric_elements(params: RingParams, momentum_basis: bool = False) -> np.ndarray:
+def numeric_electric_elements(params: RingParams) -> np.ndarray:
     """Full (2N, 2N, 3) table of electric dipole matrix elements.
 
-    With momentum_basis=False the operator is sandwiched between the
-    numeric eigenvectors (gauge-arbitrary inside degenerate subspaces;
-    compare only gauge-invariant combinations).  With momentum_basis=True
-    the numerically built operator is evaluated in the closed-form momentum
-    eigenbasis, which resolves individual (l, band) labels; the two bases
-    span identical eigenspaces (checked by eigenspace_projector_residual).
+    The numerically built operator is evaluated in the closed-form momentum
+    eigenbasis, which resolves individual (l, band) labels; it spans the same
+    eigenspaces as the dense eigenvectors (checked by
+    eigenspace_projector_residual).
     """
-    table = electric_dipole_matrix(params)
-    if momentum_basis:
-        vecs = amplitude_matrix(params)
-    else:
-        _, vecs = numeric_eigensystem(build_hamiltonian(params))
-    return _sandwich(table, vecs)
+    return _sandwich(electric_dipole_matrix(params), amplitude_matrix(params))
 
 
-def numeric_magnetic_elements(
-    params: RingParams, definition: str = "commutator", momentum_basis: bool = False
-) -> np.ndarray:
-    """Full (2N, 2N, 3) table of magnetic dipole matrix elements."""
-    table = magnetic_dipole_matrix(params, definition)
-    if momentum_basis:
-        vecs = amplitude_matrix(params)
-    else:
-        _, vecs = numeric_eigensystem(build_hamiltonian(params))
-    return _sandwich(table, vecs)
+def numeric_magnetic_elements(params: RingParams, definition: str = "commutator") -> np.ndarray:
+    """Full (2N, 2N, 3) table of magnetic dipole matrix elements, momentum basis."""
+    return _sandwich(magnetic_dipole_matrix(params, definition), amplitude_matrix(params))
 
 
 def group_levels(energies: np.ndarray, tol_ev: float = 1e-9) -> list[np.ndarray]:

@@ -26,11 +26,13 @@ import numpy as np
 
 from .constants import EV, HBAR, NM, NS, angular_frequency_to_ev
 from .dipole import (
+    BANDS,
+    COMPONENTS,
+    KINDS,
     DipoleKind,
-    electric_selection,
     electric_table,
-    magnetic_selection,
     magnetic_table,
+    selection_table,
 )
 from .refraction import (
     Polarization,
@@ -401,11 +403,7 @@ def _cmd_spectrum(config: RunConfig):
 def _cmd_elements(config: RunConfig):
     _require_mobius(config, "elements")
     n = config.ring.n_per_ring
-    labels = all_labels(n)
-    label_l = np.array([lab.momentum_index for lab in labels])
-    label_band = np.array([lab.band.value for lab in labels])
-    kinds = np.array([DipoleKind.ELECTRIC.value, DipoleKind.MAGNETIC.value])
-    selection = (electric_selection, magnetic_selection)
+    band, ell = np.divmod(np.arange(2 * n), n)   # label indices in all_labels order
     # [kind, from, to] = <to| O |from>; each kind keeps what is above its own floor
     vecs = np.stack([electric_table(config.ring),
                      magnetic_table(config.ring)]).transpose(0, 2, 1, 3)
@@ -413,15 +411,16 @@ def _cmd_elements(config: RunConfig):
     floor = 1e-13 * mags.max(axis=(1, 2, 3))
     kind, src, dst = np.nonzero(mags.max(axis=3) > floor[:, None, None])
     vec = vecs[kind, src, dst]
+    band_names = np.array([b.value for b in BANDS])
     table = _table(
-        kind=kinds[kind], from_l=label_l[src], from_band=label_band[src],
-        to_l=label_l[dst], to_band=label_band[dst],
+        kind=np.array([k.value for k in KINDS])[kind],
+        from_l=ell[src], from_band=band_names[band[src]],
+        to_l=ell[dst], to_band=band_names[band[dst]],
         x_re=vec[:, 0].real, x_im=vec[:, 0].imag, y_re=vec[:, 1].real,
         y_im=vec[:, 1].imag, z_re=vec[:, 2].real, z_im=vec[:, 2].imag,
-        nonzero_components=["".join(c for c, on in zip("xyz", row) if on) for row in
-                            (mags[kind, src, dst] > floor[kind, None]).tolist()],
-        selection_rule=["".join(sorted(selection[k](n, labels[a], labels[b])))
-                        for k, a, b in zip(kind.tolist(), src.tolist(), dst.tolist())],
+        nonzero_components=COMPONENTS[(mags[kind, src, dst] > floor[kind, None]) @ [1, 2, 4]],
+        selection_rule=COMPONENTS[
+            selection_table(n)[kind, band[src], band[dst], (ell[dst] - ell[src]) % n]],
     )
     n_e = int(np.count_nonzero(table["kind"] == DipoleKind.ELECTRIC.value))
     summary = (f"elements: {n_e} electric and {len(table) - n_e} magnetic "

@@ -26,11 +26,18 @@ bond-current form):
 
 Element direction: ``element(from, to).vector[c] = <to| O_c |from>``, so
 Hermiticity reads element(to, from) = conj(element(from, to)).
+
+The selection rules are one table, ``_RULES``, keyed by (kind, dl, from
+band, to band).  ``selection_table(n)`` folds it to dl mod N, joining the
+entries that alias for N = 3 and 4, as 3-bit component masks; the
+predicates ``electric_selection`` and ``magnetic_selection``, the
+``elements`` command and validate's sparsity check all read that array.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,74 +195,65 @@ def magnetic_element(params: RingParams, from_label: EigenLabel, to_label: Eigen
     )
 
 
-def electric_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> PolarizationSet:
-    """Field polarizations driving the electric transition from -> to.
+# The selection rules: (kind, dl, from band, to band) -> the field components
+# driving that transition, dl = l_to - l_from; every pair not listed is
+# forbidden.  Each dl != 0 entry sits next to its Hermitian mirror
+# (-dl, to band, from band); dl = +2 couples only down -> up, since the
+# up -> down entry of that block vanishes.  The magnetic entries are the
+# electric inter-band ones: intra-band magnetic elements exist for dl in
+# {0, +/-1, +/-2} but fall out of the single-resonance response, so they are
+# left out.
+_E, _M, _D, _U = DipoleKind.ELECTRIC, DipoleKind.MAGNETIC, Band.DOWN, Band.UP
+_RULES = {
+    (_E, 0, _D, _U): "xyz", (_E, 0, _U, _D): "xyz",     # band flip
+    (_E, 1, _D, _D): "xy", (_E, -1, _D, _D): "xy",      # intra-band hops
+    (_E, 1, _U, _U): "xy", (_E, -1, _U, _U): "xy",
+    (_E, 1, _D, _U): "xyz", (_E, -1, _U, _D): "xyz",
+    (_E, 1, _U, _D): "xy", (_E, -1, _D, _U): "xy",
+    (_E, 2, _D, _U): "xy", (_E, -2, _U, _D): "xy",
+    (_M, 0, _D, _U): "xyz", (_M, 0, _U, _D): "xyz",
+    (_M, 1, _D, _U): "xyz", (_M, -1, _U, _D): "xyz",
+    (_M, 1, _U, _D): "xy", (_M, -1, _D, _U): "xy",
+    (_M, 2, _D, _U): "xy", (_M, -2, _U, _D): "xy",
+}
+KINDS = tuple(DipoleKind)           # kind axis of selection_table
+BANDS = (Band.DOWN, Band.UP)        # band axis, in all_labels order
+# component string of each 3-bit mask (x = 1, y = 2, z = 4)
+COMPONENTS = np.array(["".join(c for i, c in enumerate("xyz") if m >> i & 1)
+                       for m in range(8)])
 
-    The rule set (per direction, dl = l_to - l_from reduced to (-N/2, N/2]):
 
-        dl = 0,  band flip:        {x, y, z}
-        dl = +/-1, any band pair:  {x, y}, plus z for down -> up with dl=+1
-                                   and its Hermitian mirror up -> down, dl=-1
-        dl = +2, down -> up:       {x, y}   (dl = -2, up -> down mirrored)
-        otherwise:                 {}
+@functools.lru_cache(maxsize=64)
+def selection_table(n: int) -> np.ndarray:
+    """(kind, from band, to band, dl mod N) -> 3-bit mask of the allowed components.
 
-    For N = 3 and N = 4 the aliased blocks are unioned, matching the summed
-    closed-form elements.
+    Axes follow ``KINDS`` and ``BANDS``.  Entries whose dl alias for N = 3
+    and N = 4 are joined, matching the summed closed-form elements.  Shared
+    between callers, so read-only.
     """
-    allowed: set[str] = set()
-    dl_mod = (to_label.momentum_index - from_label.momentum_index) % n
-    fb, tb = from_label.band, to_label.band
-    for dl in (0, 1, -1, 2, -2):
-        if dl_mod != dl % n:
-            continue
-        if dl == 0:
-            if fb is not tb:
-                allowed |= {"x", "y", "z"}
-        elif dl in (1, -1):
-            allowed |= {"x", "y"}
-            if (dl == 1 and fb is Band.DOWN and tb is Band.UP) or (
-                dl == -1 and fb is Band.UP and tb is Band.DOWN
-            ):
-                allowed |= {"z"}
-        elif dl == 2 and fb is Band.DOWN and tb is Band.UP:
-            allowed |= {"x", "y"}
-        elif dl == -2 and fb is Band.UP and tb is Band.DOWN:
-            allowed |= {"x", "y"}
-    return frozenset(allowed)
+    table = np.zeros((len(KINDS), 2, 2, n), dtype=np.uint8)
+    for (kind, dl, fb, tb), comps in _RULES.items():
+        table[KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= sum(
+            1 << "xyz".index(c) for c in comps)
+    table.flags.writeable = False
+    return table
+
+
+def _selection(kind: DipoleKind, n: int, from_label: EigenLabel, to_label: EigenLabel):
+    dl = (to_label.momentum_index - from_label.momentum_index) % n
+    mask = selection_table(n)[KINDS.index(kind), BANDS.index(from_label.band),
+                              BANDS.index(to_label.band), dl]
+    return PolarizationSet(COMPONENTS[mask])
+
+
+def electric_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> PolarizationSet:
+    """Field polarizations driving the electric transition from -> to (see ``_RULES``)."""
+    return _selection(DipoleKind.ELECTRIC, n, from_label, to_label)
 
 
 def magnetic_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> PolarizationSet:
-    """Field polarizations driving the magnetic transition from -> to.
-
-    Only the inter-band rules are defined; intra-band elements exist for
-    dl in {0, +/-1, +/-2} but fall out of the single-resonance response and
-    are excluded from the predicate:
-
-        dl = 0:                  {x, y, z}
-        dl = +1, down -> up:     {x, y, z}    (mirror: dl=-1, up -> down)
-        dl = +1, up -> down:     {x, y}       (mirror: dl=-1, down -> up)
-        dl = +2, down -> up:     {x, y}       (mirror: dl=-2, up -> down)
-        dl = +2, up -> down:     {}           (that block entry vanishes)
-    """
-    if from_label.band is to_label.band:
-        return frozenset()
-    allowed: set[str] = set()
-    dl_mod = (to_label.momentum_index - from_label.momentum_index) % n
-    down_up = from_label.band is Band.DOWN
-    for dl in (0, 1, -1, 2, -2):
-        if dl_mod != dl % n:
-            continue
-        if dl == 0:
-            allowed |= {"x", "y", "z"}
-        elif dl == 1:
-            allowed |= {"x", "y", "z"} if down_up else {"x", "y"}
-        elif dl == -1:
-            allowed |= {"x", "y"} if down_up else {"x", "y", "z"}
-        elif dl == 2 and down_up:
-            allowed |= {"x", "y"}
-        elif dl == -2 and not down_up:
-            allowed |= {"x", "y"}
-    return frozenset(allowed)
+    """Field polarizations driving the inter-band magnetic transition from -> to."""
+    return _selection(DipoleKind.MAGNETIC, n, from_label, to_label)
 
 
 def _table(params: RingParams, kind: DipoleKind) -> np.ndarray:

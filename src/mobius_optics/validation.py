@@ -168,7 +168,7 @@ def dipole_checks(params: RingParams) -> list[dict]:
                       note="fitted block phases are all +1"))
     out.append(_check("selection_rule_sparsity", _sparsity_deviation(p12, num_e, num_m), 1e-12,
                       note="magnitudes outside the allowed blocks / natural scale"))
-    bond = bf.numeric_magnetic_elements(p12, "bond_current", momentum_basis=True)
+    bond = bf.numeric_magnetic_elements(p12, "bond_current")
     out.append(_check("commutator_vs_bond_current",
                       float(np.abs(num_m - bond).max() / np.abs(num_m).max()), 1e-10))
     return out
@@ -217,21 +217,16 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     dl = (ell[:, None] - ell[None, :]) % n        # l_a - l_b
     far = np.abs(np.where(dl > n // 2, dl - n, dl)) > 2
     inter = band[:, None] != band[None, :]
-
-    def allowed(selection):
-        """(2N, 2N, 3) components the rule allows, one rule call per (bands, dl)."""
-        rule = np.array([[[[c in selection(n, EigenLabel(0, fb), EigenLabel(k, tb))
-                            for c in "xyz"] for k in range(n)]
-                          for fb in (Band.DOWN, Band.UP)] for tb in (Band.DOWN, Band.UP)])
-        return rule[band[:, None], band[None, :], dl]
-
+    # [kind, a, b, c]: the rule allows component c from b to a
+    rules = dp.selection_table(n)[:, band[None, :], band[:, None], dl]
+    allowed = (rules[..., None] >> np.arange(3)) & 1 > 0
     d_scale = E_CHARGE * params.half_width
     m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
     # np.hypot rounds like scalar abs(complex), array np.abs may not: keep each form's bits
-    off_e = np.hypot(d_num.real, d_num.imag)[~allowed(dp.electric_selection)] / d_scale
+    off_e = np.hypot(d_num.real, d_num.imag)[~allowed[0]] / d_scale
     off_far = np.abs(m_num[far]) / m_scale
     off_m = np.hypot(m_num.real, m_num.imag)[
-        (inter & ~far)[..., None] & ~allowed(dp.magnetic_selection)] / m_scale
+        (inter & ~far)[..., None] & ~allowed[1]] / m_scale
     return float(max(off.max(initial=0.0) for off in (off_e, off_far, off_m)))
 
 

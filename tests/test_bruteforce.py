@@ -71,7 +71,7 @@ def test_eigensystem_rejects_non_hermitian():
 
 def test_diagonal_electric_elements_are_real():
     p = RingParams(12)
-    table = bf.numeric_electric_elements(p, momentum_basis=True)
+    table = bf.numeric_electric_elements(p)
     diag = np.einsum("aac->ac", table)
     assert np.abs(diag.imag).max() < 1e-12 * np.abs(table).max()
 
@@ -134,11 +134,11 @@ def test_calibration_identity_and_against_numeric():
     cal = bf.calibrate_conventions(ana, ana, 12, scale)
     assert cal.residual == 0.0
     assert all(abs(phase - 1.0) < 1e-12 for phase in cal.phases.values())
-    num = bf.numeric_electric_elements(p, momentum_basis=True)
+    num = bf.numeric_electric_elements(p)
     cal2 = bf.calibrate_conventions(ana, num, 12, scale)
     assert cal2.residual < 1e-9
     mag_a = dp.magnetic_table(p)
-    mag_n = bf.numeric_magnetic_elements(p, momentum_basis=True)
+    mag_n = bf.numeric_magnetic_elements(p)
     cal3 = bf.calibrate_conventions(mag_a, mag_n, 12, float(np.abs(mag_n).max()))
     assert cal3.residual < 1e-9
     assert all(abs(phase - 1.0) < 1e-6 for phase in cal3.phases.values())
@@ -147,7 +147,7 @@ def test_calibration_identity_and_against_numeric():
 def test_calibration_flags_transcription_errors():
     p = RingParams(12)
     ana = dp.electric_table(p).copy()
-    num = bf.numeric_electric_elements(p, momentum_basis=True)
+    num = bf.numeric_electric_elements(p)
     ana[0, 12] *= 2.0  # corrupt one allowed block entry by a non-phase factor
     with pytest.raises(ValueError, match="calibration failure"):
         bf.calibrate_conventions(ana, num, 12, float(np.abs(num).max()))

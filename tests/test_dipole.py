@@ -23,7 +23,7 @@ def test_electric_band_flip_same_momentum_component_ratios():
     assert mags[2] == pytest.approx(EW / 2, rel=1e-12)
     # cross-check against the dense position-operator construction:
     # vector = <to| d |from> = table[to_index, from_index]
-    num = bf.numeric_electric_elements(P12, momentum_basis=True)
+    num = bf.numeric_electric_elements(P12)
     np.testing.assert_allclose(num[12, 0], vec, atol=1e-12 * EW)
 
 
@@ -79,10 +79,10 @@ def test_tables_match_dense_numeric_construction(n, kind):
     p = RingParams(n)
     if kind == "electric":
         ana = dp.electric_table(p)
-        num = bf.numeric_electric_elements(p, momentum_basis=True)
+        num = bf.numeric_electric_elements(p)
     else:
         ana = dp.magnetic_table(p)
-        num = bf.numeric_magnetic_elements(p, momentum_basis=True)
+        num = bf.numeric_magnetic_elements(p)
     assert np.abs(ana - num).max() / np.abs(num).max() < 1e-9
 
 
@@ -172,8 +172,8 @@ def test_selection_rules_match_the_branch_ladder_for_every_pair(kind):
 
 
 def test_sparsity_outside_allowed_blocks():
-    d_num = bf.numeric_electric_elements(P12, momentum_basis=True)
-    m_num = bf.numeric_magnetic_elements(P12, momentum_basis=True)
+    d_num = bf.numeric_electric_elements(P12)
+    m_num = bf.numeric_magnetic_elements(P12)
     for a, la in enumerate(LABELS12):
         for b, lb in enumerate(LABELS12):
             dl = (lb.momentum_index - la.momentum_index) % 12
@@ -198,7 +198,7 @@ def test_small_ring_alias_blocks_still_match_numerics():
     for n in (3, 4):
         p = RingParams(n)
         ana = dp.magnetic_table(p)
-        num = bf.numeric_magnetic_elements(p, momentum_basis=True)
+        num = bf.numeric_magnetic_elements(p)
         assert np.abs(ana - num).max() / np.abs(num).max() < 1e-12
 
 
