@@ -215,7 +215,7 @@ def eigenspace_projector_residual(params: RingParams) -> float:
         cols = np.where(np.abs(e_closed - e0) <= 1e-6)[0]
         p_num = v[:, grp] @ v[:, grp].conj().T
         p_ana = u[:, cols] @ u[:, cols].conj().T
-        worst = max(worst, np.abs(p_num - p_ana).max())
+        worst = np.maximum(worst, np.abs(p_num - p_ana).max())
     return worst
 
 
@@ -248,8 +248,8 @@ def perfect_ring_regression(params: RingParams) -> PerfectRingReport:
                 continue
             blk_m = m_eig[np.ix_(ga, gb)]
             blk_d = d_eig[np.ix_(ga, gb)]
-            mag_off = max(mag_off, np.abs(blk_m).max())
-            ele_off = max(ele_off, np.abs(blk_d).max())
+            mag_off = np.maximum(mag_off, np.abs(blk_m).max())
+            ele_off = np.maximum(ele_off, np.abs(blk_d).max())
     return PerfectRingReport(
         commutator_norm=comm_norm,
         max_offdiag_magnetic=mag_off / scale,
@@ -353,7 +353,7 @@ def calibrate_conventions(
         res = np.abs(phase * arr_a - arr_n).max() / atol_scale
         phases[key] = phase
         block_res[key] = res
-        worst = max(worst, res)
+        worst = np.maximum(worst, res)   # keeps a NaN block, which max() may drop
     if worst > 1e-6:
         bad = max(block_res, key=block_res.get)
         raise ValueError(
