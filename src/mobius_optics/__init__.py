@@ -9,7 +9,13 @@ molecule from its Hamiltonian to a full optical-medium description:
 * ``refraction``  Fresnel roots, Poynting vectors, left-handed classification
 * ``bruteforce``  dense numerical reference used to validate the closed forms
 * ``cli``         deterministic table output for every computation
+* ``validation``  cross-checks of the closed forms against ``bruteforce``
+
+Each submodule loads on first attribute access (``mobius_optics.validation``)
+or import, so a command that does not validate never loads the dense oracle.
 """
+
+import importlib
 
 from .ring import (
     Band,
@@ -32,3 +38,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SUBMODULES = ("bruteforce", "cli", "constants", "dipole", "refraction", "response",
+               "ring", "validation")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

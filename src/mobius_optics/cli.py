@@ -51,7 +51,6 @@ from .response import (
     response_tensors,
 )
 from .ring import RingParams, Topology, VolumeConvention, all_labels, band_energy
-from .validation import validation_report
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -166,7 +165,9 @@ def parse_config(text: bytes | str) -> RunConfig:
     radius = cfg["radius_nm"]
     if radius is not None:
         radius = number("radius_nm", positive=True) * NM
-    gamma = 1.0 / (number("gamma_inv_ns", positive=True) * NS)
+    lifetime = number("gamma_inv_ns", positive=True) * NS
+    _expect(lifetime > 0.0 and 1.0 / lifetime < math.inf,
+            "gamma_inv_ns must give a finite decay rate 1 / (gamma_inv_ns * 1 ns)")
     try:
         topology = Topology(cfg["topology"])
     except ValueError:
@@ -180,7 +181,7 @@ def parse_config(text: bytes | str) -> RunConfig:
     try:
         ring = RingParams(
             n_per_ring=n, v_inter=v_ev, xi_intra=xi_ev,
-            half_width=w_m, radius=radius, decay_rate=gamma,
+            half_width=w_m, radius=radius, decay_rate=1.0 / lifetime,
             topology=topology, volume_convention=convention,
         )
     except ValueError as exc:
@@ -536,6 +537,9 @@ def _cmd_bandwidth(config: RunConfig):
 
 
 def _cmd_validate(config: RunConfig):
+    # imported here: the dense oracle behind it is needed by no other command
+    from .validation import validation_report
+
     report = validation_report(config.ring if config.ring.topology is
                                Topology.MOBIUS else RingParams(12))
     checks = report["checks"]

@@ -77,6 +77,9 @@ def test_malformed_json_rejected():
     ('{"v_inter_ev": 1e100}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
     ('{"xi_intra_ev": 1e300}', "v_inter_ev, xi_intra_ev, half_width_nm .* critical lifetime"),
     ('{"gamma_inv_ns": 1e-200}', "gamma_inv_ns must give a finite bandwidth"),
+    ('{"gamma_inv_ns": 1e-300}', "gamma_inv_ns must give a finite decay rate"),
+    # the lifetime in seconds rounds to 0
+    ('{"gamma_inv_ns": 5e-324}', "gamma_inv_ns must give a finite decay rate"),
     # the denominator of tau_c overflows, so it evaluates to 0
     ('{"half_width_nm": 1e100}', "half_width_nm .* critical lifetime > 0"),
 ])
@@ -310,6 +313,8 @@ def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
     assert len(rows) == 33
     assert rows["magnetic_dyads_vs_dense_eigenvectors"][1:] == [
         "nan", "", "0", validation.OVERFLOW]
+    # 18 of the 20 magnetic blocks are NaN: the residual is NaN, not the largest finite one
+    assert rows["magnetic_block_calibration"][1:4] == ["nan", "1.0000000000000001e-09", "0"]
 
 
 IMPORT_GUARD = """
@@ -319,6 +324,8 @@ from mobius_optics import cli
 small = {"N": 6, "theta_count": 4, "omega_count": 8, "surface_samples": 10}
 for command in ("spectrum", "elements", "response", "phase-diagram", "surface",
                 "bandwidth", "validate"):
+    if command == "validate":
+        assert "mobius_optics.bruteforce" not in sys.modules, "the dense oracle was imported"
     path = os.path.join(sys.argv[1], command + ".csv")
     config = cli.parse_config(json.dumps({**small, "output_path": path}))
     code = cli.run_command(command, config, stdout=io.StringIO())

@@ -129,7 +129,12 @@ def _run(name, fmt, workdir):
 @pytest.mark.parametrize("name,fmt", sorted(GOLDEN))
 def test_output_bytes_match_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]
+    if CASES[name][0] == "phase-diagram":
+        # SMALL_GRID is coarser than the negative-permeability window
+        with pytest.warns(UserWarning, match="cannot resolve"):
+            assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]
+    else:
+        assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]
 
 
 def test_every_subcommand_and_format_has_a_golden_digest():
