@@ -537,9 +537,7 @@ def _cmd_bandwidth(config: RunConfig):
 
 
 def _cmd_validate(config: RunConfig):
-    # imported here: the dense oracle behind it is needed by no other command
-    from .validation import validation_report
-
+    from .validation import validation_report   # no other command loads the dense oracle
     report = validation_report(config.ring if config.ring.topology is
                                Topology.MOBIUS else RingParams(12))
     checks = report["checks"]

@@ -27,11 +27,9 @@ bond-current form):
 Element direction: ``element(from, to).vector[c] = <to| O_c |from>``, so
 Hermiticity reads element(to, from) = conj(element(from, to)).
 
-The selection rules are one table, ``_RULES``, keyed by (kind, dl, from
-band, to band).  ``selection_table(n)`` folds it to dl mod N, joining the
-entries that alias for N = 3 and 4, as 3-bit component masks; the
-predicates ``electric_selection`` and ``magnetic_selection``, the
-``elements`` command and validate's sparsity check all read that array.
+The selection rules are one table, ``_RULES``, over (kind, dl, from band,
+to band); ``selection_table(n)`` folds it to dl mod N as component masks,
+read by the two predicates, the ``elements`` command and validate.
 """
 
 from __future__ import annotations
@@ -195,14 +193,12 @@ def magnetic_element(params: RingParams, from_label: EigenLabel, to_label: Eigen
     )
 
 
-# The selection rules: (kind, dl, from band, to band) -> the field components
-# driving that transition, dl = l_to - l_from; every pair not listed is
-# forbidden.  Each dl != 0 entry sits next to its Hermitian mirror
-# (-dl, to band, from band); dl = +2 couples only down -> up, since the
-# up -> down entry of that block vanishes.  The magnetic entries are the
-# electric inter-band ones: intra-band magnetic elements exist for dl in
-# {0, +/-1, +/-2} but fall out of the single-resonance response, so they are
-# left out.
+# (kind, dl = l_to - l_from, from band, to band) -> allowed field components;
+# every pair not listed is forbidden.  Each dl != 0 entry sits next to its
+# Hermitian mirror; dl = +2 couples only down -> up, as the up -> down entry
+# of that block vanishes.  The magnetic entries are the electric inter-band
+# ones: the intra-band magnetic elements fall out of the single-resonance
+# response and are left out.
 _E, _M, _D, _U = DipoleKind.ELECTRIC, DipoleKind.MAGNETIC, Band.DOWN, Band.UP
 _RULES = {
     (_E, 0, _D, _U): "xyz", (_E, 0, _U, _D): "xyz",     # band flip
@@ -218,32 +214,28 @@ _RULES = {
 }
 KINDS = tuple(DipoleKind)           # kind axis of selection_table
 BANDS = (Band.DOWN, Band.UP)        # band axis, in all_labels order
-# component string of each 3-bit mask (x = 1, y = 2, z = 4)
-COMPONENTS = np.array(["".join(c for i, c in enumerate("xyz") if m >> i & 1)
-                       for m in range(8)])
+COMPONENTS = np.array(["", "x", "y", "xy", "z", "xz", "yz", "xyz"])   # by 3-bit mask
 
 
 @functools.lru_cache(maxsize=64)
 def selection_table(n: int) -> np.ndarray:
-    """(kind, from band, to band, dl mod N) -> 3-bit mask of the allowed components.
+    """Read-only (kind, from band, to band, dl mod N) masks of the allowed components.
 
-    Axes follow ``KINDS`` and ``BANDS``.  Entries whose dl alias for N = 3
-    and N = 4 are joined, matching the summed closed-form elements.  Shared
-    between callers, so read-only.
+    Axes follow ``KINDS`` and ``BANDS``; entries whose dl alias (N = 3, 4)
+    are joined, matching the summed closed-form elements.
     """
     table = np.zeros((len(KINDS), 2, 2, n), dtype=np.uint8)
     for (kind, dl, fb, tb), comps in _RULES.items():
-        table[KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= sum(
-            1 << "xyz".index(c) for c in comps)
+        mask = COMPONENTS.tolist().index(comps)
+        table[KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= mask
     table.flags.writeable = False
     return table
 
 
 def _selection(kind: DipoleKind, n: int, from_label: EigenLabel, to_label: EigenLabel):
-    dl = (to_label.momentum_index - from_label.momentum_index) % n
-    mask = selection_table(n)[KINDS.index(kind), BANDS.index(from_label.band),
-                              BANDS.index(to_label.band), dl]
-    return PolarizationSet(COMPONENTS[mask])
+    return PolarizationSet(COMPONENTS[selection_table(n)[
+        KINDS.index(kind), BANDS.index(from_label.band), BANDS.index(to_label.band),
+        (to_label.momentum_index - from_label.momentum_index) % n]])
 
 
 def electric_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> PolarizationSet:

@@ -8,9 +8,8 @@ and scripts can assert on it.
 The dense cross-checks run at fixed ring sizes (``SPECTRUM_NS``,
 ``TABLE_NS``, ``DENSE_N``), building each dense object once per size, so
 their cost does not grow with N; the configured N reaches only the
-closed-form checks.  Deviations are reduced with ``np.maximum`` and
-``np.max``, which keep a NaN where Python's ``max`` may drop it, so a NaN
-deviation fails its check.
+closed-form checks.  Reductions keep NaN (``np.maximum``, ``np.max``, not
+``max``), so a NaN deviation fails its check.
 """
 
 from __future__ import annotations
