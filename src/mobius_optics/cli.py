@@ -27,6 +27,7 @@ import numpy as np
 from .constants import EV, HBAR, NM, NS, angular_frequency_to_ev
 from .dipole import (
     BANDS,
+    COMPONENT_BITS,
     COMPONENTS,
     KINDS,
     DipoleKind,
@@ -419,7 +420,8 @@ def _cmd_elements(config: RunConfig):
         to_l=ell[dst], to_band=band_names[band[dst]],
         x_re=vec[:, 0].real, x_im=vec[:, 0].imag, y_re=vec[:, 1].real,
         y_im=vec[:, 1].imag, z_re=vec[:, 2].real, z_im=vec[:, 2].imag,
-        nonzero_components=COMPONENTS[(mags[kind, src, dst] > floor[kind, None]) @ [1, 2, 4]],
+        nonzero_components=COMPONENTS[
+            (mags[kind, src, dst] > floor[kind, None]) @ COMPONENT_BITS],
         selection_rule=COMPONENTS[
             selection_table(n)[kind, band[src], band[dst], (ell[dst] - ell[src]) % n]],
     )

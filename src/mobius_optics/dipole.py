@@ -214,7 +214,8 @@ _RULES = {
 }
 KINDS = tuple(DipoleKind)           # kind axis of selection_table
 BANDS = (Band.DOWN, Band.UP)        # band axis, in all_labels order
-COMPONENTS = np.array(["", "x", "y", "xy", "z", "xz", "yz", "xyz"])   # by 3-bit mask
+COMPONENT_BITS = np.array([1, 2, 4])   # mask bit of x, y, z
+COMPONENTS = np.array(["", "x", "y", "xy", "z", "xz", "yz", "xyz"])   # string of each mask
 
 
 @functools.lru_cache(maxsize=64)

@@ -220,7 +220,7 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     inter = band[:, None] != band[None, :]
     # [kind, a, b, c]: the rule allows component c from b to a
     rules = dp.selection_table(n)[:, band[None, :], band[:, None], dl]
-    allowed = (rules[..., None] >> np.arange(3)) & 1 > 0
+    allowed = rules[..., None] & dp.COMPONENT_BITS > 0
     d_scale = E_CHARGE * params.half_width
     m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
     # np.hypot rounds like scalar abs(complex), array np.abs may not: keep each form's bits
