@@ -149,7 +149,7 @@ def dipole_checks(params: RingParams) -> list[dict]:
             scale = float(np.abs(num).max())
             worst_tbl[kind] = np.maximum(worst_tbl[kind], float(np.abs(ana - num).max()) / scale)
             worst_dyad[kind] = np.maximum(worst_dyad[kind],
-                                   _dyad_deviation(p, w, bf._sandwich(op, v), ana))
+                                          _dyad_deviation(p, w, bf._sandwich(op, v), ana))
             tables[n, kind] = ana, num
     for kind in ("electric", "magnetic"):
         out.append(_check(f"{kind}_table_vs_numeric", worst_tbl[kind], 1e-9,
