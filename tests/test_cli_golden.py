@@ -32,6 +32,7 @@ CASES = {
     "phase_diagram": ("phase-diagram", [], SMALL_GRID),
     "phase_diagram_h": ("phase-diagram", ["--pol", "H"], SMALL_GRID),
     "surface": ("surface", [], {"surface_samples": 20}),
+    "surface_h": ("surface", [], {"polarization": "H", "surface_samples": 200}),
     "bandwidth": ("bandwidth", [], {}),
     "validate": ("validate", [], {}),
 }
@@ -98,6 +99,12 @@ GOLDEN = {
     ("surface", "json"): (
         "eb52a56a77fb8af1445b33df7e34bfa0b6f620f8d45d7e8c262d96cc6f8dd7df",
         "e2ee16fecf86840fbaf9caf3b60f3a42fe02543ca42e6ca09390eae69dcadb6c"),
+    ("surface_h", "csv"): (
+        "00972ecc8b4fef8b5504fbf0ffab318e66d732ec129a9c22c5e481d6d0229ba3",
+        "cca0e6b3dd1eead8869199d48bd5f4c381d41ef7f3c7b4ce183ebc11595c1af8"),
+    ("surface_h", "json"): (
+        "8cfc22dcb5cfd1e7c12730fb78a9a400878dae016c5438abecc6a8a935e92fab",
+        "fce094082361955990c27689e0eac8c785d0521e5cdb7ae705bf64444738fc7e"),
     ("bandwidth", "csv"): (
         "272aaf2063d758d63d8100e29621a99595e2eebfa7adac2a8a47b36e4017f762",
         "7624522a84b72a317a2f386c9a0e27ace34d4b6fa390492f19382196e91cd12d"),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mobius_optics import cli
 from mobius_optics import refraction as rf
 from mobius_optics import response as rs
-from mobius_optics.constants import NS
+from mobius_optics.constants import EV, HBAR, NS
 from mobius_optics.ring import RingParams
 
 CFG = rs.MediumConfig(RingParams(12))
@@ -580,3 +581,111 @@ def test_classify_matches_fresnel_oracle_on_random_symmetric_tensors():
             for theta in thetas:
                 counts[_assert_classify_matches_oracle(t, pol, float(theta), DELTA0)] += 1
     assert min(counts.values()) > 100
+
+
+# The per-point surface path that preceded the array one, kept as the
+# reference of the differential test below.  A stencil that leaves the
+# causal branch raised there; it reads NaN here.
+
+def _ref_causal_n_tz(t, pol, n_ty):
+    tyy, tyz, tzz, det, other_xx = rf._blocks(t, pol)
+    disc4 = tyz**2 * n_ty**2 - tzz * (tyy * n_ty**2 - det * other_xx)
+    if disc4 <= 0.0:
+        return None
+    return (-tyz * n_ty + math.copysign(1.0, det) * math.sqrt(disc4)) / tzz
+
+
+def _ref_surface(t, pol, n_samples):
+    """(conic, rows of n_ty, n_tz, normal_y, normal_z, conic residual, normal check)."""
+    tyy, tyz, tzz, det, other_xx = rf._blocks(t, pol)
+    phi = 0.5 * math.atan2(2.0 * tyz, tyy - tzz)
+    c, s = math.cos(phi), math.sin(phi)
+    lam1 = tyy * c**2 + 2.0 * tyz * s * c + tzz * s**2
+    lam2 = tyy * s**2 - 2.0 * tyz * s * c + tzz * c**2
+    rhs = det * other_xx
+    if lam1 * lam2 > 0.0 and rhs / lam1 > 0.0:
+        conic = rf.ConicClass.CIRCLE
+    elif lam1 * lam2 < 0.0:
+        conic = rf.ConicClass.HYPERBOLA
+    else:
+        return rf.ConicClass.DEGENERATE, []
+    lim = tzz * other_xx
+    if conic is rf.ConicClass.CIRCLE:
+        n_max = math.sqrt(lim)
+        grid = np.linspace(-0.95 * n_max, 0.95 * n_max, n_samples)
+    elif lim > 0.0:
+        apex = math.sqrt(lim)
+        right = np.linspace(1.05 * apex, 3.0 * apex, n_samples // 2)
+        grid = np.concatenate([-right[::-1], right])
+    else:
+        scale = math.sqrt(abs(det * other_xx / tzz))
+        grid = np.linspace(-2.0 * scale, 2.0 * scale, n_samples)
+    rows = []
+    for n_ty in grid:
+        n_tz = _ref_causal_n_tz(t, pol, float(n_ty))
+        if n_tz is None:
+            continue
+        grad = np.array([tyy * n_ty + tyz * n_tz, tyz * n_ty + tzz * n_tz]) * (-2.0 / det)
+        normal = grad / np.linalg.norm(grad)
+        n_ty = float(n_ty)
+        nt, nz = n_ty * c + n_tz * s, -n_ty * s + n_tz * c
+        residual = abs((lam1 * nt**2 + lam2 * nz**2) / rhs - 1.0)
+        left = _ref_causal_n_tz(t, pol, n_ty - 1e-6)
+        right = _ref_causal_n_tz(t, pol, n_ty + 1e-6)
+        check = NAN
+        if left is not None and right is not None:
+            tangent = np.array([2e-6, right - left])
+            tangent /= np.linalg.norm(tangent)
+            flow = np.array(rf._poynting(t, pol, n_ty, n_tz))
+            flow /= np.linalg.norm(flow)
+            check = abs(float(np.dot(flow, tangent)))
+        rows.append((n_ty, n_tz, normal[0], normal[1], residual, check))
+    return conic, rows
+
+
+def _surface_columns(t, pol, n_samples):
+    """The library's surface as the reference's columns."""
+    res = rf.wave_vector_surface(t, pol, n_samples)
+    rows = []
+    for p in res.points:
+        try:
+            check = rf.surface_normal_check(t, pol, p)
+        except rf.ApexTangentError:
+            check = NAN
+        rows.append((p.n_ty, p.n_tz, p.normal_dir[0], p.normal_dir[1],
+                     rf.rotated_conic_residual(t, pol, p), check))
+    return res.conic, np.array(rows, float).reshape(-1, 6)
+
+
+def _assert_surface_matches_the_per_point_path(t, pol, n_samples):
+    conic, want = _ref_surface(t, pol, n_samples)
+    got_conic, got = _surface_columns(t, pol, n_samples)
+    assert got_conic is conic
+    assert got.shape == (len(want), 6)
+    if want:
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
+    return conic
+
+
+SURFACE_SAMPLES = (10, 20, 120, 200, 201)
+SURFACE_OMEGAS = [DELTA0 + d * EV / HBAR for d in cli._default_surface_detunings(CFG)]
+
+
+@pytest.mark.parametrize("n_samples", SURFACE_SAMPLES)
+@pytest.mark.parametrize("pol", (E, H))
+def test_default_surfaces_match_the_per_point_path(pol, n_samples):
+    for om in SURFACE_OMEGAS + [1.5 * DELTA0]:
+        _assert_surface_matches_the_per_point_path(rs.response_tensors(CFG, om), pol,
+                                                   n_samples)
+
+
+@pytest.mark.parametrize("pol", (E, H))
+def test_random_surfaces_match_the_per_point_path(pol):
+    rng = np.random.default_rng(909)
+    conics = set()
+    for i in range(100):
+        eps, mu = (rng.uniform(-2.0, 2.0, (3, 3)) for _ in range(2))
+        t = _tensors(mu + mu.T, eps + eps.T)
+        conics.add(_assert_surface_matches_the_per_point_path(
+            t, pol, SURFACE_SAMPLES[i % len(SURFACE_SAMPLES)]))
+    assert conics == set(rf.ConicClass)
