@@ -51,7 +51,7 @@ from .response import (
     resonance_frequency,
     response_tensors,
 )
-from .ring import RingParams, Topology, VolumeConvention, all_labels, band_energy
+from .ring import RingParams, VolumeConvention, all_labels, band_energy
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -70,8 +70,6 @@ CONFIG_KEYS = {
     "half_width_nm": (0.077, "nm", "half-width parameter W (molecule width is 4W)"),
     "radius_nm": (None, "nm", "ring radius R; default N * W / pi"),
     "gamma_inv_ns": (4.0, "ns", "excited-state lifetime 1/gamma"),
-    "topology": ("mobius", "mobius | double_ring_periodic | single_ring",
-                 "boundary condition of the double ring"),
     "volume_convention": ("cylinder_4w", "cylinder_4w | cylinder_2w",
                           "molecular volume convention"),
     "lossy": (False, "bool", "keep the imaginary part of the response"),
@@ -170,11 +168,6 @@ def parse_config(text: bytes | str) -> RunConfig:
     _expect(lifetime > 0.0 and 1.0 / lifetime < math.inf,
             "gamma_inv_ns must give a finite decay rate 1 / (gamma_inv_ns * 1 ns)")
     try:
-        topology = Topology(cfg["topology"])
-    except ValueError:
-        raise ConfigError(
-            "topology must be one of: mobius, double_ring_periodic, single_ring")
-    try:
         convention = VolumeConvention(cfg["volume_convention"])
     except ValueError:
         raise ConfigError("volume_convention must be cylinder_4w or cylinder_2w")
@@ -183,7 +176,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         ring = RingParams(
             n_per_ring=n, v_inter=v_ev, xi_intra=xi_ev,
             half_width=w_m, radius=radius, decay_rate=1.0 / lifetime,
-            topology=topology, volume_convention=convention,
+            volume_convention=convention,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -346,12 +339,6 @@ def _medium(config: RunConfig) -> MediumConfig:
     return MediumConfig(config.ring, lossy=config.lossy)
 
 
-def _require_mobius(config: RunConfig, command: str):
-    if config.ring.topology is not Topology.MOBIUS:
-        raise ConfigError(
-            f"{command} requires topology=mobius (use validate for the others)")
-
-
 def _omega_grid(config: RunConfig):
     medium = _medium(config)
     center = (resonance_frequency(medium) if config.omega_center_ev is None
@@ -392,7 +379,6 @@ def _table(**columns) -> np.ndarray:
 
 
 def _cmd_spectrum(config: RunConfig):
-    _require_mobius(config, "spectrum")
     table = np.rec.fromrecords(
         [(lab.momentum_index, lab.band.value, band_energy(config.ring, lab))
          for lab in all_labels(config.ring.n_per_ring)],
@@ -403,7 +389,6 @@ def _cmd_spectrum(config: RunConfig):
 
 
 def _cmd_elements(config: RunConfig):
-    _require_mobius(config, "elements")
     n = config.ring.n_per_ring
     band, ell = np.divmod(np.arange(2 * n), n)   # label indices in all_labels order
     # [kind, from, to] = <to| O |from>; each kind keeps what is above its own floor
@@ -432,7 +417,6 @@ def _cmd_elements(config: RunConfig):
 
 
 def _cmd_response(config: RunConfig):
-    _require_mobius(config, "response")
     medium = _medium(config)
     delta0 = resonance_frequency(medium)
     omegas = _omega_grid(config)
@@ -455,7 +439,6 @@ def _cmd_response(config: RunConfig):
 
 
 def _cmd_phase_diagram(config: RunConfig):
-    _require_mobius(config, "phase-diagram")
     medium = MediumConfig(config.ring, lossy=False)
     delta0 = resonance_frequency(medium)
     thetas = _theta_grid(config)
@@ -489,33 +472,36 @@ def _default_surface_detunings(medium: MediumConfig) -> list[float]:
 
 
 def _cmd_surface(config: RunConfig):
-    _require_mobius(config, "surface")
     medium = MediumConfig(config.ring, lossy=False)
     delta0 = resonance_frequency(medium)
     detunings = (config.surface_detunings_ev
                  if config.surface_detunings_ev is not None
                  else _default_surface_detunings(medium))
-    rows, conics = [], []
+    omegas, surfaces = [], []
     for det_ev in detunings:
         om = delta0 + det_ev * EV / HBAR
         if om <= 0:
             raise ConfigError(
                 f"surface detuning {det_ev} eV puts omega below zero")
-        tensors = response_tensors(medium, om)
-        result = wave_vector_surface(tensors, config.polarization,
-                                     config.surface_samples)
-        conics.append(f"{det_ev:+.4g} eV -> {result.conic.value}")
-        rows.extend((det_ev, om, result.conic.value, pt.n_ty, pt.n_tz,
-                     pt.normal_dir[0], pt.normal_dir[1]) for pt in result.points)
-    table = np.rec.fromrecords(rows, names=[
-        "detuning_ev", "omega_rad_s", "conic",
-        "n_ty", "n_tz", "normal_y", "normal_z"])
+        omegas.append(om)
+        surfaces.append(wave_vector_surface(response_tensors(medium, om),
+                                            config.polarization, config.surface_samples))
+    sizes = [len(surf.n_ty) for surf in surfaces]
+    normal = np.concatenate([surf.normal for surf in surfaces])
+    table = _table(
+        detuning_ev=np.repeat(detunings, sizes), omega_rad_s=np.repeat(omegas, sizes),
+        conic=np.repeat([surf.conic.value for surf in surfaces], sizes),
+        n_ty=np.concatenate([surf.n_ty for surf in surfaces]),
+        n_tz=np.concatenate([surf.n_tz for surf in surfaces]),
+        normal_y=normal[:, 0], normal_z=normal[:, 1],
+    )
+    conics = [f"{det_ev:+.4g} eV -> {surf.conic.value}"
+              for det_ev, surf in zip(detunings, surfaces)]
     summary = "surface: " + "; ".join(conics)
     return table, summary, EXIT_OK
 
 
 def _cmd_bandwidth(config: RunConfig):
-    _require_mobius(config, "bandwidth")
     rows = []
     values = {}
     for convention in (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W):
@@ -540,8 +526,7 @@ def _cmd_bandwidth(config: RunConfig):
 
 def _cmd_validate(config: RunConfig):
     from .validation import validation_report   # no other command loads the dense oracle
-    report = validation_report(config.ring if config.ring.topology is
-                               Topology.MOBIUS else RingParams(12))
+    report = validation_report(config.ring)
     checks = report["checks"]
     table = _table(
         name=[c["name"] for c in checks],

@@ -105,13 +105,6 @@ class RefractionResult:
     classification: Classification
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    n_ty: float
-    n_tz: float
-    normal_dir: np.ndarray   # (2,) unit normal of the surface at the point
-
-
 def _blocks(tensors: ResponseTensors, pol: Polarization):
     """(curl tensor, transverse xx entry) for the polarization.
 
@@ -167,13 +160,13 @@ def fresnel_roots(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
 def _poynting(tensors, pol, k_iy, k_tz):
     """(S_ty, S_tz) up to the positive prefactor amplitude^2 t^2 / (2 omega mu0|eps0).
 
-    Valid for real and complex inputs; for complex arguments the returned
-    components are the real parts of the complex Poynting flow.
+    Valid for real or complex scalars and arrays; for complex arguments the
+    returned components are the real parts of the complex Poynting flow.
     """
     tyy, tyz, tzz, det, _ = _blocks(tensors, pol)
     s_ty = np.real((tyz * k_tz + tyy * k_iy) / det)
     s_tz = np.real((tyz * k_iy + tzz * k_tz) / det)
-    return float(s_ty), float(s_tz)
+    return s_ty, s_tz
 
 
 def classify(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
@@ -193,8 +186,8 @@ def classify(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
         return RefractionResult(wave, roots, None, wave.k_iy, None, cls)
     # the causal branch is the "+" root when det > 0 and the "-" root otherwise
     chosen = 0 if _blocks(tensors, pol)[3] > 0.0 else 1
-    return RefractionResult(wave, roots, chosen, wave.k_iy,
-                            _poynting(tensors, pol, wave.k_iy, roots[chosen].real), cls)
+    s_ty, s_tz = _poynting(tensors, pol, wave.k_iy, roots[chosen].real)
+    return RefractionResult(wave, roots, chosen, wave.k_iy, (float(s_ty), float(s_tz)), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +280,61 @@ def conic_classification(tensors: ResponseTensors,
     return ConicClass.DEGENERATE
 
 
+def _sq(x):
+    """x**2 by libm pow, as Python's float ** rounds it.
+
+    numpy's array ** 2 is x * x and differs in the last bit for about 0.1%
+    of inputs; with pow, arrays of samples round exactly as scalar calls do.
+    """
+    return np.float_power(x, 2)
+
+
 def rotated_conic_residual(tensors: ResponseTensors, pol: Polarization,
-                           point: SurfacePoint) -> float:
-    """|lam_ty nt~^2 + lam_tz nz~^2 - rhs| / |rhs| in the principal frame.
+                           n_ty, n_tz) -> np.ndarray:
+    """|lam_ty nt~^2 + lam_tz nz~^2 - rhs| / |rhs| in the principal frame, per sample.
 
     For the hyperbolic regime this is exactly the residual of the canonical
     two-branch form nz~^2 / ((1 - eta') mu1) - nt~^2 / (eta' - 1) = 1.
     """
     phi, lam_ty, lam_tz, rhs = _principal_frame(tensors, pol)
     c, s = math.cos(phi), math.sin(phi)
-    nt = point.n_ty * c + point.n_tz * s
-    nz = -point.n_ty * s + point.n_tz * c
-    return abs((lam_ty * nt**2 + lam_tz * nz**2) / rhs - 1.0)
+    with np.errstate(all="ignore"):
+        nt = n_ty * c + n_tz * s
+        nz = -n_ty * s + n_tz * c
+        return np.abs((lam_ty * _sq(nt) + lam_tz * _sq(nz)) / rhs - 1.0)
 
 
 def _causal_n_tz(tensors, pol, n_ty):
-    """Causal-branch n_tz at reduced transverse component n_ty, or None."""
+    """Causal-branch n_tz at reduced transverse components n_ty; NaN where none exists."""
     tyy, tyz, tzz, det, other_xx = _blocks(tensors, pol)
-    # disc/4 of the reduced quadratic tzz n^2 + 2 tyz n_ty n + tyy n_ty^2 = det other_xx
-    disc4 = tyz**2 * n_ty**2 - tzz * (tyy * n_ty**2 - det * other_xx)
-    if disc4 <= 0.0:
-        return None
-    return (-tyz * n_ty + math.copysign(1.0, det) * math.sqrt(disc4)) / tzz
+    with np.errstate(all="ignore"):
+        # disc/4 of the reduced quadratic tzz n^2 + 2 tyz n_ty n + tyy n_ty^2 = det other_xx
+        disc4 = tyz**2 * _sq(n_ty) - tzz * (tyy * _sq(n_ty) - det * other_xx)
+        root = np.sqrt(np.where(disc4 > 0.0, disc4, np.nan))
+        return (-tyz * n_ty + math.copysign(1.0, det) * root) / tzz
 
 
-def surface_determinant_residual(tensors, pol, n_ty, n_tz) -> float:
+def surface_determinant_residual(tensors, pol, n_ty, n_tz) -> np.ndarray:
     tyy, tyz, tzz, det, other_xx = _blocks(tensors, pol)
-    val = other_xx - (tyy * n_ty**2 + 2.0 * tyz * n_ty * n_tz + tzz * n_tz**2) / det
-    return abs(val)
+    with np.errstate(all="ignore"):
+        return np.abs(other_xx - (tyy * _sq(n_ty) + 2.0 * tyz * n_ty * n_tz
+                                  + tzz * _sq(n_tz)) / det)
+
+
+def _unit(rows):
+    """Rows of an (n, 2) array divided by their lengths.
+
+    The stacked matmul is the BLAS dot of ``np.linalg.norm`` on one row.
+    """
+    return rows / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
 
 
 @dataclass(frozen=True)
 class SurfaceResult:
     conic: ConicClass
-    points: list[SurfacePoint]
+    n_ty: np.ndarray     # (n,) reduced transverse components of the samples
+    n_tz: np.ndarray     # (n,) their causal-branch normal components
+    normal: np.ndarray   # (n, 2) unit normals of the surface at the samples
 
 
 def wave_vector_surface(tensors: ResponseTensors,
@@ -328,16 +342,16 @@ def wave_vector_surface(tensors: ResponseTensors,
                         n_samples: int = 200) -> SurfaceResult:
     """Sample the causal branch of the wave-vector surface at fixed omega.
 
-    Points are reduced wave vectors n = k c / omega satisfying the Fresnel
+    Samples are reduced wave vectors n = k c / omega satisfying the Fresnel
     determinant condition, with the branch chosen so the Poynting flow is
     into the medium (S_tz > 0).  Apex neighbourhoods (vertical tangents)
     are avoided so finite-difference tangents stay well conditioned.
-    Returns an empty sample set when the surface has no real points.
+    Returns empty columns when the surface has no real points.
     """
     tyy, tyz, tzz, det, other_xx = _blocks(tensors, pol)
     conic = conic_classification(tensors, pol)
     if conic is ConicClass.DEGENERATE:
-        return SurfaceResult(conic, [])
+        return SurfaceResult(conic, np.empty(0), np.empty(0), np.empty((0, 2)))
     lim = tzz * other_xx  # disc > 0 iff det * (lim - n_ty^2) > 0
     if conic is ConicClass.CIRCLE:
         n_max = math.sqrt(lim)
@@ -351,43 +365,33 @@ def wave_vector_surface(tensors: ResponseTensors,
         # hyperbola straddling the n_ty axis: every n_ty is admissible
         scale = math.sqrt(abs(det * other_xx / tzz))
         grid = np.linspace(-2.0 * scale, 2.0 * scale, n_samples)
-    pts = []
-    for n_ty in grid:
-        n_tz = _causal_n_tz(tensors, pol, float(n_ty))
-        if n_tz is None:
-            continue
-        grad = np.array([
-            (tyy * n_ty + tyz * n_tz),
-            (tyz * n_ty + tzz * n_tz),
-        ]) * (-2.0 / det)
-        norm = np.linalg.norm(grad)
-        pts.append(SurfacePoint(float(n_ty), float(n_tz), grad / norm))
-    return SurfaceResult(conic, pts)
+    n_tz = _causal_n_tz(tensors, pol, grid)
+    on_branch = ~np.isnan(n_tz)
+    n_ty, n_tz = grid[on_branch], n_tz[on_branch]
+    with np.errstate(all="ignore"):
+        grad = np.stack([tyy * n_ty + tyz * n_tz, tyz * n_ty + tzz * n_tz],
+                        axis=-1) * (-2.0 / det)
+        return SurfaceResult(conic, n_ty, n_tz, _unit(grad))
 
 
-class ApexTangentError(ArithmeticError):
-    """Finite-difference tangent undefined at a conic apex."""
+FD_STEP = 1e-6   # n_ty step of the central-difference surface tangent
 
 
 def surface_normal_check(tensors: ResponseTensors, pol: Polarization,
-                         point: SurfacePoint, step: float = 1e-6) -> float:
-    """|S_hat . tangent_hat| at a surface point (exactly 0 for symmetric tensors).
+                         n_ty, n_tz) -> np.ndarray:
+    """|S_hat . tangent_hat| at surface samples (exactly 0 for symmetric tensors).
 
-    The tangent is a central difference along the causal branch with the
-    given step in n_ty; the Poynting direction comes from the same response
-    entries.  Raises ApexTangentError where the branch ends inside the
-    stencil.
+    The tangent is a central difference along the causal branch with step
+    FD_STEP in n_ty; the Poynting direction comes from the same response
+    entries.  NaN where the stencil leaves the causal branch or the flow is
+    not finite.
     """
-    left = _causal_n_tz(tensors, pol, point.n_ty - step)
-    right = _causal_n_tz(tensors, pol, point.n_ty + step)
-    if left is None or right is None:
-        raise ApexTangentError("surface tangent undefined at the conic apex")
-    tangent = np.array([2.0 * step, right - left])
-    tangent /= np.linalg.norm(tangent)
-    s_ty, s_tz = _poynting(tensors, pol, point.n_ty, point.n_tz)
-    s_vec = np.array([s_ty, s_tz])
-    s_vec /= np.linalg.norm(s_vec)
-    return abs(float(np.dot(s_vec, tangent)))
+    with np.errstate(all="ignore"):
+        left = _causal_n_tz(tensors, pol, n_ty - FD_STEP)
+        right = _causal_n_tz(tensors, pol, n_ty + FD_STEP)
+        tangent = _unit(np.stack([np.full_like(left, 2.0 * FD_STEP), right - left], axis=-1))
+        flow = _unit(np.stack(_poynting(tensors, pol, n_ty, n_tz), axis=-1))
+        return np.abs(flow[:, None, :] @ tangent[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

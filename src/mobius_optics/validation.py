@@ -43,6 +43,7 @@ RTOL = 4.0 * sys.float_info.epsilon
 NO_ROOT = "no root found in the bracket"
 NONPOSITIVE_SWEEP = "frequency sweep would reach omega <= 0"
 NO_SURFACE = "the wave-vector surface has no points"
+NO_TANGENT = "finite-difference stencil leaves the causal branch or the energy flow is not finite"
 OVERFLOW = "squared elements overflow the float range"
 
 
@@ -344,11 +345,11 @@ def _overdamped(*names, note="overdamped: no mu1 window") -> list[dict]:
     return [_check(name, float("nan"), None, passed=False, note=note) for name in names]
 
 
-def _largest(name, values, threshold) -> list[dict]:
+def _largest(name, values: np.ndarray, threshold) -> list[dict]:
     """Check on the largest of values, or failed with a note when there are none."""
-    if not values:
+    if not values.size:
         return _overdamped(name, note=NO_SURFACE)
-    return [_check(name, float(np.max(values)), threshold)]
+    return [_check(name, np.max(values), threshold)]
 
 
 def refraction_checks(params: RingParams) -> list[dict]:
@@ -392,19 +393,22 @@ def refraction_checks(params: RingParams) -> list[dict]:
     t_low = rs.response_tensors(cfg, 0.5 * delta0)
     sr = rf.wave_vector_surface(t_low, rf.Polarization.E, 200)
     h = rs.eta(cfg, 0.5 * delta0).real
-    circ = [abs(p.n_ty**2 + p.n_tz**2 - (1.0 - h)) for p in sr.points]
-    out += _largest("surface_circle_residual", circ, 1e-3)
+    out += _largest("surface_circle_residual",
+                    np.abs(rf._sq(sr.n_ty) + rf._sq(sr.n_tz) - (1.0 - h)), 1e-3)
     if zeros is None:
         return out + _overdamped("surface_hyperbola_residual", "poynting_normal_to_surface",
                                  "lossy_window_shift", "overdamped_window_empty")
     mid = delta0 + 0.5 * (zeros[0] + zeros[1])
     t_mid = rs.response_tensors(cfg, mid)
     sr2 = rf.wave_vector_surface(t_mid, rf.Polarization.E, 200)
-    hyp = [rf.rotated_conic_residual(t_mid, rf.Polarization.E, p) for p in sr2.points]
-    out += _largest("surface_hyperbola_residual", hyp, 1e-6)
-    normal = [rf.surface_normal_check(tensors, rf.Polarization.E, pt)
-              for tensors, res in ((t_low, sr), (t_mid, sr2)) for pt in res.points]
-    out += _largest("poynting_normal_to_surface", normal, 1e-6)
+    out += _largest("surface_hyperbola_residual",
+                    rf.rotated_conic_residual(t_mid, rf.Polarization.E, sr2.n_ty, sr2.n_tz), 1e-6)
+    normal = np.concatenate([rf.surface_normal_check(t, rf.Polarization.E, res.n_ty, res.n_tz)
+                             for t, res in ((t_low, sr), (t_mid, sr2))])
+    if np.isnan(normal).any():
+        out += _overdamped("poynting_normal_to_surface", note=NO_TANGENT)
+    else:
+        out += _largest("poynting_normal_to_surface", normal, 1e-6)
     if delta0 - 2 * bw <= 0.0:
         return out + _overdamped("lossy_window_shift", "overdamped_window_empty",
                                  note=NONPOSITIVE_SWEEP)

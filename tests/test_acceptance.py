@@ -151,15 +151,14 @@ def test_criterion_08_wave_vector_surface_conics():
     t_low = rs.response_tensors(CFG, 0.5 * DELTA0)
     low = rf.wave_vector_surface(t_low, rf.Polarization.E, 200)
     h = t_low.eta.real
-    circ = max(abs(p.n_ty**2 + p.n_tz**2 - (1 - h)) for p in low.points)
+    circ = np.abs(low.n_ty**2 + low.n_tz**2 - (1 - h)).max()
     mid_om = DELTA0 + 0.5 * (zeros[0] + zeros[1])
     t_mid = rs.response_tensors(CFG, mid_om)
     mid = rf.wave_vector_surface(t_mid, rf.Polarization.E, 200)
-    hyp = max(rf.rotated_conic_residual(t_mid, rf.Polarization.E, p)
-              for p in mid.points)
+    hyp = rf.rotated_conic_residual(t_mid, rf.Polarization.E, mid.n_ty, mid.n_tz).max()
     causal = all(
-        rf._poynting(tensors, rf.Polarization.E, p.n_ty, p.n_tz)[1] > 0
-        for tensors, res in ((t_low, low), (t_mid, mid)) for p in res.points)
+        (rf._poynting(tensors, rf.Polarization.E, res.n_ty, res.n_tz)[1] > 0).all()
+        for tensors, res in ((t_low, low), (t_mid, mid)))
     ok = (low.conic is rf.ConicClass.CIRCLE and circ < 1e-3
           and mid.conic is rf.ConicClass.HYPERBOLA and hyp < 1e-6
           and causal)
@@ -174,10 +173,9 @@ def test_criterion_09_poynting_normal_to_surface():
     for om in (0.5 * DELTA0, DELTA0 + 0.5 * (zeros[0] + zeros[1])):
         t = rs.response_tensors(CFG, om)
         res = rf.wave_vector_surface(t, rf.Polarization.E, 120)
-        counted.append(len(res.points))
-        for p in res.points:
-            worst = max(worst, rf.surface_normal_check(t, rf.Polarization.E, p,
-                                                       step=1e-6))
+        counted.append(len(res.n_ty))
+        worst = np.maximum(worst, rf.surface_normal_check(t, rf.Polarization.E,
+                                                          res.n_ty, res.n_tz).max())
     ok = all(c >= 100 for c in counted) and worst < 1e-6
     _report(9, f"|S_hat . tangent| <= {worst:.1e} over {counted} surface points "
                "(central differences, step 1e-6)", ok)

@@ -61,7 +61,7 @@ def test_malformed_json_rejected():
     ('{"omega_span_ev": 1, "omega_span_rad_s": 1}', "at most one"),
     ('{"polarization": "Q"}', "polarization must be E or H"),
     ('{"format": "xml"}', "format must be csv or json"),
-    ('{"topology": "torus"}', "topology must be one of"),
+    ('{"topology": "torus"}', "unknown config key: 'topology'"),
     ('{"lossy": 1}', "lossy must be a boolean"),
     ('{"surface_detunings_ev": []}', "surface_detunings_ev"),
     ('{"gamma_inv_ns": Infinity}', "gamma_inv_ns must be finite"),
@@ -183,6 +183,15 @@ def test_surface_command_reports_conics(tmp_path, capsys):
     assert "circle" in out and "hyperbola" in out
 
 
+def test_surface_command_writes_only_the_header_when_no_surface_has_points(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    cfg = cli.parse_config(json.dumps({
+        "surface_detunings_ev": [2e-5], "output_path": str(path)}).encode())
+    assert cli.run_command("surface", cfg) == 0
+    assert "+2e-05 eV -> degenerate" in capsys.readouterr().out
+    assert path.read_text() == "detuning_ev,omega_rad_s,conic,n_ty,n_tz,normal_y,normal_z\n"
+
+
 def test_bandwidth_command_prints_both_conventions(tmp_path, capsys):
     cfg = cli.parse_config(json.dumps(
         {"output_path": str(tmp_path / "b.csv")}).encode())
@@ -235,11 +244,16 @@ def test_pol_flag_overrides_config(tmp_path, capsys, monkeypatch):
     assert "phase-diagram H" in out and "LH cells 0," in out
 
 
-def test_commands_requiring_closed_forms_reject_other_topologies(tmp_path):
-    cfg = cli.parse_config(json.dumps({
-        "topology": "single_ring", "output_path": str(tmp_path / "x.csv")}).encode())
-    with pytest.raises(cli.ConfigError, match="requires topology=mobius"):
-        cli.run_command("spectrum", cfg)
+def test_topology_is_not_a_config_key(tmp_path, capsys, monkeypatch):
+    # every command computes the Mobius closed forms; validate checks the other
+    # topologies at fixed sizes itself
+    assert len(cli.CONFIG_KEYS) == 20 and "topology" not in cli.CONFIG_KEYS
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(
+        '{"topology": "single_ring", "N": 40, "gamma_inv_ns": 0.3}')
+    assert cli.main(["validate", "c.json"]) == cli.EXIT_CONFIG_ERROR
+    assert "unknown config key: 'topology'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("validate.*"))
 
 
 @pytest.mark.parametrize("gamma_inv_ns", (0.3, 0.51))
@@ -265,8 +279,9 @@ def test_validate_overdamped_reports_failed_window_checks(tmp_path, gamma_inv_ns
 
 def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
     names = []
+    widths = (0.01, 1e5, 1e22, 1e23, 1e24, 1e26, 1e30)
     for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3},
-                  {"half_width_nm": 0.01}, {"half_width_nm": 1e5}, {"half_width_nm": 1e30}):
+                  *({"half_width_nm": w} for w in widths)):
         path = tmp_path / "validate.csv"
         cfg = cli.parse_config(json.dumps({**extra, "output_path": str(path)}).encode())
         cli.run_command("validate", cfg, stdout=io.StringIO())
@@ -283,6 +298,11 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
            "phase_diagram_E_has_lh_band": validation.NONPOSITIVE_SWEEP,
            "lh_band_contiguous": validation.NONPOSITIVE_SWEEP}),
     (1e30, {"surface_circle_residual": validation.NO_SURFACE}),
+    # the yz block is nearly singular: rounding breaks the causal branch near samples
+    (1e22, {"poynting_normal_to_surface": validation.NO_TANGENT}),
+    (1e23, {"poynting_normal_to_surface": validation.NO_TANGENT}),
+    (1e24, {"poynting_normal_to_surface": validation.NO_TANGENT}),
+    (1e26, {"poynting_normal_to_surface": validation.NO_TANGENT}),
 ])
 def test_validate_reports_checks_without_a_root_or_sweep_as_failed(
         tmp_path, half_width_nm, failed_notes):
@@ -315,6 +335,18 @@ def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
         "nan", "", "0", validation.OVERFLOW]
     # 18 of the 20 magnetic blocks are NaN: the residual is NaN, not the largest finite one
     assert rows["magnetic_block_calibration"][1:4] == ["nan", "1.0000000000000001e-09", "0"]
+
+
+def test_validate_at_a_near_singular_half_width_runs_without_warnings(tmp_path):
+    (tmp_path / "c.json").write_text('{"half_width_nm": 1e26}')
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mobius_optics",
+                           "validate", "c.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_VALIDATION_FAILURE
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "FAIL poynting_normal_to_surface: nan" in proc.stdout
+    assert "validate: 33 checks" in proc.stdout
 
 
 IMPORT_GUARD = """

@@ -1,8 +1,9 @@
 """Every demo script runs to completion on the library in src/.
 
-Each demo runs in a fresh interpreter with RuntimeWarnings turned into
-errors, so a demo that divides by zero or takes the square root of a
-negative number fails here instead of printing a stray warning.
+Each demo runs in a fresh interpreter with RuntimeWarnings and
+UserWarnings turned into errors, as tier-1's ``filterwarnings`` does, so a
+demo that divides by zero, takes the square root of a negative number or
+samples too coarse a grid fails here instead of printing a stray warning.
 """
 
 import os
@@ -23,7 +24,8 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::UserWarning", str(demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -258,9 +258,8 @@ def test_wave_vector_surface_unit_circle_without_response():
     t = rs.response_tensors(CFG, DELTA0)  # lossless on resonance: vacuum
     result = rf.wave_vector_surface(t, E, 100)
     assert result.conic is rf.ConicClass.CIRCLE
-    for pt in result.points:
-        assert abs(pt.n_ty**2 + pt.n_tz**2 - 1.0) < 1e-12
-        assert rf.surface_normal_check(t, E, pt) < 1e-8
+    assert np.abs(result.n_ty**2 + result.n_tz**2 - 1.0).max() < 1e-12
+    assert rf.surface_normal_check(t, E, result.n_ty, result.n_tz).max() < 1e-8
 
 
 def test_wave_vector_surface_regimes():
@@ -268,53 +267,51 @@ def test_wave_vector_surface_regimes():
     low = rf.wave_vector_surface(t_low, E, 150)
     assert low.conic is rf.ConicClass.CIRCLE
     h = t_low.eta.real
-    assert max(abs(p.n_ty**2 + p.n_tz**2 - (1 - h)) for p in low.points) < 1e-3
+    assert np.abs(low.n_ty**2 + low.n_tz**2 - (1 - h)).max() < 1e-3
 
     t_mid = rs.response_tensors(CFG, WINDOW_MID)
     mid = rf.wave_vector_surface(t_mid, E, 150)
     assert mid.conic is rf.ConicClass.HYPERBOLA
-    assert len(mid.points) >= 100
-    assert max(rf.rotated_conic_residual(t_mid, E, p) for p in mid.points) < 1e-6
+    assert mid.n_ty.shape == mid.n_tz.shape == (150,) and mid.normal.shape == (150, 2)
+    assert rf.rotated_conic_residual(t_mid, E, mid.n_ty, mid.n_tz).max() < 1e-6
 
     t_above = rs.response_tensors(CFG, DELTA0 + 2.5 * ZEROS[1])
     above = rf.wave_vector_surface(t_above, E, 150)
     assert above.conic is rf.ConicClass.DEGENERATE
-    assert above.points == []
+    assert above.n_ty.shape == above.n_tz.shape == (0,) and above.normal.shape == (0, 2)
 
 
 def test_causal_branch_flows_into_medium_on_every_sample():
     for om in (0.5 * DELTA0, WINDOW_MID, 1.5 * DELTA0):
         t = rs.response_tensors(CFG, om)
         result = rf.wave_vector_surface(t, E, 150)
-        for pt in result.points:
-            assert rf._poynting(t, E, pt.n_ty, pt.n_tz)[1] > 0
+        assert (rf._poynting(t, E, result.n_ty, result.n_tz)[1] > 0).all()
 
 
 def test_surface_determinant_residual_small():
     t = rs.response_tensors(CFG, WINDOW_MID)
     result = rf.wave_vector_surface(t, E, 150)
-    for pt in result.points:
-        assert rf.surface_determinant_residual(t, E, pt.n_ty, pt.n_tz) < 1e-10 * (
-            1 + abs(t.eta.real))
+    residual = rf.surface_determinant_residual(t, E, result.n_ty, result.n_tz)
+    assert residual.max() < 1e-10 * (1 + abs(t.eta.real))
 
 
 def test_poynting_orthogonal_to_surface_tangent():
     for om, tol in ((0.5 * DELTA0, 1e-6), (WINDOW_MID, 1e-6)):
         t = rs.response_tensors(CFG, om)
         result = rf.wave_vector_surface(t, E, 120)
-        assert len(result.points) >= 100
-        worst = max(rf.surface_normal_check(t, E, pt, step=1e-6)
-                    for pt in result.points)
-        assert worst < tol
+        assert len(result.n_ty) >= 100
+        assert rf.surface_normal_check(t, E, result.n_ty, result.n_tz).max() < tol
 
 
 def test_surface_normal_check_signals_apex():
+    # at the apex the stencil leaves the causal branch: NaN, which fails any check
     t = rs.response_tensors(CFG, 0.5 * DELTA0)
-    result = rf.wave_vector_surface(t, E, 50)
     n_max = math.sqrt((t.mu_r[2, 2] * t.eps_r[0, 0]))
-    apex = rf.SurfacePoint(n_max, 0.0, np.array([1.0, 0.0]))
-    with pytest.raises(rf.ApexTangentError):
-        rf.surface_normal_check(t, E, apex, step=1e-6)
+    n_ty = np.array([n_max, 0.5 * n_max])
+    n_tz = rf._causal_n_tz(t, E, n_ty)
+    check = rf.surface_normal_check(t, E, n_ty, n_tz)
+    assert np.isnan(check[0]) and check[1] < 1e-8
+    assert np.isnan(rf._causal_n_tz(t, E, np.array([1.01 * n_max]))).all()
 
 
 def test_mixing_angle_diagonalizes_the_block():
@@ -646,15 +643,10 @@ def _ref_surface(t, pol, n_samples):
 def _surface_columns(t, pol, n_samples):
     """The library's surface as the reference's columns."""
     res = rf.wave_vector_surface(t, pol, n_samples)
-    rows = []
-    for p in res.points:
-        try:
-            check = rf.surface_normal_check(t, pol, p)
-        except rf.ApexTangentError:
-            check = NAN
-        rows.append((p.n_ty, p.n_tz, p.normal_dir[0], p.normal_dir[1],
-                     rf.rotated_conic_residual(t, pol, p), check))
-    return res.conic, np.array(rows, float).reshape(-1, 6)
+    return res.conic, np.column_stack([
+        res.n_ty, res.n_tz, res.normal,
+        rf.rotated_conic_residual(t, pol, res.n_ty, res.n_tz),
+        rf.surface_normal_check(t, pol, res.n_ty, res.n_tz)])
 
 
 def _assert_surface_matches_the_per_point_path(t, pol, n_samples):
