@@ -298,7 +298,7 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
            "phase_diagram_E_has_lh_band": validation.NONPOSITIVE_SWEEP,
            "lh_band_contiguous": validation.NONPOSITIVE_SWEEP}),
     (1e30, {"surface_circle_residual": validation.NO_SURFACE}),
-    # the yz block is nearly singular: rounding breaks the causal branch near samples
+    # the yz block of mu is nearly (1e22-1e24) or exactly (1e26) singular in floats
     (1e22, {"poynting_normal_to_surface": validation.NO_TANGENT}),
     (1e23, {"poynting_normal_to_surface": validation.NO_TANGENT}),
     (1e24, {"poynting_normal_to_surface": validation.NO_TANGENT}),
@@ -337,7 +337,7 @@ def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
     assert rows["magnetic_block_calibration"][1:4] == ["nan", "1.0000000000000001e-09", "0"]
 
 
-def test_validate_at_a_near_singular_half_width_runs_without_warnings(tmp_path):
+def test_validate_with_a_singular_yz_block_runs_without_warnings(tmp_path):
     (tmp_path / "c.json").write_text('{"half_width_nm": 1e26}')
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mobius_optics",
