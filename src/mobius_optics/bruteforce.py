@@ -21,15 +21,17 @@ import numpy as np
 
 from .constants import E_CHARGE, EV, HBAR
 from .ring import (
+    BANDS,
     RingParams,
     Topology,
-    all_labels,
     amplitude_matrix,
-    band_energy,
+    band_energies,
+    label_axes,
     positions_array,
 )
 
 HERMITICITY_TOL = 1e-12
+LEVEL_TOL_EV = 1e-9   # energies closer than this are one level
 
 
 @dataclass(frozen=True)
@@ -188,12 +190,12 @@ def numeric_magnetic_elements(params: RingParams, definition: str = "commutator"
     return _sandwich(magnetic_dipole_matrix(params, definition), amplitude_matrix(params))
 
 
-def group_levels(energies: np.ndarray, tol_ev: float = 1e-9) -> list[np.ndarray]:
-    """Indices of degenerate levels, grouped by energy within tol_ev."""
+def group_levels(energies: np.ndarray) -> list[np.ndarray]:
+    """Indices of degenerate levels, grouped by energy within LEVEL_TOL_EV."""
     order = np.argsort(energies)
     groups, current = [], [order[0]]
     for idx in order[1:]:
-        if energies[idx] - energies[current[-1]] <= tol_ev:
+        if energies[idx] - energies[current[-1]] <= LEVEL_TOL_EV:
             current.append(idx)
         else:
             groups.append(np.array(current))
@@ -202,17 +204,19 @@ def group_levels(energies: np.ndarray, tol_ev: float = 1e-9) -> list[np.ndarray]
     return groups
 
 
+def match_levels(w: np.ndarray, closed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``group_levels(w)``, each with the closed-form columns within LEVEL_TOL_EV of its mean."""
+    return [(grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= LEVEL_TOL_EV))
+            for grp in group_levels(w)]
+
+
 def eigenspace_projector_residual(params: RingParams) -> float:
     """Max-abs difference between numeric and closed-form level projectors."""
     h = build_hamiltonian(params)
     w, v = numeric_eigensystem(h)
     u = amplitude_matrix(params)
-    labels = all_labels(params.n_per_ring)
-    e_closed = np.array([band_energy(params, lab) for lab in labels])
     worst = 0.0
-    for grp in group_levels(w):
-        e0 = w[grp].mean()
-        cols = np.where(np.abs(e_closed - e0) <= 1e-6)[0]
+    for grp, cols in match_levels(w, band_energies(params)):
         p_num = v[:, grp] @ v[:, grp].conj().T
         p_ana = u[:, cols] @ u[:, cols].conj().T
         worst = np.maximum(worst, np.abs(p_num - p_ana).max())
@@ -321,39 +325,32 @@ def calibrate_conventions(
 ) -> CalibrationResult:
     """Align analytic momentum-space tables with the numeric construction.
 
-    Both tables are (2N, 2N, 3) in the label ordering of ``all_labels``.
+    Both tables are (2N, 2N, 3) over the labels, in the order of ``label_axes``.
     One unit-modulus phase is fitted per (dl, band pair) block by least
     squares; the residual is the max deviation after alignment, relative to
     atol_scale.  A residual above 1e-6 signals a transcription error in the
     closed-form tables.
     """
-    labels = all_labels(n)
-    blocks: dict[tuple, list[tuple[complex, complex]]] = {}
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            dl = (lb.momentum_index - la.momentum_index) % n
-            if dl > n // 2:
-                dl -= n
-            if abs(dl) > 2:
-                continue
-            key = (dl, la.band.value, lb.band.value)
-            vals = blocks.setdefault(key, [])
-            for c in range(3):
-                vals.append((analytic[a, b, c], numeric[a, b, c]))
+    band, ell = label_axes(n)
+    dl = (ell[None, :] - ell[:, None]) % n   # [a, b] = l_b - l_a
+    dl = np.where(dl > n // 2, dl - n, dl)
     phases, block_res = {}, {}
     worst = 0.0
-    for key, pairs in blocks.items():
-        arr_a = np.array([p[0] for p in pairs])
-        arr_n = np.array([p[1] for p in pairs])
-        if np.abs(arr_a).max() < atol_scale * 1e-14:
-            phase = 1.0 + 0.0j
-        else:
-            overlap = np.vdot(arr_a, arr_n)
-            phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
-        res = np.abs(phase * arr_a - arr_n).max() / atol_scale
-        phases[key] = phase
-        block_res[key] = res
-        worst = np.maximum(worst, res)   # keeps a NaN block, which max() may drop
+    for d in np.unique(dl[np.abs(dl) <= 2]):
+        for ba, bb in np.ndindex(2, 2):
+            key = (int(d), BANDS[ba].value, BANDS[bb].value)
+            mask = (dl == d) & (band[:, None] == ba) & (band[None, :] == bb)
+            # each block's elements ordered by a, then b, then component
+            arr_a, arr_n = analytic[mask].ravel(), numeric[mask].ravel()
+            if np.abs(arr_a).max() < atol_scale * 1e-14:
+                phase = 1.0 + 0.0j
+            else:
+                overlap = np.vdot(arr_a, arr_n)
+                phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
+            res = np.abs(phase * arr_a - arr_n).max() / atol_scale
+            phases[key] = phase
+            block_res[key] = res
+            worst = np.maximum(worst, res)   # keeps a NaN block, which max() may drop
     if worst > 1e-6:
         bad = max(block_res, key=block_res.get)
         raise ValueError(

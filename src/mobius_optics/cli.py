@@ -26,7 +26,6 @@ import numpy as np
 
 from .constants import EV, HBAR, NM, NS, angular_frequency_to_ev
 from .dipole import (
-    BANDS,
     COMPONENT_BITS,
     COMPONENTS,
     KINDS,
@@ -51,7 +50,7 @@ from .response import (
     resonance_frequency,
     response_tensors,
 )
-from .ring import RingParams, VolumeConvention, all_labels, band_energy
+from .ring import BANDS, RingParams, VolumeConvention, band_energies, label_axes
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
@@ -378,11 +377,12 @@ def _table(**columns) -> np.ndarray:
     return np.rec.fromarrays(list(columns.values()), names=list(columns))
 
 
+_BAND_NAMES = np.array([b.value for b in BANDS])
+
+
 def _cmd_spectrum(config: RunConfig):
-    table = np.rec.fromrecords(
-        [(lab.momentum_index, lab.band.value, band_energy(config.ring, lab))
-         for lab in all_labels(config.ring.n_per_ring)],
-        names=["l", "band", "energy_ev"])
+    band, ell = label_axes(config.ring.n_per_ring)
+    table = _table(l=ell, band=_BAND_NAMES[band], energy_ev=band_energies(config.ring))
     summary = (f"spectrum: {len(table)} states, ground energy "
                f"{format(table['energy_ev'].min(), '.6g')} eV")
     return table, summary, EXIT_OK
@@ -390,7 +390,7 @@ def _cmd_spectrum(config: RunConfig):
 
 def _cmd_elements(config: RunConfig):
     n = config.ring.n_per_ring
-    band, ell = np.divmod(np.arange(2 * n), n)   # label indices in all_labels order
+    band, ell = label_axes(n)
     # [kind, from, to] = <to| O |from>; each kind keeps what is above its own floor
     vecs = np.stack([electric_table(config.ring),
                      magnetic_table(config.ring)]).transpose(0, 2, 1, 3)
@@ -398,11 +398,10 @@ def _cmd_elements(config: RunConfig):
     floor = 1e-13 * mags.max(axis=(1, 2, 3))
     kind, src, dst = np.nonzero(mags.max(axis=3) > floor[:, None, None])
     vec = vecs[kind, src, dst]
-    band_names = np.array([b.value for b in BANDS])
     table = _table(
         kind=np.array([k.value for k in KINDS])[kind],
-        from_l=ell[src], from_band=band_names[band[src]],
-        to_l=ell[dst], to_band=band_names[band[dst]],
+        from_l=ell[src], from_band=_BAND_NAMES[band[src]],
+        to_l=ell[dst], to_band=_BAND_NAMES[band[dst]],
         x_re=vec[:, 0].real, x_im=vec[:, 0].imag, y_re=vec[:, 1].real,
         y_im=vec[:, 1].imag, z_re=vec[:, 2].real, z_im=vec[:, 2].imag,
         nonzero_components=COMPONENTS[

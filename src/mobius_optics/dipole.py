@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, EV, HBAR
-from .ring import Band, EigenLabel, RingParams, Topology
+from .ring import BANDS, Band, EigenLabel, RingParams, Topology, label_axes
 
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
@@ -55,6 +55,7 @@ _SM = np.array([[0, 0], [1, 0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
 _BAND_ROW = {Band.UP: 0, Band.DOWN: 1}
+_LABEL_ROW = np.array([_BAND_ROW[b] for b in BANDS])   # block row of each band of label_axes
 
 PolarizationSet = frozenset  # subset of {"x", "y", "z"}; empty means forbidden
 
@@ -213,7 +214,6 @@ _RULES = {
     (_M, 2, _D, _U): "xy", (_M, -2, _U, _D): "xy",
 }
 KINDS = tuple(DipoleKind)           # kind axis of selection_table
-BANDS = (Band.DOWN, Band.UP)        # band axis, in all_labels order
 COMPONENT_BITS = np.array([1, 2, 4])   # mask bit of x, y, z
 COMPONENTS = np.array(["", "x", "y", "xy", "z", "xz", "yz", "xyz"])   # string of each mask
 
@@ -250,18 +250,18 @@ def magnetic_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> 
 
 
 def _table(params: RingParams, kind: DipoleKind) -> np.ndarray:
-    n = params.n_per_ring
-    rows = _rows(params, kind, np.arange(n))
-    # [l_to, l_from, s_to, s_from] with bands (up, down) -> all_labels order
-    # (down band first): [s_to * N + l_to, s_from * N + l_from]
-    return rows[:, :, ::-1, ::-1].transpose(2, 0, 3, 1, 4).reshape(2 * n, 2 * n, 3)
+    band, ell = label_axes(params.n_per_ring)
+    row = _LABEL_ROW[band]
+    rows = _rows(params, kind, np.arange(params.n_per_ring))
+    # [l_to, l_from, s_to, s_from] -> [a, b] = <a| O |b> over the labels
+    return rows[ell[:, None], ell, row[:, None], row]
 
 
 def electric_table(params: RingParams) -> np.ndarray:
-    """(2N, 2N, 3) closed-form table, [a, b, c] = <a| d_c |b> over all_labels."""
+    """(2N, 2N, 3) closed-form table, [a, b, c] = <a| d_c |b> over the labels."""
     return _table(params, DipoleKind.ELECTRIC)
 
 
 def magnetic_table(params: RingParams) -> np.ndarray:
-    """(2N, 2N, 3) closed-form table, [a, b, c] = <a| m_c |b> over all_labels."""
+    """(2N, 2N, 3) closed-form table, [a, b, c] = <a| m_c |b> over the labels."""
     return _table(params, DipoleKind.MAGNETIC)

@@ -67,7 +67,7 @@ class Classification(enum.IntEnum):
 class ConicClass(enum.Enum):
     CIRCLE = "circle"        # closed (elliptic) wave-vector surface
     HYPERBOLA = "hyperbola"
-    DEGENERATE = "degenerate"  # no real surface points
+    DEGENERATE = "degenerate"  # no real surface points, or a line pair (rhs = 0)
 
 
 class DegenerateFresnelError(ArithmeticError):
@@ -273,10 +273,10 @@ def _principal_frame(tensors, pol):
 def conic_classification(tensors: ResponseTensors,
                          pol: Polarization = Polarization.E) -> ConicClass:
     _, lam1, lam2, rhs = _principal_frame(tensors, pol)
-    if lam1 * lam2 > 0.0:
-        return ConicClass.CIRCLE if rhs / lam1 > 0.0 else ConicClass.DEGENERATE
-    if lam1 * lam2 < 0.0:
+    if lam1 * lam2 < 0.0 and rhs != 0.0:   # rhs = 0 gives a line pair
         return ConicClass.HYPERBOLA
+    if lam1 * lam2 > 0.0 and rhs / lam1 > 0.0:
+        return ConicClass.CIRCLE
     return ConicClass.DEGENERATE
 
 

@@ -40,15 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, EV, E_CHARGE, HBAR, MU_0
-from .dipole import DipoleKind, _rows
-from .ring import (
-    Band,
-    EigenLabel,
-    RingParams,
-    VolumeConvention,
-    all_labels,
-    transition_frequency,
-)
+from .dipole import _LABEL_ROW, DipoleKind, _rows
+from .ring import BANDS, Band, RingParams, VolumeConvention, band_energies, label_axes
 
 # lossless-mode near-resonance mask half width, in units of gamma
 NEAR_RESONANCE_FACTOR = 1e-3
@@ -105,9 +98,17 @@ def molecular_volume(config: MediumConfig) -> float:
     return base
 
 
+def _excited_frequencies(ring: RingParams) -> np.ndarray:
+    """(E - E_ground) / hbar in rad/s of the 2N - 1 labels after the ground state."""
+    energies = band_energies(ring)
+    return (energies[1:] - energies[0]) * EV / HBAR
+
+
 def resonance_frequency(config: MediumConfig) -> float:
-    """Delta_0 = (2V + 2 xi (1 - cos delta/2)) / hbar in rad/s."""
-    return transition_frequency(config.ring, EigenLabel(0, Band.UP))
+    """Delta_0 = (2V + 2 xi (1 - cos delta/2)) / hbar in rad/s, the (0, up) line."""
+    band, ell = label_axes(config.ring.n_per_ring)
+    lowest_up = (band[1:] == BANDS.index(Band.UP)) & (ell[1:] == 0)
+    return float(_excited_frequencies(config.ring)[lowest_up][0])
 
 
 def eta_prefactor(config: MediumConfig) -> float:
@@ -202,12 +203,12 @@ def mu1(config: MediumConfig, omega):
 # ---------------------------------------------------------------------------
 
 def _ground_dyads(config: MediumConfig, kind: DipoleKind):
-    """Per-excited-label dyads v v^dag with v = <ground| O |excited>, in all_labels order."""
+    """Per-excited-label dyads v v^dag with v = <ground| O |excited>, in label order."""
     ring = config.ring
-    row = _rows(ring, kind, [0])[0, :, 1]   # bra (0, down); [l, s], bands (up, down)
-    vecs = np.concatenate([row[1:, 1], row[:, 0]])   # down band first, ground left out
-    freqs = [transition_frequency(ring, lab) for lab in all_labels(ring.n_per_ring)[1:]]
-    return np.array(freqs), vecs[:, :, None] * vecs.conj()[:, None, :]
+    band, ell = label_axes(ring.n_per_ring)   # label 0 is the ground state
+    row = _LABEL_ROW[band]
+    vecs = _rows(ring, kind, ell[:1])[0][ell[1:], row[0], row[1:]]
+    return _excited_frequencies(ring), vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
 def _kubo_sum(config: MediumConfig, omega: float, kind: DipoleKind):

@@ -18,6 +18,11 @@ Closed-form eigenstates (site amplitudes over |phi_{j+}>, |phi_{j-}>):
     |k, up>   = sum_j e^{-i (k - delta/2) j} (|phi_{j+}> - |phi_{j-}>) / sqrt(2N)
     |k, down> = sum_j e^{-i k j}             (|phi_{j+}> + |phi_{j-}>) / sqrt(2N)
 
+Label order: every array over the 2N labels (l, band) lists the down band
+first, each band by l = 0..N-1, so the ground state (0, down) comes first.
+Only this module states it; ``label_axes`` gives its (band, l) index
+arrays, and the spectrum and eigenstates are arrays in that order.
+
 Everything here is a pure function of immutable inputs.
 """
 
@@ -131,11 +136,18 @@ class SitePosition:
     position: np.ndarray  # (3,) in meters
 
 
+BANDS = (Band.DOWN, Band.UP)   # band axis of every label array
+
+
+def label_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(band, l) index arrays of the 2N labels in label order; band indexes ``BANDS``."""
+    return np.divmod(np.arange(2 * n), n)
+
+
 def all_labels(n: int) -> list[EigenLabel]:
-    """The 2N labels, down band first, each band ordered by l."""
-    return [EigenLabel(l, Band.DOWN) for l in range(n)] + [
-        EigenLabel(l, Band.UP) for l in range(n)
-    ]
+    """The 2N labels in label order."""
+    band, ell = label_axes(n)
+    return [EigenLabel(int(l), BANDS[b]) for b, l in zip(band, ell)]
 
 
 GROUND_LABEL = EigenLabel(0, Band.DOWN)
@@ -154,37 +166,34 @@ def _require_mobius(params: RingParams):
         )
 
 
+def band_energies(params: RingParams) -> np.ndarray:
+    """(2N,) closed-form band energies in eV, in label order."""
+    _require_mobius(params)
+    band, ell = label_axes(params.n_per_ring)
+    up = band == BANDS.index(Band.UP)
+    k = ell * params.delta - np.where(up, params.delta / 2.0, 0.0)
+    return np.where(up, params.v_inter, -params.v_inter) - 2.0 * params.xi_intra * np.cos(k)
+
+
+def _label_index(n: int, label: EigenLabel) -> int:
+    """Position of ``label`` on the label axis."""
+    band, ell = label_axes(n)
+    return np.flatnonzero((band == BANDS.index(label.band)) & (ell == label.momentum_index % n))[0]
+
+
 def band_energy(params: RingParams, label: EigenLabel) -> float:
     """Closed-form band energy in eV for the Mobius ring."""
-    _require_mobius(params)
-    k = (label.momentum_index % params.n_per_ring) * params.delta
-    if label.band is Band.UP:
-        return params.v_inter - 2.0 * params.xi_intra * math.cos(k - params.delta / 2.0)
-    return -params.v_inter - 2.0 * params.xi_intra * math.cos(k)
+    return float(band_energies(params)[_label_index(params.n_per_ring, label)])
 
 
 def eigenstate(params: RingParams, label: EigenLabel) -> EigenState:
     """Closed-form eigenstate with site amplitudes (a_0.., b_0..)."""
-    _require_mobius(params)
-    n = params.n_per_ring
-    l = label.momentum_index % n
-    j = np.arange(n)
-    norm = 1.0 / math.sqrt(2 * n)
-    if label.band is Band.UP:
-        kappa = (l - 0.5) * params.delta
-        phase = np.exp(-1j * kappa * j) * norm
-        amps = np.concatenate([phase, -phase])
-    else:
-        k = l * params.delta
-        phase = np.exp(-1j * k * j) * norm
-        amps = np.concatenate([phase, phase])
-    return EigenState(EigenLabel(l, label.band), band_energy(params, label), amps)
+    column = amplitude_matrix(params)[:, _label_index(params.n_per_ring, label)]
+    return EigenState(label.reduced(params.n_per_ring), band_energy(params, label), column)
 
 
 def ground_state(params: RingParams) -> EigenState:
     """The ground state (l=0, down): uniform amplitudes 1/sqrt(2N)."""
-    if params.v_inter <= 0.0 or params.xi_intra <= 0.0:
-        raise ValueError("ground state (0, down) requires V > 0 and xi > 0")
     return eigenstate(params, GROUND_LABEL)
 
 
@@ -239,10 +248,11 @@ def site_positions(params: RingParams) -> list[SitePosition]:
 
 
 def amplitude_matrix(params: RingParams) -> np.ndarray:
-    """2N x 2N matrix whose columns are the closed-form eigenstates.
-
-    Column ordering follows ``all_labels``; the matrix is unitary.
-    """
+    """2N x 2N unitary matrix whose columns are the closed-form eigenstates, in label order."""
+    _require_mobius(params)
     n = params.n_per_ring
-    cols = [eigenstate(params, lab).amplitudes for lab in all_labels(n)]
-    return np.column_stack(cols)
+    band, ell = label_axes(n)
+    up = band == BANDS.index(Band.UP)
+    kappa = (ell - np.where(up, 0.5, 0.0)) * params.delta
+    phase = np.exp((-1j * kappa) * np.arange(n)[:, None]) * (1.0 / math.sqrt(2 * n))
+    return np.concatenate([phase, np.where(up, -phase, phase)])

@@ -24,18 +24,18 @@ from . import bruteforce as bf
 from . import dipole as dp
 from . import refraction as rf
 from . import response as rs
-from .constants import E_CHARGE, EV, HBAR
+from .constants import E_CHARGE, EV, HBAR, angular_frequency_to_ev
 from .ring import (
-    Band,
-    EigenLabel,
     RingParams,
     Topology,
     VolumeConvention,
-    all_labels,
     amplitude_matrix,
-    band_energy,
+    band_energies,
+    label_axes,
 )
 
+# Ring sizes of the dense checks, each with its own radius N W / pi (radius=None):
+# a configured radius belongs to the configured N, as in the closed-form checks.
 SPECTRUM_NS = (3, 4, 6, 12, 24, 33, 64)
 TABLE_NS = (4, 6, 12, 24)
 DENSE_N = 12   # ring size of the remaining dense checks, one of TABLE_NS
@@ -119,7 +119,7 @@ def spectrum_checks(params: RingParams) -> list[dict]:
     worst_e, worst_u = 0.0, 0.0
     for n in SPECTRUM_NS:
         p = replace(params, n_per_ring=n, radius=None)
-        closed = np.sort([band_energy(p, lab) for lab in all_labels(n)])
+        closed = np.sort(band_energies(p))
         w, _ = bf.numeric_eigensystem(bf.build_hamiltonian(p))
         worst_e = np.maximum(worst_e, float(np.abs(closed - w).max()))
         u = amplitude_matrix(p)
@@ -183,27 +183,17 @@ def _dyad_deviation(params: RingParams, w: np.ndarray, num: np.ndarray,
     ``num`` is the operator in the dense eigenbasis of levels ``w`` and ``tbl``
     its closed-form table; infinite when the squared elements overflow.
     """
-    labels = all_labels(params.n_per_ring)
-    energies = np.array([band_energy(params, lab) for lab in labels])
-    groups_num = bf.group_levels(w)
-    ground_num = groups_num[0]
+    (ground, _), *excited = bf.match_levels(w, band_energies(params))
     try:
         scale = float(np.abs(num).max()) ** 2
     except OverflowError:
         return math.inf
     worst = 0.0
-    for grp in groups_num[1:]:
-        e_level = float(w[grp].mean())
-        cols = np.where(np.abs(energies - e_level) < 1e-6)[0]
-        dy_num = np.zeros((3, 3), dtype=complex)
-        for g in ground_num:
-            for e_idx in grp:
-                vec = num[g, e_idx]
-                dy_num += np.outer(vec, vec.conj())
-        dy_ana = np.zeros((3, 3), dtype=complex)
-        for col in cols:
-            vec = tbl[0, col]
-            dy_ana += np.outer(vec, vec.conj())
+    for grp, cols in excited:
+        vec_num = num[np.ix_(ground, grp)].reshape(-1, 3)
+        vec_ana = tbl[0, cols]   # label 0 is the ground state
+        dy_num = (vec_num[:, :, None] * vec_num.conj()[:, None, :]).sum(axis=0)
+        dy_ana = (vec_ana[:, :, None] * vec_ana.conj()[:, None, :]).sum(axis=0)
         worst = np.maximum(worst, float(np.abs(dy_num - dy_ana).max()) / scale)
     return worst
 
@@ -215,7 +205,7 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     from b to a; magnetic elements count beyond |dl| = 2 and between bands.
     """
     n = params.n_per_ring
-    band, ell = np.divmod(np.arange(2 * n), n)    # band 0 down, 1 up, as in all_labels
+    band, ell = label_axes(n)
     dl = (ell[:, None] - ell[None, :]) % n        # l_a - l_b
     far = np.abs(np.where(dl > n // 2, dl - n, dl)) > 2
     inter = band[:, None] != band[None, :]
@@ -237,8 +227,7 @@ def topology_checks(params: RingParams) -> list[dict]:
     ring_report = bf.perfect_ring_regression(replace(p12, topology=Topology.SINGLE_RING))
     annulene = bf.annulene_cross_check(replace(p12, topology=Topology.DOUBLE_RING_PERIODIC))
     mobius = bf.shared_transition_scan(p12)
-    delta0_ev = (band_energy(p12, EigenLabel(0, Band.UP))
-                 - band_energy(p12, EigenLabel(0, Band.DOWN)))
+    delta0_ev = angular_frequency_to_ev(rs.resonance_frequency(rs.MediumConfig(p12)))
     shared_at_resonance = any(
         t.electric > 1e-9 and t.magnetic > 1e-9
         and abs(t.frequency_ev - delta0_ev) < 1e-9
@@ -262,7 +251,7 @@ def topology_checks(params: RingParams) -> list[dict]:
 
 def response_checks(params: RingParams) -> list[dict]:
     out = []
-    cfg = rs.MediumConfig(replace(params, radius=None))
+    cfg = rs.MediumConfig(params)
     delta0 = rs.resonance_frequency(cfg)
     bw = rs.bandwidth(cfg)
     zeros = rs.mu1_zero_detunings(cfg)
@@ -287,8 +276,7 @@ def response_checks(params: RingParams) -> list[dict]:
                           passed=False, note="overdamped: no mu1 window"))
         out += _overdamped("simultaneous_negative_window")
     for conv in ("cylinder_4w", "cylinder_2w"):
-        cfg_c = rs.MediumConfig(replace(params, radius=None,
-                                      volume_convention=VolumeConvention(conv)))
+        cfg_c = rs.MediumConfig(replace(params, volume_convention=VolumeConvention(conv)))
         out.append(_check(f"critical_lifetime_{conv}", rs.critical_lifetime(cfg_c), None,
                           passed=True,
                           note="the two volume conventions differ by exactly a factor 2 "
@@ -354,7 +342,7 @@ def _largest(name, values: np.ndarray, threshold) -> list[dict]:
 
 def refraction_checks(params: RingParams) -> list[dict]:
     out = []
-    cfg = rs.MediumConfig(replace(params, radius=None))
+    cfg = rs.MediumConfig(params)
     delta0 = rs.resonance_frequency(cfg)
     bw = rs.bandwidth(cfg)
     zeros = rs.mu1_zero_detunings(cfg)
@@ -422,8 +410,7 @@ def refraction_checks(params: RingParams) -> list[dict]:
         out.append(_check("lossy_window_shift", float(shift), 0.1,
                           note="endpoint shift relative to bandwidth"))
     tau_c = rs.critical_lifetime(cfg)
-    cfg_over = rs.MediumConfig(replace(params, radius=None,
-                                     decay_rate=1.0 / (0.8 * tau_c)))
+    cfg_over = rs.MediumConfig(replace(params, decay_rate=1.0 / (0.8 * tau_c)))
     win_over = rf.lossy_lh_window(cfg_over, grid)
     out.append(_check("overdamped_window_empty", int(win_over is None), 1,
                       passed=win_over is None,

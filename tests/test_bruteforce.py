@@ -5,7 +5,7 @@ import pytest
 
 from mobius_optics import bruteforce as bf
 from mobius_optics import dipole as dp
-from mobius_optics.ring import RingParams, Topology
+from mobius_optics.ring import RingParams, Topology, all_labels
 
 
 def test_mobius_seam_wiring():
@@ -142,6 +142,44 @@ def test_calibration_identity_and_against_numeric():
     cal3 = bf.calibrate_conventions(mag_a, mag_n, 12, float(np.abs(mag_n).max()))
     assert cal3.residual < 1e-9
     assert all(abs(phase - 1.0) < 1e-6 for phase in cal3.phases.values())
+
+
+def _calibration_blocks_by_pairs(analytic, numeric, n):
+    """The per-label-pair loop that builds the calibration blocks from masks."""
+    labels = all_labels(n)
+    blocks = {}
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels):
+            dl = (lb.momentum_index - la.momentum_index) % n
+            if dl > n // 2:
+                dl -= n
+            if abs(dl) > 2:
+                continue
+            vals = blocks.setdefault((dl, la.band.value, lb.band.value), [])
+            for c in range(3):
+                vals.append((analytic[a, b, c], numeric[a, b, c]))
+    return blocks
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 12))
+def test_calibration_blocks_match_the_loop_over_label_pairs(n):
+    rng = np.random.default_rng(n)
+    shape = (2 * n, 2 * n, 3)
+    ana = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    num = phase * ana + 1e-9 * rng.standard_normal(shape)
+    cal = bf.calibrate_conventions(ana, num, n, 1.0)
+    blocks = _calibration_blocks_by_pairs(ana, num, n)
+    assert cal.phases.keys() == blocks.keys()
+    worst = 0.0
+    for key, pairs in blocks.items():
+        arr_a, arr_n = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        overlap = np.vdot(arr_a, arr_n)
+        assert cal.phases[key] == overlap / abs(overlap)
+        res = np.abs(cal.phases[key] * arr_a - arr_n).max()
+        assert cal.block_residuals[key] == res
+        worst = max(worst, res)
+    assert cal.residual == worst
 
 
 def test_calibration_flags_transcription_errors():

@@ -192,6 +192,18 @@ def test_surface_command_writes_only_the_header_when_no_surface_has_points(tmp_p
     assert path.read_text() == "detuning_ev,omega_rad_s,conic,n_ty,n_tz,normal_y,normal_z\n"
 
 
+def test_surface_with_a_singular_yz_block_writes_no_nan(tmp_path, capsys):
+    # at 1e26 nm the yz determinant of mu rounds to exactly 0 below resonance,
+    # so that surface is a line pair and has no points, not NaN normals
+    path = tmp_path / "s.csv"
+    cfg = cli.parse_config(json.dumps({
+        "half_width_nm": 1e26, "surface_samples": 200, "output_path": str(path)}).encode())
+    assert cli.run_command("surface", cfg) == 0
+    assert "-3.723 eV -> degenerate" in capsys.readouterr().out
+    tokens = {tok for line in path.read_text().splitlines() for tok in line.split(",")}
+    assert "nan" not in {tok.lower() for tok in tokens}
+
+
 def test_bandwidth_command_prints_both_conventions(tmp_path, capsys):
     cfg = cli.parse_config(json.dumps(
         {"output_path": str(tmp_path / "b.csv")}).encode())
@@ -281,7 +293,8 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
     names = []
     widths = (0.01, 1e5, 1e22, 1e23, 1e24, 1e26, 1e30)
     for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3},
-                  *({"half_width_nm": w} for w in widths)):
+                  *({"half_width_nm": w} for w in widths),
+                  *({"radius_nm": r} for r in (1e-6, 1e6))):
         path = tmp_path / "validate.csv"
         cfg = cli.parse_config(json.dumps({**extra, "output_path": str(path)}).encode())
         cli.run_command("validate", cfg, stdout=io.StringIO())
@@ -298,11 +311,12 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
            "phase_diagram_E_has_lh_band": validation.NONPOSITIVE_SWEEP,
            "lh_band_contiguous": validation.NONPOSITIVE_SWEEP}),
     (1e30, {"surface_circle_residual": validation.NO_SURFACE}),
-    # the yz block of mu is nearly (1e22-1e24) or exactly (1e26) singular in floats
+    # the yz block of mu is nearly singular in floats (1e22-1e24); at 1e26 its
+    # determinant is exactly 0 and the surface below resonance is a line pair
     (1e22, {"poynting_normal_to_surface": validation.NO_TANGENT}),
     (1e23, {"poynting_normal_to_surface": validation.NO_TANGENT}),
     (1e24, {"poynting_normal_to_surface": validation.NO_TANGENT}),
-    (1e26, {"poynting_normal_to_surface": validation.NO_TANGENT}),
+    (1e26, {"surface_circle_residual": validation.NO_SURFACE}),
 ])
 def test_validate_reports_checks_without_a_root_or_sweep_as_failed(
         tmp_path, half_width_nm, failed_notes):
@@ -345,7 +359,8 @@ def test_validate_with_a_singular_yz_block_runs_without_warnings(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == cli.EXIT_VALIDATION_FAILURE
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    assert "FAIL poynting_normal_to_surface: nan" in proc.stdout
+    assert "FAIL surface_circle_residual: nan" in proc.stdout
+    assert "PASS poynting_normal_to_surface" in proc.stdout
     assert "validate: 33 checks" in proc.stdout
 
 

@@ -1,9 +1,10 @@
 """Every demo script runs to completion on the library in src/.
 
-Each demo runs in a fresh interpreter with RuntimeWarnings and
-UserWarnings turned into errors, as tier-1's ``filterwarnings`` does, so a
-demo that divides by zero, takes the square root of a negative number or
-samples too coarse a grid fails here instead of printing a stray warning.
+Each demo runs in a fresh interpreter with RuntimeWarnings, UserWarnings,
+DeprecationWarnings and FutureWarnings turned into errors, as tier-1's
+``filterwarnings`` does, so a demo that divides by zero, takes the square
+root of a negative number, samples too coarse a grid or leans on a numpy
+deprecation fails here instead of printing a stray warning.
 """
 
 import os
@@ -25,7 +26,8 @@ def test_demos_exist():
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           "-W", "error::UserWarning", str(demo)],
+                           "-W", "error::UserWarning", "-W", "error::DeprecationWarning",
+                           "-W", "error::FutureWarning", str(demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,17 +6,24 @@ per label, in ``all_labels`` order, and the ground row of the Kubo sums
 put together band by band.  Every comparison is bit for bit.
 """
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from mobius_optics import bruteforce as bf
+from mobius_optics import cli
 from mobius_optics import dipole as dp
+from mobius_optics import refraction as rf
 from mobius_optics import response as rs
 from mobius_optics import ring
+from mobius_optics import validation
 from mobius_optics.constants import EV, HBAR
 from mobius_optics.dipole import DipoleKind
 from mobius_optics.ring import Band, EigenLabel, RingParams
+from mobius_optics.validation import validation_report
 
 SIZES = range(3, 41)
 GROUND = EigenLabel(0, Band.DOWN)
@@ -112,3 +119,39 @@ def test_full_sums_match_the_per_label_sums(n, lossy, monkeypatch):
         ref_freqs, ref_dyads = _ground_dyads(cfg, kind)
         assert np.array_equal(_bits(freqs), _bits(ref_freqs))
         assert np.array_equal(_bits(dyads), _bits(ref_dyads))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_band_energies_are_the_per_label_energies(n):
+    params = _params(n)
+    reference = np.array([_energy(params, lab) for lab in _labels(n)])
+    assert np.array_equal(_bits(ring.band_energies(params)), _bits(reference))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_label_axes_follow_all_labels(n):
+    band, ell = ring.label_axes(n)
+    assert [(ring.BANDS[b], l) for b, l in zip(band, ell)] == [
+        (lab.band, lab.momentum_index) for lab in _labels(n)]
+    assert ring.all_labels(n) == _labels(n)
+
+
+def test_no_module_reads_the_spectrum_one_label_at_a_time(tmp_path, monkeypatch):
+    def per_label(*args):
+        raise AssertionError("read the spectrum from the arrays of ring")
+
+    for module in (cli, dp, rs, rf, bf, validation):
+        for name in ("all_labels", "band_energy", "transition_frequency", "eigenstate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, per_label)
+    assert validation_report(RingParams(12))["all_passed"]
+    cfg = rs.MediumConfig(RingParams(64))
+    om = rs.resonance_frequency(cfg) + 50 * cfg.ring.decay_rate
+    assert rs.epsilon_from_full_sum(cfg, om).shape == rs.mu_from_full_sum(cfg, om).shape == (3, 3)
+    small = {"theta_count": 4, "omega_count": 64, "surface_samples": 10}
+    for command in ("spectrum", "elements", "response", "phase-diagram", "surface",
+                    "bandwidth", "validate"):
+        path = tmp_path / f"{command}.csv"
+        config = cli.parse_config(json.dumps({**small, "output_path": str(path)}))
+        assert cli.run_command(command, config, stdout=io.StringIO()) == cli.EXIT_OK
+        assert path.stat().st_size > 0

@@ -63,6 +63,29 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
     assert dense == validation_report(RingParams(12))["checks"][:16]
 
 
+def test_closed_form_levels_match_dense_groups_at_the_grouping_tolerance():
+    # at xi = 1e-6 eV the level spacings fall below 1e-6 eV: a wider matching
+    # window than group_levels' put several closed-form levels in one group
+    params = RingParams(12, xi_intra=1e-6)
+    checks = {c["name"]: c for c in validation.spectrum_checks(params)
+              + validation.dipole_checks(params)}
+    assert checks["eigenspace_projectors"]["value"] < 1e-6
+    assert checks["electric_dyads_vs_dense_eigenvectors"]["passed"]
+    assert checks["magnetic_dyads_vs_dense_eigenvectors"]["passed"]
+
+
+def test_closed_form_checks_use_the_configured_radius():
+    default = {c["name"]: c["value"] for c in validation_report(RingParams(12))["checks"]}
+    params = RingParams(12, radius=0.5e-9)
+    checks = {c["name"]: c["value"] for c in validation_report(params)["checks"]}
+    tau_c = rs.critical_lifetime(rs.MediumConfig(params))
+    assert checks["critical_lifetime_cylinder_4w"] == tau_c
+    assert tau_c != default["critical_lifetime_cylinder_4w"]
+    # the dense checks run at their own sizes and keep each size's radius
+    dense = ("spectrum_closed_vs_dense_ev", "electric_table_vs_numeric", "mobius_shared_transition")
+    assert [checks[name] for name in dense] == [default[name] for name in dense]
+
+
 def _sparsity_by_pairs(params, d_num, m_num):
     """The per-label-pair loop that the selection-rule masks replace."""
     n = params.n_per_ring
