@@ -12,7 +12,7 @@ import numpy as np
 
 from mobius_optics import bruteforce as bf
 from mobius_optics.ring import (
-    Band, EigenLabel, RingParams, all_labels, band_energy, eigenstate,
+    BANDS, Band, EigenLabel, RingParams, band_energies, band_energy, eigenstate, label_axes,
 )
 
 params = RingParams(12)
@@ -21,9 +21,11 @@ print(f"ring: N = {params.n_per_ring} atoms per sub-ring, "
 print(f"radius R = {params.radius * 1e9:.4f} nm, half-width W = "
       f"{params.half_width * 1e9:.3f} nm\n")
 
+# the whole spectrum is one array, in the (band, l) label order of label_axes
+energies = band_energies(params)
 print(" l  band      E (eV)")
-for lab in all_labels(params.n_per_ring):
-    print(f"{lab.momentum_index:>2}  {lab.band.value:<5} {band_energy(params, lab):>10.4f}")
+for band, l, energy in zip(*label_axes(params.n_per_ring), energies):
+    print(f"{l:>2}  {BANDS[band].value:<5} {energy:>10.4f}")
 
 e0 = band_energy(params, EigenLabel(0, Band.UP))
 e1 = band_energy(params, EigenLabel(1, Band.UP))
@@ -31,7 +33,7 @@ print(f"\nlowest up-band pair: E(0,up) = {e0:.6f} eV, E(1,up) = {e1:.6f} eV "
       f"-> degenerate: {e0 == e1}")
 
 # The closed forms agree with a dense diagonalization to machine precision.
-closed = np.sort([band_energy(params, lab) for lab in all_labels(12)])
+closed = np.sort(energies)
 dense, _ = bf.numeric_eigensystem(bf.build_hamiltonian(params))
 print(f"closed form vs dense eigensolver: max |dE| = {np.abs(closed - dense).max():.2e} eV")
 
