@@ -2,12 +2,14 @@
 
 One binary with subcommands; a JSON configuration file (path or "-" for
 stdin) selects the molecule, the medium options and the sweep grids.
-Each subcommand returns its table as columns (a numpy structured array)
-and `emit_table` serialises it.  Outputs are written atomically (temp file
-+ rename) and are byte-stable across runs: CSV uses 17-significant-digit
-floats (exact round trip for 64-bit values), '.' decimals and '\n' line
-endings; JSON uses the shortest round-trip float repr, with NaN and
-Infinity as bare tokens.
+Each subcommand returns its table as columns (a numpy structured array).
+The serialised table is streamed into a temp file in fixed-size chunks of
+`CHUNK_ROWS` rows, then renamed over the output path, so memory tracks the
+table and not the output text; `emit_table` returns the same bytes at
+once.  Outputs are all-or-nothing and byte-stable across runs: CSV uses
+17-significant-digit floats (exact round trip for 64-bit values), '.'
+decimals and '\n' line endings; JSON uses the shortest round-trip float
+repr, with NaN and Infinity as bare tokens.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -20,6 +22,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +58,10 @@ from .ring import BANDS, RingParams, VolumeConvention, band_energies, label_axes
 EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+
+# rows per piece of a streamed output table: larger pieces gain no speed, and
+# 1024 raised the `tables` benchmark's peak RSS by 16 MB in some heap layouts
+CHUNK_ROWS = 512
 
 
 class ConfigError(ValueError):
@@ -260,29 +267,58 @@ def _json_value(value) -> str:
     return json.dumps(value.item() if isinstance(value, np.generic) else value)
 
 
-def _column_tokens(column: np.ndarray, fmt: str) -> list[str]:
-    """Tokens of one column, formatting each distinct value once.
+def _column_tokens(column: np.ndarray, fmt: str, key: str):
+    """Distinct tokens of one column and each row's index into them.
 
-    Floats are told apart by their bit pattern, so -0.0 keeps its sign.
-    Object columns (mixed types) are formatted value by value.
+    Each distinct value is formatted once; floats are told apart by their
+    bit pattern, so -0.0 keeps its sign.  Object columns (mixed types) are
+    formatted value by value and index themselves.  `key` prefixes every
+    token (the ``"col":`` of a JSON row).
     """
     kind = column.dtype.kind
     if kind == "O":
-        values, inverse = column.tolist(), None
+        values, inverse = column.tolist(), np.arange(len(column))
     else:
         keys = column.view(np.uint64) if kind == "f" else column
         distinct, inverse = np.unique(keys, return_inverse=True)
         values = (distinct.view(np.float64) if kind == "f" else distinct).tolist()
     if fmt == "csv":
-        tokens = [_format_value(v) for v in values]
+        tokens = ([format(v, ".17g") for v in values] if kind == "f"
+                  else [_format_value(v) for v in values])
     elif kind in "OU":
         tokens = [_json_value(v) for v in values]
     else:
         # one encoder call; number and bool tokens never contain ", "
         tokens = json.dumps(values)[1:-1].split(", ")
-    if inverse is None:
-        return tokens
-    return np.array(tokens, dtype=object)[inverse].tolist()
+    return np.array([key + t for t in tokens], dtype=object), inverse
+
+
+def _table_chunks(header: list[str], table: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """Yield the UTF-8 bytes of a table, `CHUNK_ROWS` rows at a time.
+
+    CSV and JSON rows are the same comma join of per-column tokens (a JSON
+    token carries its ``"col":`` key); the formats differ only in the head,
+    the row separator and the tail.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError("format must be csv or json")
+    n = len(table)
+    if fmt == "csv":
+        head, sep, tail = ",".join(header) + "\n", "\n", "\n" if n else ""
+        keys = [""] * len(header)
+    else:
+        # each row is an object: the head opens the first, the tail closes the last
+        head = '{"columns":%s,"rows":[%s' % (json.dumps(header, separators=(",", ":")),
+                                             "{" if n else "")
+        sep, tail = "},{", ("}" if n else "") + "]}\n"
+        keys = [json.dumps(col) + ":" for col in header]
+    columns = [_column_tokens(table[col], fmt, key) for col, key in zip(header, keys)]
+    yield head.encode("utf-8")
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        rows = zip(*[tokens[inverse[start:stop]].tolist() for tokens, inverse in columns])
+        yield ((sep if start else "") + sep.join(map(",".join, rows))).encode("utf-8")
+    yield tail.encode("utf-8")
 
 
 def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
@@ -294,24 +330,15 @@ def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
     shortest round-trip form, NaN and Infinity as bare tokens, and bools as
     true/false.  Float, int, bool and string columns format each distinct
     value once; object columns, whose values may mix types and None, are
-    formatted value by value under the same rules.
+    formatted value by value under the same rules.  The bytes are those
+    `run_command` streams into its output file.
     """
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
-    columns = [_column_tokens(table[col], fmt) for col in header]
-    if fmt == "csv":
-        text = "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
-    else:
-        row = "{%s}" % ",".join(json.dumps(col).replace("%", "%%") + ":%s"
-                                for col in header)
-        text = '{"columns":%s,"rows":[%s]}\n' % (
-            json.dumps(header, separators=(",", ":")),
-            ",".join(map(row.__mod__, zip(*columns))))
-    return text.encode("utf-8")
+    return b"".join(_table_chunks(header, table, fmt))
 
 
-def _atomic_write(path: str, data: bytes):
-    """Write the complete table or nothing: temp file plus atomic rename."""
+def _atomic_write(path: str, chunks: Iterable[bytes]):
+    """Write the complete table or nothing: stream the chunks into a temp
+    file, then rename it over `path` atomically."""
     try:
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -319,7 +346,7 @@ def _atomic_write(path: str, data: bytes):
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -564,7 +591,7 @@ def run_command(command: str, config: RunConfig, stdout=None) -> int:
         raise ConfigError(f"unknown command: {command!r}")
     table, summary, code = _COMMANDS[command](config)
     path = config.output_path or f"{command}.{config.format}"
-    _atomic_write(path, emit_table(list(table.dtype.names), table, config.format))
+    _atomic_write(path, _table_chunks(list(table.dtype.names), table, config.format))
     print(summary, file=stdout)
     print(f"wrote {path} ({len(table)} rows)", file=stdout)
     return code

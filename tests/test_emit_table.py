@@ -3,14 +3,20 @@
 The reference below formats one value at a time, the way the CLI wrote its
 tables before the emitter took columns: `_reference_value` for CSV tokens
 and one `json.dumps` of the whole table for JSON.  The columnar emitter
-must produce the same bytes for every column type it accepts.
+must produce the same bytes for every column type it accepts, whatever
+`cli.CHUNK_ROWS` is, and `run_command` must stream those same bytes into
+its output file, in bounded memory, or leave no file behind.
 """
 
+import errno
 import io
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,8 +95,158 @@ def test_emit_table_matches_row_reference(drawn, fmt):
     assert cli.emit_table(header, table, fmt) == _reference_table(header, rows, fmt)
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 5])
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.sampled_from(["csv", "json"]))
+def test_emit_table_matches_row_reference_in_small_chunks(chunk_rows, drawn, fmt):
+    header, table, rows = drawn
+    with mock.patch.object(cli, "CHUNK_ROWS", chunk_rows):
+        assert cli.emit_table(header, table, fmt) == _reference_table(header, rows, fmt)
+
+
 def test_negative_zero_keeps_its_sign():
     table = np.rec.fromarrays([np.array([0.0, -0.0, 0.0])], names=["x"])
     assert cli.emit_table(["x"], table, "csv") == b"x\n0\n-0\n0\n"
     assert cli.emit_table(["x"], table, "json") == (
         b'{"columns":["x"],"rows":[{"x":0.0},{"x":-0.0},{"x":0.0}]}\n')
+
+
+def _serve(monkeypatch, table, command="table"):
+    """Make `command` compute the given table."""
+    monkeypatch.setitem(cli._COMMANDS, command, lambda config: (table, command, cli.EXIT_OK))
+
+
+def _run_table(path, fmt):
+    """Bytes of the file `run_command` writes for the served table."""
+    config = cli.parse_config(json.dumps({"format": fmt, "output_path": str(path)}))
+    assert cli.run_command("table", config, stdout=io.StringIO()) == cli.EXIT_OK
+    return path.read_bytes()
+
+
+def _mixed_table(n):
+    """n rows of float, int, bool, string and object columns."""
+    rng = np.random.default_rng(n)
+    values = rng.choice(SPECIAL_FLOATS, n)
+    return np.rec.fromarrays([
+        values, rng.integers(-5, 5, n), values > 0,
+        np.array(["LH", "TR", "RH"])[rng.integers(0, 3, n)],
+        np.array([None, 1, 2.5, "x,y", True] * n, dtype=object)[:n],
+    ], names=["f", "i", "b", "s", "o"])
+
+
+C = cli.CHUNK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+def test_run_command_writes_emit_table_bytes_at_chunk_boundaries(n, fmt, tmp_path, monkeypatch):
+    table = _mixed_table(n)
+    header = list(table.dtype.names)
+    rows = [dict(zip(header, row)) for row in table.tolist()]
+    _serve(monkeypatch, table)
+    data = _run_table(tmp_path / f"out.{fmt}", fmt)
+    assert data == cli.emit_table(header, table, fmt)
+    assert data == _reference_table(header, rows, fmt)
+    assert [p.name for p in tmp_path.iterdir()] == [f"out.{fmt}"]
+
+
+def _failing_chunks(exc):
+    yield b"first chunk\n"
+    raise exc
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+def test_failure_mid_stream_leaves_no_partial_file(existing, tmp_path):
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(RuntimeError, match="stop"):
+        cli._atomic_write(str(path), _failing_chunks(RuntimeError("stop")))
+    with pytest.raises(OSError, match="cannot write output file.*No space left"):
+        cli._atomic_write(str(path), _failing_chunks(OSError(errno.ENOSPC, "No space left")))
+    assert not list(tmp_path.glob(".tmp-*.part"))
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+
+
+def test_cli_reports_a_write_failure_after_the_first_chunk(tmp_path, monkeypatch, capsys):
+    _serve(monkeypatch, _mixed_table(3 * C), command="phase-diagram")
+    chunks = cli._table_chunks
+
+    def failing(*args):
+        pieces = chunks(*args)
+        yield next(pieces)   # the head
+        yield next(pieces)   # the first C rows
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_table_chunks", failing)
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old bytes\n")
+    (tmp_path / "c.json").write_text(json.dumps({"format": "json", "output_path": str(path)}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["phase-diagram", "c.json"]) == cli.EXIT_VALIDATION_FAILURE
+    assert "cannot write output file" in capsys.readouterr().err
+    assert path.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out.json"]
+
+
+NAMES = ["%", "%s", "%%", "%(x)s", 'q"uote', "back\\slash", "\\u00e9", "ünï", "日本", "tab\t"]
+
+
+def _structured(names, columns, dtypes):
+    """Structured array with the given field names kept verbatim."""
+    arrays = [np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)]
+    table = np.empty(len(arrays[0]), dtype=[(n, a.dtype) for n, a in zip(names, arrays)])
+    for name, array in zip(names, arrays):
+        table[name] = array
+    return table
+
+
+def _json_reference(header, columns) -> bytes:
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    return (json.dumps({"columns": header, "rows": rows}, separators=(",", ":"))
+            + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk_rows", [1, C])
+def test_json_keys_are_escaped_like_json_dumps(chunk_rows):
+    columns = [[0.5, -1.0, math.inf], [1, 2, 3], [True, False, True], ["a", "%", '"'],
+               [None, "x", 2.5], [0.0, -0.0, 1e-300], [7, 8, 9], [False] * 3,
+               ["ü", "\\", "%%"], [1.5, 2.5, 3.5]]
+    dtypes = [float, int, bool, str, object, float, int, bool, str, float]
+    table = _structured(NAMES, columns, dtypes)
+    with mock.patch.object(cli, "CHUNK_ROWS", chunk_rows):
+        data = cli.emit_table(NAMES, table, "json")
+    assert data == _json_reference(NAMES, columns)
+    assert json.loads(data)["columns"] == NAMES
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(texts.filter(bool), min_size=1, max_size=4, unique=True), st.integers(0, 3))
+def test_json_keys_match_json_dumps_for_any_name(names, n):
+    columns = [[float(i + j) for j in range(n)] for i in range(len(names))]
+    table = _structured(names, columns, [float] * len(names))
+    assert cli.emit_table(names, table, "json") == _json_reference(names, columns)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [(64, 128), (256, 512)])
+def test_phase_diagram_write_allocates_bounded_bytes_per_row(grid, fmt, tmp_path, monkeypatch):
+    # the file holds 54 (CSV) to 122 (JSON) B/row of text, the table 49 B/row
+    config = cli.parse_config(json.dumps({"theta_count": grid[0], "omega_count": grid[1]}))
+    table = cli._cmd_phase_diagram(config)[0]
+    _serve(monkeypatch, table)
+    path = tmp_path / f"out.{fmt}"
+    config = cli.parse_config(json.dumps({"format": fmt, "output_path": str(path)}))
+    cli.run_command("table", config, stdout=io.StringIO())   # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        cli.run_command("table", config, stdout=io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == grid[0] * grid[1]
+    assert path.stat().st_size > table.nbytes
+    assert peak < 3 * table.nbytes + 2**20, f"{peak / len(table):.0f} B/row"
