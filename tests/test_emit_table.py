@@ -5,22 +5,28 @@ tables before the emitter took columns: `_reference_value` for CSV tokens
 and one `json.dumps` of the whole table for JSON.  The columnar emitter
 must produce the same bytes for every column type it accepts, whatever
 `cli.CHUNK_ROWS` is, and `run_command` must stream those same bytes into
-its output file, in bounded memory, or leave no file behind.
+its output file, in bounded memory, or leave no file behind.  The file
+`phase-diagram` writes must equal its flat table (one row per cell, built
+below with repeat and tile) through `emit_table`.
 """
 
 import errno
 import io
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobius_optics import cli
+from mobius_optics.refraction import PhaseDiagram
+from mobius_optics.response import MediumConfig, resonance_frequency
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                   5e-324, -5e-324, 2.2250738585072009e-308, 1.0, 0.1, -2.5e8]
@@ -250,3 +256,66 @@ def test_phase_diagram_write_allocates_bounded_bytes_per_row(grid, fmt, tmp_path
     assert len(table) == grid[0] * grid[1]
     assert path.stat().st_size > table.nbytes
     assert peak < 3 * table.nbytes + 2**20, f"{peak / len(table):.0f} B/row"
+
+
+LABELS = np.array(["LH", "TR", "RH", "masked"], dtype="U6")   # codes -1, 0, 1, 2
+
+
+def _flat_phase_diagram(config) -> bytes:
+    """Reference `phase-diagram` bytes: one row per (theta, omega) cell."""
+    thetas, omegas = cli._theta_grid(config), cli._omega_grid(config)
+    medium = MediumConfig(config.ring, lossy=False)
+    codes = cli.phase_diagram(medium, config.polarization, thetas, omegas).codes.ravel()
+    table = np.rec.fromarrays([
+        np.repeat(np.degrees(thetas), len(omegas)), np.tile(omegas, len(thetas)),
+        np.tile(omegas - resonance_frequency(medium), len(thetas)), codes, LABELS[codes + 1],
+    ], names=["theta_deg", "omega_rad_s", "detuning_rad_s", "code", "label"])
+    return cli.emit_table(list(table.dtype.names), table, config.format)
+
+
+def _random_codes(seed):
+    """Stand-in for `phase_diagram` whose cells carry random codes in {-1, 0, 1, 2}."""
+    def fake(medium, pol, theta, omega):
+        codes = np.random.default_rng(seed).integers(-1, 3, (len(theta), len(omega)))
+        return PhaseDiagram(pol, theta, omega, codes.astype(np.int8))
+    return fake
+
+
+def _phase_diagram_bytes(grid, pol, fmt, chunk_rows, seed):
+    """The file `run_command` writes and its flat reference; random codes unless seed is None."""
+    fake = cli.phase_diagram if seed is None else _random_codes(seed)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "phase_diagram", fake), \
+            mock.patch.object(cli, "CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / f"pd.{fmt}"
+        config = cli.parse_config(json.dumps({
+            "theta_count": grid[0], "omega_count": grid[1], "theta_max_deg": 80.0,
+            "polarization": pol, "format": fmt, "output_path": str(path)}))
+        assert cli.run_command("phase-diagram", config, stdout=io.StringIO()) == cli.EXIT_OK
+        return path.read_bytes(), _flat_phase_diagram(config)
+
+
+grids = st.tuples(st.integers(1, 9), st.integers(1, 9))
+
+
+@pytest.mark.filterwarnings("ignore:omega grid spacing:UserWarning")
+@settings(max_examples=150, deadline=None)
+@given(grids, st.sampled_from(["E", "H"]), st.sampled_from(["csv", "json"]),
+       st.sampled_from(["1", "5", "n-1", "n+1", "C"]), st.none() | st.integers(0, 2**32))
+@example((1, 1), "E", "csv", "1", None)
+@example((1, 7), "H", "json", "n-1", 3)
+@example((7, 1), "E", "json", "n+1", 4)
+def test_phase_diagram_file_matches_the_flat_table(grid, pol, fmt, chunk, seed):
+    chunk_rows = {"1": 1, "5": 5, "n-1": max(grid[1] - 1, 1), "n+1": grid[1] + 1,
+                  "C": cli.CHUNK_ROWS}[chunk]
+    data, reference = _phase_diagram_bytes(grid, pol, fmt, chunk_rows, seed)
+    assert data == reference
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_omega", [C - 1, C, C + 1])
+def test_phase_diagram_file_matches_the_flat_table_at_chunk_edges(n_omega, fmt):
+    data, reference = _phase_diagram_bytes((3, n_omega), "E", fmt, cli.CHUNK_ROWS, n_omega)
+    assert data == reference
+    codes = _random_codes(n_omega)(None, None, range(3), range(n_omega)).codes
+    assert set(np.unique(codes)) == {-1, 0, 1, 2}
