@@ -2,11 +2,14 @@
 
 One binary with subcommands; a JSON configuration file (path or "-" for
 stdin) selects the molecule, the medium options and the sweep grids.
-Each subcommand returns its table as columns (a numpy structured array).
-The serialised table is streamed into a temp file in fixed-size chunks of
-`CHUNK_ROWS` rows, then renamed over the output path, so memory tracks the
-table and not the output text; `emit_table` returns the same bytes at
-once.  Outputs are all-or-nothing and byte-stable across runs: CSV uses
+Each subcommand returns its table as columns: a numpy structured array,
+or for `phase-diagram` a `BlockedTable` of one row per theta, one row per
+(omega, code) and the int8 code grid, so that each output row is a theta
+token plus an (omega, code) suffix and no column the size of the grid
+exists.  The serialised table is streamed into a temp file in fixed-size
+chunks of `CHUNK_ROWS` rows, then renamed over the output path, so memory
+tracks the table and not the output text; `emit_table` returns the bytes
+of a structured array at once.  Outputs are all-or-nothing and byte-stable across runs: CSV uses
 17-significant-digit floats (exact round trip for 64-bit values), '.'
 decimals and '\n' line endings; JSON uses the shortest round-trip float
 repr, with NaN and Infinity as bare tokens.
@@ -293,16 +296,41 @@ def _column_tokens(column: np.ndarray, fmt: str, key: str):
     return np.array([key + t for t in tokens], dtype=object), inverse
 
 
-def _table_chunks(header: list[str], table: np.ndarray, fmt: str) -> Iterator[bytes]:
-    """Yield the UTF-8 bytes of a table, `CHUNK_ROWS` rows at a time.
+@dataclass(frozen=True)
+class BlockedTable:
+    """A table with one block of rows per head row, built from three parts.
+
+    Row j of block i is head row i followed by tail row
+    ``4 * j + codes[i, j] + 1``: the tail holds four rows per column j of
+    the int8 `codes` grid, for the codes -1, 0, 1 and 2 in that order.  No
+    column the size of the grid exists.
+    """
+
+    head: np.ndarray     # structured array, one row per block
+    tail: np.ndarray     # structured array, 4 rows per column of `codes`
+    codes: np.ndarray    # (len(head), len(tail) // 4) int8, values -1 to 2
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+
+def _rows(columns, start: int, stop: int) -> list[str]:
+    """Rows [start, stop) of tokenised columns, each one comma-joined string."""
+    return list(map(",".join, zip(*[tokens[inverse[start:stop]].tolist()
+                                    for tokens, inverse in columns])))
+
+
+def _framed_chunks(header: list[str], n: int, fmt: str, body) -> Iterator[bytes]:
+    """Yield the UTF-8 bytes of an n-row table, `CHUNK_ROWS` rows at a time.
 
     CSV and JSON rows are the same comma join of per-column tokens (a JSON
     token carries its ``"col":`` key); the formats differ only in the head,
-    the row separator and the tail.
+    the row separator and the tail.  ``body(keys, sep)`` tokenises the
+    columns, given each column's key, and returns ``rows(start, stop)``: the
+    text of rows [start, stop) joined by `sep`.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
-    n = len(table)
     if fmt == "csv":
         head, sep, tail = ",".join(header) + "\n", "\n", "\n" if n else ""
         keys = [""] * len(header)
@@ -312,13 +340,49 @@ def _table_chunks(header: list[str], table: np.ndarray, fmt: str) -> Iterator[by
                                              "{" if n else "")
         sep, tail = "},{", ("}" if n else "") + "]}\n"
         keys = [json.dumps(col) + ":" for col in header]
-    columns = [_column_tokens(table[col], fmt, key) for col, key in zip(header, keys)]
+    rows = body(dict(zip(header, keys)), sep)
     yield head.encode("utf-8")
     for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
-        rows = zip(*[tokens[inverse[start:stop]].tolist() for tokens, inverse in columns])
-        yield ((sep if start else "") + sep.join(map(",".join, rows))).encode("utf-8")
+        yield ((sep if start else "") + rows(start, min(start + CHUNK_ROWS, n))).encode("utf-8")
     yield tail.encode("utf-8")
+
+
+def _table_chunks(header: list[str], table: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """Chunks of a structured array: each chunk gathers its rows' tokens."""
+    def body(keys, sep):
+        columns = [_column_tokens(table[col], fmt, keys[col]) for col in header]
+        return lambda start, stop: sep.join(_rows(columns, start, stop))
+    return _framed_chunks(header, len(table), fmt, body)
+
+
+def _row_strings(table: np.ndarray, fmt: str, keys: dict) -> np.ndarray:
+    """Every row of a structured array as one comma-joined string."""
+    columns = [_column_tokens(table[col], fmt, keys[col]) for col in table.dtype.names]
+    return np.array(_rows(columns, 0, len(table)), dtype=object)
+
+
+def _blocked_chunks(table: BlockedTable, fmt: str) -> Iterator[bytes]:
+    """Chunks of a blocked table: each row is a head row's text plus a tail row's.
+
+    The head and tail rows are formatted once; a chunk then costs one gather
+    of tail rows and one join per block it touches.
+    """
+    width = table.codes.shape[1]
+
+    def body(keys, sep):
+        heads, tails = _row_strings(table.head, fmt, keys), _row_strings(table.tail, fmt, keys)
+
+        def rows(start, stop):
+            blocks = []
+            for i in range(start // width, (stop - 1) // width + 1):
+                lo, hi = max(start - i * width, 0), min(stop - i * width, width)
+                prefix = heads[i] + ","
+                pick = table.codes[i, lo:hi] + np.arange(4 * lo + 1, 4 * hi, 4)
+                blocks.append(prefix + (sep + prefix).join(tails[pick].tolist()))
+            return sep.join(blocks)
+        return rows
+    header = list(table.head.dtype.names + table.tail.dtype.names)
+    return _framed_chunks(header, len(table), fmt, body)
 
 
 def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
@@ -338,15 +402,20 @@ def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
 
 def _atomic_write(path: str, chunks: Iterable[bytes]):
     """Write the complete table or nothing: stream the chunks into a temp
-    file, then rename it over `path` atomically."""
+    file, then rename it over `path` atomically.  The file gets the mode
+    `open` would give a new file, 0o666 less the umask."""
     try:
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
+    # reading the umask sets it: set the strictest one for that moment
+    umask = os.umask(0o077)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -405,6 +474,8 @@ def _table(**columns) -> np.ndarray:
 
 
 _BAND_NAMES = np.array([b.value for b in BANDS])
+_CODES = np.arange(-1, 3, dtype=np.int8)   # the order of a BlockedTable's tail rows
+_CODE_LABELS = np.array(["LH", "TR", "RH", "masked"])
 
 
 def _cmd_spectrum(config: RunConfig):
@@ -470,16 +541,17 @@ def _cmd_phase_diagram(config: RunConfig):
     thetas = _theta_grid(config)
     omegas = _omega_grid(config)
     diagram = phase_diagram(medium, config.polarization, thetas, omegas)
-    codes = diagram.codes.ravel()
-    by_code = codes + 1   # LH, TR, RH, masked
-    table = _table(
-        theta_deg=np.repeat(np.degrees(thetas), len(omegas)),
-        omega_rad_s=np.tile(omegas, len(thetas)),
-        detuning_rad_s=np.tile(omegas - delta0, len(thetas)),
-        code=codes,
-        label=np.array(["LH", "TR", "RH", "masked"], dtype="U6")[by_code],
+    table = BlockedTable(
+        head=_table(theta_deg=np.degrees(thetas)),
+        tail=_table(
+            omega_rad_s=np.repeat(omegas, 4),
+            detuning_rad_s=np.repeat(omegas - delta0, 4),
+            code=np.tile(_CODES, len(omegas)),
+            label=np.tile(_CODE_LABELS, len(omegas)),
+        ),
+        codes=diagram.codes,
     )
-    n_lh, n_tr, n_rh, n_masked = np.bincount(by_code, minlength=4)
+    n_lh, n_tr, n_rh, n_masked = (np.count_nonzero(diagram.codes == c) for c in _CODES)
     summary = (f"phase-diagram {config.polarization.value}: "
                f"LH cells {n_lh}, RH cells {n_rh}, TR cells {n_tr}, masked {n_masked} "
                "(codes: LH=-1, RH=+1, TR=0, masked=2)")
@@ -591,7 +663,9 @@ def run_command(command: str, config: RunConfig, stdout=None) -> int:
         raise ConfigError(f"unknown command: {command!r}")
     table, summary, code = _COMMANDS[command](config)
     path = config.output_path or f"{command}.{config.format}"
-    _atomic_write(path, _table_chunks(list(table.dtype.names), table, config.format))
+    _atomic_write(path, _blocked_chunks(table, config.format)
+                  if isinstance(table, BlockedTable)
+                  else _table_chunks(list(table.dtype.names), table, config.format))
     print(summary, file=stdout)
     print(f"wrote {path} ({len(table)} rows)", file=stdout)
     return code

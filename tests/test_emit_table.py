@@ -14,6 +14,8 @@ import errno
 import io
 import json
 import math
+import os
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -177,6 +179,18 @@ def test_failure_mid_stream_leaves_no_partial_file(existing, tmp_path):
         assert path.read_bytes() == existing
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_file_mode_follows_the_umask(umask, mode, tmp_path):
+    path = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        cli._atomic_write(str(path), [b"x\n"])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert os.umask(old) == old
+
+
 def test_cli_reports_a_write_failure_after_the_first_chunk(tmp_path, monkeypatch, capsys):
     _serve(monkeypatch, _mixed_table(3 * C), command="phase-diagram")
     chunks = cli._table_chunks
@@ -237,39 +251,23 @@ def test_json_keys_match_json_dumps_for_any_name(names, n):
     assert cli.emit_table(names, table, "json") == _json_reference(names, columns)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("grid", [(64, 128), (256, 512)])
-def test_phase_diagram_write_allocates_bounded_bytes_per_row(grid, fmt, tmp_path, monkeypatch):
-    # the file holds 54 (CSV) to 122 (JSON) B/row of text, the table 49 B/row
-    config = cli.parse_config(json.dumps({"theta_count": grid[0], "omega_count": grid[1]}))
-    table = cli._cmd_phase_diagram(config)[0]
-    _serve(monkeypatch, table)
-    path = tmp_path / f"out.{fmt}"
-    config = cli.parse_config(json.dumps({"format": fmt, "output_path": str(path)}))
-    cli.run_command("table", config, stdout=io.StringIO())   # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        cli.run_command("table", config, stdout=io.StringIO())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table) == grid[0] * grid[1]
-    assert path.stat().st_size > table.nbytes
-    assert peak < 3 * table.nbytes + 2**20, f"{peak / len(table):.0f} B/row"
-
-
 LABELS = np.array(["LH", "TR", "RH", "masked"], dtype="U6")   # codes -1, 0, 1, 2
 
 
-def _flat_phase_diagram(config) -> bytes:
-    """Reference `phase-diagram` bytes: one row per (theta, omega) cell."""
+def _flat_table(config) -> np.ndarray:
+    """Reference `phase-diagram` table: one row per (theta, omega) cell."""
     thetas, omegas = cli._theta_grid(config), cli._omega_grid(config)
     medium = MediumConfig(config.ring, lossy=False)
     codes = cli.phase_diagram(medium, config.polarization, thetas, omegas).codes.ravel()
-    table = np.rec.fromarrays([
+    return np.rec.fromarrays([
         np.repeat(np.degrees(thetas), len(omegas)), np.tile(omegas, len(thetas)),
         np.tile(omegas - resonance_frequency(medium), len(thetas)), codes, LABELS[codes + 1],
     ], names=["theta_deg", "omega_rad_s", "detuning_rad_s", "code", "label"])
+
+
+def _flat_phase_diagram(config) -> bytes:
+    """Reference `phase-diagram` bytes: the flat table through `emit_table`."""
+    table = _flat_table(config)
     return cli.emit_table(list(table.dtype.names), table, config.format)
 
 
@@ -319,3 +317,43 @@ def test_phase_diagram_file_matches_the_flat_table_at_chunk_edges(n_omega, fmt):
     assert data == reference
     codes = _random_codes(n_omega)(None, None, range(3), range(n_omega)).codes
     assert set(np.unique(codes)) == {-1, 0, 1, 2}
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees during a second call of `run` (the first warms caches)."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [(64, 128), (256, 512)])
+def test_phase_diagram_write_allocates_bounded_bytes_per_row(grid, fmt, tmp_path, monkeypatch):
+    # the flat emitter on a structured phase-diagram table: the file holds 54
+    # (CSV) to 122 (JSON) B/row of text, the table 49 B/row
+    table = _flat_table(cli.parse_config(json.dumps(
+        {"theta_count": grid[0], "omega_count": grid[1]})))
+    _serve(monkeypatch, table)
+    path = tmp_path / f"out.{fmt}"
+    config = cli.parse_config(json.dumps({"format": fmt, "output_path": str(path)}))
+    peak = _traced_peak(lambda: cli.run_command("table", config, stdout=io.StringIO()))
+    assert len(table) == grid[0] * grid[1]
+    assert path.stat().st_size > table.nbytes
+    assert peak < 3 * table.nbytes + 2**20, f"{peak / len(table):.0f} B/row"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [(64, 128), (256, 512)])
+def test_phase_diagram_command_allocates_less_than_one_float_grid(grid, fmt, tmp_path):
+    # the whole command, classifier included: below 8 B/cell, one float per cell
+    path = tmp_path / f"pd.{fmt}"
+    config = cli.parse_config(json.dumps({"theta_count": grid[0], "omega_count": grid[1],
+                                          "format": fmt, "output_path": str(path)}))
+    peak = _traced_peak(lambda: cli.run_command("phase-diagram", config, stdout=io.StringIO()))
+    n = grid[0] * grid[1]
+    assert path.read_bytes().count(b"LH") > 0
+    assert peak < 8 * n + 2**20, f"{peak / n:.1f} B/row"
