@@ -23,8 +23,8 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
@@ -320,14 +320,12 @@ def _rows(columns, start: int, stop: int) -> list[str]:
                                     for tokens, inverse in columns])))
 
 
-def _framed_chunks(header: list[str], n: int, fmt: str, body) -> Iterator[bytes]:
-    """Yield the UTF-8 bytes of an n-row table, `CHUNK_ROWS` rows at a time.
+def _frame(header: list[str], fmt: str, n: int) -> tuple[str, str, str, dict]:
+    """The head, row separator, tail and per-column token keys of an n-row table.
 
     CSV and JSON rows are the same comma join of per-column tokens (a JSON
     token carries its ``"col":`` key); the formats differ only in the head,
-    the row separator and the tail.  ``body(keys, sep)`` tokenises the
-    columns, given each column's key, and returns ``rows(start, stop)``: the
-    text of rows [start, stop) joined by `sep`.
+    the row separator and the tail.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
@@ -340,49 +338,45 @@ def _framed_chunks(header: list[str], n: int, fmt: str, body) -> Iterator[bytes]
                                              "{" if n else "")
         sep, tail = "},{", ("}" if n else "") + "]}\n"
         keys = [json.dumps(col) + ":" for col in header]
-    rows = body(dict(zip(header, keys)), sep)
-    yield head.encode("utf-8")
-    for start in range(0, n, CHUNK_ROWS):
-        yield ((sep if start else "") + rows(start, min(start + CHUNK_ROWS, n))).encode("utf-8")
-    yield tail.encode("utf-8")
+    return head, sep, tail, dict(zip(header, keys))
 
 
 def _table_chunks(header: list[str], table: np.ndarray, fmt: str) -> Iterator[bytes]:
-    """Chunks of a structured array: each chunk gathers its rows' tokens."""
-    def body(keys, sep):
-        columns = [_column_tokens(table[col], fmt, keys[col]) for col in header]
-        return lambda start, stop: sep.join(_rows(columns, start, stop))
-    return _framed_chunks(header, len(table), fmt, body)
-
-
-def _row_strings(table: np.ndarray, fmt: str, keys: dict) -> np.ndarray:
-    """Every row of a structured array as one comma-joined string."""
-    columns = [_column_tokens(table[col], fmt, keys[col]) for col in table.dtype.names]
-    return np.array(_rows(columns, 0, len(table)), dtype=object)
+    """Yield the UTF-8 bytes of a structured array, `CHUNK_ROWS` rows at a time."""
+    n = len(table)
+    head, sep, tail, keys = _frame(header, fmt, n)
+    columns = [_column_tokens(table[col], fmt, keys[col]) for col in header]
+    yield head.encode("utf-8")
+    for start in range(0, n, CHUNK_ROWS):
+        rows = _rows(columns, start, min(start + CHUNK_ROWS, n))
+        yield ((sep if start else "") + sep.join(rows)).encode("utf-8")
+    yield tail.encode("utf-8")
 
 
 def _blocked_chunks(table: BlockedTable, fmt: str) -> Iterator[bytes]:
     """Chunks of a blocked table: each row is a head row's text plus a tail row's.
 
-    The head and tail rows are formatted once; a chunk then costs one gather
-    of tail rows and one join per block it touches.
+    The head and tail rows are formatted once, each head row with the row
+    separator before it; a chunk then joins one head and one tail string per
+    row, at a cost per row that does not depend on the shape of `codes`.
     """
-    width = table.codes.shape[1]
+    n, width = len(table), table.codes.shape[1]
+    head, sep, tail, keys = _frame(list(table.head.dtype.names + table.tail.dtype.names), fmt, n)
 
-    def body(keys, sep):
-        heads, tails = _row_strings(table.head, fmt, keys), _row_strings(table.tail, fmt, keys)
-
-        def rows(start, stop):
-            blocks = []
-            for i in range(start // width, (stop - 1) // width + 1):
-                lo, hi = max(start - i * width, 0), min(stop - i * width, width)
-                prefix = heads[i] + ","
-                pick = table.codes[i, lo:hi] + np.arange(4 * lo + 1, 4 * hi, 4)
-                blocks.append(prefix + (sep + prefix).join(tails[pick].tolist()))
-            return sep.join(blocks)
-        return rows
-    header = list(table.head.dtype.names + table.tail.dtype.names)
-    return _framed_chunks(header, len(table), fmt, body)
+    def strings(part):
+        columns = [_column_tokens(part[col], fmt, keys[col]) for col in part.dtype.names]
+        return np.array(_rows(columns, 0, len(part)), dtype=object)
+    heads, tails, codes = sep + strings(table.head) + ",", strings(table.tail), table.codes.ravel()
+    yield head.encode("utf-8")
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        i, j = np.divmod(np.arange(start, stop), width)
+        parts = [None] * (2 * (stop - start))
+        parts[0::2] = heads[i].tolist()
+        parts[1::2] = tails[codes[start:stop] + 4 * j + 1].tolist()
+        text = "".join(parts)
+        yield (text if start else text[len(sep):]).encode("utf-8")
+    yield tail.encode("utf-8")
 
 
 def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
@@ -403,19 +397,22 @@ def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
 def _atomic_write(path: str, chunks: Iterable[bytes]):
     """Write the complete table or nothing: stream the chunks into a temp
     file, then rename it over `path` atomically.  The file gets the mode
-    `open` would give a new file, 0o666 less the umask."""
+    `open(path, "wb")` would leave: an existing file's own mode, else 0o666
+    less the umask."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     try:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        # O_EXCL as mkstemp, but the kernel applies the umask to 0o666
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
-    # reading the umask sets it: set the strictest one for that moment
-    umask = os.umask(0o077)
-    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        os.chmod(tmp, 0o666 & ~umask)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

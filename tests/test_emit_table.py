@@ -179,14 +179,21 @@ def test_failure_mid_stream_leaves_no_partial_file(existing, tmp_path):
         assert path.read_bytes() == existing
 
 
-@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_output_file_mode_follows_the_umask(umask, mode, tmp_path):
+@pytest.mark.parametrize("existing, umask, mode", [
+    (None, 0o022, 0o644), (None, 0o077, 0o600),     # a new file: 0o666 less the umask
+    (0o600, 0o022, 0o600), (0o664, 0o077, 0o664),   # a replaced file keeps its mode
+])
+def test_output_file_mode_follows_the_umask(existing, umask, mode, tmp_path):
     path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(b"old bytes\n")
+        path.chmod(existing)
     old = os.umask(umask)
     try:
         cli._atomic_write(str(path), [b"x\n"])
     finally:
         os.umask(old)
+    assert path.read_bytes() == b"x\n"
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert os.umask(old) == old
 
