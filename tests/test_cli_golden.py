@@ -20,21 +20,32 @@ from mobius_optics import cli
 
 SMALL_GRID = {"theta_count": 7, "omega_count": 33}
 
-# name: (subcommand, extra argv, config)
+# name: (subcommand, extra argv, config, exit code)
 CASES = {
-    "spectrum": ("spectrum", [], {}),
-    "elements": ("elements", [], {}),
-    "elements_n3": ("elements", [], {"N": 3}),
-    "elements_n4": ("elements", [], {"N": 4}),
-    "elements_n64": ("elements", [], {"N": 64}),
-    "response": ("response", [], {"omega_count": 33}),
-    "response_lossy": ("response", [], {"omega_count": 33, "lossy": True}),
-    "phase_diagram": ("phase-diagram", [], SMALL_GRID),
-    "phase_diagram_h": ("phase-diagram", ["--pol", "H"], SMALL_GRID),
-    "surface": ("surface", [], {"surface_samples": 20}),
-    "surface_h": ("surface", [], {"polarization": "H", "surface_samples": 200}),
-    "bandwidth": ("bandwidth", [], {}),
-    "validate": ("validate", [], {}),
+    "spectrum": ("spectrum", [], {}, cli.EXIT_OK),
+    "elements": ("elements", [], {}, cli.EXIT_OK),
+    "elements_n3": ("elements", [], {"N": 3}, cli.EXIT_OK),
+    "elements_n4": ("elements", [], {"N": 4}, cli.EXIT_OK),
+    "elements_n64": ("elements", [], {"N": 64}, cli.EXIT_OK),
+    "response": ("response", [], {"omega_count": 33}, cli.EXIT_OK),
+    "response_lossy": ("response", [], {"omega_count": 33, "lossy": True}, cli.EXIT_OK),
+    "phase_diagram": ("phase-diagram", [], SMALL_GRID, cli.EXIT_OK),
+    "phase_diagram_h": ("phase-diagram", ["--pol", "H"], SMALL_GRID, cli.EXIT_OK),
+    "surface": ("surface", [], {"surface_samples": 20}, cli.EXIT_OK),
+    "surface_h": ("surface", [], {"polarization": "H", "surface_samples": 200}, cli.EXIT_OK),
+    "bandwidth": ("bandwidth", [], {}, cli.EXIT_OK),
+    "validate": ("validate", [], {}, cli.EXIT_OK),
+    # failing rings: overdamped, smallest, narrow mu1 window, oversized and
+    # overflowing half widths, near-degenerate levels
+    "validate_overdamped": ("validate", [], {"gamma_inv_ns": 0.3}, cli.EXIT_VALIDATION_FAILURE),
+    "validate_n3": ("validate", [], {"N": 3}, cli.EXIT_VALIDATION_FAILURE),
+    "validate_narrow_window": ("validate", [], {"N": 6, "gamma_inv_ns": 0.6},
+                               cli.EXIT_VALIDATION_FAILURE),
+    "validate_half_width_1e5": ("validate", [], {"half_width_nm": 1e5},
+                                cli.EXIT_VALIDATION_FAILURE),
+    "validate_half_width_1e26": ("validate", [], {"half_width_nm": 1e26},
+                                 cli.EXIT_VALIDATION_FAILURE),
+    "validate_xi_1e-6": ("validate", [], {"xi_intra_ev": 1e-6}, cli.EXIT_VALIDATION_FAILURE),
 }
 
 # (case, format): (sha256 of the output file, sha256 of stdout)
@@ -117,17 +128,53 @@ GOLDEN = {
     ("validate", "json"): (
         "962d41c79770be2a61062d0e2ba49c93a6bc7b9d4b2ccd937b544724bfc26ba6",
         "c41f74e4737522a6a2022b8ab3c20e1c93348d18278fc794f32bcb30160b27af"),
+    ("validate_overdamped", "csv"): (
+        "f4c9cfd96c3c5cc09cda69983de3ad8f54b936f9b749cb52edbde5d674d52c0f",
+        "8b1859a12180ea63a9597f06123120915def43802ba8379e417f04a575d4038d"),
+    ("validate_overdamped", "json"): (
+        "25cbcdaa6569d3ab7685a8be3be12de5f0336cbd23ff3a6f625ff99200496b21",
+        "6e8090185de39cc81fa0f178e254d03c1156219992861a46311bb0efdb5b58fc"),
+    ("validate_n3", "csv"): (
+        "fe43041bfcf8a39cc9d35cc80e62dc23e32e11057311d285980ff5b2ba096e68",
+        "952e91d4d15d69147aa16922f10b0950fb8f9539b8af54597b16b3b777611449"),
+    ("validate_n3", "json"): (
+        "c25f4c808968228331367efedbb459a4bd63b4863d83ec2f09111a6ac6961eea",
+        "7b797ed046c1eece88f6ead4848450484d16f5331fee284dd430777293ac5ca5"),
+    ("validate_narrow_window", "csv"): (
+        "2160689bb669bcfb7aaf742b54f758ecf97826cf8647fc0379487b1c569adf11",
+        "1caefb724427a8d54835616da0d5b786a0d6f2a401d25fd3b5a78318025d3f13"),
+    ("validate_narrow_window", "json"): (
+        "f6475bbf37b7b032271256817c0b8a2de7f5eaf8f7c12a3327f2a960fae1920e",
+        "5eeec7e3b27074ff40666e2e19742abb436d0831553638026c1ae7b1b7b7aff6"),
+    ("validate_half_width_1e5", "csv"): (
+        "a339eb4cf4bf22fd9f07a1f58897867fb5f7937da3e00f9ceeea06318b04f767",
+        "6a7cc8deb1d34033a9cc64086ac98c7496b32dd3a1e468bba518bda902ca4906"),
+    ("validate_half_width_1e5", "json"): (
+        "19180ce6381536795d46a4fad5ffe2222fcea9d213ef4dfc1146745aa3628151",
+        "9eb31528be5fb99558f363cca299f0c34a64b427e4a6e94a0f18e0ca57d6fd44"),
+    ("validate_half_width_1e26", "csv"): (
+        "2bc8634eb7de524ecc872454c02b12af756b196330c4969d5c8f8b989498963a",
+        "a82777e0cf326a493c2f63eab5adfd88f60946e282547ec7682d2685f4ea8a1e"),
+    ("validate_half_width_1e26", "json"): (
+        "6a7ce8eb911a6f3b39da478eb5e3008b91829e55d26572bd3376dccdf9c87b10",
+        "834f85ccca6bb4bd55a33db4be3d39290ee5325bc0254787df6395ddbd780a75"),
+    ("validate_xi_1e-6", "csv"): (
+        "707bd3317c2353fedb77aade2a28e3f7af20401fbc75a5151d942f3a6c9fb8e2",
+        "96e441a8ed621743260065ae22e564c2aa164d7de4b07c6277376b97ee6ab9a4"),
+    ("validate_xi_1e-6", "json"): (
+        "9748cf776a1a06fd3fc8489421db97260752be2e5c2f6ca53dabcef9fb092dd9",
+        "af888f28d6fb76061d3942d37c3e675d4bb7bb11e093338a999ab79a2c61da16"),
 }
 
 
 def _run(name, fmt, workdir):
-    command, flags, config = CASES[name]
+    command, flags, config, exit_code = CASES[name]
     conf = workdir / "config.json"
     conf.write_text(json.dumps({**config, "format": fmt}))
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main([command, *flags, str(conf)])
-    assert code == cli.EXIT_OK
+    assert code == exit_code
     data = (workdir / f"{command}.{fmt}").read_bytes()
     return (hashlib.sha256(data).hexdigest(),
             hashlib.sha256(out.getvalue().encode()).hexdigest())
