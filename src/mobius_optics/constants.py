@@ -21,7 +21,6 @@ EPSILON_0 = 8.8541878128e-12      # vacuum permittivity, F / m
 MU_0 = 1.0 / (EPSILON_0 * C_LIGHT**2)  # vacuum permeability, H / m
 
 EV = E_CHARGE                     # 1 eV in J
-HBAR_C_EV_NM = HBAR * C_LIGHT / EV * 1e9  # hbar c in eV nm, handy for checks
 
 NM = 1e-9
 NS = 1e-9

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, EV, HBAR
-from .ring import BANDS, Band, EigenLabel, RingParams, Topology, label_axes
+from .ring import BANDS, Band, EigenLabel, RingParams, _require_mobius, label_axes
 
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
@@ -71,11 +71,6 @@ class TransitionElement:
     to_label: EigenLabel
     kind: DipoleKind
     vector: np.ndarray  # (3,) complex; C m for electric, A m^2 for magnetic
-
-
-def _require_mobius(params: RingParams):
-    if params.topology is not Topology.MOBIUS:
-        raise ValueError("closed-form dipole tables exist only for the Mobius topology")
 
 
 def _electric_block(dl: int, r: float, w: float) -> np.ndarray:

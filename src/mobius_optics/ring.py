@@ -156,12 +156,12 @@ GROUND_LABEL = EigenLabel(0, Band.DOWN)
 def _require_mobius(params: RingParams):
     if params.topology is not Topology.MOBIUS:
         raise ValueError(
-            "closed-form bands exist only for the Mobius topology; use the "
+            "closed forms exist only for the Mobius topology; use the "
             "bruteforce module for other boundary conditions"
         )
     if params.eps_onsite != 0.0:
         raise ValueError(
-            "closed-form bands assume identical atoms (eps_onsite = 0); "
+            "closed forms assume identical atoms (eps_onsite = 0); "
             "nonzero on-site splitting is handled by the bruteforce module"
         )
 

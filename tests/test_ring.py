@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mobius_optics import bruteforce as bf
+from mobius_optics import dipole as dp
 from mobius_optics.constants import EV, HBAR
 from mobius_optics.ring import (
     Band,
@@ -159,3 +160,8 @@ def test_closed_forms_reject_other_topologies_and_onsite_splitting():
     split = RingParams(12, eps_onsite=0.5)
     with pytest.raises(ValueError):
         band_energy(split, EigenLabel(0, DOWN))
+    # the dipole tables share the bands' guard
+    for params in (ring, split):
+        for table in (dp.electric_table, dp.magnetic_table):
+            with pytest.raises(ValueError):
+                table(params)
