@@ -52,7 +52,7 @@ def test_criterion_01_spectrum_and_degeneracy():
 
 def test_criterion_02_dipole_reference_equivalence():
     start = time.monotonic()
-    values = {c["name"]: c["value"] for c in val.dipole_checks(P12)}
+    values = val.dipole_checks(P12)
     worst = max(values[f"{kind}_{check}"] for kind in ("electric", "magnetic")
                 for check in ("table_vs_numeric", "dyads_vs_dense_eigenvectors"))
     elapsed = time.monotonic() - start
@@ -62,7 +62,7 @@ def test_criterion_02_dipole_reference_equivalence():
 
 
 def test_criterion_03_selection_rule_sparsity():
-    dev = {c["name"]: c["value"] for c in val.dipole_checks(P12)}["selection_rule_sparsity"]
+    dev = val.dipole_checks(P12)["selection_rule_sparsity"]
     _report(3, f"numeric elements outside the allowed blocks: {dev:.1e} "
                "of the natural scales e*W and e*xi*R*W/hbar", dev < 1e-12)
 
@@ -111,12 +111,12 @@ def test_criterion_05_negative_windows_and_bandwidth():
 def test_criterion_06_critical_lifetime():
     tau_cyl = rs.critical_lifetime(CFG)
     tau_2w = rs.critical_lifetime(CFG_2W)
-    report = val.response_checks(P12)
-    noted = [c for c in report if c["name"].startswith("critical_lifetime_")]
+    values = val.response_checks(P12)
+    noted = [c for c in val.CHECKS if c.name.startswith("critical_lifetime_")]
     ok = (abs(tau_cyl - 0.51e-9) / 0.51e-9 < 0.05
           and abs(tau_2w - 0.26e-9) / 0.26e-9 < 0.01
           and len(noted) == 2
-          and all("factor 2" in c["note"] for c in noted))
+          and all(c.name in values and "factor 2" in c.note for c in noted))
     _report(6, f"critical lifetime {tau_cyl * 1e9:.4f} ns (cylinder volume, "
                f"within 5% of 0.51 ns) vs {tau_2w * 1e9:.4f} ns (compact volume); "
                "both reported with the factor-2 note", ok)

@@ -286,6 +286,9 @@ def test_validate_overdamped_reports_failed_window_checks(tmp_path, gamma_inv_ns
     }
     assert all(row[4] == "overdamped: no mu1 window"
                for row in rows if row[0] in failed)
+    # every row without a value reads the same way: NaN, no threshold, failed, the reason
+    assert all(row[1:] == ["nan", "", "0", validation.OVERDAMPED]
+               for row in rows if row[0] in failed)
     assert "10 checks FAILED" in out.getvalue()
 
 
@@ -293,21 +296,24 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
     names = []
     widths = (0.01, 1e5, 1e22, 1e23, 1e24, 1e26, 1e30)
     for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3},
+                  {"n_per_ring": 6, "gamma_inv_ns": 0.6}, {"xi_intra_ev": 1e6},
                   *({"half_width_nm": w} for w in widths),
                   *({"radius_nm": r} for r in (1e-6, 1e6))):
         path = tmp_path / "validate.csv"
         cfg = cli.parse_config(json.dumps({**extra, "output_path": str(path)}).encode())
         cli.run_command("validate", cfg, stdout=io.StringIO())
         names.append([line.split(",")[0] for line in path.read_text().splitlines()[1:]])
-    assert len(names[0]) == 33
+    assert len(names[0]) == len(set(names[0])) == 33
+    assert names[0] == [check.name for check in validation.CHECKS]
     assert all(other == names[0] for other in names[1:])
 
 
 @pytest.mark.parametrize("half_width_nm,failed_notes", [
-    (0.01, {"bandwidth_closed_vs_roots": validation.NO_ROOT}),
-    (1e5, {"full_sum_vs_single_resonance_eps":
-           "no tensor entry above 1 in magnitude to compare",
+    (0.01, {"bandwidth_closed_vs_roots": validation.NO_ROOT,
+            "lossy_window_shift": validation.NO_LOSSY_LH}),
+    (1e5, {"full_sum_vs_single_resonance_eps": validation.NO_DOMINANT_ENTRY,
            "local_field_zero_crossing": validation.NO_ROOT,
+           "lossy_window_shift": validation.NO_LOSSY_LH,
            "phase_diagram_E_has_lh_band": validation.NONPOSITIVE_SWEEP,
            "lh_band_contiguous": validation.NONPOSITIVE_SWEEP}),
     (1e30, {"surface_circle_residual": validation.NO_SURFACE}),
@@ -333,14 +339,15 @@ def test_validate_reports_checks_without_a_root_or_sweep_as_failed(
 
 def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
     # the largest decade that parse_config accepts; the squared magnetic dyads
-    # overflow.  A fresh interpreter: numpy's overflow warnings at this width
-    # are errors under pytest
+    # overflow.  A fresh interpreter that turns numpy's RuntimeWarnings into errors:
+    # the dense oracle's norms and phases overflow here, and validate must stay quiet
     (tmp_path / "c.json").write_text('{"half_width_nm": 1e91}')
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "mobius_optics", "validate", "c.json"],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mobius_optics",
+                           "validate", "c.json"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == cli.EXIT_VALIDATION_FAILURE
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert "validate: 33 checks" in proc.stdout
     rows = {row[0]: row for row in (line.split(",") for line in
                                     (tmp_path / "validate.csv").read_text().splitlines()[1:])}

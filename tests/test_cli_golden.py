@@ -129,28 +129,28 @@ GOLDEN = {
         "962d41c79770be2a61062d0e2ba49c93a6bc7b9d4b2ccd937b544724bfc26ba6",
         "c41f74e4737522a6a2022b8ab3c20e1c93348d18278fc794f32bcb30160b27af"),
     ("validate_overdamped", "csv"): (
-        "f4c9cfd96c3c5cc09cda69983de3ad8f54b936f9b749cb52edbde5d674d52c0f",
+        "d3fa5f2296983d9a177e51444abbbfdf8dc6a206428862c72bbfd5e0067dda34",
         "8b1859a12180ea63a9597f06123120915def43802ba8379e417f04a575d4038d"),
     ("validate_overdamped", "json"): (
-        "25cbcdaa6569d3ab7685a8be3be12de5f0336cbd23ff3a6f625ff99200496b21",
+        "f9995d322d654f1671d45c58ea4a26cd30e6a778c95a9e24342f318658a4ad66",
         "6e8090185de39cc81fa0f178e254d03c1156219992861a46311bb0efdb5b58fc"),
     ("validate_n3", "csv"): (
-        "fe43041bfcf8a39cc9d35cc80e62dc23e32e11057311d285980ff5b2ba096e68",
+        "97b2d4007566eebc5490603e6c97ecc8aa2cf795d64c511f5c6cb4951666b946",
         "952e91d4d15d69147aa16922f10b0950fb8f9539b8af54597b16b3b777611449"),
     ("validate_n3", "json"): (
-        "c25f4c808968228331367efedbb459a4bd63b4863d83ec2f09111a6ac6961eea",
+        "839f610256bb4e244fd406da47a83ae659d2c174647e11d752d6d8440811c6a2",
         "7b797ed046c1eece88f6ead4848450484d16f5331fee284dd430777293ac5ca5"),
     ("validate_narrow_window", "csv"): (
-        "2160689bb669bcfb7aaf742b54f758ecf97826cf8647fc0379487b1c569adf11",
+        "15afda884bfa2c8af7a9c0922928acb83489992091c5b4a18c26ca6a19c50df6",
         "1caefb724427a8d54835616da0d5b786a0d6f2a401d25fd3b5a78318025d3f13"),
     ("validate_narrow_window", "json"): (
-        "f6475bbf37b7b032271256817c0b8a2de7f5eaf8f7c12a3327f2a960fae1920e",
+        "167afb2837590973f63c06d5a3e7e3a3023e2fc4eeae16f48a778b13460db9d2",
         "5eeec7e3b27074ff40666e2e19742abb436d0831553638026c1ae7b1b7b7aff6"),
     ("validate_half_width_1e5", "csv"): (
-        "a339eb4cf4bf22fd9f07a1f58897867fb5f7937da3e00f9ceeea06318b04f767",
+        "007a8c9f63b864387ac482ebc957165422295f1663fd17c7c0a04fbdc48be77f",
         "6a7cc8deb1d34033a9cc64086ac98c7496b32dd3a1e468bba518bda902ca4906"),
     ("validate_half_width_1e5", "json"): (
-        "19180ce6381536795d46a4fad5ffe2222fcea9d213ef4dfc1146745aa3628151",
+        "d6d98f83c8e03bd1f6a740a1cc847f2ad3ca4bd5240aa3e7eddcc85db8eb07ce",
         "9eb31528be5fb99558f363cca299f0c34a64b427e4a6e94a0f18e0ca57d6fd44"),
     ("validate_half_width_1e26", "csv"): (
         "2bc8634eb7de524ecc872454c02b12af756b196330c4969d5c8f8b989498963a",

@@ -67,11 +67,26 @@ def test_closed_form_levels_match_dense_groups_at_the_grouping_tolerance():
     # at xi = 1e-6 eV the level spacings fall below 1e-6 eV: a wider matching
     # window than group_levels' put several closed-form levels in one group
     params = RingParams(12, xi_intra=1e-6)
-    checks = {c["name"]: c for c in validation.spectrum_checks(params)
-              + validation.dipole_checks(params)}
-    assert checks["eigenspace_projectors"]["value"] < 1e-6
-    assert checks["electric_dyads_vs_dense_eigenvectors"]["passed"]
-    assert checks["magnetic_dyads_vs_dense_eigenvectors"]["passed"]
+    values = validation.spectrum_checks(params) | validation.dipole_checks(params)
+    threshold = {check.name: check.threshold for check in validation.CHECKS}
+    assert values["eigenspace_projectors"] < 1e-6
+    for name in ("electric_dyads_vs_dense_eigenvectors", "magnetic_dyads_vs_dense_eigenvectors"):
+        assert values[name] <= threshold[name]
+
+
+@pytest.mark.parametrize("group_name,drop,add", [
+    ("spectrum_checks", "eigenvector_unitarity", {}),
+    ("refraction_checks", "lossy_window_shift", {}),
+    ("topology_checks", None, {"unknown_check": 0.0}),
+    ("dipole_checks", None, {"eigenspace_projectors": 0.0}),   # a name of another group
+])
+def test_report_raises_when_the_groups_and_the_table_disagree(monkeypatch, group_name, drop, add):
+    # a name that a group leaves out once dropped its row silently
+    group = getattr(validation, group_name)
+    monkeypatch.setattr(validation, group_name,
+                        lambda params: {k: v for k, v in group(params).items() if k != drop} | add)
+    with pytest.raises(ValueError, match="CHECKS"):
+        validation_report(RingParams(12))
 
 
 def test_closed_form_checks_use_the_configured_radius():
