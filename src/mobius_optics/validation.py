@@ -70,7 +70,7 @@ PER_RUN = object()   # a threshold the group returns with the value, as (value, 
 
 class Check(NamedTuple):
     name: str
-    threshold: float | int | None   # None: no bound, the check only reports its value
+    threshold: float | int | None   # None: no bound; PER_RUN: the group returns it
     note: str = ""                  # a template on the value, as in "{value} cells"
     passes: Callable[[object, object], bool] = AT_MOST
 
