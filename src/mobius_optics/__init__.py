@@ -22,7 +22,6 @@ from .ring import (
     EigenLabel,
     EigenState,
     RingParams,
-    SitePosition,
     Topology,
     VolumeConvention,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "EigenLabel",
     "EigenState",
     "RingParams",
-    "SitePosition",
     "Topology",
     "VolumeConvention",
 ]

@@ -597,23 +597,19 @@ def _cmd_surface(config: RunConfig):
 
 
 def _cmd_bandwidth(config: RunConfig):
-    rows = []
-    values = {}
-    for convention in (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W):
-        ring = replace(config.ring, volume_convention=convention)
-        medium = MediumConfig(ring)
-        a, b = alpha_beta(medium)
-        tau = critical_lifetime(medium)
-        values[convention] = tau
-        rows.append((convention.value, molecular_volume(medium),
-                     eta_prefactor(medium), a, b, bandwidth(medium),
-                     tau, tau / NS, ring.decay_rate))
-    table = np.rec.fromrecords(rows, names=[
-        "volume_convention", "molecular_volume_m3", "eta_prefactor_rad_s",
-        "alpha", "beta", "bandwidth_rad_s", "tau_c_s", "tau_c_ns", "gamma_per_s"])
+    conventions = (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W)
+    media = [MediumConfig(replace(config.ring, volume_convention=c)) for c in conventions]
+    a, b = np.array([alpha_beta(medium) for medium in media]).T
+    tau = np.array([critical_lifetime(medium) for medium in media])
+    table = _table(
+        volume_convention=[c.value for c in conventions],
+        molecular_volume_m3=[molecular_volume(medium) for medium in media],
+        eta_prefactor_rad_s=[eta_prefactor(medium) for medium in media],
+        alpha=a, beta=b, bandwidth_rad_s=[bandwidth(medium) for medium in media],
+        tau_c_s=tau, tau_c_ns=tau / NS, gamma_per_s=[config.ring.decay_rate] * 2,
+    )
     summary = (
-        f"bandwidth: tau_c {values[VolumeConvention.CYLINDER_4W] / NS:.4g} ns "
-        f"(cylinder_4w) vs {values[VolumeConvention.CYLINDER_2W] / NS:.4g} ns "
+        f"bandwidth: tau_c {tau[0] / NS:.4g} ns (cylinder_4w) vs {tau[1] / NS:.4g} ns "
         "(cylinder_2w); the conventions differ by exactly a factor 2"
     )
     return table, summary, EXIT_OK

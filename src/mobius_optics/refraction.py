@@ -26,8 +26,8 @@ Each (theta, omega) cell is therefore classified by one comparison:
 
 One kernel applies these rules; ``phase_diagram`` runs it over a grid,
 ``classify`` on one cell (solving the quadratic only to report the roots
-and the chosen one's Poynting direction) and the lossy normal-incidence
-path on the lossless limit of each frequency.
+and the chosen one's Poynting direction) and ``lossy_lh_window``, the lossy
+normal-incidence path, on the lossless limit of each frequency.
 """
 
 from __future__ import annotations
@@ -314,13 +314,6 @@ def _causal_n_tz(tensors, pol, n_ty):
         return (-tyz * n_ty + math.copysign(1.0, det) * root) / tzz
 
 
-def surface_determinant_residual(tensors, pol, n_ty, n_tz) -> np.ndarray:
-    tyy, tyz, tzz, det, other_xx = _blocks(tensors, pol)
-    with np.errstate(all="ignore"):
-        return np.abs(other_xx - (tyy * _sq(n_ty) + 2.0 * tyz * n_ty * n_tz
-                                  + tzz * _sq(n_tz)) / det)
-
-
 def _unit(rows):
     """Rows of an (n, 2) array divided by their lengths.
 
@@ -399,7 +392,21 @@ def surface_normal_check(tensors: ResponseTensors, pol: Polarization,
 # ---------------------------------------------------------------------------
 
 def _lossy_normal(config: MediumConfig, omega: np.ndarray):
-    """Codes, decaying roots k_tz and S_tz of E-polarized normal incidence."""
+    """Classification codes of E-polarized normal incidence at each omega.
+
+    The quadratic becomes k_tz^2 = (omega/c)^2 det eps_xx / mu_zz with
+    complex tensors; the root with Im(k_tz) > 0 decays into the medium.
+    Phase velocity runs along Re(k_tz), so a propagating cell is
+    left-handed when Re(k_tz) S_tz < 0 with S_tz > 0 into the medium.
+
+    With absorption nothing is exactly totally reflected, so the
+    propagating/TR boundary is not intrinsically defined; here a cell
+    counts as propagating exactly when its lossless limit (same gamma in
+    eta', absorption dropped) admits a propagating causal root.  Under
+    this convention the left-handed window coincides with the lossless
+    one wherever the complex-root test keeps reporting a backward phase,
+    which it does for the default molecule.
+    """
     k_i = omega / C_LIGHT
     lossless = response_tensors(replace(config, lossy=False), omega)
     codes = _propagation(lossless, Polarization.E, 0.0)
@@ -413,36 +420,9 @@ def _lossy_normal(config: MediumConfig, omega: np.ndarray):
     root = np.where((root.imag == 0.0) & (s_tz <= 0.0), -root, root)
     s_tz = np.real(tzz * root / det)
     tr = (codes == int(Classification.TR)) | (s_tz <= 0.0)
-    codes = np.where(tr, int(Classification.TR),
-                     np.where(root.real * s_tz < 0.0, int(Classification.LH),
-                              int(Classification.RH)))
-    return codes, root, s_tz
-
-
-def lossy_normal_incidence(config: MediumConfig, omega: float) -> RefractionResult:
-    """E-polarized normal incidence with the complex response kept.
-
-    The quadratic becomes k_tz^2 = (omega/c)^2 det eps_xx / mu_zz with
-    complex tensors; the branch with Im(k_tz) > 0 decays into the medium
-    and is returned first in ``roots``.  Phase velocity runs along
-    Re(k_tz), so a propagating cell is left-handed when Re(k_tz) S_tz < 0
-    with S_tz > 0 into the medium.
-
-    With absorption nothing is exactly totally reflected, so the
-    propagating/TR boundary is not intrinsically defined; here a cell
-    counts as propagating exactly when its lossless limit (same gamma in
-    eta', absorption dropped) admits a propagating causal root.  Under
-    this convention the left-handed window coincides with the lossless
-    one wherever the complex-root test keeps reporting a backward phase,
-    which it does for the default molecule.
-    """
-    wave = IncidentWave(Polarization.E, 0.0, omega)
-    codes, root, s_tz = _lossy_normal(config, np.array([wave.omega], dtype=float))
-    cls = Classification(int(codes[0]))
-    roots = np.array([root[0], -root[0]])
-    if cls is Classification.TR:
-        return RefractionResult(wave, roots, None, 0.0, None, cls)
-    return RefractionResult(wave, roots, 0, 0.0, (0.0, float(s_tz[0])), cls)
+    return np.where(tr, int(Classification.TR),
+                    np.where(root.real * s_tz < 0.0, int(Classification.LH),
+                             int(Classification.RH)))
 
 
 def lossy_lh_window(config: MediumConfig, omega_grid) -> tuple[float, float] | None:
@@ -450,7 +430,7 @@ def lossy_lh_window(config: MediumConfig, omega_grid) -> tuple[float, float] | N
     omega = np.asarray(omega_grid, dtype=float)
     if np.any(omega <= 0.0):
         raise ValueError("omega must be positive")
-    lh = omega[_lossy_normal(config, omega)[0] == int(Classification.LH)]
+    lh = omega[_lossy_normal(config, omega) == int(Classification.LH)]
     if not lh.size:
         return None
     return lh.min(), lh.max()

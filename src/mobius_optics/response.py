@@ -24,12 +24,13 @@ eta replaces it entrywise.  The yz blocks have exact eigenvalue pairs
 principal values eps1 and mu1 whose zero crossings bound the negative
 windows.  ``response_tensors`` is the one place these entries are written:
 it takes a scalar omega or an array of them and evaluates Delta_0, eta and
-(a, b) once per call; ``epsilon_tensor``, ``mu_tensor``, ``eps1`` and
-``mu1`` read its fields.  Both tensors follow from the Green-Kubo dipole
-sums restricted to the resonant pair; the full sums over all 2N - 1 excited
-states are kept in ``full_polarization`` / ``full_magnetization`` as a
-validation route.  They read only the ground row of the dipole tables
-(O(N) work, no 2N x 2N table).
+(a, b) once per call, and returns both tensors with eps1, mu1 and the
+near-resonance flag; ``eps1`` and ``mu1`` read its fields.  Both tensors
+follow from the Green-Kubo dipole sums restricted to the resonant pair; the
+full sums over all 2N - 1 excited states are kept in
+``epsilon_from_full_sum`` / ``mu_from_full_sum`` as a validation route.
+They read only the ground row of the dipole tables (O(N) work, no 2N x 2N
+table).
 """
 
 from __future__ import annotations
@@ -134,11 +135,6 @@ def _eta_at(config: MediumConfig, detuning):
     return eta_prefactor(config) / (detuning + 1j * gamma)
 
 
-def is_near_resonance(config: MediumConfig, omega) -> bool | np.ndarray:
-    """Bins within 1e-3 gamma of the resonance; masked in lossless sweeps."""
-    return response_tensors(config, omega).near_resonance
-
-
 def alpha_beta(config: MediumConfig) -> tuple[float, float]:
     ring = config.ring
     d = ring.delta
@@ -180,14 +176,6 @@ def response_tensors(config: MediumConfig, omega) -> ResponseTensors:
     return ResponseTensors(omega, h, eps, mu, a, b, eps1, mu1, near)
 
 
-def epsilon_tensor(config: MediumConfig, omega) -> np.ndarray:
-    return response_tensors(config, omega).eps_r
-
-
-def mu_tensor(config: MediumConfig, omega) -> np.ndarray:
-    return response_tensors(config, omega).mu_r
-
-
 def eps1(config: MediumConfig, omega):
     """Principal permittivity 1 - 5 eta' (complex eta when lossy)."""
     return response_tensors(config, omega).eps1
@@ -212,45 +200,23 @@ def _ground_dyads(config: MediumConfig, kind: DipoleKind):
 
 
 def _kubo_sum(config: MediumConfig, omega: float, kind: DipoleKind):
-    """Prefactor -1 / (hbar v0) (electric) or -mu0 / (hbar v0) (magnetic) and
-    the 3x3 sum over every excited state of dyad / (omega - Delta + i gamma)."""
+    """-1 / (hbar v0) (electric) or -mu0 / (hbar v0) (magnetic) times the 3x3
+    sum over every excited state of dyad / (omega - Delta + i gamma)."""
     freqs, dyads = _ground_dyads(config, kind)
     lorentz = 1.0 / (omega - freqs + 1j * config.ring.decay_rate)
     total = np.tensordot(lorentz, dyads, axes=(0, 0))
     scale = 1.0 if kind is DipoleKind.ELECTRIC else MU_0
-    return -(scale / (HBAR * molecular_volume(config))), total if config.lossy else total.real
-
-
-def full_polarization(config: MediumConfig, omega: float, e_field) -> np.ndarray:
-    """Polarization P (C/m^2) from the full sum over the ground row; ground state excluded."""
-    pre, s = _kubo_sum(config, omega, DipoleKind.ELECTRIC)
-    return pre * (s @ np.asarray(e_field))
-
-
-def full_magnetization(config: MediumConfig, omega: float, h_field) -> np.ndarray:
-    """Magnetization M (A/m) from the full magnetic sum over the ground row, drive given as H."""
-    pre, s = _kubo_sum(config, omega, DipoleKind.MAGNETIC)
-    return pre * (s @ np.asarray(h_field))
-
-
-def full_response_sums(config: MediumConfig, omega: float, e_field, h_field):
-    """(P, M) from the full sums; linear in the respective drive fields."""
-    return (
-        full_polarization(config, omega, e_field),
-        full_magnetization(config, omega, h_field),
-    )
+    return -(scale / (HBAR * molecular_volume(config))) * (total if config.lossy else total.real)
 
 
 def epsilon_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
-    """3x3 permittivity I + P / eps0: column c is full_polarization on unit drive c."""
-    pre, s = _kubo_sum(config, omega, DipoleKind.ELECTRIC)
-    return np.eye(3) + pre * s / EPSILON_0
+    """3x3 permittivity I + P / eps0: column c is the polarization P driven by unit E_c."""
+    return np.eye(3) + _kubo_sum(config, omega, DipoleKind.ELECTRIC) / EPSILON_0
 
 
 def mu_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
-    """3x3 permeability I + M: column c is full_magnetization on unit drive c."""
-    pre, s = _kubo_sum(config, omega, DipoleKind.MAGNETIC)
-    return np.eye(3) + pre * s
+    """3x3 permeability I + M: column c is the magnetization M driven by unit H_c."""
+    return np.eye(3) + _kubo_sum(config, omega, DipoleKind.MAGNETIC)
 
 
 # ---------------------------------------------------------------------------
@@ -322,30 +288,3 @@ def local_field_epsilon(config: MediumConfig, omega) -> np.ndarray:
     out[1, 2] = out[2, 1] = -6.0 * h / pole_yz
     return out
 
-
-def molecular_polarizability(
-    config: MediumConfig, omega: float, resonant_only: bool = False
-) -> np.ndarray:
-    """Molecular polarizability gamma_mol (m^3), dispersive part.
-
-    gamma_mol = -(1 / hbar eps0) sum' dyad * (omega - Delta) / ((omega - Delta)^2 + gamma^2)
-
-    With resonant_only=True the sum keeps just the degenerate resonant pair,
-    which is the regime where the closed-form corrected permittivity applies.
-    """
-    freqs, dyads = _ground_dyads(config, DipoleKind.ELECTRIC)
-    if resonant_only:
-        delta0 = resonance_frequency(config)
-        keep = np.abs(freqs - delta0) < 1e-6 * delta0
-        freqs, dyads = freqs[keep], dyads[keep]
-    gamma = config.ring.decay_rate
-    x = omega - freqs
-    weights = x / (x**2 + gamma**2)
-    total = np.tensordot(weights, dyads, axes=(0, 0))
-    return -total.real / (HBAR * EPSILON_0)
-
-
-def epsilon_from_polarizability(gamma_mol: np.ndarray, volume: float) -> np.ndarray:
-    """eps_r = 1 + (1 - gamma_mol / 3 v0)^{-1} gamma_mol / v0 (matrix form)."""
-    g = np.asarray(gamma_mol) / volume
-    return np.eye(3) + np.linalg.inv(np.eye(3) - g / 3.0) @ g

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import EV, HBAR
-
 
 class Topology(enum.Enum):
     MOBIUS = "mobius"
@@ -129,13 +127,6 @@ class EigenState:
     amplitudes: np.ndarray = field(repr=False)  # 2N complex, (a_0..a_{N-1}, b_0..b_{N-1})
 
 
-@dataclass(frozen=True)
-class SitePosition:
-    j: int
-    ring: str          # "A" or "B"
-    position: np.ndarray  # (3,) in meters
-
-
 BANDS = (Band.DOWN, Band.UP)   # band axis of every label array
 
 
@@ -192,19 +183,6 @@ def eigenstate(params: RingParams, label: EigenLabel) -> EigenState:
     return EigenState(label.reduced(params.n_per_ring), band_energy(params, label), column)
 
 
-def ground_state(params: RingParams) -> EigenState:
-    """The ground state (l=0, down): uniform amplitudes 1/sqrt(2N)."""
-    return eigenstate(params, GROUND_LABEL)
-
-
-def transition_frequency(params: RingParams, label: EigenLabel) -> float:
-    """Resonant transition frequency (E_label - E_ground)/hbar in rad/s."""
-    if label.reduced(params.n_per_ring) == GROUND_LABEL:
-        raise ValueError("the ground state has no transition frequency")
-    gap_ev = band_energy(params, label) - band_energy(params, GROUND_LABEL)
-    return gap_ev * EV / HBAR
-
-
 def positions_array(params: RingParams) -> np.ndarray:
     """Nuclear positions as an array, ordered like the site basis.
 
@@ -235,16 +213,6 @@ def positions_array(params: RingParams) -> np.ndarray:
         ring_a = np.column_stack([circ, np.full(n, w)])
         ring_b = np.column_stack([circ, np.full(n, -w)])
     return np.vstack([ring_a, ring_b])
-
-
-def site_positions(params: RingParams) -> list[SitePosition]:
-    pos = positions_array(params)
-    n = params.n_per_ring
-    if params.topology is Topology.SINGLE_RING:
-        return [SitePosition(j, "A", pos[j]) for j in range(n)]
-    return [SitePosition(j, "A", pos[j]) for j in range(n)] + [
-        SitePosition(j, "B", pos[n + j]) for j in range(n)
-    ]
 
 
 def amplitude_matrix(params: RingParams) -> np.ndarray:

@@ -301,13 +301,13 @@ def response_checks(params: RingParams) -> dict:
     else:
         f = lambda om: rs.mu1(cfg, om)
         mid = delta0 + 0.5 * (zeros[0] + zeros[1])
-        lo = _brentq(f, delta0 + 0.2 * zeros[0], delta0 + 2.0 * zeros[0], xtol=1e-3)
+        lo = _brentq(f, delta0 + 0.2 * zeros[0], mid, xtol=1e-3)
         hi = _brentq(f, mid, delta0 + 2.0 * zeros[1], xtol=1e-3)
         bandwidth_dev = NO_ROOT if lo is None or hi is None else abs((hi - lo) - bw) / bw
         simultaneous = int(rs.eps1(cfg, mid) < 0.0 and rs.mu1(cfg, mid) < 0.0)
     om = delta0 + 50.0 * cfg.ring.decay_rate
     full = rs.epsilon_from_full_sum(cfg, om)
-    single = rs.epsilon_tensor(cfg, om)
+    single = rs.response_tensors(cfg, om).eps_r
     dominant = np.abs(single) > 1.0
     full_sum_dev = (float((np.abs(full - single)[dominant] / np.abs(single)[dominant]).max())
                     if dominant.any() else NO_DOMINANT_ENTRY)

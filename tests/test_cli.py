@@ -309,8 +309,7 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
 
 
 @pytest.mark.parametrize("half_width_nm,failed_notes", [
-    (0.01, {"bandwidth_closed_vs_roots": validation.NO_ROOT,
-            "lossy_window_shift": validation.NO_LOSSY_LH}),
+    (0.01, {"lossy_window_shift": validation.NO_LOSSY_LH}),
     (1e5, {"full_sum_vs_single_resonance_eps": validation.NO_DOMINANT_ENTRY,
            "local_field_zero_crossing": validation.NO_ROOT,
            "lossy_window_shift": validation.NO_LOSSY_LH,

@@ -35,10 +35,11 @@ CASES = {
     "surface_h": ("surface", [], {"polarization": "H", "surface_samples": 200}, cli.EXIT_OK),
     "bandwidth": ("bandwidth", [], {}, cli.EXIT_OK),
     "validate": ("validate", [], {}, cli.EXIT_OK),
-    # failing rings: overdamped, smallest, narrow mu1 window, oversized and
+    # failing rings: overdamped, the two smallest, narrow mu1 window, oversized and
     # overflowing half widths, near-degenerate levels
     "validate_overdamped": ("validate", [], {"gamma_inv_ns": 0.3}, cli.EXIT_VALIDATION_FAILURE),
     "validate_n3": ("validate", [], {"N": 3}, cli.EXIT_VALIDATION_FAILURE),
+    "validate_n4": ("validate", [], {"N": 4}, cli.EXIT_VALIDATION_FAILURE),
     "validate_narrow_window": ("validate", [], {"N": 6, "gamma_inv_ns": 0.6},
                                cli.EXIT_VALIDATION_FAILURE),
     "validate_half_width_1e5": ("validate", [], {"half_width_nm": 1e5},
@@ -140,12 +141,18 @@ GOLDEN = {
     ("validate_n3", "json"): (
         "839f610256bb4e244fd406da47a83ae659d2c174647e11d752d6d8440811c6a2",
         "7b797ed046c1eece88f6ead4848450484d16f5331fee284dd430777293ac5ca5"),
+    ("validate_n4", "csv"): (
+        "fba77c3f3e194449b04156355f9d5dd195b2d2a6024a9336f89ce416c5e7b5ae",
+        "084a3c34b0d64e8772c6884c7381cebb0ca61c8f0e109728bc786c3e27b00843"),
+    ("validate_n4", "json"): (
+        "78c88b5a910fc1730df51ad06694660ba09063fd2be6d15d7cb73c2ff57aa483",
+        "cbe8d84c50b039b9cbb5e45f83cc714404e7c4ce0c09f5e2bed8bb647e98ab30"),
     ("validate_narrow_window", "csv"): (
-        "15afda884bfa2c8af7a9c0922928acb83489992091c5b4a18c26ca6a19c50df6",
-        "1caefb724427a8d54835616da0d5b786a0d6f2a401d25fd3b5a78318025d3f13"),
+        "2b680616b7cd66b964a82b47ea478442876f422fe78e58ea49a88e523182e3cc",
+        "b9a2f3e93a1a97a71e45bfa4ede78928d1f7526940943cdbea95a33bf12caaaf"),
     ("validate_narrow_window", "json"): (
-        "167afb2837590973f63c06d5a3e7e3a3023e2fc4eeae16f48a778b13460db9d2",
-        "5eeec7e3b27074ff40666e2e19742abb436d0831553638026c1ae7b1b7b7aff6"),
+        "24ad7a7505fc607184d1c4ab23cc4ad171a4aed6e0098fddf0c6b37d1f353ddd",
+        "05f08874251befd5b5fc9d9e69de742984dc2e42eef1ea36ac6dc39c9071b9b4"),
     ("validate_half_width_1e5", "csv"): (
         "007a8c9f63b864387ac482ebc957165422295f1663fd17c7c0a04fbdc48be77f",
         "6a7cc8deb1d34033a9cc64086ac98c7496b32dd3a1e468bba518bda902ca4906"),
@@ -153,11 +160,11 @@ GOLDEN = {
         "d6d98f83c8e03bd1f6a740a1cc847f2ad3ca4bd5240aa3e7eddcc85db8eb07ce",
         "9eb31528be5fb99558f363cca299f0c34a64b427e4a6e94a0f18e0ca57d6fd44"),
     ("validate_half_width_1e26", "csv"): (
-        "2bc8634eb7de524ecc872454c02b12af756b196330c4969d5c8f8b989498963a",
-        "a82777e0cf326a493c2f63eab5adfd88f60946e282547ec7682d2685f4ea8a1e"),
+        "142adeba602d7a315cf71d1d78f11e27f20985a310de6a11296151127016e2ef",
+        "994e47941c94bb1bf1eab7c5fd39a06954a21e02a50e6a6b79c76eb8533f188d"),
     ("validate_half_width_1e26", "json"): (
-        "6a7ce8eb911a6f3b39da478eb5e3008b91829e55d26572bd3376dccdf9c87b10",
-        "834f85ccca6bb4bd55a33db4be3d39290ee5325bc0254787df6395ddbd780a75"),
+        "3bfbd7f77c941502aa19d253139c89f51d62fd50eaedb6b94b768c65561057fe",
+        "07951fbbe7d7a81ee9149903143fcd39c7259bf170b62153a0dfc8a0bd6c24e0"),
     ("validate_xi_1e-6", "csv"): (
         "707bd3317c2353fedb77aade2a28e3f7af20401fbc75a5151d942f3a6c9fb8e2",
         "96e441a8ed621743260065ae22e564c2aa164d7de4b07c6277376b97ee6ab9a4"),

@@ -93,8 +93,6 @@ def test_scalar_forms_match_the_per_label_code(n):
         assert _bits(state.energy) == _bits(_energy(params, lab))
         assert np.array_equal(_bits(state.amplitudes), _bits(_amplitudes(params, lab)))
         assert _bits(ring.band_energy(params, lab)) == _bits(_energy(params, lab))
-        if lab != GROUND:
-            assert _bits(ring.transition_frequency(params, lab)) == _bits(_frequency(params, lab))
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 12, 33))
@@ -105,9 +103,7 @@ def test_full_sums_match_the_per_label_sums(n, lossy, monkeypatch):
     om = rs.resonance_frequency(cfg) + 50 * cfg.ring.decay_rate
 
     def tensors():
-        return (rs.epsilon_from_full_sum(cfg, om), rs.mu_from_full_sum(cfg, om),
-                rs.molecular_polarizability(cfg, om),
-                rs.molecular_polarizability(cfg, om, resonant_only=True))
+        return rs.epsilon_from_full_sum(cfg, om), rs.mu_from_full_sum(cfg, om)
 
     got = tensors()
     monkeypatch.setattr(rs, "_ground_dyads", _ground_dyads)
@@ -141,7 +137,7 @@ def test_no_module_reads_the_spectrum_one_label_at_a_time(tmp_path, monkeypatch)
         raise AssertionError("read the spectrum from the arrays of ring")
 
     for module in (cli, dp, rs, rf, bf, validation):
-        for name in ("all_labels", "band_energy", "transition_frequency", "eigenstate"):
+        for name in ("all_labels", "band_energy", "eigenstate"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, per_label)
     assert validation_report(RingParams(12))["all_passed"]

@@ -291,7 +291,10 @@ def test_causal_branch_flows_into_medium_on_every_sample():
 def test_surface_determinant_residual_small():
     t = rs.response_tensors(CFG, WINDOW_MID)
     result = rf.wave_vector_surface(t, E, 150)
-    residual = rf.surface_determinant_residual(t, E, result.n_ty, result.n_tz)
+    # the samples solve t_yy n_ty^2 + 2 t_yz n_ty n_tz + t_zz n_tz^2 = det * eps_xx
+    tyy, tyz, tzz, det, eps_xx = rf._blocks(t, E)
+    n_ty, n_tz = result.n_ty, result.n_tz
+    residual = np.abs(eps_xx - (tyy * n_ty**2 + 2.0 * tyz * n_ty * n_tz + tzz * n_tz**2) / det)
     assert residual.max() < 1e-10 * (1 + abs(t.eta.real))
 
 
@@ -356,11 +359,11 @@ def test_lossy_limit_reproduces_lossless_at_normal_incidence():
         (d0 + 0.5 * (zeros[0] + zeros[1]), LH),
         (d0 + 2.5 * zeros[1], TR),
     )
-    for om, expected in cases:
-        lossy = rf.lossy_normal_incidence(sharp, om).classification
+    lossy = rf._lossy_normal(sharp, np.array([om for om, _ in cases]))
+    for (om, expected), code in zip(cases, lossy):
         t = rs.response_tensors(sharp, om)
         lossless = rf.classify(t, rf.IncidentWave(E, 0.0, om)).classification
-        assert lossy is lossless is expected
+        assert rf.Classification(code) is lossless is expected
 
 
 def test_lossy_window_tracks_lossless_window():
@@ -424,10 +427,10 @@ def test_classify_matches_phase_diagram_cell_by_cell(gamma_inv_ns, n):
 
 @pytest.mark.parametrize("gamma_inv_ns", (0.3,) + LIFETIMES_NS)
 def test_lossy_normal_incidence_matches_lossy_lh_window(gamma_inv_ns):
+    # each frequency classified on its own, against the window of the whole sweep
     cfg = _medium(12, gamma_inv_ns)
     grid = np.linspace(DELTA0 - 2 * BW, DELTA0 + 2 * BW, 2000)
-    lh = [om for om in grid
-          if rf.lossy_normal_incidence(cfg, float(om)).classification is LH]
+    lh = [om for om in grid if rf._lossy_normal(cfg, np.array([om]))[0] == int(LH)]
     expected = (min(lh), max(lh)) if lh else None
     assert rf.lossy_lh_window(cfg, grid) == expected
 
@@ -445,11 +448,11 @@ def test_lossy_lh_verdict_matches_negative_phase_velocity_condition():
         eps = t.eps_r[:, 0, 0]
         mu = (t.mu_r[:, 1, 1] * t.mu_r[:, 2, 2] - t.mu_r[:, 1, 2] ** 2) / t.mu_r[:, 2, 2]
         npv = eps.real * np.abs(mu) + mu.real * np.abs(eps) < 0.0
-        for om, backward in zip(grid, npv):
-            cls = rf.lossy_normal_incidence(cfg, float(om)).classification
-            if cls is not TR:
-                assert (cls is LH) == backward, (gamma_inv_ns, om)
-                verdicts[cls] += 1
+        codes = rf._lossy_normal(cfg, grid)
+        propagating = codes != int(TR)
+        assert np.array_equal(codes[propagating] == int(LH), npv[propagating]), gamma_inv_ns
+        verdicts[LH] += int(np.count_nonzero(codes == int(LH)))
+        verdicts[RH] += int(np.count_nonzero(codes == int(RH)))
     assert verdicts[LH] > 0 and verdicts[RH] > 0
 
 

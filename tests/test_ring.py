@@ -5,20 +5,20 @@ import pytest
 
 from mobius_optics import bruteforce as bf
 from mobius_optics import dipole as dp
+from mobius_optics import response as rs
 from mobius_optics.constants import EV, HBAR
 from mobius_optics.ring import (
+    GROUND_LABEL,
     Band,
     EigenLabel,
     RingParams,
     Topology,
     all_labels,
     amplitude_matrix,
+    band_energies,
     band_energy,
     eigenstate,
-    ground_state,
     positions_array,
-    site_positions,
-    transition_frequency,
 )
 
 P12 = RingParams(12)
@@ -50,7 +50,7 @@ def test_spectrum_matches_dense_eigensolver(n):
 
 
 def test_ground_state_amplitudes_uniform():
-    g = ground_state(P12)
+    g = eigenstate(P12, GROUND_LABEL)
     assert g.label == EigenLabel(0, DOWN)
     assert g.energy == pytest.approx(-10.8)
     assert np.abs(g.amplitudes - 1.0 / math.sqrt(24)).max() < 1e-15
@@ -58,7 +58,7 @@ def test_ground_state_amplitudes_uniform():
 
 def test_ground_state_small_ring_against_dense_diagonalization():
     p = RingParams(4)
-    g = ground_state(p)
+    g = eigenstate(p, GROUND_LABEL)
     assert np.abs(np.abs(g.amplitudes) - 1.0 / math.sqrt(8)).max() < 1e-15
     w, v = bf.numeric_eigensystem(bf.build_hamiltonian(p))
     assert g.energy == pytest.approx(w[0], abs=1e-12)
@@ -96,27 +96,21 @@ def test_mobius_boundary_twist_continuation():
 
 
 def test_transition_frequency_of_lowest_interband_line():
-    omega = transition_frequency(P12, EigenLabel(0, UP))
+    omega = rs.resonance_frequency(rs.MediumConfig(P12))
     assert omega * HBAR / EV == pytest.approx(7.445334050718708, rel=1e-12)
-    assert transition_frequency(P12, EigenLabel(1, UP)) == pytest.approx(omega)
-
-
-def test_transition_frequencies_nonnegative_and_ground_rejected():
-    for lab in all_labels(12):
-        if lab == EigenLabel(0, DOWN):
-            with pytest.raises(ValueError):
-                transition_frequency(P12, lab)
-        else:
-            assert transition_frequency(P12, lab) > 0.0
+    energies = band_energies(P12)   # label order: (l, down) for l = 0..11, then (l, up)
+    gaps = (energies - energies[0]) * EV / HBAR
+    assert gaps[12] == pytest.approx(omega) and gaps[13] == pytest.approx(omega)
+    assert (gaps[1:] > 0.0).all()
 
 
 def test_site_positions_seam_and_opposite_point():
-    pos = site_positions(P12)
+    pos = positions_array(P12)
     r, w = P12.radius, P12.half_width
-    np.testing.assert_allclose(pos[0].position, [r, 0.0, w], atol=1e-25)
-    np.testing.assert_allclose(pos[12].position, [r, 0.0, -w], atol=1e-25)
+    np.testing.assert_allclose(pos[0], [r, 0.0, w], atol=1e-25)
+    np.testing.assert_allclose(pos[12], [r, 0.0, -w], atol=1e-25)
     # j = 6 on ring A sits at phi = pi with the half-twist fully in-plane
-    np.testing.assert_allclose(pos[6].position, [-(r + w), 0.0, 0.0], atol=1e-22)
+    np.testing.assert_allclose(pos[6], [-(r + w), 0.0, 0.0], atol=1e-22)
 
 
 def test_site_positions_geometry_invariants():

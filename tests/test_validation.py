@@ -179,8 +179,8 @@ def test_brent_port_matches_scipy_on_the_validate_brackets(n, gamma_inv_ns):
     zeros = rs.mu1_zero_detunings(cfg)
     if zeros is not None:
         mu1 = lambda om: rs.mu1(cfg, om)
-        brackets += [(mu1, delta0 + 0.2 * zeros[0], delta0 + 2.0 * zeros[0]),
-                     (mu1, delta0 + 0.5 * (zeros[0] + zeros[1]), delta0 + 2.0 * zeros[1])]
+        mid = delta0 + 0.5 * (zeros[0] + zeros[1])
+        brackets += [(mu1, delta0 + 0.2 * zeros[0], mid), (mu1, mid, delta0 + 2.0 * zeros[1])]
     for f, a, b in brackets:
         assert _brentq(f, a, b, xtol=1e-3) == _scipy_root(f, a, b, 1e-3)
 
