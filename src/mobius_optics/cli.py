@@ -36,8 +36,7 @@ from .dipole import (
     COMPONENTS,
     KINDS,
     DipoleKind,
-    electric_table,
-    magnetic_table,
+    block_entries,
     selection_table,
 )
 from .refraction import (
@@ -129,13 +128,25 @@ def _finite(val) -> bool:
     return abs(val) <= sys.float_info.max
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, which rejects a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        _expect(key not in obj, f"config key given twice: {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(text: bytes | str) -> RunConfig:
     """Parse and validate a JSON configuration; unknown keys are rejected."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"configuration is not UTF-8 text: {exc}") from exc
     text = text.strip() or "{}"
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON configuration: {exc}") from exc
     _expect(isinstance(raw, dict), "configuration must be a JSON object")
@@ -235,8 +246,8 @@ def parse_config(text: bytes | str) -> RunConfig:
         detunings = [float(x) for x in detunings]
     samples = integer("surface_samples", 10)
     out_path = cfg["output_path"]
-    _expect(out_path is None or isinstance(out_path, str),
-            "output_path must be a string")
+    _expect(out_path is None or isinstance(out_path, str) and out_path,
+            "output_path must be a non-empty string (null for the default)")
     _expect(cfg["format"] in ("csv", "json"), "format must be csv or json")
     return RunConfig(
         ring=ring, lossy=cfg["lossy"],
@@ -486,21 +497,25 @@ def _cmd_spectrum(config: RunConfig):
 def _cmd_elements(config: RunConfig):
     n = config.ring.n_per_ring
     band, ell = label_axes(n)
-    # [kind, from, to] = <to| O |from>; each kind keeps what is above its own floor
-    vecs = np.stack([electric_table(config.ring),
-                     magnetic_table(config.ring)]).transpose(0, 2, 1, 3)
+    # [kind, entry] = <to| O |from> over the allowed blocks, the only nonzero
+    # table entries; each kind keeps what is above its own floor
+    entries = [block_entries(config.ring, kind) for kind in KINDS]
+    src, dst = entries[0][:2]
+    vecs = np.stack([vec for _, _, vec in entries])
     mags = np.abs(vecs)
-    floor = 1e-13 * mags.max(axis=(1, 2, 3))
-    kind, src, dst = np.nonzero(mags.max(axis=3) > floor[:, None, None])
-    vec = vecs[kind, src, dst]
+    floor = 1e-13 * mags.max(axis=(1, 2))
+    above = mags > floor[:, None, None]
+    kind, entry = np.nonzero(above.any(axis=2))
+    order = np.lexsort((dst[entry], src[entry], kind))   # the table's (kind, from, to) order
+    kind, entry = kind[order], entry[order]
+    src, dst, vec = src[entry], dst[entry], vecs[kind, entry]
     table = _table(
         kind=np.array([k.value for k in KINDS])[kind],
         from_l=ell[src], from_band=_BAND_NAMES[band[src]],
         to_l=ell[dst], to_band=_BAND_NAMES[band[dst]],
         x_re=vec[:, 0].real, x_im=vec[:, 0].imag, y_re=vec[:, 1].real,
         y_im=vec[:, 1].imag, z_re=vec[:, 2].real, z_im=vec[:, 2].imag,
-        nonzero_components=COMPONENTS[
-            (mags[kind, src, dst] > floor[kind, None]) @ COMPONENT_BITS],
+        nonzero_components=COMPONENTS[above[kind, entry] @ COMPONENT_BITS],
         selection_rule=COMPONENTS[
             selection_table(n)[kind, band[src], band[dst], (ell[dst] - ell[src]) % n]],
     )

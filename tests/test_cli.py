@@ -82,6 +82,9 @@ def test_malformed_json_rejected():
     ('{"gamma_inv_ns": 5e-324}', "gamma_inv_ns must give a finite decay rate"),
     # the denominator of tau_c overflows, so it evaluates to 0
     ('{"half_width_nm": 1e100}', "half_width_nm .* critical lifetime > 0"),
+    ('{"N": 3, "N": 5}', "config key given twice: 'N'"),
+    ('{"N": 3, "n_per_ring": 5}', r"config key given twice \(via alias\): 'n_per_ring'"),
+    ('{"output_path": ""}', "output_path must be a non-empty string"),
 ])
 def test_config_diagnostics_name_the_offending_key(snippet, match):
     with pytest.raises(cli.ConfigError, match=match):
@@ -243,6 +246,33 @@ def test_main_error_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b'{"N": 4}')))
     assert cli.main(["spectrum", "-"]) == 0
     assert (tmp_path / "spectrum.csv").read_text().count("\n") == 9
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,message", [
+    (b"\xff\xfe{}", "not UTF-8"),
+    (b'{"N": 3, "N": 5}', "given twice: 'N'"),
+    (b'{"output_path": ""}', "output_path"),
+])
+def test_main_reports_bad_configs_from_a_file_and_stdin(tmp_path, capsys, monkeypatch, text,
+                                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(text)
+    assert cli.main(["spectrum", "bad.json"]) == cli.EXIT_CONFIG_ERROR
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+    assert cli.main(["spectrum", "-"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: ") and message in line
+                                 for line in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_null_output_path_is_the_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.parse_config(b'{"output_path": null}').output_path is None
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b'{"output_path": null}')))
+    assert cli.main(["spectrum", "-"]) == cli.EXIT_OK
+    assert (tmp_path / "spectrum.csv").exists()
     capsys.readouterr()
 
 

@@ -221,3 +221,19 @@ def test_tables_equal_elements_bit_for_bit(n, kind):
     table = table_fn(p)
     assert table.dtype == elements.dtype == complex
     assert np.array_equal(table.view(np.uint64), elements.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 12))
+@pytest.mark.parametrize("kind", ["electric", "magnetic"])
+def test_block_entries_are_the_table_bit_for_bit(n, kind):
+    # each label pair once; every table entry they leave out is exactly 0
+    p = RingParams(n, v_inter=2.1, xi_intra=4.7, radius=0.5e-9)
+    kind = dp.DipoleKind(kind)
+    table = dp.electric_table(p) if kind is dp.DipoleKind.ELECTRIC else dp.magnetic_table(p)
+    src, dst, vec = dp.block_entries(p, kind)
+    assert np.array_equal((src, dst), dp.block_entries(p, dp.KINDS[0])[:2])
+    assert len(set(zip(src.tolist(), dst.tolist()))) == len(src) == 4 * n * len({d % n for d in (0, 1, -1, 2, -2)})
+    assert np.array_equal(table[dst, src].view(np.uint64), vec.view(np.uint64))
+    rest = table.copy()
+    rest[dst, src] = 0.0
+    assert not rest.any()

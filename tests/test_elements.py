@@ -5,11 +5,14 @@ full (2N, 2N, 3) dipole tables: transpose to [kind, from, to], take the
 magnitudes, keep each kind's entries above 1e-13 of its largest magnitude
 and list them in `np.nonzero` order.  The command must write the same CSV
 and JSON bytes and print the same summary line for every ring that
-`parse_config` accepts, aliased small rings (N = 3, 4) included.
+`parse_config` accepts, aliased small rings (N = 3, 4) included.  The
+command itself builds only the allowed-block entries, so its memory grows
+as its output, and it never builds a full table.
 """
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,3 +96,25 @@ def test_elements_match_the_dense_tables(tmp_path_factory, n, v, xi, w, radius):
 
 def test_elements_match_the_dense_tables_at_n384(tmp_path):
     _assert_matches_dense(tmp_path, N=384)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_elements_allocates_bounded_bytes_per_row(fmt, tmp_path, monkeypatch):
+    # the full tables are N^2: at N = 384 each is 14 MB, the output 11,510 rows
+    def no_table(params):
+        raise AssertionError("elements must not build a full dipole table")
+    for name in ("electric_table", "magnetic_table"):
+        monkeypatch.setattr(dp, name, no_table)
+        monkeypatch.setattr(cli, name, no_table, raising=False)
+    config = _config(tmp_path, fmt, N=384)
+    out = io.StringIO()
+    cli.run_command("elements", config, stdout=io.StringIO())   # the first call warms caches
+    tracemalloc.start()
+    try:
+        cli.run_command("elements", config, stdout=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = int(out.getvalue().rsplit("(", 1)[1].split()[0])
+    assert rows == 11510
+    assert peak < 1024 * rows + 2**20, f"{peak / rows:.0f} B/row"
