@@ -284,7 +284,7 @@ def magnetic_table(params: RingParams) -> np.ndarray:
     return _table(params, DipoleKind.MAGNETIC)
 
 
-def block_entries(params: RingParams, kind: DipoleKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def block_entries(params: RingParams, kind: DipoleKind) -> tuple[np.ndarray, ...]:
     """(from, to, vectors): every entry of the allowed dl blocks, each label pair once.
 
     from and to are (k,) label indices in ``label_axes`` order and vectors the
@@ -295,8 +295,8 @@ def block_entries(params: RingParams, kind: DipoleKind) -> tuple[np.ndarray, np.
     l_to = np.arange(n)
     offsets, blocks = _blocks(params, kind, l_to)
     # [l_to, offset, s_to, s_from] -> label index of the bra and of the ket
-    to = _ROW_BAND[:, None] * n + l_to[:, None, None, None]
+    dst = _ROW_BAND[:, None] * n + l_to[:, None, None, None]
     src = _ROW_BAND * n + ((l_to[:, None] + offsets) % n)[..., None, None]
     shape = blocks.shape[:-1]
-    return (np.broadcast_to(src, shape).ravel(), np.broadcast_to(to, shape).ravel(),
+    return (np.broadcast_to(src, shape).ravel(), np.broadcast_to(dst, shape).ravel(),
             blocks.reshape(-1, 3))

@@ -232,7 +232,8 @@ def test_block_entries_are_the_table_bit_for_bit(n, kind):
     table = dp.electric_table(p) if kind is dp.DipoleKind.ELECTRIC else dp.magnetic_table(p)
     src, dst, vec = dp.block_entries(p, kind)
     assert np.array_equal((src, dst), dp.block_entries(p, dp.KINDS[0])[:2])
-    assert len(set(zip(src.tolist(), dst.tolist()))) == len(src) == 4 * n * len({d % n for d in (0, 1, -1, 2, -2)})
+    n_offsets = len({dl % n for dl in (0, 1, -1, 2, -2)})
+    assert len(set(zip(src.tolist(), dst.tolist()))) == len(src) == 4 * n * n_offsets
     assert np.array_equal(table[dst, src].view(np.uint64), vec.view(np.uint64))
     rest = table.copy()
     rest[dst, src] = 0.0
