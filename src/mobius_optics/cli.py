@@ -209,11 +209,11 @@ def parse_config(text: bytes | str) -> RunConfig:
             "half_width_nm (with radius_nm) must give a finite molecular volume > 0")
     try:
         width, tau_c = bandwidth(medium), critical_lifetime(medium)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):   # 0 divisor: the couplings a, b underflow
         width = tau_c = math.nan
     _expect(math.isfinite(width) and 0.0 < tau_c < math.inf,
-            "v_inter_ev, xi_intra_ev, half_width_nm and gamma_inv_ns must give a "
-            "finite bandwidth and critical lifetime > 0")
+            "v_inter_ev, xi_intra_ev, half_width_nm (with radius_nm) and gamma_inv_ns must "
+            "give a finite bandwidth and critical lifetime > 0")
 
     theta_min = number("theta_min_deg", nonneg=True)
     theta_max = number("theta_max_deg")
@@ -456,20 +456,36 @@ def _omega_grid(config: RunConfig):
             span = 0.1 * center
     if config.omega_count == 1:
         span = 0.0
+    key = "omega_span_ev" if config.omega_span_ev is not None else "omega_span_rad_s"
     if not 0.0 < center - span <= center + span < math.inf:
-        key = "omega_span_ev" if config.omega_span_ev is not None else "omega_span_rad_s"
         raise ConfigError(
             f"omega must be positive and finite: the sweep {center - span:.6g} to "
             f"{center + span:.6g} rad/s leaves that range; reduce {key} or change "
             "omega_center_ev")
-    return np.linspace(center - span, center + span, config.omega_count)
+    grid = np.linspace(center - span, center + span, config.omega_count)
+    if not _increasing(grid):
+        raise ConfigError(
+            f"omega grid must be strictly increasing: {config.omega_count} points over "
+            f"{center - span:.17g} to {center + span:.17g} rad/s repeat values; widen {key} "
+            "or reduce omega_count")
+    return grid
 
 
 def _theta_grid(config: RunConfig):
     if config.theta_count == 1:
         return np.array([math.radians(config.theta_min_deg)])
-    return np.radians(
+    grid = np.radians(
         np.linspace(config.theta_min_deg, config.theta_max_deg, config.theta_count))
+    if not _increasing(grid):
+        raise ConfigError(
+            f"theta grid must be strictly increasing: {config.theta_count} points from "
+            f"theta_min_deg {config.theta_min_deg!r} to theta_max_deg "
+            f"{config.theta_max_deg!r} repeat values; widen the range or reduce theta_count")
+    return grid
+
+
+def _increasing(grid: np.ndarray) -> bool:
+    return bool((grid[1:] > grid[:-1]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,36 @@ def test_omega_sweep_outside_the_positive_range_is_a_config_error(
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_underflowing_radius_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # a and b underflow to 0, so the critical lifetime divides by zero
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text('{"radius_nm": 1e-300}')
+    assert cli.main([command, "c.json"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "radius_nm" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("extra,keys", [
+    # the span is below one ulp of omega: linspace repeats values
+    ({"omega_span_rad_s": 3e-10}, ("omega_span_rad_s", "omega_count")),
+    ({"theta_min_deg": 10, "theta_max_deg": 10, "theta_count": 2},
+     ("theta_min_deg", "theta_max_deg", "theta_count")),
+    ({"theta_min_deg": 10, "theta_max_deg": 10.000000000000002, "theta_count": 5},
+     ("theta_min_deg", "theta_max_deg", "theta_count")),
+])
+def test_phase_diagram_grid_that_repeats_values_is_a_config_error(
+        tmp_path, capsys, monkeypatch, extra, keys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(extra))
+    assert cli.main(["phase-diagram", "c.json"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "strictly increasing" in err
+    assert all(key in err for key in keys)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_emit_table_header_only_for_empty_rows():
     table = np.empty(0, dtype=[("a", float), ("b", int)])
     assert cli.emit_table(["a", "b"], table, "csv") == b"a,b\n"
