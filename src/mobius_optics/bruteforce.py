@@ -10,12 +10,23 @@ twisted ring responds magnetically:
   frequencies;
 * the Mobius ring has at least one transition carrying both.
 
-Matrices are small (<= 128 x 128), so everything is dense numpy.
+A ``DenseRing`` holds one ring's dense objects (the Hamiltonian, its
+eigensystem, the site-basis dipole operators and the closed-form amplitudes),
+each built on first use and then shared read-only.  The checks, the element
+tables and ``magnetic_dipole_matrix`` take either a ``RingParams``, for a
+fresh context, or a ``DenseRing`` whose objects they reuse.  A context lives
+as long as its caller keeps it (``validation`` keeps one per ring for one
+report); the module itself caches nothing between calls.
+
+Matrices are small (<= 128 x 128), so everything is dense numpy.  The oracle
+imports nothing from the closed forms it checks (``dipole``, ``response``,
+``refraction``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,30 +58,70 @@ class DenseOperator:
     basis: str = "site"
 
 
-def _bond_list(params: RingParams):
-    """Ordered (i, j, hopping integral beta_ij) with H_ij = -beta_ij, i < j."""
-    n = params.n_per_ring
-    xi, v = params.xi_intra, params.v_inter
-    bonds = []
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class DenseRing:
+    """One ring's dense objects, each built on first use and then shared read-only.
+
+    ``hamiltonian``, ``eigensystem``, ``electric``, ``amplitudes`` (Mobius
+    only) and ``magnetic(definition)`` are computed at most once per context,
+    so every check handed the context reads the same arrays.
+    """
+
+    def __init__(self, params: RingParams):
+        self.params = params
+        self._magnetic = {}
+
+    @cached_property
+    def hamiltonian(self) -> DenseOperator:
+        op = build_hamiltonian(self.params)
+        _read_only(op.matrix)
+        return op
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = numeric_eigensystem(self.hamiltonian)
+        return _read_only(w), _read_only(v)
+
+    @cached_property
+    def electric(self) -> np.ndarray:
+        return _read_only(electric_dipole_matrix(self.params))
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        return _read_only(amplitude_matrix(self.params))
+
+    def magnetic(self, definition: str = "commutator") -> np.ndarray:
+        if definition not in self._magnetic:
+            self._magnetic[definition] = _read_only(magnetic_dipole_matrix(self, definition))
+        return self._magnetic[definition]
+
+
+def _dense(ring: RingParams | DenseRing) -> DenseRing:
+    return ring if isinstance(ring, DenseRing) else DenseRing(ring)
+
+
+def _bonds(params: RingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Site indices (i, j) and hopping integral beta of each bond: H_ij = H_ji = -beta.
+
+    No site pair appears twice, so a scatter ``+=`` over the bonds adds each entry once.
+    """
+    n, xi = params.n_per_ring, params.xi_intra
+    k = np.arange(n)
     if params.topology is Topology.SINGLE_RING:
-        for j in range(n):
-            bonds.append((j, (j + 1) % n, xi))
-        return bonds
-    a = lambda j: j
-    b = lambda j: n + j
-    for j in range(n - 1):
-        bonds.append((a(j), a(j + 1), xi))
-        bonds.append((b(j), b(j + 1), xi))
+        return k, (k + 1) % n, np.full(n, xi)
     if params.topology is Topology.MOBIUS:
-        # ring exchange at the seam: a_N == b_0, b_N == a_0
-        bonds.append((a(n - 1), b(0), xi))
-        bonds.append((b(n - 1), a(0), xi))
+        # ring exchange at the seam (a_N == b_0, b_N == a_0) closes one loop of 2N sites
+        s = np.arange(2 * n)
+        i, j = s, (s + 1) % (2 * n)
     else:
-        bonds.append((a(n - 1), a(0), xi))
-        bonds.append((b(n - 1), b(0), xi))
-    for j in range(n):
-        bonds.append((a(j), b(j), v))
-    return bonds
+        i, j = np.concatenate([k, n + k]), np.concatenate([(k + 1) % n, n + (k + 1) % n])
+    # then the rungs a_j - b_j
+    return (np.concatenate([i, k]), np.concatenate([j, n + k]),
+            np.concatenate([np.full(2 * n, xi), np.full(n, params.v_inter)]))
 
 
 def build_hamiltonian(params: RingParams) -> DenseOperator:
@@ -78,9 +129,9 @@ def build_hamiltonian(params: RingParams) -> DenseOperator:
     n = params.n_per_ring
     dim = n if params.topology is Topology.SINGLE_RING else 2 * n
     h = np.zeros((dim, dim))
-    for i, j, beta in _bond_list(params):
-        h[i, j] -= beta
-        h[j, i] -= beta
+    i, j, beta = _bonds(params)
+    h[i, j] -= beta
+    h[j, i] -= beta
     if params.topology is Topology.SINGLE_RING:
         h[np.diag_indices(dim)] += params.eps_onsite
     else:
@@ -102,12 +153,10 @@ def numeric_eigensystem(op: DenseOperator):
     if np.abs(h - h.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError("numeric_eigensystem requires a Hermitian operator")
     w, v = np.linalg.eigh(h)
-    for col in range(v.shape[1]):
-        vec = v[:, col]
-        idx = np.argmax(np.abs(vec) > 1e-8 * np.abs(vec).max())
-        piv = vec[idx]
-        if np.abs(piv) > 0:
-            v[:, col] = vec * (np.conj(piv) / np.abs(piv))
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    piv = v[first, np.arange(v.shape[1])]   # nonzero: each column is a unit vector
+    v *= np.conj(piv) / np.abs(piv)
     return w, v
 
 
@@ -126,7 +175,8 @@ def electric_dipole_matrix(params: RingParams) -> np.ndarray:
     return -E_CHARGE * position_operators(params)
 
 
-def magnetic_dipole_matrix(params: RingParams, definition: str = "commutator") -> np.ndarray:
+def magnetic_dipole_matrix(ring: RingParams | DenseRing,
+                           definition: str = "commutator") -> np.ndarray:
     """(3, dim, dim) magnetic dipole operator in the site basis (A m^2).
 
     definition="commutator": m = -i e r x [H, r] / (2 hbar), built from
@@ -139,12 +189,12 @@ def magnetic_dipole_matrix(params: RingParams, definition: str = "commutator") -
     The two constructions coincide for a tight-binding Hamiltonian with
     on-site position operators; both are kept as independent codings.
     """
-    pos = positions_array(params)
-    h_joule = build_hamiltonian(params).matrix * EV
-    dim = pos.shape[0]
-    m = np.zeros((3, dim, dim), dtype=complex)
+    ring = _dense(ring)
+    params = ring.params
     if definition == "commutator":
+        h_joule = ring.hamiltonian.matrix * EV
         r_ops = position_operators(params)
+        m = np.zeros((3, h_joule.shape[0], h_joule.shape[0]), dtype=complex)
         for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
             comm_k = h_joule @ r_ops[k] - r_ops[k] @ h_joule
             comm_j = h_joule @ r_ops[j] - r_ops[j] @ h_joule
@@ -152,12 +202,14 @@ def magnetic_dipole_matrix(params: RingParams, definition: str = "commutator") -
                 r_ops[j] @ comm_k - r_ops[k] @ comm_j
             )
     elif definition == "bond_current":
-        for i, j, beta in _bond_list(params):
-            area = 0.5 * np.cross(pos[i], pos[j])
-            amp = 1j * E_CHARGE * (beta * EV) / HBAR
-            for c in range(3):
-                m[c, i, j] += amp * area[c]
-                m[c, j, i] += np.conj(amp * area[c])
+        pos = positions_array(params)
+        i, j, beta = _bonds(params)
+        amp = 1j * (E_CHARGE * (beta * EV) / HBAR)
+        moment = amp * (0.5 * np.cross(pos[i], pos[j])).T
+        m = np.zeros((3, pos.shape[0], pos.shape[0]), dtype=complex)
+        # += onto zeros, as a sum would: a -0.0 real part becomes +0.0
+        m[:, i, j] += moment
+        m[:, j, i] += np.conj(moment)
     else:
         raise ValueError(f"unknown magnetic dipole definition: {definition!r}")
     return m
@@ -174,7 +226,7 @@ def _sandwich(table: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def numeric_electric_elements(params: RingParams) -> np.ndarray:
+def numeric_electric_elements(ring: RingParams | DenseRing) -> np.ndarray:
     """Full (2N, 2N, 3) table of electric dipole matrix elements.
 
     The numerically built operator is evaluated in the closed-form momentum
@@ -182,26 +234,29 @@ def numeric_electric_elements(params: RingParams) -> np.ndarray:
     eigenspaces as the dense eigenvectors (checked by
     eigenspace_projector_residual).
     """
-    return _sandwich(electric_dipole_matrix(params), amplitude_matrix(params))
+    ring = _dense(ring)
+    return _sandwich(ring.electric, ring.amplitudes)
 
 
-def numeric_magnetic_elements(params: RingParams, definition: str = "commutator") -> np.ndarray:
+def numeric_magnetic_elements(ring: RingParams | DenseRing,
+                              definition: str = "commutator") -> np.ndarray:
     """Full (2N, 2N, 3) table of magnetic dipole matrix elements, momentum basis."""
-    return _sandwich(magnetic_dipole_matrix(params, definition), amplitude_matrix(params))
+    ring = _dense(ring)
+    return _sandwich(ring.magnetic(definition), ring.amplitudes)
+
+
+def _sorted_levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """State indices by ascending energy, and the positions there where a new level starts.
+
+    Neighbours within LEVEL_TOL_EV share a level; a NaN gap starts a new one.
+    """
+    order = np.argsort(energies)
+    return order, np.flatnonzero(~(np.diff(energies[order]) <= LEVEL_TOL_EV)) + 1
 
 
 def group_levels(energies: np.ndarray) -> list[np.ndarray]:
     """Indices of degenerate levels, grouped by energy within LEVEL_TOL_EV."""
-    order = np.argsort(energies)
-    groups, current = [], [order[0]]
-    for idx in order[1:]:
-        if energies[idx] - energies[current[-1]] <= LEVEL_TOL_EV:
-            current.append(idx)
-        else:
-            groups.append(np.array(current))
-            current = [idx]
-    groups.append(np.array(current))
-    return groups
+    return np.split(*_sorted_levels(energies))
 
 
 def match_levels(w: np.ndarray, closed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -210,13 +265,13 @@ def match_levels(w: np.ndarray, closed: np.ndarray) -> list[tuple[np.ndarray, np
             for grp in group_levels(w)]
 
 
-def eigenspace_projector_residual(params: RingParams) -> float:
+def eigenspace_projector_residual(ring: RingParams | DenseRing) -> float:
     """Max-abs difference between numeric and closed-form level projectors."""
-    h = build_hamiltonian(params)
-    w, v = numeric_eigensystem(h)
-    u = amplitude_matrix(params)
+    ring = _dense(ring)
+    w, v = ring.eigensystem
+    u = ring.amplitudes
     worst = 0.0
-    for grp, cols in match_levels(w, band_energies(params)):
+    for grp, cols in match_levels(w, band_energies(ring.params)):
         p_num = v[:, grp] @ v[:, grp].conj().T
         p_ana = u[:, cols] @ u[:, cols].conj().T
         worst = np.maximum(worst, np.abs(p_num - p_ana).max())
@@ -230,30 +285,27 @@ class PerfectRingReport:
     max_offdiag_electric: float   # relative to e R
 
 
-def perfect_ring_regression(params: RingParams) -> PerfectRingReport:
+def perfect_ring_regression(ring: RingParams | DenseRing) -> PerfectRingReport:
     """Check that a perfect planar ring does not couple to the magnetic field."""
+    ring = _dense(ring)
+    params = ring.params
     if params.topology is not Topology.SINGLE_RING:
         raise ValueError("perfect_ring_regression expects the single-ring topology")
-    h = build_hamiltonian(params)
-    m = magnetic_dipole_matrix(params, "bond_current")
+    m = ring.magnetic("bond_current")
     scale = E_CHARGE * (params.xi_intra * EV) * params.radius**2 / HBAR
-    h_joule = h.matrix * EV
+    h_joule = ring.hamiltonian.matrix * EV
     comm = m[2] @ h_joule - h_joule @ m[2]
     comm_norm = np.abs(comm).max() / (scale * params.xi_intra * EV)
-    w, v = numeric_eigensystem(h)
+    w, v = ring.eigensystem
     m_eig = _sandwich(m, v)
-    d_eig = _sandwich(electric_dipole_matrix(params), v)
+    d_eig = _sandwich(ring.electric, v)
     # off-diagonal blocks between distinct energy levels only (gauge-free)
-    mag_off, ele_off = 0.0, 0.0
-    groups = group_levels(w)
-    for ga in groups:
-        for gb in groups:
-            if ga is gb:
-                continue
-            blk_m = m_eig[np.ix_(ga, gb)]
-            blk_d = d_eig[np.ix_(ga, gb)]
-            mag_off = np.maximum(mag_off, np.abs(blk_m).max())
-            ele_off = np.maximum(ele_off, np.abs(blk_d).max())
+    order, starts = _sorted_levels(w)
+    level = np.empty_like(order)
+    level[order] = np.searchsorted(starts, np.arange(len(w)), side="right")
+    between = level[:, None] != level[None, :]
+    mag_off = np.abs(m_eig[between]).max(initial=0.0)
+    ele_off = np.abs(d_eig[between]).max(initial=0.0)
     return PerfectRingReport(
         commutator_norm=comm_norm,
         max_offdiag_magnetic=mag_off / scale,
@@ -275,7 +327,8 @@ class SharedTransitionReport:
     threshold: float = 1e-9
 
 
-def shared_transition_scan(params: RingParams, threshold: float = 1e-9) -> SharedTransitionReport:
+def shared_transition_scan(ring: RingParams | DenseRing,
+                           threshold: float = 1e-9) -> SharedTransitionReport:
     """Strength of electric and magnetic coupling out of the ground state.
 
     For every excited energy level, the coupling strength is the norm of the
@@ -284,10 +337,11 @@ def shared_transition_scan(params: RingParams, threshold: float = 1e-9) -> Share
     "shared" when both the electric and the magnetic strength exceed the
     threshold; a common periodic double ring has none, the Mobius ring does.
     """
-    h = build_hamiltonian(params)
-    w, v = numeric_eigensystem(h)
-    d_eig = _sandwich(electric_dipole_matrix(params), v)
-    m_eig = _sandwich(magnetic_dipole_matrix(params, "bond_current"), v)
+    ring = _dense(ring)
+    params = ring.params
+    w, v = ring.eigensystem
+    d_eig = _sandwich(ring.electric, v)
+    m_eig = _sandwich(ring.magnetic("bond_current"), v)
     d_scale = E_CHARGE * params.half_width
     m_scale = (
         E_CHARGE * (params.xi_intra * EV) * params.radius * params.half_width / HBAR
@@ -306,11 +360,13 @@ def shared_transition_scan(params: RingParams, threshold: float = 1e-9) -> Share
     return SharedTransitionReport(out, n_shared, threshold)
 
 
-def annulene_cross_check(params: RingParams, threshold: float = 1e-9) -> SharedTransitionReport:
+def annulene_cross_check(ring: RingParams | DenseRing,
+                         threshold: float = 1e-9) -> SharedTransitionReport:
     """Shared-transition scan for the periodic double ring (expected: none)."""
-    if params.topology is not Topology.DOUBLE_RING_PERIODIC:
+    ring = _dense(ring)
+    if ring.params.topology is not Topology.DOUBLE_RING_PERIODIC:
         raise ValueError("annulene_cross_check expects the periodic double ring")
-    return shared_transition_scan(params, threshold)
+    return shared_transition_scan(ring, threshold)
 
 
 @dataclass

@@ -15,14 +15,20 @@ row plus one entry in its group's return: ``validation_report`` raises unless
 the groups return each name of the table once.
 
 The dense cross-checks run at fixed ring sizes (``SPECTRUM_NS``,
-``TABLE_NS``, ``DENSE_N``), building each dense object once per size, so
-their cost does not grow with N; the configured N reaches only the
-closed-form checks.  Reductions keep NaN (``np.maximum``, ``np.max``, not
-``max``), so a NaN deviation fails its check.
+``TABLE_NS``, ``DENSE_N``), so their cost does not grow with N; the
+configured N reaches only the closed-form checks.  ``validation_report``
+builds each dense object once per ring and report: its dense groups look
+every ring up in one table of ``bruteforce.DenseRing`` contexts, made for
+the report and dropped when it returns, so no state carries over from one
+report to the next.  A group called on its own makes fresh contexts.
+
+Reductions keep NaN (``np.maximum``, ``np.max``, not ``max``), so a NaN
+deviation fails its check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -40,7 +46,6 @@ from .ring import (
     RingParams,
     Topology,
     VolumeConvention,
-    amplitude_matrix,
     band_energies,
     label_axes,
 )
@@ -66,6 +71,9 @@ NO_LOSSY_LH = "no LH cell at normal incidence in the lossy sweep"
 # pass rules on (value, threshold)
 AT_MOST, AT_LEAST, ABOVE, ALWAYS = operator.le, operator.ge, operator.gt, lambda v, t: True
 PER_RUN = object()   # a threshold the group returns with the value, as (value, threshold)
+
+# a ring's dense context; validation_report hands the dense groups one table per report
+Dense = Callable[[RingParams], bf.DenseRing]
 
 
 class Check(NamedTuple):
@@ -169,16 +177,17 @@ def _brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
     return None
 
 
-def spectrum_checks(params: RingParams) -> dict:
+def spectrum_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     worst_e, worst_u = 0.0, 0.0
     for n in SPECTRUM_NS:
         p = replace(params, n_per_ring=n, radius=None)
+        ring = dense(p)
         closed = np.sort(band_energies(p))
-        w, _ = bf.numeric_eigensystem(bf.build_hamiltonian(p))
+        w, _ = ring.eigensystem
         worst_e = np.maximum(worst_e, float(np.abs(closed - w).max()))
-        u = amplitude_matrix(p)
+        u = ring.amplitudes
         worst_u = np.maximum(worst_u, float(np.abs(u.conj().T @ u - np.eye(2 * n)).max()))
-    proj = bf.eigenspace_projector_residual(replace(params, n_per_ring=DENSE_N, radius=None))
+    proj = bf.eigenspace_projector_residual(dense(replace(params, n_per_ring=DENSE_N, radius=None)))
     return {
         "spectrum_closed_vs_dense_ev": worst_e,
         "eigenvector_unitarity": worst_u,
@@ -186,17 +195,18 @@ def spectrum_checks(params: RingParams) -> dict:
     }
 
 
-def dipole_checks(params: RingParams) -> dict:
+def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     worst_tbl = {"electric": 0.0, "magnetic": 0.0}
     worst_dyad = {"electric": 0.0, "magnetic": 0.0}
     tables = {}
     for n in TABLE_NS:
         p = replace(params, n_per_ring=n, radius=None)
-        w, v = bf.numeric_eigensystem(bf.build_hamiltonian(p))
-        u = amplitude_matrix(p)
+        ring = dense(p)
+        w, v = ring.eigensystem
+        u = ring.amplitudes
         for kind, ana_fn, op in (
-            ("electric", dp.electric_table, bf.electric_dipole_matrix(p)),
-            ("magnetic", dp.magnetic_table, bf.magnetic_dipole_matrix(p, "commutator")),
+            ("electric", dp.electric_table, ring.electric),
+            ("magnetic", dp.magnetic_table, ring.magnetic("commutator")),
         ):
             ana, num = ana_fn(p), bf._sandwich(op, u)
             scale = float(np.abs(num).max())
@@ -215,7 +225,7 @@ def dipole_checks(params: RingParams) -> dict:
     with np.errstate(invalid="ignore"):
         cal_e = bf.calibrate_conventions(ana_e, num_e, DENSE_N, float(np.abs(ana_e).max()))
         cal_m = bf.calibrate_conventions(ana_m, num_m, DENSE_N, float(np.abs(ana_m).max()))
-    bond = bf.numeric_magnetic_elements(p12, "bond_current")
+    bond = bf.numeric_magnetic_elements(dense(p12), "bond_current")
     return out | {
         "electric_block_calibration": cal_e.residual,
         "magnetic_block_calibration": cal_m.residual,
@@ -270,12 +280,13 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     return float(np.max([off.max(initial=0.0) for off in (off_e, off_far, off_m)]))
 
 
-def topology_checks(params: RingParams) -> dict:
+def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     p12 = replace(params, n_per_ring=DENSE_N, radius=None)
-    ring_report = bf.perfect_ring_regression(replace(p12, topology=Topology.SINGLE_RING))
+    ring_report = bf.perfect_ring_regression(dense(replace(p12, topology=Topology.SINGLE_RING)))
     with np.errstate(over="ignore"):   # norms overflow at half widths near 1e90: no shared line
-        annulene = bf.annulene_cross_check(replace(p12, topology=Topology.DOUBLE_RING_PERIODIC))
-        mobius = bf.shared_transition_scan(p12)
+        annulene = bf.annulene_cross_check(
+            dense(replace(p12, topology=Topology.DOUBLE_RING_PERIODIC)))
+        mobius = bf.shared_transition_scan(dense(p12))
     delta0_ev = angular_frequency_to_ev(rs.resonance_frequency(rs.MediumConfig(p12)))
     shared_at_resonance = any(
         t.electric > 1e-9 and t.magnetic > 1e-9
@@ -415,8 +426,9 @@ def validation_report(params: RingParams | None = None) -> dict:
     """Run every cross-check and return a JSON-ready report, one row per ``CHECKS`` entry."""
     if params is None:
         params = RingParams(12)
-    groups = [spectrum_checks(params), dipole_checks(params), topology_checks(params),
-              response_checks(params), refraction_checks(params)]
+    dense = functools.cache(bf.DenseRing)   # this report's contexts, one per ring, dropped with it
+    groups = [spectrum_checks(params, dense), dipole_checks(params, dense),
+              topology_checks(params, dense), response_checks(params), refraction_checks(params)]
     values = {name: value for group in groups for name, value in group.items()}
     if sorted(name for group in groups for name in group) != sorted(c.name for c in CHECKS):
         raise ValueError(f"check groups return {sorted(values)}, not each name of CHECKS once")

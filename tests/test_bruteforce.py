@@ -1,11 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mobius_optics import bruteforce as bf
 from mobius_optics import dipole as dp
-from mobius_optics.ring import RingParams, Topology, all_labels
+from mobius_optics.constants import E_CHARGE, EV, HBAR, NM
+from mobius_optics.ring import RingParams, Topology, all_labels, positions_array
 
 
 def test_mobius_seam_wiring():
@@ -200,3 +203,127 @@ def test_onsite_splitting_supported_numerically():
     p0 = RingParams(6)
     w0, _ = bf.numeric_eigensystem(bf.build_hamiltonian(p0))
     assert np.abs(w - w0).max() > 1e-3  # the splitting genuinely moves levels
+
+
+# --- the array passes against the per-column and per-bond loops, bit for bit --
+
+def _eigensystem_by_columns(h):
+    """eigh, then the per-column phase fix that the vectorised pass replaces."""
+    w, v = np.linalg.eigh(h)
+    for col in range(v.shape[1]):
+        vec = v[:, col]
+        idx = np.argmax(np.abs(vec) > 1e-8 * np.abs(vec).max())
+        piv = vec[idx]
+        if np.abs(piv) > 0:
+            v[:, col] = vec * (np.conj(piv) / np.abs(piv))
+    return w, v
+
+
+def _bond_list(params):
+    """Ordered (i, j, beta) bonds, one Python tuple each."""
+    n = params.n_per_ring
+    xi, v = params.xi_intra, params.v_inter
+    if params.topology is Topology.SINGLE_RING:
+        return [(j, (j + 1) % n, xi) for j in range(n)]
+    bonds = []
+    for j in range(n - 1):
+        bonds += [(j, j + 1, xi), (n + j, n + j + 1, xi)]
+    if params.topology is Topology.MOBIUS:
+        bonds += [(n - 1, n, xi), (2 * n - 1, 0, xi)]
+    else:
+        bonds += [(n - 1, 0, xi), (2 * n - 1, n, xi)]
+    return bonds + [(j, n + j, v) for j in range(n)]
+
+
+def _bond_current_by_bonds(params):
+    """The bond-current moment with one cross product and six stores per bond."""
+    pos = positions_array(params)
+    m = np.zeros((3, len(pos), len(pos)), dtype=complex)
+    for i, j, beta in _bond_list(params):
+        area = 0.5 * np.cross(pos[i], pos[j])
+        amp = 1j * E_CHARGE * (beta * EV) / HBAR
+        for c in range(3):
+            m[c, i, j] += amp * area[c]
+            m[c, j, i] += np.conj(amp * area[c])
+    return m
+
+
+def _hermitian(rng, n, kind):
+    if kind == "real":
+        a = rng.standard_normal((n, n))
+        return a + a.T
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "complex":
+        return a + a.conj().T
+    # degenerate: eigenvalues in triples, eigenvectors from a random unitary
+    q, _ = np.linalg.qr(a)
+    h = (q * np.repeat(rng.standard_normal(n), 3)[:n]) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@pytest.mark.parametrize("kind", ("real", "complex", "degenerate"))
+def test_eigensystem_phase_fix_matches_the_column_loop(kind):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(40):
+        h = _hermitian(rng, int(rng.integers(1, 30)), kind)
+        w, v = bf.numeric_eigensystem(bf.DenseOperator(len(h), h))
+        w_ref, v_ref = _eigensystem_by_columns(h)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.dtype == v_ref.dtype and v.tobytes() == v_ref.tobytes()
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("n", (3, 4, 12))
+@pytest.mark.parametrize("half_width_nm", (0.077, 3.0, 1e87))
+def test_bond_arrays_match_the_loop_over_bonds(n, topology, half_width_nm):
+    p = RingParams(n, topology=topology, half_width=half_width_nm * NM)
+    ref = _bond_current_by_bonds(p)
+    assert bf.magnetic_dipole_matrix(p, "bond_current").tobytes() == ref.tobytes()
+    h = np.zeros(ref.shape[1:])
+    for i, j, beta in _bond_list(p):
+        h[i, j] = h[j, i] = -beta
+    assert np.array_equal(bf.build_hamiltonian(p).matrix, h)
+
+
+def test_dense_ring_builds_each_object_once_and_shares_it_read_only(monkeypatch):
+    calls = []
+    for name in ("build_hamiltonian", "numeric_eigensystem", "electric_dipole_matrix",
+                 "magnetic_dipole_matrix"):
+        fn = getattr(bf, name)
+        monkeypatch.setattr(bf, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    ring = bf.DenseRing(RingParams(6))
+    for _ in range(2):
+        bf.shared_transition_scan(ring)
+        bf.eigenspace_projector_residual(ring)
+        bf.numeric_magnetic_elements(ring)
+        bf.numeric_magnetic_elements(ring, "bond_current")
+    assert sorted(calls) == ["build_hamiltonian", "electric_dipole_matrix",
+                             "magnetic_dipole_matrix", "magnetic_dipole_matrix",
+                             "numeric_eigensystem"]
+    for array in (ring.hamiltonian.matrix, *ring.eigensystem, ring.electric, ring.amplitudes,
+                  ring.magnetic("commutator"), ring.magnetic("bond_current")):
+        assert not array.flags.writeable
+    # a fresh context for the same ring gives the same bits
+    fresh = bf.DenseRing(RingParams(6))
+    assert fresh.eigensystem[1].tobytes() == ring.eigensystem[1].tobytes()
+    assert (bf.shared_transition_scan(fresh) == bf.shared_transition_scan(RingParams(6))
+            == bf.shared_transition_scan(ring))
+
+
+def test_oracle_imports_only_constants_and_ring_from_the_package():
+    # the oracle stays independent of dipole and the closed forms it checks
+    path = Path(bf.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("mobius_optics"):
+                continue
+            module = module.removeprefix("mobius_optics").lstrip(".")
+            # "from . import x" names modules, "from .x import y" names x
+            package.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            package.update(alias.name.removeprefix("mobius_optics.") for alias in node.names
+                           if alias.name.startswith("mobius_optics"))
+    assert package == {"constants", "ring"}

@@ -11,7 +11,7 @@ from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics import validation
 from mobius_optics.constants import E_CHARGE, EV, HBAR, NS
-from mobius_optics.ring import RingParams, all_labels
+from mobius_optics.ring import RingParams, Topology, all_labels
 from mobius_optics.validation import _brentq, validation_report
 
 
@@ -45,22 +45,31 @@ def test_full_report_passes_and_serialises():
 
 
 def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
-    sizes = []
+    rings = []
     build = validation.bf.build_hamiltonian
 
     def recording(params):
-        sizes.append(params.n_per_ring)
+        rings.append((params.n_per_ring, params.topology))
         return build(params)
 
     monkeypatch.setattr(validation.bf, "build_hamiltonian", recording)
     checks = validation_report(RingParams(40))["checks"]
-    assert sizes and set(sizes) <= {*validation.SPECTRUM_NS, *validation.TABLE_NS, 12}
+    # each ring of the dense checks, at its fixed size, is built exactly once per report
+    expected = sorted([(n, Topology.MOBIUS) for n in validation.SPECTRUM_NS]
+                      + [(12, Topology.SINGLE_RING), (12, Topology.DOUBLE_RING_PERIODIC)],
+                      key=str)
+    assert sorted(rings, key=str) == expected
     # spectrum (3), dipole (8) and topology (5) checks: every dense oracle
     dense = checks[:16]
     assert [c["name"] for c in dense[::15]] == [
         "spectrum_closed_vs_dense_ev", "mobius_shared_transition"]
+    # the next report, at other params, builds every ring again: nothing carries over
+    rings.clear()
+    second = validation_report(RingParams(12))["checks"]
+    assert sorted(rings, key=str) == expected
+    assert dense == second[:16]
     monkeypatch.undo()
-    assert dense == validation_report(RingParams(12))["checks"][:16]
+    assert second == validation_report(RingParams(12))["checks"]
 
 
 def test_closed_form_levels_match_dense_groups_at_the_grouping_tolerance():
@@ -84,7 +93,7 @@ def test_report_raises_when_the_groups_and_the_table_disagree(monkeypatch, group
     # a name that a group leaves out once dropped its row silently
     group = getattr(validation, group_name)
     monkeypatch.setattr(validation, group_name,
-                        lambda params: {k: v for k, v in group(params).items() if k != drop} | add)
+                        lambda *args: {k: v for k, v in group(*args).items() if k != drop} | add)
     with pytest.raises(ValueError, match="CHECKS"):
         validation_report(RingParams(12))
 
