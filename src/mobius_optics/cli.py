@@ -6,13 +6,16 @@ Each subcommand returns its table as columns: a numpy structured array,
 or for `phase-diagram` a `BlockedTable` of one row per theta, one row per
 (omega, code) and the int8 code grid, so that each output row is a theta
 token plus an (omega, code) suffix and no column the size of the grid
-exists.  The serialised table is streamed into a temp file in fixed-size
-chunks of `CHUNK_ROWS` rows, then renamed over the output path, so memory
-tracks the table and not the output text; `emit_table` returns the bytes
-of a structured array at once.  Outputs are all-or-nothing and byte-stable across runs: CSV uses
-17-significant-digit floats (exact round trip for 64-bit values), '.'
-decimals and '\n' line endings; JSON uses the shortest round-trip float
-repr, with NaN and Infinity as bare tokens.
+exists.  One generator, `_table_chunks`, serialises either kind in chunks
+of `CHUNK_ROWS` rows; `run_command` streams them into a temp file, then
+renames it over the output path, so memory tracks the table and not the
+output text.  Outputs are all-or-nothing and byte-stable across runs: CSV
+uses 17-significant-digit floats (exact round trip for 64-bit values),
+bools as 1/0, '.' decimals and '\n' line endings; JSON uses the shortest
+round-trip float repr, NaN and Infinity as bare tokens and bools as
+true/false.  Each distinct value of a float, int, bool or string column is
+formatted once; object columns, whose values may mix types and None, are
+formatted value by value under the same rules.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -214,6 +217,9 @@ def parse_config(text: bytes | str) -> RunConfig:
     _expect(math.isfinite(width) and 0.0 < tau_c < math.inf,
             "v_inter_ev, xi_intra_ev, half_width_nm (with radius_nm) and gamma_inv_ns must "
             "give a finite bandwidth and critical lifetime > 0")
+    a, b = alpha_beta(medium)   # eps1 = 1 - 5 eta and mu1 = 1 - (a^2 + 4 b^2) eta peak on resonance
+    _expect(max(5.0, a * a + 4.0 * b * b) * eta_prefactor(medium) / ring.decay_rate < math.inf,
+            "gamma_inv_ns must give a finite response (eta, eps and mu) on resonance")
 
     theta_min = number("theta_min_deg", nonneg=True)
     theta_max = number("theta_max_deg")
@@ -281,13 +287,13 @@ def _json_value(value) -> str:
     return json.dumps(value.item() if isinstance(value, np.generic) else value)
 
 
-def _column_tokens(column: np.ndarray, fmt: str, key: str):
+def _column_tokens(column: np.ndarray, fmt: str, prefix: str):
     """Distinct tokens of one column and each row's index into them.
 
     Each distinct value is formatted once; floats are told apart by their
     bit pattern, so -0.0 keeps its sign.  Object columns (mixed types) are
-    formatted value by value and index themselves.  `key` prefixes every
-    token (the ``"col":`` of a JSON row).
+    formatted value by value and index themselves.  `prefix` starts every
+    token (the column's separator and, in JSON, its ``"col":`` key).
     """
     kind = column.dtype.kind
     if kind == "O":
@@ -304,7 +310,7 @@ def _column_tokens(column: np.ndarray, fmt: str, key: str):
     else:
         # one encoder call; number and bool tokens never contain ", "
         tokens = json.dumps(values)[1:-1].split(", ")
-    return np.array([key + t for t in tokens], dtype=object), inverse
+    return np.array([prefix + t for t in tokens], dtype=object), inverse
 
 
 @dataclass(frozen=True)
@@ -325,84 +331,60 @@ class BlockedTable:
         return self.codes.size
 
 
-def _rows(columns, start: int, stop: int) -> list[str]:
-    """Rows [start, stop) of tokenised columns, each one comma-joined string."""
-    return list(map(",".join, zip(*[tokens[inverse[start:stop]].tolist()
-                                    for tokens, inverse in columns])))
-
-
 def _frame(header: list[str], fmt: str, n: int) -> tuple[str, str, str, dict]:
-    """The head, row separator, tail and per-column token keys of an n-row table.
+    """The head, row separator, tail and per-column token prefixes of an n-row table.
 
-    CSV and JSON rows are the same comma join of per-column tokens (a JSON
-    token carries its ``"col":`` key); the formats differ only in the head,
-    the row separator and the tail.
+    A token's prefix is the row separator for the first column and "," for
+    every other, then in JSON the ``"col":`` key, so a row of either format
+    is the plain concatenation of its tokens.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
     if fmt == "csv":
         head, sep, tail = ",".join(header) + "\n", "\n", "\n" if n else ""
-        keys = [""] * len(header)
     else:
         # each row is an object: the head opens the first, the tail closes the last
         head = '{"columns":%s,"rows":[%s' % (json.dumps(header, separators=(",", ":")),
                                              "{" if n else "")
         sep, tail = "},{", ("}" if n else "") + "]}\n"
-        keys = [json.dumps(col) + ":" for col in header]
-    return head, sep, tail, dict(zip(header, keys))
+    keys = [json.dumps(col) + ":" if fmt == "json" else "" for col in header]
+    separators = [sep] + [","] * (len(header) - 1)
+    return head, sep, tail, {col: s + k for col, s, k in zip(header, separators, keys)}
 
 
-def _table_chunks(header: list[str], table: np.ndarray, fmt: str) -> Iterator[bytes]:
-    """Yield the UTF-8 bytes of a structured array, `CHUNK_ROWS` rows at a time."""
-    n = len(table)
-    head, sep, tail, keys = _frame(header, fmt, n)
-    columns = [_column_tokens(table[col], fmt, keys[col]) for col in header]
-    yield head.encode("utf-8")
-    for start in range(0, n, CHUNK_ROWS):
-        rows = _rows(columns, start, min(start + CHUNK_ROWS, n))
-        yield ((sep if start else "") + sep.join(rows)).encode("utf-8")
-    yield tail.encode("utf-8")
+def _table_chunks(table, fmt: str) -> Iterator[bytes]:
+    """Yield the UTF-8 bytes of a table, `CHUNK_ROWS` rows at a time.
 
-
-def _blocked_chunks(table: BlockedTable, fmt: str) -> Iterator[bytes]:
-    """Chunks of a blocked table: each row is a head row's text plus a tail row's.
-
-    The head and tail rows are formatted once, each head row with the row
-    separator before it; a chunk then joins one head and one tail string per
-    row, at a cost per row that does not depend on the shape of `codes`.
+    `table` is a structured array or a `BlockedTable`.  A row is the
+    concatenation of one string per part: an object array of strings,
+    formatted once, picked by an index function of the row numbers r.  A
+    structured array has one part per column, its distinct tokens indexed
+    by each row's inverse.  A blocked table has two: its head rows by
+    ``r // width`` and its tail rows by ``codes[r] + 4 * (r % width) + 1``,
+    so a row costs the same whatever the shape of `codes`.  The first chunk
+    drops its leading row separator.
     """
-    n, width = len(table), table.codes.shape[1]
-    head, sep, tail, keys = _frame(list(table.head.dtype.names + table.tail.dtype.names), fmt, n)
-
-    def strings(part):
-        columns = [_column_tokens(part[col], fmt, keys[col]) for col in part.dtype.names]
-        return np.array(_rows(columns, 0, len(part)), dtype=object)
-    heads, tails, codes = sep + strings(table.head) + ",", strings(table.tail), table.codes.ravel()
+    blocked, n = isinstance(table, BlockedTable), len(table)
+    tables = (table.head, table.tail) if blocked else (table,)
+    head, sep, tail, prefixes = _frame([col for t in tables for col in t.dtype.names], fmt, n)
+    columns = [[_column_tokens(t[col], fmt, prefixes[col]) for col in t.dtype.names]
+               for t in tables]
+    if blocked:
+        width, codes = table.codes.shape[1], table.codes.ravel()
+        heads, tails = (np.add.reduce([tokens[inverse] for tokens, inverse in part])
+                        for part in columns)
+        parts = [(heads, lambda r: r // width), (tails, lambda r: codes[r] + 4 * (r % width) + 1)]
+    else:
+        parts = [(tokens, inverse.__getitem__) for tokens, inverse in columns[0]]
     yield head.encode("utf-8")
     for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
-        i, j = np.divmod(np.arange(start, stop), width)
-        parts = [None] * (2 * (stop - start))
-        parts[0::2] = heads[i].tolist()
-        parts[1::2] = tails[codes[start:stop] + 4 * j + 1].tolist()
-        text = "".join(parts)
+        rows = np.arange(start, min(start + CHUNK_ROWS, n))
+        pieces = [None] * (len(parts) * len(rows))
+        for k, (strings, index) in enumerate(parts):
+            pieces[k::len(parts)] = strings[index(rows)].tolist()
+        text = "".join(pieces)
         yield (text if start else text[len(sep):]).encode("utf-8")
     yield tail.encode("utf-8")
-
-
-def emit_table(header: list[str], table: np.ndarray, fmt: str) -> bytes:
-    """Serialise the columns `header` of a table deterministically.
-
-    `table` is a numpy structured array: ``table[col]`` is one column and
-    ``len(table)`` the row count.  CSV writes floats with 17 significant
-    digits (exact round trip) and bools as 1/0; JSON writes floats in their
-    shortest round-trip form, NaN and Infinity as bare tokens, and bools as
-    true/false.  Float, int, bool and string columns format each distinct
-    value once; object columns, whose values may mix types and None, are
-    formatted value by value under the same rules.  The bytes are those
-    `run_command` streams into its output file.
-    """
-    return b"".join(_table_chunks(header, table, fmt))
 
 
 def _atomic_write(path: str, chunks: Iterable[bytes]):
@@ -606,9 +588,9 @@ def _cmd_surface(config: RunConfig):
     omegas, surfaces = [], []
     for det_ev in detunings:
         om = delta0 + det_ev * EV / HBAR
-        if om <= 0:
-            raise ConfigError(
-                f"surface detuning {det_ev} eV puts omega below zero")
+        if not 0.0 < om < math.inf:
+            raise ConfigError(f"surface_detunings_ev: {det_ev} eV puts omega at {om:.6g} "
+                              "rad/s; omega must be positive and finite")
         omegas.append(om)
         surfaces.append(wave_vector_surface(response_tensors(medium, om),
                                             config.polarization, config.surface_samples))
@@ -687,9 +669,7 @@ def run_command(command: str, config: RunConfig, stdout=None) -> int:
         raise ConfigError(f"unknown command: {command!r}")
     table, summary, code = _COMMANDS[command](config)
     path = config.output_path or f"{command}.{config.format}"
-    _atomic_write(path, _blocked_chunks(table, config.format)
-                  if isinstance(table, BlockedTable)
-                  else _table_chunks(list(table.dtype.names), table, config.format))
+    _atomic_write(path, _table_chunks(table, config.format))
     print(summary, file=stdout)
     print(f"wrote {path} ({len(table)} rows)", file=stdout)
     return code

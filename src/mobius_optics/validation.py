@@ -221,15 +221,17 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
             OVERFLOW if worst_dyad[kind] == math.inf else worst_dyad[kind])
     p12 = replace(params, n_per_ring=DENSE_N, radius=None)
     (ana_e, num_e), (ana_m, num_m) = tables[DENSE_N, "electric"], tables[DENSE_N, "magnetic"]
-    # an overflowing overlap (half widths near 1e90) gives a NaN phase: the residual is NaN
-    with np.errstate(invalid="ignore"):
+    # an overflowing overlap (half widths near 1e90) gives a NaN phase: the residual is NaN;
+    # the magnetic scale underflows to 0 at xi_intra_ev below about 1e-260: the sparsity is inf
+    with np.errstate(invalid="ignore", divide="ignore"):
         cal_e = bf.calibrate_conventions(ana_e, num_e, DENSE_N, float(np.abs(ana_e).max()))
         cal_m = bf.calibrate_conventions(ana_m, num_m, DENSE_N, float(np.abs(ana_m).max()))
+        sparsity = _sparsity_deviation(p12, num_e, num_m)
     bond = bf.numeric_magnetic_elements(dense(p12), "bond_current")
     return out | {
         "electric_block_calibration": cal_e.residual,
         "magnetic_block_calibration": cal_m.residual,
-        "selection_rule_sparsity": _sparsity_deviation(p12, num_e, num_m),
+        "selection_rule_sparsity": sparsity,
         "commutator_vs_bond_current": float(np.abs(num_m - bond).max() / np.abs(num_m).max()),
     }
 
@@ -282,8 +284,11 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
 
 def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     p12 = replace(params, n_per_ring=DENSE_N, radius=None)
-    ring_report = bf.perfect_ring_regression(dense(replace(p12, topology=Topology.SINGLE_RING)))
-    with np.errstate(over="ignore"):   # norms overflow at half widths near 1e90: no shared line
+    # norms overflow at half widths near 1e90 (no shared line), and the magnetic scales
+    # underflow to 0 at xi_intra_ev below about 1e-142 (NaN and inf residuals)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ring_report = bf.perfect_ring_regression(
+            dense(replace(p12, topology=Topology.SINGLE_RING)))
         annulene = bf.annulene_cross_check(
             dense(replace(p12, topology=Topology.DOUBLE_RING_PERIODIC)))
         mobius = bf.shared_transition_scan(dense(p12))

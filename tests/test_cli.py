@@ -80,6 +80,9 @@ def test_malformed_json_rejected():
     ('{"gamma_inv_ns": 1e-300}', "gamma_inv_ns must give a finite decay rate"),
     # the lifetime in seconds rounds to 0
     ('{"gamma_inv_ns": 5e-324}', "gamma_inv_ns must give a finite decay rate"),
+    # eta on resonance overflows (1e304), or 5 eta does (1e303)
+    ('{"gamma_inv_ns": 1e304}', "gamma_inv_ns must give a finite response"),
+    ('{"gamma_inv_ns": 1e303}', "gamma_inv_ns must give a finite response"),
     # the denominator of tau_c overflows, so it evaluates to 0
     ('{"half_width_nm": 1e100}', "half_width_nm .* critical lifetime > 0"),
     ('{"N": 3, "N": 5}', "config key given twice: 'N'"),
@@ -142,19 +145,30 @@ def test_phase_diagram_grid_that_repeats_values_is_a_config_error(
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("detuning", [-1e3, 1e300])
+def test_surface_detuning_outside_positive_finite_omega_is_a_config_error(
+        tmp_path, capsys, monkeypatch, detuning):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"surface_detunings_ev": [detuning]}))
+    assert cli.main(["surface", "c.json"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: surface_detunings_ev") and "positive and finite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_emit_table_header_only_for_empty_rows():
     table = np.empty(0, dtype=[("a", float), ("b", int)])
-    assert cli.emit_table(["a", "b"], table, "csv") == b"a,b\n"
-    assert cli.emit_table(["a", "b"], table, "json") == b'{"columns":["a","b"],"rows":[]}\n'
+    assert b"".join(cli._table_chunks(table, "csv")) == b"a,b\n"
+    assert b"".join(cli._table_chunks(table, "json")) == b'{"columns":["a","b"],"rows":[]}\n'
 
 
 def test_emit_table_floats_round_trip_exactly():
     values = [0.1, 1.0 / 3.0, 7.445334050718708, 1e-300, -2.5e8]
     table = np.rec.fromarrays([values], names=["x"])
-    data = cli.emit_table(["x"], table, "csv").decode()
+    data = b"".join(cli._table_chunks(table, "csv")).decode()
     parsed = [float(line) for line in data.splitlines()[1:]]
     assert parsed == values
-    as_json = cli.emit_table(["x"], table, "json")
+    as_json = b"".join(cli._table_chunks(table, "json"))
     loaded = json.loads(as_json)
     assert [r["x"] for r in loaded["rows"]] == values
 
@@ -357,6 +371,7 @@ def test_validate_reports_the_same_checks_for_every_ring(tmp_path):
     widths = (0.01, 1e5, 1e22, 1e23, 1e24, 1e26, 1e30)
     for extra in ({}, {"gamma_inv_ns": 0.3}, {"n_per_ring": 3},
                   {"n_per_ring": 6, "gamma_inv_ns": 0.6}, {"xi_intra_ev": 1e6},
+                  {"xi_intra_ev": 1e-150}, {"xi_intra_ev": 1e-290},
                   *({"half_width_nm": w} for w in widths),
                   *({"radius_nm": r} for r in (1e-6, 1e6))):
         path = tmp_path / "validate.csv"

@@ -36,7 +36,8 @@ CASES = {
     "bandwidth": ("bandwidth", [], {}, cli.EXIT_OK),
     "validate": ("validate", [], {}, cli.EXIT_OK),
     # failing rings: overdamped, the two smallest, narrow mu1 window, oversized and
-    # overflowing half widths, near-degenerate levels
+    # overflowing half widths, near-degenerate levels, and near-critical half widths whose
+    # mu1 window lies outside the lossy sweep (0.01 nm) or the diagram grid too (0.00998 nm)
     "validate_overdamped": ("validate", [], {"gamma_inv_ns": 0.3}, cli.EXIT_VALIDATION_FAILURE),
     "validate_n3": ("validate", [], {"N": 3}, cli.EXIT_VALIDATION_FAILURE),
     "validate_n4": ("validate", [], {"N": 4}, cli.EXIT_VALIDATION_FAILURE),
@@ -47,6 +48,10 @@ CASES = {
     "validate_half_width_1e26": ("validate", [], {"half_width_nm": 1e26},
                                  cli.EXIT_VALIDATION_FAILURE),
     "validate_xi_1e-6": ("validate", [], {"xi_intra_ev": 1e-6}, cli.EXIT_VALIDATION_FAILURE),
+    "validate_half_width_0.01": ("validate", [], {"half_width_nm": 0.01},
+                                 cli.EXIT_VALIDATION_FAILURE),
+    "validate_half_width_0.00998": ("validate", [], {"half_width_nm": 0.00998},
+                                    cli.EXIT_VALIDATION_FAILURE),
 }
 
 # (case, format): (sha256 of the output file, sha256 of stdout)
@@ -171,6 +176,18 @@ GOLDEN = {
     ("validate_xi_1e-6", "json"): (
         "9748cf776a1a06fd3fc8489421db97260752be2e5c2f6ca53dabcef9fb092dd9",
         "af888f28d6fb76061d3942d37c3e675d4bb7bb11e093338a999ab79a2c61da16"),
+    ("validate_half_width_0.01", "csv"): (
+        "0ca432c152d9c164b0a870335f853b14c95b0d70579fd22408eca149d75ffbdf",
+        "11e7a665a6d08cdb0e89c9b60f2857726b028d8c955c67450e4eca2d8485d816"),
+    ("validate_half_width_0.01", "json"): (
+        "db3c97ba25d8f8ff9a4e702c9e1e1c78c20b0f2ba8627d1f0d093d2eb8d55a24",
+        "4a19854213bfaa2c5846dae89a51a8a731aaf7441411f60c739baead36715d15"),
+    ("validate_half_width_0.00998", "csv"): (
+        "9f02babcf7d2aac5111bc687a791f91e08d049c2a5a6efb8bfe013bc20ef1503",
+        "c34c720dceb8f2f9fef1fe8b7b435b6546901df0fe634851e6f9816c0b5d851e"),
+    ("validate_half_width_0.00998", "json"): (
+        "2ba3583c49a5bdbb45b29f65ed5d9594182f09478f18494682edb00f6a2208b9",
+        "00695eaf6ec8dba97896e184a346fbd91de3632811fdfd12a16a89329bd03a00"),
 }
 
 

@@ -64,7 +64,7 @@ def _assert_matches_dense(tmp_path, **keys):
         assert cli.run_command("elements", config, stdout=out) == cli.EXIT_OK
         table, summary = _dense_elements(config)
         data = (tmp_path / f"elements.{fmt}").read_bytes()
-        assert data == cli.emit_table(list(table.dtype.names), table, fmt)
+        assert data == b"".join(cli._table_chunks(table, fmt))
         assert out.getvalue().splitlines() == [summary, f"wrote {config.output_path} "
                                                         f"({len(table)} rows)"]
 

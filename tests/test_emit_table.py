@@ -1,13 +1,14 @@
-"""`cli.emit_table` against a row-by-row reference formatter.
+"""The table emitter `cli._table_chunks` against a row-by-row reference formatter.
 
 The reference below formats one value at a time, the way the CLI wrote its
 tables before the emitter took columns: `_reference_value` for CSV tokens
-and one `json.dumps` of the whole table for JSON.  The columnar emitter
-must produce the same bytes for every column type it accepts, whatever
-`cli.CHUNK_ROWS` is, and `run_command` must stream those same bytes into
-its output file, in bounded memory, or leave no file behind.  The file
-`phase-diagram` writes must equal its flat table (one row per cell, built
-below with repeat and tile) through `emit_table`.
+and one `json.dumps` of the whole table for JSON.  The joined chunks of a
+structured array must be the same bytes for every column type the emitter
+accepts, in any column order and whatever `cli.CHUNK_ROWS` is, and
+`run_command` must stream those same bytes into its output file, in
+bounded memory, or leave no file behind.  The file `phase-diagram` writes
+from its `BlockedTable` must equal its flat table (one row per cell, built
+below with repeat and tile) through the same emitter.
 """
 
 import errno
@@ -32,6 +33,10 @@ from mobius_optics.response import MediumConfig, resonance_frequency
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                   5e-324, -5e-324, 2.2250738585072009e-308, 1.0, 0.1, -2.5e8]
+
+
+def _emit(table, fmt) -> bytes:
+    return b"".join(cli._table_chunks(table, fmt))
 
 
 def _reference_value(value) -> str:
@@ -100,7 +105,7 @@ def tables(draw):
 @given(tables(), st.sampled_from(["csv", "json"]))
 def test_emit_table_matches_row_reference(drawn, fmt):
     header, table, rows = drawn
-    assert cli.emit_table(header, table, fmt) == _reference_table(header, rows, fmt)
+    assert _emit(table[header], fmt) == _reference_table(header, rows, fmt)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 5])
@@ -109,13 +114,13 @@ def test_emit_table_matches_row_reference(drawn, fmt):
 def test_emit_table_matches_row_reference_in_small_chunks(chunk_rows, drawn, fmt):
     header, table, rows = drawn
     with mock.patch.object(cli, "CHUNK_ROWS", chunk_rows):
-        assert cli.emit_table(header, table, fmt) == _reference_table(header, rows, fmt)
+        assert _emit(table[header], fmt) == _reference_table(header, rows, fmt)
 
 
 def test_negative_zero_keeps_its_sign():
     table = np.rec.fromarrays([np.array([0.0, -0.0, 0.0])], names=["x"])
-    assert cli.emit_table(["x"], table, "csv") == b"x\n0\n-0\n0\n"
-    assert cli.emit_table(["x"], table, "json") == (
+    assert _emit(table, "csv") == b"x\n0\n-0\n0\n"
+    assert _emit(table, "json") == (
         b'{"columns":["x"],"rows":[{"x":0.0},{"x":-0.0},{"x":0.0}]}\n')
 
 
@@ -153,7 +158,7 @@ def test_run_command_writes_emit_table_bytes_at_chunk_boundaries(n, fmt, tmp_pat
     rows = [dict(zip(header, row)) for row in table.tolist()]
     _serve(monkeypatch, table)
     data = _run_table(tmp_path / f"out.{fmt}", fmt)
-    assert data == cli.emit_table(header, table, fmt)
+    assert data == _emit(table, fmt)
     assert data == _reference_table(header, rows, fmt)
     assert [p.name for p in tmp_path.iterdir()] == [f"out.{fmt}"]
 
@@ -245,7 +250,7 @@ def test_json_keys_are_escaped_like_json_dumps(chunk_rows):
     dtypes = [float, int, bool, str, object, float, int, bool, str, float]
     table = _structured(NAMES, columns, dtypes)
     with mock.patch.object(cli, "CHUNK_ROWS", chunk_rows):
-        data = cli.emit_table(NAMES, table, "json")
+        data = _emit(table, "json")
     assert data == _json_reference(NAMES, columns)
     assert json.loads(data)["columns"] == NAMES
 
@@ -255,7 +260,7 @@ def test_json_keys_are_escaped_like_json_dumps(chunk_rows):
 def test_json_keys_match_json_dumps_for_any_name(names, n):
     columns = [[float(i + j) for j in range(n)] for i in range(len(names))]
     table = _structured(names, columns, [float] * len(names))
-    assert cli.emit_table(names, table, "json") == _json_reference(names, columns)
+    assert _emit(table, "json") == _json_reference(names, columns)
 
 
 LABELS = np.array(["LH", "TR", "RH", "masked"], dtype="U6")   # codes -1, 0, 1, 2
@@ -273,9 +278,8 @@ def _flat_table(config) -> np.ndarray:
 
 
 def _flat_phase_diagram(config) -> bytes:
-    """Reference `phase-diagram` bytes: the flat table through `emit_table`."""
-    table = _flat_table(config)
-    return cli.emit_table(list(table.dtype.names), table, config.format)
+    """Reference `phase-diagram` bytes: the flat table through the emitter."""
+    return _emit(_flat_table(config), config.format)
 
 
 def _random_codes(seed):
