@@ -376,6 +376,14 @@ class CalibrationResult:
     block_residuals: dict
 
 
+class CalibrationError(ValueError):
+    """A block deviates beyond 1e-6 after alignment; ``result`` holds every residual."""
+
+    def __init__(self, message: str, result: CalibrationResult):
+        super().__init__(message)
+        self.result = result
+
+
 def calibrate_conventions(
     analytic: np.ndarray, numeric: np.ndarray, n: int, atol_scale: float
 ) -> CalibrationResult:
@@ -402,15 +410,17 @@ def calibrate_conventions(
                 phase = 1.0 + 0.0j
             else:
                 overlap = np.vdot(arr_a, arr_n)
+                if atol_scale < 2.0 ** -300:   # the products underflow: scale both exactly
+                    overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
                 phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
             res = np.abs(phase * arr_a - arr_n).max() / atol_scale
             phases[key] = phase
             block_res[key] = res
             worst = np.maximum(worst, res)   # keeps a NaN block, which max() may drop
+    result = CalibrationResult(phases, worst, block_res)
     if worst > 1e-6:
         bad = max(block_res, key=block_res.get)
-        raise ValueError(
+        raise CalibrationError(
             f"calibration failure: block {bad} deviates by {block_res[bad]:.3e} "
-            "relative units (transcription error in the closed-form table?)"
-        )
-    return CalibrationResult(phases, worst, block_res)
+            "relative units (transcription error in the closed-form table?)", result)
+    return result

@@ -203,20 +203,27 @@ def parse_config(text: bytes | str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the bandwidth command evaluates both conventions: the 2W cylinder halves the volume
+    for conv in VolumeConvention:
+        medium = MediumConfig(replace(ring, volume_convention=conv))
+        try:
+            volume = molecular_volume(medium)
+        except OverflowError:
+            volume = math.inf
+        _expect(0.0 < volume < math.inf,
+                "half_width_nm (with radius_nm) must give a finite molecular volume > 0")
+        try:
+            width, tau_c = bandwidth(medium), critical_lifetime(medium)
+        except (OverflowError, ZeroDivisionError):   # 0 divisor: the couplings a, b underflow
+            width = tau_c = math.nan
+        _expect(math.isfinite(width) and 0.0 < tau_c and tau_c / NS < math.inf,   # ns as written
+                "v_inter_ev, xi_intra_ev, half_width_nm (with radius_nm) and gamma_inv_ns "
+                "must give a finite bandwidth and critical lifetime > 0")
     medium = MediumConfig(ring)
-    try:
-        volume = molecular_volume(medium)
-    except OverflowError:
-        volume = math.inf
-    _expect(0.0 < volume < math.inf,
-            "half_width_nm (with radius_nm) must give a finite molecular volume > 0")
-    try:
-        width, tau_c = bandwidth(medium), critical_lifetime(medium)
-    except (OverflowError, ZeroDivisionError):   # 0 divisor: the couplings a, b underflow
-        width = tau_c = math.nan
-    _expect(math.isfinite(width) and 0.0 < tau_c < math.inf,
-            "v_inter_ev, xi_intra_ev, half_width_nm (with radius_nm) and gamma_inv_ns must "
-            "give a finite bandwidth and critical lifetime > 0")
+    with np.errstate(over="ignore"):   # the level spacing in rad/s overflows to inf
+        delta0 = resonance_frequency(medium)
+    _expect(delta0 < math.inf,
+            "v_inter_ev and xi_intra_ev must give a finite resonance frequency")
     a, b = alpha_beta(medium)   # eps1 = 1 - 5 eta and mu1 = 1 - (a^2 + 4 b^2) eta peak on resonance
     _expect(max(5.0, a * a + 4.0 * b * b) * eta_prefactor(medium) / ring.decay_rate < math.inf,
             "gamma_inv_ns must give a finite response (eta, eps and mu) on resonance")

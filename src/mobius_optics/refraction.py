@@ -407,19 +407,22 @@ def _lossy_normal(config: MediumConfig, omega: np.ndarray):
     one wherever the complex-root test keeps reporting a backward phase,
     which it does for the default molecule.
     """
-    k_i = omega / C_LIGHT
     lossless = response_tensors(replace(config, lossy=False), omega)
     codes = _propagation(lossless, Polarization.E, 0.0)
-    _, _, tzz, det, eps_xx = _blocks(response_tensors(replace(config, lossy=True), omega),
-                                     Polarization.E)
-    root = np.sqrt(k_i**2 * det * eps_xx / tzz)
-    root = np.where((root.imag < 0.0) | ((root.imag == 0.0) & (root.real < 0.0)),
-                    -root, root)
-    # decaying branch; verify it actually carries energy into the medium
-    s_tz = np.real(tzz * root / det)
-    root = np.where((root.imag == 0.0) & (s_tz <= 0.0), -root, root)
-    s_tz = np.real(tzz * root / det)
-    tr = (codes == int(Classification.TR)) | (s_tz <= 0.0)
+    # root is k_tz / k_i: every test below reads a sign, which the factor
+    # k_i = omega / c > 0 leaves alone, and (omega / c)^2 overflows near 1e154 rad/s.
+    # A root that overflows is TR, as _propagation treats a non-finite det * lim
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, tzz, det, eps_xx = _blocks(response_tensors(replace(config, lossy=True), omega),
+                                         Polarization.E)
+        root = np.sqrt(det * eps_xx / tzz)
+        root = np.where((root.imag < 0.0) | ((root.imag == 0.0) & (root.real < 0.0)),
+                        -root, root)
+        # decaying branch; verify it actually carries energy into the medium
+        s_tz = np.real(tzz * root / det)
+        root = np.where((root.imag == 0.0) & (s_tz <= 0.0), -root, root)
+        s_tz = np.real(tzz * root / det)
+    tr = (codes == int(Classification.TR)) | (s_tz <= 0.0) | ~np.isfinite(root)
     return np.where(tr, int(Classification.TR),
                     np.where(root.real * s_tz < 0.0, int(Classification.LH),
                              int(Classification.RH)))

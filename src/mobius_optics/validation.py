@@ -60,9 +60,11 @@ RTOL = 4.0 * sys.float_info.epsilon
 # reasons a check has no value, each the note of its failed row
 NO_ROOT = "no root found in the bracket"
 NONPOSITIVE_SWEEP = "frequency sweep would reach omega <= 0"
+REPEATED_SWEEP = "frequency sweep repeats values: the band is below float resolution"
 NO_SURFACE = "the wave-vector surface has no points"
 NO_TANGENT = "finite-difference stencil leaves the causal branch or the energy flow is not finite"
 OVERFLOW = "squared elements overflow the float range"
+UNDERFLOW = "every numeric element underflows to 0"
 OVERDAMPED = "overdamped: no mu1 window"
 NO_LH_BAND = "no LH cells in the E diagram"
 NO_DOMINANT_ENTRY = "no tensor entry above 1 in magnitude to compare"
@@ -199,6 +201,7 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     worst_tbl = {"electric": 0.0, "magnetic": 0.0}
     worst_dyad = {"electric": 0.0, "magnetic": 0.0}
     tables = {}
+    zero = set()   # kinds whose numeric table is all 0 at some N
     for n in TABLE_NS:
         p = replace(params, n_per_ring=n, radius=None)
         ring = dense(p)
@@ -209,31 +212,44 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
             ("magnetic", dp.magnetic_table, ring.magnetic("commutator")),
         ):
             ana, num = ana_fn(p), bf._sandwich(op, u)
+            tables[n, kind] = ana, num
             scale = float(np.abs(num).max())
+            # every magnetic W^2 product underflows at half widths below about 1e-144 nm
+            if scale == 0.0:
+                zero.add(kind)
+                continue
             worst_tbl[kind] = np.maximum(worst_tbl[kind], float(np.abs(ana - num).max()) / scale)
             worst_dyad[kind] = np.maximum(worst_dyad[kind],
                                           _dyad_deviation(p, w, bf._sandwich(op, v), ana))
-            tables[n, kind] = ana, num
     out = {}
     for kind in ("electric", "magnetic"):
-        out[f"{kind}_table_vs_numeric"] = worst_tbl[kind]
+        out[f"{kind}_table_vs_numeric"] = UNDERFLOW if kind in zero else worst_tbl[kind]
         out[f"{kind}_dyads_vs_dense_eigenvectors"] = (
-            OVERFLOW if worst_dyad[kind] == math.inf else worst_dyad[kind])
+            UNDERFLOW if kind in zero
+            else OVERFLOW if worst_dyad[kind] == math.inf else worst_dyad[kind])
     p12 = replace(params, n_per_ring=DENSE_N, radius=None)
-    (ana_e, num_e), (ana_m, num_m) = tables[DENSE_N, "electric"], tables[DENSE_N, "magnetic"]
     # an overflowing overlap (half widths near 1e90) gives a NaN phase: the residual is NaN;
     # the magnetic scale underflows to 0 at xi_intra_ev below about 1e-260: the sparsity is inf
     with np.errstate(invalid="ignore", divide="ignore"):
-        cal_e = bf.calibrate_conventions(ana_e, num_e, DENSE_N, float(np.abs(ana_e).max()))
-        cal_m = bf.calibrate_conventions(ana_m, num_m, DENSE_N, float(np.abs(ana_m).max()))
-        sparsity = _sparsity_deviation(p12, num_e, num_m)
+        for kind in ("electric", "magnetic"):
+            ana, num = tables[DENSE_N, kind]
+            out[f"{kind}_block_calibration"] = (
+                UNDERFLOW if kind in zero else _calibration_residual(ana, num))
+        num_m = tables[DENSE_N, "magnetic"][1]
+        out["selection_rule_sparsity"] = _sparsity_deviation(
+            p12, tables[DENSE_N, "electric"][1], num_m)
     bond = bf.numeric_magnetic_elements(dense(p12), "bond_current")
-    return out | {
-        "electric_block_calibration": cal_e.residual,
-        "magnetic_block_calibration": cal_m.residual,
-        "selection_rule_sparsity": sparsity,
-        "commutator_vs_bond_current": float(np.abs(num_m - bond).max() / np.abs(num_m).max()),
-    }
+    out["commutator_vs_bond_current"] = UNDERFLOW if "magnetic" in zero else float(
+        np.abs(num_m - bond).max() / np.abs(num_m).max())
+    return out
+
+
+def _calibration_residual(ana: np.ndarray, num: np.ndarray) -> float:
+    """Residual of the block-phase fit; above 1e-6 (subnormal elements) it fails its row."""
+    try:
+        return bf.calibrate_conventions(ana, num, DENSE_N, float(np.abs(ana).max())).residual
+    except bf.CalibrationError as exc:
+        return exc.result.residual
 
 
 def _dyad_deviation(params: RingParams, w: np.ndarray, num: np.ndarray,
@@ -241,11 +257,16 @@ def _dyad_deviation(params: RingParams, w: np.ndarray, num: np.ndarray,
     """Ground-state transition dyads, numeric vs analytic, level-projected.
 
     ``num`` is the operator in the dense eigenbasis of levels ``w`` and ``tbl``
-    its closed-form table; infinite when the squared elements overflow.
+    its closed-form table; infinite when the squared elements overflow.  Below
+    2^-300 (magnetic elements at half widths under about 1e-35 nm) both are
+    scaled by 2^600, exactly, so that the products stay in the normal range.
     """
     (ground, _), *excited = bf.match_levels(w, band_energies(params))
+    peak = float(np.abs(num).max())
+    if peak < 2.0 ** -300:
+        num, tbl, peak = num * 2.0 ** 600, tbl * 2.0 ** 600, peak * 2.0 ** 600
     try:
-        scale = float(np.abs(num).max()) ** 2
+        scale = peak ** 2
     except OverflowError:
         return math.inf
     worst = 0.0
@@ -322,7 +343,9 @@ def response_checks(params: RingParams) -> dict:
         bandwidth_dev = NO_ROOT if lo is None or hi is None else abs((hi - lo) - bw) / bw
         simultaneous = int(rs.eps1(cfg, mid) < 0.0 and rs.mu1(cfg, mid) < 0.0)
     om = delta0 + 50.0 * cfg.ring.decay_rate
-    full = rs.epsilon_from_full_sum(cfg, om)
+    # the resonant term overflows at half widths near 1e90 with gamma_inv_ns near 1e210
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = rs.epsilon_from_full_sum(cfg, om)
     single = rs.response_tensors(cfg, om).eps_r
     dominant = np.abs(single) > 1.0
     full_sum_dev = (float((np.abs(full - single)[dominant] / np.abs(single)[dominant]).max())
@@ -365,13 +388,15 @@ def refraction_checks(params: RingParams) -> dict:
     delta0 = rs.resonance_frequency(cfg)
     bw = rs.bandwidth(cfg)
     zeros = rs.mu1_zero_detunings(cfg)
+    omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
     if zeros is None:
         lh_e = lh_h = bounded = contiguous = OVERDAMPED
     elif delta0 - 10 * bw <= 0.0:
         lh_e = lh_h = bounded = contiguous = NONPOSITIVE_SWEEP
+    elif (np.diff(omega) <= 0.0).any():
+        lh_e = lh_h = bounded = contiguous = REPEATED_SWEEP
     else:
         theta = np.linspace(0.0, math.radians(89.0), 128)
-        omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
         pd_e = rf.phase_diagram(cfg, rf.Polarization.E, theta, omega)
         lh_e = pd_e.count(rf.Classification.LH)
         lh_h = rf.phase_diagram(cfg, rf.Polarization.H, theta, omega).count(rf.Classification.LH)

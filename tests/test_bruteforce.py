@@ -194,6 +194,17 @@ def test_calibration_flags_transcription_errors():
         bf.calibrate_conventions(ana, num, 12, float(np.abs(num).max()))
 
 
+def test_calibration_error_carries_every_block_residual():
+    p = RingParams(12)
+    ana = dp.electric_table(p).copy()
+    num = bf.numeric_electric_elements(p)
+    ana[0, 12] *= 2.0
+    with pytest.raises(bf.CalibrationError) as info:
+        bf.calibrate_conventions(ana, num, 12, float(np.abs(num).max()))
+    result = info.value.result
+    assert result.residual == max(result.block_residuals.values()) > 1e-6
+
+
 def test_onsite_splitting_supported_numerically():
     p = RingParams(6, eps_onsite=0.8)
     h = bf.build_hamiltonian(p).matrix

@@ -75,14 +75,21 @@ def test_malformed_json_rejected():
     ('{"half_width_nm": 1e300}', "half_width_nm .* finite molecular volume > 0"),
     ('{"xi_intra_ev": 1e100}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
     ('{"v_inter_ev": 1e100}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
+    # finite for the configured 4W cylinder; the bandwidth command's 2W cylinder overflows
+    ('{"N": 3, "v_inter_ev": 1e73}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
     ('{"xi_intra_ev": 1e300}', "v_inter_ev, xi_intra_ev, half_width_nm .* critical lifetime"),
     ('{"gamma_inv_ns": 1e-200}', "gamma_inv_ns must give a finite bandwidth"),
+    # the level spacing of 1e300 eV overflows in rad/s
+    ('{"v_inter_ev": 1e300, "radius_nm": 1e-300}', "v_inter_ev and xi_intra_ev must give a finite "
+                                                    "resonance frequency"),
     ('{"gamma_inv_ns": 1e-300}', "gamma_inv_ns must give a finite decay rate"),
     # the lifetime in seconds rounds to 0
     ('{"gamma_inv_ns": 5e-324}', "gamma_inv_ns must give a finite decay rate"),
     # eta on resonance overflows (1e304), or 5 eta does (1e303)
     ('{"gamma_inv_ns": 1e304}', "gamma_inv_ns must give a finite response"),
     ('{"gamma_inv_ns": 1e303}', "gamma_inv_ns must give a finite response"),
+    # tau_c is finite in seconds (2e302 s) but not in ns
+    ('{"half_width_nm": 1e45, "radius_nm": 1e-135}', "half_width_nm .* critical lifetime > 0"),
     # the denominator of tau_c overflows, so it evaluates to 0
     ('{"half_width_nm": 1e100}', "half_width_nm .* critical lifetime > 0"),
     ('{"N": 3, "N": 5}', "config key given twice: 'N'"),
@@ -430,6 +437,73 @@ def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
         "nan", "", "0", validation.OVERFLOW]
     # 18 of the 20 magnetic blocks are NaN: the residual is NaN, not the largest finite one
     assert rows["magnetic_block_calibration"][1:4] == ["nan", "1.0000000000000001e-09", "0"]
+
+
+def _validate_rows(tmp_path, config):
+    """Exit code and the CSV rows by name of `validate` on ``config``."""
+    path = tmp_path / "validate.csv"
+    cfg = cli.parse_config(json.dumps({**config, "output_path": str(path)}).encode())
+    code = cli.run_command("validate", cfg, stdout=io.StringIO())
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [check.name for check in validation.CHECKS]
+    return code, {row[0]: row for row in rows}
+
+
+@pytest.mark.parametrize("half_width_nm", (1e-60, 1e-67, 1e-71, 1e-100))
+def test_validate_at_an_underflowing_half_width_keeps_the_dipole_checks(tmp_path, half_width_nm):
+    # the squared magnetic elements, and the products in the block overlaps, underflow:
+    # both are scaled by 2^600, so the relative checks hold as at any width
+    _, rows = _validate_rows(tmp_path, {"half_width_nm": half_width_nm, "radius_nm": 1.0})
+    for name in ("electric_dyads_vs_dense_eigenvectors", "magnetic_dyads_vs_dense_eigenvectors",
+                 "electric_block_calibration", "magnetic_block_calibration"):
+        assert rows[name][3] == "1", rows[name]
+
+
+MAGNETIC_ROWS = ("magnetic_table_vs_numeric", "magnetic_dyads_vs_dense_eigenvectors",
+                 "magnetic_block_calibration", "commutator_vs_bond_current")
+PHASE_DIAGRAM_ROWS = ("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
+                      "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
+
+
+@pytest.mark.parametrize("config,failed_notes", [
+    # the dense checks' radius N W / pi leaves every numeric magnetic element 0
+    ({"half_width_nm": 1e-150, "radius_nm": 1e30},
+     dict.fromkeys(MAGNETIC_ROWS, validation.UNDERFLOW)),
+    # 20 bandwidths are below the float spacing at the resonance: the sweep repeats values
+    ({"v_inter_ev": 1e30, "half_width_nm": 1e-60},
+     dict.fromkeys(PHASE_DIAGRAM_ROWS, validation.REPEATED_SWEEP)),
+    ({"half_width_nm": 1e-60, "gamma_inv_ns": 1e60},
+     dict.fromkeys(PHASE_DIAGRAM_ROWS, validation.REPEATED_SWEEP)),
+])
+def test_validate_reports_checks_beyond_float_range_as_failed(tmp_path, config, failed_notes):
+    code, rows = _validate_rows(tmp_path, config)
+    assert code == cli.EXIT_VALIDATION_FAILURE
+    for name, note in failed_notes.items():
+        assert rows[name][1:] == ["nan", "", "0", note]
+
+
+def test_validate_reports_a_calibration_residual_above_the_raising_bound(tmp_path):
+    # subnormal magnetic elements keep a few bits: the block fit misses by 2e-5, a
+    # failed row and not the ValueError that calibrate_conventions raises above 1e-6
+    code, rows = _validate_rows(tmp_path, {"half_width_nm": 1e-142, "radius_nm": 1e30})
+    assert code == cli.EXIT_VALIDATION_FAILURE
+    assert 1e-6 < float(rows["magnetic_block_calibration"][1]) < 1.0
+    assert rows["magnetic_block_calibration"][3] == "0"
+
+
+@pytest.mark.parametrize("config", [
+    # the resonant term of the full Kubo sum overflows 50 linewidths above resonance
+    {"half_width_nm": 1e90, "gamma_inv_ns": 1e210},
+    # the lossy sweep: (omega / c)^2 overflows at a resonance near 1e135 rad/s
+    {"v_inter_ev": 1e120, "radius_nm": 1e-80},
+    # the lossy sweep: det eps_xx overflows at a lifetime of 1e140 ns
+    {"half_width_nm": 1e-60, "gamma_inv_ns": 1e140},
+    # the lossy sweep: the yz determinant overflows at a lifetime of 1e230 ns
+    {"half_width_nm": 1e-50, "gamma_inv_ns": 1e230},
+])
+def test_validate_with_overflowing_responses_runs_without_warnings(tmp_path, config):
+    code, _ = _validate_rows(tmp_path, config)
+    assert code == cli.EXIT_VALIDATION_FAILURE
 
 
 def test_validate_with_a_singular_yz_block_runs_without_warnings(tmp_path):
