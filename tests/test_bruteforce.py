@@ -8,7 +8,7 @@ import pytest
 from mobius_optics import bruteforce as bf
 from mobius_optics import dipole as dp
 from mobius_optics.constants import E_CHARGE, EV, HBAR, NM
-from mobius_optics.ring import RingParams, Topology, all_labels, positions_array
+from mobius_optics.ring import BANDS, RingParams, Topology, all_labels, label_axes, positions_array
 
 
 def test_mobius_seam_wiring():
@@ -338,3 +338,87 @@ def test_oracle_imports_only_constants_and_ring_from_the_package():
             package.update(alias.name.removeprefix("mobius_optics.") for alias in node.names
                            if alias.name.startswith("mobius_optics"))
     assert package == {"constants", "ring"}
+
+
+# --- the block slices of calibrate_conventions against the mask loop, bit for bit ---
+
+def _calibrate_by_masks(analytic, numeric, n, atol_scale):
+    """The per-block mask loop of the calibration: (phases, block residuals, residual)."""
+    band, ell = label_axes(n)
+    dl = (ell[None, :] - ell[:, None]) % n
+    dl = np.where(dl > n // 2, dl - n, dl)
+    phases, block_res = {}, {}
+    worst = 0.0
+    for d in np.unique(dl[np.abs(dl) <= 2]):
+        for ba, bb in np.ndindex(2, 2):
+            key = (int(d), BANDS[ba].value, BANDS[bb].value)
+            mask = (dl == d) & (band[:, None] == ba) & (band[None, :] == bb)
+            arr_a, arr_n = analytic[mask].ravel(), numeric[mask].ravel()
+            if np.abs(arr_a).max() < atol_scale * 1e-14:
+                phase = 1.0 + 0.0j
+            else:
+                overlap = np.vdot(arr_a, arr_n)
+                if atol_scale < 2.0 ** -300:
+                    overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
+                phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
+            res = np.abs(phase * arr_a - arr_n).max() / atol_scale
+            phases[key] = phase
+            block_res[key] = res
+            worst = np.maximum(worst, res)
+    return phases, block_res, worst
+
+
+def _canonical(x):
+    """Bytes of a float or complex value, every NaN made one NaN."""
+    a = np.array(x, dtype=complex if np.iscomplexobj(x) else float)
+    parts = a.reshape(-1).view(float)
+    parts[np.isnan(parts)] = np.nan
+    return a.tobytes()
+
+
+def _assert_calibration_matches_the_masks(ana, num, n, atol_scale):
+    try:
+        result = bf.calibrate_conventions(ana, num, n, atol_scale)
+    except bf.CalibrationError as exc:
+        result, raised = exc.result, True
+    else:
+        raised = False
+    phases, block_res, worst = _calibrate_by_masks(ana, num, n, atol_scale)
+    assert raised == (worst > 1e-6)
+    assert list(result.phases) == list(phases) == list(result.block_residuals)
+    assert [_canonical(v) for v in result.phases.values()] == [_canonical(v) for v in phases.values()]
+    assert ([_canonical(v) for v in result.block_residuals.values()]
+            == [_canonical(v) for v in block_res.values()])
+    assert _canonical(result.residual) == _canonical(worst)
+    return raised
+
+
+# half widths (nm) as in the dyad differential test of test_validation.py
+ORACLE_RINGS = [{"half_width": hw * NM} for hw in (1e-3, 0.077, 1e-60, 1e87, 1e90)] + [
+    {"xi_intra": 1e-6}, {"v_inter": 1e6}]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 12, 24))
+def test_calibration_slices_match_the_block_masks(n, ring):
+    p = RingParams(n, **ring)
+    dense = bf.DenseRing(p)
+    # an overflowing overlap gives a NaN phase, as in validate
+    with np.errstate(invalid="ignore"):
+        for ana_fn, op in ((dp.electric_table, dense.electric),
+                           (dp.magnetic_table, dense.magnetic("commutator"))):
+            ana, num = ana_fn(p), bf._sandwich(op, dense.amplitudes)
+            _assert_calibration_matches_the_masks(ana, num, n, float(np.abs(ana).max()))
+
+
+def test_calibration_error_path_matches_the_block_masks():
+    p = RingParams(12)
+    ana = dp.electric_table(p).copy()
+    ana[0, 12] *= 2.0
+    num = bf.numeric_electric_elements(p)
+    assert _assert_calibration_matches_the_masks(ana, num, 12, float(np.abs(num).max()))
+    # subnormal magnetic elements keep a few bits: the fit misses by more than 1e-6
+    p = RingParams(12, half_width=1e-142 * NM)
+    ana = dp.magnetic_table(p)
+    num = bf.numeric_magnetic_elements(p)
+    assert _assert_calibration_matches_the_masks(ana, num, 12, float(np.abs(ana).max()))

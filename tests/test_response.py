@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics.constants import EPSILON_0, EV, HBAR
 from mobius_optics.dipole import DipoleKind
-from mobius_optics.ring import RingParams, VolumeConvention
+from mobius_optics.ring import BANDS, Band, RingParams, VolumeConvention, label_axes
 
 CFG = rs.MediumConfig(RingParams(12))
 CFG_2W = rs.MediumConfig(RingParams(12, volume_convention=VolumeConvention.CYLINDER_2W))
@@ -265,3 +267,16 @@ def test_batched_response_matches_scalar_calls_bit_for_bit(gamma_inv_ns, n, loss
     assert type(one.omega) is float and type(one.eta) is complex
     assert type(one.eps1) is type(one.mu1) is (complex if lossy else float)
     assert type(one.near_resonance) is bool and one.eps_r.shape == (3, 3)
+
+
+_energy_ev = st.floats(1e-5, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 400), v=_energy_ev, xi=_energy_ev)
+def test_resonance_frequency_is_the_lowest_up_line_of_the_full_spectrum(n, v, xi):
+    ring = RingParams(n, v_inter=v, xi_intra=xi)
+    band, ell = label_axes(n)
+    lowest_up = np.flatnonzero((band == BANDS.index(Band.UP)) & (ell == 0))[0]
+    expected = rs._excited_frequencies(ring)[lowest_up - 1]   # the ground state is not excited
+    assert np.array_equal(_bits(rs.resonance_frequency(rs.MediumConfig(ring))), _bits(expected))

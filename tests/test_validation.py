@@ -7,11 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from mobius_optics import bruteforce as bf
 from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics import validation
-from mobius_optics.constants import E_CHARGE, EV, HBAR, NS
-from mobius_optics.ring import RingParams, Topology, all_labels
+from mobius_optics.constants import E_CHARGE, EV, HBAR, NM, NS
+from mobius_optics.ring import RingParams, Topology, all_labels, band_energies
 from mobius_optics.validation import _brentq, validation_report
 
 
@@ -208,3 +209,57 @@ def test_brent_port_returns_none_without_a_sign_change():
     assert _brentq(f, 2.0, 3.0, 1e-9) is None
     assert _brentq(f, -3.0, -2.0, 1e-9) is None
     assert _brentq(lambda x: math.nan, 0.0, 1.0, 1e-9) is None
+
+
+# --- the dyad pass against the per-level loop it replaces, bit for bit -------
+
+# half widths (nm) of the dense-oracle differential tests: 1e-60 takes the 2^600
+# branch, 1e87 gives NaN block phases and 1e90 squared magnetic elements that
+# overflow; then tiny xi (levels closer than 1e-6 eV) and huge V
+ORACLE_RINGS = [{"half_width": hw * NM} for hw in (1e-3, 0.077, 1e-60, 1e87, 1e90)] + [
+    {"xi_intra": 1e-6}, {"v_inter": 1e6}]
+
+
+def _canonical(x):
+    """Bytes of a float or complex value, every NaN made one NaN."""
+    a = np.array(x, dtype=complex if np.iscomplexobj(x) else float)
+    parts = a.reshape(-1).view(float)
+    parts[np.isnan(parts)] = np.nan
+    return a.tobytes()
+
+
+def _dyads_by_levels(params, w, num, tbl):
+    """The per-level loop of the dyad check, grouping and matching the levels itself."""
+    order = np.argsort(w)
+    levels = np.split(order, np.flatnonzero(~(np.diff(w[order]) <= bf.LEVEL_TOL_EV)) + 1)
+    closed = band_energies(params)
+    (ground, _), *excited = [
+        (grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= bf.LEVEL_TOL_EV)) for grp in levels]
+    peak = float(np.abs(num).max())
+    if peak < 2.0 ** -300:
+        num, tbl, peak = num * 2.0 ** 600, tbl * 2.0 ** 600, peak * 2.0 ** 600
+    try:
+        scale = peak ** 2
+    except OverflowError:
+        return math.inf
+    worst = 0.0
+    for grp, cols in excited:
+        vec_num = num[np.ix_(ground, grp)].reshape(-1, 3)
+        vec_ana = tbl[0, cols]   # label 0 is the ground state
+        dy_num = (vec_num[:, :, None] * vec_num.conj()[:, None, :]).sum(axis=0)
+        dy_ana = (vec_ana[:, :, None] * vec_ana.conj()[:, None, :]).sum(axis=0)
+        worst = np.maximum(worst, float(np.abs(dy_num - dy_ana).max()) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 12, 24))
+def test_dyad_pass_matches_the_loop_over_levels(n, ring):
+    p = RingParams(n, **ring)
+    dense = bf.DenseRing(p)
+    w, v = dense.eigensystem
+    for ana_fn, op in ((dp.electric_table, dense.electric),
+                       (dp.magnetic_table, dense.magnetic("commutator"))):
+        ana, num = ana_fn(p), bf._sandwich(op, v)
+        assert (_canonical(validation._dyad_deviation(p, w, num, ana))
+                == _canonical(_dyads_by_levels(p, w, num, ana)))
