@@ -11,8 +11,9 @@ twisted ring responds magnetically:
 * the Mobius ring has at least one transition carrying both.
 
 A ``DenseRing`` holds one ring's dense objects (the Hamiltonian, its
-eigensystem, the site-basis dipole operators and the closed-form amplitudes),
-each built on first use and then shared read-only.  The checks, the element
+eigensystem and level grouping, the site-basis dipole operators, the
+closed-form amplitudes and, for a Mobius ring, each level's matched
+closed-form columns), each built on first use and then shared read-only.  The checks, the element
 tables and ``magnetic_dipole_matrix`` take either a ``RingParams``, for a
 fresh context, or a ``DenseRing`` whose objects they reuse.  A context lives
 as long as its caller keeps it (``validation`` keeps one per ring for one
@@ -66,9 +67,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class DenseRing:
     """One ring's dense objects, each built on first use and then shared read-only.
 
-    ``hamiltonian``, ``eigensystem``, ``electric``, ``amplitudes`` (Mobius
-    only) and ``magnetic(definition)`` are computed at most once per context,
-    so every check handed the context reads the same arrays.
+    ``hamiltonian``, ``eigensystem``, ``levels``, ``electric``, ``amplitudes``
+    and ``matched_levels`` (both Mobius only) and ``magnetic(definition)`` are
+    computed at most once per context, so every check handed the context
+    reads the same arrays.
     """
 
     def __init__(self, params: RingParams):
@@ -87,12 +89,23 @@ class DenseRing:
         return _read_only(w), _read_only(v)
 
     @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """``group_levels`` of the dense spectrum: each level's state indices, by energy."""
+        return tuple(_read_only(grp) for grp in group_levels(self.eigensystem[0]))
+
+    @cached_property
     def electric(self) -> np.ndarray:
         return _read_only(electric_dipole_matrix(self.params))
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
         return _read_only(amplitude_matrix(self.params))
+
+    @cached_property
+    def matched_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``match_levels``: each of ``levels`` with its closed-form columns."""
+        return tuple((grp, _read_only(cols)) for grp, cols in
+                     match_levels(self.eigensystem[0], self.levels, band_energies(self.params)))
 
     def magnetic(self, definition: str = "commutator") -> np.ndarray:
         if definition not in self._magnetic:
@@ -245,33 +258,29 @@ def numeric_magnetic_elements(ring: RingParams | DenseRing,
     return _sandwich(ring.magnetic(definition), ring.amplitudes)
 
 
-def _sorted_levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State indices by ascending energy, and the positions there where a new level starts.
+def group_levels(energies: np.ndarray) -> list[np.ndarray]:
+    """State indices of each degenerate level, by ascending energy.
 
     Neighbours within LEVEL_TOL_EV share a level; a NaN gap starts a new one.
     """
     order = np.argsort(energies)
-    return order, np.flatnonzero(~(np.diff(energies[order]) <= LEVEL_TOL_EV)) + 1
+    return np.split(order, np.flatnonzero(~(np.diff(energies[order]) <= LEVEL_TOL_EV)) + 1)
 
 
-def group_levels(energies: np.ndarray) -> list[np.ndarray]:
-    """Indices of degenerate levels, grouped by energy within LEVEL_TOL_EV."""
-    return np.split(*_sorted_levels(energies))
-
-
-def match_levels(w: np.ndarray, closed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``group_levels(w)``, each with the closed-form columns within LEVEL_TOL_EV of its mean."""
+def match_levels(w: np.ndarray, levels: tuple[np.ndarray, ...],
+                 closed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each level of ``group_levels(w)`` with the closed-form columns within LEVEL_TOL_EV of its mean."""
     return [(grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= LEVEL_TOL_EV))
-            for grp in group_levels(w)]
+            for grp in levels]
 
 
 def eigenspace_projector_residual(ring: RingParams | DenseRing) -> float:
     """Max-abs difference between numeric and closed-form level projectors."""
     ring = _dense(ring)
-    w, v = ring.eigensystem
+    v = ring.eigensystem[1]
     u = ring.amplitudes
     worst = 0.0
-    for grp, cols in match_levels(w, band_energies(ring.params)):
+    for grp, cols in ring.matched_levels:
         p_num = v[:, grp] @ v[:, grp].conj().T
         p_ana = u[:, cols] @ u[:, cols].conj().T
         worst = np.maximum(worst, np.abs(p_num - p_ana).max())
@@ -300,9 +309,9 @@ def perfect_ring_regression(ring: RingParams | DenseRing) -> PerfectRingReport:
     m_eig = _sandwich(m, v)
     d_eig = _sandwich(ring.electric, v)
     # off-diagonal blocks between distinct energy levels only (gauge-free)
-    order, starts = _sorted_levels(w)
-    level = np.empty_like(order)
-    level[order] = np.searchsorted(starts, np.arange(len(w)), side="right")
+    level = np.empty(len(w), dtype=int)
+    level[np.concatenate(ring.levels)] = np.repeat(np.arange(len(ring.levels)),
+                                                   [len(grp) for grp in ring.levels])
     between = level[:, None] != level[None, :]
     mag_off = np.abs(m_eig[between]).max(initial=0.0)
     ele_off = np.abs(d_eig[between]).max(initial=0.0)
@@ -346,11 +355,10 @@ def shared_transition_scan(ring: RingParams | DenseRing,
     m_scale = (
         E_CHARGE * (params.xi_intra * EV) * params.radius * params.half_width / HBAR
     )
-    groups = group_levels(w)
-    ground = groups[0]
+    ground, *excited = ring.levels
     out = []
     n_shared = 0
-    for grp in groups[1:]:
+    for grp in excited:
         freq = w[grp].mean() - w[ground].mean()
         d_blk = np.linalg.norm(d_eig[np.ix_(ground, grp)]) / d_scale
         m_blk = np.linalg.norm(m_eig[np.ix_(ground, grp)]) / m_scale
@@ -398,25 +406,33 @@ def calibrate_conventions(
     band, ell = label_axes(n)
     dl = (ell[None, :] - ell[:, None]) % n   # [a, b] = l_b - l_a
     dl = np.where(dl > n // 2, dl - n, dl)
+    dls = np.unique(dl[np.abs(dl) <= 2])
+    n_blocks = 4 * len(dls)
+    # block id of each (a, b): its dl, then its band pair; |dl| > 2 sorts past the last block
+    block = np.where(np.abs(dl) <= 2,
+                     4 * np.searchsorted(dls, dl) + 2 * band[:, None] + band[None, :],
+                     n_blocks).ravel()
+    order = np.argsort(block, kind="stable")   # a block's entries stay ordered by a, then b
+    bounds = np.searchsorted(block[order], np.arange(n_blocks + 1))
+    # each block is a slice of rows, its elements ordered by a, then b, then component
+    rows_a, rows_n = (table.reshape(-1, 3)[order[:bounds[-1]]] for table in (analytic, numeric))
     phases, block_res = {}, {}
     worst = 0.0
-    for d in np.unique(dl[np.abs(dl) <= 2]):
-        for ba, bb in np.ndindex(2, 2):
-            key = (int(d), BANDS[ba].value, BANDS[bb].value)
-            mask = (dl == d) & (band[:, None] == ba) & (band[None, :] == bb)
-            # each block's elements ordered by a, then b, then component
-            arr_a, arr_n = analytic[mask].ravel(), numeric[mask].ravel()
-            if np.abs(arr_a).max() < atol_scale * 1e-14:
-                phase = 1.0 + 0.0j
-            else:
-                overlap = np.vdot(arr_a, arr_n)
-                if atol_scale < 2.0 ** -300:   # the products underflow: scale both exactly
-                    overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
-                phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
-            res = np.abs(phase * arr_a - arr_n).max() / atol_scale
-            phases[key] = phase
-            block_res[key] = res
-            worst = np.maximum(worst, res)   # keeps a NaN block, which max() may drop
+    for i, (d, ba, bb) in enumerate(np.ndindex(len(dls), 2, 2)):
+        key = (int(dls[d]), BANDS[ba].value, BANDS[bb].value)
+        arr_a = rows_a[bounds[i]:bounds[i + 1]].ravel()
+        arr_n = rows_n[bounds[i]:bounds[i + 1]].ravel()
+        if np.abs(arr_a).max() < atol_scale * 1e-14:
+            phase = 1.0 + 0.0j
+        else:
+            overlap = np.vdot(arr_a, arr_n)
+            if atol_scale < 2.0 ** -300:   # the products underflow: scale both exactly
+                overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
+            phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
+        res = np.abs(phase * arr_a - arr_n).max() / atol_scale
+        phases[key] = phase
+        block_res[key] = res
+        worst = np.maximum(worst, res)   # keeps a NaN block, which max() may drop
     result = CalibrationResult(phases, worst, block_res)
     if worst > 1e-6:
         bad = max(block_res, key=block_res.get)

@@ -42,7 +42,8 @@ import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, EV, E_CHARGE, HBAR, MU_0
 from .dipole import _LABEL_ROW, DipoleKind, _rows
-from .ring import BANDS, Band, RingParams, VolumeConvention, band_energies, label_axes
+from .ring import (BANDS, Band, RingParams, VolumeConvention, band_energies, label_axes,
+                   label_energies)
 
 # lossless-mode near-resonance mask half width, in units of gamma
 NEAR_RESONANCE_FACTOR = 1e-3
@@ -106,10 +107,14 @@ def _excited_frequencies(ring: RingParams) -> np.ndarray:
 
 
 def resonance_frequency(config: MediumConfig) -> float:
-    """Delta_0 = (2V + 2 xi (1 - cos delta/2)) / hbar in rad/s, the (0, up) line."""
-    band, ell = label_axes(config.ring.n_per_ring)
-    lowest_up = (band[1:] == BANDS.index(Band.UP)) & (ell[1:] == 0)
-    return float(_excited_frequencies(config.ring)[lowest_up][0])
+    """Delta_0 = (2V + 2 xi (1 - cos delta/2)) / hbar in rad/s, the (0, up) line.
+
+    Only the two labels it reads are evaluated, (0, down) and (0, up); Delta_0
+    has the bits of its entry in ``_excited_frequencies``.
+    """
+    bands = np.array([BANDS.index(Band.DOWN), BANDS.index(Band.UP)])   # both at l = 0
+    ground, lowest_up = label_energies(config.ring, bands, np.zeros(2, dtype=int))
+    return float((lowest_up - ground) * EV / HBAR)
 
 
 def eta_prefactor(config: MediumConfig) -> float:

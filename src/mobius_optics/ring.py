@@ -159,8 +159,15 @@ def _require_mobius(params: RingParams):
 
 def band_energies(params: RingParams) -> np.ndarray:
     """(2N,) closed-form band energies in eV, in label order."""
+    return label_energies(params, *label_axes(params.n_per_ring))
+
+
+def label_energies(params: RingParams, band: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Closed-form energies in eV of the labels (ell, BANDS[band]), elementwise.
+
+    Each label's energy has the same bits as its entry in ``band_energies``.
+    """
     _require_mobius(params)
-    band, ell = label_axes(params.n_per_ring)
     up = band == BANDS.index(Band.UP)
     k = ell * params.delta - np.where(up, params.delta / 2.0, 0.0)
     return np.where(up, params.v_inter, -params.v_inter) - 2.0 * params.xi_intra * np.cos(k)

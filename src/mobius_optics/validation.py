@@ -8,9 +8,9 @@ and scripts can assert on it.
 ``CHECKS`` declares every check once, in report order: its name, threshold,
 note and pass rule.  Each group function returns one mapping from check name
 to a value, or to the reason there is none (``NO_ROOT``, ``NONPOSITIVE_SWEEP``,
-``NO_SURFACE``, ``NO_TANGENT``, ``OVERFLOW``, ``OVERDAMPED``, ``NO_LH_BAND``,
-``NO_DOMINANT_ENTRY``, ``NO_LOSSY_LH``); a reason row reads NaN, a blank
-threshold, failed, and the reason as its note.  A new check is one ``CHECKS``
+``REPEATED_SWEEP``, ``NO_SURFACE``, ``NO_TANGENT``, ``OVERFLOW``, ``UNDERFLOW``,
+``OVERDAMPED``, ``NO_LH_BAND``, ``NO_DOMINANT_ENTRY``, ``NO_LOSSY_LH``); a
+reason row reads NaN, a blank threshold, failed, and the reason as its note.  A new check is one ``CHECKS``
 row plus one entry in its group's return: ``validation_report`` raises unless
 the groups return each name of the table once.
 
@@ -20,7 +20,9 @@ configured N reaches only the closed-form checks.  ``validation_report``
 builds each dense object once per ring and report: its dense groups look
 every ring up in one table of ``bruteforce.DenseRing`` contexts, made for
 the report and dropped when it returns, so no state carries over from one
-report to the next.  A group called on its own makes fresh contexts.
+report to the next.  A context also groups its ring's levels once and
+matches them to the closed-form columns once, for every check that reads
+them.  A group called on its own makes fresh contexts.
 
 Reductions keep NaN (``np.maximum``, ``np.max``, not ``max``), so a NaN
 deviation fails its check.
@@ -205,7 +207,7 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     for n in TABLE_NS:
         p = replace(params, n_per_ring=n, radius=None)
         ring = dense(p)
-        w, v = ring.eigensystem
+        v = ring.eigensystem[1]
         u = ring.amplitudes
         for kind, ana_fn, op in (
             ("electric", dp.electric_table, ring.electric),
@@ -220,7 +222,7 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
                 continue
             worst_tbl[kind] = np.maximum(worst_tbl[kind], float(np.abs(ana - num).max()) / scale)
             worst_dyad[kind] = np.maximum(worst_dyad[kind],
-                                          _dyad_deviation(p, w, bf._sandwich(op, v), ana))
+                                          _dyad_deviation(ring, bf._sandwich(op, v), ana))
     out = {}
     for kind in ("electric", "magnetic"):
         out[f"{kind}_table_vs_numeric"] = UNDERFLOW if kind in zero else worst_tbl[kind]
@@ -252,16 +254,17 @@ def _calibration_residual(ana: np.ndarray, num: np.ndarray) -> float:
         return exc.result.residual
 
 
-def _dyad_deviation(params: RingParams, w: np.ndarray, num: np.ndarray,
-                    tbl: np.ndarray) -> float:
+def _dyad_deviation(ring: bf.DenseRing, num: np.ndarray, tbl: np.ndarray) -> float:
     """Ground-state transition dyads, numeric vs analytic, level-projected.
 
-    ``num`` is the operator in the dense eigenbasis of levels ``w`` and ``tbl``
-    its closed-form table; infinite when the squared elements overflow.  Below
+    ``num`` is the operator in the dense eigenbasis of ``ring`` and ``tbl`` its
+    closed-form table; infinite when the squared elements overflow.  Below
     2^-300 (magnetic elements at half widths under about 1e-35 nm) both are
     scaled by 2^600, exactly, so that the products stay in the normal range.
+    Each level's dyads are summed over its rows in (ground state, member)
+    order, and over its closed-form columns (none: a zero dyad).
     """
-    (ground, _), *excited = bf.match_levels(w, band_energies(params))
+    (ground, _), *excited = ring.matched_levels
     peak = float(np.abs(num).max())
     if peak < 2.0 ** -300:
         num, tbl, peak = num * 2.0 ** 600, tbl * 2.0 ** 600, peak * 2.0 ** 600
@@ -269,14 +272,32 @@ def _dyad_deviation(params: RingParams, w: np.ndarray, num: np.ndarray,
         scale = peak ** 2
     except OverflowError:
         return math.inf
-    worst = 0.0
-    for grp, cols in excited:
-        vec_num = num[np.ix_(ground, grp)].reshape(-1, 3)
-        vec_ana = tbl[0, cols]   # label 0 is the ground state
-        dy_num = (vec_num[:, :, None] * vec_num.conj()[:, None, :]).sum(axis=0)
-        dy_ana = (vec_ana[:, :, None] * vec_ana.conj()[:, None, :]).sum(axis=0)
-        worst = np.maximum(worst, float(np.abs(dy_num - dy_ana).max()) / scale)
-    return worst
+    if not excited:
+        return 0.0
+    grps, cols = zip(*excited)
+    dy_num = _level_dyads(num[np.ix_(ground, np.concatenate(grps))].reshape(-1, 3),
+                          np.tile(_level_ids(grps), len(ground)), len(grps))
+    dy_ana = _level_dyads(tbl[0, np.concatenate(cols)],   # label 0 is the ground state
+                          _level_ids(cols), len(grps))
+    # a positive divisor keeps the order, so the largest quotient is the quotient of the largest
+    return np.abs(dy_num - dy_ana).max() / scale
+
+
+def _level_ids(index_sets) -> np.ndarray:
+    """The position of each index in ``index_sets``, repeated once per index."""
+    return np.repeat(np.arange(len(index_sets)), [len(s) for s in index_sets])
+
+
+def _level_dyads(vectors: np.ndarray, level: np.ndarray, n_levels: int) -> np.ndarray:
+    """(n_levels, 3, 3) sums of the dyads v v^dagger of the rows of ``vectors`` per level.
+
+    ``np.add.at`` adds the rows in order, as a per-level ``sum(axis=0)`` would;
+    ``np.add.reduceat`` would not: it adds each segment's first row to the
+    pairwise sum of the rest, which differs from three rows on.
+    """
+    out = np.zeros((n_levels, 3, 3), dtype=complex)
+    np.add.at(out, level, vectors[:, :, None] * vectors.conj()[:, None, :])
+    return out
 
 
 def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray) -> float:

@@ -395,7 +395,7 @@ def _assert_calibration_matches_the_masks(ana, num, n, atol_scale):
 
 # half widths (nm) as in the dyad differential test of test_validation.py
 ORACLE_RINGS = [{"half_width": hw * NM} for hw in (1e-3, 0.077, 1e-60, 1e87, 1e90)] + [
-    {"xi_intra": 1e-6}, {"v_inter": 1e6}]
+    {"xi_intra": 1e-6}, {"v_inter": 1e6}, {"v_inter": 1e-12, "xi_intra": 1e-12}]
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)

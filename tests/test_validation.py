@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,13 +54,36 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
         rings.append((params.n_per_ring, params.topology))
         return build(params)
 
+    grouped, matched = [], []
+    group, match = bf.group_levels, bf.match_levels
+
+    def grouping(energies):
+        grouped.append(energies.tobytes())
+        return group(energies)
+
+    def matching(w, levels, closed):
+        matched.append(w.tobytes())
+        return match(w, levels, closed)
+
     monkeypatch.setattr(validation.bf, "build_hamiltonian", recording)
+    monkeypatch.setattr(bf, "group_levels", grouping)
+    monkeypatch.setattr(bf, "match_levels", matching)
     checks = validation_report(RingParams(40))["checks"]
     # each ring of the dense checks, at its fixed size, is built exactly once per report
     expected = sorted([(n, Topology.MOBIUS) for n in validation.SPECTRUM_NS]
                       + [(12, Topology.SINGLE_RING), (12, Topology.DOUBLE_RING_PERIODIC)],
                       key=str)
     assert sorted(rings, key=str) == expected
+    # and has its levels grouped at most once: the Mobius rings of the dipole tables
+    # (DENSE_N among them) and the two other topologies of the topology checks
+    assert sorted(len(w) for w in grouped) == sorted(
+        [16 * n for n in validation.TABLE_NS] + [8 * validation.DENSE_N, 16 * validation.DENSE_N])
+    assert len(set(grouped)) == len(grouped)
+    # and matched to the closed-form columns at most once: the Mobius rings of the tables
+    assert sorted(len(w) for w in matched) == [16 * n for n in validation.TABLE_NS]
+    assert len(set(matched)) == len(matched)
+    grouped.clear()
+    matched.clear()
     # spectrum (3), dipole (8) and topology (5) checks: every dense oracle
     dense = checks[:16]
     assert [c["name"] for c in dense[::15]] == [
@@ -68,6 +92,7 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
     rings.clear()
     second = validation_report(RingParams(12))["checks"]
     assert sorted(rings, key=str) == expected
+    assert (len(grouped), len(matched)) == (len(validation.TABLE_NS) + 2, len(validation.TABLE_NS))
     assert dense == second[:16]
     monkeypatch.undo()
     assert second == validation_report(RingParams(12))["checks"]
@@ -82,6 +107,17 @@ def test_closed_form_levels_match_dense_groups_at_the_grouping_tolerance():
     assert values["eigenspace_projectors"] < 1e-6
     for name in ("electric_dyads_vs_dense_eigenvectors", "magnetic_dyads_vs_dense_eigenvectors"):
         assert values[name] <= threshold[name]
+
+
+def test_every_reason_is_named_in_the_module_docstring_and_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    notes = readme[readme.index("Notes on `validate`:"):readme.index("Exit codes:")]
+    reasons = [name for name, value in vars(validation).items()
+               if name.isupper() and not name.startswith("_") and isinstance(value, str)]
+    assert {"NO_ROOT", "REPEATED_SWEEP", "UNDERFLOW"} <= set(reasons)
+    for name in reasons:
+        assert f"``{name}``" in validation.__doc__, name
+        assert f"`{name}`" in notes, name
 
 
 @pytest.mark.parametrize("group_name,drop,add", [
@@ -215,9 +251,10 @@ def test_brent_port_returns_none_without_a_sign_change():
 
 # half widths (nm) of the dense-oracle differential tests: 1e-60 takes the 2^600
 # branch, 1e87 gives NaN block phases and 1e90 squared magnetic elements that
-# overflow; then tiny xi (levels closer than 1e-6 eV) and huge V
+# overflow; then tiny xi (levels closer than 1e-6 eV), huge V, and a spectrum
+# within 1e-9 eV (one level, no excited one)
 ORACLE_RINGS = [{"half_width": hw * NM} for hw in (1e-3, 0.077, 1e-60, 1e87, 1e90)] + [
-    {"xi_intra": 1e-6}, {"v_inter": 1e6}]
+    {"xi_intra": 1e-6}, {"v_inter": 1e6}, {"v_inter": 1e-12, "xi_intra": 1e-12}]
 
 
 def _canonical(x):
@@ -261,5 +298,5 @@ def test_dyad_pass_matches_the_loop_over_levels(n, ring):
     for ana_fn, op in ((dp.electric_table, dense.electric),
                        (dp.magnetic_table, dense.magnetic("commutator"))):
         ana, num = ana_fn(p), bf._sandwich(op, v)
-        assert (_canonical(validation._dyad_deviation(p, w, num, ana))
+        assert (_canonical(validation._dyad_deviation(dense, num, ana))
                 == _canonical(_dyads_by_levels(p, w, num, ana)))
