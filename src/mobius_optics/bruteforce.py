@@ -270,8 +270,11 @@ def group_levels(energies: np.ndarray) -> list[np.ndarray]:
 def match_levels(w: np.ndarray, levels: tuple[np.ndarray, ...],
                  closed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each level of ``group_levels(w)`` with the closed-form columns within LEVEL_TOL_EV of its mean."""
-    return [(grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= LEVEL_TOL_EV))
-            for grp in levels]
+    sizes = np.array([len(grp) for grp in levels])
+    # each level's sum adds its energies in the order that w[grp].mean() adds them
+    means = np.add.reduceat(w[np.concatenate(levels)], np.cumsum(sizes) - sizes) / sizes
+    level, cols = np.nonzero(np.abs(closed[None, :] - means[:, None]) <= LEVEL_TOL_EV)
+    return list(zip(levels, np.split(cols, np.cumsum(np.bincount(level, minlength=len(levels)))[:-1])))
 
 
 def eigenspace_projector_residual(ring: RingParams | DenseRing) -> float:
@@ -414,25 +417,22 @@ def calibrate_conventions(
                      n_blocks).ravel()
     order = np.argsort(block, kind="stable")   # a block's entries stay ordered by a, then b
     bounds = np.searchsorted(block[order], np.arange(n_blocks + 1))
-    # each block is a slice of rows, its elements ordered by a, then b, then component
-    rows_a, rows_n = (table.reshape(-1, 3)[order[:bounds[-1]]] for table in (analytic, numeric))
-    phases, block_res = {}, {}
-    worst = 0.0
-    for i, (d, ba, bb) in enumerate(np.ndindex(len(dls), 2, 2)):
-        key = (int(dls[d]), BANDS[ba].value, BANDS[bb].value)
-        arr_a = rows_a[bounds[i]:bounds[i + 1]].ravel()
-        arr_n = rows_n[bounds[i]:bounds[i + 1]].ravel()
-        if np.abs(arr_a).max() < atol_scale * 1e-14:
-            phase = 1.0 + 0.0j
-        else:
-            overlap = np.vdot(arr_a, arr_n)
-            if atol_scale < 2.0 ** -300:   # the products underflow: scale both exactly
-                overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
-            phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
-        res = np.abs(phase * arr_a - arr_n).max() / atol_scale
-        phases[key] = phase
-        block_res[key] = res
-        worst = np.maximum(worst, res)   # keeps a NaN block, which max() may drop
+    # each block is a slice of elements, ordered by a, then b, then component
+    flat_a, flat_n = (table.reshape(-1, 3)[order[:bounds[-1]]].ravel()
+                      for table in (analytic, numeric))
+    starts, sizes = 3 * bounds[:-1], 3 * np.diff(bounds)
+    phase = np.ones(n_blocks, dtype=complex)
+    for i in np.flatnonzero(~(np.maximum.reduceat(np.abs(flat_a), starts) < atol_scale * 1e-14)):
+        arr_a, arr_n = flat_a[starts[i]:starts[i] + sizes[i]], flat_n[starts[i]:starts[i] + sizes[i]]
+        overlap = np.vdot(arr_a, arr_n)
+        if atol_scale < 2.0 ** -300:   # the products underflow: scale both exactly
+            overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
+        if abs(overlap) > 0:
+            phase[i] = overlap / abs(overlap)
+    res = np.maximum.reduceat(np.abs(np.repeat(phase, sizes) * flat_a - flat_n), starts) / atol_scale
+    keys = [(d, ba.value, bb.value) for d in dls.tolist() for ba in BANDS for bb in BANDS]
+    phases, block_res = dict(zip(keys, phase)), dict(zip(keys, res))
+    worst = res.max()   # keeps a NaN block, which max() may drop
     result = CalibrationResult(phases, worst, block_res)
     if worst > 1e-6:
         bad = max(block_res, key=block_res.get)

@@ -265,13 +265,18 @@ def _canonical(x):
     return a.tobytes()
 
 
-def _dyads_by_levels(params, w, num, tbl):
-    """The per-level loop of the dyad check, grouping and matching the levels itself."""
+def _levels_by_loop(params, w):
+    """Each dense level, with the closed-form columns within LEVEL_TOL_EV of its mean."""
     order = np.argsort(w)
     levels = np.split(order, np.flatnonzero(~(np.diff(w[order]) <= bf.LEVEL_TOL_EV)) + 1)
     closed = band_energies(params)
-    (ground, _), *excited = [
-        (grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= bf.LEVEL_TOL_EV)) for grp in levels]
+    return [(grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= bf.LEVEL_TOL_EV))
+            for grp in levels]
+
+
+def _dyads_by_levels(params, w, num, tbl):
+    """The per-level loop of the dyad check, grouping and matching the levels itself."""
+    (ground, _), *excited = _levels_by_loop(params, w)
     peak = float(np.abs(num).max())
     if peak < 2.0 ** -300:
         num, tbl, peak = num * 2.0 ** 600, tbl * 2.0 ** 600, peak * 2.0 ** 600
@@ -295,6 +300,11 @@ def test_dyad_pass_matches_the_loop_over_levels(n, ring):
     p = RingParams(n, **ring)
     dense = bf.DenseRing(p)
     w, v = dense.eigensystem
+    levels = _levels_by_loop(p, w)
+    assert [len(level) for level in (dense.levels, dense.matched_levels)] == [len(levels)] * 2
+    for grp, (matched_grp, cols), (ref_grp, ref_cols) in zip(dense.levels, dense.matched_levels, levels):
+        assert grp is matched_grp
+        assert np.array_equal(grp, ref_grp) and np.array_equal(cols, ref_cols)
     for ana_fn, op in ((dp.electric_table, dense.electric),
                        (dp.magnetic_table, dense.magnetic("commutator"))):
         ana, num = ana_fn(p), bf._sandwich(op, v)
