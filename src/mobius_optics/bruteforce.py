@@ -12,8 +12,8 @@ twisted ring responds magnetically:
 
 A ``DenseRing`` holds one ring's dense objects (the Hamiltonian, its
 eigensystem and level grouping, the site-basis dipole operators, the
-closed-form amplitudes and, for a Mobius ring, each level's matched
-closed-form columns), each built on first use and then shared read-only.  The checks, the element
+closed-form amplitudes and each level's matched closed-form columns), each
+built on first use and then shared read-only.  The checks, the element
 tables and ``magnetic_dipole_matrix`` take either a ``RingParams``, for a
 fresh context, or a ``DenseRing`` whose objects they reuse.  A context lives
 as long as its caller keeps it (``validation`` keeps one per ring for one
@@ -67,10 +67,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class DenseRing:
     """One ring's dense objects, each built on first use and then shared read-only.
 
-    ``hamiltonian``, ``eigensystem``, ``levels``, ``electric``, ``amplitudes``
-    and ``matched_levels`` (both Mobius only) and ``magnetic(definition)`` are
-    computed at most once per context, so every check handed the context
-    reads the same arrays.
+    ``hamiltonian``, ``eigensystem``, ``levels``, ``electric``,
+    ``magnetic(definition)`` and, for a Mobius ring, ``amplitudes`` and
+    ``matched_levels`` are computed at most once per context, so every check
+    handed the context reads the same arrays.
     """
 
     def __init__(self, params: RingParams):
@@ -269,12 +269,16 @@ def group_levels(energies: np.ndarray) -> list[np.ndarray]:
 
 def match_levels(w: np.ndarray, levels: tuple[np.ndarray, ...],
                  closed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each level of ``group_levels(w)`` with the closed-form columns within LEVEL_TOL_EV of its mean."""
+    """Each of ``levels``, the ``group_levels(w)``, with its closed-form columns.
+
+    A column belongs to a level when its energy is within LEVEL_TOL_EV of the level's mean.
+    """
     sizes = np.array([len(grp) for grp in levels])
     # each level's sum adds its energies in the order that w[grp].mean() adds them
     means = np.add.reduceat(w[np.concatenate(levels)], np.cumsum(sizes) - sizes) / sizes
     level, cols = np.nonzero(np.abs(closed[None, :] - means[:, None]) <= LEVEL_TOL_EV)
-    return list(zip(levels, np.split(cols, np.cumsum(np.bincount(level, minlength=len(levels)))[:-1])))
+    ends = np.cumsum(np.bincount(level, minlength=len(levels)))
+    return list(zip(levels, np.split(cols, ends[:-1])))
 
 
 def eigenspace_projector_residual(ring: RingParams | DenseRing) -> float:
@@ -417,19 +421,21 @@ def calibrate_conventions(
                      n_blocks).ravel()
     order = np.argsort(block, kind="stable")   # a block's entries stay ordered by a, then b
     bounds = np.searchsorted(block[order], np.arange(n_blocks + 1))
-    # each block is a slice of elements, ordered by a, then b, then component
+    # block i is the slice edges[i]:edges[i + 1], its elements ordered by a, then b, then component
     flat_a, flat_n = (table.reshape(-1, 3)[order[:bounds[-1]]].ravel()
                       for table in (analytic, numeric))
-    starts, sizes = 3 * bounds[:-1], 3 * np.diff(bounds)
+    edges = 3 * bounds
     phase = np.ones(n_blocks, dtype=complex)
-    for i in np.flatnonzero(~(np.maximum.reduceat(np.abs(flat_a), starts) < atol_scale * 1e-14)):
-        arr_a, arr_n = flat_a[starts[i]:starts[i] + sizes[i]], flat_n[starts[i]:starts[i] + sizes[i]]
+    peaks = np.maximum.reduceat(np.abs(flat_a), edges[:-1])
+    for i in np.flatnonzero(~(peaks < atol_scale * 1e-14)):
+        arr_a, arr_n = flat_a[edges[i]:edges[i + 1]], flat_n[edges[i]:edges[i + 1]]
         overlap = np.vdot(arr_a, arr_n)
         if atol_scale < 2.0 ** -300:   # the products underflow: scale both exactly
             overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
         if abs(overlap) > 0:
             phase[i] = overlap / abs(overlap)
-    res = np.maximum.reduceat(np.abs(np.repeat(phase, sizes) * flat_a - flat_n), starts) / atol_scale
+    res = np.maximum.reduceat(np.abs(np.repeat(phase, np.diff(edges)) * flat_a - flat_n),
+                              edges[:-1]) / atol_scale
     keys = [(d, ba.value, bb.value) for d in dls.tolist() for ba in BANDS for bb in BANDS]
     phases, block_res = dict(zip(keys, phase)), dict(zip(keys, res))
     worst = res.max()   # keeps a NaN block, which max() may drop

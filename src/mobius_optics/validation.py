@@ -10,9 +10,10 @@ note and pass rule.  Each group function returns one mapping from check name
 to a value, or to the reason there is none (``NO_ROOT``, ``NONPOSITIVE_SWEEP``,
 ``REPEATED_SWEEP``, ``NO_SURFACE``, ``NO_TANGENT``, ``OVERFLOW``, ``UNDERFLOW``,
 ``OVERDAMPED``, ``NO_LH_BAND``, ``NO_DOMINANT_ENTRY``, ``NO_LOSSY_LH``); a
-reason row reads NaN, a blank threshold, failed, and the reason as its note.  A new check is one ``CHECKS``
-row plus one entry in its group's return: ``validation_report`` raises unless
-the groups return each name of the table once.
+reason row reads NaN, a blank threshold, failed, and the reason as its note.
+A new check is one ``CHECKS`` row plus one entry in its group's return:
+``validation_report`` raises unless the groups return each name of the table
+once.
 
 The dense cross-checks run at fixed ring sizes (``SPECTRUM_NS``,
 ``TABLE_NS``, ``DENSE_N``), so their cost does not grow with N; the
@@ -261,8 +262,9 @@ def _dyad_deviation(ring: bf.DenseRing, num: np.ndarray, tbl: np.ndarray) -> flo
     closed-form table; infinite when the squared elements overflow.  Below
     2^-300 (magnetic elements at half widths under about 1e-35 nm) both are
     scaled by 2^600, exactly, so that the products stay in the normal range.
-    Each level's dyads are summed over its rows in (ground state, member)
-    order, and over its closed-form columns (none: a zero dyad).
+    Each level's dyads add up in the order of the per-level loop they
+    replace: its rows by ground state, then member, and its closed-form
+    columns (none: a zero dyad).
     """
     (ground, _), *excited = ring.matched_levels
     peak = float(np.abs(num).max())
@@ -284,16 +286,17 @@ def _dyad_deviation(ring: bf.DenseRing, num: np.ndarray, tbl: np.ndarray) -> flo
 
 
 def _level_ids(index_sets) -> np.ndarray:
-    """The position of each index in ``index_sets``, repeated once per index."""
+    """For the concatenated ``index_sets``, the number of the set that each index is in."""
     return np.repeat(np.arange(len(index_sets)), [len(s) for s in index_sets])
 
 
 def _level_dyads(vectors: np.ndarray, level: np.ndarray, n_levels: int) -> np.ndarray:
     """(n_levels, 3, 3) sums of the dyads v v^dagger of the rows of ``vectors`` per level.
 
-    ``np.add.at`` adds the rows in order, as a per-level ``sum(axis=0)`` would;
-    ``np.add.reduceat`` would not: it adds each segment's first row to the
-    pairwise sum of the rest, which differs from three rows on.
+    ``np.add.at`` adds the rows in order onto zeros, as a per-level
+    ``sum(axis=0)`` adds them (only a -0.0 sum turns +0.0).  ``np.add.reduceat``
+    would not: it adds a segment's first row to the pairwise sum of the rest,
+    which differs from three rows on.
     """
     out = np.zeros((n_levels, 3, 3), dtype=complex)
     np.add.at(out, level, vectors[:, :, None] * vectors.conj()[:, None, :])

@@ -386,7 +386,8 @@ def _assert_calibration_matches_the_masks(ana, num, n, atol_scale):
     phases, block_res, worst = _calibrate_by_masks(ana, num, n, atol_scale)
     assert raised == (worst > 1e-6)
     assert list(result.phases) == list(phases) == list(result.block_residuals)
-    assert [_canonical(v) for v in result.phases.values()] == [_canonical(v) for v in phases.values()]
+    assert ([_canonical(v) for v in result.phases.values()]
+            == [_canonical(v) for v in phases.values()])
     assert ([_canonical(v) for v in result.block_residuals.values()]
             == [_canonical(v) for v in block_res.values()])
     assert _canonical(result.residual) == _canonical(worst)

@@ -302,8 +302,8 @@ def test_dyad_pass_matches_the_loop_over_levels(n, ring):
     w, v = dense.eigensystem
     levels = _levels_by_loop(p, w)
     assert [len(level) for level in (dense.levels, dense.matched_levels)] == [len(levels)] * 2
-    for grp, (matched_grp, cols), (ref_grp, ref_cols) in zip(dense.levels, dense.matched_levels, levels):
-        assert grp is matched_grp
+    for grp, (matched, cols), (ref_grp, ref_cols) in zip(dense.levels, dense.matched_levels, levels):
+        assert grp is matched
         assert np.array_equal(grp, ref_grp) and np.array_equal(cols, ref_cols)
     for ana_fn, op in ((dp.electric_table, dense.electric),
                        (dp.magnetic_table, dense.magnetic("commutator"))):
