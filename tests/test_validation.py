@@ -58,11 +58,11 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
     group, match = bf.group_levels, bf.match_levels
 
     def grouping(energies):
-        grouped.append(energies.tobytes())
+        grouped.append(energies.copy())
         return group(energies)
 
     def matching(w, levels, closed):
-        matched.append(w.tobytes())
+        matched.append(w.copy())
         return match(w, levels, closed)
 
     monkeypatch.setattr(validation.bf, "build_hamiltonian", recording)
@@ -74,14 +74,14 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
                       + [(12, Topology.SINGLE_RING), (12, Topology.DOUBLE_RING_PERIODIC)],
                       key=str)
     assert sorted(rings, key=str) == expected
-    # and has its levels grouped at most once: the Mobius rings of the dipole tables
-    # (DENSE_N among them) and the two other topologies of the topology checks
-    assert sorted(len(w) for w in grouped) == sorted(
-        [16 * n for n in validation.TABLE_NS] + [8 * validation.DENSE_N, 16 * validation.DENSE_N])
-    assert len(set(grouped)) == len(grouped)
-    # and matched to the closed-form columns at most once: the Mobius rings of the tables
-    assert sorted(len(w) for w in matched) == [16 * n for n in validation.TABLE_NS]
-    assert len(set(matched)) == len(matched)
+    # each ring that the checks group into levels is grouped once: the Mobius rings of
+    # the dipole tables (DENSE_N among them) and the single and double rings of size DENSE_N
+    assert sorted(w.size for w in grouped) == sorted(
+        [2 * n for n in validation.TABLE_NS] + [validation.DENSE_N, 2 * validation.DENSE_N])
+    assert len({w.tobytes() for w in grouped}) == len(grouped)
+    # and matched to the closed-form columns once: the Mobius rings of the dipole tables
+    assert sorted(w.size for w in matched) == [2 * n for n in validation.TABLE_NS]
+    assert len({w.tobytes() for w in matched}) == len(matched)
     grouped.clear()
     matched.clear()
     # spectrum (3), dipole (8) and topology (5) checks: every dense oracle
