@@ -12,37 +12,49 @@ simultaneously negative permittivity and permeability.
 import numpy as np
 
 from mobius_optics import bruteforce as bf
+from mobius_optics.constants import E_CHARGE, EV, HBAR
 from mobius_optics.dipole import (
-    electric_element, electric_selection, magnetic_element, magnetic_selection,
+    COMPONENTS, KINDS, DipoleKind, electric_table, magnetic_table, selection_table,
 )
-from mobius_optics.ring import (
-    GROUND_LABEL, RingParams, Topology, all_labels, band_energy,
-)
+from mobius_optics.ring import BANDS, Band, RingParams, Topology, band_energies, label_axes
 
 params = RingParams(12)
 n = params.n_per_ring
-e_scale = 1.602176634e-19 * params.half_width          # e W
-m_scale = (1.602176634e-19 * params.xi_intra * 1.602176634e-19
-           * params.radius * params.half_width / 1.054571817e-34)  # e xi R W / hbar
+e_scale = E_CHARGE * params.half_width                                   # e W
+m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR  # e xi R W / hbar
+
+# Every array runs over the 2N labels of label_axes; label 0 is the ground
+# state (0, down), and column 0 of a table, [a, 0] = <a| O |ground>, holds
+# the transitions out of it.
+band, ell = label_axes(n)
+energies = band_energies(params)
+d_col = electric_table(params)[:, 0]
+m_col = magnetic_table(params)[:, 0]
+# rule masks of the transitions from the ground state's band, down, to each label
+rules = selection_table(n)[:, BANDS.index(Band.DOWN), band, ell % n]
 
 print("transitions out of the ground state (0, down):")
 print(" to      dE (eV)   electric |d|/eW  rule    magnetic |m|/(e xi R W/hbar)  rule")
-for lab in all_labels(n):
-    if lab == GROUND_LABEL:
-        continue
-    d = electric_element(params, GROUND_LABEL, lab).vector
-    m = magnetic_element(params, GROUND_LABEL, lab).vector
+for a in range(1, 2 * n):
+    d, m = d_col[a], m_col[a]
     if np.abs(d).max() < 1e-13 * e_scale and np.abs(m).max() < 1e-13 * m_scale:
         continue
-    de = band_energy(params, lab) - band_energy(params, GROUND_LABEL)
-    rule_e = "".join(sorted(electric_selection(n, GROUND_LABEL, lab))) or "-"
-    rule_m = "".join(sorted(magnetic_selection(n, GROUND_LABEL, lab))) or "-"
-    print(f"({lab.momentum_index:>2},{lab.band.value:<4})  {de:7.4f}   "
+    de = energies[a] - energies[0]
+    rule_e = COMPONENTS[rules[KINDS.index(DipoleKind.ELECTRIC), a]] or "-"
+    rule_m = COMPONENTS[rules[KINDS.index(DipoleKind.MAGNETIC), a]] or "-"
+    print(f"({ell[a]:>2},{BANDS[band[a]].value:<4})  {de:7.4f}   "
           f"{np.linalg.norm(d) / e_scale:>12.4f}   {rule_e:<5} "
           f"{np.linalg.norm(m) / m_scale:>18.4f}        {rule_m}")
 
-print("\nthe (0,down) -> (0,up) and (0,down) -> (1,up) lines are degenerate and")
-print("carry both dipoles; every other line is electric-only here.\n")
+print("""
+Every line listed carries a magnetic dipole.  The band-flip lines carry both
+dipoles: (0,up) and (1,up) are the degenerate resonance pair, and (2,up) and
+(11,up) are a second degenerate pair.  (1,down) and (11,down) carry both too;
+their magnetic rule "-" means the selection rules leave intra-band magnetic
+elements out of the single-resonance response, not that they vanish.  (2,down)
+and (10,down) are magnetic-only.  Grouped by energy level, three transitions
+carry both dipoles.
+""")
 
 # Contrast with the untwisted topologies, checked numerically.
 single = bf.perfect_ring_regression(RingParams(12, topology=Topology.SINGLE_RING))

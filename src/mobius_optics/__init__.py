@@ -19,8 +19,6 @@ import importlib
 
 from .ring import (
     Band,
-    EigenLabel,
-    EigenState,
     RingParams,
     Topology,
     VolumeConvention,
@@ -28,8 +26,6 @@ from .ring import (
 
 __all__ = [
     "Band",
-    "EigenLabel",
-    "EigenState",
     "RingParams",
     "Topology",
     "VolumeConvention",

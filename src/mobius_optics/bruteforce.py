@@ -26,7 +26,7 @@ imports nothing from the closed forms it checks (``dipole``, ``response``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,19 +44,6 @@ from .ring import (
 
 HERMITICITY_TOL = 1e-12
 LEVEL_TOL_EV = 1e-9   # energies closer than this are one level
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A dense operator in the atomic-orbital site basis.
-
-    Basis ordering is (a_0..a_{N-1}, b_0..b_{N-1}); for the single ring it
-    is just (a_0..a_{N-1}).
-    """
-
-    dim: int
-    matrix: np.ndarray = field(repr=False)
-    basis: str = "site"
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -78,10 +65,8 @@ class DenseRing:
         self._magnetic = {}
 
     @cached_property
-    def hamiltonian(self) -> DenseOperator:
-        op = build_hamiltonian(self.params)
-        _read_only(op.matrix)
-        return op
+    def hamiltonian(self) -> np.ndarray:
+        return _read_only(build_hamiltonian(self.params))
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +122,12 @@ def _bonds(params: RingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([np.full(2 * n, xi), np.full(n, params.v_inter)]))
 
 
-def build_hamiltonian(params: RingParams) -> DenseOperator:
-    """Dense Huckel Hamiltonian in eV for any of the three topologies."""
+def build_hamiltonian(params: RingParams) -> np.ndarray:
+    """(dim, dim) dense Huckel Hamiltonian in eV for any of the three topologies.
+
+    The site basis is (a_0..a_{N-1}, b_0..b_{N-1}); for the single ring it
+    is just (a_0..a_{N-1}).
+    """
     n = params.n_per_ring
     dim = n if params.topology is Topology.SINGLE_RING else 2 * n
     h = np.zeros((dim, dim))
@@ -151,17 +140,16 @@ def build_hamiltonian(params: RingParams) -> DenseOperator:
         h[np.diag_indices_from(h)] = np.concatenate(
             [np.full(n, params.eps_onsite), np.full(n, -params.eps_onsite)]
         )
-    return DenseOperator(dim, h)
+    return h
 
 
-def numeric_eigensystem(op: DenseOperator):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian op.
+def numeric_eigensystem(h: np.ndarray):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Each eigenvector's phase is fixed so that its first component of
     significant magnitude is real and positive, making the output
     deterministic up to degenerate-subspace mixing.
     """
-    h = np.asarray(op.matrix)
     scale = max(np.abs(h).max(), 1.0)
     if np.abs(h - h.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError("numeric_eigensystem requires a Hermitian operator")
@@ -205,7 +193,7 @@ def magnetic_dipole_matrix(ring: RingParams | DenseRing,
     ring = _dense(ring)
     params = ring.params
     if definition == "commutator":
-        h_joule = ring.hamiltonian.matrix * EV
+        h_joule = ring.hamiltonian * EV
         r_ops = position_operators(params)
         m = np.zeros((3, h_joule.shape[0], h_joule.shape[0]), dtype=complex)
         for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
@@ -309,7 +297,7 @@ def perfect_ring_regression(ring: RingParams | DenseRing) -> PerfectRingReport:
         raise ValueError("perfect_ring_regression expects the single-ring topology")
     m = ring.magnetic("bond_current")
     scale = E_CHARGE * (params.xi_intra * EV) * params.radius**2 / HBAR
-    h_joule = ring.hamiltonian.matrix * EV
+    h_joule = ring.hamiltonian * EV
     comm = m[2] @ h_joule - h_joule @ m[2]
     comm_norm = np.abs(comm).max() / (scale * params.xi_intra * EV)
     w, v = ring.eigensystem

@@ -10,8 +10,8 @@ blocks alias (dl = +2 and -2 coincide for N = 4, +/-2 with -/+1 for N = 3)
 and the aliased contributions add there, in the order 0, +1, -1, +2, -2.
 ``block_entries`` lists those blocks entry by entry over the labels for the
 ``elements`` command, in O(N); ``_rows`` scatters them to the ket columns
-(l_bra + dl) mod N for the (2N, 2N) tables, the single elements and the
-ground row of the Kubo sums.
+(l_bra + dl) mod N for the (2N, 2N) tables and the ground row of the Kubo
+sums.
 
 Conventions frozen against the brute-force construction in ``bruteforce``
 (site-diagonal position operator, m = -i e r x [H, r] / 2 hbar, equal to the
@@ -27,24 +27,23 @@ bond-current form):
   zero; the numeric tables confirm this, as does Hermiticity against the
   dl=-1 (down -> up) entry.
 
-Element direction: ``element(from, to).vector[c] = <to| O_c |from>``, so
-Hermiticity reads element(to, from) = conj(element(from, to)).
+Table direction: ``table[a, b, c] = <a| O_c |b>`` for the transition from
+label b to label a, so Hermiticity reads table[b, a] = conj(table[a, b]).
 
 The selection rules are one table, ``_RULES``, over (kind, dl, from band,
 to band); ``selection_table(n)`` folds it to dl mod N as component masks,
-read by the two predicates, the ``elements`` command and validate.
+read by the ``elements`` command and validate.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import E_CHARGE, EV, HBAR
-from .ring import BANDS, Band, EigenLabel, RingParams, _require_mobius, label_axes
+from .ring import BANDS, Band, RingParams, _require_mobius, label_axes
 
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
@@ -61,20 +60,9 @@ _BAND_ROW = {Band.UP: 0, Band.DOWN: 1}
 _LABEL_ROW = np.array([_BAND_ROW[b] for b in BANDS])   # block row of each band of label_axes
 _ROW_BAND = np.array([BANDS.index(b) for b in _BAND_ROW])   # band of label_axes of each block row
 
-PolarizationSet = frozenset  # subset of {"x", "y", "z"}; empty means forbidden
-
-
 class DipoleKind(enum.Enum):
     ELECTRIC = "electric"
     MAGNETIC = "magnetic"
-
-
-@dataclass(frozen=True)
-class TransitionElement:
-    from_label: EigenLabel
-    to_label: EigenLabel
-    kind: DipoleKind
-    vector: np.ndarray  # (3,) complex; C m for electric, A m^2 for magnetic
 
 
 def _electric_block(dl: int, r: float, w: float) -> np.ndarray:
@@ -189,28 +177,6 @@ def _rows(params: RingParams, kind: DipoleKind, l_to) -> np.ndarray:
     return out
 
 
-def _element(params: RingParams, from_label: EigenLabel, to_label: EigenLabel, kind: DipoleKind) -> np.ndarray:
-    n = params.n_per_ring
-    row = _rows(params, kind, [to_label.momentum_index % n])[0]
-    return row[from_label.momentum_index % n, _BAND_ROW[to_label.band], _BAND_ROW[from_label.band]]
-
-
-def electric_element(params: RingParams, from_label: EigenLabel, to_label: EigenLabel) -> TransitionElement:
-    """Electric dipole element <to| -e r |from> in C m (zero vector if forbidden)."""
-    return TransitionElement(
-        from_label, to_label, DipoleKind.ELECTRIC,
-        _element(params, from_label, to_label, DipoleKind.ELECTRIC),
-    )
-
-
-def magnetic_element(params: RingParams, from_label: EigenLabel, to_label: EigenLabel) -> TransitionElement:
-    """Magnetic dipole element <to| m |from> in A m^2 (zero vector if forbidden)."""
-    return TransitionElement(
-        from_label, to_label, DipoleKind.MAGNETIC,
-        _element(params, from_label, to_label, DipoleKind.MAGNETIC),
-    )
-
-
 # (kind, dl = l_to - l_from, from band, to band) -> allowed field components;
 # every pair not listed is forbidden.  Each dl != 0 entry sits next to its
 # Hermitian mirror; dl = +2 couples only down -> up, as the up -> down entry
@@ -248,22 +214,6 @@ def selection_table(n: int) -> np.ndarray:
         table[KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= mask
     table.flags.writeable = False
     return table
-
-
-def _selection(kind: DipoleKind, n: int, from_label: EigenLabel, to_label: EigenLabel):
-    return PolarizationSet(COMPONENTS[selection_table(n)[
-        KINDS.index(kind), BANDS.index(from_label.band), BANDS.index(to_label.band),
-        (to_label.momentum_index - from_label.momentum_index) % n]])
-
-
-def electric_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> PolarizationSet:
-    """Field polarizations driving the electric transition from -> to (see ``_RULES``)."""
-    return _selection(DipoleKind.ELECTRIC, n, from_label, to_label)
-
-
-def magnetic_selection(n: int, from_label: EigenLabel, to_label: EigenLabel) -> PolarizationSet:
-    """Field polarizations driving the inter-band magnetic transition from -> to."""
-    return _selection(DipoleKind.MAGNETIC, n, from_label, to_label)
 
 
 def _table(params: RingParams, kind: DipoleKind) -> np.ndarray:

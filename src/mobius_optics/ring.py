@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,39 +109,12 @@ class RingParams:
         return 2.0 * math.pi / self.n_per_ring
 
 
-@dataclass(frozen=True)
-class EigenLabel:
-    """Band quantum numbers (l, sigma); momentum is k = l * delta."""
-
-    momentum_index: int
-    band: Band
-
-    def reduced(self, n: int) -> "EigenLabel":
-        return EigenLabel(self.momentum_index % n, self.band)
-
-
-@dataclass(frozen=True)
-class EigenState:
-    label: EigenLabel
-    energy: float                       # eV
-    amplitudes: np.ndarray = field(repr=False)  # 2N complex, (a_0..a_{N-1}, b_0..b_{N-1})
-
-
 BANDS = (Band.DOWN, Band.UP)   # band axis of every label array
 
 
 def label_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(band, l) index arrays of the 2N labels in label order; band indexes ``BANDS``."""
     return np.divmod(np.arange(2 * n), n)
-
-
-def all_labels(n: int) -> list[EigenLabel]:
-    """The 2N labels in label order."""
-    band, ell = label_axes(n)
-    return [EigenLabel(int(l), BANDS[b]) for b, l in zip(band, ell)]
-
-
-GROUND_LABEL = EigenLabel(0, Band.DOWN)
 
 
 def _require_mobius(params: RingParams):
@@ -171,23 +144,6 @@ def label_energies(params: RingParams, band: np.ndarray, ell: np.ndarray) -> np.
     up = band == BANDS.index(Band.UP)
     k = ell * params.delta - np.where(up, params.delta / 2.0, 0.0)
     return np.where(up, params.v_inter, -params.v_inter) - 2.0 * params.xi_intra * np.cos(k)
-
-
-def _label_index(n: int, label: EigenLabel) -> int:
-    """Position of ``label`` on the label axis."""
-    band, ell = label_axes(n)
-    return np.flatnonzero((band == BANDS.index(label.band)) & (ell == label.momentum_index % n))[0]
-
-
-def band_energy(params: RingParams, label: EigenLabel) -> float:
-    """Closed-form band energy in eV for the Mobius ring."""
-    return float(band_energies(params)[_label_index(params.n_per_ring, label)])
-
-
-def eigenstate(params: RingParams, label: EigenLabel) -> EigenState:
-    """Closed-form eigenstate with site amplitudes (a_0.., b_0..)."""
-    column = amplitude_matrix(params)[:, _label_index(params.n_per_ring, label)]
-    return EigenState(label.reduced(params.n_per_ring), band_energy(params, label), column)
 
 
 def positions_array(params: RingParams) -> np.ndarray:

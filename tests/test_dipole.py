@@ -6,17 +6,42 @@ import pytest
 from mobius_optics import bruteforce as bf
 from mobius_optics import dipole as dp
 from mobius_optics.constants import E_CHARGE, EV, HBAR
-from mobius_optics.ring import Band, EigenLabel, RingParams, Topology, all_labels
+from mobius_optics.ring import BANDS, Band, RingParams, Topology, label_axes
 
 P12 = RingParams(12)
 UP, DOWN = Band.UP, Band.DOWN
-LABELS12 = all_labels(12)
+E12, M12 = dp.electric_table(P12), dp.magnetic_table(P12)   # [to, from] = <to| O |from>
 EW = E_CHARGE * P12.half_width
 M_SCALE = E_CHARGE * P12.xi_intra * EV * P12.radius * P12.half_width / HBAR
+ELECTRIC, MAGNETIC = (dp.KINDS.index(kind) for kind in (dp.DipoleKind.ELECTRIC,
+                                                         dp.DipoleKind.MAGNETIC))
+
+
+def _at(l, band, n=12):
+    """Label-axis index of (l, band)."""
+    return BANDS.index(band) * n + l % n
+
+
+def _rule(kind, n, from_band, from_l, to_band, to_l):
+    """Allowed components of the transition (from_l, from_band) -> (to_l, to_band)."""
+    mask = dp.selection_table(n)[kind, BANDS.index(from_band), BANDS.index(to_band),
+                                 (to_l - from_l) % n]
+    return frozenset(str(dp.COMPONENTS[mask]))
+
+
+def _rule_masks(kind, n):
+    """(2N, 2N) ``selection_table`` masks; [a, b] is the transition from label b to a."""
+    band, ell = label_axes(n)
+    return dp.selection_table(n)[kind, band[None, :], band[:, None], (ell[:, None] - ell) % n]
+
+
+def _nonzero_masks(table, tol):
+    """(2N, 2N) masks of the components of each table entry above tol."""
+    return (np.abs(table) > tol) @ dp.COMPONENT_BITS
 
 
 def test_electric_band_flip_same_momentum_component_ratios():
-    vec = dp.electric_element(P12, EigenLabel(0, DOWN), EigenLabel(0, UP)).vector
+    vec = E12[_at(0, UP), _at(0, DOWN)]
     mags = np.abs(vec)
     assert mags[0] == pytest.approx(EW / 4, rel=1e-12)
     assert mags[1] == pytest.approx(EW / 4, rel=1e-12)
@@ -28,12 +53,12 @@ def test_electric_band_flip_same_momentum_component_ratios():
 
 
 def test_momentum_transfer_three_is_forbidden():
-    vec = dp.electric_element(P12, EigenLabel(0, DOWN), EigenLabel(3, UP)).vector
+    vec = E12[_at(3, UP), _at(0, DOWN)]
     assert np.abs(vec).max() == 0.0
 
 
 def test_intra_band_hop_carries_radius_term_without_z():
-    vec = dp.electric_element(P12, EigenLabel(0, DOWN), EigenLabel(1, DOWN)).vector
+    vec = E12[_at(1, DOWN), _at(0, DOWN)]
     assert abs(vec[0]) == pytest.approx(E_CHARGE * P12.radius / 2, rel=1e-12)
     assert abs(vec[1]) == pytest.approx(E_CHARGE * P12.radius / 2, rel=1e-12)
     assert vec[2] == 0.0
@@ -41,17 +66,16 @@ def test_intra_band_hop_carries_radius_term_without_z():
 
 def test_magnetic_zero_slot_in_double_momentum_block():
     # the up -> down entry of the dl = +2 block vanishes identically
-    vec = dp.magnetic_element(P12, EigenLabel(0, UP), EigenLabel(2, DOWN)).vector
+    vec = M12[_at(2, DOWN), _at(0, UP)]
     assert np.abs(vec).max() < 1e-14 * M_SCALE
     # while the down -> up partner is finite
-    vec2 = dp.magnetic_element(P12, EigenLabel(0, DOWN), EigenLabel(2, UP)).vector
+    vec2 = M12[_at(2, UP), _at(0, DOWN)]
     assert np.abs(vec2).max() > 1e-3 * M_SCALE
 
 
 def test_magnetic_intra_band_diagonal_proportional_to_sin_k():
     for l in range(12):
-        lab = EigenLabel(l, DOWN)
-        vec = dp.magnetic_element(P12, lab, lab).vector
+        vec = M12[_at(l, DOWN), _at(l, DOWN)]
         k = l * P12.delta
         assert abs(vec[0]) < 1e-16 * M_SCALE
         if abs(np.sin(k)) < 1e-12:
@@ -65,12 +89,9 @@ def test_magnetic_intra_band_diagonal_proportional_to_sin_k():
 
 @pytest.mark.parametrize("kind", ["electric", "magnetic"])
 def test_hermiticity_over_all_label_pairs(kind):
-    fn = dp.electric_element if kind == "electric" else dp.magnetic_element
-    scale = EW if kind == "electric" else M_SCALE
-    for la, lb in itertools.product(LABELS12, LABELS12):
-        fwd = fn(P12, la, lb).vector
-        back = fn(P12, lb, la).vector
-        assert np.abs(fwd - back.conj()).max() < 1e-12 * scale
+    table, scale = (E12, EW) if kind == "electric" else (M12, M_SCALE)
+    for a, b in itertools.product(range(24), range(24)):
+        assert np.abs(table[a, b] - table[b, a].conj()).max() < 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [4, 6, 12, 24])
@@ -87,39 +108,31 @@ def test_tables_match_dense_numeric_construction(n, kind):
 
 
 def test_electric_selection_matches_nonzero_components_exhaustively():
-    for la, lb in itertools.product(LABELS12, LABELS12):
-        vec = dp.electric_element(P12, la, lb).vector
-        actual = frozenset(
-            c for c, comp in zip("xyz", vec) if abs(comp) > 1e-12 * EW)
-        assert dp.electric_selection(12, la, lb) == actual, (la, lb)
+    assert np.array_equal(_rule_masks(ELECTRIC, 12), _nonzero_masks(E12, 1e-12 * EW))
 
 
 def test_magnetic_selection_matches_nonzero_components_interband():
-    for la, lb in itertools.product(LABELS12, LABELS12):
-        if la.band is lb.band:
-            assert dp.magnetic_selection(12, la, lb) == frozenset()
-            continue
-        vec = dp.magnetic_element(P12, la, lb).vector
-        actual = frozenset(
-            c for c, comp in zip("xyz", vec) if abs(comp) > 1e-12 * M_SCALE)
-        assert dp.magnetic_selection(12, la, lb) == actual, (la, lb)
+    band = label_axes(12)[0]
+    interband = band[:, None] != band
+    masks = _rule_masks(MAGNETIC, 12)
+    assert not masks[~interband].any()
+    assert np.array_equal(masks[interband], _nonzero_masks(M12, 1e-12 * M_SCALE)[interband])
 
 
 def test_selection_rule_examples():
-    assert dp.electric_selection(12, EigenLabel(0, DOWN), EigenLabel(0, UP)) == {"x", "y", "z"}
-    assert dp.electric_selection(12, EigenLabel(0, DOWN), EigenLabel(3, UP)) == frozenset()
-    assert dp.electric_selection(12, EigenLabel(0, DOWN), EigenLabel(2, UP)) == {"x", "y"}
-    assert dp.electric_selection(12, EigenLabel(0, DOWN), EigenLabel(1, UP)) == {"x", "y", "z"}
-    assert dp.magnetic_selection(12, EigenLabel(3, DOWN), EigenLabel(4, UP)) == {"x", "y", "z"}
-    assert dp.magnetic_selection(12, EigenLabel(3, UP), EigenLabel(4, DOWN)) == {"x", "y"}
-    assert dp.magnetic_selection(12, EigenLabel(3, UP), EigenLabel(5, DOWN)) == frozenset()
+    assert _rule(ELECTRIC, 12, DOWN, 0, UP, 0) == {"x", "y", "z"}
+    assert _rule(ELECTRIC, 12, DOWN, 0, UP, 3) == frozenset()
+    assert _rule(ELECTRIC, 12, DOWN, 0, UP, 2) == {"x", "y"}
+    assert _rule(ELECTRIC, 12, DOWN, 0, UP, 1) == {"x", "y", "z"}
+    assert _rule(MAGNETIC, 12, DOWN, 3, UP, 4) == {"x", "y", "z"}
+    assert _rule(MAGNETIC, 12, UP, 3, DOWN, 4) == {"x", "y"}
+    assert _rule(MAGNETIC, 12, UP, 3, DOWN, 5) == frozenset()
 
 
-def _branch_electric_selection(n, from_label, to_label):
+def _branch_electric_selection(n, fb, from_l, tb, to_l):
     """The electric rule as a per-dl branch ladder, kept as an independent oracle."""
     allowed = set()
-    dl_mod = (to_label.momentum_index - from_label.momentum_index) % n
-    fb, tb = from_label.band, to_label.band
+    dl_mod = (to_l - from_l) % n
     for dl in (0, 1, -1, 2, -2):
         if dl_mod != dl % n:
             continue
@@ -137,13 +150,13 @@ def _branch_electric_selection(n, from_label, to_label):
     return frozenset(allowed)
 
 
-def _branch_magnetic_selection(n, from_label, to_label):
+def _branch_magnetic_selection(n, fb, from_l, tb, to_l):
     """The inter-band magnetic rule as a per-dl branch ladder."""
-    if from_label.band is to_label.band:
+    if fb is tb:
         return frozenset()
     allowed = set()
-    dl_mod = (to_label.momentum_index - from_label.momentum_index) % n
-    down_up = from_label.band is DOWN
+    dl_mod = (to_l - from_l) % n
+    down_up = fb is DOWN
     for dl in (0, 1, -1, 2, -2):
         if dl_mod != dl % n:
             continue
@@ -163,31 +176,31 @@ def _branch_magnetic_selection(n, from_label, to_label):
 @pytest.mark.parametrize("kind", ["electric", "magnetic"])
 def test_selection_rules_match_the_branch_ladder_for_every_pair(kind):
     # every label pair at N = 3..40, aliased small rings included
-    rule, oracle = ((dp.electric_selection, _branch_electric_selection) if kind == "electric"
-                    else (dp.magnetic_selection, _branch_magnetic_selection))
+    axis, oracle = ((ELECTRIC, _branch_electric_selection) if kind == "electric"
+                    else (MAGNETIC, _branch_magnetic_selection))
     for n in range(3, 41):
-        labels = all_labels(n)
-        for la, lb in itertools.product(labels, labels):
-            assert rule(n, la, lb) == oracle(n, la, lb), (n, la, lb)
+        labels = [(BANDS[b], int(l)) for b, l in zip(*label_axes(n))]
+        for (fb, fl), (tb, tl) in itertools.product(labels, labels):
+            assert _rule(axis, n, fb, fl, tb, tl) == oracle(n, fb, fl, tb, tl), (n, fb, fl, tb, tl)
 
 
 def test_sparsity_outside_allowed_blocks():
     d_num = bf.numeric_electric_elements(P12)
     m_num = bf.numeric_magnetic_elements(P12)
-    for a, la in enumerate(LABELS12):
-        for b, lb in enumerate(LABELS12):
-            dl = (lb.momentum_index - la.momentum_index) % 12
-            if dl > 6:
-                dl -= 12
-            if abs(dl) > 2:
-                assert np.abs(d_num[a, b]).max() < 1e-12 * EW
-                assert np.abs(m_num[a, b]).max() < 1e-12 * M_SCALE
+    ell = label_axes(12)[1]
+    for a, b in itertools.product(range(24), range(24)):
+        dl = (ell[b] - ell[a]) % 12
+        if dl > 6:
+            dl -= 12
+        if abs(dl) > 2:
+            assert np.abs(d_num[a, b]).max() < 1e-12 * EW
+            assert np.abs(m_num[a, b]).max() < 1e-12 * M_SCALE
 
 
 def test_shared_transition_enables_negative_refraction():
     # the band-flip line at the same momentum couples both ways
-    d = dp.electric_element(P12, EigenLabel(0, DOWN), EigenLabel(0, UP)).vector
-    m = dp.magnetic_element(P12, EigenLabel(0, DOWN), EigenLabel(0, UP)).vector
+    d = E12[_at(0, UP), _at(0, DOWN)]
+    m = M12[_at(0, UP), _at(0, DOWN)]
     assert np.abs(d).max() > 0.1 * EW
     assert np.abs(m).max() > 1e-3 * M_SCALE
 
@@ -204,20 +217,28 @@ def test_small_ring_alias_blocks_still_match_numerics():
 
 def test_non_mobius_topology_rejected():
     ring = RingParams(6, topology=Topology.DOUBLE_RING_PERIODIC)
-    with pytest.raises(ValueError):
-        dp.electric_element(ring, EigenLabel(0, DOWN), EigenLabel(0, UP))
+    for table in (dp.electric_table, dp.magnetic_table):
+        with pytest.raises(ValueError):
+            table(ring)
+
+
+def _element(params, kind, fb, from_l, tb, to_l):
+    """One <to| O |from>, read from its own bra row as the per-label code read it."""
+    n = params.n_per_ring
+    row = dp._rows(params, kind, [to_l % n])[0]
+    return row[from_l % n, dp._BAND_ROW[tb], dp._BAND_ROW[fb]]
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 12))
 @pytest.mark.parametrize("kind", ["electric", "magnetic"])
 def test_tables_equal_elements_bit_for_bit(n, kind):
-    # table[to, from] = <to| O |from> = element(from, to).vector, aliased
+    # table[to, from] = <to| O |from>, each entry evaluated on its own, aliased
     # small rings included
     p = RingParams(n)
-    table_fn, element_fn = ((dp.electric_table, dp.electric_element) if kind == "electric"
-                            else (dp.magnetic_table, dp.magnetic_element))
-    labels = all_labels(n)
-    elements = np.array([[element_fn(p, lb, la).vector for lb in labels] for la in labels])
+    kind = dp.DipoleKind(kind)
+    table_fn = dp.electric_table if kind is dp.DipoleKind.ELECTRIC else dp.magnetic_table
+    labels = [(BANDS[b], int(l)) for b, l in zip(*label_axes(n))]
+    elements = np.array([[_element(p, kind, *lb, *la) for lb in labels] for la in labels])
     table = table_fn(p)
     assert table.dtype == elements.dtype == complex
     assert np.array_equal(table.view(np.uint64), elements.view(np.uint64))

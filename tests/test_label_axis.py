@@ -2,7 +2,7 @@
 
 The reference is a test-local copy of the per-label code that the arrays
 replace: one band energy, transition frequency or eigenstate evaluated
-per label, in ``all_labels`` order, and the ground row of the Kubo sums
+per (l, band) label, down band first, and the ground row of the Kubo sums
 put together band by band.  Every comparison is bit for bit.
 """
 
@@ -13,20 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from mobius_optics import bruteforce as bf
 from mobius_optics import cli
 from mobius_optics import dipole as dp
-from mobius_optics import refraction as rf
 from mobius_optics import response as rs
 from mobius_optics import ring
-from mobius_optics import validation
 from mobius_optics.constants import EV, HBAR
 from mobius_optics.dipole import DipoleKind
-from mobius_optics.ring import Band, EigenLabel, RingParams
+from mobius_optics.ring import Band, RingParams
 from mobius_optics.validation import validation_report
 
 SIZES = range(3, 41)
-GROUND = EigenLabel(0, Band.DOWN)
+GROUND = (0, Band.DOWN)   # labels are (l, band) pairs
 
 
 def _params(n):
@@ -35,13 +32,13 @@ def _params(n):
 
 
 def _labels(n):
-    return [EigenLabel(l, Band.DOWN) for l in range(n)] + [
-        EigenLabel(l, Band.UP) for l in range(n)]
+    return [(l, Band.DOWN) for l in range(n)] + [(l, Band.UP) for l in range(n)]
 
 
 def _energy(params, label):
-    k = (label.momentum_index % params.n_per_ring) * params.delta
-    if label.band is Band.UP:
+    l, band = label
+    k = (l % params.n_per_ring) * params.delta
+    if band is Band.UP:
         return params.v_inter - 2.0 * params.xi_intra * math.cos(k - params.delta / 2.0)
     return -params.v_inter - 2.0 * params.xi_intra * math.cos(k)
 
@@ -53,10 +50,10 @@ def _frequency(params, label):
 
 def _amplitudes(params, label):
     n = params.n_per_ring
-    l = label.momentum_index % n
+    l, band = label[0] % n, label[1]
     j = np.arange(n)
     norm = 1.0 / math.sqrt(2 * n)
-    if label.band is Band.UP:
+    if band is Band.UP:
         kappa = (l - 0.5) * params.delta
         phase = np.exp(-1j * kappa * j) * norm
         return np.concatenate([phase, -phase])
@@ -84,22 +81,11 @@ def test_amplitude_matrix_is_the_column_stack_of_per_label_states(n):
     assert np.array_equal(_bits(ring.amplitude_matrix(params)), _bits(reference))
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_scalar_forms_match_the_per_label_code(n):
-    params = _params(n)
-    for lab in _labels(n):
-        state = ring.eigenstate(params, lab)
-        assert state.label == lab
-        assert _bits(state.energy) == _bits(_energy(params, lab))
-        assert np.array_equal(_bits(state.amplitudes), _bits(_amplitudes(params, lab)))
-        assert _bits(ring.band_energy(params, lab)) == _bits(_energy(params, lab))
-
-
 @pytest.mark.parametrize("n", (3, 4, 5, 12, 33))
 @pytest.mark.parametrize("lossy", (False, True))
 def test_full_sums_match_the_per_label_sums(n, lossy, monkeypatch):
     cfg = rs.MediumConfig(_params(n), lossy=lossy)
-    assert _bits(rs.resonance_frequency(cfg)) == _bits(_frequency(cfg.ring, EigenLabel(0, Band.UP)))
+    assert _bits(rs.resonance_frequency(cfg)) == _bits(_frequency(cfg.ring, (0, Band.UP)))
     om = rs.resonance_frequency(cfg) + 50 * cfg.ring.decay_rate
 
     def tensors():
@@ -125,21 +111,13 @@ def test_band_energies_are_the_per_label_energies(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_label_axes_follow_all_labels(n):
+def test_label_axes_follow_the_label_order(n):
     band, ell = ring.label_axes(n)
-    assert [(ring.BANDS[b], l) for b, l in zip(band, ell)] == [
-        (lab.band, lab.momentum_index) for lab in _labels(n)]
-    assert ring.all_labels(n) == _labels(n)
+    assert [(l, ring.BANDS[b]) for b, l in zip(band, ell)] == _labels(n)
 
 
-def test_no_module_reads_the_spectrum_one_label_at_a_time(tmp_path, monkeypatch):
-    def per_label(*args):
-        raise AssertionError("read the spectrum from the arrays of ring")
-
-    for module in (cli, dp, rs, rf, bf, validation):
-        for name in ("all_labels", "band_energy", "eigenstate"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, per_label)
+def test_no_module_reads_the_spectrum_one_label_at_a_time(tmp_path):
+    # the library has no per-label readers left: every command runs on the arrays
     assert validation_report(RingParams(12))["all_passed"]
     cfg = rs.MediumConfig(RingParams(64))
     om = rs.resonance_frequency(cfg) + 50 * cfg.ring.decay_rate

@@ -8,62 +8,58 @@ from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics.constants import EV, HBAR
 from mobius_optics.ring import (
-    GROUND_LABEL,
+    BANDS,
     Band,
-    EigenLabel,
     RingParams,
     Topology,
-    all_labels,
     amplitude_matrix,
     band_energies,
-    band_energy,
-    eigenstate,
+    label_axes,
     positions_array,
 )
 
 P12 = RingParams(12)
-UP, DOWN = Band.UP, Band.DOWN
+UP0, UP1 = 12, 13   # label indices of (0, up) and (1, up) at N = 12; (0, down) is 0
 
 
 def test_ground_band_energy_is_minus_v_minus_2xi():
-    assert band_energy(P12, EigenLabel(0, DOWN)) == pytest.approx(-10.8, abs=1e-12)
+    assert band_energies(P12)[0] == pytest.approx(-10.8, abs=1e-12)
 
 
 def test_lowest_up_state_energy_matches_dense_diagonalization():
     # closed form: V - 2 xi cos(delta/2) for l = 0
-    e_closed = band_energy(P12, EigenLabel(0, UP))
+    e_closed = band_energies(P12)[UP0]
     assert e_closed == pytest.approx(-3.354665949281292, abs=1e-12)
     w, _ = bf.numeric_eigensystem(bf.build_hamiltonian(P12))
     assert np.abs(w - e_closed).min() < 1e-10
 
 
 def test_two_lowest_up_states_degenerate_exactly():
-    assert band_energy(P12, EigenLabel(0, UP)) == band_energy(P12, EigenLabel(1, UP))
+    energies = band_energies(P12)
+    assert energies[UP0] == energies[UP1]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12, 24, 33, 64])
 def test_spectrum_matches_dense_eigensolver(n):
     p = RingParams(n)
-    closed = np.sort([band_energy(p, lab) for lab in all_labels(n)])
+    closed = np.sort(band_energies(p))
     w, _ = bf.numeric_eigensystem(bf.build_hamiltonian(p))
     assert np.abs(closed - w).max() < 1e-10
 
 
 def test_ground_state_amplitudes_uniform():
-    g = eigenstate(P12, GROUND_LABEL)
-    assert g.label == EigenLabel(0, DOWN)
-    assert g.energy == pytest.approx(-10.8)
-    assert np.abs(g.amplitudes - 1.0 / math.sqrt(24)).max() < 1e-15
+    assert band_energies(P12)[0] == pytest.approx(-10.8)
+    assert np.abs(amplitude_matrix(P12)[:, 0] - 1.0 / math.sqrt(24)).max() < 1e-15
 
 
 def test_ground_state_small_ring_against_dense_diagonalization():
     p = RingParams(4)
-    g = eigenstate(p, GROUND_LABEL)
-    assert np.abs(np.abs(g.amplitudes) - 1.0 / math.sqrt(8)).max() < 1e-15
+    ground, energy = amplitude_matrix(p)[:, 0], band_energies(p)[0]
+    assert np.abs(np.abs(ground) - 1.0 / math.sqrt(8)).max() < 1e-15
     w, v = bf.numeric_eigensystem(bf.build_hamiltonian(p))
-    assert g.energy == pytest.approx(w[0], abs=1e-12)
-    assert g.energy == pytest.approx(-p.v_inter - 2 * p.xi_intra, abs=1e-12)
-    overlap = np.abs(np.vdot(v[:, 0], g.amplitudes))
+    assert energy == pytest.approx(w[0], abs=1e-12)
+    assert energy == pytest.approx(-p.v_inter - 2 * p.xi_intra, abs=1e-12)
+    overlap = np.abs(np.vdot(v[:, 0], ground))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -74,24 +70,21 @@ def test_eigenstates_are_normalised_and_unitary():
 
 
 def test_eigenstates_diagonalise_the_hamiltonian():
-    h = bf.build_hamiltonian(P12).matrix
+    h = bf.build_hamiltonian(P12)
     u = amplitude_matrix(P12)
-    energies = np.array([band_energy(P12, lab) for lab in all_labels(12)])
-    assert np.abs(u.conj().T @ h @ u - np.diag(energies)).max() < 1e-12
+    assert np.abs(u.conj().T @ h @ u - np.diag(band_energies(P12))).max() < 1e-12
 
 
 def test_mobius_boundary_twist_continuation():
     # extending the closed-form amplitude pattern by one full sub-ring maps
     # ring A onto ring B: the a_0 amplitude equals the continued b_N one
     n = P12.n_per_ring
-    for lab in all_labels(n):
-        state = eigenstate(P12, lab)
-        a0 = state.amplitudes[0]
-        if lab.band is UP:
-            kappa = (lab.momentum_index - 0.5) * P12.delta
+    for band, l, a0 in zip(*label_axes(n), amplitude_matrix(P12)[0]):
+        if BANDS[band] is Band.UP:
+            kappa = (l - 0.5) * P12.delta
             b_n_continued = -np.exp(-1j * kappa * n) / math.sqrt(2 * n)
         else:
-            b_n_continued = np.exp(-1j * lab.momentum_index * P12.delta * n) / math.sqrt(2 * n)
+            b_n_continued = np.exp(-1j * l * P12.delta * n) / math.sqrt(2 * n)
         assert abs(a0 - b_n_continued) < 1e-12
 
 
@@ -150,10 +143,10 @@ def test_default_radius_follows_touching_atoms():
 def test_closed_forms_reject_other_topologies_and_onsite_splitting():
     ring = RingParams(12, topology=Topology.SINGLE_RING)
     with pytest.raises(ValueError):
-        band_energy(ring, EigenLabel(0, DOWN))
+        band_energies(ring)
     split = RingParams(12, eps_onsite=0.5)
     with pytest.raises(ValueError):
-        band_energy(split, EigenLabel(0, DOWN))
+        band_energies(split)
     # the dipole tables share the bands' guard
     for params in (ring, split):
         for table in (dp.electric_table, dp.magnetic_table):

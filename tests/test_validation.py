@@ -13,7 +13,7 @@ from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics import validation
 from mobius_optics.constants import E_CHARGE, EV, HBAR, NM, NS
-from mobius_optics.ring import RingParams, Topology, all_labels, band_energies
+from mobius_optics.ring import RingParams, Topology, band_energies, label_axes
 from mobius_optics.validation import _brentq, validation_report
 
 
@@ -150,23 +150,25 @@ def test_closed_form_checks_use_the_configured_radius():
 def _sparsity_by_pairs(params, d_num, m_num):
     """The per-label-pair loop that the selection-rule masks replace."""
     n = params.n_per_ring
-    labels = all_labels(n)
+    band, ell = label_axes(n)
+    kinds = [dp.KINDS.index(kind) for kind in (dp.DipoleKind.ELECTRIC, dp.DipoleKind.MAGNETIC)]
     d_scale = E_CHARGE * params.half_width
     m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
     worst = 0.0
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            dl = (lb.momentum_index - la.momentum_index) % n
+    for a in range(2 * n):
+        for b in range(2 * n):
+            dl = (ell[b] - ell[a]) % n
             if dl > n // 2:
                 dl -= n
-            sel_e = dp.electric_selection(n, lb, la)  # from b to a: <a|O|b>
+            # from b to a: <a|O|b>
+            sel_e, sel_m = dp.COMPONENTS[dp.selection_table(n)[
+                kinds, band[b], band[a], (ell[a] - ell[b]) % n]]
             for c in range(3):
                 if "xyz"[c] not in sel_e:
                     worst = max(worst, abs(d_num[a, b, c]) / d_scale)
             if abs(dl) > 2:
                 worst = max(worst, float(np.abs(m_num[a, b]).max()) / m_scale)
-            elif la.band is not lb.band:
-                sel_m = dp.magnetic_selection(n, lb, la)
+            elif band[a] != band[b]:
                 for c in range(3):
                     if "xyz"[c] not in sel_m:
                         worst = max(worst, abs(m_num[a, b, c]) / m_scale)
