@@ -228,6 +228,14 @@ def mu_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
 # Negative-permeability window
 # ---------------------------------------------------------------------------
 
+def _mu1_radicand(config: MediumConfig) -> tuple[float, float]:
+    """(pref, pref^2 - 4 gamma^2): the oscillator strength of the mu1 = 0 roots
+    and the radicand of their separation, positive when the window is open."""
+    a, b = alpha_beta(config)
+    pref = (a**2 + 4.0 * b**2) * eta_prefactor(config)
+    return pref, pref**2 - 4.0 * config.ring.decay_rate**2
+
+
 def bandwidth(config: MediumConfig) -> float:
     """Width of the mu1 < 0 window in rad/s; 0 when overdamped.
 
@@ -236,17 +244,13 @@ def bandwidth(config: MediumConfig) -> float:
 
         B = sqrt( [e^2 (a^2 + 4 b^2) W^2 / (8 eps0 v0 hbar)]^2 - 4 gamma^2 ).
     """
-    a, b = alpha_beta(config)
-    pref = (a**2 + 4.0 * b**2) * eta_prefactor(config)
-    radicand = pref**2 - 4.0 * config.ring.decay_rate**2
+    radicand = _mu1_radicand(config)[1]
     return math.sqrt(radicand) if radicand > 0.0 else 0.0
 
 
 def mu1_zero_detunings(config: MediumConfig) -> tuple[float, float] | None:
     """Detunings (from resonance) of the two mu1 zeros, or None if overdamped."""
-    a, b = alpha_beta(config)
-    pref = (a**2 + 4.0 * b**2) * eta_prefactor(config)
-    radicand = pref**2 - 4.0 * config.ring.decay_rate**2
+    pref, radicand = _mu1_radicand(config)
     if radicand <= 0.0:
         return None
     root = math.sqrt(radicand)
