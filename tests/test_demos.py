@@ -1,4 +1,5 @@
-"""Every demo script and the README quick start run on the library in src/.
+"""Every demo script and the README quick start run on the library in src/
+and use only its public names.
 
 Each script runs in a fresh interpreter with RuntimeWarnings, UserWarnings,
 DeprecationWarnings and FutureWarnings turned into errors, as tier-1's
@@ -7,6 +8,7 @@ root of a negative number, samples too coarse a grid or leans on a numpy
 deprecation fails here instead of printing a stray warning.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -105,11 +107,55 @@ def test_selection_rules_demo_prints_the_pinned_table(tmp_path):
                           "Mobius ring:          3 transition(s) carry both dipoles"]
 
 
-def test_readme_quick_start_runs(tmp_path):
+def _quick_start():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
     assert len(blocks) == 1, "the README has one python block, the quick start"
+    return blocks[0]
+
+
+def _private_package_names(source, filename):
+    """The ``_``-prefixed names a script takes from mobius_optics.
+
+    Both imports (``from mobius_optics.dipole import _rows``) and attributes
+    of an imported package object (``dp._rows``) count; dunders do not.
+    """
+    tree = ast.parse(source, filename=filename)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mobius_optics":
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "mobius_optics":
+                    found += [part for part in parts if part.startswith("_")]
+                    bound.add(alias.asname or parts[0])
+    found += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound and node.attr.startswith("_")
+              and not node.attr.startswith("__")]
+    return found
+
+
+@pytest.mark.parametrize("script", [*DEMOS, "README quick start"],
+                         ids=lambda script: getattr(script, "name", script))
+def test_scripts_use_only_public_names(script):
+    source = _quick_start() if isinstance(script, str) else script.read_text()
+    assert _private_package_names(source, str(script)) == []
+
+
+def test_private_name_scan_sees_imports_and_attributes():
+    source = ("from mobius_optics.dipole import _rows, selection_table\n"
+              "import mobius_optics._x.y\n"
+              "from mobius_optics import dipole as dp\n"
+              "dp._blocks(1)\ndp.__name__\nselection_table._cache\n")
+    assert sorted(_private_package_names(source, "probe")) == ["_blocks", "_cache", "_rows", "_x"]
+
+
+def test_readme_quick_start_runs(tmp_path):
     script = tmp_path / "quick_start.py"
-    script.write_text(blocks[0])
+    script.write_text(_quick_start())
     lines = _run(script, tmp_path).splitlines()
     assert lines[0] == "LH"
     assert lines[2] == "hyperbola"
