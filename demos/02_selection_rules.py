@@ -30,8 +30,10 @@ band, ell = label_axes(n)
 energies = band_energies(params)
 d_col = electric_table(params)[:, 0]
 m_col = magnetic_table(params)[:, 0]
-# rule masks of the transitions from the ground state's band, down, to each label
-rules = selection_table(n)[:, BANDS.index(Band.DOWN), band, ell % n]
+# allowed components of each transition out of the ground state's band, down
+masks = selection_table(n)[:, BANDS.index(Band.DOWN), band, ell % n]
+rules_e, rules_m = (COMPONENTS[masks[KINDS.index(kind)]]
+                    for kind in (DipoleKind.ELECTRIC, DipoleKind.MAGNETIC))
 
 print("transitions out of the ground state (0, down):")
 print(" to      dE (eV)   electric |d|/eW  rule    magnetic |m|/(e xi R W/hbar)  rule")
@@ -40,8 +42,7 @@ for a in range(1, 2 * n):
     if np.abs(d).max() < 1e-13 * e_scale and np.abs(m).max() < 1e-13 * m_scale:
         continue
     de = energies[a] - energies[0]
-    rule_e = COMPONENTS[rules[KINDS.index(DipoleKind.ELECTRIC), a]] or "-"
-    rule_m = COMPONENTS[rules[KINDS.index(DipoleKind.MAGNETIC), a]] or "-"
+    rule_e, rule_m = rules_e[a] or "-", rules_m[a] or "-"
     print(f"({ell[a]:>2},{BANDS[band[a]].value:<4})  {de:7.4f}   "
           f"{np.linalg.norm(d) / e_scale:>12.4f}   {rule_e:<5} "
           f"{np.linalg.norm(m) / m_scale:>18.4f}        {rule_m}")

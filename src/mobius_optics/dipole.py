@@ -60,6 +60,7 @@ _BAND_ROW = {Band.UP: 0, Band.DOWN: 1}
 _LABEL_ROW = np.array([_BAND_ROW[b] for b in BANDS])   # block row of each band of label_axes
 _ROW_BAND = np.array([BANDS.index(b) for b in _BAND_ROW])   # band of label_axes of each block row
 
+
 class DipoleKind(enum.Enum):
     ELECTRIC = "electric"
     MAGNETIC = "magnetic"

@@ -179,7 +179,10 @@ def positions_array(params: RingParams) -> np.ndarray:
 
 
 def amplitude_matrix(params: RingParams) -> np.ndarray:
-    """2N x 2N unitary matrix whose columns are the closed-form eigenstates, in label order."""
+    """2N x 2N unitary matrix whose columns are the closed-form eigenstates, in label order.
+
+    Rows run over the sites (a_0..a_{N-1}, b_0..b_{N-1}).
+    """
     _require_mobius(params)
     n = params.n_per_ring
     band, ell = label_axes(n)

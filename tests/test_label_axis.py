@@ -117,7 +117,7 @@ def test_label_axes_follow_the_label_order(n):
 
 
 def test_no_module_reads_the_spectrum_one_label_at_a_time(tmp_path):
-    # the library has no per-label readers left: every command runs on the arrays
+    # every command runs end to end on the label arrays
     assert validation_report(RingParams(12))["all_passed"]
     cfg = rs.MediumConfig(RingParams(64))
     om = rs.resonance_frequency(cfg) + 50 * cfg.ring.decay_rate
