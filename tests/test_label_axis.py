@@ -81,6 +81,19 @@ def test_amplitude_matrix_is_the_column_stack_of_per_label_states(n):
     assert np.array_equal(_bits(ring.amplitude_matrix(params)), _bits(reference))
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_scalar_forms_match_the_per_label_code(n):
+    # one label at a time, as a scalar and as a one-label array
+    params = _params(n)
+    for lab in _labels(n):
+        l, band = lab
+        b = ring.BANDS.index(band)
+        reference = _bits(_energy(params, lab))
+        assert np.array_equal(_bits(ring.label_energies(params, b, l)), reference)
+        one = ring.label_energies(params, np.array([b]), np.array([l]))
+        assert one.shape == (1,) and np.array_equal(_bits(one), reference)
+
+
 @pytest.mark.parametrize("n", (3, 4, 5, 12, 33))
 @pytest.mark.parametrize("lossy", (False, True))
 def test_full_sums_match_the_per_label_sums(n, lossy, monkeypatch):
