@@ -107,6 +107,28 @@ def test_selection_rules_demo_prints_the_pinned_table(tmp_path):
                           "Mobius ring:          3 transition(s) carry both dipoles"]
 
 
+DEMO_04_E_ROW = "  " + "R" * 30 + "." + "L" * 3 + "T" * 27
+DEMO_04_H_ROW = "  " + "R" * 30 + "." + "T" * 2 + "R" * 28
+
+
+def test_phase_diagram_demo_prints_the_pinned_diagrams(tmp_path):
+    lines = _run(ROOT / "demos" / "04_phase_diagram.py", tmp_path).splitlines()
+    # every theta row of the coarse map is the same: the band spans all angles
+    assert lines == [
+        "E-polarized (rows: theta 0..89 deg; cols: detuning -10B..+10B):",
+        *[DEMO_04_E_ROW] * 11,
+        "  counts: {'LH': 93, 'RH': 930, 'TR': 837}",
+        "",
+        "H-polarized (rows: theta 0..89 deg; cols: detuning -10B..+10B):",
+        *[DEMO_04_H_ROW] * 11,
+        "  counts: {'LH': 0, 'RH': 1798, 'TR': 62}",
+        "",
+        "the E-polarized left-handed band spans detunings 1.626e+07 .. 3.845e+09 rad/s, "
+        "i.e. exactly the mu1 < 0 window,",
+        "at every incidence angle; past its upper edge the wave is totally reflected.",
+    ]
+
+
 def _quick_start():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
     assert len(blocks) == 1, "the README has one python block, the quick start"
