@@ -16,7 +16,8 @@ Poynting z components S_tz = +/- sqrt(disc) / 2d, so causality (S_tz > 0,
 energy into the medium) selects exactly one branch: the "+" root when
 d > 0 and the "-" root when d < 0.  On it the quadratic gives
 k . S = (t_yy k_ty^2 + 2 t_yz k_ty k_tz + t_zz k_tz^2) / d = k_i^2 x.
-Each (theta, omega) cell is therefore classified by one comparison:
+Each (theta, omega) cell is therefore classified by comparing sin^2 theta
+with the lim of its frequency:
 
     LH  sin^2 theta < lim with d > 0, or > lim with d < 0, and x < 0
         (k . S < 0: negative refraction)
@@ -24,7 +25,12 @@ Each (theta, omega) cell is therefore classified by one comparison:
     TR  otherwise (total reflection), and wherever |d| < DEGENERACY_TOL (a
         degenerate quadratic), t_zz == 0 or an entry is not finite
 
-One kernel applies these rules; ``phase_diagram`` runs it over a grid,
+So three numbers per frequency set its whole column: lim, the sign of d
+and the code of a propagating cell.
+One kernel applies these rules: it ranks the sin^2 theta values once and
+finds, per frequency, the threshold rank that lim splits them at
+(``searchsorted``), so a cell is one comparison of small integers, its rank
+against that threshold.  ``phase_diagram`` runs it over a grid,
 ``classify`` on one cell (solving the quadratic only to report the roots
 and the chosen one's Poynting direction) and ``lossy_lh_window``, the lossy
 normal-incidence path, on the lossless limit of each frequency.
@@ -122,25 +128,54 @@ def _blocks(tensors: ResponseTensors, pol: Polarization):
     return tyy, tyz, tzz, det, other_xx
 
 
-def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta):
-    """int8 Classification codes (LH, RH or TR); see the module docstring.
+def _boundary(tensors: ResponseTensors, pol: Polarization):
+    """Per-frequency (lim, backward, code) that set every cell of a frequency.
 
-    ``sin2_theta`` broadcasts against the tensors' frequency shape.  A cell
-    costs one comparison with lim and one int8 product.
+    A cell propagates when sin^2 theta < lim, or when sin^2 theta > lim
+    where ``backward`` (d < 0); ``code`` is the int8 Classification of a
+    propagating cell, 0 (TR) where |d| < DEGENERACY_TOL, t_zz == 0 or
+    d * lim is not finite.  Each has the tensors' frequency shape.
     """
     _, _, tzz, det, other_xx = _blocks(tensors, pol)
     with np.errstate(invalid="ignore", over="ignore"):
         lim = tzz * other_xx
         valid = (np.abs(det) >= DEGENERACY_TOL) & (tzz != 0.0) & np.isfinite(det * lim)
-    # per-frequency code of a propagating cell; 0 (TR) where none propagates
     code = np.where(other_xx < 0.0, np.int8(Classification.LH),
                     np.int8(Classification.RH)) * valid
-    propagating = np.zeros(np.broadcast(sin2_theta, lim).shape, bool)
-    np.less(sin2_theta, lim, out=propagating, where=det > 0.0)
-    np.greater(sin2_theta, lim, out=propagating, where=det < 0.0)
-    codes = propagating.view(np.int8)
-    codes *= code
-    return codes
+    return lim, det < 0.0, code
+
+
+def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked=False):
+    """int8 Classification codes (LH, RH or TR); see the module docstring.
+
+    ``sin2_theta`` is a scalar or an (n, 1) column against the tensors'
+    frequency axis, and the codes have the broadcast shape.  Frequencies
+    where ``masked`` is true read MASKED.  The n values of sin^2 theta are
+    ranked once; per frequency ``searchsorted`` gives a threshold index t
+    with the propagating rows at rank < t where d > 0 and at rank >= t
+    where d < 0 (t = n on a masked column).  The grid is then three int8
+    passes: rank < t, times -code on the d < 0 columns and code on the
+    others, plus code on the d < 0 columns.
+    """
+    lim, backward, code = _boundary(tensors, pol)
+    sin2 = np.asarray(sin2_theta, dtype=float)
+    shape = np.broadcast_shapes(sin2.shape, lim.shape)
+    sin2, lim = sin2.ravel(), lim.ravel()
+    masked = np.broadcast_to(masked, lim.shape)
+    backward = backward.ravel() & ~masked
+    code = np.where(masked, np.int8(Classification.MASKED), code.ravel())
+    n = sin2.size
+    order = np.argsort(sin2, kind="stable")
+    rank = np.empty(n, np.min_scalar_type(n))
+    rank[order] = np.arange(n)
+    ranked = sin2[order]
+    t = np.where(backward, ranked.searchsorted(lim, "right"), ranked.searchsorted(lim, "left"))
+    t = np.where(masked, n, t).astype(rank.dtype)
+    codes = np.empty((n, lim.size), np.int8)
+    np.less(rank[:, None], t, out=codes.view(bool))
+    codes *= np.where(backward, -code, code)
+    codes += np.where(backward, code, np.int8(0))
+    return codes.reshape(shape)
 
 
 def fresnel_roots(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
@@ -220,6 +255,8 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
     omega = np.asarray(omega_grid, dtype=float)
     if not np.all(omega > 0.0):
         raise ValueError("omega must be positive")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     if np.any(np.diff(theta) <= 0) or (omega.size > 1 and np.any(np.diff(omega) <= 0)):
         raise ValueError("theta and omega grids must be strictly increasing")
     bw = bandwidth(config)
@@ -236,8 +273,7 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
                 stacklevel=2,
             )
     tensors = response_tensors(replace(config, lossy=False), omega)
-    codes = _propagation(tensors, pol, np.sin(theta)[:, None] ** 2)
-    codes[:, tensors.near_resonance] = int(Classification.MASKED)
+    codes = _propagation(tensors, pol, np.sin(theta)[:, None] ** 2, tensors.near_resonance)
     return PhaseDiagram(pol, theta, omega, codes)
 
 

@@ -212,8 +212,15 @@ def test_phase_diagram_rejects_non_positive_omega(omega):
         rf.phase_diagram(CFG, E, np.array([0.0, 0.5]), np.array(omega))
 
 
+@pytest.mark.parametrize("theta", ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]))
+def test_phase_diagram_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        rf.phase_diagram(CFG, E, np.array(theta), np.array([DELTA0 - BW, DELTA0 + BW]))
+
+
 def test_phase_diagram_allocates_less_than_one_float_grid():
-    # 512 x 4096 cells: one float64 temporary of the grid alone is 8 B/cell
+    # 512 x 4096 cells: one float64 temporary of the grid alone is 8 B/cell,
+    # one bool temporary beside the int8 codes 2 B/cell
     theta = np.linspace(0.0, math.radians(89.0), 512)
     omega = np.linspace(DELTA0 - 10 * BW, DELTA0 + 10 * BW, 4096)
     rf.phase_diagram(CFG, E, theta, omega)   # warm caches outside the trace
@@ -224,7 +231,7 @@ def test_phase_diagram_allocates_less_than_one_float_grid():
     finally:
         tracemalloc.stop()
     assert pd.codes.size == 512 * 4096
-    assert peak < 8 * pd.codes.size, f"{peak / pd.codes.size:.1f} B/cell"
+    assert peak < 2 * pd.codes.size, f"{peak / pd.codes.size:.1f} B/cell"
 
 
 def test_single_cell_grid_with_negligible_response():
