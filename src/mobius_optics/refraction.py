@@ -129,10 +129,10 @@ def _blocks(tensors: ResponseTensors, pol: Polarization):
 
 
 def _boundary(tensors: ResponseTensors, pol: Polarization):
-    """Per-frequency (lim, backward, code) that set every cell of a frequency.
+    """Per-frequency (lim, above, code) that set every cell of a frequency.
 
     A cell propagates when sin^2 theta < lim, or when sin^2 theta > lim
-    where ``backward`` (d < 0); ``code`` is the int8 Classification of a
+    where ``above`` (d < 0); ``code`` is the int8 Classification of a
     propagating cell, 0 (TR) where |d| < DEGENERACY_TOL, t_zz == 0 or
     d * lim is not finite.  Each has the tensors' frequency shape.
     """
@@ -157,24 +157,24 @@ def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked
     passes: rank < t, times -code on the d < 0 columns and code on the
     others, plus code on the d < 0 columns.
     """
-    lim, backward, code = _boundary(tensors, pol)
+    lim, above, code = _boundary(tensors, pol)
     sin2 = np.asarray(sin2_theta, dtype=float)
     shape = np.broadcast_shapes(sin2.shape, lim.shape)
     sin2, lim = sin2.ravel(), lim.ravel()
     masked = np.broadcast_to(masked, lim.shape)
-    backward = backward.ravel() & ~masked
+    above = above.ravel() & ~masked
     code = np.where(masked, np.int8(Classification.MASKED), code.ravel())
     n = sin2.size
     order = np.argsort(sin2, kind="stable")
     rank = np.empty(n, np.min_scalar_type(n))
     rank[order] = np.arange(n)
     ranked = sin2[order]
-    t = np.where(backward, ranked.searchsorted(lim, "right"), ranked.searchsorted(lim, "left"))
+    t = np.where(above, ranked.searchsorted(lim, "right"), ranked.searchsorted(lim, "left"))
     t = np.where(masked, n, t).astype(rank.dtype)
     codes = np.empty((n, lim.size), np.int8)
     np.less(rank[:, None], t, out=codes.view(bool))
-    codes *= np.where(backward, -code, code)
-    codes += np.where(backward, code, np.int8(0))
+    codes *= np.where(above, -code, code)
+    codes += np.where(above, code, np.int8(0))
     return codes.reshape(shape)
 
 
