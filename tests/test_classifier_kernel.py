@@ -41,13 +41,18 @@ NARROW = np.unique(np.concatenate([np.linspace(DELTA0 - 3 * BW, DELTA0 + 3 * BW,
                                    DELTA0 + np.array([-1e5, 0.0, 1e5])]))
 
 
-def _naive(tensors, pol, sin2):
-    """(n_theta, n_omega) codes of the rule, one broadcast comparison per cell."""
+def _entries(tensors, pol):
+    """t_yy, t_yz, t_zz and x: t is mu for E and eps for H, x the other's xx."""
     if pol is E:
         t, x = tensors.mu_r, tensors.eps_r[..., 0, 0]
     else:
         t, x = tensors.eps_r, tensors.mu_r[..., 0, 0]
-    tyy, tyz, tzz = t[..., 1, 1], t[..., 1, 2], t[..., 2, 2]
+    return t[..., 1, 1], t[..., 1, 2], t[..., 2, 2], x
+
+
+def _naive(tensors, pol, sin2):
+    """(n_theta, n_omega) codes of the rule, one broadcast comparison per cell."""
+    tyy, tyz, tzz, x = _entries(tensors, pol)
     s = np.asarray(sin2, dtype=float)[:, None]
     with np.errstate(invalid="ignore", over="ignore"):
         d = tyy * tzz - tyz * tyz
@@ -182,7 +187,7 @@ def _grid_oracle(pol, theta, omega):
 def _exact_lim_thetas(pol, omega, columns=12):
     """theta at a few ulps around arcsin sqrt(lim) for columns with 0 < lim < 1."""
     tensors = rs.response_tensors(replace(CFG, lossy=False), omega)
-    _, _, tzz, _, x = rf._blocks(tensors, pol)
+    _, _, tzz, x = _entries(tensors, pol)
     lim = tzz * x
     inside = lim[(lim > 0.0) & (lim < 1.0)]
     thetas = []
