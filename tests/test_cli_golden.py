@@ -34,6 +34,9 @@ CASES = {
     "surface": ("surface", [], {"surface_samples": 20}, cli.EXIT_OK),
     "surface_h": ("surface", [], {"polarization": "H", "surface_samples": 200}, cli.EXIT_OK),
     "bandwidth": ("bandwidth", [], {}, cli.EXIT_OK),
+    # overdamped for the 4W cylinder only (tau_c 0.518 ns), and a narrow mu1 window
+    "bandwidth_overdamped_4w": ("bandwidth", [], {"gamma_inv_ns": 0.4}, cli.EXIT_OK),
+    "bandwidth_half_width_0.01": ("bandwidth", [], {"half_width_nm": 0.01}, cli.EXIT_OK),
     "validate": ("validate", [], {}, cli.EXIT_OK),
     # failing rings: overdamped, the two smallest, narrow mu1 window, oversized and
     # overflowing half widths, near-degenerate levels, and near-critical half widths whose
@@ -128,6 +131,18 @@ GOLDEN = {
     ("bandwidth", "json"): (
         "19553dc68128fc29506612404b4942bee0c7b1da56c1f2497da738a2e2dce028",
         "5d589f46088c96a29a787d86916862dfb79c9c623e36e23810179620d4b2fec6"),
+    ("bandwidth_overdamped_4w", "csv"): (
+        "de3267d746b9804f11f98affba8bb550485b084fb8b6382411ecc4d05b3e71f7",
+        "7624522a84b72a317a2f386c9a0e27ace34d4b6fa390492f19382196e91cd12d"),
+    ("bandwidth_overdamped_4w", "json"): (
+        "4c1e3abb7e96385e7bdf72afb811e1190369af6c26a375ec9aa2d3362bbb6b5a",
+        "5d589f46088c96a29a787d86916862dfb79c9c623e36e23810179620d4b2fec6"),
+    ("bandwidth_half_width_0.01", "csv"): (
+        "9dedd6b0e1f92bf2599393ab3a97d82d64141ba9a6f9d9b11645059eb770460f",
+        "9f66f54819d4722e529481f600a0921139e572d05736bcd2b7590a83f4180b22"),
+    ("bandwidth_half_width_0.01", "json"): (
+        "6cb8224ea3b16b625928b5cf0a8ced040e0bbd2e2ad8739e285d16f2e27071ce",
+        "4bc76a162e6babb369166b569771393f552dffb16a88435dec47963270527d5b"),
     ("validate", "csv"): (
         "0459f07c65f5bdd03559ddcb6e542a229addd52073add790b05f60a13be379c7",
         "77169c05d938ae985c0e47e42c0c17a209c91f0c7e3fb3160f2ad10c8994a22c"),

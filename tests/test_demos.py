@@ -129,6 +129,96 @@ def test_phase_diagram_demo_prints_the_pinned_diagrams(tmp_path):
     ]
 
 
+DEMO_03_TABLE = """\
+resonance: hbar Delta_0 = 7.4453 eV (1.1311e+16 rad/s)
+magnetic coupling: alpha = 4.8298e-03, beta = 6.9439e-04
+negative-permeability window: detuning 1.626e+07 .. 3.845e+09 rad/s
+bandwidth B = 3.8287e+09 rad/s
+
+   detuning (rad/s)       eta'         eps1          mu1
+       -1.0000e+15   -1.5288e-01   +1.7644e+00   +1.0000e+00
+       -1.0000e+13   -1.5288e+01   +7.7442e+01   +1.0004e+00
+       -1.0000e+11   -1.5288e+03   +7.6452e+03   +1.0386e+00
+       -1.0000e+09   -1.4389e+05   +7.1945e+05   +4.6341e+00
+       +0.0000e+00   +0.0000e+00   +1.0000e+00   +1.0000e+00
+       +1.0000e+07   +2.4422e+04   -1.2211e+05   +3.8320e-01  eps1<0
+       +2.9453e+07   +7.1059e+04   -3.5529e+05   -7.9464e-01  eps1<0 mu1<0
+       +8.6745e+07   +1.8939e+05   -9.4695e+05   -3.7832e+00  eps1<0 mu1<0
+       +2.5549e+08   +3.0570e+05   -1.5285e+06   -6.7205e+00  eps1<0 mu1<0
+       +7.5247e+08   +1.8298e+05   -9.1489e+05   -3.6212e+00  eps1<0 mu1<0
+       +2.2162e+09   +6.8117e+04   -3.4059e+05   -7.2035e-01  eps1<0 mu1<0
+       +6.5273e+09   +2.3388e+04   -1.1694e+05   +4.0933e-01  eps1<0
+       +1.9225e+10   +7.9512e+03   -3.9755e+04   +7.9919e-01  eps1<0
+
+both principal values are negative only inside the mu1 window, a few
+billion rad/s wide on top of a 1.1e16 rad/s carrier.""".splitlines()
+
+
+def test_response_tensors_demo_prints_the_pinned_sweep(tmp_path):
+    lines = _run(ROOT / "demos" / "03_response_tensors.py", tmp_path).splitlines()
+    # a row with no flag ends in the two spaces before its empty flag column
+    assert [line.rstrip() for line in lines] == DEMO_03_TABLE
+
+
+# each residual line is the rounding noise of its samples: a bound, not digits
+DEMO_05_SURFACES = """\
+far below resonance: omega = 5.6557e+15 rad/s, eta' = -2.7032e-02
+  conic: circle, 120 causal samples
+  |n| range: 1.0134 .. 1.0134
+  max |S_hat . tangent_hat|: < 1e-9
+
+inside the mu1 < 0 window: omega = 1.1311e+16 rad/s, eta' = +7.7884e+04
+  conic: hyperbola, 120 causal samples
+  |n| range: 274.4369 .. 1265.4302
+  rotated canonical-form residual: < 1e-13
+  max |S_hat . tangent_hat|: < 1e-6
+
+just past the window: omega = 1.1311e+16 rad/s, eta' = +1.5894e+04
+  conic: degenerate, 0 causal samples
+  (no real propagating wave vectors: total reflection)
+
+far above resonance: omega = 1.6967e+16 rad/s, eta' = +2.7032e-02
+  conic: circle, 120 causal samples
+  |n| range: 0.9864 .. 0.9864
+  max |S_hat . tangent_hat|: < 1e-9
+
+the incident-side surface is always the unit circle; refraction picks
+the branch of these surfaces whose energy flow points into the medium.""".splitlines()
+
+
+def test_wave_surfaces_demo_prints_the_pinned_surfaces(tmp_path):
+    lines = _run(ROOT / "demos" / "05_wave_surfaces.py", tmp_path).splitlines()
+    assert len(lines) == len(DEMO_05_SURFACES)
+    for line, want in zip(lines, DEMO_05_SURFACES):
+        bounded = re.fullmatch(r"(.*: )< (\S+)", want)
+        if bounded:
+            head, bound = bounded.groups()
+            assert line.startswith(head) and float(line[len(head):]) < float(bound), line
+        else:
+            assert line == want
+
+
+DEMO_06_SWEEP = """\
+cylinder_4w : B = 3.8287e+09 rad/s, tau_c = 0.5180 ns
+cylinder_2w : B = 7.7062e+09 rad/s, tau_c = 0.2590 ns
+
+lifetime sweep (normal incidence, complex response kept):
+  tau/tau_c   B_lossless (rad/s)   left-handed window (detunings, rad/s)
+       8.0         3.8309e+09   +1.584e+08 .. +3.836e+09
+       2.0         3.3439e+09   +2.810e+08 .. +3.601e+09
+       1.2         2.1343e+09   +8.735e+08 .. +2.988e+09
+       0.8         0.0000e+00   closed
+       0.4         0.0000e+00   closed
+
+default lifetime 4 ns (about 7.7 tau_c): window +1.626e+07 .. +3.845e+09 rad/s survives the loss;
+anything below one tau_c is overdamped and the window is gone.""".splitlines()
+
+
+def test_lifetime_demo_prints_the_pinned_sweep(tmp_path):
+    lines = _run(ROOT / "demos" / "06_lifetime_and_loss.py", tmp_path).splitlines()
+    assert lines == DEMO_06_SWEEP
+
+
 def _quick_start():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
     assert len(blocks) == 1, "the README has one python block, the quick start"
