@@ -11,17 +11,15 @@ the negative-refraction bandwidth.
 import numpy as np
 
 from mobius_optics.constants import HBAR, EV
-from mobius_optics.response import (
-    MediumConfig, alpha_beta, bandwidth, eta, eps1, mu1, mu1_zero_detunings,
-    resonance_frequency,
-)
+from mobius_optics.response import MediumConfig, response_tensors
 from mobius_optics.ring import RingParams
 
 cfg = MediumConfig(RingParams(12))
-delta0 = resonance_frequency(cfg)
-a, b = alpha_beta(cfg)
-bw = bandwidth(cfg)
-zeros = mu1_zero_detunings(cfg)
+res = cfg.resonance
+delta0 = res.delta0
+a, b = res.alpha, res.beta
+bw = res.bandwidth
+zeros = res.mu1_zeros
 
 print(f"resonance: hbar Delta_0 = {delta0 * HBAR / EV:.4f} eV "
       f"({delta0:.4e} rad/s)")
@@ -33,15 +31,14 @@ print("   detuning (rad/s)       eta'         eps1          mu1")
 for det in np.concatenate([
         -np.logspace(15, 9, 4), [0.0],
         np.logspace(7, np.log10(5 * zeros[1]), 8)]):
-    om = delta0 + det
-    h = eta(cfg, om).real
+    t = response_tensors(cfg, delta0 + det)
     flags = []
-    if eps1(cfg, om) < 0:
+    if t.eps1 < 0:
         flags.append("eps1<0")
-    if mu1(cfg, om) < 0:
+    if t.mu1 < 0:
         flags.append("mu1<0")
-    print(f"{det:>+18.4e}  {h:>+12.4e}  {eps1(cfg, om):>+12.4e}  "
-          f"{mu1(cfg, om):>+12.4e}  {' '.join(flags)}")
+    print(f"{det:>+18.4e}  {t.eta.real:>+12.4e}  {t.eps1:>+12.4e}  "
+          f"{t.mu1:>+12.4e}  {' '.join(flags)}")
 
 print("\nboth principal values are negative only inside the mu1 window, a few")
 print("billion rad/s wide on top of a 1.1e16 rad/s carrier.")

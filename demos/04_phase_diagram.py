@@ -13,14 +13,12 @@ import math
 import numpy as np
 
 from mobius_optics.refraction import Classification, Polarization, phase_diagram
-from mobius_optics.response import (
-    MediumConfig, bandwidth, mu1_zero_detunings, resonance_frequency,
-)
+from mobius_optics.response import MediumConfig
 from mobius_optics.ring import RingParams
 
 cfg = MediumConfig(RingParams(12))
-delta0 = resonance_frequency(cfg)
-bw = bandwidth(cfg)
+res = cfg.resonance
+delta0, bw = res.delta0, res.bandwidth
 
 theta = np.linspace(0.0, math.radians(89.0), 31)
 omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 61)
@@ -39,7 +37,7 @@ for pol in (Polarization.E, Polarization.H):
                ("TR", Classification.TR))}
     print(f"  counts: {counts}\n")
 
-zeros = mu1_zero_detunings(cfg)
+zeros = res.mu1_zeros
 print("the E-polarized left-handed band spans detunings "
       f"{zeros[0]:.3e} .. {zeros[1]:.3e} rad/s, i.e. exactly the mu1 < 0 window,")
 print("at every incidence angle; past its upper edge the wave is totally reflected.")

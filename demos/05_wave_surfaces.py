@@ -14,14 +14,11 @@ import numpy as np
 from mobius_optics.refraction import (
     Polarization, rotated_conic_residual, surface_normal_check, wave_vector_surface,
 )
-from mobius_optics.response import (
-    MediumConfig, mu1_zero_detunings, resonance_frequency, response_tensors,
-)
+from mobius_optics.response import MediumConfig, response_tensors
 from mobius_optics.ring import RingParams
 
 cfg = MediumConfig(RingParams(12))
-delta0 = resonance_frequency(cfg)
-zeros = mu1_zero_detunings(cfg)
+delta0, zeros = cfg.resonance.delta0, cfg.resonance.mu1_zeros
 
 cases = [
     ("far below resonance", 0.5 * delta0),

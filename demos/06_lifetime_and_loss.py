@@ -11,24 +11,18 @@ and an excited state shorter-lived than tau_c extinguishes it entirely.
 import numpy as np
 
 from mobius_optics.refraction import lossy_lh_window
-from mobius_optics.response import (
-    MediumConfig, bandwidth, critical_lifetime, mu1_zero_detunings,
-    resonance_frequency,
-)
+from mobius_optics.response import MediumConfig
 from mobius_optics.ring import RingParams, VolumeConvention
 
 base = RingParams(12)
 for conv in (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W):
-    cfg = MediumConfig(RingParams(12, volume_convention=conv))
-    print(f"{conv.value:<12}: B = {bandwidth(cfg):.4e} rad/s, "
-          f"tau_c = {critical_lifetime(cfg) * 1e9:.4f} ns")
+    res = MediumConfig(RingParams(12, volume_convention=conv)).resonance
+    print(f"{conv.value:<12}: B = {res.bandwidth:.4e} rad/s, "
+          f"tau_c = {res.critical_lifetime * 1e9:.4f} ns")
 print()
 
-cfg = MediumConfig(base)
-delta0 = resonance_frequency(cfg)
-bw = bandwidth(cfg)
-zeros = mu1_zero_detunings(cfg)
-tau_c = critical_lifetime(cfg)
+res = MediumConfig(base).resonance
+delta0, bw, zeros, tau_c = res.delta0, res.bandwidth, res.mu1_zeros, res.critical_lifetime
 grid = np.linspace(delta0 - 2 * bw, delta0 + 2 * bw, 1500)
 
 print("lifetime sweep (normal incidence, complex response kept):")
@@ -37,7 +31,7 @@ for factor in (8.0, 2.0, 1.2, 0.8, 0.4):
     tau = factor * tau_c
     cfg_t = MediumConfig(RingParams(12, decay_rate=1.0 / tau))
     win = lossy_lh_window(cfg_t, grid)
-    bw_t = bandwidth(cfg_t)
+    bw_t = cfg_t.resonance.bandwidth
     if win is None:
         desc = "closed"
     else:

@@ -5,7 +5,8 @@ molecule from its Hamiltonian to a full optical-medium description:
 
 * ``ring``        band structure, eigenstates, geometry
 * ``dipole``      closed-form electric and magnetic transition dipoles
-* ``response``    eta(omega), permittivity/permeability tensors, bandwidth
+* ``response``    ``MediumConfig.resonance`` (Delta_0, eta(omega), bandwidth),
+                  permittivity/permeability tensors
 * ``refraction``  Fresnel roots, Poynting vectors, left-handed classification
 * ``bruteforce``  dense numerical reference used to validate the closed forms
 * ``cli``         deterministic table output for every computation

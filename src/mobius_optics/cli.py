@@ -47,17 +47,7 @@ from .refraction import (
     phase_diagram,
     wave_vector_surface,
 )
-from .response import (
-    MediumConfig,
-    alpha_beta,
-    bandwidth,
-    critical_lifetime,
-    eta_prefactor,
-    molecular_volume,
-    mu1_zero_detunings,
-    resonance_frequency,
-    response_tensors,
-)
+from .response import MediumConfig, Resonance, response_tensors
 from .ring import BANDS, RingParams, VolumeConvention, band_energies, label_axes
 
 EXIT_OK = 0
@@ -205,27 +195,27 @@ def parse_config(text: bytes | str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     # the bandwidth command evaluates both conventions: the 2W cylinder halves the volume
     for conv in VolumeConvention:
-        medium = MediumConfig(replace(ring, volume_convention=conv))
         try:
-            volume = molecular_volume(medium)
-        except OverflowError:
-            volume = math.inf
-        _expect(0.0 < volume < math.inf,
+            with np.errstate(over="ignore"):   # the level spacing in rad/s overflows to inf
+                res = MediumConfig(replace(ring, volume_convention=conv)).resonance
+        except OverflowError:   # (R + W)^2 overflows
+            res = None
+        _expect(res is not None and 0.0 < res.volume < math.inf,
                 "half_width_nm (with radius_nm) must give a finite molecular volume > 0")
         try:
-            width, tau_c = bandwidth(medium), critical_lifetime(medium)
+            width, tau_c = res.bandwidth, res.critical_lifetime
         except (OverflowError, ZeroDivisionError):   # 0 divisor: the couplings a, b underflow
             width = tau_c = math.nan
         _expect(math.isfinite(width) and 0.0 < tau_c and tau_c / NS < math.inf,   # ns as written
                 "v_inter_ev, xi_intra_ev, half_width_nm (with radius_nm) and gamma_inv_ns "
                 "must give a finite bandwidth and critical lifetime > 0")
-    medium = MediumConfig(ring)
-    with np.errstate(over="ignore"):   # the level spacing in rad/s overflows to inf
-        delta0 = resonance_frequency(medium)
-    _expect(delta0 < math.inf,
+        if conv is ring.volume_convention:
+            own = res
+    _expect(own.delta0 < math.inf,
             "v_inter_ev and xi_intra_ev must give a finite resonance frequency")
-    a, b = alpha_beta(medium)   # eps1 = 1 - 5 eta and mu1 = 1 - (a^2 + 4 b^2) eta peak on resonance
-    _expect(max(5.0, a * a + 4.0 * b * b) * eta_prefactor(medium) / ring.decay_rate < math.inf,
+    # eps1 = 1 - 5 eta and mu1 = 1 - (a^2 + 4 b^2) eta peak on resonance
+    a, b = own.alpha, own.beta
+    _expect(max(5.0, a * a + 4.0 * b * b) * own.prefactor / own.gamma < math.inf,
             "gamma_inv_ns must give a finite response (eta, eps and mu) on resonance")
 
     theta_min = number("theta_min_deg", nonneg=True)
@@ -427,20 +417,15 @@ def _atomic_write(path: str, chunks: Iterable[bytes]):
 # Grids
 # ---------------------------------------------------------------------------
 
-def _medium(config: RunConfig) -> MediumConfig:
-    return MediumConfig(config.ring, lossy=config.lossy)
-
-
-def _omega_grid(config: RunConfig):
-    medium = _medium(config)
-    center = (resonance_frequency(medium) if config.omega_center_ev is None
+def _omega_grid(config: RunConfig, res: Resonance):
+    center = (res.delta0 if config.omega_center_ev is None
               else config.omega_center_ev * EV / HBAR)
     if config.omega_span_ev is not None:
         span = config.omega_span_ev * EV / HBAR
     elif config.omega_span_rad_s is not None:
         span = config.omega_span_rad_s
     else:
-        span = 10.0 * bandwidth(medium)
+        span = 10.0 * res.bandwidth
         if span == 0.0:
             span = 0.1 * center
     if config.omega_count == 1:
@@ -531,15 +516,14 @@ def _cmd_elements(config: RunConfig):
 
 
 def _cmd_response(config: RunConfig):
-    medium = _medium(config)
-    delta0 = resonance_frequency(medium)
-    omegas = _omega_grid(config)
+    medium = MediumConfig(config.ring, lossy=config.lossy)
+    omegas = _omega_grid(config, medium.resonance)
     t = response_tensors(medium, omegas)
     complex_columns = {"eta": t.eta, "eps1": t.eps1, "mu1": t.mu1}
     for name, tensor in (("eps", t.eps_r), ("mu", t.mu_r)):
         for comp, (i, j) in (("xx", (0, 0)), ("yz", (1, 2)), ("zz", (2, 2))):
             complex_columns[f"{name}_{comp}"] = tensor[:, i, j]
-    detuning = omegas - delta0
+    detuning = omegas - medium.resonance.delta0
     columns = {"omega_rad_s": omegas, "detuning_rad_s": detuning,
                "detuning_ev": angular_frequency_to_ev(detuning)}
     for name, values in complex_columns.items():
@@ -554,15 +538,14 @@ def _cmd_response(config: RunConfig):
 
 def _cmd_phase_diagram(config: RunConfig):
     medium = MediumConfig(config.ring, lossy=False)
-    delta0 = resonance_frequency(medium)
     thetas = _theta_grid(config)
-    omegas = _omega_grid(config)
+    omegas = _omega_grid(config, medium.resonance)
     diagram = phase_diagram(medium, config.polarization, thetas, omegas)
     table = BlockedTable(
         head=_table(theta_deg=np.degrees(thetas)),
         tail=_table(
             omega_rad_s=np.repeat(omegas, 4),
-            detuning_rad_s=np.repeat(omegas - delta0, 4),
+            detuning_rad_s=np.repeat(omegas - medium.resonance.delta0, 4),
             code=np.tile(_CODES, len(omegas)),
             label=np.tile(_CODE_LABELS, len(omegas)),
         ),
@@ -575,10 +558,9 @@ def _cmd_phase_diagram(config: RunConfig):
     return table, summary, EXIT_OK
 
 
-def _default_surface_detunings(medium: MediumConfig) -> list[float]:
-    delta0 = resonance_frequency(medium)
-    below = -0.5 * delta0 * HBAR / EV
-    zeros = mu1_zero_detunings(medium)
+def _default_surface_detunings(res: Resonance) -> list[float]:
+    below = -0.5 * res.delta0 * HBAR / EV
+    zeros = res.mu1_zeros
     if zeros is None:
         return [below]
     mid = 0.5 * (zeros[0] + zeros[1]) * HBAR / EV
@@ -588,13 +570,13 @@ def _default_surface_detunings(medium: MediumConfig) -> list[float]:
 
 def _cmd_surface(config: RunConfig):
     medium = MediumConfig(config.ring, lossy=False)
-    delta0 = resonance_frequency(medium)
+    res = medium.resonance
     detunings = (config.surface_detunings_ev
                  if config.surface_detunings_ev is not None
-                 else _default_surface_detunings(medium))
+                 else _default_surface_detunings(res))
     omegas, surfaces = [], []
     for det_ev in detunings:
-        om = delta0 + det_ev * EV / HBAR
+        om = res.delta0 + det_ev * EV / HBAR
         if not 0.0 < om < math.inf:
             raise ConfigError(f"surface_detunings_ev: {det_ev} eV puts omega at {om:.6g} "
                               "rad/s; omega must be positive and finite")
@@ -618,15 +600,16 @@ def _cmd_surface(config: RunConfig):
 
 def _cmd_bandwidth(config: RunConfig):
     conventions = (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W)
-    media = [MediumConfig(replace(config.ring, volume_convention=c)) for c in conventions]
-    a, b = np.array([alpha_beta(medium) for medium in media]).T
-    tau = np.array([critical_lifetime(medium) for medium in media])
+    res = [MediumConfig(replace(config.ring, volume_convention=c)).resonance
+           for c in conventions]
+    tau = np.array([r.critical_lifetime for r in res])
     table = _table(
         volume_convention=[c.value for c in conventions],
-        molecular_volume_m3=[molecular_volume(medium) for medium in media],
-        eta_prefactor_rad_s=[eta_prefactor(medium) for medium in media],
-        alpha=a, beta=b, bandwidth_rad_s=[bandwidth(medium) for medium in media],
-        tau_c_s=tau, tau_c_ns=tau / NS, gamma_per_s=[config.ring.decay_rate] * 2,
+        molecular_volume_m3=[r.volume for r in res],
+        eta_prefactor_rad_s=[r.prefactor for r in res],
+        alpha=[r.alpha for r in res], beta=[r.beta for r in res],
+        bandwidth_rad_s=[r.bandwidth for r in res],
+        tau_c_s=tau, tau_c_ns=tau / NS, gamma_per_s=[r.gamma for r in res],
     )
     summary = (
         f"bandwidth: tau_c {tau[0] / NS:.4g} ns (cylinder_4w) vs {tau[1] / NS:.4g} ns "

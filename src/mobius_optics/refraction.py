@@ -46,14 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import C_LIGHT
-from .response import (
-    MediumConfig,
-    ResponseTensors,
-    bandwidth,
-    mu1_zero_detunings,
-    resonance_frequency,
-    response_tensors,
-)
+from .response import MediumConfig, ResponseTensors, response_tensors
 
 DEGENERACY_TOL = 1e-12   # |det yz block| below this is a degenerate quadratic
 
@@ -124,7 +117,9 @@ def _blocks(tensors: ResponseTensors, pol: Polarization):
     else:
         t, other_xx = tensors.eps_r, tensors.mu_r[..., 0, 0]
     tyy, tyz, tzz = t[..., 1, 1], t[..., 1, 2], t[..., 2, 2]
-    det = tyy * tzz - tyz * tyz
+    # a d that overflows or is not a number is classified TR by _boundary
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = tyy * tzz - tyz * tyz
     return tyy, tyz, tzz, det, other_xx
 
 
@@ -229,6 +224,14 @@ def classify(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
 # Phase diagram over a (theta, omega) grid
 # ---------------------------------------------------------------------------
 
+def _frequencies(omega_grid) -> np.ndarray:
+    """The frequencies as a float array; each must be positive and finite."""
+    omega = np.asarray(omega_grid, dtype=float)
+    if not np.all((omega > 0.0) & (omega < math.inf)):
+        raise ValueError("omega must be positive and finite")
+    return omega
+
+
 @dataclass(frozen=True)
 class PhaseDiagram:
     polarization: Polarization
@@ -245,26 +248,25 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
     """Classify every (theta, omega) cell of a monotone grid (lossless response).
 
     Near-resonance frequency bins are marked MASKED.  Every omega must be
-    positive: at omega = 0 the quadratic degenerates for every theta.
+    positive and finite: at omega = 0 the quadratic degenerates for every
+    theta.
 
     Emits a warning when the omega spacing is too coarse to resolve the
     mu1 < 0 window (target: bandwidth / 50), if that window overlaps the
     grid at all.
     """
     theta = np.asarray(theta_grid, dtype=float)
-    omega = np.asarray(omega_grid, dtype=float)
-    if not np.all(omega > 0.0):
-        raise ValueError("omega must be positive")
+    omega = _frequencies(omega_grid)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     if np.any(np.diff(theta) <= 0) or (omega.size > 1 and np.any(np.diff(omega) <= 0)):
         raise ValueError("theta and omega grids must be strictly increasing")
-    bw = bandwidth(config)
-    zeros = mu1_zero_detunings(config)
+    lossless = replace(config, lossy=False)
+    res = lossless.resonance
+    bw, zeros = res.bandwidth, res.mu1_zeros
     if bw > 0.0 and omega.size > 1 and zeros is not None:
-        delta0 = resonance_frequency(config)
         spacing = np.diff(omega).max()
-        lo, hi = delta0 + zeros[0], delta0 + zeros[1]
+        lo, hi = res.delta0 + zeros[0], res.delta0 + zeros[1]
         if spacing > bw / 2.0 and omega[0] < hi and omega[-1] > lo:
             warnings.warn(
                 f"omega grid spacing {spacing:.3e} rad/s cannot resolve the "
@@ -272,7 +274,7 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
                 f"of bandwidth/50 = {bw / 50.0:.3e} is recommended",
                 stacklevel=2,
             )
-    tensors = response_tensors(replace(config, lossy=False), omega)
+    tensors = response_tensors(lossless, omega)
     codes = _propagation(tensors, pol, np.sin(theta)[:, None] ** 2, tensors.near_resonance)
     return PhaseDiagram(pol, theta, omega, codes)
 
@@ -466,9 +468,7 @@ def _lossy_normal(config: MediumConfig, omega: np.ndarray):
 
 def lossy_lh_window(config: MediumConfig, omega_grid) -> tuple[float, float] | None:
     """(omega_low, omega_high) bounds of LH cells at theta = 0, or None."""
-    omega = np.asarray(omega_grid, dtype=float)
-    if np.any(omega <= 0.0):
-        raise ValueError("omega must be positive")
+    omega = _frequencies(omega_grid)
     lh = omega[_lossy_normal(config, omega) == int(Classification.LH)]
     if not lh.size:
         return None

@@ -22,19 +22,21 @@ In lossless mode eta' = Re(eta) is used; in lossy mode the full complex
 eta replaces it entrywise.  The yz blocks have exact eigenvalue pairs
 {1, 1 - 5 eta'} and {1, 1 - (a^2 + 4 b^2) eta'}; the second members are the
 principal values eps1 and mu1 whose zero crossings bound the negative
-windows.  ``response_tensors`` is the one place these entries are written:
-it takes a scalar omega or an array of them and evaluates Delta_0, eta and
-(a, b) once per call, and returns both tensors with eps1, mu1 and the
-near-resonance flag; ``eps1`` and ``mu1`` read its fields.  Both tensors
-follow from the Green-Kubo dipole sums restricted to the resonant pair; the
-full sums over all 2N - 1 excited states are kept in
-``epsilon_from_full_sum`` / ``mu_from_full_sum`` as a validation route.
-They read only the ground row of the dipole tables (O(N) work, no 2N x 2N
-table).
+windows.  ``MediumConfig.resonance`` holds Delta_0, gamma, the volume, the
+eta prefactor and (a, b), derived once per config; the window's width, its
+edges and the critical lifetime are read from it.  ``response_tensors`` is
+the one place the tensor entries are written: it takes a scalar omega or an
+array of them and returns both tensors with eps1, mu1 and the
+near-resonance flag.  Both tensors follow from the Green-Kubo dipole sums
+restricted to the resonant pair; the full sums over all 2N - 1 excited
+states are kept in ``epsilon_from_full_sum`` / ``mu_from_full_sum`` as a
+validation route.  They read only the ground row of the dipole tables (O(N)
+work, no 2N x 2N table).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,9 +66,106 @@ class MediumConfig:
     ring: RingParams
     lossy: bool = False
 
+    @functools.cached_property
+    def resonance(self) -> Resonance:
+        """The medium's resonance, derived on first read and kept."""
+        return Resonance.of(self.ring)
+
+
+@dataclass(frozen=True)
+class Resonance:
+    """The single resonance that sets every window of one ring's medium.
+
+    The line Delta_0, the damping gamma and the eta prefactor P fix
+    eta(omega) = P / (omega - Delta_0 + i gamma); with the couplings a, b they
+    fix the mu1 < 0 window.  The fields are evaluated once, by ``of``; the
+    window's width, its edges and the critical lifetime are read from them.
+    """
+
+    delta0: float       # rad/s, the (0, down) -> (0, up) line
+    gamma: float        # rad/s, the decay rate
+    half_width: float   # m, W
+    volume: float       # m^3 per molecule, v0
+    prefactor: float    # rad/s, P = e^2 W^2 / (8 hbar eps0 v0)
+    alpha: float
+    beta: float
+
+    @classmethod
+    def of(cls, ring: RingParams) -> Resonance:
+        """The resonance of a ring.
+
+        Delta_0 = (2V + 2 xi (1 - cos delta/2)) / hbar is evaluated from the
+        two labels it reads, (0, down) and (0, up), and has the bits of its
+        entry in ``_excited_frequencies``.  v0 is 2 pi (R + W)^2 W for
+        CYLINDER_2W and exactly twice that for CYLINDER_4W.
+        """
+        bands = np.array([BANDS.index(Band.DOWN), BANDS.index(Band.UP)])   # both at l = 0
+        ground, lowest_up = label_energies(ring, bands, np.zeros(2, dtype=int))
+        w = ring.half_width
+        volume = 2.0 * math.pi * (ring.radius + w) ** 2 * w
+        if ring.volume_convention is VolumeConvention.CYLINDER_4W:
+            volume = 2.0 * volume
+        # a volume below about 5e-280 m^3 underflows the divisor to 0: P is unbounded
+        divisor = 8.0 * HBAR * EPSILON_0 * volume
+        d = ring.delta
+        v_j = ring.v_inter * EV
+        xi_j = ring.xi_intra * EV
+        hbar_c = HBAR * C_LIGHT
+        return cls(
+            delta0=float((lowest_up - ground) * EV / HBAR),
+            gamma=ring.decay_rate,
+            half_width=w,
+            volume=volume,
+            prefactor=E_CHARGE**2 * w**2 / divisor if divisor else math.inf,
+            alpha=ring.radius / hbar_c * (v_j + xi_j * (math.cos(d) - math.cos(d / 2.0))),
+            beta=2.0 * ring.radius * xi_j / hbar_c * math.sin(d / 2.0) ** 2 * math.cos(d / 2.0),
+        )
+
+    def eta(self, omega):
+        """Complex response eta(omega); accepts scalars or arrays (rad/s)."""
+        detuning = np.asarray(omega, dtype=float) - self.delta0
+        if self.gamma == 0.0 and np.any(detuning == 0.0):
+            raise ResonanceSingularityError(
+                "eta diverges exactly on resonance when the decay rate is zero"
+            )
+        value = self.prefactor / (detuning + 1j * self.gamma)
+        return complex(value) if value.ndim == 0 else value
+
     @property
-    def volume_convention(self) -> VolumeConvention:
-        return self.ring.volume_convention
+    def _mu1_window(self) -> tuple[float, float]:
+        """(pref, pref^2 - 4 gamma^2): the oscillator strength of the mu1 = 0 roots
+        and the radicand of their separation, positive when the window is open."""
+        pref = (self.alpha**2 + 4.0 * self.beta**2) * self.prefactor
+        return pref, pref**2 - 4.0 * self.gamma**2
+
+    @property
+    def bandwidth(self) -> float:
+        """Width of the mu1 < 0 window in rad/s; 0 when overdamped.
+
+        mu1(omega) = 0 has two roots above resonance whenever the oscillator
+        strength beats the damping; their separation is
+
+            B = sqrt( [e^2 (a^2 + 4 b^2) W^2 / (8 eps0 v0 hbar)]^2 - 4 gamma^2 ).
+        """
+        radicand = self._mu1_window[1]
+        return math.sqrt(radicand) if radicand > 0.0 else 0.0
+
+    @property
+    def mu1_zeros(self) -> tuple[float, float] | None:
+        """Detunings (from resonance) of the two mu1 zeros, or None if overdamped."""
+        pref, radicand = self._mu1_window
+        if radicand <= 0.0:
+            return None
+        root = math.sqrt(radicand)
+        return (0.5 * (pref - root), 0.5 * (pref + root))
+
+    @property
+    def critical_lifetime(self) -> float:
+        """Minimum excited-state lifetime (s) for the mu1 < 0 window to open."""
+        return (
+            16.0 * EPSILON_0 * self.volume * HBAR
+            / (E_CHARGE**2 * (self.alpha**2 + 4.0 * self.beta**2) * self.half_width**2)
+        )
 
 
 @dataclass(frozen=True)
@@ -88,18 +187,6 @@ class ResponseTensors:
     near_resonance: bool | np.ndarray = False
 
 
-def molecular_volume(config: MediumConfig) -> float:
-    """Volume per molecule in m^3 under the configured convention.
-
-    CYLINDER_2W gives 2 pi (R + W)^2 W; CYLINDER_4W exactly twice that.
-    """
-    ring = config.ring
-    base = 2.0 * math.pi * (ring.radius + ring.half_width) ** 2 * ring.half_width
-    if ring.volume_convention is VolumeConvention.CYLINDER_4W:
-        return 2.0 * base
-    return base
-
-
 def _excited_frequencies(ring: RingParams) -> np.ndarray:
     """(E - E_ground) / hbar in rad/s of the 2N - 1 labels after the ground state."""
     energies = band_energies(ring)
@@ -107,48 +194,13 @@ def _excited_frequencies(ring: RingParams) -> np.ndarray:
 
 
 def resonance_frequency(config: MediumConfig) -> float:
-    """Delta_0 = (2V + 2 xi (1 - cos delta/2)) / hbar in rad/s, the (0, up) line.
-
-    Only the two labels it reads are evaluated, (0, down) and (0, up); Delta_0
-    has the bits of its entry in ``_excited_frequencies``.
-    """
-    bands = np.array([BANDS.index(Band.DOWN), BANDS.index(Band.UP)])   # both at l = 0
-    ground, lowest_up = label_energies(config.ring, bands, np.zeros(2, dtype=int))
-    return float((lowest_up - ground) * EV / HBAR)
+    """Delta_0 in rad/s, the (0, up) line."""
+    return config.resonance.delta0
 
 
-def eta_prefactor(config: MediumConfig) -> float:
-    """e^2 W^2 / (8 hbar eps0 v0) in rad/s."""
-    w = config.ring.half_width
-    return E_CHARGE**2 * w**2 / (8.0 * HBAR * EPSILON_0 * molecular_volume(config))
-
-
-def eta(config: MediumConfig, omega):
-    """Complex response eta(omega); accepts scalars or arrays (rad/s)."""
-    omega = np.asarray(omega, dtype=float)
-    value = _eta_at(config, omega - resonance_frequency(config))
-    return complex(value) if value.ndim == 0 else value
-
-
-def _eta_at(config: MediumConfig, detuning):
-    """eta at the detuning omega - Delta_0 (rad/s)."""
-    gamma = config.ring.decay_rate
-    if gamma == 0.0 and np.any(detuning == 0.0):
-        raise ResonanceSingularityError(
-            "eta diverges exactly on resonance when the decay rate is zero"
-        )
-    return eta_prefactor(config) / (detuning + 1j * gamma)
-
-
-def alpha_beta(config: MediumConfig) -> tuple[float, float]:
-    ring = config.ring
-    d = ring.delta
-    v_j = ring.v_inter * EV
-    xi_j = ring.xi_intra * EV
-    hbar_c = HBAR * C_LIGHT
-    alpha = ring.radius / hbar_c * (v_j + xi_j * (math.cos(d) - math.cos(d / 2.0)))
-    beta = 2.0 * ring.radius * xi_j / hbar_c * math.sin(d / 2.0) ** 2 * math.cos(d / 2.0)
-    return alpha, beta
+def bandwidth(config: MediumConfig) -> float:
+    """Width of the mu1 < 0 window in rad/s; 0 when overdamped."""
+    return config.resonance.bandwidth
 
 
 def response_tensors(config: MediumConfig, omega) -> ResponseTensors:
@@ -160,10 +212,10 @@ def response_tensors(config: MediumConfig, omega) -> ResponseTensors:
     """
     scalar = np.ndim(omega) == 0
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    detuning = omega - resonance_frequency(config)
-    h = _eta_at(config, detuning)
+    res = config.resonance
+    h = res.eta(omega)
     h_eff = h if config.lossy else h.real
-    a, b = alpha_beta(config)
+    a, b = res.alpha, res.beta
     eps = np.zeros((omega.size, 3, 3), dtype=h_eff.dtype)
     eps[:, 0, 0] = eps[:, 1, 1] = 1.0 - h_eff
     eps[:, 2, 2] = 1.0 - 4.0 * h_eff
@@ -174,21 +226,11 @@ def response_tensors(config: MediumConfig, omega) -> ResponseTensors:
     mu[:, 1, 2] = mu[:, 2, 1] = -2.0 * a * b * h_eff
     eps1 = 1.0 - 5.0 * h_eff
     mu1 = 1.0 - (a**2 + 4.0 * b**2) * h_eff
-    near = np.abs(detuning) < NEAR_RESONANCE_FACTOR * config.ring.decay_rate
+    near = np.abs(omega - res.delta0) < NEAR_RESONANCE_FACTOR * res.gamma
     if scalar:
         return ResponseTensors(float(omega[0]), complex(h[0]), eps[0], mu[0], a, b,
                                eps1[0].item(), mu1[0].item(), bool(near[0]))
     return ResponseTensors(omega, h, eps, mu, a, b, eps1, mu1, near)
-
-
-def eps1(config: MediumConfig, omega):
-    """Principal permittivity 1 - 5 eta' (complex eta when lossy)."""
-    return response_tensors(config, omega).eps1
-
-
-def mu1(config: MediumConfig, omega):
-    """Principal permeability 1 - (alpha^2 + 4 beta^2) eta'."""
-    return response_tensors(config, omega).mu1
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +253,7 @@ def _kubo_sum(config: MediumConfig, omega: float, kind: DipoleKind):
     lorentz = 1.0 / (omega - freqs + 1j * config.ring.decay_rate)
     total = np.tensordot(lorentz, dyads, axes=(0, 0))
     scale = 1.0 if kind is DipoleKind.ELECTRIC else MU_0
-    return -(scale / (HBAR * molecular_volume(config))) * (total if config.lossy else total.real)
+    return -(scale / (HBAR * config.resonance.volume)) * (total if config.lossy else total.real)
 
 
 def epsilon_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
@@ -222,49 +264,6 @@ def epsilon_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
 def mu_from_full_sum(config: MediumConfig, omega: float) -> np.ndarray:
     """3x3 permeability I + M: column c is the magnetization M driven by unit H_c."""
     return np.eye(3) + _kubo_sum(config, omega, DipoleKind.MAGNETIC)
-
-
-# ---------------------------------------------------------------------------
-# Negative-permeability window
-# ---------------------------------------------------------------------------
-
-def _mu1_radicand(config: MediumConfig) -> tuple[float, float]:
-    """(pref, pref^2 - 4 gamma^2): the oscillator strength of the mu1 = 0 roots
-    and the radicand of their separation, positive when the window is open."""
-    a, b = alpha_beta(config)
-    pref = (a**2 + 4.0 * b**2) * eta_prefactor(config)
-    return pref, pref**2 - 4.0 * config.ring.decay_rate**2
-
-
-def bandwidth(config: MediumConfig) -> float:
-    """Width of the mu1 < 0 window in rad/s; 0 when overdamped.
-
-    mu1(omega) = 0 has two roots above resonance whenever the oscillator
-    strength beats the damping; their separation is
-
-        B = sqrt( [e^2 (a^2 + 4 b^2) W^2 / (8 eps0 v0 hbar)]^2 - 4 gamma^2 ).
-    """
-    radicand = _mu1_radicand(config)[1]
-    return math.sqrt(radicand) if radicand > 0.0 else 0.0
-
-
-def mu1_zero_detunings(config: MediumConfig) -> tuple[float, float] | None:
-    """Detunings (from resonance) of the two mu1 zeros, or None if overdamped."""
-    pref, radicand = _mu1_radicand(config)
-    if radicand <= 0.0:
-        return None
-    root = math.sqrt(radicand)
-    return (0.5 * (pref - root), 0.5 * (pref + root))
-
-
-def critical_lifetime(config: MediumConfig) -> float:
-    """Minimum excited-state lifetime (s) for the mu1 < 0 window to open."""
-    a, b = alpha_beta(config)
-    w = config.ring.half_width
-    return (
-        16.0 * EPSILON_0 * molecular_volume(config) * HBAR
-        / (E_CHARGE**2 * (a**2 + 4.0 * b**2) * w**2)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ def local_field_epsilon(config: MediumConfig, omega) -> np.ndarray:
     The corrected principal value crosses zero at eta' = 3/10 instead of the
     uncorrected 1/5.
     """
-    h = eta(config, omega)
+    h = config.resonance.eta(omega)
     h = h if config.lossy else np.real(h)
     pole_x = 3.0 + h
     pole_yz = 3.0 + 5.0 * h

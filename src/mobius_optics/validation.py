@@ -337,7 +337,7 @@ def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
         annulene = bf.annulene_cross_check(
             dense(replace(p12, topology=Topology.DOUBLE_RING_PERIODIC)))
         mobius = bf.shared_transition_scan(dense(p12))
-    delta0_ev = angular_frequency_to_ev(rs.resonance_frequency(rs.MediumConfig(p12)))
+    delta0_ev = angular_frequency_to_ev(rs.MediumConfig(p12).resonance.delta0)
     shared_at_resonance = any(
         t.electric > 1e-9 and t.magnetic > 1e-9
         and abs(t.frequency_ev - delta0_ev) < 1e-9
@@ -354,19 +354,19 @@ def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
 
 def response_checks(params: RingParams) -> dict:
     cfg = rs.MediumConfig(params)
-    delta0 = rs.resonance_frequency(cfg)
-    bw = rs.bandwidth(cfg)
-    zeros = rs.mu1_zero_detunings(cfg)
+    res = cfg.resonance
+    delta0, bw, zeros = res.delta0, res.bandwidth, res.mu1_zeros
     if zeros is None:
         bandwidth_dev = simultaneous = OVERDAMPED
     else:
-        f = lambda om: rs.mu1(cfg, om)
+        f = lambda om: rs.response_tensors(cfg, om).mu1
         mid = delta0 + 0.5 * (zeros[0] + zeros[1])
         lo = _brentq(f, delta0 + 0.2 * zeros[0], mid, xtol=1e-3)
         hi = _brentq(f, mid, delta0 + 2.0 * zeros[1], xtol=1e-3)
         bandwidth_dev = NO_ROOT if lo is None or hi is None else abs((hi - lo) - bw) / bw
-        simultaneous = int(rs.eps1(cfg, mid) < 0.0 and rs.mu1(cfg, mid) < 0.0)
-    om = delta0 + 50.0 * cfg.ring.decay_rate
+        t_mid = rs.response_tensors(cfg, mid)
+        simultaneous = int(t_mid.eps1 < 0.0 and t_mid.mu1 < 0.0)
+    om = delta0 + 50.0 * res.gamma
     # the resonant term overflows at half widths near 1e90 with gamma_inv_ns near 1e210
     with np.errstate(over="ignore", invalid="ignore"):
         full = rs.epsilon_from_full_sum(cfg, om)
@@ -380,38 +380,39 @@ def response_checks(params: RingParams) -> dict:
         return float(np.linalg.eigvalsh(t[1:, 1:]).min())
 
     def eta_crossing(level):
-        return _brentq(lambda om: rs.eta(cfg, om).real - level,
-                       delta0 + cfg.ring.decay_rate, delta0 + 1e8 * cfg.ring.decay_rate,
-                       xtol=1e-3)
+        return _brentq(lambda om: res.eta(om).real - level,
+                       delta0 + res.gamma, delta0 + 1e8 * res.gamma, xtol=1e-3)
+
+    def eps1(om):
+        return rs.response_tensors(cfg, om).eps1
 
     om_corr = eta_crossing(0.3)
     om_unc = eta_crossing(0.2)
     if zeros is not None:
-        overlap = int(rs.eps1(cfg, mid) < 0.0 and corrected_principal(mid) < 0.0)
+        overlap = int(t_mid.eps1 < 0.0 and corrected_principal(mid) < 0.0)
     elif om_corr is None or om_unc is None:
         overlap = NO_ROOT
     else:
-        overlap = int((rs.eps1(cfg, om_corr) < 0.0) and (corrected_principal(om_unc) < 0.0
-                                                         or corrected_principal(om_corr) <= 0.0))
+        overlap = int((eps1(om_corr) < 0.0) and (corrected_principal(om_unc) < 0.0
+                                                 or corrected_principal(om_corr) <= 0.0))
     return {
         "bandwidth_closed_vs_roots": bandwidth_dev,
         "simultaneous_negative_window": simultaneous,
-        **{f"critical_lifetime_{conv}": rs.critical_lifetime(rs.MediumConfig(
-            replace(params, volume_convention=VolumeConvention(conv))))
+        **{f"critical_lifetime_{conv}": rs.MediumConfig(replace(
+            params, volume_convention=VolumeConvention(conv))).resonance.critical_lifetime
            for conv in ("cylinder_4w", "cylinder_2w")},
         "full_sum_vs_single_resonance_eps": full_sum_dev,
         "local_field_zero_crossing":
             NO_ROOT if om_corr is None else abs(corrected_principal(om_corr)),
-        "uncorrected_zero_crossing": NO_ROOT if om_unc is None else abs(rs.eps1(cfg, om_unc)),
+        "uncorrected_zero_crossing": NO_ROOT if om_unc is None else abs(eps1(om_unc)),
         "corrected_window_overlaps_uncorrected": overlap,
     }
 
 
 def refraction_checks(params: RingParams) -> dict:
     cfg = rs.MediumConfig(params)
-    delta0 = rs.resonance_frequency(cfg)
-    bw = rs.bandwidth(cfg)
-    zeros = rs.mu1_zero_detunings(cfg)
+    res = cfg.resonance
+    delta0, bw, zeros = res.delta0, res.bandwidth, res.mu1_zeros
     omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
     if zeros is None:
         lh_e = lh_h = bounded = contiguous = OVERDAMPED
@@ -437,7 +438,7 @@ def refraction_checks(params: RingParams) -> dict:
     # 1e3 nm, where mu_xx = 1.008, and 0.887 at 1e5 nm)
     t_low = rs.response_tensors(cfg, 0.5 * delta0)
     sr = rf.wave_vector_surface(t_low, rf.Polarization.E, 200)
-    h = rs.eta(cfg, 0.5 * delta0).real
+    h = t_low.eta.real
     circle = np.abs(rf._sq(sr.n_ty) + rf._sq(sr.n_tz) - (1.0 - h))
     circle = np.max(circle) if circle.size else NO_SURFACE
     if zeros is None:
@@ -460,7 +461,7 @@ def refraction_checks(params: RingParams) -> dict:
             win = rf.lossy_lh_window(cfg, grid)
             shift = NO_LOSSY_LH if win is None else float(np.maximum(
                 abs((win[0] - delta0) - zeros[0]), abs((win[1] - delta0) - zeros[1])) / bw)
-            tau_c = rs.critical_lifetime(cfg)
+            tau_c = res.critical_lifetime
             cfg_over = rs.MediumConfig(replace(params, decay_rate=1.0 / (0.8 * tau_c)))
             overdamped = int(rf.lossy_lh_window(cfg_over, grid) is None)
     return {

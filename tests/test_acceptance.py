@@ -84,13 +84,14 @@ def test_criterion_04_topology_baselines():
 
 
 def test_criterion_05_negative_windows_and_bandwidth():
-    zeros = rs.mu1_zero_detunings(CFG)
+    zeros = CFG.resonance.mu1_zeros
     mid = DELTA0 + 0.5 * (zeros[0] + zeros[1])
-    window_above = zeros[0] > 0 and rs.eps1(CFG, mid) < 0 and rs.mu1(CFG, mid) < 0
+    t_mid = rs.response_tensors(CFG, mid)
+    window_above = zeros[0] > 0 and t_mid.eps1 < 0 and t_mid.mu1 < 0
     resonance_ev = DELTA0 * HBAR / EV
-    lo = brentq(lambda om: rs.mu1(CFG, om),
+    lo = brentq(lambda om: rs.response_tensors(CFG, om).mu1,
                 DELTA0 + 0.2 * zeros[0], DELTA0 + 2 * zeros[0], xtol=1e-3)
-    hi = brentq(lambda om: rs.mu1(CFG, om), mid, DELTA0 + 2 * zeros[1], xtol=1e-3)
+    hi = brentq(lambda om: rs.response_tensors(CFG, om).mu1, mid, DELTA0 + 2 * zeros[1], xtol=1e-3)
     closed = rs.bandwidth(CFG)
     root_match = abs((hi - lo) - closed) / closed
     bw_2w = rs.bandwidth(CFG_2W)
@@ -105,8 +106,8 @@ def test_criterion_05_negative_windows_and_bandwidth():
 
 
 def test_criterion_06_critical_lifetime():
-    tau_cyl = rs.critical_lifetime(CFG)
-    tau_2w = rs.critical_lifetime(CFG_2W)
+    tau_cyl = CFG.resonance.critical_lifetime
+    tau_2w = CFG_2W.resonance.critical_lifetime
     values = val.response_checks(P12)
     noted = [c for c in val.CHECKS if c.name.startswith("critical_lifetime_")]
     ok = (abs(tau_cyl - 0.51e-9) / 0.51e-9 < 0.05
@@ -121,7 +122,7 @@ def test_criterion_06_critical_lifetime():
 def test_criterion_07_phase_diagram_topology():
     start = time.monotonic()
     bw = rs.bandwidth(CFG)
-    zeros = rs.mu1_zero_detunings(CFG)
+    zeros = CFG.resonance.mu1_zeros
     theta = np.linspace(0.0, math.radians(89.0), 256)
     omega = np.linspace(DELTA0 - 10 * bw, DELTA0 + 10 * bw, 512)
     pd_e = rf.phase_diagram(CFG, rf.Polarization.E, theta, omega)
@@ -143,7 +144,7 @@ def test_criterion_07_phase_diagram_topology():
 
 
 def test_criterion_08_wave_vector_surface_conics():
-    zeros = rs.mu1_zero_detunings(CFG)
+    zeros = CFG.resonance.mu1_zeros
     t_low = rs.response_tensors(CFG, 0.5 * DELTA0)
     low = rf.wave_vector_surface(t_low, rf.Polarization.E, 200)
     h = t_low.eta.real
@@ -164,7 +165,7 @@ def test_criterion_08_wave_vector_surface_conics():
 
 
 def test_criterion_09_poynting_normal_to_surface():
-    zeros = rs.mu1_zero_detunings(CFG)
+    zeros = CFG.resonance.mu1_zeros
     worst, counted = 0.0, []
     for om in (0.5 * DELTA0, DELTA0 + 0.5 * (zeros[0] + zeros[1])):
         t = rs.response_tensors(CFG, om)
@@ -179,18 +180,18 @@ def test_criterion_09_poynting_normal_to_surface():
 
 def test_criterion_10_local_field_robustness():
     gamma = CFG.ring.decay_rate
-    om_corr = brentq(lambda om: rs.eta(CFG, om).real - 0.3,
+    om_corr = brentq(lambda om: CFG.resonance.eta(om).real - 0.3,
                      DELTA0 + gamma, DELTA0 + 1e8 * gamma, xtol=1e-3)
     corr_eigs = np.linalg.eigvalsh(rs.local_field_epsilon(CFG, om_corr)[1:, 1:])
-    om_unc = brentq(lambda om: rs.eta(CFG, om).real - 0.2,
+    om_unc = brentq(lambda om: CFG.resonance.eta(om).real - 0.2,
                     DELTA0 + gamma, DELTA0 + 1e8 * gamma, xtol=1e-3)
-    zeros = rs.mu1_zero_detunings(CFG)
+    zeros = CFG.resonance.mu1_zeros
     mid = DELTA0 + 0.5 * (zeros[0] + zeros[1])
-    overlap = (rs.eps1(CFG, mid) < 0
+    overlap = (rs.response_tensors(CFG, mid).eps1 < 0
                and np.linalg.eigvalsh(rs.local_field_epsilon(CFG, mid)[1:, 1:]).min() < 0)
     ok = (min(abs(corr_eigs)) < 1e-9
-          and abs(rs.eps1(CFG, om_unc)) < 1e-9
-          and rs.eps1(CFG, om_corr) < 0
+          and abs(rs.response_tensors(CFG, om_unc).eps1) < 1e-9
+          and rs.response_tensors(CFG, om_corr).eps1 < 0
           and overlap)
     _report(10, "corrected principal permittivity crosses zero at eta' = 3/10 "
                 "(uncorrected at 1/5) and both negative windows overlap", ok)
@@ -198,12 +199,12 @@ def test_criterion_10_local_field_robustness():
 
 def test_criterion_11_lossy_normal_incidence():
     bw = rs.bandwidth(CFG)
-    zeros = rs.mu1_zero_detunings(CFG)
+    zeros = CFG.resonance.mu1_zeros
     grid = np.linspace(DELTA0 - 2 * bw, DELTA0 + 2 * bw, 2000)
     window = rf.lossy_lh_window(CFG, grid)
     lo_shift = abs((window[0] - DELTA0) - zeros[0]) / bw
     hi_shift = abs((window[1] - DELTA0) - zeros[1]) / bw
-    tau_c = rs.critical_lifetime(CFG)
+    tau_c = CFG.resonance.critical_lifetime
     short = rs.MediumConfig(RingParams(12, decay_rate=1.0 / (0.5 * tau_c)))
     emptied = rf.lossy_lh_window(short, grid) is None
     ok = window is not None and lo_shift < 0.1 and hi_shift < 0.1 and emptied

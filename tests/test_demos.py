@@ -225,8 +225,8 @@ def _quick_start():
     return blocks[0]
 
 
-def _private_package_names(source, filename):
-    """The ``_``-prefixed names a script takes from mobius_optics.
+def _package_names(source, filename):
+    """The names a script takes from mobius_optics.
 
     Both imports (``from mobius_optics.dipole import _rows``) and attributes
     of an imported package object (``dp._rows``) count; dunders do not.
@@ -235,26 +235,33 @@ def _private_package_names(source, filename):
     bound, found = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mobius_optics":
-            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+            found += [alias.name for alias in node.names]
             bound.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if parts[0] == "mobius_optics":
-                    found += [part for part in parts if part.startswith("_")]
+                    found += parts[1:]
                     bound.add(alias.asname or parts[0])
     found += [node.attr for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in bound and node.attr.startswith("_")
-              and not node.attr.startswith("__")]
+              and node.value.id in bound and not node.attr.startswith("__")]
     return found
+
+
+# the per-quantity functions of `response` that `MediumConfig.resonance` replaced
+DELETED_RESPONSE_NAMES = frozenset({
+    "eta_prefactor", "alpha_beta", "molecular_volume", "_mu1_radicand", "mu1_zero_detunings",
+    "critical_lifetime", "eta", "_eta_at", "eps1", "mu1"})
 
 
 @pytest.mark.parametrize("script", [*DEMOS, "README quick start"],
                          ids=lambda script: getattr(script, "name", script))
 def test_scripts_use_only_public_names(script):
     source = _quick_start() if isinstance(script, str) else script.read_text()
-    assert _private_package_names(source, str(script)) == []
+    names = _package_names(source, str(script))
+    assert [name for name in names if name.startswith("_")] == []
+    assert DELETED_RESPONSE_NAMES.isdisjoint(names)
 
 
 def test_private_name_scan_sees_imports_and_attributes():
@@ -262,7 +269,18 @@ def test_private_name_scan_sees_imports_and_attributes():
               "import mobius_optics._x.y\n"
               "from mobius_optics import dipole as dp\n"
               "dp._blocks(1)\ndp.__name__\nselection_table._cache\n")
-    assert sorted(_private_package_names(source, "probe")) == ["_blocks", "_cache", "_rows", "_x"]
+    names = _package_names(source, "probe")
+    assert sorted(name for name in names if name.startswith("_")) == [
+        "_blocks", "_cache", "_rows", "_x"]
+
+
+def test_deleted_name_scan_sees_the_package_and_not_the_resonance():
+    source = ("from mobius_optics.response import MediumConfig, eta\n"
+              "from mobius_optics import response as rs\n"
+              "rs.mu1_zero_detunings(1)\n"
+              "res = MediumConfig(1).resonance\nres.eta(2)\nres.critical_lifetime\n")
+    assert DELETED_RESPONSE_NAMES & set(_package_names(source, "probe")) == {
+        "eta", "mu1_zero_detunings"}
 
 
 def test_readme_quick_start_runs(tmp_path):

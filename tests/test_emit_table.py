@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from mobius_optics import cli
 from mobius_optics.refraction import PhaseDiagram
-from mobius_optics.response import MediumConfig, resonance_frequency
+from mobius_optics.response import MediumConfig
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                   5e-324, -5e-324, 2.2250738585072009e-308, 1.0, 0.1, -2.5e8]
@@ -268,12 +268,12 @@ LABELS = np.array(["LH", "TR", "RH", "masked"], dtype="U6")   # codes -1, 0, 1, 
 
 def _flat_table(config) -> np.ndarray:
     """Reference `phase-diagram` table: one row per (theta, omega) cell."""
-    thetas, omegas = cli._theta_grid(config), cli._omega_grid(config)
     medium = MediumConfig(config.ring, lossy=False)
+    thetas, omegas = cli._theta_grid(config), cli._omega_grid(config, medium.resonance)
     codes = cli.phase_diagram(medium, config.polarization, thetas, omegas).codes.ravel()
     return np.rec.fromarrays([
         np.repeat(np.degrees(thetas), len(omegas)), np.tile(omegas, len(thetas)),
-        np.tile(omegas - resonance_frequency(medium), len(thetas)), codes, LABELS[codes + 1],
+        np.tile(omegas - medium.resonance.delta0, len(thetas)), codes, LABELS[codes + 1],
     ], names=["theta_deg", "omega_rad_s", "detuning_rad_s", "code", "label"])
 
 

@@ -16,7 +16,7 @@ from mobius_optics.ring import RingParams
 CFG = rs.MediumConfig(RingParams(12))
 DELTA0 = rs.resonance_frequency(CFG)
 BW = rs.bandwidth(CFG)
-ZEROS = rs.mu1_zero_detunings(CFG)
+ZEROS = CFG.resonance.mu1_zeros
 WINDOW_MID = DELTA0 + 0.5 * (ZEROS[0] + ZEROS[1])
 E, H = rf.Polarization.E, rf.Polarization.H
 LH, RH, TR = rf.Classification.LH, rf.Classification.RH, rf.Classification.TR
@@ -175,7 +175,7 @@ def test_grid_cells_are_exhaustive_and_lh_implies_negative_mu1():
     omega = np.linspace(DELTA0 - 10 * BW, DELTA0 + 10 * BW, 256)
     pd = rf.phase_diagram(CFG, E, theta, omega)
     assert set(np.unique(pd.codes)) <= {-1, 0, 1, 2}
-    mu1_vals = np.array([rs.mu1(CFG, om) for om in omega])
+    mu1_vals = np.array([rs.response_tensors(CFG, om).mu1 for om in omega])
     lh_cols = (pd.codes == int(LH)).any(axis=0)
     assert np.all(mu1_vals[lh_cols] < 0)
 
@@ -206,10 +206,14 @@ def test_phase_diagram_lh_band_bounded_by_mu1_zeros():
     assert abs(omega[lh_cols[-1]] - (DELTA0 + ZEROS[1])) <= step
 
 
-@pytest.mark.parametrize("omega", ([0.0, DELTA0], [-DELTA0, DELTA0], [np.nan]))
+@pytest.mark.parametrize("omega", ([0.0, DELTA0], [-DELTA0, DELTA0], [np.nan],
+                                   [np.inf], [DELTA0, np.inf], [DELTA0, np.nan]))
 def test_phase_diagram_rejects_non_positive_omega(omega):
-    with pytest.raises(ValueError, match="omega must be positive"):
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
         rf.phase_diagram(CFG, E, np.array([0.0, 0.5]), np.array(omega))
+    # the lossy path shares the check: it read inf as no LH cell and warned on nan
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        rf.lossy_lh_window(CFG, np.array(omega))
 
 
 @pytest.mark.parametrize("theta", ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]))
@@ -349,7 +353,7 @@ def test_degenerate_yz_block_signaled_and_classified_tr():
 
 
 def test_classification_flips_from_lh_to_tr_across_upper_mu1_zero():
-    om_zero = brentq(lambda om: rs.mu1(CFG, om),
+    om_zero = brentq(lambda om: rs.response_tensors(CFG, om).mu1,
                      WINDOW_MID, DELTA0 + 2 * ZEROS[1], xtol=1e-6)
     below = rs.response_tensors(CFG, om_zero - 1e3)
     above = rs.response_tensors(CFG, om_zero + 1e3)
@@ -360,7 +364,7 @@ def test_classification_flips_from_lh_to_tr_across_upper_mu1_zero():
 def test_lossy_limit_reproduces_lossless_at_normal_incidence():
     sharp = rs.MediumConfig(RingParams(12, decay_rate=1.0))
     d0 = rs.resonance_frequency(sharp)
-    zeros = rs.mu1_zero_detunings(sharp)
+    zeros = sharp.resonance.mu1_zeros
     cases = (
         (0.5 * d0, RH),
         (d0 + 0.5 * (zeros[0] + zeros[1]), LH),
@@ -384,7 +388,7 @@ def test_lossy_window_tracks_lossless_window():
 
 
 def test_short_lifetime_kills_the_window():
-    tau_c = rs.critical_lifetime(CFG)
+    tau_c = CFG.resonance.critical_lifetime
     cfg = rs.MediumConfig(RingParams(12, decay_rate=1.0 / (0.5 * tau_c)))
     grid = np.linspace(DELTA0 - 2 * BW, DELTA0 + 2 * BW, 500)
     assert rf.lossy_lh_window(cfg, grid) is None
@@ -670,7 +674,7 @@ def _assert_surface_matches_the_per_point_path(t, pol, n_samples):
 
 
 SURFACE_SAMPLES = (10, 20, 120, 200, 201)
-SURFACE_OMEGAS = [DELTA0 + d * EV / HBAR for d in cli._default_surface_detunings(CFG)]
+SURFACE_OMEGAS = [DELTA0 + d * EV / HBAR for d in cli._default_surface_detunings(CFG.resonance)]
 
 
 @pytest.mark.parametrize("n_samples", SURFACE_SAMPLES)

@@ -20,20 +20,20 @@ GAMMA = CFG.ring.decay_rate
 
 def test_molecular_volume_conventions():
     # direct SI evaluation of 2 pi (R + W)^2 W for the default geometry
-    assert rs.molecular_volume(CFG_2W) == pytest.approx(6.663392801135625e-29, rel=1e-12)
-    assert rs.molecular_volume(CFG) == pytest.approx(2 * rs.molecular_volume(CFG_2W))
+    assert CFG_2W.resonance.volume == pytest.approx(6.663392801135625e-29, rel=1e-12)
+    assert CFG.resonance.volume == pytest.approx(2 * CFG_2W.resonance.volume)
 
 
 def test_eta_prefactor_si_recomputation():
-    assert rs.eta_prefactor(CFG_2W) == pytest.approx(3.0576793803210306e14, rel=1e-10)
+    assert CFG_2W.resonance.prefactor == pytest.approx(3.0576793803210306e14, rel=1e-10)
 
 
 def test_eta_real_part_vanishes_on_resonance():
-    assert rs.eta(CFG, DELTA0).real == pytest.approx(0.0, abs=1e-20)
+    assert CFG.resonance.eta(DELTA0).real == pytest.approx(0.0, abs=1e-20)
 
 
 def test_eta_tends_to_zero_from_above_at_high_frequency():
-    vals = [rs.eta(CFG, DELTA0 * f).real for f in (5.0, 50.0, 500.0)]
+    vals = [CFG.resonance.eta(DELTA0 * f).real for f in (5.0, 50.0, 500.0)]
     assert all(v > 0 for v in vals)
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-3
@@ -43,14 +43,14 @@ def test_eta_singularity_signaled_without_damping():
     ring = RingParams(12, decay_rate=0.0)
     cfg = rs.MediumConfig(ring)
     with pytest.raises(rs.ResonanceSingularityError):
-        rs.eta(cfg, rs.resonance_frequency(cfg))
+        cfg.resonance.eta(rs.resonance_frequency(cfg))
     # off resonance the undamped response is fine
-    assert np.isfinite(rs.eta(cfg, 1.01 * rs.resonance_frequency(cfg)).real)
+    assert np.isfinite(cfg.resonance.eta(1.01 * rs.resonance_frequency(cfg)).real)
 
 
 def test_kramers_sign_and_passivity():
     omegas = DELTA0 + np.array([-1e12, -1e9, -1e7, 1e7, 1e9, 1e12])
-    h = rs.eta(CFG, omegas)
+    h = CFG.resonance.eta(omegas)
     assert np.all(np.sign(h.real) == np.sign(omegas - DELTA0))
     assert np.all(h.imag < 0)
     lossy = rs.MediumConfig(CFG.ring, lossy=True)
@@ -59,7 +59,7 @@ def test_kramers_sign_and_passivity():
 
 
 def test_alpha_beta_si_recomputation():
-    a, b = rs.alpha_beta(CFG)
+    a, b = CFG.resonance.alpha, CFG.resonance.beta
     assert a == pytest.approx(4.829794880988394e-3, rel=1e-10)
     assert b == pytest.approx(6.943914486755153e-4, rel=1e-10)
 
@@ -70,7 +70,7 @@ def test_alpha_beta_large_n_limit():
     a_prev = None
     for n in (64, 256, 1024):
         cfg = rs.MediumConfig(RingParams(n, radius=r_fixed))
-        a, b = rs.alpha_beta(cfg)
+        a, b = cfg.resonance.alpha, cfg.resonance.beta
         assert abs(b) < 1e-2 * a
         if a_prev is not None:
             assert abs(b) < b_prev
@@ -90,12 +90,12 @@ def test_tensors_reduce_to_identity_on_resonance():
 @pytest.mark.parametrize("detuning", [-1e13, -1e10, 1e8, 1e9, 5e9, 1e12])
 def test_yz_block_eigenvalue_identities(detuning):
     om = DELTA0 + detuning
-    h = rs.eta(CFG, om).real
+    h = CFG.resonance.eta(om).real
     t = rs.response_tensors(CFG, om)
     eps, mu = t.eps_r, t.mu_r
     assert np.array_equal(eps, eps.T)
     assert np.array_equal(mu, mu.T)
-    a, b = rs.alpha_beta(CFG)
+    a, b = CFG.resonance.alpha, CFG.resonance.beta
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(eps[1:, 1:])),
         np.sort([1.0, 1.0 - 5 * h]), rtol=1e-10, atol=1e-14)
@@ -150,8 +150,8 @@ def test_full_sum_permeability_matches_printed_tensor():
 def test_bandwidth_si_value_and_root_consistency():
     bw = rs.bandwidth(CFG_2W)
     assert bw == pytest.approx(7.706160151520129e9, rel=1e-10)
-    zeros = rs.mu1_zero_detunings(CFG)
-    f = lambda om: rs.mu1(CFG, om)
+    zeros = CFG.resonance.mu1_zeros
+    f = lambda om: rs.response_tensors(CFG, om).mu1
     mid = DELTA0 + 0.5 * (zeros[0] + zeros[1])
     lo = brentq(f, DELTA0 + 0.2 * zeros[0], mid, xtol=1e-3)
     hi = brentq(f, mid, DELTA0 + 2 * zeros[1], xtol=1e-3)
@@ -159,18 +159,18 @@ def test_bandwidth_si_value_and_root_consistency():
 
 
 def test_bandwidth_vanishes_when_overdamped():
-    a, b = rs.alpha_beta(CFG)
-    pref = (a**2 + 4 * b**2) * rs.eta_prefactor(CFG)
+    a, b = CFG.resonance.alpha, CFG.resonance.beta
+    pref = (a**2 + 4 * b**2) * CFG.resonance.prefactor
     ring = RingParams(12, decay_rate=pref / 2)
     assert rs.bandwidth(rs.MediumConfig(ring)) == 0.0
     ring2 = RingParams(12, decay_rate=2 * pref)
     assert rs.bandwidth(rs.MediumConfig(ring2)) == 0.0
-    assert rs.mu1_zero_detunings(rs.MediumConfig(ring2)) is None
+    assert rs.MediumConfig(ring2).resonance.mu1_zeros is None
 
 
 def test_critical_lifetime_values_and_identity():
-    tau_cyl = rs.critical_lifetime(CFG)
-    tau_2w = rs.critical_lifetime(CFG_2W)
+    tau_cyl = CFG.resonance.critical_lifetime
+    tau_2w = CFG_2W.resonance.critical_lifetime
     assert tau_cyl == pytest.approx(0.517976107992338e-9, rel=1e-10)
     assert tau_2w == pytest.approx(0.258988053996169e-9, rel=1e-10)
     assert tau_cyl == pytest.approx(2 * tau_2w, rel=1e-12)
@@ -180,32 +180,32 @@ def test_critical_lifetime_values_and_identity():
 
 
 def test_simultaneous_negative_window_sits_just_above_resonance():
-    zeros = rs.mu1_zero_detunings(CFG)
+    zeros = CFG.resonance.mu1_zeros
     assert zeros is not None and zeros[0] > 0
     mid = DELTA0 + 0.5 * (zeros[0] + zeros[1])
-    assert rs.mu1(CFG, mid) < 0
-    assert rs.eps1(CFG, mid) < 0
+    assert rs.response_tensors(CFG, mid).mu1 < 0
+    assert rs.response_tensors(CFG, mid).eps1 < 0
     # mu window strictly inside the eps window
-    eps_zero_hi = brentq(lambda om: rs.eps1(CFG, om), mid, DELTA0 + 1e15)
+    eps_zero_hi = brentq(lambda om: rs.response_tensors(CFG, om).eps1, mid, DELTA0 + 1e15)
     assert DELTA0 + zeros[1] < eps_zero_hi
 
 
 def test_local_field_zero_crossings():
-    f_corr = lambda om: rs.eta(CFG, om).real - 0.3
+    f_corr = lambda om: CFG.resonance.eta(om).real - 0.3
     om_corr = brentq(f_corr, DELTA0 + GAMMA, DELTA0 + 1e8 * GAMMA, xtol=1e-3)
     ev = np.linalg.eigvalsh(rs.local_field_epsilon(CFG, om_corr)[1:, 1:])
     assert min(abs(ev)) < 1e-9
-    om_unc = brentq(lambda om: rs.eta(CFG, om).real - 0.2,
+    om_unc = brentq(lambda om: CFG.resonance.eta(om).real - 0.2,
                     DELTA0 + GAMMA, DELTA0 + 1e8 * GAMMA, xtol=1e-3)
-    assert abs(rs.eps1(CFG, om_unc)) < 1e-9
+    assert abs(rs.response_tensors(CFG, om_unc).eps1) < 1e-9
     # corrected and uncorrected negative windows overlap
-    mid = DELTA0 + 0.5 * sum(rs.mu1_zero_detunings(CFG))
-    assert rs.eps1(CFG, mid) < 0
+    mid = DELTA0 + 0.5 * sum(CFG.resonance.mu1_zeros)
+    assert rs.response_tensors(CFG, mid).eps1 < 0
     assert np.linalg.eigvalsh(rs.local_field_epsilon(CFG, mid)[1:, 1:]).min() < 0
 
 
 def test_local_field_pole_signaled():
-    om_pole = brentq(lambda om: rs.eta(CFG, om).real + 0.6,
+    om_pole = brentq(lambda om: CFG.resonance.eta(om).real + 0.6,
                      DELTA0 - 1e8 * GAMMA, DELTA0 - GAMMA, xtol=1e-6)
     with pytest.raises(rs.LocalFieldPoleError):
         rs.local_field_epsilon(CFG, om_pole)
@@ -228,7 +228,7 @@ def _resonant_pair_polarizability(config, omega):
 
 def test_local_field_identity_from_polarizability():
     om = DELTA0 + 1e12
-    g = _resonant_pair_polarizability(CFG, om) / rs.molecular_volume(CFG)
+    g = _resonant_pair_polarizability(CFG, om) / CFG.resonance.volume
     # Clausius-Mossotti in matrix form: eps_r = 1 + (1 - g / 3)^-1 g with g = gamma_mol / v0
     rebuilt = np.eye(3) + np.linalg.inv(np.eye(3) - g / 3.0) @ g
     np.testing.assert_allclose(rebuilt, rs.local_field_epsilon(CFG, om),
@@ -280,3 +280,26 @@ def test_resonance_frequency_is_the_lowest_up_line_of_the_full_spectrum(n, v, xi
     lowest_up = np.flatnonzero((band == BANDS.index(Band.UP)) & (ell == 0))[0]
     expected = rs._excited_frequencies(ring)[lowest_up - 1]   # the ground state is not excited
     assert np.array_equal(_bits(rs.resonance_frequency(rs.MediumConfig(ring))), _bits(expected))
+
+
+def test_a_validation_report_derives_one_resonance_per_config(monkeypatch):
+    from mobius_optics.validation import validation_report
+
+    configs, rings = [], []
+    init, of = rs.MediumConfig.__init__, rs.Resonance.of.__func__
+
+    def record_config(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        configs.append(self)   # held, so no two configs share an id
+
+    def record_derivation(cls, ring):
+        rings.append(ring)
+        return of(cls, ring)
+
+    monkeypatch.setattr(rs.MediumConfig, "__init__", record_config)
+    monkeypatch.setattr(rs.Resonance, "of", classmethod(record_derivation))
+    validation_report(RingParams(12))
+    # every derivation is the one cached on the config that asked for it
+    assert len(rings) == sum("resonance" in vars(cfg) for cfg in configs) <= len(configs)
+    # a dozen configs (11 derive) however many steps the root finders take
+    assert len(configs) <= 16

@@ -139,7 +139,7 @@ def test_closed_form_checks_use_the_configured_radius():
     default = {c["name"]: c["value"] for c in validation_report(RingParams(12))["checks"]}
     params = RingParams(12, radius=0.5e-9)
     checks = {c["name"]: c["value"] for c in validation_report(params)["checks"]}
-    tau_c = rs.critical_lifetime(rs.MediumConfig(params))
+    tau_c = rs.MediumConfig(params).resonance.critical_lifetime
     assert checks["critical_lifetime_cylinder_4w"] == tau_c
     assert tau_c != default["critical_lifetime_cylinder_4w"]
     # the dense checks run at their own sizes and keep each size's radius
@@ -222,11 +222,11 @@ def test_brent_port_matches_scipy_on_cubics(c, a, b, xtol):
 def test_brent_port_matches_scipy_on_the_validate_brackets(n, gamma_inv_ns):
     cfg = rs.MediumConfig(RingParams(n, decay_rate=1.0 / (gamma_inv_ns * NS)))
     delta0, gamma = rs.resonance_frequency(cfg), cfg.ring.decay_rate
-    brackets = [(lambda om, level=level: rs.eta(cfg, om).real - level,
+    brackets = [(lambda om, level=level: cfg.resonance.eta(om).real - level,
                  delta0 + gamma, delta0 + 1e8 * gamma) for level in (0.3, 0.2)]
-    zeros = rs.mu1_zero_detunings(cfg)
+    zeros = cfg.resonance.mu1_zeros
     if zeros is not None:
-        mu1 = lambda om: rs.mu1(cfg, om)
+        mu1 = lambda om: rs.response_tensors(cfg, om).mu1
         mid = delta0 + 0.5 * (zeros[0] + zeros[1])
         brackets += [(mu1, delta0 + 0.2 * zeros[0], mid), (mu1, mid, delta0 + 2.0 * zeros[1])]
     for f, a, b in brackets:
