@@ -105,7 +105,7 @@ class Resonance:
         volume = 2.0 * math.pi * (ring.radius + w) ** 2 * w
         if ring.volume_convention is VolumeConvention.CYLINDER_4W:
             volume = 2.0 * volume
-        # a volume below about 5e-280 m^3 underflows the divisor to 0: P is unbounded
+        # a volume below about 4e-280 m^3 underflows the divisor to 0, and P reads inf
         divisor = 8.0 * HBAR * EPSILON_0 * volume
         d = ring.delta
         v_j = ring.v_inter * EV

@@ -11,6 +11,7 @@ from mobius_optics import response as rs
 from mobius_optics.constants import EPSILON_0, EV, HBAR
 from mobius_optics.dipole import DipoleKind
 from mobius_optics.ring import BANDS, Band, RingParams, VolumeConvention, label_axes
+from mobius_optics.validation import validation_report
 
 CFG = rs.MediumConfig(RingParams(12))
 CFG_2W = rs.MediumConfig(RingParams(12, volume_convention=VolumeConvention.CYLINDER_2W))
@@ -283,14 +284,12 @@ def test_resonance_frequency_is_the_lowest_up_line_of_the_full_spectrum(n, v, xi
 
 
 def test_a_validation_report_derives_one_resonance_per_config(monkeypatch):
-    from mobius_optics.validation import validation_report
-
     configs, rings = [], []
     init, of = rs.MediumConfig.__init__, rs.Resonance.of.__func__
 
     def record_config(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        configs.append(self)   # held, so no two configs share an id
+        configs.append(self)   # held, so each one's cache is read after the report
 
     def record_derivation(cls, ring):
         rings.append(ring)
