@@ -7,7 +7,7 @@ molecule from its Hamiltonian to a full optical-medium description:
 * ``dipole``      closed-form electric and magnetic transition dipoles
 * ``response``    ``MediumConfig.resonance`` (Delta_0, eta(omega), bandwidth),
                   permittivity/permeability tensors
-* ``refraction``  Fresnel roots, Poynting vectors, left-handed classification
+* ``refraction``  left-handed classification, causal roots, Poynting vectors
 * ``bruteforce``  dense numerical reference used to validate the closed forms
 * ``cli``         deterministic table output for every computation
 * ``validation``  cross-checks of the closed forms against ``bruteforce``

@@ -44,6 +44,7 @@ from .ring import (
 
 HERMITICITY_TOL = 1e-12
 LEVEL_TOL_EV = 1e-9   # energies closer than this are one level
+SHARED_THRESHOLD = 1e-9   # a transition is shared when both strengths exceed this
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -327,19 +328,17 @@ class TransitionStrength:
 @dataclass
 class SharedTransitionReport:
     transitions: list[TransitionStrength]
-    n_shared: int     # transitions with both strengths above threshold
-    threshold: float = 1e-9
+    n_shared: int     # transitions with both strengths above SHARED_THRESHOLD
 
 
-def shared_transition_scan(ring: RingParams | DenseRing,
-                           threshold: float = 1e-9) -> SharedTransitionReport:
+def shared_transition_scan(ring: RingParams | DenseRing) -> SharedTransitionReport:
     """Strength of electric and magnetic coupling out of the ground state.
 
     For every excited energy level, the coupling strength is the norm of the
     gauge-invariant block <ground| O |level> summed over the degenerate
     subspace, normalised by the operator's natural scale.  A transition is
-    "shared" when both the electric and the magnetic strength exceed the
-    threshold; a common periodic double ring has none, the Mobius ring does.
+    "shared" when both the electric and the magnetic strength exceed
+    SHARED_THRESHOLD; a common periodic double ring has none, the Mobius ring does.
     """
     ring = _dense(ring)
     params = ring.params
@@ -357,19 +356,18 @@ def shared_transition_scan(ring: RingParams | DenseRing,
         freq = w[grp].mean() - w[ground].mean()
         d_blk = np.linalg.norm(d_eig[np.ix_(ground, grp)]) / d_scale
         m_blk = np.linalg.norm(m_eig[np.ix_(ground, grp)]) / m_scale
-        both = d_blk > threshold and m_blk > threshold
+        both = d_blk > SHARED_THRESHOLD and m_blk > SHARED_THRESHOLD
         n_shared += int(both)
         out.append(TransitionStrength(freq, d_blk, m_blk))
-    return SharedTransitionReport(out, n_shared, threshold)
+    return SharedTransitionReport(out, n_shared)
 
 
-def annulene_cross_check(ring: RingParams | DenseRing,
-                         threshold: float = 1e-9) -> SharedTransitionReport:
+def annulene_cross_check(ring: RingParams | DenseRing) -> SharedTransitionReport:
     """Shared-transition scan for the periodic double ring (expected: none)."""
     ring = _dense(ring)
     if ring.params.topology is not Topology.DOUBLE_RING_PERIODIC:
         raise ValueError("annulene_cross_check expects the periodic double ring")
-    return shared_transition_scan(ring, threshold)
+    return shared_transition_scan(ring)
 
 
 @dataclass

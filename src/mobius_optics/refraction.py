@@ -6,16 +6,17 @@ from the interface normal.  Two polarizations are treated: E along x
 the double curl (mu for E, eps for H: the H case is the exact dual), x for
 the transverse entry (eps_xx for E, mu_xx for H), d = t_yy t_zz - t_yz^2
 (for the Mobius E case the principal value mu1) and k_i = omega/c.
-Matching k_ty = k_i sin(theta) leaves a quadratic for k_tz,
+The tangential wave number k_iy = k_i sin(theta) carries over into the
+medium, which leaves a quadratic for k_tz,
 
-    t_zz k_tz^2 + 2 t_yz k_ty k_tz + t_yy k_ty^2 - d k_i^2 x = 0,
+    t_zz k_tz^2 + 2 t_yz k_iy k_tz + t_yy k_iy^2 - d k_i^2 x = 0,
 
 whose discriminant collapses to disc = 4 k_i^2 d (lim - sin^2 theta) with
 lim = t_zz x, one number per frequency.  The two real roots carry opposite
 Poynting z components S_tz = +/- sqrt(disc) / 2d, so causality (S_tz > 0,
 energy into the medium) selects exactly one branch: the "+" root when
 d > 0 and the "-" root when d < 0.  On it the quadratic gives
-k . S = (t_yy k_ty^2 + 2 t_yz k_ty k_tz + t_zz k_tz^2) / d = k_i^2 x.
+k . S = (t_yy k_iy^2 + 2 t_yz k_iy k_tz + t_zz k_tz^2) / d = k_i^2 x.
 Each (theta, omega) cell is therefore classified by comparing sin^2 theta
 with the lim of its frequency:
 
@@ -31,9 +32,11 @@ One kernel applies these rules: it ranks the sin^2 theta values once and
 finds, per frequency, the threshold rank that lim splits them at
 (``searchsorted``), so a cell is one comparison of small integers, its rank
 against that threshold.  ``phase_diagram`` runs it over a grid,
-``classify`` on one cell (solving the quadratic only to report the roots
-and the chosen one's Poynting direction) and ``lossy_lh_window``, the lossy
-normal-incidence path, on the lossless limit of each frequency.
+``classify`` on one cell and ``lossy_lh_window``, the lossy
+normal-incidence path, on the lossless limit of each frequency.  On a
+propagating cell ``classify`` also reports the causal k_tz, from the
+solver of the wave-vector surfaces (``_causal_n_tz``), and its Poynting
+direction (``_poynting``).
 """
 
 from __future__ import annotations
@@ -69,10 +72,6 @@ class ConicClass(enum.Enum):
     DEGENERATE = "degenerate"  # no real surface points, or a line pair (rhs = 0)
 
 
-class DegenerateFresnelError(ArithmeticError):
-    """The yz response block is singular; the dispersion quadratic degenerates."""
-
-
 @dataclass(frozen=True)
 class IncidentWave:
     polarization: Polarization
@@ -82,8 +81,7 @@ class IncidentWave:
     def __post_init__(self):
         if not 0.0 <= self.theta < math.pi / 2.0:
             raise ValueError("theta must lie in [0, pi/2)")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        _frequencies(self.omega)
 
     @property
     def k_i(self) -> float:
@@ -97,9 +95,7 @@ class IncidentWave:
 @dataclass(frozen=True)
 class RefractionResult:
     wave: IncidentWave
-    roots: np.ndarray            # (2,) complex k_tz, rad/m
-    chosen: int | None           # index into roots, None if totally reflected
-    k_ty: float
+    k_tz: float | None           # causal-branch k_tz, rad/m; None if totally reflected
     poynting_dir: tuple[float, float] | None  # (S_ty, S_tz) up to positive prefactor
     classification: Classification
 
@@ -173,20 +169,6 @@ def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked
     return codes.reshape(shape)
 
 
-def fresnel_roots(tensors: ResponseTensors, wave: IncidentWave) -> np.ndarray:
-    """Both k_tz roots (complex ndarray, shape (2,)), '+' discriminant first."""
-    tyy, tyz, tzz, det, other_xx = _blocks(tensors, wave.polarization)
-    if abs(det) < DEGENERACY_TOL:
-        raise DegenerateFresnelError(
-            "the yz response block is singular (principal value 0); the "
-            "boundary between the propagating regimes is classified TR"
-        )
-    b = 2.0 * tyz * wave.k_iy
-    c = tyy * wave.k_iy**2 - det * wave.k_i**2 * other_xx
-    root = np.sqrt(complex(b * b - 4.0 * tzz * c))
-    return np.array([(-b + root) / (2.0 * tzz), (-b - root) / (2.0 * tzz)])
-
-
 def _poynting(tensors, pol, k_iy, k_tz):
     """(S_ty, S_tz) up to the positive prefactor amplitude^2 t^2 / (2 omega mu0|eps0).
 
@@ -202,22 +184,17 @@ def _poynting(tensors, pol, k_iy, k_tz):
 def classify(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
     """Classify one incident (polarization, theta, omega) cell (lossless tensors).
 
-    A root propagates when the two roots are real and distinct.  The causal
-    branch must carry energy into the medium (S_tz > 0); if no propagating
-    root does, the wave is totally reflected.
+    The class is the kernel's (see the module docstring).  A propagating
+    cell also gets its causal-branch k_tz, the one that carries energy into
+    the medium (S_tz > 0), and that branch's Poynting direction.
     """
-    try:
-        roots = fresnel_roots(tensors, wave)
-    except DegenerateFresnelError:   # classified TR below
-        roots = np.array([np.nan + 0j, np.nan + 0j])
     pol = wave.polarization
     cls = Classification(int(_propagation(tensors, pol, np.sin(wave.theta) ** 2)))
     if cls is Classification.TR:
-        return RefractionResult(wave, roots, None, wave.k_iy, None, cls)
-    # the causal branch is the "+" root when det > 0 and the "-" root otherwise
-    chosen = 0 if _blocks(tensors, pol)[3] > 0.0 else 1
-    s_ty, s_tz = _poynting(tensors, pol, wave.k_iy, roots[chosen].real)
-    return RefractionResult(wave, roots, chosen, wave.k_iy, (float(s_ty), float(s_tz)), cls)
+        return RefractionResult(wave, None, None, cls)
+    k_tz = wave.k_i * float(_causal_n_tz(tensors, pol, math.sin(wave.theta), edge=0.0))
+    s_ty, s_tz = _poynting(tensors, pol, wave.k_iy, k_tz)
+    return RefractionResult(wave, k_tz, (float(s_ty), float(s_tz)), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +319,19 @@ def rotated_conic_residual(tensors: ResponseTensors, pol: Polarization,
         return np.abs((lam_ty * _sq(nt) + lam_tz * _sq(nz)) / rhs - 1.0)
 
 
-def _causal_n_tz(tensors, pol, n_ty):
-    """Causal-branch n_tz at reduced transverse components n_ty; NaN where none exists."""
+def _causal_n_tz(tensors, pol, n_ty, edge=np.nan):
+    """Causal-branch n_tz at reduced transverse components n_ty.
+
+    Where the discriminant is not positive there is no causal root and the
+    square root reads ``edge``: NaN by default, or 0.0 (the double root) for
+    a cell the kernel has found propagating, since within an ulp or so of
+    lim rounding alone can give such a cell a discriminant <= 0.
+    """
     tyy, tyz, tzz, det, other_xx = _blocks(tensors, pol)
     with np.errstate(all="ignore"):
         # disc/4 of the reduced quadratic tzz n^2 + 2 tyz n_ty n + tyy n_ty^2 = det other_xx
         disc4 = tyz**2 * _sq(n_ty) - tzz * (tyy * _sq(n_ty) - det * other_xx)
-        root = np.sqrt(np.where(disc4 > 0.0, disc4, np.nan))
+        root = np.sqrt(np.where(disc4 > 0.0, disc4, edge))
         return (-tyz * n_ty + math.copysign(1.0, det) * root) / tzz
 
 
@@ -450,16 +433,16 @@ def _lossy_normal(config: MediumConfig, omega: np.ndarray):
     # root is k_tz / k_i: every test below reads a sign, which the factor
     # k_i = omega / c > 0 leaves alone, and (omega / c)^2 overflows near 1e154 rad/s.
     # A root that overflows is TR, as _propagation treats a non-finite det * lim
+    lossy = response_tensors(replace(config, lossy=True), omega)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, tzz, det, eps_xx = _blocks(response_tensors(replace(config, lossy=True), omega),
-                                         Polarization.E)
+        _, _, tzz, det, eps_xx = _blocks(lossy, Polarization.E)
         root = np.sqrt(det * eps_xx / tzz)
         root = np.where((root.imag < 0.0) | ((root.imag == 0.0) & (root.real < 0.0)),
                         -root, root)
         # decaying branch; verify it actually carries energy into the medium
-        s_tz = np.real(tzz * root / det)
+        s_tz = _poynting(lossy, Polarization.E, 0.0, root)[1]
         root = np.where((root.imag == 0.0) & (s_tz <= 0.0), -root, root)
-        s_tz = np.real(tzz * root / det)
+        s_tz = _poynting(lossy, Polarization.E, 0.0, root)[1]
     tr = (codes == int(Classification.TR)) | (s_tz <= 0.0) | ~np.isfinite(root)
     return np.where(tr, int(Classification.TR),
                     np.where(root.real * s_tz < 0.0, int(Classification.LH),

@@ -339,7 +339,7 @@ def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
         mobius = bf.shared_transition_scan(dense(p12))
     delta0_ev = angular_frequency_to_ev(rs.MediumConfig(p12).resonance.delta0)
     shared_at_resonance = any(
-        t.electric > 1e-9 and t.magnetic > 1e-9
+        t.electric > bf.SHARED_THRESHOLD and t.magnetic > bf.SHARED_THRESHOLD
         and abs(t.frequency_ev - delta0_ev) < 1e-9
         for t in mobius.transitions
     )

@@ -249,10 +249,12 @@ def _package_names(source, filename):
     return found
 
 
-# the per-quantity functions of `response` that `MediumConfig.resonance` replaced
-DELETED_RESPONSE_NAMES = frozenset({
+# the per-quantity functions of `response` that `MediumConfig.resonance` replaced, and
+# the second lossless Fresnel solve of `refraction` that `classify` no longer needs
+DELETED_NAMES = frozenset({
     "eta_prefactor", "alpha_beta", "molecular_volume", "_mu1_radicand", "mu1_zero_detunings",
-    "critical_lifetime", "eta", "_eta_at", "eps1", "mu1"})
+    "critical_lifetime", "eta", "_eta_at", "eps1", "mu1",
+    "fresnel_roots", "DegenerateFresnelError"})
 
 
 @pytest.mark.parametrize("script", [*DEMOS, "README quick start"],
@@ -261,7 +263,7 @@ def test_scripts_use_only_public_names(script):
     source = _quick_start() if isinstance(script, str) else script.read_text()
     names = _package_names(source, str(script))
     assert [name for name in names if name.startswith("_")] == []
-    assert DELETED_RESPONSE_NAMES.isdisjoint(names)
+    assert DELETED_NAMES.isdisjoint(names)
 
 
 def test_private_name_scan_sees_imports_and_attributes():
@@ -278,9 +280,10 @@ def test_deleted_name_scan_sees_the_package_and_not_the_resonance():
     source = ("from mobius_optics.response import MediumConfig, eta\n"
               "from mobius_optics import response as rs\n"
               "rs.mu1_zero_detunings(1)\n"
-              "res = MediumConfig(1).resonance\nres.eta(2)\nres.critical_lifetime\n")
-    assert DELETED_RESPONSE_NAMES & set(_package_names(source, "probe")) == {
-        "eta", "mu1_zero_detunings"}
+              "res = MediumConfig(1).resonance\nres.eta(2)\nres.critical_lifetime\n"
+              "from mobius_optics import refraction as rf\nrf.fresnel_roots(res)\n")
+    assert DELETED_NAMES & set(_package_names(source, "probe")) == {
+        "eta", "mu1_zero_detunings", "fresnel_roots"}
 
 
 def test_readme_quick_start_runs(tmp_path):
