@@ -152,6 +152,37 @@ def test_phase_diagram_grid_that_repeats_values_is_a_config_error(
     assert not list(tmp_path.glob("*.csv"))
 
 
+# theta_min_deg, theta_max_deg, and the theta_deg text of every row of a one-theta diagram
+ONE_THETA = [
+    (0.0, 0.0, "0"), (30.0, 60.0, "29.999999999999996"), (45.5, 45.5, "45.5"),
+    (89.9, 89.9, "89.900000000000006"), (1e-300, 10.0, "1e-300"),
+    (17.3, 80.0, "17.300000000000001"), (60.0, 89.0, "59.999999999999993"),
+]
+
+
+@pytest.mark.parametrize("theta_min,theta_max,text", ONE_THETA)
+def test_phase_diagram_with_one_theta_writes_theta_min_deg(tmp_path, theta_min, theta_max, text):
+    path = tmp_path / "pd.csv"
+    # the sweep lies off resonance, so no coarse-grid warning
+    cfg = cli.parse_config(json.dumps({
+        "theta_count": 1, "theta_min_deg": theta_min, "theta_max_deg": theta_max,
+        "omega_count": 8, "omega_center_ev": 5.0, "output_path": str(path)}))
+    assert cli.run_command("phase-diagram", cfg, stdout=io.StringIO()) == 0
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 8 and {row.split(",")[0] for row in rows} == {text}
+
+
+def test_one_theta_grid_is_theta_min_in_radians_bit_for_bit():
+    rng = np.random.default_rng(1)
+    base = cli.parse_config(json.dumps({"theta_count": 1}))
+    lows = np.concatenate([rng.uniform(0.0, 89.9, 2000), 10.0 ** rng.uniform(-300, 1, 500)])
+    for low in lows.tolist():
+        config = cli.RunConfig(**{**base.__dict__, "theta_min_deg": low,
+                                  "theta_max_deg": min(89.9, 2.0 * low)})
+        grid = cli._theta_grid(config)
+        assert grid.tobytes() == np.array([math.radians(low)]).tobytes(), low
+
+
 @pytest.mark.parametrize("detuning", [-1e3, 1e300])
 def test_surface_detuning_outside_positive_finite_omega_is_a_config_error(
         tmp_path, capsys, monkeypatch, detuning):
