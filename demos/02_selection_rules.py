@@ -58,11 +58,12 @@ carry both dipoles.
 """)
 
 # Contrast with the untwisted topologies, checked numerically.
-single = bf.perfect_ring_regression(RingParams(12, topology=Topology.SINGLE_RING))
+single = bf.perfect_ring_regression(
+    bf.DenseRing(RingParams(12, topology=Topology.SINGLE_RING)))
 print(f"planar ring:     |[m_z, H]| = {single.commutator_norm:.1e} (natural units), "
       f"largest magnetic transition {single.max_offdiag_magnetic:.1e}")
 annulene = bf.annulene_cross_check(
-    RingParams(12, topology=Topology.DOUBLE_RING_PERIODIC))
+    bf.DenseRing(RingParams(12, topology=Topology.DOUBLE_RING_PERIODIC)))
 print(f"periodic double ring: {annulene.n_shared} transitions carry both dipoles")
-mobius = bf.shared_transition_scan(params)
+mobius = bf.shared_transition_scan(bf.DenseRing(params))
 print(f"Mobius ring:          {mobius.n_shared} transition(s) carry both dipoles")

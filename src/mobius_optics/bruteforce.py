@@ -11,13 +11,15 @@ twisted ring responds magnetically:
 * the Mobius ring has at least one transition carrying both.
 
 A ``DenseRing`` holds one ring's dense objects (the Hamiltonian, its
-eigensystem and level grouping, the site-basis dipole operators, the
-closed-form amplitudes and each level's matched closed-form columns), each
-built on first use and then shared read-only.  The checks, the element
-tables and ``magnetic_dipole_matrix`` take either a ``RingParams``, for a
-fresh context, or a ``DenseRing`` whose objects they reuse.  A context lives
-as long as its caller keeps it (``validation`` keeps one per ring for one
-report); the module itself caches nothing between calls.
+eigensystem and level grouping, the closed-form amplitudes and each level's
+matched closed-form columns), each built on first use and then shared
+read-only.  It is the one input of every routine here and the one place an
+operator is built and projected: ``operator(name)`` gives the site-basis
+electric operator or one of the two magnetic codings, and
+``projection(name, basis)`` its table over the closed-form amplitudes or
+over the dense eigenvectors.  A context lives as long as its caller keeps it
+(``validation`` keeps one per ring for one report); the module itself caches
+nothing between calls.
 
 Matrices are small (<= 128 x 128), so everything is dense numpy.  The oracle
 imports nothing from the closed forms it checks (``dipole``, ``response``,
@@ -52,18 +54,23 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+OPERATORS = ("electric", "commutator", "bond_current")   # the names of DenseRing.operator
+BASES = ("momentum", "eigen")   # closed-form amplitudes, dense eigenvectors
+
+
 class DenseRing:
     """One ring's dense objects, each built on first use and then shared read-only.
 
-    ``hamiltonian``, ``eigensystem``, ``levels``, ``electric``,
-    ``magnetic(definition)`` and, for a Mobius ring, ``amplitudes`` and
-    ``matched_levels`` are computed at most once per context, so every check
-    handed the context reads the same arrays.
+    ``hamiltonian``, ``eigensystem``, ``levels``, each ``operator(name)``,
+    each ``projection(name, basis)`` and, for a Mobius ring, ``amplitudes``
+    and ``matched_levels`` are computed at most once per context, so every
+    check handed the context reads the same arrays.
     """
 
     def __init__(self, params: RingParams):
         self.params = params
-        self._magnetic = {}
+        self._operators = {}
+        self._projections = {}
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
@@ -80,10 +87,6 @@ class DenseRing:
         return tuple(_read_only(grp) for grp in group_levels(self.eigensystem[0]))
 
     @cached_property
-    def electric(self) -> np.ndarray:
-        return _read_only(electric_dipole_matrix(self.params))
-
-    @cached_property
     def amplitudes(self) -> np.ndarray:
         return _read_only(amplitude_matrix(self.params))
 
@@ -93,14 +96,37 @@ class DenseRing:
         return tuple((grp, _read_only(cols)) for grp, cols in
                      match_levels(self.eigensystem[0], self.levels, band_energies(self.params)))
 
-    def magnetic(self, definition: str = "commutator") -> np.ndarray:
-        if definition not in self._magnetic:
-            self._magnetic[definition] = _read_only(magnetic_dipole_matrix(self, definition))
-        return self._magnetic[definition]
+    def operator(self, name: str) -> np.ndarray:
+        """(3, dim, dim) site-basis operator, one of ``OPERATORS``.
 
+        ``"electric"`` is d = -e r (C m); ``"commutator"`` and
+        ``"bond_current"`` are the two codings of the magnetic moment (A m^2)
+        in ``_magnetic_dipole_matrix``.
+        """
+        if name not in self._operators:
+            if name not in OPERATORS:
+                raise ValueError(f"unknown operator: {name!r}")
+            self._operators[name] = _read_only(
+                _electric_dipole_matrix(self.params) if name == "electric"
+                else _magnetic_dipole_matrix(self, name))
+        return self._operators[name]
 
-def _dense(ring: RingParams | DenseRing) -> DenseRing:
-    return ring if isinstance(ring, DenseRing) else DenseRing(ring)
+    def projection(self, name: str, basis: str = "momentum") -> np.ndarray:
+        """(nstates, nstates, 3) table [a, b, c] = <v_a| O_c |v_b> of ``operator(name)``.
+
+        basis="momentum": the v are the closed-form amplitudes (a Mobius
+        ring), which resolve the individual (l, band) labels in the order of
+        ``label_axes``; they span the same eigenspaces as the dense
+        eigenvectors (checked by ``eigenspace_projector_residual``).
+        basis="eigen": the v are the dense eigenvectors, by ascending energy.
+        """
+        key = name, basis
+        if key not in self._projections:
+            if basis not in BASES:
+                raise ValueError(f"unknown basis: {basis!r}")
+            vectors = self.amplitudes if basis == "momentum" else self.eigensystem[1]
+            self._projections[key] = _read_only(_sandwich(self.operator(name), vectors))
+        return self._projections[key]
 
 
 def _bonds(params: RingParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,13 +198,12 @@ def position_operators(params: RingParams) -> np.ndarray:
     return out
 
 
-def electric_dipole_matrix(params: RingParams) -> np.ndarray:
+def _electric_dipole_matrix(params: RingParams) -> np.ndarray:
     """(3, dim, dim) electric dipole operator d = -e r in the site basis (C m)."""
     return -E_CHARGE * position_operators(params)
 
 
-def magnetic_dipole_matrix(ring: RingParams | DenseRing,
-                           definition: str = "commutator") -> np.ndarray:
+def _magnetic_dipole_matrix(ring: DenseRing, definition: str) -> np.ndarray:
     """(3, dim, dim) magnetic dipole operator in the site basis (A m^2).
 
     definition="commutator": m = -i e r x [H, r] / (2 hbar), built from
@@ -191,7 +216,6 @@ def magnetic_dipole_matrix(ring: RingParams | DenseRing,
     The two constructions coincide for a tight-binding Hamiltonian with
     on-site position operators; both are kept as independent codings.
     """
-    ring = _dense(ring)
     params = ring.params
     if definition == "commutator":
         h_joule = ring.hamiltonian * EV
@@ -203,7 +227,7 @@ def magnetic_dipole_matrix(ring: RingParams | DenseRing,
             m[i] = (-1j * E_CHARGE / (2.0 * HBAR)) * (
                 r_ops[j] @ comm_k - r_ops[k] @ comm_j
             )
-    elif definition == "bond_current":
+    else:   # "bond_current"
         pos = positions_array(params)
         i, j, beta = _bonds(params)
         amp = 1j * (E_CHARGE * (beta * EV) / HBAR)
@@ -212,8 +236,6 @@ def magnetic_dipole_matrix(ring: RingParams | DenseRing,
         # += onto zeros, as a sum would: a -0.0 real part becomes +0.0
         m[:, i, j] += moment
         m[:, j, i] += np.conj(moment)
-    else:
-        raise ValueError(f"unknown magnetic dipole definition: {definition!r}")
     return m
 
 
@@ -226,25 +248,6 @@ def _sandwich(table: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     for c in range(3):
         out[:, :, c] = vectors.conj().T @ table[c] @ vectors
     return out
-
-
-def numeric_electric_elements(ring: RingParams | DenseRing) -> np.ndarray:
-    """Full (2N, 2N, 3) table of electric dipole matrix elements.
-
-    The numerically built operator is evaluated in the closed-form momentum
-    eigenbasis, which resolves individual (l, band) labels; it spans the same
-    eigenspaces as the dense eigenvectors (checked by
-    eigenspace_projector_residual).
-    """
-    ring = _dense(ring)
-    return _sandwich(ring.electric, ring.amplitudes)
-
-
-def numeric_magnetic_elements(ring: RingParams | DenseRing,
-                              definition: str = "commutator") -> np.ndarray:
-    """Full (2N, 2N, 3) table of magnetic dipole matrix elements, momentum basis."""
-    ring = _dense(ring)
-    return _sandwich(ring.magnetic(definition), ring.amplitudes)
 
 
 def group_levels(energies: np.ndarray) -> list[np.ndarray]:
@@ -270,9 +273,8 @@ def match_levels(w: np.ndarray, levels: tuple[np.ndarray, ...],
     return list(zip(levels, np.split(cols, ends[:-1])))
 
 
-def eigenspace_projector_residual(ring: RingParams | DenseRing) -> float:
+def eigenspace_projector_residual(ring: DenseRing) -> float:
     """Max-abs difference between numeric and closed-form level projectors."""
-    ring = _dense(ring)
     v = ring.eigensystem[1]
     u = ring.amplitudes
     worst = 0.0
@@ -290,20 +292,19 @@ class PerfectRingReport:
     max_offdiag_electric: float   # relative to e R
 
 
-def perfect_ring_regression(ring: RingParams | DenseRing) -> PerfectRingReport:
+def perfect_ring_regression(ring: DenseRing) -> PerfectRingReport:
     """Check that a perfect planar ring does not couple to the magnetic field."""
-    ring = _dense(ring)
     params = ring.params
     if params.topology is not Topology.SINGLE_RING:
         raise ValueError("perfect_ring_regression expects the single-ring topology")
-    m = ring.magnetic("bond_current")
+    m = ring.operator("bond_current")
     scale = E_CHARGE * (params.xi_intra * EV) * params.radius**2 / HBAR
     h_joule = ring.hamiltonian * EV
     comm = m[2] @ h_joule - h_joule @ m[2]
     comm_norm = np.abs(comm).max() / (scale * params.xi_intra * EV)
-    w, v = ring.eigensystem
-    m_eig = _sandwich(m, v)
-    d_eig = _sandwich(ring.electric, v)
+    w = ring.eigensystem[0]
+    m_eig = ring.projection("bond_current", "eigen")
+    d_eig = ring.projection("electric", "eigen")
     # off-diagonal blocks between distinct energy levels only (gauge-free)
     level = np.empty(len(w), dtype=int)
     level[np.concatenate(ring.levels)] = np.repeat(np.arange(len(ring.levels)),
@@ -331,7 +332,7 @@ class SharedTransitionReport:
     n_shared: int     # transitions with both strengths above SHARED_THRESHOLD
 
 
-def shared_transition_scan(ring: RingParams | DenseRing) -> SharedTransitionReport:
+def shared_transition_scan(ring: DenseRing) -> SharedTransitionReport:
     """Strength of electric and magnetic coupling out of the ground state.
 
     For every excited energy level, the coupling strength is the norm of the
@@ -340,11 +341,10 @@ def shared_transition_scan(ring: RingParams | DenseRing) -> SharedTransitionRepo
     "shared" when both the electric and the magnetic strength exceed
     SHARED_THRESHOLD; a common periodic double ring has none, the Mobius ring does.
     """
-    ring = _dense(ring)
     params = ring.params
-    w, v = ring.eigensystem
-    d_eig = _sandwich(ring.electric, v)
-    m_eig = _sandwich(ring.magnetic("bond_current"), v)
+    w = ring.eigensystem[0]
+    d_eig = ring.projection("electric", "eigen")
+    m_eig = ring.projection("bond_current", "eigen")
     d_scale = E_CHARGE * params.half_width
     m_scale = (
         E_CHARGE * (params.xi_intra * EV) * params.radius * params.half_width / HBAR
@@ -362,9 +362,8 @@ def shared_transition_scan(ring: RingParams | DenseRing) -> SharedTransitionRepo
     return SharedTransitionReport(out, n_shared)
 
 
-def annulene_cross_check(ring: RingParams | DenseRing) -> SharedTransitionReport:
+def annulene_cross_check(ring: DenseRing) -> SharedTransitionReport:
     """Shared-transition scan for the periodic double ring (expected: none)."""
-    ring = _dense(ring)
     if ring.params.topology is not Topology.DOUBLE_RING_PERIODIC:
         raise ValueError("annulene_cross_check expects the periodic double ring")
     return shared_transition_scan(ring)

@@ -446,8 +446,6 @@ def _omega_grid(config: RunConfig, res: Resonance):
 
 
 def _theta_grid(config: RunConfig):
-    if config.theta_count == 1:
-        return np.array([math.radians(config.theta_min_deg)])
     grid = np.radians(
         np.linspace(config.theta_min_deg, config.theta_max_deg, config.theta_count))
     if not _increasing(grid):
@@ -517,13 +515,14 @@ def _cmd_elements(config: RunConfig):
 
 def _cmd_response(config: RunConfig):
     medium = MediumConfig(config.ring, lossy=config.lossy)
-    omegas = _omega_grid(config, medium.resonance)
+    res = medium.resonance
+    omegas = _omega_grid(config, res)
     t = response_tensors(medium, omegas)
     complex_columns = {"eta": t.eta, "eps1": t.eps1, "mu1": t.mu1}
     for name, tensor in (("eps", t.eps_r), ("mu", t.mu_r)):
         for comp, (i, j) in (("xx", (0, 0)), ("yz", (1, 2)), ("zz", (2, 2))):
             complex_columns[f"{name}_{comp}"] = tensor[:, i, j]
-    detuning = omegas - medium.resonance.delta0
+    detuning = omegas - res.delta0
     columns = {"omega_rad_s": omegas, "detuning_rad_s": detuning,
                "detuning_ev": angular_frequency_to_ev(detuning)}
     for name, values in complex_columns.items():
@@ -532,7 +531,7 @@ def _cmd_response(config: RunConfig):
     table = _table(**columns)
     n_neg = int(np.count_nonzero((table["eps1_re"] < 0) & (table["mu1_re"] < 0)))
     summary = (f"response: {len(table)} frequencies, {n_neg} with eps1 < 0 and "
-               f"mu1 < 0; alpha={t.alpha:.4g} beta={t.beta:.4g}")
+               f"mu1 < 0; alpha={res.alpha:.4g} beta={res.beta:.4g}")
     return table, summary, EXIT_OK
 
 

@@ -38,7 +38,6 @@ read by the ``elements`` command and validate.
 from __future__ import annotations
 
 import enum
-import functools
 
 import numpy as np
 
@@ -202,9 +201,8 @@ COMPONENT_BITS = np.array([1, 2, 4])   # mask bit of x, y, z
 COMPONENTS = np.array(["", "x", "y", "xy", "z", "xz", "yz", "xyz"])   # string of each mask
 
 
-@functools.lru_cache(maxsize=64)
 def selection_table(n: int) -> np.ndarray:
-    """Read-only (kind, from band, to band, dl mod N) masks of the allowed components.
+    """(kind, from band, to band, dl mod N) masks of the allowed components.
 
     Axes follow ``KINDS`` and ``BANDS``; entries whose dl alias (N = 3, 4)
     are joined, matching the summed closed-form elements.
@@ -213,7 +211,6 @@ def selection_table(n: int) -> np.ndarray:
     for (kind, dl, fb, tb), comps in _RULES.items():
         mask = COMPONENTS.tolist().index(comps)
         table[KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= mask
-    table.flags.writeable = False
     return table
 
 

@@ -180,10 +180,8 @@ class ResponseTensors:
     eta: complex | np.ndarray
     eps_r: np.ndarray   # (3, 3) or (n, 3, 3), real lossless / complex lossy
     mu_r: np.ndarray
-    alpha: float
-    beta: float
     eps1: complex | np.ndarray   # 1 - 5 eta'
-    mu1: complex | np.ndarray    # 1 - (alpha^2 + 4 beta^2) eta'
+    mu1: complex | np.ndarray    # 1 - (alpha^2 + 4 beta^2) eta', Resonance's alpha and beta
     near_resonance: bool | np.ndarray = False
 
 
@@ -228,9 +226,9 @@ def response_tensors(config: MediumConfig, omega) -> ResponseTensors:
     mu1 = 1.0 - (a**2 + 4.0 * b**2) * h_eff
     near = np.abs(omega - res.delta0) < NEAR_RESONANCE_FACTOR * res.gamma
     if scalar:
-        return ResponseTensors(float(omega[0]), complex(h[0]), eps[0], mu[0], a, b,
+        return ResponseTensors(float(omega[0]), complex(h[0]), eps[0], mu[0],
                                eps1[0].item(), mu1[0].item(), bool(near[0]))
-    return ResponseTensors(omega, h, eps, mu, a, b, eps1, mu1, near)
+    return ResponseTensors(omega, h, eps, mu, eps1, mu1, near)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ configured N reaches only the closed-form checks.  ``validation_report``
 builds each dense object once per ring and report: its dense groups look
 every ring up in one table of ``bruteforce.DenseRing`` contexts, made for
 the report and dropped when it returns, so no state carries over from one
-report to the next.  A context also groups its ring's levels once and
-matches them to the closed-form columns once, for every check that reads
-them.  A group called on its own makes fresh contexts.
+report to the next.  A context also groups its ring's levels once,
+matches them to the closed-form columns once and projects each operator
+onto each basis once, for every check that reads them: the groups read
+every dense table through ``DenseRing.projection`` and build none
+themselves.  A group called on its own makes fresh contexts.
 
 Reductions keep NaN (``np.maximum``, ``np.max``, not ``max``), so a NaN
 deviation fails its check.
@@ -203,19 +205,16 @@ def spectrum_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
 def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     worst_tbl = {"electric": 0.0, "magnetic": 0.0}
     worst_dyad = {"electric": 0.0, "magnetic": 0.0}
-    tables = {}
+    closed = {}   # the closed-form tables at DENSE_N
     zero = set()   # kinds whose numeric table is all 0 at some N
     for n in TABLE_NS:
         p = replace(params, n_per_ring=n, radius=None)
         ring = dense(p)
-        v = ring.eigensystem[1]
-        u = ring.amplitudes
-        for kind, ana_fn, op in (
-            ("electric", dp.electric_table, ring.electric),
-            ("magnetic", dp.magnetic_table, ring.magnetic("commutator")),
-        ):
-            ana, num = ana_fn(p), bf._sandwich(op, u)
-            tables[n, kind] = ana, num
+        for kind, ana_fn, op in (("electric", dp.electric_table, "electric"),
+                                 ("magnetic", dp.magnetic_table, "commutator")):
+            ana, num = ana_fn(p), ring.projection(op)
+            if n == DENSE_N:
+                closed[kind] = ana
             scale = float(np.abs(num).max())
             # every magnetic W^2 product underflows at half widths below about 1e-144 nm
             if scale == 0.0:
@@ -223,25 +222,23 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
                 continue
             worst_tbl[kind] = np.maximum(worst_tbl[kind], float(np.abs(ana - num).max()) / scale)
             worst_dyad[kind] = np.maximum(worst_dyad[kind],
-                                          _dyad_deviation(ring, bf._sandwich(op, v), ana))
+                                          _dyad_deviation(ring, ring.projection(op, "eigen"), ana))
     out = {}
     for kind in ("electric", "magnetic"):
         out[f"{kind}_table_vs_numeric"] = UNDERFLOW if kind in zero else worst_tbl[kind]
         out[f"{kind}_dyads_vs_dense_eigenvectors"] = (
             UNDERFLOW if kind in zero
             else OVERFLOW if worst_dyad[kind] == math.inf else worst_dyad[kind])
-    p12 = replace(params, n_per_ring=DENSE_N, radius=None)
+    ring = dense(replace(params, n_per_ring=DENSE_N, radius=None))
+    num_e, num_m = ring.projection("electric"), ring.projection("commutator")
     # an overflowing overlap (half widths near 1e90) gives a NaN phase: the residual is NaN;
     # the magnetic scale underflows to 0 at xi_intra_ev below about 1e-260: the sparsity is inf
     with np.errstate(invalid="ignore", divide="ignore"):
-        for kind in ("electric", "magnetic"):
-            ana, num = tables[DENSE_N, kind]
+        for kind, num in (("electric", num_e), ("magnetic", num_m)):
             out[f"{kind}_block_calibration"] = (
-                UNDERFLOW if kind in zero else _calibration_residual(ana, num))
-        num_m = tables[DENSE_N, "magnetic"][1]
-        out["selection_rule_sparsity"] = _sparsity_deviation(
-            p12, tables[DENSE_N, "electric"][1], num_m)
-    bond = bf.numeric_magnetic_elements(dense(p12), "bond_current")
+                UNDERFLOW if kind in zero else _calibration_residual(closed[kind], num))
+        out["selection_rule_sparsity"] = _sparsity_deviation(ring.params, num_e, num_m)
+    bond = ring.projection("bond_current")
     out["commutator_vs_bond_current"] = UNDERFLOW if "magnetic" in zero else float(
         np.abs(num_m - bond).max() / np.abs(num_m).max())
     return out
@@ -439,7 +436,7 @@ def refraction_checks(params: RingParams) -> dict:
     t_low = rs.response_tensors(cfg, 0.5 * delta0)
     sr = rf.wave_vector_surface(t_low, rf.Polarization.E, 200)
     h = t_low.eta.real
-    circle = np.abs(rf._sq(sr.n_ty) + rf._sq(sr.n_tz) - (1.0 - h))
+    circle = np.abs(np.float_power(sr.n_ty, 2) + np.float_power(sr.n_tz, 2) - (1.0 - h))
     circle = np.max(circle) if circle.size else NO_SURFACE
     if zeros is None:
         hyperbola = normal = shift = overdamped = OVERDAMPED

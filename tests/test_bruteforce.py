@@ -72,36 +72,36 @@ def test_eigensystem_rejects_non_hermitian():
 
 
 def test_diagonal_electric_elements_are_real():
-    p = RingParams(12)
-    table = bf.numeric_electric_elements(p)
+    table = bf.DenseRing(RingParams(12)).projection("electric")
     diag = np.einsum("aac->ac", table)
     assert np.abs(diag.imag).max() < 1e-12 * np.abs(table).max()
 
 
 def test_magnetic_definitions_coincide():
     for n in (4, 12):
-        p = RingParams(n)
-        comm = bf.magnetic_dipole_matrix(p, "commutator")
-        bond = bf.magnetic_dipole_matrix(p, "bond_current")
+        ring = bf.DenseRing(RingParams(n))
+        comm, bond = ring.operator("commutator"), ring.operator("bond_current")
         assert np.abs(comm - bond).max() / np.abs(comm).max() < 1e-10
-    with pytest.raises(ValueError):
-        bf.magnetic_dipole_matrix(RingParams(4), "peierls")
+    with pytest.raises(ValueError, match="unknown operator"):
+        ring.operator("peierls")
+    with pytest.raises(ValueError, match="unknown basis"):
+        ring.projection("electric", "site")
 
 
 def test_perfect_ring_does_not_couple_magnetically():
     for n, xi in ((6, 3.6), (10, 1.2)):
         p = RingParams(n, xi_intra=xi, topology=Topology.SINGLE_RING)
-        report = bf.perfect_ring_regression(p)
+        report = bf.perfect_ring_regression(bf.DenseRing(p))
         assert report.commutator_norm < 1e-12
         assert report.max_offdiag_magnetic < 1e-12
         assert report.max_offdiag_electric > 1e-3
     with pytest.raises(ValueError):
-        bf.perfect_ring_regression(RingParams(6))
+        bf.perfect_ring_regression(bf.DenseRing(RingParams(6)))
 
 
 def test_perfect_ring_magnetic_moment_is_axial():
     p = RingParams(8, topology=Topology.SINGLE_RING)
-    m = bf.magnetic_dipole_matrix(p, "bond_current")
+    m = bf.DenseRing(p).operator("bond_current")
     scale = np.abs(m).max()
     assert np.abs(m[0]).max() < 1e-15 * scale
     assert np.abs(m[1]).max() < 1e-15 * scale
@@ -110,18 +110,18 @@ def test_perfect_ring_magnetic_moment_is_axial():
 
 def test_annulene_has_no_shared_transition():
     p = RingParams(12, topology=Topology.DOUBLE_RING_PERIODIC)
-    report = bf.annulene_cross_check(p)
+    report = bf.annulene_cross_check(bf.DenseRing(p))
     assert report.n_shared == 0
     # both couplings individually exist, just never at the same frequency
     assert any(t.electric > 1e-3 for t in report.transitions)
     assert any(t.magnetic > 1e-3 for t in report.transitions)
     with pytest.raises(ValueError):
-        bf.annulene_cross_check(RingParams(12))
+        bf.annulene_cross_check(bf.DenseRing(RingParams(12)))
 
 
 def test_mobius_shares_the_lowest_interband_transition():
     p = RingParams(12)
-    report = bf.shared_transition_scan(p)
+    report = bf.shared_transition_scan(bf.DenseRing(p))
     assert report.n_shared >= 1
     delta0_ev = 2 * p.v_inter + 2 * p.xi_intra * (1 - math.cos(p.delta / 2))
     shared = [t for t in report.transitions
@@ -136,11 +136,11 @@ def test_calibration_identity_and_against_numeric():
     cal = bf.calibrate_conventions(ana, ana, 12, scale)
     assert cal.residual == 0.0
     assert all(abs(phase - 1.0) < 1e-12 for phase in cal.phases.values())
-    num = bf.numeric_electric_elements(p)
-    cal2 = bf.calibrate_conventions(ana, num, 12, scale)
+    ring = bf.DenseRing(p)
+    cal2 = bf.calibrate_conventions(ana, ring.projection("electric"), 12, scale)
     assert cal2.residual < 1e-9
     mag_a = dp.magnetic_table(p)
-    mag_n = bf.numeric_magnetic_elements(p)
+    mag_n = ring.projection("commutator")
     cal3 = bf.calibrate_conventions(mag_a, mag_n, 12, float(np.abs(mag_n).max()))
     assert cal3.residual < 1e-9
     assert all(abs(phase - 1.0) < 1e-6 for phase in cal3.phases.values())
@@ -187,7 +187,7 @@ def test_calibration_blocks_match_the_loop_over_label_pairs(n):
 def test_calibration_flags_transcription_errors():
     p = RingParams(12)
     ana = dp.electric_table(p).copy()
-    num = bf.numeric_electric_elements(p)
+    num = bf.DenseRing(p).projection("electric")
     ana[0, 12] *= 2.0  # corrupt one allowed block entry by a non-phase factor
     with pytest.raises(ValueError, match="calibration failure"):
         bf.calibrate_conventions(ana, num, 12, float(np.abs(num).max()))
@@ -196,7 +196,7 @@ def test_calibration_flags_transcription_errors():
 def test_calibration_error_carries_every_block_residual():
     p = RingParams(12)
     ana = dp.electric_table(p).copy()
-    num = bf.numeric_electric_elements(p)
+    num = bf.DenseRing(p).projection("electric")
     ana[0, 12] *= 2.0
     with pytest.raises(bf.CalibrationError) as info:
         bf.calibrate_conventions(ana, num, 12, float(np.abs(num).max()))
@@ -288,7 +288,7 @@ def test_eigensystem_phase_fix_matches_the_column_loop(kind):
 def test_bond_arrays_match_the_loop_over_bonds(n, topology, half_width_nm):
     p = RingParams(n, topology=topology, half_width=half_width_nm * NM)
     ref = _bond_current_by_bonds(p)
-    assert bf.magnetic_dipole_matrix(p, "bond_current").tobytes() == ref.tobytes()
+    assert bf.DenseRing(p).operator("bond_current").tobytes() == ref.tobytes()
     h = np.zeros(ref.shape[1:])
     for i, j, beta in _bond_list(p):
         h[i, j] = h[j, i] = -beta
@@ -297,27 +297,33 @@ def test_bond_arrays_match_the_loop_over_bonds(n, topology, half_width_nm):
 
 def test_dense_ring_builds_each_object_once_and_shares_it_read_only(monkeypatch):
     calls = []
-    for name in ("build_hamiltonian", "numeric_eigensystem", "electric_dipole_matrix",
-                 "magnetic_dipole_matrix"):
+    for name in ("build_hamiltonian", "numeric_eigensystem", "_electric_dipole_matrix",
+                 "_magnetic_dipole_matrix", "_sandwich"):
         fn = getattr(bf, name)
         monkeypatch.setattr(bf, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
     ring = bf.DenseRing(RingParams(6))
     for _ in range(2):
         bf.shared_transition_scan(ring)
         bf.eigenspace_projector_residual(ring)
-        bf.numeric_magnetic_elements(ring)
-        bf.numeric_magnetic_elements(ring, "bond_current")
-    assert sorted(calls) == ["build_hamiltonian", "electric_dipole_matrix",
-                             "magnetic_dipole_matrix", "magnetic_dipole_matrix",
-                             "numeric_eigensystem"]
-    for array in (ring.hamiltonian, *ring.eigensystem, ring.electric, ring.amplitudes,
-                  ring.magnetic("commutator"), ring.magnetic("bond_current")):
+        for name in bf.OPERATORS:
+            for basis in bf.BASES:
+                ring.projection(name, basis)
+    assert sorted(calls) == ["_electric_dipole_matrix", "_magnetic_dipole_matrix",
+                             "_magnetic_dipole_matrix", *["_sandwich"] * 6,
+                             "build_hamiltonian", "numeric_eigensystem"]
+    tables = [ring.operator(name) for name in bf.OPERATORS] + [
+        ring.projection(name, basis) for name in bf.OPERATORS for basis in bf.BASES]
+    for array in (ring.hamiltonian, *ring.eigensystem, ring.amplitudes, *tables):
         assert not array.flags.writeable
+    # each accessor hands out the one array it built
+    assert all(ring.operator(name) is ring.operator(name) for name in bf.OPERATORS)
+    assert ring.projection("electric") is ring.projection("electric", "momentum")
     # a fresh context for the same ring gives the same bits
     fresh = bf.DenseRing(RingParams(6))
     assert fresh.eigensystem[1].tobytes() == ring.eigensystem[1].tobytes()
-    assert (bf.shared_transition_scan(fresh) == bf.shared_transition_scan(RingParams(6))
-            == bf.shared_transition_scan(ring))
+    assert ([fresh.projection(name, basis).tobytes() for name in bf.OPERATORS
+             for basis in bf.BASES] == [table.tobytes() for table in tables[3:]])
+    assert bf.shared_transition_scan(fresh) == bf.shared_transition_scan(ring)
 
 
 def test_oracle_imports_only_constants_and_ring_from_the_package():
@@ -405,9 +411,9 @@ def test_calibration_slices_match_the_block_masks(n, ring):
     dense = bf.DenseRing(p)
     # an overflowing overlap gives a NaN phase, as in validate
     with np.errstate(invalid="ignore"):
-        for ana_fn, op in ((dp.electric_table, dense.electric),
-                           (dp.magnetic_table, dense.magnetic("commutator"))):
-            ana, num = ana_fn(p), bf._sandwich(op, dense.amplitudes)
+        for ana_fn, name in ((dp.electric_table, "electric"),
+                             (dp.magnetic_table, "commutator")):
+            ana, num = ana_fn(p), dense.projection(name)
             _assert_calibration_matches_the_masks(ana, num, n, float(np.abs(ana).max()))
 
 
@@ -415,10 +421,10 @@ def test_calibration_error_path_matches_the_block_masks():
     p = RingParams(12)
     ana = dp.electric_table(p).copy()
     ana[0, 12] *= 2.0
-    num = bf.numeric_electric_elements(p)
+    num = bf.DenseRing(p).projection("electric")
     assert _assert_calibration_matches_the_masks(ana, num, 12, float(np.abs(num).max()))
     # subnormal magnetic elements keep a few bits: the fit misses by more than 1e-6
     p = RingParams(12, half_width=1e-142 * NM)
     ana = dp.magnetic_table(p)
-    num = bf.numeric_magnetic_elements(p)
+    num = bf.DenseRing(p).projection("commutator")
     assert _assert_calibration_matches_the_masks(ana, num, 12, float(np.abs(ana).max()))

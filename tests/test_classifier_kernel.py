@@ -78,8 +78,7 @@ def _columns(rows):
     mu[:, 1, 1], mu[:, 2, 2], eps[:, 0, 0] = tyy, tzz, x
     mu[:, 1, 2] = mu[:, 2, 1] = tyz
     return rs.ResponseTensors(omega=np.full(m, DELTA0), eta=np.zeros(m, complex),
-                              eps_r=eps, mu_r=mu, alpha=0.0, beta=0.0,
-                              eps1=np.ones(m), mu1=np.ones(m),
+                              eps_r=eps, mu_r=mu, eps1=np.ones(m), mu1=np.ones(m),
                               near_resonance=np.zeros(m, bool))
 
 

@@ -1,5 +1,6 @@
 """Every demo script and the README quick start run on the library in src/
-and use only its public names.
+and use only its public names; ``validation`` and ``cli`` read no private
+name of another package module.
 
 Each script runs in a fresh interpreter with RuntimeWarnings, UserWarnings,
 DeprecationWarnings and FutureWarnings turned into errors, as tier-1's
@@ -226,15 +227,17 @@ def _quick_start():
 
 
 def _package_names(source, filename):
-    """The names a script takes from mobius_optics.
+    """The names a script, or a module of the package, takes from mobius_optics.
 
-    Both imports (``from mobius_optics.dipole import _rows``) and attributes
-    of an imported package object (``dp._rows``) count; dunders do not.
+    Both imports (``from mobius_optics.dipole import _rows``, or
+    ``from .dipole import _rows`` inside the package) and attributes of an
+    imported package object (``dp._rows``) count; dunders do not.
     """
     tree = ast.parse(source, filename=filename)
     bound, found = set(), []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mobius_optics":
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "mobius_optics"):
             found += [alias.name for alias in node.names]
             bound.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
@@ -249,12 +252,17 @@ def _package_names(source, filename):
     return found
 
 
-# the per-quantity functions of `response` that `MediumConfig.resonance` replaced, and
-# the second lossless Fresnel solve of `refraction` that `classify` no longer needs
+# the per-quantity functions of `response` that `MediumConfig.resonance` replaced, the
+# second lossless Fresnel solve of `refraction` that `classify` no longer needs, the
+# routes to the dense operators and tables that `DenseRing.operator` and
+# `DenseRing.projection` replaced, and the `ResponseTensors` echoes of `Resonance`
 DELETED_NAMES = frozenset({
     "eta_prefactor", "alpha_beta", "molecular_volume", "_mu1_radicand", "mu1_zero_detunings",
     "critical_lifetime", "eta", "_eta_at", "eps1", "mu1",
-    "fresnel_roots", "DegenerateFresnelError"})
+    "fresnel_roots", "DegenerateFresnelError",
+    "_dense", "numeric_electric_elements", "numeric_magnetic_elements",
+    "electric_dipole_matrix", "magnetic_dipole_matrix", "electric", "magnetic", "_magnetic",
+    "alpha", "beta"})
 
 
 @pytest.mark.parametrize("script", [*DEMOS, "README quick start"],
@@ -270,10 +278,20 @@ def test_private_name_scan_sees_imports_and_attributes():
     source = ("from mobius_optics.dipole import _rows, selection_table\n"
               "import mobius_optics._x.y\n"
               "from mobius_optics import dipole as dp\n"
-              "dp._blocks(1)\ndp.__name__\nselection_table._cache\n")
+              "dp._blocks(1)\ndp.__name__\nselection_table._cache\n"
+              # the relative imports of a module inside the package
+              "from . import bruteforce as bf\nfrom .ring import _bonds\nbf._sandwich(1)\n")
     names = _package_names(source, "probe")
     assert sorted(name for name in names if name.startswith("_")) == [
-        "_blocks", "_cache", "_rows", "_x"]
+        "_blocks", "_bonds", "_cache", "_rows", "_sandwich", "_x"]
+
+
+@pytest.mark.parametrize("module", ("validation", "cli"))
+def test_validation_and_cli_read_no_private_name_of_another_module(module):
+    path = ROOT / "src" / "mobius_optics" / f"{module}.py"
+    names = _package_names(path.read_text(), str(path))
+    assert names, "the scan sees the package imports"
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def test_deleted_name_scan_sees_the_package_and_not_the_resonance():

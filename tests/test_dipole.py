@@ -48,7 +48,7 @@ def test_electric_band_flip_same_momentum_component_ratios():
     assert mags[2] == pytest.approx(EW / 2, rel=1e-12)
     # cross-check against the dense position-operator construction:
     # vector = <to| d |from> = table[to_index, from_index]
-    num = bf.numeric_electric_elements(P12)
+    num = bf.DenseRing(P12).projection("electric")
     np.testing.assert_allclose(num[12, 0], vec, atol=1e-12 * EW)
 
 
@@ -100,10 +100,10 @@ def test_tables_match_dense_numeric_construction(n, kind):
     p = RingParams(n)
     if kind == "electric":
         ana = dp.electric_table(p)
-        num = bf.numeric_electric_elements(p)
+        num = bf.DenseRing(p).projection("electric")
     else:
         ana = dp.magnetic_table(p)
-        num = bf.numeric_magnetic_elements(p)
+        num = bf.DenseRing(p).projection("commutator")
     assert np.abs(ana - num).max() / np.abs(num).max() < 1e-9
 
 
@@ -185,8 +185,8 @@ def test_selection_rules_match_the_branch_ladder_for_every_pair(kind):
 
 
 def test_sparsity_outside_allowed_blocks():
-    d_num = bf.numeric_electric_elements(P12)
-    m_num = bf.numeric_magnetic_elements(P12)
+    ring = bf.DenseRing(P12)
+    d_num, m_num = ring.projection("electric"), ring.projection("commutator")
     ell = label_axes(12)[1]
     for a, b in itertools.product(range(24), range(24)):
         dl = (ell[b] - ell[a]) % 12
@@ -211,7 +211,7 @@ def test_small_ring_alias_blocks_still_match_numerics():
     for n in (3, 4):
         p = RingParams(n)
         ana = dp.magnetic_table(p)
-        num = bf.numeric_magnetic_elements(p)
+        num = bf.DenseRing(p).projection("commutator")
         assert np.abs(ana - num).max() / np.abs(num).max() < 1e-12
 
 

@@ -49,7 +49,7 @@ def test_identity_medium_roots_and_classification():
 def _closed_form_roots_E(t, w):
     """Closed-form root expression, an independent check on the quadratic."""
     h = t.eta.real
-    a, b = t.alpha, t.beta
+    a, b = CFG.resonance.alpha, CFG.resonance.beta
     mu1 = 1 - (a**2 + 4 * b**2) * h
     mu_yz = -2 * a * b * h
     mu_zz = 1 - 4 * b**2 * h
@@ -165,8 +165,7 @@ def test_duality_between_polarizations():
         mu = np.diag([1 + 0.2 * h, 1 - 0.1 * h, 1 + 0.5 * h])
         mu[1, 2] = mu[2, 1] = yz[1]
         om = DELTA0
-        base = dict(omega=om, eta=0j, alpha=0.0, beta=0.0,
-                    eps1=1.0, mu1=1.0, near_resonance=False)
+        base = dict(omega=om, eta=0j, eps1=1.0, mu1=1.0, near_resonance=False)
         t_e = rs.ResponseTensors(eps_r=eps, mu_r=mu, **base)
         t_h = rs.ResponseTensors(eps_r=mu, mu_r=eps, **base)
         w_e = wave(E, 25.0, om)
@@ -346,7 +345,7 @@ def test_mixing_angle_diagonalizes_the_block():
     block = np.array([[t.mu_r[1, 1], t.mu_r[1, 2]], [t.mu_r[1, 2], t.mu_r[2, 2]]])
     diag = rot @ block @ rot.T
     assert abs(diag[0, 1]) < 1e-15
-    a, b = t.alpha, t.beta
+    a, b = CFG.resonance.alpha, CFG.resonance.beta
     assert math.tan(2 * phi) == pytest.approx(-4 * a * b / (4 * b**2 - a**2), rel=1e-9)
 
 
@@ -354,8 +353,7 @@ def test_degenerate_yz_block_signaled_and_classified_tr():
     # a singular mu yz block degenerates the dispersion quadratic
     mu = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
     t = rs.ResponseTensors(omega=DELTA0, eta=0j, eps_r=np.eye(3), mu_r=mu,
-                           alpha=0.0, beta=0.0, eps1=1.0, mu1=0.0,
-                           near_resonance=False)
+                           eps1=1.0, mu1=0.0, near_resonance=False)
     w = wave(E, 10.0, DELTA0)
     assert abs(rf._blocks(t, E)[3]) < rf.DEGENERACY_TOL
     res = rf.classify(t, w)
@@ -534,8 +532,8 @@ def test_phase_diagram_matches_fresnel_oracle_cell_by_cell(gamma_inv_ns, n):
 def _tensors(mu, eps=None):
     eps = np.eye(3) if eps is None else eps
     return rs.ResponseTensors(omega=DELTA0, eta=0j, eps_r=np.asarray(eps, float),
-                              mu_r=np.asarray(mu, float), alpha=0.0, beta=0.0,
-                              eps1=1.0, mu1=1.0, near_resonance=False)
+                              mu_r=np.asarray(mu, float), eps1=1.0, mu1=1.0,
+                              near_resonance=False)
 
 
 def _yz(tyy, tyz, tzz, txx=1.0):

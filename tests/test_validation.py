@@ -98,6 +98,24 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
     assert second == validation_report(RingParams(12))["checks"]
 
 
+def test_default_report_projects_each_operator_once_per_basis_and_ring(monkeypatch):
+    projections = []
+    sandwich = bf._sandwich
+
+    def recording(table, vectors):
+        projections.append((table.shape, vectors.shape, table.tobytes(), vectors.tobytes()))
+        return sandwich(table, vectors)
+
+    monkeypatch.setattr(bf, "_sandwich", recording)
+    validation_report()
+    # the electric and commutator tables in both bases at each of TABLE_NS (16), the bond
+    # current in the momentum basis at DENSE_N (1), and the electric and bond-current
+    # eigenbasis tables of the three topology scans (6) less the Mobius electric one, which
+    # the dyad check at DENSE_N has already built
+    assert len(projections) == 4 * len(validation.TABLE_NS) + 1 + 6 - 1 == 22
+    assert len(set(projections)) == len(projections)
+
+
 def test_closed_form_levels_match_dense_groups_at_the_grouping_tolerance():
     # at xi = 1e-6 eV the level spacings fall below 1e-6 eV: a wider matching
     # window than group_levels' put several closed-form levels in one group
@@ -301,14 +319,13 @@ def _dyads_by_levels(params, w, num, tbl):
 def test_dyad_pass_matches_the_loop_over_levels(n, ring):
     p = RingParams(n, **ring)
     dense = bf.DenseRing(p)
-    w, v = dense.eigensystem
+    w = dense.eigensystem[0]
     levels = _levels_by_loop(p, w)
     assert [len(level) for level in (dense.levels, dense.matched_levels)] == [len(levels)] * 2
     for grp, (matched, cols), (ref_grp, ref_cols) in zip(dense.levels, dense.matched_levels, levels):
         assert grp is matched
         assert np.array_equal(grp, ref_grp) and np.array_equal(cols, ref_cols)
-    for ana_fn, op in ((dp.electric_table, dense.electric),
-                       (dp.magnetic_table, dense.magnetic("commutator"))):
-        ana, num = ana_fn(p), bf._sandwich(op, v)
+    for ana_fn, name in ((dp.electric_table, "electric"), (dp.magnetic_table, "commutator")):
+        ana, num = ana_fn(p), dense.projection(name, "eigen")
         assert (_canonical(validation._dyad_deviation(dense, num, ana))
                 == _canonical(_dyads_by_levels(p, w, num, ana)))
