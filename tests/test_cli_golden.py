@@ -19,6 +19,7 @@ import pytest
 from mobius_optics import cli
 
 SMALL_GRID = {"theta_count": 7, "omega_count": 33}
+TABLES_GRID = {"theta_count": 256, "omega_count": 512}   # the `tables` benchmark's sizes
 
 # name: (subcommand, extra argv, config, exit code)
 CASES = {
@@ -29,8 +30,11 @@ CASES = {
     "elements_n64": ("elements", [], {"N": 64}, cli.EXIT_OK),
     "response": ("response", [], {"omega_count": 33}, cli.EXIT_OK),
     "response_lossy": ("response", [], {"omega_count": 33, "lossy": True}, cli.EXIT_OK),
+    "response_4096": ("response", [], {"omega_count": 4096}, cli.EXIT_OK),
     "phase_diagram": ("phase-diagram", [], SMALL_GRID, cli.EXIT_OK),
     "phase_diagram_h": ("phase-diagram", ["--pol", "H"], SMALL_GRID, cli.EXIT_OK),
+    "phase_diagram_256x512": ("phase-diagram", [], TABLES_GRID, cli.EXIT_OK),
+    "phase_diagram_h_256x512": ("phase-diagram", ["--pol", "H"], TABLES_GRID, cli.EXIT_OK),
     "surface": ("surface", [], {"surface_samples": 20}, cli.EXIT_OK),
     "surface_h": ("surface", [], {"polarization": "H", "surface_samples": 200}, cli.EXIT_OK),
     "bandwidth": ("bandwidth", [], {}, cli.EXIT_OK),
@@ -101,6 +105,12 @@ GOLDEN = {
     ("response_lossy", "json"): (
         "0db4c15f2055bc442559c792b0afd4b1597873f687da638142e57813db5a246e",
         "90c8d11c4d91c8d932ea935cac9178c7672983aab92709d4fe6ce0571536d347"),
+    ("response_4096", "csv"): (
+        "de91fa4de1e4fbd30186553506a5a1136158da3c069d8499a5e6e4df49529ff9",
+        "0bf7b5bf81889d5a15ec4b374e70a65e729ee9f27c7229dd505acc5f4872b16e"),
+    ("response_4096", "json"): (
+        "157bf2aa3ecdc084af166be0cefd585832aa45c6345c1d0217c7e6948ca38392",
+        "d01c65a7f11e3633f5ab959cd973a71f2ea57565e3fee2ae5421ffd75ba3ee4d"),
     ("phase_diagram", "csv"): (
         "3e8f1b65f0c2184b08941d094643540a24e95f027fb649b1dcefb921bc022f58",
         "9f0ee2928675f411c163adcd166edc9beaafddc8be442117014748cd5df10415"),
@@ -113,6 +123,18 @@ GOLDEN = {
     ("phase_diagram_h", "json"): (
         "a787ecaf4b5c1fd3931a09094a7e5f72777d3819b292ba71b0d60c86c2a097bd",
         "4d2bd039ef964947203d259aa82098f45068a7b307f303ef97933f543c0508ff"),
+    ("phase_diagram_256x512", "csv"): (
+        "c2748ee12b38eba916e91d2987329193f09167ea4e8b2c7377eb5564a760ea98",
+        "99573cd5360cb75bba46728bf5764b26f3450e11caf4315fb1f775af9938ab7c"),
+    ("phase_diagram_256x512", "json"): (
+        "d29bae0444efff0a57bbd8a3f33cde5eb9e97b535bb77528e4a6cc640fb7163a",
+        "53c8f29339f0db5292ea8067794dc0eeafc8ed6eb67d2e52653fe614b788347b"),
+    ("phase_diagram_h_256x512", "csv"): (
+        "02839204690397a6d12de6703bd4b077b4db26a9880e191002687a61ac4e392a",
+        "266cf27dc20824dc4430120d45a5471fe89e1395ea2bd72410c0828ea4672588"),
+    ("phase_diagram_h_256x512", "json"): (
+        "802aa21737b14a862e5ac6b8770dad440a6982152440213d5051c8d849b60537",
+        "ca5d4f98e5d4457dac38a258abc245840b2d7acd4e5121315ca45e84b0b64b3e"),
     ("surface", "csv"): (
         "a9f4d46c7be6795b0033019b885c93a90e36dd4adb6cf7cd0142860cf507fb0a",
         "9d8a94cb58db4e4b5f1eb500eafabaa7b23d07defd50d870a360305a7ac321d8"),
@@ -222,7 +244,7 @@ def _run(name, fmt, workdir):
 @pytest.mark.parametrize("name,fmt", sorted(GOLDEN))
 def test_output_bytes_match_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    if CASES[name][0] == "phase-diagram":
+    if CASES[name][2] is SMALL_GRID:
         # SMALL_GRID is coarser than the negative-permeability window
         with pytest.warns(UserWarning, match="cannot resolve"):
             assert _run(name, fmt, tmp_path) == GOLDEN[name, fmt]

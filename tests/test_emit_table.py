@@ -117,6 +117,25 @@ def test_emit_table_matches_row_reference_in_small_chunks(chunk_rows, drawn, fmt
         assert _emit(table[header], fmt) == _reference_table(header, rows, fmt)
 
 
+def _edge_floats():
+    """Values at and next to the decades where `.17g` switches notation or digit count."""
+    edges = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17])
+    around = [np.nextafter(edges, 0.0), edges, np.nextafter(edges, math.inf)]
+    return np.concatenate(around + [-a for a in around])
+
+
+def test_long_float_columns_match_the_reference_value():
+    # far more distinct floats than the hypothesis tables hold, as the first
+    # column (the row separator starts its tokens) and as a later one (",")
+    rng = np.random.default_rng(20_000)
+    values = np.concatenate([np.frombuffer(rng.bytes(8 * 20_000), dtype=np.float64),
+                             SPECIAL_FLOATS, _edge_floats()])
+    table = np.rec.fromarrays([values, values[::-1]], names=["x", "y"])
+    rows = [{"x": x, "y": y} for x, y in zip(values.tolist(), values[::-1].tolist())]
+    assert len(np.unique(values.view(np.uint64))) > 20_000
+    assert _emit(table, "csv") == _reference_table(["x", "y"], rows, "csv")
+
+
 def test_negative_zero_keeps_its_sign():
     table = np.rec.fromarrays([np.array([0.0, -0.0, 0.0])], names=["x"])
     assert _emit(table, "csv") == b"x\n0\n-0\n0\n"
@@ -321,12 +340,20 @@ def test_phase_diagram_file_matches_the_flat_table(grid, pol, fmt, chunk, seed):
     assert data == reference
 
 
+# (theta, omega) grids at the default chunk size: theta rows one short of, equal
+# to and one past a chunk, chunks of many theta rows with a short last chunk,
+# and theta rows split into pieces
+CHUNK_GRIDS = [(3, C - 1), (3, C), (3, C + 1), (C + 1, 1), (2 * C + 3, 2),
+               (5, C // 2 + 1), (3, 2 * C + 1)]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_omega", [C - 1, C, C + 1])
-def test_phase_diagram_file_matches_the_flat_table_at_chunk_edges(n_omega, fmt):
-    data, reference = _phase_diagram_bytes((3, n_omega), "E", fmt, cli.CHUNK_ROWS, n_omega)
+@pytest.mark.parametrize("grid", CHUNK_GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+def test_phase_diagram_file_matches_the_flat_table_at_chunk_edges(grid, fmt):
+    seed = grid[0] * grid[1]
+    data, reference = _phase_diagram_bytes(grid, "E", fmt, cli.CHUNK_ROWS, seed)
     assert data == reference
-    codes = _random_codes(n_omega)(None, None, range(3), range(n_omega)).codes
+    codes = _random_codes(seed)(None, None, range(grid[0]), range(grid[1])).codes
     assert set(np.unique(codes)) == {-1, 0, 1, 2}
 
 
