@@ -7,17 +7,21 @@ or for `phase-diagram` a `BlockedTable` of one row per theta, one row per
 (omega, code) and the int8 code grid, so that each output row is a theta
 token plus an (omega, code) suffix and no column the size of the grid
 exists.  One generator, `_table_chunks`, serialises either kind in chunks
-of `CHUNK_ROWS` rows; `run_command` streams them into a temp file, then
+of at most `CHUNK_ROWS` rows: a `BlockedTable` in whole theta rows, or
+pieces of one, and each wide enough theta row's text in one join on its
+theta token.  `run_command` streams the chunks into a temp file, then
 renames it over the output path, so memory tracks the table and not the
 output text.  Outputs are all-or-nothing and byte-stable across runs: CSV
 uses 17-significant-digit floats (exact round trip for 64-bit values),
 bools as 1/0, '.' decimals and '\n' line endings; JSON uses the shortest
 round-trip float repr, NaN and Infinity as bare tokens and bools as
 true/false.  Each distinct value of a float, int, bool or string column is
-formatted once; object columns, whose values may mix types and None, are
-formatted value by value under the same rules.
+formatted once, a CSV float column's values all in one `%` call; object
+columns, whose values may mix types and None, are formatted value by value
+under the same rules.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure or an output file that cannot
+be written, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ EXIT_CONFIG_ERROR = 2
 # rows per piece of a streamed output table: larger pieces gain no speed, and
 # 1024 raised the `tables` benchmark's peak RSS by 16 MB in some heap layouts
 CHUNK_ROWS = 512
+# cells from which a phase-diagram theta row is joined in one call: on shorter
+# rows the join costs more than it saves (crossover between 8 and 16 cells on
+# a 2-core x86-64 VM, Python 3.11)
+ROW_JOIN_CELLS = 12
 
 
 class ConfigError(ValueError):
@@ -299,9 +307,12 @@ def _column_tokens(column: np.ndarray, fmt: str, prefix: str):
         keys = column.view(np.uint64) if kind == "f" else column
         distinct, inverse = np.unique(keys, return_inverse=True)
         values = (distinct.view(np.float64) if kind == "f" else distinct).tolist()
+    if fmt == "csv" and kind == "f":
+        # one `%` call formats the column: "%.17g" % v is format(v, ".17g")
+        template = (prefix.replace("%", "%%") + "%.17g\0") * len(values)
+        return np.array((template % tuple(values)).split("\0")[:-1], dtype=object), inverse
     if fmt == "csv":
-        tokens = ([format(v, ".17g") for v in values] if kind == "f"
-                  else [_format_value(v) for v in values])
+        tokens = [_format_value(v) for v in values]
     elif kind in "OU":
         tokens = [_json_value(v) for v in values]
     else:
@@ -350,38 +361,67 @@ def _frame(header: list[str], fmt: str, n: int) -> tuple[str, str, str, dict]:
 
 
 def _table_chunks(table, fmt: str) -> Iterator[bytes]:
-    """Yield the UTF-8 bytes of a table, `CHUNK_ROWS` rows at a time.
+    """Yield the UTF-8 bytes of a table, at most `CHUNK_ROWS` rows at a time.
 
-    `table` is a structured array or a `BlockedTable`.  A row is the
-    concatenation of one string per part: an object array of strings,
-    formatted once, picked by an index function of the row numbers r.  A
-    structured array has one part per column, its distinct tokens indexed
-    by each row's inverse.  A blocked table has two: its head rows by
-    ``r // width`` and its tail rows by ``codes[r] + 4 * (r % width) + 1``,
-    so a row costs the same whatever the shape of `codes`.  The first chunk
-    drops its leading row separator.
+    `table` is a structured array or a `BlockedTable`.  Each column's
+    distinct tokens are formatted once into an object array of strings.  A
+    structured array's row is the concatenation of one token per column,
+    picked by the row's inverse, and its chunks are `CHUNK_ROWS` rows.  A
+    blocked table's row (i, j) is the token of head row i and the
+    concatenated tokens of tail row ``4 * j + codes[i, j] + 1``.  Its chunks
+    are whole theta rows, as many as `CHUNK_ROWS` rows hold, or
+    `CHUNK_ROWS`-wide pieces of a wider theta row, joined as
+    `_blocked_texts` says.  The first chunk drops its leading row separator.
     """
     blocked, n = isinstance(table, BlockedTable), len(table)
     tables = (table.head, table.tail) if blocked else (table,)
     head, sep, tail, prefixes = _frame([col for t in tables for col in t.dtype.names], fmt, n)
     columns = [[_column_tokens(t[col], fmt, prefixes[col]) for col in t.dtype.names]
                for t in tables]
-    if blocked:
-        width, codes = table.codes.shape[1], table.codes.ravel()
-        heads, tails = (np.add.reduce([tokens[inverse] for tokens, inverse in part])
-                        for part in columns)
-        parts = [(heads, lambda r: r // width), (tails, lambda r: codes[r] + 4 * (r % width) + 1)]
-    else:
-        parts = [(tokens, inverse.__getitem__) for tokens, inverse in columns[0]]
+    texts = _blocked_texts(columns, table.codes) if blocked else _flat_texts(columns[0], n)
     yield head.encode("utf-8")
-    for start in range(0, n, CHUNK_ROWS):
-        rows = np.arange(start, min(start + CHUNK_ROWS, n))
-        pieces = [None] * (len(parts) * len(rows))
-        for k, (strings, index) in enumerate(parts):
-            pieces[k::len(parts)] = strings[index(rows)].tolist()
-        text = "".join(pieces)
-        yield (text if start else text[len(sep):]).encode("utf-8")
+    for k, text in enumerate(texts):
+        yield (text if k else text[len(sep):]).encode("utf-8")
     yield tail.encode("utf-8")
+
+
+def _flat_texts(columns, n: int) -> Iterator[str]:
+    """Text of `CHUNK_ROWS` rows at a time: each row's token of each column, interleaved."""
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        pieces = [None] * (len(columns) * (stop - start))
+        for k, (tokens, inverse) in enumerate(columns):
+            pieces[k::len(columns)] = tokens[inverse[start:stop]].tolist()
+        yield "".join(pieces)
+
+
+def _blocked_texts(columns, codes: np.ndarray) -> Iterator[str]:
+    """Text of whole theta rows, or of `CHUNK_ROWS`-wide pieces of one, at a time.
+
+    In a table of at least `ROW_JOIN_CELLS` cells per theta row, each theta
+    row (or piece) is one ``h.join`` of an empty string and its tail tokens,
+    so its head token h is not gathered per cell.  On narrower rows that
+    join costs more than it saves, and h is repeated once per cell and
+    interleaved with the tail tokens.
+    """
+    heads, tails = (np.add.reduce([tokens[inverse] for tokens, inverse in part])
+                    for part in columns)
+    n_theta, width = codes.shape
+    step, piece = max(CHUNK_ROWS // max(width, 1), 1), max(min(width, CHUNK_ROWS), 1)
+    # index 0 is the empty string that starts each theta row's join
+    tails, offsets = np.concatenate([[""], tails]), 4 * np.arange(width) + 2
+    for i in range(0, n_theta, step):
+        for j in range(0, width, piece):
+            cells = codes[i:i + step, j:j + piece] + offsets[j:j + piece]   # tail indices
+            if width < ROW_JOIN_CELLS:
+                pieces = [None] * (2 * cells.size)
+                pieces[::2] = heads[i:i + step].repeat(cells.shape[1]).tolist()
+                pieces[1::2] = tails[cells.ravel()].tolist()
+                yield "".join(pieces)
+            else:
+                index = np.zeros((len(cells), cells.shape[1] + 1), dtype=np.intp)
+                index[:, 1:] = cells
+                yield "".join(map(str.join, heads[i:i + step].tolist(), tails[index].tolist()))
 
 
 def _atomic_write(path: str, chunks: Iterable[bytes]):
