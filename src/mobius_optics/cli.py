@@ -8,8 +8,8 @@ or for `phase-diagram` a `BlockedTable` of one row per theta, one row per
 token plus an (omega, code) suffix and no column the size of the grid
 exists.  One generator, `_table_chunks`, serialises either kind in chunks
 of at most `CHUNK_ROWS` rows: a `BlockedTable` in whole theta rows, or
-pieces of one, and each wide enough theta row's text in one join on its
-theta token.  `run_command` streams the chunks into a temp file, then
+pieces of one, and each theta row's text in one join on its theta
+token.  `run_command` streams the chunks into a temp file, then
 renames it over the output path, so memory tracks the table and not the
 output text.  Outputs are all-or-nothing and byte-stable across runs: CSV
 uses 17-significant-digit floats (exact round trip for 64-bit values),
@@ -61,10 +61,6 @@ EXIT_CONFIG_ERROR = 2
 # rows per piece of a streamed output table: larger pieces gain no speed, and
 # 1024 raised the `tables` benchmark's peak RSS by 16 MB in some heap layouts
 CHUNK_ROWS = 512
-# cells from which a phase-diagram theta row is joined in one call: on shorter
-# rows the join costs more than it saves (crossover between 8 and 16 cells on
-# a 2-core x86-64 VM, Python 3.11)
-ROW_JOIN_CELLS = 12
 
 
 class ConfigError(ValueError):
@@ -398,11 +394,8 @@ def _flat_texts(columns, n: int) -> Iterator[str]:
 def _blocked_texts(columns, codes: np.ndarray) -> Iterator[str]:
     """Text of whole theta rows, or of `CHUNK_ROWS`-wide pieces of one, at a time.
 
-    In a table of at least `ROW_JOIN_CELLS` cells per theta row, each theta
-    row (or piece) is one ``h.join`` of an empty string and its tail tokens,
-    so its head token h is not gathered per cell.  On narrower rows that
-    join costs more than it saves, and h is repeated once per cell and
-    interleaved with the tail tokens.
+    Each theta row (or piece) is one ``h.join`` of an empty string and its
+    tail tokens, so its head token h is not gathered per cell.
     """
     heads, tails = (np.add.reduce([tokens[inverse] for tokens, inverse in part])
                     for part in columns)
@@ -413,15 +406,9 @@ def _blocked_texts(columns, codes: np.ndarray) -> Iterator[str]:
     for i in range(0, n_theta, step):
         for j in range(0, width, piece):
             cells = codes[i:i + step, j:j + piece] + offsets[j:j + piece]   # tail indices
-            if width < ROW_JOIN_CELLS:
-                pieces = [None] * (2 * cells.size)
-                pieces[::2] = heads[i:i + step].repeat(cells.shape[1]).tolist()
-                pieces[1::2] = tails[cells.ravel()].tolist()
-                yield "".join(pieces)
-            else:
-                index = np.zeros((len(cells), cells.shape[1] + 1), dtype=np.intp)
-                index[:, 1:] = cells
-                yield "".join(map(str.join, heads[i:i + step].tolist(), tails[index].tolist()))
+            index = np.zeros((len(cells), cells.shape[1] + 1), dtype=np.intp)
+            index[:, 1:] = cells
+            yield "".join(map(str.join, heads[i:i + step].tolist(), tails[index].tolist()))
 
 
 def _atomic_write(path: str, chunks: Iterable[bytes]):
