@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mobius_optics import bruteforce as bf
 from mobius_optics import dipole as dp
+from mobius_optics import response as rs
 from mobius_optics.constants import E_CHARGE, EV, HBAR
 from mobius_optics.ring import BANDS, Band, RingParams, Topology, label_axes
 
@@ -259,3 +261,58 @@ def test_block_entries_are_the_table_bit_for_bit(n, kind):
     rest = table.copy()
     rest[dst, src] = 0.0
     assert not rest.any()
+
+
+# --- the tables and the ground row of the Kubo sums, pinned bit for bit ------
+# SHA-256 of the array bytes; regenerate only when a change to the dipole values
+# is intended, and say why in the change log
+
+TABLE_DIGESTS = {   # N: (electric_table, magnetic_table) at the default molecule
+    3: ("8eef1e80ad80ba48e04c3d61103ec63501d710f2576d1a2dc09eca5e9c308102",
+        "feb045214405d459ae21889a1982c3d19cb49ea8911b26660b947d9c101538b1"),
+    4: ("5e50ba5f492a41a17cb16f5cb1968b97ec9e056183b16e02105cc1fc2b71fb5f",
+        "75261611d7cd65dc6462926469dee02b82c2aebdb0555be7dbec3396e217dc0f"),
+    5: ("28c96a4210b0e1816b4a432bd97f34059d45ee826dd7916b27a8d1d71fe15b12",
+        "b9ae634d0e65ba408cb2e1991e12264712e07351f1e4ce5bb920adeb20618e04"),
+    12: ("7b7d357791dcdfbc473d1382ba332f72519a1a950103ae520d248e88a895948e",
+         "c12f080aa7e4d52cfbb0995dd811797b56ed535b9c47a9c4770b0dcc692cd410"),
+    24: ("faae5baa265ed655617ed45e6c1137790a0f0bb7362a514689252fa68de72480",
+         "3d75bb4f2bdc446c3e13791748b3e297c8af559ee1cd99150c78c0f654bf5b90"),
+    64: ("2faca18b980d70d3244d96cead9870368610440cdfa7cef8a5ca544853ee5ee8",
+         "6f504116e554aaf90d815bc816edd9b30212544205c1ce90916d85fb3e7ae525"),
+}
+GROUND_DYAD_DIGESTS = {   # N: (electric, magnetic) ``_ground_dyads``, frequencies then dyads
+    3: ("1c68aef698327e39f6d2aaf2d5a019b8dbba6929ee4a811e38f6597c1d93250d",
+        "6995f5ba7aef1556c68ab61d99ebed6c22137217a4e9cefe9b96d74fe6701c6a"),
+    4: ("e6a405ebc975c25eb6094da411773afdc9e6a0884ebceb1138e0b8aa79650df5",
+        "3b56e9ee123ba7e89227b74de171dd0b6db6a0c40cd5339a7633a388c6bf7ccb"),
+    5: ("e9b7498e3fd5a03ebd9fdd1213350898abd02cfef34c4d9188f4985b41b2eac3",
+        "ccf5cff328d0af208e464079ea80cd4155ac5251f1d4bbd1fdb61c46a1c8dcb7"),
+    12: ("47e10b7e3c69811e91da4ac99a4bad866f417376634a1225c9625227abebb5fa",
+         "5ffef0ee6570f1cb7ae1ae6fb858e3aaeb96c7fa3af73047f938256223c06830"),
+    33: ("4e12e6680231814bb6894352e343b7fc165212c1b6de3bef58a40a927517abb9",
+         "1757567049e31fbfc1239cc978536eed20952344d64cca0a6f764733274194e3"),
+    128: ("4349dfa46a023281b1e7581edcefe37068e66c4bccf5208948bc3fedcdf1a5ca",
+          "50835469f838188e33803674dc26fea5a025ffa9a16af53c26c0e6f2cae75d11"),
+}
+
+
+def _digest(*arrays):
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_tables_keep_their_digests(n):
+    p = RingParams(n)
+    assert (_digest(dp.electric_table(p)), _digest(dp.magnetic_table(p))) == TABLE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(GROUND_DYAD_DIGESTS))
+def test_ground_dyads_keep_their_digests(n):
+    cfg = rs.MediumConfig(RingParams(n))
+    got = tuple(_digest(*rs._ground_dyads(cfg, kind))
+                for kind in (dp.DipoleKind.ELECTRIC, dp.DipoleKind.MAGNETIC))
+    assert got == GROUND_DYAD_DIGESTS[n]
