@@ -178,9 +178,11 @@ def parse_config(text: bytes | str) -> RunConfig:
     v_ev = number("v_inter_ev", positive=True)
     xi_ev = number("xi_intra_ev", positive=True)
     w_m = number("half_width_nm", positive=True) * NM
+    _expect(w_m > 0.0, "half_width_nm must be > 0 in meters (it underflows to 0 m)")
     radius = cfg["radius_nm"]
     if radius is not None:
         radius = number("radius_nm", positive=True) * NM
+        _expect(radius > 0.0, "radius_nm must be > 0 in meters (it underflows to 0 m)")
     lifetime = number("gamma_inv_ns", positive=True) * NS
     _expect(lifetime > 0.0 and 1.0 / lifetime < math.inf,
             "gamma_inv_ns must give a finite decay rate 1 / (gamma_inv_ns * 1 ns)")
@@ -189,14 +191,11 @@ def parse_config(text: bytes | str) -> RunConfig:
     except ValueError:
         raise ConfigError("volume_convention must be cylinder_4w or cylinder_2w")
     _expect(isinstance(cfg["lossy"], bool), "lossy must be a boolean")
-    try:
-        ring = RingParams(
-            n_per_ring=n, v_inter=v_ev, xi_intra=xi_ev,
-            half_width=w_m, radius=radius, decay_rate=1.0 / lifetime,
-            volume_convention=convention,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ring = RingParams(
+        n_per_ring=n, v_inter=v_ev, xi_intra=xi_ev,
+        half_width=w_m, radius=radius, decay_rate=1.0 / lifetime,
+        volume_convention=convention,
+    )
     # the bandwidth command evaluates both conventions: the 2W cylinder halves the volume
     for conv in VolumeConvention:
         try:
@@ -342,8 +341,6 @@ def _frame(header: list[str], fmt: str, n: int) -> tuple[str, str, str, dict]:
     every other, then in JSON the ``"col":`` key, so a row of either format
     is the plain concatenation of its tokens.
     """
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
     if fmt == "csv":
         head, sep, tail = ",".join(header) + "\n", "\n", "\n" if n else ""
     else:
@@ -514,7 +511,7 @@ def _cmd_elements(config: RunConfig):
     band, ell = label_axes(n)
     # [kind, entry] = <to| O |from> over the allowed blocks, the only nonzero
     # table entries; each kind keeps what is above its own floor
-    entries = [block_entries(config.ring, kind) for kind in KINDS]
+    entries = [block_entries(config.ring, kind, np.arange(n)) for kind in KINDS]
     src, dst = entries[0][:2]
     vecs = np.stack([vec for _, _, vec in entries])
     mags = np.abs(vecs)

@@ -4,14 +4,14 @@ Matrix elements between band eigenstates come in momentum-transfer blocks
 dl = l_ket - l_bra in {0, +/-1, +/-2}; every other momentum transfer is
 forbidden by the ring geometry.  Each block is a 2x2 matrix over the band
 pair (up, down) of 3-vectors, evaluated at the bra momentum k = l_bra *
-delta.  One evaluator, ``_blocks``, evaluates them for an array of bra
-momenta and sums them per ket-column offset dl mod N: for small rings the
+delta.  One function, ``block_entries``, evaluates them for an array of bra
+momenta and lists them entry by entry over the labels, as (from, to,
+vectors).  It sums them per ket-column offset dl mod N: for small rings the
 blocks alias (dl = +2 and -2 coincide for N = 4, +/-2 with -/+1 for N = 3)
 and the aliased contributions add there, in the order 0, +1, -1, +2, -2.
-``block_entries`` lists those blocks entry by entry over the labels for the
-``elements`` command, in O(N); ``_rows`` scatters them to the ket columns
-(l_bra + dl) mod N for the (2N, 2N) tables and the ground row of the Kubo
-sums.
+Every other reader takes its entries from it: the ``elements`` command and
+the (2N, 2N) tables with every bra, the ground row of the Kubo sums in
+``response`` with the bra momentum 0 alone, O(N) work.
 
 Conventions frozen against the brute-force construction in ``bruteforce``
 (site-diagonal position operator, m = -i e r x [H, r] / 2 hbar, equal to the
@@ -42,7 +42,7 @@ import enum
 import numpy as np
 
 from .constants import E_CHARGE, EV, HBAR
-from .ring import BANDS, Band, RingParams, _require_mobius, label_axes
+from .ring import BANDS, Band, RingParams, require_mobius
 
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
@@ -55,9 +55,7 @@ _SP = np.array([[0, 1], [0, 0]], dtype=complex)   # raising: up row, down col
 _SM = np.array([[0, 0], [1, 0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
-_BAND_ROW = {Band.UP: 0, Band.DOWN: 1}
-_LABEL_ROW = np.array([_BAND_ROW[b] for b in BANDS])   # block row of each band of label_axes
-_ROW_BAND = np.array([BANDS.index(b) for b in _BAND_ROW])   # band of label_axes of each block row
+_ROW_BAND = np.array([1, 0])   # BANDS index of block rows (up, down)
 
 
 class DipoleKind(enum.Enum):
@@ -137,20 +135,23 @@ def _magnetic_block(k: np.ndarray, dl: int, v: float, xi: float, r: float, w: fl
 _DLS = (0, 1, -1, 2, -2)   # the allowed momentum transfers, in summation order
 
 
-def _blocks(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, blocks): the distinct dl mod N and the (m, len(offsets), 2, 2, 3)
-    blocks at the m bra momenta l_to.
+def block_entries(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarray, ...]:
+    """(from, to, vectors): every entry of the allowed dl blocks at the bra momenta l_to.
 
-    [i, j, s_to, s_from] = <l_to[i], s_to| O |l_to[i] + offsets[j], s_from>,
-    bands ordered (up, down).  Blocks whose dl alias onto one offset (N = 3, 4)
-    are summed there in the order of ``_DLS``.
+    from and to are (k,) label indices in ``label_axes`` order and vectors the
+    (k, 3) <to| O |from>, each label pair once; the bras are the labels of
+    momentum l_to in both bands, and every other element of their rows is
+    exactly 0.  Blocks whose dl alias onto one ket column (N = 3, 4) are summed
+    there in the order of ``_DLS``.  The label pairs depend only on N and
+    l_to, not on kind.
     """
-    _require_mobius(params)
+    require_mobius(params)
     n = params.n_per_ring
     l_to = np.asarray(l_to)
     k = l_to * params.delta
     offsets = list(dict.fromkeys(dl % n for dl in _DLS))
-    out = np.zeros((l_to.size, len(offsets), 2, 2, 3), dtype=complex)
+    # [l_to, offset, s_to, s_from], bands ordered (up, down)
+    blocks = np.zeros((l_to.size, len(offsets), 2, 2, 3), dtype=complex)
     for dl in _DLS:
         if kind is DipoleKind.ELECTRIC:
             block = _electric_block(dl, params.radius, params.half_width)
@@ -159,22 +160,12 @@ def _blocks(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarray, np.
                 k, dl, params.v_inter * EV, params.xi_intra * EV,
                 params.radius, params.half_width, params.delta,
             )
-        out[:, offsets.index(dl % n)] += block
-    return np.array(offsets), out
-
-
-def _rows(params: RingParams, kind: DipoleKind, l_to) -> np.ndarray:
-    """(m, N, 2, 2, 3) element rows of the m bra momenta l_to.
-
-    [i, l_from, s_to, s_from] = <l_to[i], s_to| O |l_from, s_from>: the
-    ``_blocks`` scattered to the ket columns (l_to + offset) % N, zero elsewhere.
-    """
-    n = params.n_per_ring
-    l_to = np.asarray(l_to)
-    offsets, blocks = _blocks(params, kind, l_to)
-    out = np.zeros((l_to.size, n, 2, 2, 3), dtype=complex)
-    out[np.arange(l_to.size)[:, None], (l_to[:, None] + offsets) % n] = blocks
-    return out
+        blocks[:, offsets.index(dl % n)] += block
+    dst = _ROW_BAND[:, None] * n + l_to[:, None, None, None]
+    src = _ROW_BAND * n + ((l_to[:, None] + offsets) % n)[..., None, None]
+    shape = blocks.shape[:-1]
+    return (np.broadcast_to(src, shape).ravel(), np.broadcast_to(dst, shape).ravel(),
+            blocks.reshape(-1, 3))
 
 
 # (kind, dl = l_to - l_from, from band, to band) -> allowed field components;
@@ -215,11 +206,11 @@ def selection_table(n: int) -> np.ndarray:
 
 
 def _table(params: RingParams, kind: DipoleKind) -> np.ndarray:
-    band, ell = label_axes(params.n_per_ring)
-    row = _LABEL_ROW[band]
-    rows = _rows(params, kind, np.arange(params.n_per_ring))
-    # [l_to, l_from, s_to, s_from] -> [a, b] = <a| O |b> over the labels
-    return rows[ell[:, None], ell, row[:, None], row]
+    n = params.n_per_ring
+    src, dst, vectors = block_entries(params, kind, np.arange(n))
+    out = np.zeros((2 * n, 2 * n, 3), dtype=complex)
+    out[dst, src] = vectors
+    return out
 
 
 def electric_table(params: RingParams) -> np.ndarray:
@@ -230,21 +221,3 @@ def electric_table(params: RingParams) -> np.ndarray:
 def magnetic_table(params: RingParams) -> np.ndarray:
     """(2N, 2N, 3) closed-form table, [a, b, c] = <a| m_c |b> over the labels."""
     return _table(params, DipoleKind.MAGNETIC)
-
-
-def block_entries(params: RingParams, kind: DipoleKind) -> tuple[np.ndarray, ...]:
-    """(from, to, vectors): every entry of the allowed dl blocks, each label pair once.
-
-    from and to are (k,) label indices in ``label_axes`` order and vectors the
-    (k, 3) <to| O |from>, bit-identical to the table entries; every table
-    entry not listed is exactly 0.  The label pairs depend only on N, not on kind.
-    """
-    n = params.n_per_ring
-    l_to = np.arange(n)
-    offsets, blocks = _blocks(params, kind, l_to)
-    # [l_to, offset, s_to, s_from] -> label index of the bra and of the ket
-    dst = _ROW_BAND[:, None] * n + l_to[:, None, None, None]
-    src = _ROW_BAND * n + ((l_to[:, None] + offsets) % n)[..., None, None]
-    shape = blocks.shape[:-1]
-    return (np.broadcast_to(src, shape).ravel(), np.broadcast_to(dst, shape).ravel(),
-            blocks.reshape(-1, 3))

@@ -30,8 +30,9 @@ array of them and returns both tensors with eps1, mu1 and the
 near-resonance flag.  Both tensors follow from the Green-Kubo dipole sums
 restricted to the resonant pair; the full sums over all 2N - 1 excited
 states are kept in ``epsilon_from_full_sum`` / ``mu_from_full_sum`` as a
-validation route.  They read only the ground row of the dipole tables (O(N)
-work, no 2N x 2N table).
+validation route.  They read only the ground row of the dipole tables, the
+``dipole.block_entries`` of the bra momentum 0 whose bra is the ground
+state (O(N) work, no 2N x 2N table).
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, EV, E_CHARGE, HBAR, MU_0
-from .dipole import _LABEL_ROW, DipoleKind, _rows
-from .ring import (BANDS, Band, RingParams, VolumeConvention, band_energies, label_axes,
-                   label_energies)
+from .dipole import DipoleKind, block_entries
+from .ring import BANDS, Band, RingParams, VolumeConvention, band_energies, label_energies
 
 # lossless-mode near-resonance mask half width, in units of gamma
 NEAR_RESONANCE_FACTOR = 1e-3
@@ -238,9 +238,11 @@ def response_tensors(config: MediumConfig, omega) -> ResponseTensors:
 def _ground_dyads(config: MediumConfig, kind: DipoleKind):
     """Per-excited-label dyads v v^dag with v = <ground| O |excited>, in label order."""
     ring = config.ring
-    band, ell = label_axes(ring.n_per_ring)   # label 0 is the ground state
-    row = _LABEL_ROW[band]
-    vecs = _rows(ring, kind, ell[:1])[0][ell[1:], row[0], row[1:]]
+    src, dst, vectors = block_entries(ring, kind, [0])
+    ground = dst == 0   # label 0 is the ground state (0, down)
+    row = np.zeros((2 * ring.n_per_ring, 3), dtype=complex)
+    row[src[ground]] = vectors[ground]
+    vecs = row[1:]
     return _excited_frequencies(ring), vecs[:, :, None] * vecs.conj()[:, None, :]
 
 

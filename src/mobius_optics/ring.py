@@ -117,7 +117,8 @@ def label_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.arange(2 * n), n)
 
 
-def _require_mobius(params: RingParams):
+def require_mobius(params: RingParams):
+    """Raise ValueError unless the closed forms hold: Mobius topology, identical atoms."""
     if params.topology is not Topology.MOBIUS:
         raise ValueError(
             "closed forms exist only for the Mobius topology; use the "
@@ -140,7 +141,7 @@ def label_energies(params: RingParams, band: np.ndarray, ell: np.ndarray) -> np.
 
     Each label's energy has the same bits as its entry in ``band_energies``.
     """
-    _require_mobius(params)
+    require_mobius(params)
     up = band == BANDS.index(Band.UP)
     k = ell * params.delta - np.where(up, params.delta / 2.0, 0.0)
     return np.where(up, params.v_inter, -params.v_inter) - 2.0 * params.xi_intra * np.cos(k)
@@ -183,7 +184,7 @@ def amplitude_matrix(params: RingParams) -> np.ndarray:
 
     Rows run over the sites (a_0..a_{N-1}, b_0..b_{N-1}).
     """
-    _require_mobius(params)
+    require_mobius(params)
     n = params.n_per_ring
     band, ell = label_axes(n)
     up = band == BANDS.index(Band.UP)

@@ -72,6 +72,9 @@ def test_malformed_json_rejected():
     ('{"surface_detunings_ev": [NaN]}', "surface_detunings_ev must be finite"),
     ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
     ('{"half_width_nm": 1e-300}', "half_width_nm .* finite molecular volume > 0"),
+    # positive in nm, 0 in meters
+    ('{"half_width_nm": 1e-320}', "half_width_nm must be > 0 in meters"),
+    ('{"radius_nm": 1e-320}', "radius_nm must be > 0 in meters"),
     ('{"half_width_nm": 1e300}', "half_width_nm .* finite molecular volume > 0"),
     ('{"xi_intra_ev": 1e100}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
     ('{"v_inter_ev": 1e100}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),

@@ -20,6 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "mobius_optics"
 
 
 def _run(script, cwd):
@@ -255,14 +256,15 @@ def _package_names(source, filename):
 # the per-quantity functions of `response` that `MediumConfig.resonance` replaced, the
 # second lossless Fresnel solve of `refraction` that `classify` no longer needs, the
 # routes to the dense operators and tables that `DenseRing.operator` and
-# `DenseRing.projection` replaced, and the `ResponseTensors` echoes of `Resonance`
+# `DenseRing.projection` replaced, the `ResponseTensors` echoes of `Resonance`, and the
+# routes to the dipole blocks and their band maps that `dipole.block_entries` replaced
 DELETED_NAMES = frozenset({
     "eta_prefactor", "alpha_beta", "molecular_volume", "_mu1_radicand", "mu1_zero_detunings",
     "critical_lifetime", "eta", "_eta_at", "eps1", "mu1",
     "fresnel_roots", "DegenerateFresnelError",
     "_dense", "numeric_electric_elements", "numeric_magnetic_elements",
     "electric_dipole_matrix", "magnetic_dipole_matrix", "electric", "magnetic", "_magnetic",
-    "alpha", "beta"})
+    "alpha", "beta", "_blocks", "_rows", "_LABEL_ROW", "_BAND_ROW"})
 
 
 @pytest.mark.parametrize("script", [*DEMOS, "README quick start"],
@@ -286,11 +288,11 @@ def test_private_name_scan_sees_imports_and_attributes():
         "_blocks", "_bonds", "_cache", "_rows", "_sandwich", "_x"]
 
 
-@pytest.mark.parametrize("module", ("validation", "cli"))
-def test_validation_and_cli_read_no_private_name_of_another_module(module):
-    path = ROOT / "src" / "mobius_optics" / f"{module}.py"
-    names = _package_names(path.read_text(), str(path))
-    assert names, "the scan sees the package imports"
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_a_private_name_of_another_module(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    names = _package_names(source, module)
+    assert names or "from ." not in source, "the scan sees the package imports"
     assert [name for name in names if name.startswith("_")] == []
 
 

@@ -225,10 +225,11 @@ def test_non_mobius_topology_rejected():
 
 
 def _element(params, kind, fb, from_l, tb, to_l):
-    """One <to| O |from>, read from its own bra row as the per-label code read it."""
+    """One <to| O |from>, read from the entries of its own bra as the per-label code read it."""
     n = params.n_per_ring
-    row = dp._rows(params, kind, [to_l % n])[0]
-    return row[from_l % n, dp._BAND_ROW[tb], dp._BAND_ROW[fb]]
+    src, dst, vec = dp.block_entries(params, kind, [to_l % n])
+    at = (src == _at(from_l, fb, n)) & (dst == _at(to_l, tb, n))
+    return vec[at][0] if at.any() else np.zeros(3, dtype=complex)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 12))
@@ -253,8 +254,8 @@ def test_block_entries_are_the_table_bit_for_bit(n, kind):
     p = RingParams(n, v_inter=2.1, xi_intra=4.7, radius=0.5e-9)
     kind = dp.DipoleKind(kind)
     table = dp.electric_table(p) if kind is dp.DipoleKind.ELECTRIC else dp.magnetic_table(p)
-    src, dst, vec = dp.block_entries(p, kind)
-    assert np.array_equal((src, dst), dp.block_entries(p, dp.KINDS[0])[:2])
+    src, dst, vec = dp.block_entries(p, kind, np.arange(n))
+    assert np.array_equal((src, dst), dp.block_entries(p, dp.KINDS[0], np.arange(n))[:2])
     n_offsets = len({dl % n for dl in (0, 1, -1, 2, -2)})
     assert len(set(zip(src.tolist(), dst.tolist()))) == len(src) == 4 * n * n_offsets
     assert np.array_equal(table[dst, src].view(np.uint64), vec.view(np.uint64))

@@ -64,8 +64,12 @@ def _amplitudes(params, label):
 
 def _ground_dyads(config, kind):
     params = config.ring
-    row = dp._rows(params, kind, [0])[0, :, 1]   # bra (0, down); [l, s], bands (up, down)
-    vecs = np.concatenate([row[1:, 1], row[:, 0]])
+    n = params.n_per_ring
+    src, dst, vec = dp.block_entries(params, kind, [0])   # bras (0, down) and (0, up)
+    ground = {(int(a) % n, Band.UP if a >= n else Band.DOWN): v
+              for a, b, v in zip(src, dst, vec) if b == 0}   # label 0 is (0, down)
+    zero = np.zeros(3, dtype=complex)
+    vecs = np.array([ground.get(lab, zero) for lab in _labels(n)[1:]])
     freqs = [_frequency(params, lab) for lab in _labels(params.n_per_ring)[1:]]
     return np.array(freqs), vecs[:, :, None] * vecs.conj()[:, None, :]
 

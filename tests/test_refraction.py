@@ -231,6 +231,15 @@ def test_phase_diagram_rejects_non_finite_theta(theta):
         rf.phase_diagram(CFG, E, np.array(theta), np.array([DELTA0 - BW, DELTA0 + BW]))
 
 
+@pytest.mark.parametrize("theta,omega", (
+    ([0.5, 0.0], [DELTA0 - BW, DELTA0 + BW]),   # decreasing theta
+    ([0.0, 0.5], [DELTA0, DELTA0]),             # a repeated omega
+))
+def test_phase_diagram_rejects_grids_that_do_not_increase(theta, omega):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rf.phase_diagram(CFG, E, np.array(theta), np.array(omega))
+
+
 def test_phase_diagram_allocates_less_than_one_float_grid():
     # 512 x 4096 cells: one float64 temporary of the grid alone is 8 B/cell,
     # one bool temporary beside the int8 codes 2 B/cell

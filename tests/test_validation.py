@@ -267,6 +267,14 @@ def test_brent_port_returns_none_without_a_sign_change():
     assert _brentq(lambda x: math.nan, 0.0, 1.0, 1e-9) is None
 
 
+def test_brent_port_returns_none_on_nan_inside_or_too_few_steps():
+    # a sign change at the ends, NaN at every point inside
+    assert _brentq(lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan, 0.0, 1.0, 1e-9) is None
+    f = _cubic([1.0, 0.0, 0.0, -0.3])   # one root, at 0.3 ** (1 / 3)
+    assert _brentq(f, 0.0, 1.0, 1e-9, maxiter=1) is None
+    assert _brentq(f, 0.0, 1.0, 1e-9) == _scipy_root(f, 0.0, 1.0, 1e-9)
+
+
 # --- the dyad pass against the per-level loop it replaces, bit for bit -------
 
 # half widths (nm) of the dense-oracle differential tests: 1e-60 takes the 2^600
