@@ -161,11 +161,12 @@ def block_entries(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarra
                 params.radius, params.half_width, params.delta,
             )
         blocks[:, offsets.index(dl % n)] += block
-    dst = _ROW_BAND[:, None] * n + l_to[:, None, None, None]
-    src = _ROW_BAND * n + ((l_to[:, None] + offsets) % n)[..., None, None]
-    shape = blocks.shape[:-1]
-    return (np.broadcast_to(src, shape).ravel(), np.broadcast_to(dst, shape).ravel(),
-            blocks.reshape(-1, 3))
+    # label indices of each entry's ket (from) and bra (to), filled in place
+    src_dst = np.empty((2, *blocks.shape[:-1]), dtype=int)
+    src_dst[0] = _ROW_BAND * n + ((l_to[:, None] + offsets) % n)[..., None, None]
+    src_dst[1] = _ROW_BAND[:, None] * n + l_to[:, None, None, None]
+    src, dst = src_dst.reshape(2, -1)
+    return src, dst, blocks.reshape(-1, 3)
 
 
 # (kind, dl = l_to - l_from, from band, to band) -> allowed field components;
