@@ -161,7 +161,7 @@ def block_entries(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarra
                 params.radius, params.half_width, params.delta,
             )
         blocks[:, offsets.index(dl % n)] += block
-    # label indices of each entry's ket (from) and bra (to), filled in place
+    # label indices of each entry's ket (from) and bra (to)
     src_dst = np.empty((2, *blocks.shape[:-1]), dtype=int)
     src_dst[0] = _ROW_BAND * n + ((l_to[:, None] + offsets) % n)[..., None, None]
     src_dst[1] = _ROW_BAND[:, None] * n + l_to[:, None, None, None]

@@ -30,9 +30,9 @@ array of them and returns both tensors with eps1, mu1 and the
 near-resonance flag.  Both tensors follow from the Green-Kubo dipole sums
 restricted to the resonant pair; the full sums over all 2N - 1 excited
 states are kept in ``epsilon_from_full_sum`` / ``mu_from_full_sum`` as a
-validation route.  They read only the ground row of the dipole tables, the
-``dipole.block_entries`` of the bra momentum 0 whose bra is the ground
-state (O(N) work, no 2N x 2N table).
+validation route.  They read only the ground row of the dipole tables: the
+entries of ``dipole.block_entries`` at bra momentum 0 whose bra is the
+ground state (O(N) work, no 2N x 2N table).
 """
 
 from __future__ import annotations
