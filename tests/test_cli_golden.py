@@ -38,6 +38,10 @@ CASES = {
     "surface": ("surface", [], {"surface_samples": 20}, cli.EXIT_OK),
     "surface_h": ("surface", [], {"polarization": "H", "surface_samples": 200}, cli.EXIT_OK),
     "bandwidth": ("bandwidth", [], {}, cli.EXIT_OK),
+    # overdamped: the sweeps fall back to 0.1 x the resonance and the surfaces to one detuning
+    "response_overdamped": ("response", [], {"gamma_inv_ns": 0.3}, cli.EXIT_OK),
+    "phase_diagram_overdamped": ("phase-diagram", [], {"gamma_inv_ns": 0.3}, cli.EXIT_OK),
+    "surface_overdamped": ("surface", [], {"gamma_inv_ns": 0.3}, cli.EXIT_OK),
     # overdamped for the 4W cylinder only (tau_c 0.518 ns), and a narrow mu1 window
     "bandwidth_overdamped_4w": ("bandwidth", [], {"gamma_inv_ns": 0.4}, cli.EXIT_OK),
     "bandwidth_half_width_0.01": ("bandwidth", [], {"half_width_nm": 0.01}, cli.EXIT_OK),
@@ -153,6 +157,24 @@ GOLDEN = {
     ("bandwidth", "json"): (
         "19553dc68128fc29506612404b4942bee0c7b1da56c1f2497da738a2e2dce028",
         "5d589f46088c96a29a787d86916862dfb79c9c623e36e23810179620d4b2fec6"),
+    ("response_overdamped", "csv"): (
+        "b4488565cd5af410caba029ff11c759f3792c912cbbc2cf42df48268e5d8a133",
+        "723b3b1645ae02b87da7005673bb0989b56864bd00cd80e979739b6eb7dd203e"),
+    ("response_overdamped", "json"): (
+        "75283a02ba1c736d4daa5946870d95e2c7a589646e94c269919570660c540fe2",
+        "5797d8a76aedc4f33a39b99aa55228677af42a3cb10ba5489a4eeb7ae0659c29"),
+    ("phase_diagram_overdamped", "csv"): (
+        "e3393f8247ab648f1b4adc9178d0e31a49624ff66af3ffa0220f9c29f8a8ca4f",
+        "6760cbee6d0333c51f7eb105b2f8e9b1423e0ef13f082fb69d1931ecfd45d80b"),
+    ("phase_diagram_overdamped", "json"): (
+        "a6194aa8b0ffdd32bdbc5bd81b8049bdf1276e31718e692ac5015b4e8816ca7b",
+        "2955299b203403105838cea1c1d7312c5a6b18f86502d2da4afeb231e88951e9"),
+    ("surface_overdamped", "csv"): (
+        "0cd722c6a483d5fcf1ba0f865e185047e0ee8344936cbe52c6384926af63521b",
+        "a466151b2e2058f7503c299ee258f1bc149fa824d100f7ce39492f6f4f37c0fe"),
+    ("surface_overdamped", "json"): (
+        "62313adf068d610d054518815dffa9f3258b9f9eea9f4f9496f065489d95cd7e",
+        "b9f226d55e051179ac85f5747f52e8b0878a7a9f0fbd454c75268fa8a4692e83"),
     ("bandwidth_overdamped_4w", "csv"): (
         "de3267d746b9804f11f98affba8bb550485b084fb8b6382411ecc4d05b3e71f7",
         "7624522a84b72a317a2f386c9a0e27ace34d4b6fa390492f19382196e91cd12d"),
