@@ -18,10 +18,9 @@ from mobius_optics.ring import RingParams
 
 cfg = MediumConfig(RingParams(12))
 res = cfg.resonance
-delta0, bw = res.delta0, res.bandwidth
 
 theta = np.linspace(0.0, math.radians(89.0), 31)
-omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 61)
+omega = res.sweep(10, 61)   # Delta_0 +- 10 bandwidths
 
 char = {int(Classification.LH): "L", int(Classification.RH): "R",
         int(Classification.TR): "T", int(Classification.MASKED): "."}

@@ -18,11 +18,12 @@ from mobius_optics.response import MediumConfig, response_tensors
 from mobius_optics.ring import RingParams
 
 cfg = MediumConfig(RingParams(12))
-delta0, zeros = cfg.resonance.delta0, cfg.resonance.mu1_zeros
+res = cfg.resonance
+delta0, zeros = res.delta0, res.mu1_zeros
 
 cases = [
     ("far below resonance", 0.5 * delta0),
-    ("inside the mu1 < 0 window", delta0 + 0.5 * (zeros[0] + zeros[1])),
+    ("inside the mu1 < 0 window", res.window[1]),
     ("just past the window", delta0 + 2.5 * zeros[1]),
     ("far above resonance", 1.5 * delta0),
 ]

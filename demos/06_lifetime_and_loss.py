@@ -8,8 +8,6 @@ incidence shows the same window (endpoints shift by a few percent of B),
 and an excited state shorter-lived than tau_c extinguishes it entirely.
 """
 
-import numpy as np
-
 from mobius_optics.refraction import lossy_lh_window
 from mobius_optics.response import MediumConfig
 from mobius_optics.ring import RingParams, VolumeConvention
@@ -22,8 +20,8 @@ for conv in (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W):
 print()
 
 res = MediumConfig(base).resonance
-delta0, bw, zeros, tau_c = res.delta0, res.bandwidth, res.mu1_zeros, res.critical_lifetime
-grid = np.linspace(delta0 - 2 * bw, delta0 + 2 * bw, 1500)
+delta0, zeros, tau_c = res.delta0, res.mu1_zeros, res.critical_lifetime
+grid = res.sweep(2, 1500)   # Delta_0 +- 2 bandwidths
 
 print("lifetime sweep (normal incidence, complex response kept):")
 print("  tau/tau_c   B_lossless (rad/s)   left-handed window (detunings, rad/s)")

@@ -5,7 +5,7 @@ molecule from its Hamiltonian to a full optical-medium description:
 
 * ``ring``        band structure, eigenstates, geometry
 * ``dipole``      closed-form electric and magnetic transition dipoles
-* ``response``    ``MediumConfig.resonance`` (Delta_0, eta(omega), bandwidth),
+* ``response``    ``MediumConfig.resonance`` (Delta_0, eta(omega), the mu1 window, sweeps),
                   permittivity/permeability tensors
 * ``refraction``  left-handed classification, causal roots, Poynting vectors
 * ``bruteforce``  dense numerical reference used to validate the closed forms

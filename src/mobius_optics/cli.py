@@ -171,6 +171,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         val = cfg[key]
         _expect(isinstance(val, int) and not isinstance(val, bool),
                 f"{key} must be an integer")
+        _expect(_finite(val), f"{key} must be finite")
         _expect(val >= minimum, f"{key} must be >= {minimum}")
         return val
 

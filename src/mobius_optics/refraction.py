@@ -240,11 +240,9 @@ def phase_diagram(config: MediumConfig, pol: Polarization,
         raise ValueError("theta and omega grids must be strictly increasing")
     lossless = replace(config, lossy=False)
     res = lossless.resonance
-    bw, zeros = res.bandwidth, res.mu1_zeros
-    if bw > 0.0 and omega.size > 1 and zeros is not None:
-        spacing = np.diff(omega).max()
-        lo, hi = res.delta0 + zeros[0], res.delta0 + zeros[1]
-        if spacing > bw / 2.0 and omega[0] < hi and omega[-1] > lo:
+    if res.window is not None and omega.size > 1:
+        spacing, bw = np.diff(omega).max(), res.bandwidth
+        if spacing > bw / 2.0 and omega[0] < res.window[2] and omega[-1] > res.window[0]:
             warnings.warn(
                 f"omega grid spacing {spacing:.3e} rad/s cannot resolve the "
                 f"negative-permeability window (width {bw:.3e}); a spacing "

@@ -23,8 +23,9 @@ eta replaces it entrywise.  The yz blocks have exact eigenvalue pairs
 {1, 1 - 5 eta'} and {1, 1 - (a^2 + 4 b^2) eta'}; the second members are the
 principal values eps1 and mu1 whose zero crossings bound the negative
 windows.  ``MediumConfig.resonance`` holds Delta_0, gamma, the volume, the
-eta prefactor and (a, b), derived once per config; the window's width, its
-edges and the critical lifetime are read from it.  ``response_tensors`` is
+eta prefactor and (a, b), derived once per config; the mu1 < 0 window in rad/s
+(``window``), its width, the sweeps over Delta_0 +- k bandwidths (``sweep``)
+and the critical lifetime are read from it.  ``response_tensors`` is
 the one place the tensor entries are written: it takes a scalar omega or an
 array of them and returns both tensors with eps1, mu1 and the
 near-resonance flag.  Both tensors follow from the Green-Kubo dipole sums
@@ -49,6 +50,11 @@ from .ring import BANDS, Band, RingParams, VolumeConvention, band_energies, labe
 
 # lossless-mode near-resonance mask half width, in units of gamma
 NEAR_RESONANCE_FACTOR = 1e-3
+
+# reasons ``Resonance.sweep`` gives no grid
+OVERDAMPED = "overdamped: no mu1 window"
+NONPOSITIVE_SWEEP = "frequency sweep would reach omega <= 0"
+REPEATED_SWEEP = "frequency sweep repeats values: the band is below float resolution"
 
 
 class ResonanceSingularityError(ZeroDivisionError):
@@ -132,13 +138,6 @@ class Resonance:
         return complex(value) if value.ndim == 0 else value
 
     @property
-    def _mu1_window(self) -> tuple[float, float]:
-        """(pref, pref^2 - 4 gamma^2): the oscillator strength of the mu1 = 0 roots
-        and the radicand of their separation, positive when the window is open."""
-        pref = (self.alpha**2 + 4.0 * self.beta**2) * self.prefactor
-        return pref, pref**2 - 4.0 * self.gamma**2
-
-    @property
     def bandwidth(self) -> float:
         """Width of the mu1 < 0 window in rad/s; 0 when overdamped.
 
@@ -147,17 +146,35 @@ class Resonance:
 
             B = sqrt( [e^2 (a^2 + 4 b^2) W^2 / (8 eps0 v0 hbar)]^2 - 4 gamma^2 ).
         """
-        radicand = self._mu1_window[1]
+        radicand = ((self.alpha**2 + 4.0 * self.beta**2) * self.prefactor)**2 - 4.0 * self.gamma**2
         return math.sqrt(radicand) if radicand > 0.0 else 0.0
 
     @property
     def mu1_zeros(self) -> tuple[float, float] | None:
         """Detunings (from resonance) of the two mu1 zeros, or None if overdamped."""
-        pref, radicand = self._mu1_window
-        if radicand <= 0.0:
+        root = self.bandwidth
+        if root == 0.0:
             return None
-        root = math.sqrt(radicand)
+        pref = (self.alpha**2 + 4.0 * self.beta**2) * self.prefactor
         return (0.5 * (pref - root), 0.5 * (pref + root))
+
+    @property
+    def window(self) -> tuple[float, float, float] | None:
+        """(low, middle, high) of the mu1 < 0 window in rad/s, or None if overdamped."""
+        zeros = self.mu1_zeros
+        return None if zeros is None else (
+            self.delta0 + zeros[0], self.delta0 + 0.5 * (zeros[0] + zeros[1]), self.delta0 + zeros[1])
+
+    def sweep(self, half_span: float, count: int) -> np.ndarray | str:
+        """count frequencies over Delta_0 +- half_span bandwidths (rad/s), or the
+        reason there is no such grid: OVERDAMPED, NONPOSITIVE_SWEEP or REPEATED_SWEEP."""
+        bw = self.bandwidth
+        if bw == 0.0:
+            return OVERDAMPED
+        if self.delta0 - half_span * bw <= 0.0:
+            return NONPOSITIVE_SWEEP
+        grid = np.linspace(self.delta0 - half_span * bw, self.delta0 + half_span * bw, count)
+        return REPEATED_SWEEP if (np.diff(grid) <= 0.0).any() else grid
 
     @property
     def critical_lifetime(self) -> float:

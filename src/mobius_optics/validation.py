@@ -47,6 +47,7 @@ from . import dipole as dp
 from . import refraction as rf
 from . import response as rs
 from .constants import E_CHARGE, EV, HBAR, angular_frequency_to_ev
+from .response import NONPOSITIVE_SWEEP, OVERDAMPED, REPEATED_SWEEP
 from .ring import (
     RingParams,
     Topology,
@@ -64,13 +65,10 @@ RTOL = 4.0 * sys.float_info.epsilon
 
 # reasons a check has no value, each the note of its failed row
 NO_ROOT = "no root found in the bracket"
-NONPOSITIVE_SWEEP = "frequency sweep would reach omega <= 0"
-REPEATED_SWEEP = "frequency sweep repeats values: the band is below float resolution"
 NO_SURFACE = "the wave-vector surface has no points"
 NO_TANGENT = "finite-difference stencil leaves the causal branch or the energy flow is not finite"
 OVERFLOW = "squared elements overflow the float range"
 UNDERFLOW = "every numeric element underflows to 0"
-OVERDAMPED = "overdamped: no mu1 window"
 NO_LH_BAND = "no LH cells in the E diagram"
 NO_DOMINANT_ENTRY = "no tensor entry above 1 in magnitude to compare"
 NO_LOSSY_LH = "no LH cell at normal incidence in the lossy sweep"
@@ -352,12 +350,12 @@ def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
 def response_checks(params: RingParams) -> dict:
     cfg = rs.MediumConfig(params)
     res = cfg.resonance
-    delta0, bw, zeros = res.delta0, res.bandwidth, res.mu1_zeros
-    if zeros is None:
+    delta0, bw, zeros, window = res.delta0, res.bandwidth, res.mu1_zeros, res.window
+    if window is None:
         bandwidth_dev = simultaneous = OVERDAMPED
     else:
         f = lambda om: rs.response_tensors(cfg, om).mu1
-        mid = delta0 + 0.5 * (zeros[0] + zeros[1])
+        mid = window[1]
         lo = _brentq(f, delta0 + 0.2 * zeros[0], mid, xtol=1e-3)
         hi = _brentq(f, mid, delta0 + 2.0 * zeros[1], xtol=1e-3)
         bandwidth_dev = NO_ROOT if lo is None or hi is None else abs((hi - lo) - bw) / bw
@@ -385,7 +383,7 @@ def response_checks(params: RingParams) -> dict:
 
     om_corr = eta_crossing(0.3)
     om_unc = eta_crossing(0.2)
-    if zeros is not None:
+    if window is not None:
         overlap = int(t_mid.eps1 < 0.0 and corrected_principal(mid) < 0.0)
     elif om_corr is None or om_unc is None:
         overlap = NO_ROOT
@@ -409,14 +407,10 @@ def response_checks(params: RingParams) -> dict:
 def refraction_checks(params: RingParams) -> dict:
     cfg = rs.MediumConfig(params)
     res = cfg.resonance
-    delta0, bw, zeros = res.delta0, res.bandwidth, res.mu1_zeros
-    omega = np.linspace(delta0 - 10 * bw, delta0 + 10 * bw, 512)
-    if zeros is None:
-        lh_e = lh_h = bounded = contiguous = OVERDAMPED
-    elif delta0 - 10 * bw <= 0.0:
-        lh_e = lh_h = bounded = contiguous = NONPOSITIVE_SWEEP
-    elif (np.diff(omega) <= 0.0).any():
-        lh_e = lh_h = bounded = contiguous = REPEATED_SWEEP
+    delta0, bw, zeros, window = res.delta0, res.bandwidth, res.mu1_zeros, res.window
+    omega = res.sweep(10, 512)
+    if isinstance(omega, str):
+        lh_e = lh_h = bounded = contiguous = omega
     else:
         theta = np.linspace(0.0, math.radians(89.0), 128)
         pd_e = rf.phase_diagram(cfg, rf.Polarization.E, theta, omega)
@@ -424,8 +418,8 @@ def refraction_checks(params: RingParams) -> dict:
         lh_h = rf.phase_diagram(cfg, rf.Polarization.H, theta, omega).count(rf.Classification.LH)
         lh_rows = np.where((pd_e.codes == int(rf.Classification.LH)).any(axis=0))[0]
         if lh_rows.size:
-            lo_err = abs(omega[lh_rows[0]] - (delta0 + zeros[0]))
-            hi_err = abs(omega[lh_rows[-1]] - (delta0 + zeros[1]))
+            lo_err = abs(omega[lh_rows[0]] - window[0])
+            hi_err = abs(omega[lh_rows[-1]] - window[2])
             bounded = float(np.maximum(lo_err, hi_err)), float(omega[1] - omega[0])
             contiguous = int(np.array_equal(lh_rows, np.arange(lh_rows[0], lh_rows[-1] + 1)))
         else:
@@ -438,29 +432,28 @@ def refraction_checks(params: RingParams) -> dict:
     h = t_low.eta.real
     circle = np.abs(np.float_power(sr.n_ty, 2) + np.float_power(sr.n_tz, 2) - (1.0 - h))
     circle = np.max(circle) if circle.size else NO_SURFACE
-    if zeros is None:
-        hyperbola = normal = shift = overdamped = OVERDAMPED
+    if window is None:
+        hyperbola = normal = OVERDAMPED
     else:
-        mid = delta0 + 0.5 * (zeros[0] + zeros[1])
-        t_mid = rs.response_tensors(cfg, mid)
+        t_mid = rs.response_tensors(cfg, window[1])
         sr2 = rf.wave_vector_surface(t_mid, rf.Polarization.E, 200)
         hyperbola = rf.rotated_conic_residual(t_mid, rf.Polarization.E, sr2.n_ty, sr2.n_tz)
         hyperbola = np.max(hyperbola) if hyperbola.size else NO_SURFACE
         normal = np.concatenate([
-            rf.surface_normal_check(t, rf.Polarization.E, res.n_ty, res.n_tz)
-            for t, res in ((t_low, sr), (t_mid, sr2))])
+            rf.surface_normal_check(t, rf.Polarization.E, surf.n_ty, surf.n_tz)
+            for t, surf in ((t_low, sr), (t_mid, sr2))])
         normal = (NO_TANGENT if np.isnan(normal).any()
                   else np.max(normal) if normal.size else NO_SURFACE)
-        if delta0 - 2 * bw <= 0.0:
-            shift = overdamped = NONPOSITIVE_SWEEP
-        else:
-            grid = np.linspace(delta0 - 2 * bw, delta0 + 2 * bw, 2000)
-            win = rf.lossy_lh_window(cfg, grid)
-            shift = NO_LOSSY_LH if win is None else float(np.maximum(
-                abs((win[0] - delta0) - zeros[0]), abs((win[1] - delta0) - zeros[1])) / bw)
-            tau_c = res.critical_lifetime
-            cfg_over = rs.MediumConfig(replace(params, decay_rate=1.0 / (0.8 * tau_c)))
-            overdamped = int(rf.lossy_lh_window(cfg_over, grid) is None)
+    grid = res.sweep(2, 2000)
+    if isinstance(grid, str):
+        shift = overdamped = grid
+    else:
+        win = rf.lossy_lh_window(cfg, grid)
+        shift = NO_LOSSY_LH if win is None else float(np.maximum(
+            abs((win[0] - delta0) - zeros[0]), abs((win[1] - delta0) - zeros[1])) / bw)
+        tau_c = res.critical_lifetime
+        cfg_over = rs.MediumConfig(replace(params, decay_rate=1.0 / (0.8 * tau_c)))
+        overdamped = int(rf.lossy_lh_window(cfg_over, grid) is None)
     return {
         "phase_diagram_E_has_lh_band": lh_e,
         "phase_diagram_H_no_lh": lh_h,

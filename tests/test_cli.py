@@ -69,6 +69,12 @@ def test_malformed_json_rejected():
     ('{"omega_span_rad_s": Infinity}', "omega_span_rad_s must be finite"),
     pytest.param('{"radius_nm": 1%s}' % ("0" * 400), "radius_nm must be finite",
                  id="radius_nm-int-beyond-float-range"),
+    # integer keys beyond the float range: float(N) overflows, numpy refuses the grid sizes
+    *(pytest.param('{"%s": 1%s}' % (key, "0" * 400), f"{name} must be finite",
+                   id=f"{key}-int-beyond-float-range")
+      for key, name in (("N", "n_per_ring"), ("theta_count", "theta_count"),
+                        ("omega_count", "omega_count"), ("surface_samples", "surface_samples"))),
+    ('{"volume_convention": "sphere"}', "volume_convention must be cylinder_4w or cylinder_2w"),
     ('{"surface_detunings_ev": [NaN]}', "surface_detunings_ev must be finite"),
     ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
     ('{"half_width_nm": 1e-300}', "half_width_nm .* finite molecular volume > 0"),
@@ -497,17 +503,19 @@ MAGNETIC_ROWS = ("magnetic_table_vs_numeric", "magnetic_dyads_vs_dense_eigenvect
                  "magnetic_block_calibration", "commutator_vs_bond_current")
 PHASE_DIAGRAM_ROWS = ("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
                       "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
+LOSSY_SWEEP_ROWS = ("lossy_window_shift", "overdamped_window_empty")
 
 
 @pytest.mark.parametrize("config,failed_notes", [
     # the dense checks' radius N W / pi leaves every numeric magnetic element 0
     ({"half_width_nm": 1e-150, "radius_nm": 1e30},
      dict.fromkeys(MAGNETIC_ROWS, validation.UNDERFLOW)),
-    # 20 bandwidths are below the float spacing at the resonance: the sweep repeats values
+    # 20 bandwidths, and the 4 of the lossy sweep, are below the float spacing at the
+    # resonance: both sweeps repeat values
     ({"v_inter_ev": 1e30, "half_width_nm": 1e-60},
-     dict.fromkeys(PHASE_DIAGRAM_ROWS, validation.REPEATED_SWEEP)),
+     dict.fromkeys(PHASE_DIAGRAM_ROWS + LOSSY_SWEEP_ROWS, validation.REPEATED_SWEEP)),
     ({"half_width_nm": 1e-60, "gamma_inv_ns": 1e60},
-     dict.fromkeys(PHASE_DIAGRAM_ROWS, validation.REPEATED_SWEEP)),
+     dict.fromkeys(PHASE_DIAGRAM_ROWS + LOSSY_SWEEP_ROWS, validation.REPEATED_SWEEP)),
 ])
 def test_validate_reports_checks_beyond_float_range_as_failed(tmp_path, config, failed_notes):
     code, rows = _validate_rows(tmp_path, config)

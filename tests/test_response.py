@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.optimize import brentq
 
 from mobius_optics import dipole as dp
 from mobius_optics import response as rs
-from mobius_optics.constants import EPSILON_0, EV, HBAR
+from mobius_optics import validation
+from mobius_optics.constants import EPSILON_0, EV, HBAR, NM
 from mobius_optics.dipole import DipoleKind
 from mobius_optics.ring import BANDS, Band, RingParams, VolumeConvention, label_axes
 from mobius_optics.validation import validation_report
@@ -281,6 +283,81 @@ def test_resonance_frequency_is_the_lowest_up_line_of_the_full_spectrum(n, v, xi
     lowest_up = np.flatnonzero((band == BANDS.index(Band.UP)) & (ell == 0))[0]
     expected = rs._excited_frequencies(ring)[lowest_up - 1]   # the ground state is not excited
     assert np.array_equal(_bits(rs.resonance_frequency(rs.MediumConfig(ring))), _bits(expected))
+
+
+def _hand_built_window(res):
+    """The bandwidth, the mu1 zeros and the window in the expressions callers wrote by hand."""
+    pref = (res.alpha**2 + 4.0 * res.beta**2) * res.prefactor
+    radicand = pref**2 - 4.0 * res.gamma**2
+    if radicand <= 0.0:
+        return 0.0, None, None
+    root = math.sqrt(radicand)
+    zeros = (0.5 * (pref - root), 0.5 * (pref + root))
+    delta0 = res.delta0
+    return root, zeros, (delta0 + zeros[0], delta0 + 0.5 * (zeros[0] + zeros[1]), delta0 + zeros[1])
+
+
+@st.composite
+def _rings(draw):
+    """Random rings, overdamped ones and ones within a few ulps to 1e-3 of critical damping."""
+    ring = RingParams(draw(st.integers(3, 400)), v_inter=draw(_energy_ev),
+                      xi_intra=draw(_energy_ev),
+                      half_width=draw(st.floats(1e-3, 1e3)) * NM,
+                      decay_rate=1.0 / (draw(st.floats(1e-2, 1e2)) * 1e-9))
+    res = rs.MediumConfig(ring).resonance
+    critical = 0.5 * (res.alpha**2 + 4.0 * res.beta**2) * res.prefactor
+    regime = draw(st.sampled_from(("random", "overdamped", "near_critical")))
+    if regime == "overdamped":
+        ring = replace(ring, decay_rate=critical * draw(st.floats(1.0, 1e3)))
+    elif regime == "near_critical":
+        ring = replace(ring, decay_rate=critical * (1.0 - draw(st.floats(1e-16, 1e-3))))
+    return ring
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring=_rings(), half_span=st.sampled_from((2, 10)), count=st.integers(2, 600))
+def test_window_and_sweep_keep_the_bits_of_the_hand_built_expressions(ring, half_span, count):
+    res = rs.MediumConfig(ring).resonance
+    bandwidth, zeros, window = _hand_built_window(res)
+    assert (res.bandwidth, res.mu1_zeros, res.window) == (bandwidth, zeros, window)
+    assert np.array_equal(_bits(res.bandwidth), _bits(bandwidth))
+    grid = res.sweep(half_span, count)
+    if window is None:
+        assert res.window is None and grid == rs.OVERDAMPED
+        return
+    assert np.array_equal(_bits(res.window), _bits(window))
+    assert res.delta0 <= res.window[0] <= res.window[1] <= res.window[2]
+    expected = np.linspace(res.delta0 - half_span * bandwidth,
+                           res.delta0 + half_span * bandwidth, count)
+    if res.delta0 - half_span * bandwidth <= 0.0:
+        assert grid == rs.NONPOSITIVE_SWEEP
+    elif (np.diff(expected) <= 0.0).any():
+        assert grid == rs.REPEATED_SWEEP
+    else:
+        assert np.array_equal(_bits(grid), _bits(expected))
+
+
+@pytest.mark.parametrize("ring,reasons", [
+    (RingParams(12, decay_rate=1.0 / 0.3e-9), (rs.OVERDAMPED, rs.OVERDAMPED)),
+    # 10 bandwidths reach below omega = 0; 2 do not
+    (RingParams(12, half_width=1e5 * NM), (rs.NONPOSITIVE_SWEEP, None)),
+    # both sweeps span less than the float spacing at the resonance
+    (RingParams(12, v_inter=1e30, half_width=1e-60 * NM), (rs.REPEATED_SWEEP,) * 2),
+    (RingParams(12, half_width=1e-60 * NM, decay_rate=1.0 / 1e51), (rs.REPEATED_SWEEP,) * 2),
+])
+def test_sweep_gives_the_reason_there_is_no_grid(ring, reasons):
+    res = rs.MediumConfig(ring).resonance
+    for (half_span, count), reason in zip(((10, 512), (2, 2000)), reasons):
+        grid = res.sweep(half_span, count)
+        if reason is None:
+            assert grid.shape == (count,) and (np.diff(grid) > 0.0).all()
+        else:
+            assert grid == reason
+
+
+def test_validation_reads_the_sweep_reasons_of_response():
+    for name in ("OVERDAMPED", "NONPOSITIVE_SWEEP", "REPEATED_SWEEP"):
+        assert getattr(validation, name) is getattr(rs, name)
 
 
 def test_a_validation_report_derives_one_resonance_per_config(monkeypatch):
