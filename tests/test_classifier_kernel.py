@@ -39,6 +39,9 @@ WIDE = np.linspace(0.2 * DELTA0, 1.8 * DELTA0, 257)
 # around resonance: the mu1 < 0 window, its LH band and masked columns
 NARROW = np.unique(np.concatenate([np.linspace(DELTA0 - 3 * BW, DELTA0 + 3 * BW, 121),
                                    DELTA0 + np.array([-1e5, 0.0, 1e5])]))
+# the H-polarized LH sliver of the default molecule, where lim sits inside (0, 1)
+# and d < 0 at every column, so nearly every theta row of a grid is distinct
+SLIVER = DELTA0 + np.linspace(0.926869, 0.926876, 257) * BW
 
 
 def _entries(tensors, pol):
@@ -201,7 +204,7 @@ def _exact_lim_thetas(pol, omega, columns=12):
 @pytest.mark.filterwarnings("ignore:omega grid spacing")   # the wide grid
 @pytest.mark.parametrize("pol", (E, H))
 @pytest.mark.parametrize("kind", THETA_KINDS)
-@pytest.mark.parametrize("omega", (WIDE, NARROW), ids=("wide", "narrow"))
+@pytest.mark.parametrize("omega", (WIDE, NARROW, SLIVER), ids=("wide", "narrow", "sliver"))
 def test_phase_diagram_matches_rule_cell_by_cell(omega, kind, pol):
     theta = _theta_grid(kind, 96)
     got = rf.phase_diagram(CFG, pol, theta, omega).codes
@@ -209,6 +212,19 @@ def test_phase_diagram_matches_rule_cell_by_cell(omega, kind, pol):
     np.testing.assert_array_equal(got, _grid_oracle(pol, theta, omega))
     if omega is NARROW:
         assert (got == MASKED).any() and (pol is H or (got == LH).any())
+    if omega is SLIVER:
+        assert (got == LH).any()
+
+
+def test_cell_by_cell_grids_lie_on_both_sides_of_the_half_rule():
+    # _propagation builds each distinct theta row once and gathers the grid
+    # from them unless more than half the rows are distinct; the sliver
+    # grids above reach the direct path and the gather path at its edge
+    def distinct(kind):
+        return np.unique(_grid_oracle(H, _theta_grid(kind, 96), SLIVER), axis=0).shape[0]
+
+    assert distinct("quadrant") > 48
+    assert distinct("plus_minus") == 48
 
 
 @pytest.mark.filterwarnings("ignore:omega grid spacing")
