@@ -497,6 +497,7 @@ def _table(**columns) -> np.ndarray:
 _BAND_NAMES = np.array([b.value for b in BANDS])
 _CODES = np.arange(-1, 3, dtype=np.int8)   # the order of a BlockedTable's tail rows
 _CODE_LABELS = np.array(["LH", "TR", "RH", "masked"])
+_LOSSLESS_NOTE = {False: "", True: "; lossy ignored: the lossless response was used"}
 
 
 def _cmd_spectrum(config: RunConfig):
@@ -578,7 +579,7 @@ def _cmd_phase_diagram(config: RunConfig):
     n_lh, n_tr, n_rh, n_masked = (np.count_nonzero(diagram.codes == c) for c in _CODES)
     summary = (f"phase-diagram {config.polarization.value}: "
                f"LH cells {n_lh}, RH cells {n_rh}, TR cells {n_tr}, masked {n_masked} "
-               "(codes: LH=-1, RH=+1, TR=0, masked=2)")
+               "(codes: LH=-1, RH=+1, TR=0, masked=2)" + _LOSSLESS_NOTE[config.lossy])
     return table, summary, EXIT_OK
 
 
@@ -618,7 +619,7 @@ def _cmd_surface(config: RunConfig):
     )
     conics = [f"{det_ev:+.4g} eV -> {surf.conic.value}"
               for det_ev, surf in zip(detunings, surfaces)]
-    summary = "surface: " + "; ".join(conics)
+    summary = "surface: " + "; ".join(conics) + _LOSSLESS_NOTE[config.lossy]
     return table, summary, EXIT_OK
 
 

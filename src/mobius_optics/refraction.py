@@ -31,12 +31,16 @@ and the code of a propagating cell.
 One kernel applies these rules: it ranks the sin^2 theta values once and
 finds, per frequency, the threshold rank that lim splits them at
 (``searchsorted``), so a cell is one comparison of small integers, its rank
-against that threshold.  ``phase_diagram`` runs it over a grid,
-``classify`` on one cell and ``lossy_lh_window``, the lossy
-normal-incidence path, on the lossless limit of each frequency.  On a
-propagating cell ``classify`` also reports the causal k_tz, from the
-solver of the wave-vector surfaces (``_causal_n_tz``), and its Poynting
-direction (``_poynting``).
+against that threshold.  Rows that no threshold separates are equal, and
+thresholds split the rows only where lim lies inside [0, 1], a narrow band
+of frequencies, so each distinct row is built once and the grid gathered
+from them, unless more than half the rows are distinct (then every row is
+built, which keeps the scratch under half the grid).  ``phase_diagram``
+runs the kernel over a grid, ``classify`` on one cell and
+``lossy_lh_window``, the lossy normal-incidence path, on the lossless limit
+of each frequency.  On a propagating cell ``classify`` also reports the
+causal k_tz, from the solver of the wave-vector surfaces
+(``_causal_n_tz``), and its Poynting direction (``_poynting``).
 """
 
 from __future__ import annotations
@@ -144,9 +148,12 @@ def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked
     where ``masked`` is true read MASKED.  The n values of sin^2 theta are
     ranked once; per frequency ``searchsorted`` gives a threshold index t
     with the propagating rows at rank < t where d > 0 and at rank >= t
-    where d < 0 (t = n on a masked column).  The grid is then three int8
-    passes: rank < t, times -code on the d < 0 columns and code on the
-    others, plus code on the d < 0 columns.
+    where d < 0 (t = n on a masked column).  Rows whose ranks no t
+    separates are equal: one row is built per distinct level (the count of
+    t at or below the rank) and the grid is one row gather, unless there is
+    one row or more than half are distinct, when all are built.  A row is
+    three int8 passes: rank < t, times -code on the d < 0 columns and code
+    on the others, plus code on the d < 0 columns.
     """
     lim, above, code = _boundary(tensors, pol)
     sin2 = np.asarray(sin2_theta, dtype=float)
@@ -162,11 +169,17 @@ def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked
     ranked = sin2[order]
     t = np.where(above, ranked.searchsorted(lim, "right"), ranked.searchsorted(lim, "left"))
     t = np.where(masked, n, t).astype(rank.dtype)
-    codes = np.empty((n, lim.size), np.int8)
-    np.less(rank[:, None], t, out=codes.view(bool))
+    first, row = slice(None), None   # one row or most rows distinct: build them all
+    if n > 1:   # rows no t separates are equal (np.sort: a bare np.unique imports numpy.ma)
+        level = np.sort(t).searchsorted(rank, "right")
+        _, index, inverse = np.unique(level, return_index=True, return_inverse=True)
+        if 2 * index.size <= n:
+            first, row = index, inverse
+    codes = np.empty((rank[first].size, lim.size), np.int8)
+    np.less(rank[first, None], t, out=codes.view(bool))
     codes *= np.where(above, -code, code)
     codes += np.where(above, code, np.int8(0))
-    return codes.reshape(shape)
+    return (codes if row is None else codes.take(row, axis=0)).reshape(shape)
 
 
 def _poynting(tensors, pol, k_iy, k_tz):

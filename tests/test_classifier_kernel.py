@@ -39,8 +39,8 @@ WIDE = np.linspace(0.2 * DELTA0, 1.8 * DELTA0, 257)
 # around resonance: the mu1 < 0 window, its LH band and masked columns
 NARROW = np.unique(np.concatenate([np.linspace(DELTA0 - 3 * BW, DELTA0 + 3 * BW, 121),
                                    DELTA0 + np.array([-1e5, 0.0, 1e5])]))
-# the H-polarized LH sliver of the default molecule, where lim sits inside (0, 1)
-# and d < 0 at every column, so nearly every theta row of a grid is distinct
+# the H-polarized LH sliver of the default molecule: d < 0 at every column and
+# lim sweeps across [0, 1], so nearly every theta row of a grid is distinct
 SLIVER = DELTA0 + np.linspace(0.926869, 0.926876, 257) * BW
 
 

@@ -277,6 +277,25 @@ def test_surface_command_reports_conics(tmp_path, capsys):
     assert "circle" in out and "hyperbola" in out
 
 
+@pytest.mark.parametrize("command,extra", (
+    ("phase-diagram", {"theta_count": 16, "omega_count": 64}),
+    ("surface", {"surface_samples": 40}),
+))
+def test_lossy_is_noted_and_leaves_the_file_alone(tmp_path, capsys, command, extra):
+    # both commands use the lossless response whatever lossy says
+    path, blobs, outs = tmp_path / "out.csv", [], []
+    for lossy in (False, True):
+        cfg = cli.parse_config(json.dumps(
+            {**extra, "lossy": lossy, "output_path": str(path)}).encode())
+        assert cli.run_command(command, cfg) == 0
+        blobs.append(path.read_bytes())
+        outs.append(capsys.readouterr().out)
+    assert blobs[0] == blobs[1]
+    note = "; lossy ignored: the lossless response was used"
+    assert note not in outs[0]
+    assert outs[1] == outs[0].replace("\n", note + "\n", 1)   # the summary is the first line
+
+
 def test_surface_command_writes_only_the_header_when_no_surface_has_points(tmp_path, capsys):
     path = tmp_path / "s.csv"
     cfg = cli.parse_config(json.dumps({
