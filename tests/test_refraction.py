@@ -240,18 +240,21 @@ def test_phase_diagram_rejects_grids_that_do_not_increase(theta, omega):
         rf.phase_diagram(CFG, E, np.array(theta), np.array(omega))
 
 
+_QUADRANT = np.linspace(0.0, math.radians(89.0), 512)
 _HALF = np.linspace(0.05, 1.5, 256)
+_SLIVER = DELTA0 + np.linspace(0.926869, 0.926876, 4096) * BW
 
 
 @pytest.mark.parametrize("pol,theta,omega", (
     # one distinct theta row
-    (E, np.linspace(0.0, math.radians(89.0), 512),
-     np.linspace(DELTA0 - 10 * BW, DELTA0 + 10 * BW, 4096)),
+    (E, _QUADRANT, np.linspace(DELTA0 - 10 * BW, DELTA0 + 10 * BW, 4096)),
     # the H LH sliver on +-theta: half the rows distinct, the most that
     # _propagation builds apart before it gathers the grid from them
-    (H, np.concatenate([-_HALF[::-1], _HALF]),
-     DELTA0 + np.linspace(0.926869, 0.926876, 4096) * BW),
-), ids=("one_row", "sliver"))
+    (H, np.concatenate([-_HALF[::-1], _HALF]), _SLIVER),
+    # the sliver on theta in [0, 89 deg]: 500 of 512 rows distinct, where a
+    # gather beside the distinct rows would pass 2 B/cell; every row is built
+    (H, _QUADRANT, _SLIVER),
+), ids=("one_row", "sliver", "sliver_most_distinct"))
 def test_phase_diagram_allocates_less_than_one_float_grid(pol, theta, omega):
     # 512 x 4096 cells: one float64 temporary of the grid alone is 8 B/cell,
     # one bool temporary beside the int8 codes 2 B/cell
