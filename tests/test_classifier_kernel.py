@@ -123,8 +123,17 @@ EDGE_ROWS = [
     (-0.7, 0.4, 1.3, -0.8), (-0.7, 0.4, 1.3, 0.6), (1.4, -0.2, 0.8, 1.7), (1.4, -0.2, 0.8, -1.7),
     (2.0, 0.0, 0.5, -1.5), (-2.0, 0.0, 0.5, 3.0), (0.3, 0.1, -0.4, -1.2),
 ]
+# lims whose float neighbours are grid values too: the float below, the lim
+# itself and the two floats above, those that lie in [0, 1]
+ONE_BELOW = float(np.nextafter(1.0, 0.0))
+ULP_LIMS = (0.0, -0.0, 5e-324, 0.25, 1.0, ONE_BELOW)
+SIN2_ULPS = np.sort([s for lim in ULP_LIMS
+                     for s in (np.nextafter(lim, -1.0), lim, np.nextafter(lim, 2.0),
+                               np.nextafter(np.nextafter(lim, 2.0), 2.0))
+                     if 0.0 <= s <= 1.0])
+
 # lim = t_zz x equal to a grid value, for d > 0 and d < 0 and either sign of x
-for _s in SIN2_EDGES:
+for _s in (-0.0, 5e-324, ONE_BELOW) + SIN2_EDGES:
     EDGE_ROWS += [(1.0, 0.0, 1.0, _s), (-1.0, 0.0, 1.0, _s),
                   (1.0, 0.0, -1.0, -_s), (-1.0, 0.0, -1.0, -_s)]
 
@@ -146,7 +155,8 @@ THETA_KINDS = ("quadrant", "beyond_quadrant", "plus_minus", "supplementary")
 
 @pytest.mark.parametrize("kind", THETA_KINDS)
 def test_kernel_matches_rule_at_every_edge(kind):
-    sin2 = np.concatenate([np.sin(_theta_grid(kind, 64)) ** 2, SIN2_EDGES, SIN2_EDGES])
+    sin2 = np.concatenate([np.sin(_theta_grid(kind, 64)) ** 2, SIN2_EDGES, SIN2_EDGES,
+                           SIN2_ULPS, np.random.default_rng(0).permutation(SIN2_ULPS)])
     codes = _check_kernel(EDGE_ROWS, sin2)
     assert {LH, RH, 0} <= set(np.unique(codes).tolist())
 

@@ -640,7 +640,8 @@ def test_classify_reads_a_finite_root_at_the_propagation_edge():
     propagating = 0
     for t in _random_symmetric_tensors(300):
         for pol in (E, H):
-            lim = float(rf._boundary(t, pol)[0])
+            _, _, tzz, _, x = rf._blocks(t, pol)
+            lim = float(tzz * x)
             if not 0.0 < lim < 1.0:
                 continue
             edge = math.asin(math.sqrt(lim))
