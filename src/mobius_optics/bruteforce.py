@@ -398,7 +398,7 @@ def calibrate_conventions(
     band, ell = label_axes(n)
     dl = (ell[None, :] - ell[:, None]) % n   # [a, b] = l_b - l_a
     dl = np.where(dl > n // 2, dl - n, dl)
-    dls = np.unique(dl[np.abs(dl) <= 2])
+    dls = np.unique(dl[np.abs(dl) <= 2], return_index=True)[0]   # bare, it imports numpy.ma
     n_blocks = 4 * len(dls)
     # block id of each (a, b): its dl, then its band pair; |dl| > 2 sorts past the last block
     block = np.where(np.abs(dl) <= 2,

@@ -594,6 +594,7 @@ for command in ("spectrum", "elements", "response", "phase-diagram", "surface",
     code = cli.run_command(command, config, stdout=io.StringIO())
     assert code in (0, cli.EXIT_VALIDATION_FAILURE) and os.path.exists(path), command
 assert "scipy" not in sys.modules, "scipy was imported"
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """
 
 
