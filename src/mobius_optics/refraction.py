@@ -26,16 +26,16 @@ with the lim of its frequency:
     TR  otherwise (total reflection), and wherever |d| < DEGENERACY_TOL (a
         degenerate quadratic), t_zz == 0 or an entry is not finite
 
-So three numbers per frequency set its whole column: lim, the sign of d
-and the code of a propagating cell.
-One kernel applies these rules: it ranks the sin^2 theta values once and
-finds, per frequency, the threshold rank that lim splits them at
-(``searchsorted``), so a cell is one comparison of small integers, its rank
-against that threshold.  Rows that no threshold separates are equal, and
-thresholds split the rows only where lim lies inside [0, 1], a narrow band
-of frequencies, so each distinct row is built once and the grid gathered
-from them, unless more than half the rows are distinct (then every row is
-built, which keeps the scratch under half the grid).  ``phase_diagram``
+So one float per frequency sets its whole column: the cut that sin^2 theta
+is compared with, lim where d > 0 and the next float above lim where d < 0
+(sin^2 theta > lim is exactly not sin^2 theta < that float), plus the codes
+a cell reads below the cut and beyond it.
+One kernel applies these rules: a cell is one comparison of floats, its
+sin^2 theta against the cut of its frequency.  Rows that no cut separates
+are equal, and cuts split the rows only where lim lies inside [0, 1], a
+narrow band of frequencies, so each distinct row is built once and the grid
+gathered from them, unless more than half the rows are distinct (then every
+row is built, which keeps the scratch under half the grid).  ``phase_diagram``
 runs the kernel over a grid, ``classify`` on one cell and
 ``lossy_lh_window``, the lossy normal-incidence path, on the lossless limit
 of each frequency.  On a propagating cell ``classify`` also reports the
@@ -123,13 +123,16 @@ def _blocks(tensors: ResponseTensors, pol: Polarization):
     return tyy, tyz, tzz, det, other_xx
 
 
-def _boundary(tensors: ResponseTensors, pol: Polarization):
-    """Per-frequency (lim, above, code) that set every cell of a frequency.
+def _boundary(tensors: ResponseTensors, pol: Polarization, masked):
+    """Per-frequency float cut and the int8 codes a cell reads on each side.
 
-    A cell propagates when sin^2 theta < lim, or when sin^2 theta > lim
-    where ``above`` (d < 0); ``code`` is the int8 Classification of a
-    propagating cell, 0 (TR) where |d| < DEGENERACY_TOL, t_zz == 0 or
-    d * lim is not finite.  Each has the tensors' frequency shape.
+    A cell reads ``below`` where sin^2 theta < cut and ``beyond`` elsewhere.
+    A propagating cell is LH where x < 0 and RH otherwise, and TR where
+    |d| < DEGENERACY_TOL, t_zz == 0 or d * lim is not finite.  Where d > 0
+    the cut is lim and the cells below it propagate; where d < 0 it is the
+    next float above lim and the cells beyond it propagate.  A masked column
+    has cut +inf and reads MASKED below it.  Each has the tensors' frequency
+    shape.
     """
     _, _, tzz, det, other_xx = _blocks(tensors, pol)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -137,7 +140,11 @@ def _boundary(tensors: ResponseTensors, pol: Polarization):
         valid = (np.abs(det) >= DEGENERACY_TOL) & (tzz != 0.0) & np.isfinite(det * lim)
     code = np.where(other_xx < 0.0, np.int8(Classification.LH),
                     np.int8(Classification.RH)) * valid
-    return lim, det < 0.0, code
+    masked = np.broadcast_to(masked, lim.shape)
+    code = np.where(masked, np.int8(Classification.MASKED), code)
+    beyond = (det < 0.0) & ~masked
+    cut = np.where(masked, np.inf, np.where(beyond, np.nextafter(lim, np.inf), lim))
+    return cut, np.where(beyond, np.int8(0), code), np.where(beyond, code, np.int8(0))
 
 
 def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked=False):
@@ -145,40 +152,27 @@ def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked
 
     ``sin2_theta`` is a scalar or an (n, 1) column against the tensors'
     frequency axis, and the codes have the broadcast shape.  Frequencies
-    where ``masked`` is true read MASKED.  The n values of sin^2 theta are
-    ranked once; per frequency ``searchsorted`` gives a threshold index t
-    with the propagating rows at rank < t where d > 0 and at rank >= t
-    where d < 0 (t = n on a masked column).  Rows whose ranks no t
-    separates are equal: one row is built per distinct level (the count of
-    t at or below the rank) and the grid is one row gather, unless there is
-    one row or more than half are distinct, when all are built.  A row is
-    three int8 passes: rank < t, times -code on the d < 0 columns and code
-    on the others, plus code on the d < 0 columns.
+    where ``masked`` is true read MASKED.  Each cell applies the cut of its
+    frequency from ``_boundary``.  Rows that no cut separates are equal: one
+    row is built per distinct level (the count of cuts at or below its
+    sin^2 theta) and the grid is one row gather, unless there is one row or
+    more than half are distinct, when all are built.  A row is three int8
+    passes: sin^2 theta < cut, times below - beyond, plus beyond.
     """
-    lim, above, code = _boundary(tensors, pol)
+    cut, below, beyond = _boundary(tensors, pol, masked)
     sin2 = np.asarray(sin2_theta, dtype=float)
-    shape = np.broadcast_shapes(sin2.shape, lim.shape)
-    sin2, lim = sin2.ravel(), lim.ravel()
-    masked = np.broadcast_to(masked, lim.shape)
-    above = above.ravel() & ~masked
-    code = np.where(masked, np.int8(Classification.MASKED), code.ravel())
-    n = sin2.size
-    order = np.argsort(sin2, kind="stable")
-    rank = np.empty(n, np.min_scalar_type(n))
-    rank[order] = np.arange(n)
-    ranked = sin2[order]
-    t = np.where(above, ranked.searchsorted(lim, "right"), ranked.searchsorted(lim, "left"))
-    t = np.where(masked, n, t).astype(rank.dtype)
+    shape = np.broadcast_shapes(sin2.shape, cut.shape)
+    sin2, cut, below, beyond = sin2.ravel(), cut.ravel(), below.ravel(), beyond.ravel()
     first, row = slice(None), None   # one row or most rows distinct: build them all
-    if n > 1:   # rows no t separates are equal (np.sort: a bare np.unique imports numpy.ma)
-        level = np.sort(t).searchsorted(rank, "right")
+    if sin2.size > 1:   # rows no cut separates are equal
+        level = np.sort(cut).searchsorted(sin2, "right")
         _, index, inverse = np.unique(level, return_index=True, return_inverse=True)
-        if 2 * index.size <= n:
+        if 2 * index.size <= sin2.size:
             first, row = index, inverse
-    codes = np.empty((rank[first].size, lim.size), np.int8)
-    np.less(rank[first, None], t, out=codes.view(bool))
-    codes *= np.where(above, -code, code)
-    codes += np.where(above, code, np.int8(0))
+    codes = np.empty((sin2[first].size, cut.size), np.int8)
+    np.less(sin2[first, None], cut, out=codes.view(bool))
+    codes *= below - beyond
+    codes += beyond
     return (codes if row is None else codes.take(row, axis=0)).reshape(shape)
 
 

@@ -6,10 +6,11 @@ here against an independent broadcast of the rule of the ``refraction``
 module docstring: a cell propagates when sin^2 theta < lim (d > 0) or
 sin^2 theta > lim (d < 0), its code is LH where x < 0 and RH otherwise,
 and it is TR wherever |d| < DEGENERACY_TOL, t_zz == 0 or d * lim is not
-finite.  The grids cover what an index-based expansion can get wrong:
-sin^2 theta that is not monotone in theta (theta past pi/2 or below 0),
-repeated sin^2 values, lim equal to a grid value, grid sizes at the edges
-of the small integer types, masked columns and every TR edge of the code.
+finite.  The grids cover what a per-frequency cut or a row gather can get
+wrong: sin^2 theta that is not monotone in theta (theta past pi/2 or below
+0), repeated sin^2 values, lim equal to a grid value and lim beside its
+float neighbours, single rows and grids of up to 65,536 rows, masked
+columns and every TR edge of the code.
 """
 
 import math
@@ -124,7 +125,8 @@ EDGE_ROWS = [
     (2.0, 0.0, 0.5, -1.5), (-2.0, 0.0, 0.5, 3.0), (0.3, 0.1, -0.4, -1.2),
 ]
 # lims whose float neighbours are grid values too: the float below, the lim
-# itself and the two floats above, those that lie in [0, 1]
+# itself and the two floats above, those that lie in [0, 1].  Where d < 0
+# the kernel's cut is the float above lim, so these pin it to one ulp
 ONE_BELOW = float(np.nextafter(1.0, 0.0))
 ULP_LIMS = (0.0, -0.0, 5e-324, 0.25, 1.0, ONE_BELOW)
 SIN2_ULPS = np.sort([s for lim in ULP_LIMS
@@ -169,6 +171,8 @@ def test_kernel_keeps_rows_in_any_order_with_repeats():
 
 @pytest.mark.parametrize("n_theta", (1, 2, 255, 256, 257, 65535, 65536))
 def test_kernel_at_the_edges_of_the_rank_types(n_theta):
+    # one row, built without levels, up to 65,536 rows gathered from the few
+    # distinct ones; the sizes are those where theta ranks once changed type
     sin2 = np.sin(np.linspace(-2.0, 2.0, n_theta)) ** 2
     # lims at the smallest, a middle and the largest grid value
     picks = np.sort(sin2)[[0, n_theta // 2, -1]]
@@ -245,6 +249,7 @@ def test_phase_diagram_with_lim_on_grid_values(pol):
 @pytest.mark.filterwarnings("ignore:omega grid spacing")
 @pytest.mark.parametrize("n_theta", (1, 255, 256, 65535, 65536))
 def test_phase_diagram_at_the_edges_of_the_rank_types(n_theta):
+    # as the kernel test above, through phase_diagram with masked columns
     theta = np.linspace(-2.0, 2.0, n_theta) if n_theta > 1 else np.array([0.4])
     omega = np.unique(np.concatenate([NARROW[::8], WIDE[::32]]))
     pd = rf.phase_diagram(CFG, E, theta, omega)
