@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -5,12 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mobius_optics import cli
 from mobius_optics import refraction as rf
 from mobius_optics import response as rs
-from mobius_optics.constants import EV, HBAR, NS
+from mobius_optics.constants import EV, HBAR, NM, NS
 from mobius_optics.ring import RingParams
 
 CFG = rs.MediumConfig(RingParams(12))
@@ -478,25 +481,70 @@ def test_lossy_normal_incidence_matches_lossy_lh_window(gamma_inv_ns):
     assert rf.lossy_lh_window(cfg, grid) == expected
 
 
-def test_lossy_lh_verdict_matches_negative_phase_velocity_condition():
-    # Depine & Lakhtakia, Microw. Opt. Technol. Lett. 41, 315 (2004): a
-    # passive medium with scalar eps and mu has negative phase velocity
-    # exactly when Re(eps)|mu| + Re(mu)|eps| < 0.  At normal incidence the
-    # E-polarized wave sees eps_xx and the effective mu = det(mu_yz) / mu_zz.
-    grid = np.linspace(DELTA0 - 2 * BW, DELTA0 + 2 * BW, 2000)
-    verdicts = {LH: 0, RH: 0}
-    for gamma_inv_ns in LIFETIMES_NS:
-        cfg = _medium(12, gamma_inv_ns)
-        t = rs.response_tensors(rs.MediumConfig(cfg.ring, lossy=True), grid)
-        eps = t.eps_r[:, 0, 0]
+# the validate golden configs, the rings ROADMAP item 6 names and the lifetimes above
+LOSSY_RING_CONFIGS = (
+    {}, {"gamma_inv_ns": 0.3}, {"N": 3}, {"N": 4}, {"N": 6, "gamma_inv_ns": 0.6},
+    {"half_width_nm": 1e5}, {"half_width_nm": 1e26}, {"xi_intra_ev": 1e-6},
+    {"half_width_nm": 0.01}, {"half_width_nm": 0.00998},
+    {"N": 5}, {"N": 400}, {"radius_nm": 10}, {"v_inter_ev": 1e6}, {"xi_intra_ev": 1e6},
+    {"gamma_inv_ns": 8}, {"gamma_inv_ns": 0.6}, {"gamma_inv_ns": 1.0}, {"gamma_inv_ns": 40.0},
+)
+
+
+@st.composite
+def _lossy_rings(draw):
+    """Random rings, with lifetimes from half to a hundred times the critical one."""
+    ring = RingParams(draw(st.integers(3, 400)),
+                      v_inter=draw(st.floats(1e-5, 1e3)), xi_intra=draw(st.floats(1e-5, 1e3)),
+                      half_width=draw(st.floats(1e-3, 1e3)) * NM)
+    tau_c = rs.MediumConfig(ring).resonance.critical_lifetime
+    return replace(ring, decay_rate=1.0 / (tau_c * draw(st.floats(0.5, 100.0))))
+
+
+def _examples(rings):
+    """Decorator: one explicit hypothesis example per ring."""
+    def decorate(test):
+        for ring in rings:
+            test = example(ring=ring)(test)
+        return test
+    return decorate
+
+
+def _npv_codes(cfg, omega):
+    """Normal-incidence codes by the Depine-Lakhtakia condition.
+
+    Depine & Lakhtakia, Microw. Opt. Technol. Lett. 41, 315 (2004): a
+    passive medium with scalar eps and mu has negative phase velocity
+    exactly when Re(eps)|mu| + Re(mu)|eps| < 0.  At normal incidence the
+    E-polarized wave sees eps_xx and the effective mu = det(mu_yz) / mu_zz.
+    A cell is TR where its lossless limit is, or where the sum is not finite.
+    """
+    lossless = rs.response_tensors(replace(cfg, lossy=False), omega)
+    tr = rf._propagation(lossless, E, 0.0) == int(TR)
+    t = rs.response_tensors(replace(cfg, lossy=True), omega)
+    eps = t.eps_r[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
         mu = (t.mu_r[:, 1, 1] * t.mu_r[:, 2, 2] - t.mu_r[:, 1, 2] ** 2) / t.mu_r[:, 2, 2]
-        npv = eps.real * np.abs(mu) + mu.real * np.abs(eps) < 0.0
-        codes = rf._lossy_normal(cfg, grid)
-        propagating = codes != int(TR)
-        assert np.array_equal(codes[propagating] == int(LH), npv[propagating]), gamma_inv_ns
-        verdicts[LH] += int(np.count_nonzero(codes == int(LH)))
-        verdicts[RH] += int(np.count_nonzero(codes == int(RH)))
-    assert verdicts[LH] > 0 and verdicts[RH] > 0
+        npv = eps.real * np.abs(mu) + mu.real * np.abs(eps)
+    return np.where(tr | ~np.isfinite(npv), int(TR), np.where(npv < 0.0, int(LH), int(RH)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=_lossy_rings())
+@_examples(cli.parse_config(json.dumps(c)).ring for c in LOSSY_RING_CONFIGS)
+def test_lossy_lh_verdict_matches_negative_phase_velocity_condition(ring):
+    # every code, TR included, on the ring and its overdamped companion (1/gamma =
+    # 0.8 tau_c), over Delta_0 +- 2 and +- 20 bandwidths (+- 2 and 20 gamma if overdamped)
+    res = rs.MediumConfig(ring).resonance
+    companion = replace(ring, decay_rate=1.0 / (0.8 * res.critical_lifetime))
+    span = res.bandwidth or res.gamma
+    for half_span in (2, 20):
+        if res.delta0 - half_span * span <= 0.0:
+            continue
+        grid = np.linspace(res.delta0 - half_span * span, res.delta0 + half_span * span, 2000)
+        for cfg in (rs.MediumConfig(ring), rs.MediumConfig(companion)):
+            codes = rf._lossy_normal(cfg, grid)
+            assert np.array_equal(codes, _npv_codes(cfg, grid)), (cfg.ring, half_span)
 
 
 # ---------------------------------------------------------------------------
