@@ -38,7 +38,9 @@ gathered from them, unless more than half the rows are distinct (then every
 row is built, which keeps the scratch under half the grid).  ``phase_diagram``
 runs the kernel over a grid, ``classify`` on one cell and
 ``lossy_lh_window``, the lossy normal-incidence path, on the lossless limit
-of each frequency.  On a propagating cell ``classify`` also reports the
+of each frequency; that path then reads LH or RH on the propagating cells
+from the lossy response by the scalar negative-phase-velocity condition
+(``_lossy_normal``).  On a propagating cell ``classify`` also reports the
 causal k_tz, from the solver of the wave-vector surfaces
 (``_causal_n_tz``), and its Poynting direction (``_poynting``).
 """
@@ -179,13 +181,10 @@ def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked
 def _poynting(tensors, pol, k_iy, k_tz):
     """(S_ty, S_tz) up to the positive prefactor amplitude^2 t^2 / (2 omega mu0|eps0).
 
-    Valid for real or complex scalars and arrays; for complex arguments the
-    returned components are the real parts of the complex Poynting flow.
+    Valid for real scalars and arrays.
     """
     tyy, tyz, tzz, det, _ = _blocks(tensors, pol)
-    s_ty = np.real((tyz * k_tz + tyy * k_iy) / det)
-    s_tz = np.real((tyz * k_iy + tzz * k_tz) / det)
-    return s_ty, s_tz
+    return (tyz * k_tz + tyy * k_iy) / det, (tyz * k_iy + tzz * k_tz) / det
 
 
 def classify(tensors: ResponseTensors, wave: IncidentWave) -> RefractionResult:
@@ -420,38 +419,26 @@ def surface_normal_check(tensors: ResponseTensors, pol: Polarization,
 def _lossy_normal(config: MediumConfig, omega: np.ndarray):
     """Classification codes of E-polarized normal incidence at each omega.
 
-    The quadratic becomes k_tz^2 = (omega/c)^2 det eps_xx / mu_zz with
-    complex tensors; the root with Im(k_tz) > 0 decays into the medium.
-    Phase velocity runs along Re(k_tz), so a propagating cell is
-    left-handed when Re(k_tz) S_tz < 0 with S_tz > 0 into the medium.
-
     With absorption nothing is exactly totally reflected, so the
     propagating/TR boundary is not intrinsically defined; here a cell
     counts as propagating exactly when its lossless limit (same gamma in
-    eta', absorption dropped) admits a propagating causal root.  Under
-    this convention the left-handed window coincides with the lossless
-    one wherever the complex-root test keeps reporting a backward phase,
-    which it does for the default molecule.
+    eta', absorption dropped) does at theta = 0.  The wave sees the lossy
+    eps = eps_xx and mu = d / mu_zz, and a passive medium has negative
+    phase velocity exactly when Re(eps)|mu| + Re(mu)|eps| < 0 (Depine and
+    Lakhtakia, Microw. Opt. Technol. Lett. 41, 315, 2004).  A propagating
+    cell is LH where that sum is negative, RH otherwise, and TR where it is
+    not finite, as ``_propagation`` treats a non-finite d * lim.
     """
     lossless = response_tensors(replace(config, lossy=False), omega)
     codes = _propagation(lossless, Polarization.E, 0.0)
-    # root is k_tz / k_i: every test below reads a sign, which the factor
-    # k_i = omega / c > 0 leaves alone, and (omega / c)^2 overflows near 1e154 rad/s.
-    # A root that overflows is TR, as _propagation treats a non-finite det * lim
     lossy = response_tensors(replace(config, lossy=True), omega)
+    _, _, tzz, det, eps = _blocks(lossy, Polarization.E)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, tzz, det, eps_xx = _blocks(lossy, Polarization.E)
-        root = np.sqrt(det * eps_xx / tzz)
-        root = np.where((root.imag < 0.0) | ((root.imag == 0.0) & (root.real < 0.0)),
-                        -root, root)
-        # decaying branch; verify it actually carries energy into the medium
-        s_tz = _poynting(lossy, Polarization.E, 0.0, root)[1]
-        root = np.where((root.imag == 0.0) & (s_tz <= 0.0), -root, root)
-        s_tz = _poynting(lossy, Polarization.E, 0.0, root)[1]
-    tr = (codes == int(Classification.TR)) | (s_tz <= 0.0) | ~np.isfinite(root)
+        mu = det / tzz
+        npv = eps.real * np.abs(mu) + mu.real * np.abs(eps)
+    tr = (codes == int(Classification.TR)) | ~np.isfinite(npv)
     return np.where(tr, int(Classification.TR),
-                    np.where(root.real * s_tz < 0.0, int(Classification.LH),
-                             int(Classification.RH)))
+                    np.where(npv < 0.0, int(Classification.LH), int(Classification.RH)))
 
 
 def lossy_lh_window(config: MediumConfig, omega_grid) -> tuple[float, float] | None:

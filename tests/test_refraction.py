@@ -421,10 +421,21 @@ def test_lossy_window_tracks_lossless_window():
     assert hi_shift < 0.1
 
 
-def test_short_lifetime_kills_the_window():
-    tau_c = CFG.resonance.critical_lifetime
-    cfg = rs.MediumConfig(RingParams(12, decay_rate=1.0 / (0.5 * tau_c)))
-    grid = np.linspace(DELTA0 - 2 * BW, DELTA0 + 2 * BW, 500)
+@pytest.mark.parametrize("case", ("overdamped", "near_critical"))
+def test_short_lifetime_kills_the_window(case):
+    if case == "overdamped":
+        tau_c = CFG.resonance.critical_lifetime
+        cfg = rs.MediumConfig(RingParams(12, decay_rate=1.0 / (0.5 * tau_c)))
+        grid, lossless_lh = np.linspace(DELTA0 - 2 * BW, DELTA0 + 2 * BW, 500), 0
+    else:
+        # N = 6 at 1/gamma = 0.6 ns, just above tau_c = 0.575 ns: the lossless mu_eff is
+        # -0.135 to -0.0003 on the window, but loss lifts Re mu_eff to 1.01-1.32 there,
+        # so Re(eps)|mu| + Re(mu)|eps| > 0 and no cell has negative phase velocity
+        cfg = _medium(6, 0.6)
+        mid, bw = cfg.resonance.window[1], cfg.resonance.bandwidth
+        grid, lossless_lh = np.linspace(mid - 2 * bw, mid + 2 * bw, 2000), 500
+    lossless = rf._propagation(rs.response_tensors(cfg, grid), E, 0.0)
+    assert np.count_nonzero(lossless == int(LH)) == lossless_lh
     assert rf.lossy_lh_window(cfg, grid) is None
 
 
@@ -510,29 +521,34 @@ def _examples(rings):
     return decorate
 
 
-def _npv_codes(cfg, omega):
-    """Normal-incidence codes by the Depine-Lakhtakia condition.
+def _complex_root_codes(cfg, omega):
+    """Normal-incidence codes from the complex root of the E-polarized quadratic.
 
-    Depine & Lakhtakia, Microw. Opt. Technol. Lett. 41, 315 (2004): a
-    passive medium with scalar eps and mu has negative phase velocity
-    exactly when Re(eps)|mu| + Re(mu)|eps| < 0.  At normal incidence the
-    E-polarized wave sees eps_xx and the effective mu = det(mu_yz) / mu_zz.
-    A cell is TR where its lossless limit is, or where the sum is not finite.
+    k = k_tz / k_i = sqrt(d eps_xx / mu_zz) is the root with Im k >= 0, which
+    decays into the medium, and of a real root the one that carries energy in.
+    At k_iy = 0 the Poynting flow into the medium is S_tz = Re(k mu_zz / d).  A
+    cell is TR where its lossless limit is, where S_tz <= 0 or where k is not
+    finite; otherwise it is LH where Re(k) S_tz < 0 and RH elsewhere.
     """
     lossless = rs.response_tensors(replace(cfg, lossy=False), omega)
     tr = rf._propagation(lossless, E, 0.0) == int(TR)
     t = rs.response_tensors(replace(cfg, lossy=True), omega)
-    eps = t.eps_r[:, 0, 0]
+    eps, tyy, tyz, tzz = t.eps_r[:, 0, 0], t.mu_r[:, 1, 1], t.mu_r[:, 1, 2], t.mu_r[:, 2, 2]
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = (t.mu_r[:, 1, 1] * t.mu_r[:, 2, 2] - t.mu_r[:, 1, 2] ** 2) / t.mu_r[:, 2, 2]
-        npv = eps.real * np.abs(mu) + mu.real * np.abs(eps)
-    return np.where(tr | ~np.isfinite(npv), int(TR), np.where(npv < 0.0, int(LH), int(RH)))
+        det = tyy * tzz - tyz * tyz
+        k = np.sqrt(det * eps / tzz)
+        k = np.where(k.imag < 0.0, -k, k)
+        k = np.where((k.imag == 0.0) & ((tzz * k / det).real <= 0.0), -k, k)
+        s_tz = (tzz * k / det).real
+    tr |= (s_tz <= 0.0) | ~np.isfinite(k)
+    return np.where(tr, int(TR), np.where(k.real * s_tz < 0.0, int(LH), int(RH)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(ring=_lossy_rings())
 @_examples(cli.parse_config(json.dumps(c)).ring for c in LOSSY_RING_CONFIGS)
 def test_lossy_lh_verdict_matches_negative_phase_velocity_condition(ring):
+    # the Depine-Lakhtakia verdict of _lossy_normal against the complex Fresnel root:
     # every code, TR included, on the ring and its overdamped companion (1/gamma =
     # 0.8 tau_c), over Delta_0 +- 2 and +- 20 bandwidths (+- 2 and 20 gamma if overdamped)
     res = rs.MediumConfig(ring).resonance
@@ -544,7 +560,7 @@ def test_lossy_lh_verdict_matches_negative_phase_velocity_condition(ring):
         grid = np.linspace(res.delta0 - half_span * span, res.delta0 + half_span * span, 2000)
         for cfg in (rs.MediumConfig(ring), rs.MediumConfig(companion)):
             codes = rf._lossy_normal(cfg, grid)
-            assert np.array_equal(codes, _npv_codes(cfg, grid)), (cfg.ring, half_span)
+            assert np.array_equal(codes, _complex_root_codes(cfg, grid)), (cfg.ring, half_span)
 
 
 # ---------------------------------------------------------------------------
