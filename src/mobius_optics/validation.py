@@ -229,8 +229,7 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
             else OVERFLOW if worst_dyad[kind] == math.inf else worst_dyad[kind])
     ring = dense(replace(params, n_per_ring=DENSE_N, radius=None))
     num_e, num_m = ring.projection("electric"), ring.projection("commutator")
-    # an overflowing overlap (half widths near 1e90) gives a NaN phase: the residual is NaN;
-    # the magnetic scale underflows to 0 at xi_intra_ev below about 1e-260: the sparsity is inf
+    # an overflowing overlap (half widths near 1e90) gives a NaN phase: the residual is NaN
     with np.errstate(invalid="ignore", divide="ignore"):
         for kind, num in (("electric", num_e), ("magnetic", num_m)):
             out[f"{kind}_block_calibration"] = (
@@ -298,11 +297,13 @@ def _level_dyads(vectors: np.ndarray, level: np.ndarray, n_levels: int) -> np.nd
     return out
 
 
-def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray) -> float:
+def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray) -> float | str:
     """Largest numeric element outside the allowed blocks, per natural scale.
 
     Over the momentum-basis tables [a, b, c] = <a| O_c |b>, so each rule reads
     from b to a; magnetic elements count beyond |dl| = 2 and between bands.
+    UNDERFLOW where the magnetic scale e xi R W / hbar is 0 (xi_intra_ev
+    below about 1e-260).
     """
     n = params.n_per_ring
     band, ell = label_axes(n)
@@ -314,6 +315,8 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     allowed = rules[..., None] & dp.COMPONENT_BITS > 0
     d_scale = E_CHARGE * params.half_width
     m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
+    if m_scale == 0.0:
+        return UNDERFLOW
     # np.hypot rounds like scalar abs(complex), array np.abs may not: keep each form's bits
     off_e = np.hypot(d_num.real, d_num.imag)[~allowed[0]] / d_scale
     off_far = np.abs(m_num[far]) / m_scale
@@ -324,8 +327,8 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
 
 def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     p12 = replace(params, n_per_ring=DENSE_N, radius=None)
-    # norms overflow at half widths near 1e90 (no shared line), and the magnetic scales
-    # underflow to 0 at xi_intra_ev below about 1e-142 (NaN and inf residuals)
+    # norms overflow at half widths near 1e90 (no shared line), and the scan's magnetic
+    # scale underflows to 0 at xi_intra_ev below about 1e-260 (infinite strengths)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ring_report = bf.perfect_ring_regression(
             dense(replace(p12, topology=Topology.SINGLE_RING)))
@@ -338,9 +341,10 @@ def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
         and abs(t.frequency_ev - delta0_ev) < 1e-9
         for t in mobius.transitions
     )
+    comm, offdiag = ring_report.commutator_norm, ring_report.max_offdiag_magnetic
     return {
-        "perfect_ring_commutator": ring_report.commutator_norm,
-        "perfect_ring_offdiag_magnetic": ring_report.max_offdiag_magnetic,
+        "perfect_ring_commutator": UNDERFLOW if comm is None else comm,
+        "perfect_ring_offdiag_magnetic": UNDERFLOW if offdiag is None else offdiag,
         "perfect_ring_has_electric_transitions": ring_report.max_offdiag_electric,
         "annulene_shared_transitions": annulene.n_shared,
         "mobius_shared_transition": int(shared_at_resonance),

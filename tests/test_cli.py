@@ -520,6 +520,8 @@ def test_validate_at_an_underflowing_half_width_keeps_the_dipole_checks(tmp_path
 
 MAGNETIC_ROWS = ("magnetic_table_vs_numeric", "magnetic_dyads_vs_dense_eigenvectors",
                  "magnetic_block_calibration", "commutator_vs_bond_current")
+MAGNETIC_SCALE_ROWS = ("selection_rule_sparsity", "perfect_ring_commutator",
+                       "perfect_ring_offdiag_magnetic")
 PHASE_DIAGRAM_ROWS = ("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
                       "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
 LOSSY_SWEEP_ROWS = ("lossy_window_shift", "overdamped_window_empty")
@@ -528,7 +530,11 @@ LOSSY_SWEEP_ROWS = ("lossy_window_shift", "overdamped_window_empty")
 @pytest.mark.parametrize("config,failed_notes", [
     # the dense checks' radius N W / pi leaves every numeric magnetic element 0
     ({"half_width_nm": 1e-150, "radius_nm": 1e30},
-     dict.fromkeys(MAGNETIC_ROWS, validation.UNDERFLOW)),
+     dict.fromkeys(MAGNETIC_ROWS + MAGNETIC_SCALE_ROWS, validation.UNDERFLOW)),
+    # the commutator's scale (e xi R^2 / hbar) xi underflows to 0, and at 1e-300 the
+    # elements' scales e xi R^2 / hbar and e xi R W / hbar too
+    ({"xi_intra_ev": 1e-150}, {"perfect_ring_commutator": validation.UNDERFLOW}),
+    ({"xi_intra_ev": 1e-300}, dict.fromkeys(MAGNETIC_SCALE_ROWS, validation.UNDERFLOW)),
     # 20 bandwidths, and the 4 of the lossy sweep, are below the float spacing at the
     # resonance: both sweeps repeat values
     ({"v_inter_ev": 1e30, "half_width_nm": 1e-60},
