@@ -67,9 +67,13 @@ class ConfigError(ValueError):
     pass
 
 
+# largest ring: `elements` grows as N, about 30 rows of 530 B per N, and at this N
+# it writes 122,870 rows with a 62 MiB peak of traced memory
+MAX_N_PER_RING = 4096
+
 # key: (default, unit / allowed values, description)
 CONFIG_KEYS = {
-    "n_per_ring": (12, "count (alias: N)", "atoms per sub-ring, >= 3"),
+    "n_per_ring": (12, "count (alias: N)", f"atoms per sub-ring, 3 to {MAX_N_PER_RING}"),
     "v_inter_ev": (3.6, "eV", "inter-ring resonance integral V, > 0"),
     "xi_intra_ev": (3.6, "eV", "intra-ring resonance integral xi, > 0"),
     "half_width_nm": (0.077, "nm", "half-width parameter W (molecule width is 4W)"),
@@ -176,6 +180,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         return val
 
     n = integer("n_per_ring", 3)
+    _expect(n <= MAX_N_PER_RING, f"n_per_ring must be <= {MAX_N_PER_RING}")
     v_ev = number("v_inter_ev", positive=True)
     xi_ev = number("xi_intra_ev", positive=True)
     w_m = number("half_width_nm", positive=True) * NM

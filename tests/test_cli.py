@@ -39,6 +39,9 @@ def test_ring_size_alias_and_bound():
     assert cli.parse_config(b'{"N": 6}').ring.n_per_ring == 6
     with pytest.raises(cli.ConfigError, match="n_per_ring must be >= 3"):
         cli.parse_config(b'{"N": 2}')
+    assert cli.parse_config(b'{"N": 4096}').ring.n_per_ring == cli.MAX_N_PER_RING == 4096
+    with pytest.raises(cli.ConfigError, match="n_per_ring must be <= 4096"):
+        cli.parse_config(b'{"N": 4097}')
     with pytest.raises(cli.ConfigError, match="given twice"):
         cli.parse_config(b'{"N": 6, "n_per_ring": 6}')
 
@@ -74,6 +77,8 @@ def test_malformed_json_rejected():
                    id=f"{key}-int-beyond-float-range")
       for key, name in (("N", "n_per_ring"), ("theta_count", "theta_count"),
                         ("omega_count", "omega_count"), ("surface_samples", "surface_samples"))),
+    # a numpy MemoryError in `spectrum` before the cap
+    ('{"N": 10000000000000000}', "n_per_ring must be <= 4096"),
     ('{"volume_convention": "sphere"}', "volume_convention must be cylinder_4w or cylinder_2w"),
     ('{"surface_detunings_ev": [NaN]}', "surface_detunings_ev must be finite"),
     ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
