@@ -287,17 +287,14 @@ def eigenspace_projector_residual(ring: DenseRing) -> float:
 
 @dataclass
 class PerfectRingReport:
+    # each magnetic residual is None where its natural scale underflows to 0
     commutator_norm: float | None        # max |[m_z, H]| in units of (e xi R^2 / hbar) xi
     max_offdiag_magnetic: float | None   # relative to e xi R^2 / hbar
     max_offdiag_electric: float          # relative to e R
 
 
 def perfect_ring_regression(ring: DenseRing) -> PerfectRingReport:
-    """Check that a perfect planar ring does not couple to the magnetic field.
-
-    A magnetic residual whose natural scale underflows to 0 (xi_intra below
-    about 1e-142 eV for the commutator, 1e-260 eV for the elements) is None.
-    """
+    """Check that a perfect planar ring does not couple to the magnetic field."""
     params = ring.params
     if params.topology is not Topology.SINGLE_RING:
         raise ValueError("perfect_ring_regression expects the single-ring topology")

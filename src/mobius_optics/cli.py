@@ -67,8 +67,7 @@ class ConfigError(ValueError):
     pass
 
 
-# largest ring: `elements` grows as N, about 30 rows of 530 B per N, and at this N
-# it writes 122,870 rows with a 62 MiB peak of traced memory
+# largest ring: `elements` grows as N, and at this N writes 122,870 rows (62 MiB peak)
 MAX_N_PER_RING = 4096
 
 # key: (default, unit / allowed values, description)

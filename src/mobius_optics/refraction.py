@@ -38,11 +38,11 @@ gathered from them, unless more than half the rows are distinct (then every
 row is built, which keeps the scratch under half the grid).  ``phase_diagram``
 runs the kernel over a grid, ``classify`` on one cell and
 ``lossy_lh_window``, the lossy normal-incidence path, on the lossless limit
-of each frequency; that path then reads LH or RH on the propagating cells
-from the lossy response by the scalar negative-phase-velocity condition
-(``_lossy_normal``).  On a propagating cell ``classify`` also reports the
-causal k_tz, from the solver of the wave-vector surfaces
-(``_causal_n_tz``), and its Poynting direction (``_poynting``).
+of each frequency, whose propagating cells it splits into LH and RH by the
+lossy negative-phase-velocity condition.  On a propagating cell
+``classify`` also reports the causal k_tz, from the solver of the
+wave-vector surfaces (``_causal_n_tz``), and its Poynting direction
+(``_poynting``).
 """
 
 from __future__ import annotations
@@ -179,10 +179,7 @@ def _propagation(tensors: ResponseTensors, pol: Polarization, sin2_theta, masked
 
 
 def _poynting(tensors, pol, k_iy, k_tz):
-    """(S_ty, S_tz) up to the positive prefactor amplitude^2 t^2 / (2 omega mu0|eps0).
-
-    Valid for real scalars and arrays.
-    """
+    """(S_ty, S_tz) up to the positive prefactor amplitude^2 t^2 / (2 omega mu0|eps0)."""
     tyy, tyz, tzz, det, _ = _blocks(tensors, pol)
     return (tyz * k_tz + tyy * k_iy) / det, (tyz * k_iy + tzz * k_tz) / det
 

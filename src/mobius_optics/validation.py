@@ -302,8 +302,6 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
 
     Over the momentum-basis tables [a, b, c] = <a| O_c |b>, so each rule reads
     from b to a; magnetic elements count beyond |dl| = 2 and between bands.
-    UNDERFLOW where the magnetic scale e xi R W / hbar is 0 (xi_intra_ev
-    below about 1e-260).
     """
     n = params.n_per_ring
     band, ell = label_axes(n)
@@ -315,7 +313,7 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     allowed = rules[..., None] & dp.COMPONENT_BITS > 0
     d_scale = E_CHARGE * params.half_width
     m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
-    if m_scale == 0.0:
+    if m_scale == 0.0:   # xi_intra_ev below about 1e-260
         return UNDERFLOW
     # np.hypot rounds like scalar abs(complex), array np.abs may not: keep each form's bits
     off_e = np.hypot(d_num.real, d_num.imag)[~allowed[0]] / d_scale

@@ -492,13 +492,14 @@ def test_lossy_normal_incidence_matches_lossy_lh_window(gamma_inv_ns):
     assert rf.lossy_lh_window(cfg, grid) == expected
 
 
-# the validate golden configs, the rings ROADMAP item 6 names and the lifetimes above
+# the validate golden configs, rings where validate fails for reasons still open
+# (large N or radius, large couplings) and the lifetimes above
 LOSSY_RING_CONFIGS = (
     {}, {"gamma_inv_ns": 0.3}, {"N": 3}, {"N": 4}, {"N": 6, "gamma_inv_ns": 0.6},
     {"half_width_nm": 1e5}, {"half_width_nm": 1e26}, {"xi_intra_ev": 1e-6},
     {"half_width_nm": 0.01}, {"half_width_nm": 0.00998},
     {"N": 5}, {"N": 400}, {"radius_nm": 10}, {"v_inter_ev": 1e6}, {"xi_intra_ev": 1e6},
-    {"gamma_inv_ns": 8}, {"gamma_inv_ns": 0.6}, {"gamma_inv_ns": 1.0}, {"gamma_inv_ns": 40.0},
+    {"gamma_inv_ns": 8}, *({"gamma_inv_ns": g} for g in LIFETIMES_NS),
 )
 
 
