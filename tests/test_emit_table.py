@@ -155,14 +155,21 @@ def _run_table(path, fmt):
     return path.read_bytes()
 
 
+# strings that the hypothesis tables never draw: an embedded NUL (a numpy `U`
+# array keeps it, but drops a trailing one), JSON's ", " item separator,
+# quotes, a newline and non-ASCII text
+EDGE_TEXTS = ["LH", "a\x00b", ", ", 'q"u\'ote', "line\nbreak", "ünï 日本"]
+EDGE_INTS = [-2**63, -2**63 + 1, -5, 0, 5, 2**63 - 2, 2**63 - 1]
+
+
 def _mixed_table(n):
-    """n rows of float, int, bool, string and object columns."""
+    """n rows of float, int (at the int64 edges), bool, string and object columns."""
     rng = np.random.default_rng(n)
     values = rng.choice(SPECIAL_FLOATS, n)
     return np.rec.fromarrays([
-        values, rng.integers(-5, 5, n), values > 0,
-        np.array(["LH", "TR", "RH"])[rng.integers(0, 3, n)],
-        np.array([None, 1, 2.5, "x,y", True] * n, dtype=object)[:n],
+        values, rng.choice(np.array(EDGE_INTS), n), values > 0,
+        np.array(EDGE_TEXTS)[rng.integers(0, len(EDGE_TEXTS), n)],
+        np.array([None, 1, 2.5, "x,y", True, *EDGE_TEXTS] * n, dtype=object)[:n],
     ], names=["f", "i", "b", "s", "o"])
 
 
@@ -175,6 +182,9 @@ def test_run_command_writes_emit_table_bytes_at_chunk_boundaries(n, fmt, tmp_pat
     table = _mixed_table(n)
     header = list(table.dtype.names)
     rows = [dict(zip(header, row)) for row in table.tolist()]
+    if n >= C:   # every edge value is drawn
+        assert set(table["i"].tolist()) == set(EDGE_INTS)
+        assert set(table["s"].tolist()) == set(EDGE_TEXTS) <= set(table["o"].tolist())
     _serve(monkeypatch, table)
     data = _run_table(tmp_path / f"out.{fmt}", fmt)
     assert data == _emit(table, fmt)
