@@ -16,9 +16,11 @@ uses 17-significant-digit floats (exact round trip for 64-bit values),
 bools as 1/0, '.' decimals and '\n' line endings; JSON uses the shortest
 round-trip float repr, NaN and Infinity as bare tokens and bools as
 true/false.  Each distinct value of a float, int, bool or string column is
-formatted once, a CSV float column's values all in one `%` call; object
-columns, whose values may mix types and None, are formatted value by value
-under the same rules.
+formatted once, and one call formats each column: one `json.dumps` in
+JSON, one `%` call for a CSV float, int or bool column, while a CSV string
+column is its own tokens.  Object columns hold Python scalars and None of
+mixed types; in CSV they alone are formatted value by value, under the
+same rules.
 
 Exit codes: 0 success, 1 validation failure or an output file that cannot
 be written, 2 configuration error.
@@ -275,30 +277,25 @@ def parse_config(text: bytes | str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _format_value(value) -> str:
-    """CSV token of one value: floats with 17 significant digits, bools 1/0."""
+    """CSV token of one Python scalar or None: floats with 17 significant digits, bools 1/0."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _json_value(value) -> str:
-    """JSON token of one value: shortest round-trip floats, NaN and Infinity."""
-    return json.dumps(value.item() if isinstance(value, np.generic) else value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _column_tokens(column: np.ndarray, fmt: str, prefix: str):
     """Distinct tokens of one column and each row's index into them.
 
     Each distinct value is formatted once; floats are told apart by their
-    bit pattern, so -0.0 keeps its sign.  Object columns (mixed types) are
-    formatted value by value and index themselves.  `prefix` starts every
-    token (the column's separator and, in JSON, its ``"col":`` key).
+    bit pattern, so -0.0 keeps its sign.  Object columns hold Python
+    scalars and None, of mixed types, and index themselves.  `prefix`
+    starts every token (the column's separator and, in JSON, its ``"col":``
+    key).  One call formats every column but a CSV object column: in JSON
+    one encoder call, split on NUL, which no encoded scalar holds; in CSV
+    one `%` call for a float, int or bool column, while a string column is
+    its own tokens.
     """
     kind = column.dtype.kind
     if kind == "O":
@@ -307,18 +304,16 @@ def _column_tokens(column: np.ndarray, fmt: str, prefix: str):
         keys = column.view(np.uint64) if kind == "f" else column
         distinct, inverse = np.unique(keys, return_inverse=True)
         values = (distinct.view(np.float64) if kind == "f" else distinct).tolist()
-    if fmt == "csv" and kind == "f":
-        # one `%` call formats the column: "%.17g" % v is format(v, ".17g")
-        template = (prefix.replace("%", "%%") + "%.17g\0") * len(values)
-        return np.array((template % tuple(values)).split("\0")[:-1], dtype=object), inverse
-    if fmt == "csv":
-        tokens = [_format_value(v) for v in values]
+    if fmt == "json":
+        text = prefix + json.dumps(values, separators=("\0" + prefix, ":"))[1:-1]
     elif kind in "OU":
-        tokens = [_json_value(v) for v in values]
+        tokens = values if kind == "U" else [_format_value(v) for v in values]
+        return prefix + np.array(tokens, dtype=object), inverse
     else:
-        # one encoder call; number and bool tokens never contain ", "
-        tokens = json.dumps(values)[1:-1].split(", ")
-    return np.array([prefix + t for t in tokens], dtype=object), inverse
+        # "%.17g" % v is format(v, ".17g") and "%d" % v is str(int(v))
+        spec = prefix.replace("%", "%%") + ("%.17g" if kind == "f" else "%d")
+        text = "\0".join([spec] * len(values)) % tuple(values)
+    return np.array(text.split("\0"), dtype=object), inverse
 
 
 @dataclass(frozen=True)
@@ -433,11 +428,10 @@ def _atomic_write(path: str, chunks: Iterable[bytes]):
         except FileNotFoundError:
             pass
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(sys.exc_info()[1], OSError):
-            exc = sys.exc_info()[1]
+        if isinstance(exc, OSError):
             raise OSError(f"cannot write output file {path!r}: {exc}") from exc
         raise
 
