@@ -330,7 +330,7 @@ class TransitionStrength:
 @dataclass
 class SharedTransitionReport:
     transitions: list[TransitionStrength]
-    n_shared: int     # transitions with both strengths above SHARED_THRESHOLD
+    n_shared: int | None   # both strengths above SHARED_THRESHOLD; None: e xi R W / hbar is 0
 
 
 def shared_transition_scan(ring: DenseRing) -> SharedTransitionReport:
@@ -343,24 +343,22 @@ def shared_transition_scan(ring: DenseRing) -> SharedTransitionReport:
     SHARED_THRESHOLD; a common periodic double ring has none, the Mobius ring does.
     """
     params = ring.params
+    d_scale = E_CHARGE * params.half_width
+    m_scale = E_CHARGE * (params.xi_intra * EV) * params.radius * params.half_width / HBAR
+    if m_scale == 0.0:   # every magnetic strength would read inf or nan: no transitions
+        return SharedTransitionReport([], None)
     w = ring.eigensystem[0]
     d_eig = ring.projection("electric", "eigen")
     m_eig = ring.projection("bond_current", "eigen")
-    d_scale = E_CHARGE * params.half_width
-    m_scale = (
-        E_CHARGE * (params.xi_intra * EV) * params.radius * params.half_width / HBAR
-    )
     ground, *excited = ring.levels
     out = []
-    n_shared = 0
     for grp in excited:
         freq = w[grp].mean() - w[ground].mean()
         d_blk = np.linalg.norm(d_eig[np.ix_(ground, grp)]) / d_scale
         m_blk = np.linalg.norm(m_eig[np.ix_(ground, grp)]) / m_scale
-        both = d_blk > SHARED_THRESHOLD and m_blk > SHARED_THRESHOLD
-        n_shared += int(both)
         out.append(TransitionStrength(freq, d_blk, m_blk))
-    return SharedTransitionReport(out, n_shared)
+    shared = [t for t in out if t.electric > SHARED_THRESHOLD and t.magnetic > SHARED_THRESHOLD]
+    return SharedTransitionReport(out, len(shared))
 
 
 def annulene_cross_check(ring: DenseRing) -> SharedTransitionReport:

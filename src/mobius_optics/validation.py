@@ -325,9 +325,9 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
 
 def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     p12 = replace(params, n_per_ring=DENSE_N, radius=None)
-    # norms overflow at half widths near 1e90 (no shared line), and the scan's magnetic
-    # scale underflows to 0 at xi_intra_ev below about 1e-260 (infinite strengths)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # norms overflow at half widths near 1e90 (no shared line), and the products of
+    # the dense tables at xi_intra_ev near 1e200 read NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         ring_report = bf.perfect_ring_regression(
             dense(replace(p12, topology=Topology.SINGLE_RING)))
         annulene = bf.annulene_cross_check(
@@ -340,12 +340,12 @@ def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
         for t in mobius.transitions
     )
     comm, offdiag = ring_report.commutator_norm, ring_report.max_offdiag_magnetic
-    return {
+    return {   # each magnetic value is None where its natural scale underflows to 0
         "perfect_ring_commutator": UNDERFLOW if comm is None else comm,
         "perfect_ring_offdiag_magnetic": UNDERFLOW if offdiag is None else offdiag,
         "perfect_ring_has_electric_transitions": ring_report.max_offdiag_electric,
-        "annulene_shared_transitions": annulene.n_shared,
-        "mobius_shared_transition": int(shared_at_resonance),
+        "annulene_shared_transitions": UNDERFLOW if annulene.n_shared is None else annulene.n_shared,
+        "mobius_shared_transition": UNDERFLOW if mobius.n_shared is None else int(shared_at_resonance),
     }
 
 
