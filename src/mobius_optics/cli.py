@@ -69,8 +69,11 @@ class ConfigError(ValueError):
     pass
 
 
-# largest ring: `elements` grows as N, and at this N writes 122,870 rows (62 MiB peak)
-MAX_N_PER_RING = 4096
+# largest ring: `elements` grows as N, and at this N writes 122,870 rows (62 MiB peak);
+# largest theta_count, omega_count and surface_samples: a `response` of this many
+# frequencies peaks at 94 MiB of traced memory; largest phase-diagram grid: 2048 x 2048
+# cells peak at 8.4 MiB (2 B/cell) and write a 214 MiB CSV or 487 MiB JSON file
+MAX_N_PER_RING, MAX_SWEEP_POINTS, MAX_GRID_CELLS = 4096, 65536, 2**22
 
 # key: (default, unit / allowed values, description)
 CONFIG_KEYS = {
@@ -85,16 +88,18 @@ CONFIG_KEYS = {
     "lossy": (False, "bool", "keep the imaginary part of the response"),
     "theta_min_deg": (0.0, "deg", "incidence-angle grid start"),
     "theta_max_deg": (89.0, "deg", "incidence-angle grid end (< 90)"),
-    "theta_count": (256, "count", "incidence-angle grid points, >= 1"),
+    "theta_count": (256, "count", f"incidence-angle grid points, 1 to {MAX_SWEEP_POINTS}; "
+                    f"times omega_count at most {MAX_GRID_CELLS} phase-diagram cells"),
     "omega_center_ev": (None, "eV", "sweep centre; default: resonance"),
     "omega_span_ev": (None, "eV", "sweep half-span as detuning (eV)"),
     "omega_span_rad_s": (None, "rad/s",
                          "sweep half-span as detuning; default 10x bandwidth"),
-    "omega_count": (512, "count", "sweep grid points, >= 1"),
+    "omega_count": (512, "count", f"sweep grid points, 1 to {MAX_SWEEP_POINTS}"),
     "polarization": ("E", "E | H", "incident polarization for phase-diagram"),
     "surface_detunings_ev": (None, "eV list",
                              "wave-surface detunings; default: three regimes"),
-    "surface_samples": (200, "count", "points per wave-vector surface"),
+    "surface_samples": (200, "count",
+                        f"points per wave-vector surface, 10 to {MAX_SWEEP_POINTS}"),
     "output_path": (None, "path", "output file; default <command>.<format>"),
     "format": ("csv", "csv | json", "output table format"),
 }
@@ -172,16 +177,16 @@ def parse_config(text: bytes | str) -> RunConfig:
             _expect(val >= 0, f"{key} must be >= 0")
         return float(val)
 
-    def integer(key, minimum):
+    def integer(key, minimum, maximum):
         val = cfg[key]
         _expect(isinstance(val, int) and not isinstance(val, bool),
                 f"{key} must be an integer")
         _expect(_finite(val), f"{key} must be finite")
         _expect(val >= minimum, f"{key} must be >= {minimum}")
+        _expect(val <= maximum, f"{key} must be <= {maximum}")
         return val
 
-    n = integer("n_per_ring", 3)
-    _expect(n <= MAX_N_PER_RING, f"n_per_ring must be <= {MAX_N_PER_RING}")
+    n = integer("n_per_ring", 3, MAX_N_PER_RING)
     v_ev = number("v_inter_ev", positive=True)
     xi_ev = number("xi_intra_ev", positive=True)
     w_m = number("half_width_nm", positive=True) * NM
@@ -206,7 +211,7 @@ def parse_config(text: bytes | str) -> RunConfig:
     # the bandwidth command evaluates both conventions: the 2W cylinder halves the volume
     for conv in VolumeConvention:
         try:
-            with np.errstate(over="ignore"):   # the level spacing in rad/s overflows to inf
+            with np.errstate(over="ignore", invalid="ignore"):   # inf levels, a NaN spacing
                 res = MediumConfig(replace(ring, volume_convention=conv)).resonance
         except OverflowError:   # (R + W)^2 overflows
             res = None
@@ -232,8 +237,8 @@ def parse_config(text: bytes | str) -> RunConfig:
     theta_max = number("theta_max_deg")
     _expect(theta_max < 90.0, "theta_max_deg must be < 90")
     _expect(theta_max >= theta_min, "theta_max_deg must be >= theta_min_deg")
-    theta_count = integer("theta_count", 1)
-    omega_count = integer("omega_count", 1)
+    theta_count = integer("theta_count", 1, MAX_SWEEP_POINTS)
+    omega_count = integer("omega_count", 1, MAX_SWEEP_POINTS)
     omega_center = cfg["omega_center_ev"]
     if omega_center is not None:
         omega_center = number("omega_center_ev", positive=True)
@@ -257,7 +262,7 @@ def parse_config(text: bytes | str) -> RunConfig:
                 "surface_detunings_ev must be a non-empty list of numbers")
         _expect(all(map(_finite, detunings)), "surface_detunings_ev must be finite")
         detunings = [float(x) for x in detunings]
-    samples = integer("surface_samples", 10)
+    samples = integer("surface_samples", 10, MAX_SWEEP_POINTS)
     out_path = cfg["output_path"]
     _expect(out_path is None or isinstance(out_path, str) and out_path,
             "output_path must be a non-empty string (null for the default)")
@@ -469,6 +474,8 @@ def _omega_grid(config: RunConfig, res: Resonance):
 
 
 def _theta_grid(config: RunConfig):
+    _expect(config.theta_count * config.omega_count <= MAX_GRID_CELLS,
+            f"theta_count * omega_count must be <= {MAX_GRID_CELLS} phase-diagram cells")
     grid = np.radians(
         np.linspace(config.theta_min_deg, config.theta_max_deg, config.theta_count))
     if not _increasing(grid):

@@ -79,6 +79,10 @@ def test_malformed_json_rejected():
                         ("omega_count", "omega_count"), ("surface_samples", "surface_samples"))),
     # a numpy MemoryError in `spectrum` before the cap
     ('{"N": 10000000000000000}', "n_per_ring must be <= 4096"),
+    # a numpy MemoryError from a 745 GiB or 7.28 TiB grid before the caps
+    ('{"theta_count": 65537}', "theta_count must be <= 65536"),
+    ('{"omega_count": 100000000000}', "omega_count must be <= 65536"),
+    ('{"surface_samples": 1000000000000}', "surface_samples must be <= 65536"),
     ('{"volume_convention": "sphere"}', "volume_convention must be cylinder_4w or cylinder_2w"),
     ('{"surface_detunings_ev": [NaN]}', "surface_detunings_ev must be finite"),
     ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
@@ -92,6 +96,10 @@ def test_malformed_json_rejected():
     # finite for the configured 4W cylinder; the bandwidth command's 2W cylinder overflows
     ('{"N": 3, "v_inter_ev": 1e73}', "v_inter_ev, xi_intra_ev, half_width_nm .* finite bandwidth"),
     ('{"xi_intra_ev": 1e300}', "v_inter_ev, xi_intra_ev, half_width_nm .* critical lifetime"),
+    # the level energies overflow, and their difference is inf - inf (no RuntimeWarning)
+    ('{"xi_intra_ev": 1e308}', "v_inter_ev, xi_intra_ev, half_width_nm .* critical lifetime"),
+    ('{"v_inter_ev": 1e308, "xi_intra_ev": 1e308}',
+     "v_inter_ev, xi_intra_ev, half_width_nm .* critical lifetime"),
     ('{"gamma_inv_ns": 1e-200}', "gamma_inv_ns must give a finite bandwidth"),
     # the level spacing of 1e300 eV overflows in rad/s
     ('{"v_inter_ev": 1e300, "radius_nm": 1e-300}', "v_inter_ev and xi_intra_ev must give a finite "
@@ -134,6 +142,44 @@ def test_omega_sweep_outside_the_positive_range_is_a_config_error(
     assert cli.main([command, "c.json"]) == cli.EXIT_CONFIG_ERROR
     assert key in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command,extra,keys", [
+    # each a numpy MemoryError from a 745 GiB or 7.28 TiB linspace before the caps
+    ("response", {"omega_count": 10**11}, ("omega_count",)),
+    ("phase-diagram", {"theta_count": 10**12}, ("theta_count",)),
+    ("phase-diagram", {"omega_count": 10**12}, ("omega_count",)),
+    ("surface", {"surface_samples": 10**12}, ("surface_samples",)),
+    # both counts within their cap, the grid one theta row above MAX_GRID_CELLS
+    ("phase-diagram", {"theta_count": 2049, "omega_count": 2048}, ("theta_count", "omega_count")),
+])
+def test_huge_counts_are_config_errors_naming_the_key(
+        tmp_path, capsys, monkeypatch, command, extra, keys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(extra))
+    assert cli.main([command, "c.json"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and all(key in err for key in keys)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_count_caps_admit_every_size_in_use(tmp_path):
+    caps = {key: cli.MAX_SWEEP_POINTS for key in ("theta_count", "omega_count", "surface_samples")}
+    assert cli.parse_config(json.dumps(caps)).surface_samples == cli.MAX_SWEEP_POINTS == 65536
+    # the defaults, the benchmark's 4096-point sweep, the README's 1024 x 1024 grid and
+    # the largest grids: square, and one MAX_SWEEP_POINTS wide
+    for theta, omega in ((256, 512), (1, 4096), (1024, 1024), (2048, 2048), (64, 65536)):
+        config = cli.parse_config(json.dumps({"theta_count": theta, "omega_count": omega}))
+        assert len(cli._theta_grid(config)) == theta
+    # `response` reads no theta key, so a grid above the cell cap is no error there
+    path = tmp_path / "r.csv"
+    config = cli.parse_config(json.dumps(
+        {"theta_count": 65536, "omega_count": 128, "output_path": str(path)}))
+    assert config.theta_count * config.omega_count > cli.MAX_GRID_CELLS
+    assert cli.run_command("response", config, stdout=io.StringIO()) == cli.EXIT_OK
+    assert len(path.read_text().splitlines()) == 129
+    with pytest.raises(cli.ConfigError, match=r"theta_count \* omega_count must be <= 4194304"):
+        cli.run_command("phase-diagram", config, stdout=io.StringIO())
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -526,18 +572,21 @@ def test_validate_at_an_underflowing_half_width_keeps_the_dipole_checks(tmp_path
 MAGNETIC_ROWS = ("magnetic_table_vs_numeric", "magnetic_dyads_vs_dense_eigenvectors",
                  "magnetic_block_calibration", "commutator_vs_bond_current")
 MAGNETIC_SCALE_ROWS = ("selection_rule_sparsity", "perfect_ring_commutator",
-                       "perfect_ring_offdiag_magnetic")
+                       "perfect_ring_offdiag_magnetic", "annulene_shared_transitions",
+                       "mobius_shared_transition")
 PHASE_DIAGRAM_ROWS = ("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
                       "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
 LOSSY_SWEEP_ROWS = ("lossy_window_shift", "overdamped_window_empty")
 
 
 @pytest.mark.parametrize("config,failed_notes", [
-    # the dense checks' radius N W / pi leaves every numeric magnetic element 0
+    # the dense checks' radius N W / pi leaves every numeric magnetic element 0, and
+    # the shared-transition strengths 0 / 0
     ({"half_width_nm": 1e-150, "radius_nm": 1e30},
      dict.fromkeys(MAGNETIC_ROWS + MAGNETIC_SCALE_ROWS, validation.UNDERFLOW)),
     # the commutator's scale (e xi R^2 / hbar) xi underflows to 0, and at 1e-300 the
-    # elements' scales e xi R^2 / hbar and e xi R W / hbar too
+    # elements' scales e xi R^2 / hbar and e xi R W / hbar too (the shared-transition
+    # strengths would read inf)
     ({"xi_intra_ev": 1e-150}, {"perfect_ring_commutator": validation.UNDERFLOW}),
     ({"xi_intra_ev": 1e-300}, dict.fromkeys(MAGNETIC_SCALE_ROWS, validation.UNDERFLOW)),
     # 20 bandwidths, and the 4 of the lossy sweep, are below the float spacing at the

@@ -7,9 +7,12 @@ write a complete table (exit 0, or 1 for a failed `validate`), with no
 traceback and no stray warning.  The written file is parsed back: a CSV
 holds its header plus the row count the `wrote ...` line reports, a JSON
 file that many rows, and a `validate` table the names of all
-`validation.CHECKS` in order.  Grids stay small (N <= 64, at most 40
+`validation.CHECKS` in order.  Sane grids stay small (N <= 64, at most 40
 points per sweep, at most 200 surface samples) so the test runs in a
-few seconds.
+few seconds; an absurd count is junk, a small integer or an integer
+above its cap (`cli.MAX_N_PER_RING`, `cli.MAX_SWEEP_POINTS`), which is a
+config error.  Two examples overflow the level energies, whose difference
+once leaked a numpy RuntimeWarning before the config error.
 """
 
 import io
@@ -19,7 +22,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mobius_optics import cli, validation
@@ -27,12 +30,17 @@ from mobius_optics import cli, validation
 junk = st.sampled_from([None, True, "1", [1.0], {}]) | st.floats() | st.integers(-10**400, 10**400)
 magnitudes = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 300))
 absurd = magnitudes | junk
-# a grid or ring size: small integers, or junk that is not an integer
-counts = st.integers(-1, 2) | junk.filter(lambda v: type(v) is not int)
+
+
+def counts(cap):
+    """A grid or ring size: small integers, integers above `cap`, or junk that is not an int."""
+    return (st.integers(-1, 2) | st.integers(cap + 1, 10**400)
+            | junk.filter(lambda v: type(v) is not int))
+
 
 # key: (sane values, absurd values)
 KEYS = {
-    "n_per_ring": (st.integers(3, 64), counts),
+    "n_per_ring": (st.integers(3, 64), counts(cli.MAX_N_PER_RING)),
     "v_inter_ev": (st.floats(0.1, 10), absurd),
     "xi_intra_ev": (st.floats(0.1, 10), absurd),
     "half_width_nm": (st.floats(0.005, 1.0), absurd),
@@ -42,15 +50,15 @@ KEYS = {
     "lossy": (st.booleans(), absurd),
     "theta_min_deg": (st.floats(0, 89), absurd),
     "theta_max_deg": (st.floats(0, 89.9), absurd),
-    "theta_count": (st.integers(1, 8), counts),
+    "theta_count": (st.integers(1, 8), counts(cli.MAX_SWEEP_POINTS)),
     "omega_center_ev": (st.floats(0.1, 20), absurd),
     "omega_span_ev": (st.floats(1e-6, 1), absurd),
     "omega_span_rad_s": (st.floats(1e6, 1e13), absurd),
-    "omega_count": (st.integers(1, 40), counts),
+    "omega_count": (st.integers(1, 40), counts(cli.MAX_SWEEP_POINTS)),
     "polarization": (st.sampled_from(["E", "H"]), absurd),
     "surface_detunings_ev": (st.lists(st.floats(-2, 2) | magnitudes, min_size=1, max_size=3),
                              absurd),
-    "surface_samples": (st.integers(10, 200), counts),
+    "surface_samples": (st.integers(10, 200), counts(cli.MAX_SWEEP_POINTS)),
     "format": (st.sampled_from(["csv", "json"]), absurd),
 }
 
@@ -79,6 +87,8 @@ def _run(command, raw, path):
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(cli._COMMANDS)), configs())
+@example("spectrum", {"xi_intra_ev": 1e308})
+@example("response", {"v_inter_ev": 1e308, "xi_intra_ev": 1e308})
 def test_every_config_ends_in_a_table_or_a_config_error(command, raw):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
