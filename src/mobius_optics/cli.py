@@ -98,8 +98,7 @@ CONFIG_KEYS = {
     "polarization": ("E", "E | H", "incident polarization for phase-diagram"),
     "surface_detunings_ev": (None, "eV list",
                              "wave-surface detunings; default: three regimes"),
-    "surface_samples": (200, "count",
-                        f"points per wave-vector surface, 10 to {MAX_SWEEP_POINTS}"),
+    "surface_samples": (200, "count", f"points per wave-vector surface, 10 to {MAX_SWEEP_POINTS}"),
     "output_path": (None, "path", "output file; default <command>.<format>"),
     "format": ("csv", "csv | json", "output table format"),
 }
