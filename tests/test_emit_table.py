@@ -319,9 +319,27 @@ def _random_codes(seed):
     return fake
 
 
-def _phase_diagram_bytes(grid, pol, fmt, chunk_rows, seed):
-    """The file `run_command` writes and its flat reference; random codes unless seed is None."""
-    fake = cli.phase_diagram if seed is None else _random_codes(seed)
+def _run_codes(layout, width):
+    """Stand-in for `phase_diagram` whose theta row i is code row ``layout[i]`` of a pool.
+
+    The pool holds ``max(layout) + 1`` code rows of `width` cells that differ
+    only in their first and last cells, so every piece between those two
+    repeats from row to row, as a classifier's theta rows repeat in runs.
+    """
+    base = np.random.default_rng(width).integers(0, 4, width)
+    pool = np.repeat(base[None], max(layout) + 1, axis=0)
+    for k, row in enumerate(pool):
+        row[[0, -1]] = (base[[0, -1]] + k) % 4
+    codes = (pool[layout] - 1).astype(np.int8)
+
+    def fake(medium, pol, theta, omega):
+        assert codes.shape == (len(theta), len(omega))
+        return PhaseDiagram(pol, theta, omega, codes)
+    return fake
+
+
+def _phase_diagram_bytes(grid, pol, fmt, chunk_rows, fake):
+    """The file `run_command` writes and its flat reference, with `fake` as `phase_diagram`."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "phase_diagram", fake), \
             mock.patch.object(cli, "CHUNK_ROWS", chunk_rows):
@@ -344,10 +362,14 @@ grids = st.tuples(st.integers(1, 9), st.integers(1, 9))
 @example((1, 7), "H", "json", "n-1", 3)
 @example((7, 1), "E", "json", "n+1", 4)
 def test_phase_diagram_file_matches_the_flat_table(grid, pol, fmt, chunk, seed):
-    chunk_rows = {"1": 1, "5": 5, "n-1": max(grid[1] - 1, 1), "n+1": grid[1] + 1,
-                  "C": cli.CHUNK_ROWS}[chunk]
-    data, reference = _phase_diagram_bytes(grid, pol, fmt, chunk_rows, seed)
+    fake = cli.phase_diagram if seed is None else _random_codes(seed)
+    data, reference = _phase_diagram_bytes(grid, pol, fmt, _chunk_rows(chunk, grid[1]), fake)
     assert data == reference
+
+
+def _chunk_rows(chunk, width):
+    return {"1": 1, "5": 5, "n-1": max(width - 1, 1), "n+1": width + 1,
+            "C": cli.CHUNK_ROWS}[chunk]
 
 
 # (theta, omega) grids at the default chunk size: theta rows one short of, equal
@@ -360,11 +382,28 @@ CHUNK_GRIDS = [(3, C - 1), (3, C), (3, C + 1), (C + 1, 1), (2 * C + 3, 2),
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("grid", CHUNK_GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
 def test_phase_diagram_file_matches_the_flat_table_at_chunk_edges(grid, fmt):
-    seed = grid[0] * grid[1]
-    data, reference = _phase_diagram_bytes(grid, "E", fmt, cli.CHUNK_ROWS, seed)
+    fake = _random_codes(grid[0] * grid[1])
+    data, reference = _phase_diagram_bytes(grid, "E", fmt, cli.CHUNK_ROWS, fake)
     assert data == reference
-    codes = _random_codes(seed)(None, None, range(grid[0]), range(grid[1])).codes
+    codes = fake(None, None, range(grid[0]), range(grid[1])).codes
     assert set(np.unique(codes)) == {-1, 0, 1, 2}
+
+
+# theta rows as pool indices: one row throughout; runs of three rows; and
+# rows 2 and 3 equal to the row two above them but not to the row just above
+LAYOUTS = {"one": [0] * 5, "runs": [0, 0, 1, 1, 1, 2, 2], "aba": [0, 1, 0, 1, 1, 0]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("chunk", ["1", "5", "n-1", "n+1", "C"])
+@pytest.mark.parametrize("width", [2, 7, C, C + 1, 2 * C + 1])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_phase_diagram_file_matches_the_flat_table_when_theta_rows_repeat(
+        layout, width, chunk, fmt):
+    fake = _run_codes(LAYOUTS[layout], width)
+    grid = (len(LAYOUTS[layout]), width)
+    data, reference = _phase_diagram_bytes(grid, "E", fmt, _chunk_rows(chunk, width), fake)
+    assert data == reference
 
 
 def _traced_peak(run) -> int:
