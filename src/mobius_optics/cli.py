@@ -9,7 +9,8 @@ token plus an (omega, code) suffix and no column the size of the grid
 exists.  One generator, `_table_chunks`, serialises either kind in chunks
 of at most `CHUNK_ROWS` rows: a `BlockedTable` in whole theta rows, or
 pieces of one, and each theta row's text in one join on its theta
-token.  `run_command` streams the chunks into a temp file, then
+token; a chunk whose codes equal the previous chunk's at the same columns
+reuses that chunk's tail tokens.  `run_command` streams the chunks into a temp file, then
 renames it over the output path, so memory tracks the table and not the
 output text.  Outputs are all-or-nothing and byte-stable across runs: CSV
 uses 17-significant-digit floats (exact round trip for 64-bit values),
@@ -96,8 +97,8 @@ CONFIG_KEYS = {
                          "sweep half-span as detuning; default 10x bandwidth"),
     "omega_count": (512, "count", f"sweep grid points, 1 to {MAX_SWEEP_POINTS}"),
     "polarization": ("E", "E | H", "incident polarization for phase-diagram"),
-    "surface_detunings_ev": (None, "eV list",
-                             "wave-surface detunings; default: three regimes"),
+    "surface_detunings_ev": (None, "eV list", "wave-surface detunings; default: three regimes; "
+                             f"length times surface_samples at most {3 * MAX_SWEEP_POINTS}"),
     "surface_samples": (200, "count", f"points per wave-vector surface, 10 to {MAX_SWEEP_POINTS}"),
     "output_path": (None, "path", "output file; default <command>.<format>"),
     "format": ("csv", "csv | json", "output table format"),
@@ -262,6 +263,10 @@ def parse_config(text: bytes | str) -> RunConfig:
         _expect(all(map(_finite, detunings)), "surface_detunings_ev must be finite")
         detunings = [float(x) for x in detunings]
     samples = integer("surface_samples", 10, MAX_SWEEP_POINTS)
+    # the three default detunings at the sample cap
+    _expect(detunings is None or len(detunings) * samples <= 3 * MAX_SWEEP_POINTS,
+            f"surface_detunings_ev: its length times surface_samples must be "
+            f"<= {3 * MAX_SWEEP_POINTS} surface rows")
     out_path = cfg["output_path"]
     _expect(out_path is None or isinstance(out_path, str) and out_path,
             "output_path must be a non-empty string (null for the default)")
@@ -396,7 +401,10 @@ def _blocked_texts(columns, codes: np.ndarray) -> Iterator[str]:
     """Text of whole theta rows, or of `CHUNK_ROWS`-wide pieces of one, at a time.
 
     Each theta row (or piece) is one ``h.join`` of an empty string and its
-    tail tokens, so its head token h is not gathered per cell.
+    tail tokens, so its head token h is not gathered per cell.  A chunk
+    whose codes bytes equal those of the previous chunk at the same columns
+    reuses that chunk's tail tokens: a classifier's theta rows repeat in
+    runs, so most chunks gather nothing.
     """
     heads, tails = (np.add.reduce([tokens[inverse] for tokens, inverse in part])
                     for part in columns)
@@ -404,12 +412,16 @@ def _blocked_texts(columns, codes: np.ndarray) -> Iterator[str]:
     step, piece = max(CHUNK_ROWS // max(width, 1), 1), max(min(width, CHUNK_ROWS), 1)
     # index 0 is the empty string that starts each theta row's join
     tails, offsets = np.concatenate([[""], tails]), 4 * np.arange(width) + 2
+    last = {}   # piece start j: the codes bytes and tail tokens of the last chunk there
     for i in range(0, n_theta, step):
         for j in range(0, width, piece):
-            cells = codes[i:i + step, j:j + piece] + offsets[j:j + piece]   # tail indices
-            index = np.zeros((len(cells), cells.shape[1] + 1), dtype=np.intp)
-            index[:, 1:] = cells
-            yield "".join(map(str.join, heads[i:i + step].tolist(), tails[index].tolist()))
+            block = codes[i:i + step, j:j + piece]
+            key = block.tobytes()
+            if last.get(j, (None,))[0] != key:
+                index = np.zeros((len(block), block.shape[1] + 1), dtype=np.intp)
+                index[:, 1:] = block + offsets[j:j + piece]   # tail indices
+                last[j] = key, tails[index].tolist()
+            yield "".join(map(str.join, heads[i:i + step].tolist(), last[j][1]))
 
 
 def _atomic_write(path: str, chunks: Iterable[bytes]):

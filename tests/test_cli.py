@@ -83,6 +83,9 @@ def test_malformed_json_rejected():
     ('{"theta_count": 65537}', "theta_count must be <= 65536"),
     ('{"omega_count": 100000000000}', "omega_count must be <= 65536"),
     ('{"surface_samples": 1000000000000}', "surface_samples must be <= 65536"),
+    # more surface rows than the three default detunings give at the sample cap
+    ('{"surface_detunings_ev": [-1, 1, 2, 3], "surface_samples": 49153}',
+     "surface_detunings_ev: its length times surface_samples must be <= 196608"),
     ('{"volume_convention": "sphere"}', "volume_convention must be cylinder_4w or cylinder_2w"),
     ('{"surface_detunings_ev": [NaN]}', "surface_detunings_ev must be finite"),
     ('{"eps_onsite_ev": 0.5}', "unknown config key: 'eps_onsite_ev'"),
@@ -150,6 +153,8 @@ def test_omega_sweep_outside_the_positive_range_is_a_config_error(
     ("phase-diagram", {"theta_count": 10**12}, ("theta_count",)),
     ("phase-diagram", {"omega_count": 10**12}, ("omega_count",)),
     ("surface", {"surface_samples": 10**12}, ("surface_samples",)),
+    # 1000 detunings at the default 200 samples: 200,000 surface rows
+    ("surface", {"surface_detunings_ev": [0.5] * 1000}, ("surface_detunings_ev",)),
     # both counts within their cap, the grid one theta row above MAX_GRID_CELLS
     ("phase-diagram", {"theta_count": 2049, "omega_count": 2048}, ("theta_count", "omega_count")),
 ])
@@ -166,6 +171,9 @@ def test_huge_counts_are_config_errors_naming_the_key(
 def test_count_caps_admit_every_size_in_use(tmp_path):
     caps = {key: cli.MAX_SWEEP_POINTS for key in ("theta_count", "omega_count", "surface_samples")}
     assert cli.parse_config(json.dumps(caps)).surface_samples == cli.MAX_SWEEP_POINTS == 65536
+    # as many surface rows as the three default detunings give at the sample cap
+    rows = {"surface_detunings_ev": [-1, 1, 2, 3], "surface_samples": 49152}
+    assert cli.parse_config(json.dumps(rows)).surface_samples * 4 == 3 * cli.MAX_SWEEP_POINTS
     # the defaults, the benchmark's 4096-point sweep, the README's 1024 x 1024 grid and
     # the largest grids: square, and one MAX_SWEEP_POINTS wide
     for theta, omega in ((256, 512), (1, 4096), (1024, 1024), (2048, 2048), (64, 65536)):
