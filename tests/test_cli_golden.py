@@ -52,6 +52,9 @@ CASES = {
     "validate_overdamped": ("validate", [], {"gamma_inv_ns": 0.3}, cli.EXIT_VALIDATION_FAILURE),
     "validate_n3": ("validate", [], {"N": 3}, cli.EXIT_VALIDATION_FAILURE),
     "validate_n4": ("validate", [], {"N": 4}, cli.EXIT_VALIDATION_FAILURE),
+    # N = 3 with its four-fold resonant level split (V != xi)
+    "validate_n3_v_ne_xi": ("validate", [], {"n_per_ring": 3, "v_inter_ev": 2.0,
+                                             "xi_intra_ev": 1.3}, cli.EXIT_VALIDATION_FAILURE),
     "validate_narrow_window": ("validate", [], {"N": 6, "gamma_inv_ns": 0.6},
                                cli.EXIT_VALIDATION_FAILURE),
     "validate_half_width_1e5": ("validate", [], {"half_width_nm": 1e5},
@@ -211,6 +214,12 @@ GOLDEN = {
     ("validate_n4", "json"): (
         "78c88b5a910fc1730df51ad06694660ba09063fd2be6d15d7cb73c2ff57aa483",
         "cbe8d84c50b039b9cbb5e45f83cc714404e7c4ce0c09f5e2bed8bb647e98ab30"),
+    ("validate_n3_v_ne_xi", "csv"): (
+        "4bde4ff5bd0c18c0d3417c0c9ab1cc333f4a1815bab9803e576469ae62261207",
+        "1d51c53498d9b7f6da14f3bed0d77c7cc33a6d5fb646daf09d8961ce66e4c737"),
+    ("validate_n3_v_ne_xi", "json"): (
+        "81e13e0f55676db1d2ca5393aa3617c17d9bbb553737fbf39321705ac1f1ca25",
+        "4040c8e01a2322afdc8633f125d38f5dbf83fe360c2be0ff025bf012362e008f"),
     ("validate_narrow_window", "csv"): (
         "2b680616b7cd66b964a82b47ea478442876f422fe78e58ea49a88e523182e3cc",
         "b9a2f3e93a1a97a71e45bfa4ede78928d1f7526940943cdbea95a33bf12caaaf"),

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics import validation
-from mobius_optics.constants import EPSILON_0, EV, HBAR, NM
+from mobius_optics.constants import C_LIGHT, E_CHARGE, EPSILON_0, EV, HBAR, NM
 from mobius_optics.dipole import DipoleKind
 from mobius_optics.ring import BANDS, Band, RingParams, VolumeConvention, label_axes
 from mobius_optics.validation import validation_report
@@ -335,6 +335,31 @@ def test_window_and_sweep_keep_the_bits_of_the_hand_built_expressions(ring, half
         assert grid == rs.REPEATED_SWEEP
     else:
         assert np.array_equal(_bits(grid), _bits(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 199), v=st.floats(1.0, 10.0), xi=st.floats(1.0, 10.0),
+       w_nm=st.floats(1e-2, 10.0))
+def test_single_resonance_tensors_are_the_resonant_pair_of_the_kubo_sum(n, v, xi, w_nm):
+    # eta's prefactor and the couplings a, b are the dyads of the labels (0, up)
+    # and (1, up), excited states n - 1 and n, which lie at Delta_0 (N = 3 adds
+    # (1, down) and (2, down) there when V = xi).  xi / V stays within 10: the
+    # magnetic blocks difference nearby cosines, and at xi / V = 100 the pair
+    # agrees only to about 1e-14
+    cfg = rs.MediumConfig(RingParams(n, v_inter=v, xi_intra=xi, half_width=w_nm * NM))
+    res = cfg.resonance
+    a, b = res.alpha, res.beta
+    scale = (E_CHARGE * res.half_width) ** 2 / 8.0
+    expected = {
+        DipoleKind.ELECTRIC: scale * np.array([[1.0, 0, 0], [0, 1, 2], [0, 2, 4]]),
+        DipoleKind.MAGNETIC: scale * C_LIGHT**2 * np.array(
+            [[a * a, 0, 0], [0, a * a, 2 * a * b], [0, 2 * a * b, 4 * b * b]]),
+    }
+    for kind, coefficients in expected.items():
+        freqs, dyads = rs._ground_dyads(cfg, kind)
+        assert freqs[n - 1] == freqs[n] == res.delta0
+        np.testing.assert_allclose(dyads[n - 1] + dyads[n], coefficients,
+                                   rtol=0, atol=1e-14 * np.abs(coefficients).max())
 
 
 @pytest.mark.parametrize("ring,reasons", [
