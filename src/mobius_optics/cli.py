@@ -10,18 +10,18 @@ exists.  One generator, `_table_chunks`, serialises either kind in chunks
 of at most `CHUNK_ROWS` rows: a `BlockedTable` in whole theta rows, or
 pieces of one, and each theta row's text in one join on its theta
 token; a chunk whose codes equal the previous chunk's at the same columns
-reuses that chunk's tail tokens.  `run_command` streams the chunks into a temp file, then
-renames it over the output path, so memory tracks the table and not the
-output text.  Outputs are all-or-nothing and byte-stable across runs: CSV
-uses 17-significant-digit floats (exact round trip for 64-bit values),
-bools as 1/0, '.' decimals and '\n' line endings; JSON uses the shortest
-round-trip float repr, NaN and Infinity as bare tokens and bools as
-true/false.  Each distinct value of a float, int, bool or string column is
-formatted once, and one call formats each column: one `json.dumps` in
-JSON, one `%` call for a CSV float, int or bool column, while a CSV string
-column is its own tokens.  Object columns hold Python scalars and None of
-mixed types; in CSV they alone are formatted value by value, under the
-same rules.
+reuses that chunk's tail tokens.  `run_command` streams the chunks into a
+temp file, then renames it over the output path, so memory tracks the
+table and not the output text.  Outputs are all-or-nothing and
+byte-stable across runs: CSV uses 17-significant-digit floats (exact
+round trip for 64-bit values), bools as 1/0, '.' decimals and '\n' line
+endings; JSON uses the shortest round-trip float repr, NaN and Infinity
+as bare tokens and bools as true/false.  Each distinct value of a
+float, int, bool or string column is formatted once, and one call
+formats each column: one `json.dumps` in JSON, one `%` call for a CSV
+float, int or bool column, while a CSV string column is its own tokens.
+Object columns hold Python scalars and None of mixed types; in CSV they
+alone are formatted value by value, under the same rules.
 
 Exit codes: 0 success, 1 validation failure or an output file that cannot
 be written, 2 configuration error.
@@ -263,7 +263,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         _expect(all(map(_finite, detunings)), "surface_detunings_ev must be finite")
         detunings = [float(x) for x in detunings]
     samples = integer("surface_samples", 10, MAX_SWEEP_POINTS)
-    # the three default detunings at the sample cap
+    # as many surface rows as the three default detunings give at the sample cap
     _expect(detunings is None or len(detunings) * samples <= 3 * MAX_SWEEP_POINTS,
             f"surface_detunings_ev: its length times surface_samples must be "
             f"<= {3 * MAX_SWEEP_POINTS} surface rows")

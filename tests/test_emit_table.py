@@ -351,6 +351,12 @@ def _phase_diagram_bytes(grid, pol, fmt, chunk_rows, fake):
         return path.read_bytes(), _flat_phase_diagram(config)
 
 
+def _chunk_rows(chunk, width):
+    """`CHUNK_ROWS` named relative to a width of `width` cells."""
+    return {"1": 1, "5": 5, "n-1": max(width - 1, 1), "n+1": width + 1,
+            "C": cli.CHUNK_ROWS}[chunk]
+
+
 grids = st.tuples(st.integers(1, 9), st.integers(1, 9))
 
 
@@ -365,11 +371,6 @@ def test_phase_diagram_file_matches_the_flat_table(grid, pol, fmt, chunk, seed):
     fake = cli.phase_diagram if seed is None else _random_codes(seed)
     data, reference = _phase_diagram_bytes(grid, pol, fmt, _chunk_rows(chunk, grid[1]), fake)
     assert data == reference
-
-
-def _chunk_rows(chunk, width):
-    return {"1": 1, "5": 5, "n-1": max(width - 1, 1), "n+1": width + 1,
-            "C": cli.CHUNK_ROWS}[chunk]
 
 
 # (theta, omega) grids at the default chunk size: theta rows one short of, equal

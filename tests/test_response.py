@@ -344,7 +344,7 @@ def test_single_resonance_tensors_are_the_resonant_pair_of_the_kubo_sum(n, v, xi
     # eta's prefactor and the couplings a, b are the dyads of the labels (0, up)
     # and (1, up), excited states n - 1 and n, which lie at Delta_0 (N = 3 adds
     # (1, down) and (2, down) there when V = xi).  xi / V stays within 10: the
-    # magnetic blocks difference nearby cosines, and at xi / V = 100 the pair
+    # magnetic blocks subtract nearby cosines, and at xi / V = 100 the pair
     # agrees only to about 1e-14
     cfg = rs.MediumConfig(RingParams(n, v_inter=v, xi_intra=xi, half_width=w_nm * NM))
     res = cfg.resonance
