@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -337,3 +339,44 @@ def test_dyad_pass_matches_the_loop_over_levels(n, ring):
         ana, num = ana_fn(p), dense.projection(name, "eigen")
         assert (_canonical(validation._dyad_deviation(dense, num, ana))
                 == _canonical(_dyads_by_levels(p, w, num, ana)))
+
+
+# --- the dense rows at powers of two of the ring's energies and lengths -------
+
+DENSE_ROWS = [check.name for check in validation.CHECKS[:16]]
+
+
+def _dense_rows(params):
+    """The spectrum, dipole and topology rows of one report, by name."""
+    dense = functools.cache(bf.DenseRing)
+    return (validation.spectrum_checks(params, dense) | validation.dipole_checks(params, dense)
+            | validation.topology_checks(params, dense))
+
+
+@settings(max_examples=30, deadline=None)
+@given(top=st.floats(-100.0, 100.0), ratio=st.floats(-6.0, 6.0), width=st.floats(-30.0, 30.0))
+def test_dense_rows_keep_their_values_at_powers_of_two_of_the_energies_and_lengths(
+        top, ratio, width):
+    # V and xi divided by 2^k, W times 2^j and the level tolerance divided by 2^k: every
+    # product stays in the normal range on both sides (max(V, xi) within 1e+-100 eV, W
+    # within 1e+-30 nm), so each relative row keeps its value to a few ulps and each
+    # integer row its count; the spectrum row, in eV, is divided by 2^k
+    v, xi = sorted((10.0 ** top, 10.0 ** (top - abs(ratio))), reverse=ratio > 0)
+    params = RingParams(12, v_inter=v, xi_intra=xi, half_width=10.0 ** width * NM)
+    k = math.frexp(max(v, xi))[1] - math.frexp(3.6)[1]
+    j = math.frexp(0.077 * NM)[1] - math.frexp(params.half_width)[1]
+    scaled = RingParams(12, v_inter=math.ldexp(v, -k), xi_intra=math.ldexp(xi, -k),
+                        half_width=math.ldexp(params.half_width, j))
+    rows = _dense_rows(params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bf, "LEVEL_TOL_EV", math.ldexp(bf.LEVEL_TOL_EV, -k))
+        at_scale = _dense_rows(scaled)
+    at_scale["spectrum_closed_vs_dense_ev"] = math.ldexp(at_scale["spectrum_closed_vs_dense_ev"], k)
+    # the resonance line is matched within a fixed 1e-9 eV in the scaled ring's units
+    for name in DENSE_ROWS[:-1]:
+        value, scaled_value = rows[name], at_scale[name]
+        if isinstance(value, (int, np.integer)):
+            assert value == scaled_value, name
+        else:
+            assert math.isclose(value, scaled_value, rel_tol=4 * sys.float_info.epsilon), (
+                name, value, scaled_value)
