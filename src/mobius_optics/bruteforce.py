@@ -13,13 +13,13 @@ twisted ring responds magnetically:
 A ``DenseRing`` holds one ring's dense objects (the Hamiltonian, its
 eigensystem and level grouping, the closed-form amplitudes and each level's
 matched closed-form columns), each built on first use and then shared
-read-only.  It is the one input of every routine here and the one place an
-operator is built and projected: ``operator(name)`` gives the site-basis
-electric operator or one of the two magnetic codings, and
-``projection(name, basis)`` its table over the closed-form amplitudes or
-over the dense eigenvectors.  A context lives as long as its caller keeps it
-(``validation`` keeps one per ring for one report); the module itself caches
-nothing between calls.
+read-only; its energies are in units of ``unit`` eV, and its levels group
+within LEVEL_TOL_EV.  It is the one input of every routine here and the one
+place an operator is built and projected: ``operator(name)`` gives the
+site-basis electric operator or one of the two magnetic codings, and
+``projection(name, basis)`` its table over the closed-form amplitudes or over
+the dense eigenvectors.  A context lives as long as its caller keeps it
+(``validation`` keeps one per ring for one report); the module caches nothing.
 
 Matrices are small (<= 128 x 128), so everything is dense numpy.  The oracle
 imports nothing from the closed forms it checks (``dipole``, ``response``,
@@ -67,8 +67,9 @@ class DenseRing:
     check handed the context reads the same arrays.
     """
 
-    def __init__(self, params: RingParams):
+    def __init__(self, params: RingParams, unit: float = 1.0):
         self.params = params
+        self.unit, self.level_tol = unit, LEVEL_TOL_EV / unit   # eV per unit; the tolerance in it
         self._operators = {}
         self._projections = {}
 
@@ -84,7 +85,7 @@ class DenseRing:
     @cached_property
     def levels(self) -> tuple[np.ndarray, ...]:
         """``group_levels`` of the dense spectrum: each level's state indices, by energy."""
-        return tuple(_read_only(grp) for grp in group_levels(self.eigensystem[0]))
+        return tuple(_read_only(grp) for grp in group_levels(self.eigensystem[0], self.level_tol))
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -93,8 +94,8 @@ class DenseRing:
     @cached_property
     def matched_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``match_levels``: each of ``levels`` with its closed-form columns."""
-        return tuple((grp, _read_only(cols)) for grp, cols in
-                     match_levels(self.eigensystem[0], self.levels, band_energies(self.params)))
+        return tuple((grp, _read_only(cols)) for grp, cols in match_levels(
+            self.eigensystem[0], self.levels, band_energies(self.params), self.level_tol))
 
     def operator(self, name: str) -> np.ndarray:
         """(3, dim, dim) site-basis operator, one of ``OPERATORS``.
@@ -250,25 +251,25 @@ def _sandwich(table: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def group_levels(energies: np.ndarray) -> list[np.ndarray]:
+def group_levels(energies: np.ndarray, tol: float) -> list[np.ndarray]:
     """State indices of each degenerate level, by ascending energy.
 
-    Neighbours within LEVEL_TOL_EV share a level; a NaN gap starts a new one.
+    Neighbours within ``tol`` share a level; a NaN gap starts a new one.
     """
     order = np.argsort(energies)
-    return np.split(order, np.flatnonzero(~(np.diff(energies[order]) <= LEVEL_TOL_EV)) + 1)
+    return np.split(order, np.flatnonzero(~(np.diff(energies[order]) <= tol)) + 1)
 
 
-def match_levels(w: np.ndarray, levels: tuple[np.ndarray, ...],
-                 closed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each of ``levels``, the ``group_levels(w)``, with its closed-form columns.
+def match_levels(w: np.ndarray, levels: tuple[np.ndarray, ...], closed: np.ndarray,
+                 tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each of ``levels``, the ``group_levels(w, tol)``, with its closed-form columns.
 
-    A column belongs to a level when its energy is within LEVEL_TOL_EV of the level's mean.
+    A column belongs to a level when its energy is within ``tol`` of the level's mean.
     """
     sizes = np.array([len(grp) for grp in levels])
     # each level's sum adds its energies in the order that w[grp].mean() adds them
     means = np.add.reduceat(w[np.concatenate(levels)], np.cumsum(sizes) - sizes) / sizes
-    level, cols = np.nonzero(np.abs(closed[None, :] - means[:, None]) <= LEVEL_TOL_EV)
+    level, cols = np.nonzero(np.abs(closed[None, :] - means[:, None]) <= tol)
     ends = np.cumsum(np.bincount(level, minlength=len(levels)))
     return list(zip(levels, np.split(cols, ends[:-1])))
 
@@ -287,10 +288,9 @@ def eigenspace_projector_residual(ring: DenseRing) -> float:
 
 @dataclass
 class PerfectRingReport:
-    # each magnetic residual is None where its natural scale underflows to 0
-    commutator_norm: float | None        # max |[m_z, H]| in units of (e xi R^2 / hbar) xi
-    max_offdiag_magnetic: float | None   # relative to e xi R^2 / hbar
-    max_offdiag_electric: float          # relative to e R
+    commutator_norm: float        # max |[m_z, H]| in units of (e xi R^2 / hbar) xi
+    max_offdiag_magnetic: float   # relative to e xi R^2 / hbar
+    max_offdiag_electric: float   # relative to e R
 
 
 def perfect_ring_regression(ring: DenseRing) -> PerfectRingReport:
@@ -314,8 +314,8 @@ def perfect_ring_regression(ring: DenseRing) -> PerfectRingReport:
     mag_off = np.abs(m_eig[between]).max(initial=0.0)
     ele_off = np.abs(d_eig[between]).max(initial=0.0)
     return PerfectRingReport(
-        commutator_norm=np.abs(comm).max() / comm_scale if comm_scale else None,
-        max_offdiag_magnetic=mag_off / scale if scale else None,
+        commutator_norm=np.abs(comm).max() / comm_scale,
+        max_offdiag_magnetic=mag_off / scale,
         max_offdiag_electric=ele_off / (E_CHARGE * params.radius),
     )
 
@@ -414,8 +414,6 @@ def calibrate_conventions(
     for i in np.flatnonzero(~(peaks < atol_scale * 1e-14)):
         arr_a, arr_n = flat_a[edges[i]:edges[i + 1]], flat_n[edges[i]:edges[i + 1]]
         overlap = np.vdot(arr_a, arr_n)
-        if atol_scale < 2.0 ** -300:   # the products underflow: scale both exactly
-            overlap = np.vdot(arr_a * 2.0 ** 600, arr_n * 2.0 ** 600)
         if abs(overlap) > 0:
             phase[i] = overlap / abs(overlap)
     res = np.maximum.reduceat(np.abs(np.repeat(phase, np.diff(edges)) * flat_a - flat_n),

@@ -8,24 +8,23 @@ and scripts can assert on it.
 ``CHECKS`` declares every check once, in report order: its name, threshold,
 note and pass rule.  Each group function returns one mapping from check name
 to a value, or to the reason there is none (``NO_ROOT``, ``NONPOSITIVE_SWEEP``,
-``REPEATED_SWEEP``, ``NO_SURFACE``, ``NO_TANGENT``, ``OVERFLOW``, ``UNDERFLOW``,
-``OVERDAMPED``, ``NO_LH_BAND``, ``NO_DOMINANT_ENTRY``, ``NO_LOSSY_LH``); a
-reason row reads NaN, a blank threshold, failed, and the reason as its note.
-A new check is one ``CHECKS`` row plus one entry in its group's return:
-``validation_report`` raises unless the groups return each name of the table
-once.
+``REPEATED_SWEEP``, ``NO_SURFACE``, ``NO_TANGENT``, ``HOPPING_RATIO``,
+``UNDERFLOW``, ``OVERDAMPED``, ``NO_LH_BAND``, ``NO_DOMINANT_ENTRY``,
+``NO_LOSSY_LH``); a reason row reads NaN, a blank threshold, failed, and the
+reason as its note.  A new check is one ``CHECKS`` row plus one entry in its
+group's return: ``validation_report`` raises unless the groups return each
+name of the table once.
 
-The dense cross-checks run at fixed ring sizes (``SPECTRUM_NS``,
-``TABLE_NS``, ``DENSE_N``), so their cost does not grow with N; the
-configured N reaches only the closed-form checks.  ``validation_report``
-builds each dense object once per ring and report: its dense groups look
-every ring up in one table of ``bruteforce.DenseRing`` contexts, made for
-the report and dropped when it returns, so no state carries over from one
-report to the next.  A context also groups its ring's levels once,
-matches them to the closed-form columns once and projects each operator
-onto each basis once, for every check that reads them: the groups read
-every dense table through ``DenseRing.projection`` and build none
-themselves.  A group called on its own makes fresh contexts.
+The dense cross-checks (``DENSE_CHECKS``) run at fixed ring sizes
+(``SPECTRUM_NS``, ``TABLE_NS``, ``DENSE_N``), so their cost does not grow
+with N, and at a scale of powers of two that keeps their products in the
+float range (``_canonical``); where V / xi is beyond that range, every dense
+row reads ``HOPPING_RATIO``.  ``validation_report`` builds each dense object
+once per ring and report, in one table of ``bruteforce.DenseRing`` contexts
+made for the report and dropped when it returns.  A context groups its ring's
+levels, matches them to the closed-form columns and projects each operator
+onto each basis once, for every check: the groups read every dense table
+through ``DenseRing.projection``.  A group called alone makes fresh contexts.
 
 Reductions keep NaN (``np.maximum``, ``np.max``, not ``max``), so a NaN
 deviation fails its check.
@@ -67,8 +66,8 @@ RTOL = 4.0 * sys.float_info.epsilon
 NO_ROOT = "no root found in the bracket"
 NO_SURFACE = "the wave-vector surface has no points"
 NO_TANGENT = "finite-difference stencil leaves the causal branch or the energy flow is not finite"
-OVERFLOW = "squared elements overflow the float range"
-UNDERFLOW = "every numeric element underflows to 0"
+HOPPING_RATIO = "V / xi or xi / V is beyond the float range"
+UNDERFLOW = "the magnetic unit e xi R W / hbar underflows to 0"
 NO_LH_BAND = "no LH cells in the E diagram"
 NO_DOMINANT_ENTRY = "no tensor entry above 1 in magnitude to compare"
 NO_LOSSY_LH = "no LH cell at normal incidence in the lossy sweep"
@@ -78,7 +77,11 @@ AT_MOST, AT_LEAST, ABOVE, ALWAYS = operator.le, operator.ge, operator.gt, lambda
 PER_RUN = object()   # a threshold the group returns with the value, as (value, threshold)
 
 # a ring's dense context; validation_report hands the dense groups one table per report
-Dense = Callable[[RingParams], bf.DenseRing]
+Dense = Callable[[RingParams, float], bf.DenseRing]
+
+
+class _Unscalable(ArithmeticError):
+    """V / xi or xi / V is beyond the float range: one hopping is 0 in units of the other."""
 
 
 class Check(NamedTuple):
@@ -90,7 +93,7 @@ class Check(NamedTuple):
 
 _TAU_NOTE = ("the two volume conventions differ by exactly a factor 2 "
              "in tau_c (0.52 ns for the 4W cylinder, 0.26 ns for 2W)")
-CHECKS = (
+DENSE_CHECKS = (   # the rows of the dense groups, each run at a canonical ring
     Check("spectrum_closed_vs_dense_ev", 1e-10, f"N in {SPECTRUM_NS}"),
     Check("eigenvector_unitarity", 1e-12),
     Check("eigenspace_projectors", 1e-10),
@@ -107,6 +110,8 @@ CHECKS = (
     Check("perfect_ring_has_electric_transitions", 1e-3, "contrast: electric elements stay finite", ABOVE),
     Check("annulene_shared_transitions", 0, "no frequency couples both electrically and magnetically"),
     Check("mobius_shared_transition", 1, "lowest inter-band line couples both ways", AT_LEAST),
+)
+CHECKS = DENSE_CHECKS + (
     Check("bandwidth_closed_vs_roots", 1e-6, "mu1 root separation vs closed form"),
     Check("simultaneous_negative_window", 1, "eps1 < 0 and mu1 < 0 inside the mu1 window", AT_LEAST),
     Check("critical_lifetime_cylinder_4w", None, _TAU_NOTE, ALWAYS),
@@ -182,19 +187,38 @@ def _brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
     return None
 
 
+def _canonical(params: RingParams, n: int,
+               topology: Topology = Topology.MOBIUS) -> tuple[RingParams, float]:
+    """The ring a dense check of size n and topology runs at, and its energy unit 2^k eV.
+
+    Each dense check is relative to its natural scale, so the ring has radius n W / pi,
+    W times 2^j within a factor 2 of 0.077 nm, and its largest hopping (max(V, xi); xi
+    for the single ring, which has no V) within a factor 2 of 3.6 eV in units of 2^k eV.
+    """
+    single = topology is Topology.SINGLE_RING
+    top = params.xi_intra if single else max(params.v_inter, params.xi_intra)
+    k = math.frexp(top)[1] - math.frexp(3.6)[1]
+    xi = math.ldexp(params.xi_intra, -k)
+    v = xi if single else math.ldexp(params.v_inter, -k)   # a single ring has no rungs
+    if min(v, xi) == 0.0:
+        raise _Unscalable
+    j = math.frexp(0.077e-9)[1] - math.frexp(params.half_width)[1]
+    return replace(params, n_per_ring=n, topology=topology, v_inter=v, xi_intra=xi,
+                   half_width=math.ldexp(params.half_width, j), radius=None), math.ldexp(1.0, k)
+
+
 def spectrum_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     worst_e, worst_u = 0.0, 0.0
     for n in SPECTRUM_NS:
-        p = replace(params, n_per_ring=n, radius=None)
-        ring = dense(p)
-        closed = np.sort(band_energies(p))
+        ring = dense(*_canonical(params, n))
+        closed = np.sort(band_energies(ring.params))
         w, _ = ring.eigensystem
         worst_e = np.maximum(worst_e, float(np.abs(closed - w).max()))
         u = ring.amplitudes
         worst_u = np.maximum(worst_u, float(np.abs(u.conj().T @ u - np.eye(2 * n)).max()))
-    proj = bf.eigenspace_projector_residual(dense(replace(params, n_per_ring=DENSE_N, radius=None)))
+    proj = bf.eigenspace_projector_residual(dense(*_canonical(params, DENSE_N)))
     return {
-        "spectrum_closed_vs_dense_ev": worst_e,
+        "spectrum_closed_vs_dense_ev": worst_e * ring.unit,   # in eV
         "eigenvector_unitarity": worst_u,
         "eigenspace_projectors": float(proj),
     }
@@ -204,45 +228,31 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     worst_tbl = {"electric": 0.0, "magnetic": 0.0}
     worst_dyad = {"electric": 0.0, "magnetic": 0.0}
     closed = {}   # the closed-form tables at DENSE_N
-    zero = set()   # kinds whose numeric table is all 0 at some N
     for n in TABLE_NS:
-        p = replace(params, n_per_ring=n, radius=None)
-        ring = dense(p)
+        ring = dense(*_canonical(params, n))
         for kind, ana_fn, op in (("electric", dp.electric_table, "electric"),
                                  ("magnetic", dp.magnetic_table, "commutator")):
-            ana, num = ana_fn(p), ring.projection(op)
+            ana, num = ana_fn(ring.params), ring.projection(op)
             if n == DENSE_N:
                 closed[kind] = ana
-            scale = float(np.abs(num).max())
-            # every magnetic W^2 product underflows at half widths below about 1e-144 nm
-            if scale == 0.0:
-                zero.add(kind)
-                continue
-            worst_tbl[kind] = np.maximum(worst_tbl[kind], float(np.abs(ana - num).max()) / scale)
+            worst_tbl[kind] = np.maximum(worst_tbl[kind],
+                                         float(np.abs(ana - num).max()) / float(np.abs(num).max()))
             worst_dyad[kind] = np.maximum(worst_dyad[kind],
                                           _dyad_deviation(ring, ring.projection(op, "eigen"), ana))
-    out = {}
-    for kind in ("electric", "magnetic"):
-        out[f"{kind}_table_vs_numeric"] = UNDERFLOW if kind in zero else worst_tbl[kind]
-        out[f"{kind}_dyads_vs_dense_eigenvectors"] = (
-            UNDERFLOW if kind in zero
-            else OVERFLOW if worst_dyad[kind] == math.inf else worst_dyad[kind])
-    ring = dense(replace(params, n_per_ring=DENSE_N, radius=None))
-    num_e, num_m = ring.projection("electric"), ring.projection("commutator")
-    # an overflowing overlap (half widths near 1e90) gives a NaN phase: the residual is NaN
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for kind, num in (("electric", num_e), ("magnetic", num_m)):
-            out[f"{kind}_block_calibration"] = (
-                UNDERFLOW if kind in zero else _calibration_residual(closed[kind], num))
-        out["selection_rule_sparsity"] = _sparsity_deviation(ring.params, num_e, num_m)
-    bond = ring.projection("bond_current")
-    out["commutator_vs_bond_current"] = UNDERFLOW if "magnetic" in zero else float(
-        np.abs(num_m - bond).max() / np.abs(num_m).max())
+    ring = dense(*_canonical(params, DENSE_N))
+    num = {"electric": ring.projection("electric"), "magnetic": ring.projection("commutator")}
+    out = {"selection_rule_sparsity": _sparsity_deviation(ring.params, *num.values()),
+           "commutator_vs_bond_current": float(np.abs(num["magnetic"] - ring.projection(
+               "bond_current")).max() / np.abs(num["magnetic"]).max())}
+    for kind in num:
+        out[f"{kind}_table_vs_numeric"] = worst_tbl[kind]
+        out[f"{kind}_dyads_vs_dense_eigenvectors"] = worst_dyad[kind]
+        out[f"{kind}_block_calibration"] = _calibration_residual(closed[kind], num[kind])
     return out
 
 
 def _calibration_residual(ana: np.ndarray, num: np.ndarray) -> float:
-    """Residual of the block-phase fit; above 1e-6 (subnormal elements) it fails its row."""
+    """Residual of the block-phase fit; above 1e-6 it fails its row, where the fit raises."""
     try:
         return bf.calibrate_conventions(ana, num, DENSE_N, float(np.abs(ana).max())).residual
     except bf.CalibrationError as exc:
@@ -253,21 +263,14 @@ def _dyad_deviation(ring: bf.DenseRing, num: np.ndarray, tbl: np.ndarray) -> flo
     """Ground-state transition dyads, numeric vs analytic, level-projected.
 
     ``num`` is the operator in the dense eigenbasis of ``ring`` and ``tbl`` its
-    closed-form table; infinite when the squared elements overflow.  Below
-    2^-300 (magnetic elements at half widths under about 1e-35 nm) both are
-    scaled by 2^600, exactly, so that the products stay in the normal range.
+    closed-form table, relative to the squared largest element of ``num``.  At
+    a canonical ring (``_canonical``) the squares stay in the normal range.
     Each level's dyads add up in the order of the per-level loop they
     replace: its rows by ground state, then member, and its closed-form
     columns (none: a zero dyad).
     """
     (ground, _), *excited = ring.matched_levels
-    peak = float(np.abs(num).max())
-    if peak < 2.0 ** -300:
-        num, tbl, peak = num * 2.0 ** 600, tbl * 2.0 ** 600, peak * 2.0 ** 600
-    try:
-        scale = peak ** 2
-    except OverflowError:
-        return math.inf
+    scale = float(np.abs(num).max()) ** 2
     if not excited:
         return 0.0
     grps, cols = zip(*excited)
@@ -313,7 +316,7 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
     allowed = rules[..., None] & dp.COMPONENT_BITS > 0
     d_scale = E_CHARGE * params.half_width
     m_scale = E_CHARGE * params.xi_intra * EV * params.radius * params.half_width / HBAR
-    if m_scale == 0.0:   # xi_intra_ev below about 1e-260
+    if m_scale == 0.0:   # xi / V below about 1e-267
         return UNDERFLOW
     # np.hypot rounds like scalar abs(complex), array np.abs may not: keep each form's bits
     off_e = np.hypot(d_num.real, d_num.imag)[~allowed[0]] / d_scale
@@ -324,25 +327,21 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
 
 
 def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
-    p12 = replace(params, n_per_ring=DENSE_N, radius=None)
-    # norms overflow at half widths near 1e90 (no shared line), and the products of
-    # the dense tables at xi_intra_ev near 1e200 read NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        ring_report = bf.perfect_ring_regression(
-            dense(replace(p12, topology=Topology.SINGLE_RING)))
-        annulene = bf.annulene_cross_check(
-            dense(replace(p12, topology=Topology.DOUBLE_RING_PERIODIC)))
-        mobius = bf.shared_transition_scan(dense(p12))
-    delta0_ev = angular_frequency_to_ev(rs.MediumConfig(p12).resonance.delta0)
+    ring_report = bf.perfect_ring_regression(
+        dense(*_canonical(params, DENSE_N, Topology.SINGLE_RING)))
+    annulene = bf.annulene_cross_check(
+        dense(*_canonical(params, DENSE_N, Topology.DOUBLE_RING_PERIODIC)))
+    ring = dense(*_canonical(params, DENSE_N))
+    mobius = bf.shared_transition_scan(ring)
+    delta0 = angular_frequency_to_ev(rs.MediumConfig(ring.params).resonance.delta0)
     shared_at_resonance = any(
         t.electric > bf.SHARED_THRESHOLD and t.magnetic > bf.SHARED_THRESHOLD
-        and abs(t.frequency_ev - delta0_ev) < 1e-9
+        and abs(t.frequency_ev - delta0) < ring.level_tol
         for t in mobius.transitions
     )
-    comm, offdiag = ring_report.commutator_norm, ring_report.max_offdiag_magnetic
-    return {   # each magnetic value is None where its natural scale underflows to 0
-        "perfect_ring_commutator": UNDERFLOW if comm is None else comm,
-        "perfect_ring_offdiag_magnetic": UNDERFLOW if offdiag is None else offdiag,
+    return {   # n_shared is None where the scan's magnetic unit e xi R W / hbar underflows to 0
+        "perfect_ring_commutator": ring_report.commutator_norm,
+        "perfect_ring_offdiag_magnetic": ring_report.max_offdiag_magnetic,
         "perfect_ring_has_electric_transitions": ring_report.max_offdiag_electric,
         "annulene_shared_transitions": UNDERFLOW if annulene.n_shared is None else annulene.n_shared,
         "mobius_shared_transition": UNDERFLOW if mobius.n_shared is None else int(shared_at_resonance),
@@ -474,8 +473,11 @@ def validation_report(params: RingParams | None = None) -> dict:
     if params is None:
         params = RingParams(12)
     dense = functools.cache(bf.DenseRing)   # this report's contexts, one per ring, dropped with it
-    groups = [spectrum_checks(params, dense), dipole_checks(params, dense),
-              topology_checks(params, dense), response_checks(params), refraction_checks(params)]
+    try:
+        groups = [group(params, dense) for group in (spectrum_checks, dipole_checks, topology_checks)]
+    except _Unscalable:   # no canonical ring: every dense row reads the reason
+        groups = [dict.fromkeys([check.name for check in DENSE_CHECKS], HOPPING_RATIO)]
+    groups += [response_checks(params), refraction_checks(params)]
     values = {name: value for group in groups for name, value in group.items()}
     if sorted(name for group in groups for name in group) != sorted(c.name for c in CHECKS):
         raise ValueError(f"check groups return {sorted(values)}, not each name of CHECKS once")

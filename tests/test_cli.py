@@ -536,10 +536,11 @@ def test_validate_reports_checks_without_a_root_or_sweep_as_failed(
         assert rows[name][1:] == ["nan", "", "0", note]
 
 
-def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
-    # the largest decade that parse_config accepts; the squared magnetic dyads
-    # overflow.  A fresh interpreter that turns numpy's RuntimeWarnings into errors:
-    # the dense oracle's norms and phases overflow here, and validate must stay quiet
+def test_validate_at_the_largest_half_width_passes_the_dense_checks(tmp_path):
+    # the largest decade that parse_config accepts, where the squared magnetic dyads and
+    # the block overlaps would overflow as given.  A fresh interpreter that turns numpy's
+    # RuntimeWarnings into errors: the dense checks run at a canonical ring, where no
+    # product overflows, and validate must stay quiet
     (tmp_path / "c.json").write_text('{"half_width_nm": 1e91}')
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mobius_optics",
@@ -551,10 +552,7 @@ def test_validate_at_an_overflowing_half_width_reports_failed_checks(tmp_path):
     rows = {row[0]: row for row in (line.split(",") for line in
                                     (tmp_path / "validate.csv").read_text().splitlines()[1:])}
     assert len(rows) == 33
-    assert rows["magnetic_dyads_vs_dense_eigenvectors"][1:] == [
-        "nan", "", "0", validation.OVERFLOW]
-    # 18 of the 20 magnetic blocks are NaN: the residual is NaN, not the largest finite one
-    assert rows["magnetic_block_calibration"][1:4] == ["nan", "1.0000000000000001e-09", "0"]
+    assert all(rows[check.name][3] == "1" for check in validation.DENSE_CHECKS)
 
 
 def _validate_rows(tmp_path, config):
@@ -569,8 +567,8 @@ def _validate_rows(tmp_path, config):
 
 @pytest.mark.parametrize("half_width_nm", (1e-60, 1e-67, 1e-71, 1e-100))
 def test_validate_at_an_underflowing_half_width_keeps_the_dipole_checks(tmp_path, half_width_nm):
-    # the squared magnetic elements, and the products in the block overlaps, underflow:
-    # both are scaled by 2^600, so the relative checks hold as at any width
+    # the squared magnetic elements, and the products in the block overlaps, would
+    # underflow as given: at the canonical ring the relative checks hold as at any width
     _, rows = _validate_rows(tmp_path, {"half_width_nm": half_width_nm, "radius_nm": 1.0})
     for name in ("electric_dyads_vs_dense_eigenvectors", "magnetic_dyads_vs_dense_eigenvectors",
                  "electric_block_calibration", "magnetic_block_calibration"):
@@ -579,24 +577,34 @@ def test_validate_at_an_underflowing_half_width_keeps_the_dipole_checks(tmp_path
 
 MAGNETIC_ROWS = ("magnetic_table_vs_numeric", "magnetic_dyads_vs_dense_eigenvectors",
                  "magnetic_block_calibration", "commutator_vs_bond_current")
-MAGNETIC_SCALE_ROWS = ("selection_rule_sparsity", "perfect_ring_commutator",
-                       "perfect_ring_offdiag_magnetic", "annulene_shared_transitions",
-                       "mobius_shared_transition")
+PERFECT_RING_ROWS = ("perfect_ring_commutator", "perfect_ring_offdiag_magnetic")
+# the rows whose unit is e xi R W / hbar at the Mobius and periodic rings, whose energy
+# unit is max(V, xi): it underflows to 0 where xi / V is below about 1e-267
+XI_SCALE_ROWS = ("selection_rule_sparsity", "annulene_shared_transitions",
+                 "mobius_shared_transition")
 PHASE_DIAGRAM_ROWS = ("phase_diagram_E_has_lh_band", "phase_diagram_H_no_lh",
                       "lh_band_bounded_by_mu1_zeros", "lh_band_contiguous")
 LOSSY_SWEEP_ROWS = ("lossy_window_shift", "overdamped_window_empty")
 
 
-@pytest.mark.parametrize("config,failed_notes", [
-    # the dense checks' radius N W / pi leaves every numeric magnetic element 0, and
-    # the shared-transition strengths 0 / 0
+@pytest.mark.parametrize("config,passing", [
+    # as given, the dense rings' radius N W / pi would leave every numeric magnetic
+    # element 0, and the shared-transition strengths 0 / 0
     ({"half_width_nm": 1e-150, "radius_nm": 1e30},
-     dict.fromkeys(MAGNETIC_ROWS + MAGNETIC_SCALE_ROWS, validation.UNDERFLOW)),
-    # the commutator's scale (e xi R^2 / hbar) xi underflows to 0, and at 1e-300 the
-    # elements' scales e xi R^2 / hbar and e xi R W / hbar too (the shared-transition
-    # strengths would read inf)
-    ({"xi_intra_ev": 1e-150}, {"perfect_ring_commutator": validation.UNDERFLOW}),
-    ({"xi_intra_ev": 1e-300}, dict.fromkeys(MAGNETIC_SCALE_ROWS, validation.UNDERFLOW)),
+     MAGNETIC_ROWS + XI_SCALE_ROWS + PERFECT_RING_ROWS),
+    # the perfect ring's scales (e xi R^2 / hbar) xi and e xi R^2 / hbar would underflow
+    # to 0 in eV; the single ring's energy unit is xi
+    ({"xi_intra_ev": 1e-150}, PERFECT_RING_ROWS),
+    ({"xi_intra_ev": 1e-300}, PERFECT_RING_ROWS),
+])
+def test_validate_runs_the_dense_checks_at_a_canonical_ring(tmp_path, config, passing):
+    _, rows = _validate_rows(tmp_path, config)
+    for name in passing:
+        assert rows[name][3] == "1", rows[name]
+
+
+@pytest.mark.parametrize("config,failed_notes", [
+    ({"xi_intra_ev": 1e-300}, dict.fromkeys(XI_SCALE_ROWS, validation.UNDERFLOW)),
     # 20 bandwidths, and the 4 of the lossy sweep, are below the float spacing at the
     # resonance: both sweeps repeat values
     ({"v_inter_ev": 1e30, "half_width_nm": 1e-60},
@@ -611,13 +619,22 @@ def test_validate_reports_checks_beyond_float_range_as_failed(tmp_path, config, 
         assert rows[name][1:] == ["nan", "", "0", note]
 
 
-def test_validate_reports_a_calibration_residual_above_the_raising_bound(tmp_path):
-    # subnormal magnetic elements keep a few bits: the block fit misses by 2e-5, a
-    # failed row and not the ValueError that calibrate_conventions raises above 1e-6
-    code, rows = _validate_rows(tmp_path, {"half_width_nm": 1e-142, "radius_nm": 1e30})
+def test_validate_reports_a_calibration_residual_above_the_raising_bound(tmp_path, monkeypatch):
+    # one closed-form block off by 1e-4 of its entry: the block fit misses, a failed
+    # row and not the ValueError that calibrate_conventions raises above 1e-6
+    table = validation.dp.magnetic_table
+
+    def corrupted(params):
+        out = table(params).copy()
+        out[0, params.n_per_ring] *= 1.0 + 1e-4   # (0, down) to (0, up)
+        return out
+
+    monkeypatch.setattr(validation.dp, "magnetic_table", corrupted)
+    code, rows = _validate_rows(tmp_path, {})
     assert code == cli.EXIT_VALIDATION_FAILURE
-    assert 1e-6 < float(rows["magnetic_block_calibration"][1]) < 1.0
+    assert 1e-6 < float(rows["magnetic_block_calibration"][1]) < 1e-3
     assert rows["magnetic_block_calibration"][3] == "0"
+    assert rows["electric_block_calibration"][3] == "1"
 
 
 @pytest.mark.parametrize("config", [

@@ -2,15 +2,17 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mobius_optics import bruteforce as bf
+from mobius_optics import cli
 from mobius_optics import dipole as dp
 from mobius_optics import response as rs
 from mobius_optics import validation
@@ -59,13 +61,13 @@ def test_dense_checks_run_at_fixed_ring_sizes(monkeypatch):
     grouped, matched = [], []
     group, match = bf.group_levels, bf.match_levels
 
-    def grouping(energies):
+    def grouping(energies, tol):
         grouped.append(energies.copy())
-        return group(energies)
+        return group(energies, tol)
 
-    def matching(w, levels, closed):
+    def matching(w, levels, closed, tol):
         matched.append(w.copy())
-        return match(w, levels, closed)
+        return match(w, levels, closed, tol)
 
     monkeypatch.setattr(validation.bf, "build_hamiltonian", recording)
     monkeypatch.setattr(bf, "group_levels", grouping)
@@ -279,15 +281,15 @@ def test_brent_port_returns_none_on_nan_inside_or_too_few_steps():
 
 # --- the dyad pass against the per-level loop it replaces, bit for bit -------
 
-# half widths (nm) of the dense-oracle differential tests: 1e-60 takes the 2^600
-# branch, 1e87 gives NaN block phases and 1e90 squared magnetic elements that
-# overflow; then tiny xi (levels closer than 1e-6 eV), huge V, and a spectrum
-# within 1e-9 eV (one level, no excited one)
+# rings of the dense-oracle differential tests, each run at its canonical scale as
+# validate runs it: half widths (nm) whose squared magnetic elements would underflow
+# (1e-60) or overflow (1e87, 1e90) as given; then tiny xi (levels closer than 1e-6 eV),
+# huge V, and a spectrum within 1e-9 eV (one level, no excited one)
 ORACLE_RINGS = [{"half_width": hw * NM} for hw in (1e-3, 0.077, 1e-60, 1e87, 1e90)] + [
     {"xi_intra": 1e-6}, {"v_inter": 1e6}, {"v_inter": 1e-12, "xi_intra": 1e-12}]
 
 
-def _canonical(x):
+def _bits(x):
     """Bytes of a float or complex value, every NaN made one NaN."""
     a = np.array(x, dtype=complex if np.iscomplexobj(x) else float)
     parts = a.reshape(-1).view(float)
@@ -295,25 +297,18 @@ def _canonical(x):
     return a.tobytes()
 
 
-def _levels_by_loop(params, w):
-    """Each dense level, with the closed-form columns within LEVEL_TOL_EV of its mean."""
+def _levels_by_loop(params, w, tol):
+    """Each dense level, with the closed-form columns within ``tol`` of its mean."""
     order = np.argsort(w)
-    levels = np.split(order, np.flatnonzero(~(np.diff(w[order]) <= bf.LEVEL_TOL_EV)) + 1)
+    levels = np.split(order, np.flatnonzero(~(np.diff(w[order]) <= tol)) + 1)
     closed = band_energies(params)
-    return [(grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= bf.LEVEL_TOL_EV))
-            for grp in levels]
+    return [(grp, np.flatnonzero(np.abs(closed - w[grp].mean()) <= tol)) for grp in levels]
 
 
-def _dyads_by_levels(params, w, num, tbl):
+def _dyads_by_levels(params, w, tol, num, tbl):
     """The per-level loop of the dyad check, grouping and matching the levels itself."""
-    (ground, _), *excited = _levels_by_loop(params, w)
-    peak = float(np.abs(num).max())
-    if peak < 2.0 ** -300:
-        num, tbl, peak = num * 2.0 ** 600, tbl * 2.0 ** 600, peak * 2.0 ** 600
-    try:
-        scale = peak ** 2
-    except OverflowError:
-        return math.inf
+    (ground, _), *excited = _levels_by_loop(params, w, tol)
+    scale = float(np.abs(num).max()) ** 2
     worst = 0.0
     for grp, cols in excited:
         vec_num = num[np.ix_(ground, grp)].reshape(-1, 3)
@@ -327,18 +322,19 @@ def _dyads_by_levels(params, w, num, tbl):
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
 @pytest.mark.parametrize("n", (3, 4, 5, 6, 12, 24))
 def test_dyad_pass_matches_the_loop_over_levels(n, ring):
-    p = RingParams(n, **ring)
-    dense = bf.DenseRing(p)
+    p, unit = validation._canonical(RingParams(n, **ring), n)
+    dense = bf.DenseRing(p, unit)
     w = dense.eigensystem[0]
-    levels = _levels_by_loop(p, w)
+    tol = bf.LEVEL_TOL_EV / unit
+    levels = _levels_by_loop(p, w, tol)
     assert [len(level) for level in (dense.levels, dense.matched_levels)] == [len(levels)] * 2
     for grp, (matched, cols), (ref_grp, ref_cols) in zip(dense.levels, dense.matched_levels, levels):
         assert grp is matched
         assert np.array_equal(grp, ref_grp) and np.array_equal(cols, ref_cols)
     for ana_fn, name in ((dp.electric_table, "electric"), (dp.magnetic_table, "commutator")):
         ana, num = ana_fn(p), dense.projection(name, "eigen")
-        assert (_canonical(validation._dyad_deviation(dense, num, ana))
-                == _canonical(_dyads_by_levels(p, w, num, ana)))
+        assert (_bits(validation._dyad_deviation(dense, num, ana))
+                == _bits(_dyads_by_levels(p, w, tol, num, ana)))
 
 
 # --- the dense rows at powers of two of the ring's energies and lengths -------
@@ -372,11 +368,63 @@ def test_dense_rows_keep_their_values_at_powers_of_two_of_the_energies_and_lengt
         patch.setattr(bf, "LEVEL_TOL_EV", math.ldexp(bf.LEVEL_TOL_EV, -k))
         at_scale = _dense_rows(scaled)
     at_scale["spectrum_closed_vs_dense_ev"] = math.ldexp(at_scale["spectrum_closed_vs_dense_ev"], k)
-    # the resonance line is matched within a fixed 1e-9 eV in the scaled ring's units
-    for name in DENSE_ROWS[:-1]:
+    for name in DENSE_ROWS:
         value, scaled_value = rows[name], at_scale[name]
         if isinstance(value, (int, np.integer)):
             assert value == scaled_value, name
         else:
             assert math.isclose(value, scaled_value, rel_tol=4 * sys.float_info.epsilon), (
                 name, value, scaled_value)
+
+
+# --- every dense row at configs drawn over the float range ----------------------
+
+_magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_configs = st.fixed_dictionaries(
+    {"v_inter_ev": _magnitudes, "xi_intra_ev": _magnitudes, "half_width_nm": _magnitudes},
+    optional={"radius_nm": _magnitudes})
+# V / xi beyond the float range: in units of xi, V is 0
+_UNSCALABLE = {"v_inter_ev": 5.46e-203, "xi_intra_ev": 1.07e224, "half_width_nm": 3.31e-45,
+               "radius_nm": 6.71e-289, "gamma_inv_ns": 1.63e-139}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_configs)
+@example({"xi_intra_ev": 7.33e242, "radius_nm": 1.77e-286})   # a bare NaN, as given
+@example({"half_width_nm": 1e-142, "radius_nm": 1e30})   # a subnormal shared-transition unit
+@example(_UNSCALABLE)
+def test_every_dense_row_is_finite_or_a_reason(config):
+    try:
+        params = cli.parse_config(json.dumps(config)).ring
+    except cli.ConfigError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = validation_report(params)["checks"][:len(validation.DENSE_CHECKS)]
+    notes = {row["note"] for row in rows if row["threshold"] is None}
+    # a reason row reads NaN; V / xi beyond the float range is one reason on every row
+    assert notes <= {validation.UNDERFLOW, validation.HOPPING_RATIO}
+    assert validation.HOPPING_RATIO not in notes or all(
+        row["note"] == validation.HOPPING_RATIO for row in rows)
+    for row in rows:
+        assert math.isfinite(row["value"]) == (row["threshold"] is not None), row
+
+
+@pytest.mark.parametrize("config,passing", [
+    ({"xi_intra_ev": 7.33e242, "radius_nm": 1.77e-286}, ["perfect_ring_commutator"]),
+    ({"half_width_nm": 1e-142, "radius_nm": 1e30},
+     ["annulene_shared_transitions", "mobius_shared_transition"]),
+])
+def test_dense_rows_that_left_the_float_range_as_given_pass(config, passing):
+    report = validation_report(cli.parse_config(json.dumps(config)).ring)
+    rows = {row["name"]: row for row in report["checks"]}
+    assert all(rows[name]["passed"] for name in passing), [rows[name] for name in passing]
+
+
+def test_hoppings_beyond_the_float_range_give_one_reason_on_every_dense_row():
+    rows = validation_report(cli.parse_config(json.dumps(_UNSCALABLE)).ring)["checks"]
+    assert [row["note"] for row in rows[:len(validation.DENSE_CHECKS)]] == [
+        validation.HOPPING_RATIO] * len(validation.DENSE_CHECKS)
+    assert all(row["note"] != validation.HOPPING_RATIO
+               for row in rows[len(validation.DENSE_CHECKS):])
