@@ -171,18 +171,13 @@ def test_calibration_blocks_match_the_loop_over_label_pairs(n):
     ana = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     num = phase * ana + 1e-9 * rng.standard_normal(shape)
-    cal = bf.calibrate_conventions(ana, num, n, 1.0)
-    blocks = _calibration_blocks_by_pairs(ana, num, n)
-    assert cal.phases.keys() == blocks.keys()
+    scale = float(np.abs(ana).max())
     worst = 0.0
-    for key, pairs in blocks.items():
+    for pairs in _calibration_blocks_by_pairs(ana, num, n).values():
         arr_a, arr_n = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
         overlap = np.vdot(arr_a, arr_n)
-        assert cal.phases[key] == overlap / abs(overlap)
-        res = np.abs(cal.phases[key] * arr_a - arr_n).max()
-        assert cal.block_residuals[key] == res
-        worst = max(worst, res)
-    assert cal.residual == worst
+        worst = max(worst, np.abs(overlap / abs(overlap) * arr_a - arr_n).max() / scale)
+    assert _residual(ana, num) == worst
 
 
 def test_calibration_flags_transcription_errors():
@@ -348,16 +343,20 @@ def test_oracle_imports_only_constants_and_ring_from_the_package():
 
 # --- the block slices of calibrate_conventions against the mask loop, bit for bit ---
 
-def _calibrate_by_masks(analytic, numeric, n, atol_scale):
-    """The per-block mask loop of the calibration: (phases, block residuals, residual)."""
+def _calibrate_by_masks(analytic, numeric):
+    """The per-block mask loop of the calibration: its largest block residual.
+
+    Each block (dl, band pair) gets the unit phase of its overlap, and its
+    residual is relative to the largest analytic element; NaN is kept.
+    """
+    n = analytic.shape[0] // 2
+    atol_scale = float(np.abs(analytic).max())
     band, ell = label_axes(n)
     dl = (ell[None, :] - ell[:, None]) % n
     dl = np.where(dl > n // 2, dl - n, dl)
-    phases, block_res = {}, {}
     worst = 0.0
     for d in np.unique(dl[np.abs(dl) <= 2]):
         for ba, bb in np.ndindex(2, 2):
-            key = (int(d), BANDS[ba].value, BANDS[bb].value)
             mask = (dl == d) & (band[:, None] == ba) & (band[None, :] == bb)
             arr_a, arr_n = analytic[mask].ravel(), numeric[mask].ravel()
             if np.abs(arr_a).max() < atol_scale * 1e-14:
@@ -365,11 +364,8 @@ def _calibrate_by_masks(analytic, numeric, n, atol_scale):
             else:
                 overlap = np.vdot(arr_a, arr_n)
                 phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0 + 0.0j
-            res = np.abs(phase * arr_a - arr_n).max() / atol_scale
-            phases[key] = phase
-            block_res[key] = res
-            worst = np.maximum(worst, res)
-    return phases, block_res, worst
+            worst = np.maximum(worst, np.abs(phase * arr_a - arr_n).max() / atol_scale)
+    return worst
 
 
 def _bits(x):
@@ -380,22 +376,13 @@ def _bits(x):
     return a.tobytes()
 
 
-def _assert_calibration_matches_the_masks(ana, num, n, atol_scale):
+def _residual(ana, num):
+    """The calibration residual at the ring size and scale that ``validation`` passes."""
     try:
-        result = bf.calibrate_conventions(ana, num, n, atol_scale)
+        return bf.calibrate_conventions(ana, num, ana.shape[0] // 2,
+                                        float(np.abs(ana).max())).residual
     except bf.CalibrationError as exc:
-        result, raised = exc.result, True
-    else:
-        raised = False
-    phases, block_res, worst = _calibrate_by_masks(ana, num, n, atol_scale)
-    assert raised == (worst > 1e-6)
-    assert list(result.phases) == list(phases) == list(result.block_residuals)
-    assert ([_bits(v) for v in result.phases.values()]
-            == [_bits(v) for v in phases.values()])
-    assert ([_bits(v) for v in result.block_residuals.values()]
-            == [_bits(v) for v in block_res.values()])
-    assert _bits(result.residual) == _bits(worst)
-    return raised
+        return exc.result.residual
 
 
 # half widths (nm) as in the dyad differential test of test_validation.py
@@ -411,17 +398,19 @@ def test_calibration_slices_match_the_block_masks(n, ring):
     dense = bf.DenseRing(p, unit)
     for ana_fn, name in ((dp.electric_table, "electric"), (dp.magnetic_table, "commutator")):
         ana, num = ana_fn(p), dense.projection(name)
-        _assert_calibration_matches_the_masks(ana, num, n, float(np.abs(ana).max()))
+        assert _bits(_residual(ana, num)) == _bits(_calibrate_by_masks(ana, num))
 
 
-def test_calibration_error_path_matches_the_block_masks():
+def test_calibration_of_a_corrupted_or_subnormal_table_matches_the_block_masks():
     p = RingParams(12)
     ana = dp.electric_table(p).copy()
     ana[0, 12] *= 2.0
     num = bf.DenseRing(p).projection("electric")
-    assert _assert_calibration_matches_the_masks(ana, num, 12, float(np.abs(num).max()))
+    assert _bits(_residual(ana, num)) == _bits(_calibrate_by_masks(ana, num))
+    assert _residual(ana, num) > 1e-6
     # subnormal magnetic elements keep a few bits: the fit misses by more than 1e-6
     p = RingParams(12, half_width=1e-142 * NM)
     ana = dp.magnetic_table(p)
     num = bf.DenseRing(p).projection("commutator")
-    assert _assert_calibration_matches_the_masks(ana, num, 12, float(np.abs(ana).max()))
+    assert _bits(_residual(ana, num)) == _bits(_calibrate_by_masks(ana, num))
+    assert _residual(ana, num) > 1e-6

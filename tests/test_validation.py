@@ -337,6 +337,28 @@ def test_dyad_pass_matches_the_loop_over_levels(n, ring):
                 == _bits(_dyads_by_levels(p, w, tol, num, ana)))
 
 
+def test_a_block_of_the_wrong_sign_fails_the_table_row_and_not_the_calibration(monkeypatch):
+    # the block fit absorbs any unit phase, -1 included, and the dyads are quadratic in
+    # the elements: only the element-wise table row sees a closed-form block's sign
+    table = validation.dp.electric_table
+
+    def flipped(params):
+        out = table(params).copy()
+        band, ell = label_axes(params.n_per_ring)
+        out[(ell[:, None] == ell[None, :]) & (band[:, None] == 0) & (band[None, :] == 1)] *= -1
+        return out   # the (dl = 0, down -> up) block
+
+    monkeypatch.setattr(validation.dp, "electric_table", flipped)
+    p = RingParams(validation.DENSE_N)
+    num = bf.DenseRing(p).projection("electric")
+    assert abs(np.abs(flipped(p) - num).max() / np.abs(num).max() - 0.52) < 0.01
+    thresholds = {check.name: check.threshold for check in validation.CHECKS}
+    values = validation.dipole_checks(p)
+    assert values["electric_table_vs_numeric"] > 0.5 > thresholds["electric_table_vs_numeric"]
+    for name in ("electric_block_calibration", "electric_dyads_vs_dense_eigenvectors"):
+        assert values[name] < 1e-14 < thresholds[name]
+
+
 # --- the dense rows at powers of two of the ring's energies and lengths -------
 
 DENSE_ROWS = [check.name for check in validation.CHECKS[:16]]
