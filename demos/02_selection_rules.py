@@ -62,7 +62,7 @@ single = bf.perfect_ring_regression(
     bf.DenseRing(RingParams(12, topology=Topology.SINGLE_RING)))
 print(f"planar ring:     |[m_z, H]| = {single.commutator_norm:.1e} (natural units), "
       f"largest magnetic transition {single.max_offdiag_magnetic:.1e}")
-annulene = bf.annulene_cross_check(
+annulene = bf.shared_transition_scan(
     bf.DenseRing(RingParams(12, topology=Topology.DOUBLE_RING_PERIODIC)))
 print(f"periodic double ring: {annulene.n_shared} transitions carry both dipoles")
 mobius = bf.shared_transition_scan(bf.DenseRing(params))

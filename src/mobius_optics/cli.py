@@ -460,16 +460,16 @@ def _omega_grid(config: RunConfig, res: Resonance):
     center = (res.delta0 if config.omega_center_ev is None
               else config.omega_center_ev * EV / HBAR)
     if config.omega_span_ev is not None:
-        span = config.omega_span_ev * EV / HBAR
+        span, key = config.omega_span_ev * EV / HBAR, "omega_span_ev"
     elif config.omega_span_rad_s is not None:
-        span = config.omega_span_rad_s
-    else:
-        span = 10.0 * res.bandwidth
-        if span == 0.0:
-            span = 0.1 * center
+        span, key = config.omega_span_rad_s, "omega_span_rad_s"
+    else:   # the messages name the default and both keys that replace it
+        span = 10.0 * res.bandwidth or 0.1 * center
+        key = (f"the default half-span, {span:.6g} rad/s ("
+               f"{'10 bandwidths' if res.bandwidth else 'center / 10'}), "
+               "by setting omega_span_ev or omega_span_rad_s,")
     if config.omega_count == 1:
         span = 0.0
-    key = "omega_span_ev" if config.omega_span_ev is not None else "omega_span_rad_s"
     if not 0.0 < center - span <= center + span < math.inf:
         raise ConfigError(
             f"omega must be positive and finite: the sweep {center - span:.6g} to "

@@ -77,7 +77,6 @@ class RingParams:
     n_per_ring: int
     v_inter: float = 3.6
     xi_intra: float = 3.6
-    eps_onsite: float = 0.0
     half_width: float = 0.077e-9
     radius: float | None = None
     decay_rate: float = 1.0 / 4.0e-9
@@ -118,16 +117,11 @@ def label_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def require_mobius(params: RingParams):
-    """Raise ValueError unless the closed forms hold: Mobius topology, identical atoms."""
+    """Raise ValueError unless the closed forms hold: the Mobius topology."""
     if params.topology is not Topology.MOBIUS:
         raise ValueError(
             "closed forms exist only for the Mobius topology; use the "
             "bruteforce module for other boundary conditions"
-        )
-    if params.eps_onsite != 0.0:
-        raise ValueError(
-            "closed forms assume identical atoms (eps_onsite = 0); "
-            "nonzero on-site splitting is handled by the bruteforce module"
         )
 
 

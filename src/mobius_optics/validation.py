@@ -25,6 +25,8 @@ made for the report and dropped when it returns.  A context groups its ring's
 levels, matches them to the closed-form columns and projects each operator
 onto each basis once, for every check: the groups read every dense table
 through ``DenseRing.projection``.  A group called alone makes fresh contexts.
+The oracle returns values, such as the block calibration residual; only a
+row's threshold passes or fails it.
 
 Reductions keep NaN (``np.maximum``, ``np.max``, not ``max``), so a NaN
 deviation fails its check.
@@ -247,16 +249,8 @@ def dipole_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     for kind in num:
         out[f"{kind}_table_vs_numeric"] = worst_tbl[kind]
         out[f"{kind}_dyads_vs_dense_eigenvectors"] = worst_dyad[kind]
-        out[f"{kind}_block_calibration"] = _calibration_residual(closed[kind], num[kind])
+        out[f"{kind}_block_calibration"] = bf.calibrate_conventions(closed[kind], num[kind])
     return out
-
-
-def _calibration_residual(ana: np.ndarray, num: np.ndarray) -> float:
-    """Residual of the block-phase fit; above 1e-6 it fails its row, where the fit raises."""
-    try:
-        return bf.calibrate_conventions(ana, num, DENSE_N, float(np.abs(ana).max())).residual
-    except bf.CalibrationError as exc:
-        return exc.result.residual
 
 
 def _dyad_deviation(ring: bf.DenseRing, num: np.ndarray, tbl: np.ndarray) -> float:
@@ -329,7 +323,7 @@ def _sparsity_deviation(params: RingParams, d_num: np.ndarray, m_num: np.ndarray
 def topology_checks(params: RingParams, dense: Dense = bf.DenseRing) -> dict:
     ring_report = bf.perfect_ring_regression(
         dense(*_canonical(params, DENSE_N, Topology.SINGLE_RING)))
-    annulene = bf.annulene_cross_check(
+    annulene = bf.shared_transition_scan(
         dense(*_canonical(params, DENSE_N, Topology.DOUBLE_RING_PERIODIC)))
     ring = dense(*_canonical(params, DENSE_N))
     mobius = bf.shared_transition_scan(ring)

@@ -66,7 +66,7 @@ def test_criterion_03_selection_rule_sparsity():
 def test_criterion_04_topology_baselines():
     single = bf.perfect_ring_regression(
         bf.DenseRing(RingParams(12, topology=Topology.SINGLE_RING)))
-    annulene = bf.annulene_cross_check(
+    annulene = bf.shared_transition_scan(
         bf.DenseRing(RingParams(12, topology=Topology.DOUBLE_RING_PERIODIC)))
     mobius = bf.shared_transition_scan(bf.DenseRing(P12))
     delta0_ev = DELTA0 * HBAR / EV

@@ -147,6 +147,26 @@ def test_omega_sweep_outside_the_positive_range_is_a_config_error(
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ("phase-diagram", "response"))
+@pytest.mark.parametrize("extra,fix", [
+    # 10 bandwidths reach below omega = 0
+    ({"v_inter_ev": 1e6}, "reduce the default half-span, 3.39651e+21 rad/s (10 bandwidths), "
+                          "by setting omega_span_ev or omega_span_rad_s, or change omega_center_ev"),
+    # 10 bandwidths are below the float spacing at the resonance
+    ({"xi_intra_ev": 1e45, "v_inter_ev": 1e-17, "half_width_nm": 1e-80},
+     "widen the default half-span, 3.39507e+19 rad/s (10 bandwidths), "
+     "by setting omega_span_ev or omega_span_rad_s, or reduce omega_count"),
+])
+def test_default_sweep_errors_name_the_default_span_and_both_span_keys(
+        tmp_path, capsys, monkeypatch, command, extra, fix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(extra))
+    assert cli.main([command, "c.json"]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: omega") and err.rstrip().endswith(fix)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 @pytest.mark.parametrize("command,extra,keys", [
     # each a numpy MemoryError from a 745 GiB or 7.28 TiB linspace before the caps
     ("response", {"omega_count": 10**11}, ("omega_count",)),
@@ -619,9 +639,9 @@ def test_validate_reports_checks_beyond_float_range_as_failed(tmp_path, config, 
         assert rows[name][1:] == ["nan", "", "0", note]
 
 
-def test_validate_reports_a_calibration_residual_above_the_raising_bound(tmp_path, monkeypatch):
-    # one closed-form block off by 1e-4 of its entry: the block fit misses, a failed
-    # row and not the ValueError that calibrate_conventions raises above 1e-6
+def test_validate_fails_a_calibration_residual_above_its_threshold(tmp_path, monkeypatch):
+    # one closed-form block off by 1e-4 of its entry: the block fit misses, and the
+    # row fails against its 1e-9 threshold while validate runs on
     table = validation.dp.magnetic_table
 
     def corrupted(params):

@@ -11,8 +11,11 @@ file that many rows, and a `validate` table the names of all
 points per sweep, at most 200 surface samples) so the test runs in a
 few seconds; an absurd count is junk, a small integer or an integer
 above its cap (`cli.MAX_N_PER_RING`, `cli.MAX_SWEEP_POINTS`), which is a
-config error.  Two examples overflow the level energies, whose difference
-once leaked a numpy RuntimeWarning before the config error.
+config error.  Every config error names a key the configuration sets, or
+says that it used a default: a default sweep that leaves the positive range
+once named `omega_span_rad_s`, which the configuration did not set.  Two
+examples overflow the level energies, whose difference once leaked a numpy
+RuntimeWarning before the config error.
 """
 
 import io
@@ -76,24 +79,32 @@ WROTE = re.compile(r"^wrote (.*) \((\d+) rows\)$", re.MULTILINE)
 
 
 def _run(command, raw, path):
-    """Exit code and stdout of `command` on the JSON text of `raw`, as `cli.main` runs it."""
+    """Exit code, stdout and config error text of `command` on the JSON text of `raw`,
+    as `cli.main` runs it."""
     out = io.StringIO()
     try:
         config = cli.parse_config(json.dumps({**raw, "output_path": str(path)}))
-        return cli.run_command(command, config, stdout=out), out.getvalue()
-    except cli.ConfigError:
-        return cli.EXIT_CONFIG_ERROR, out.getvalue()
+        return cli.run_command(command, config, stdout=out), out.getvalue(), None
+    except cli.ConfigError as exc:
+        return cli.EXIT_CONFIG_ERROR, out.getvalue(), str(exc)
+
+
+def _names_a_set_key_or_a_default(message, raw):
+    """Whether a config error names a key that `raw` sets, or says that it used a default."""
+    return "default" in message or any(re.search(rf"\b{key}\b", message) for key in raw)
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(cli._COMMANDS)), configs())
 @example("spectrum", {"xi_intra_ev": 1e308})
 @example("response", {"v_inter_ev": 1e308, "xi_intra_ev": 1e308})
+@example("response", {"v_inter_ev": 1e6})
+@example("phase-diagram", {"v_inter_ev": 1e6})
 def test_every_config_ends_in_a_table_or_a_config_error(command, raw):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         path = Path(tmp) / "out"
-        code, stdout = _run(command, raw, path)
+        code, stdout, error = _run(command, raw, path)
         files = [p.name for p in Path(tmp).iterdir()]
         data = path.read_bytes() if files == ["out"] else None
     # the coarse-grid warning is the one expected warning: a sweep of at most
@@ -103,6 +114,7 @@ def test_every_config_ends_in_a_table_or_a_config_error(command, raw):
     assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION_FAILURE, cli.EXIT_CONFIG_ERROR)
     if code == cli.EXIT_CONFIG_ERROR:
         assert files == [] and stdout == ""
+        assert _names_a_set_key_or_a_default(error, raw), (error, raw)
         return
     assert code == cli.EXIT_OK or command == "validate"
     assert files == ["out"]

@@ -140,15 +140,10 @@ def test_default_radius_follows_touching_atoms():
     assert custom.radius == 0.29e-9
 
 
-def test_closed_forms_reject_other_topologies_and_onsite_splitting():
-    ring = RingParams(12, topology=Topology.SINGLE_RING)
-    with pytest.raises(ValueError):
-        band_energies(ring)
-    split = RingParams(12, eps_onsite=0.5)
-    with pytest.raises(ValueError):
-        band_energies(split)
-    # the dipole tables share the bands' guard
-    for params in (ring, split):
-        for table in (dp.electric_table, dp.magnetic_table):
-            with pytest.raises(ValueError):
-                table(params)
+def test_closed_forms_reject_other_topologies():
+    for topology in (Topology.SINGLE_RING, Topology.DOUBLE_RING_PERIODIC):
+        ring = RingParams(12, topology=topology)
+        # the dipole tables share the bands' guard
+        for closed_form in (band_energies, dp.electric_table, dp.magnetic_table):
+            with pytest.raises(ValueError, match="Mobius topology"):
+                closed_form(ring)
