@@ -11,16 +11,19 @@ of at most `CHUNK_ROWS` rows: a `BlockedTable` in whole theta rows, or
 pieces of one, and each theta row's text in one join on its theta
 token; a chunk whose codes equal the previous chunk's at the same columns
 reuses that chunk's tail tokens.  `run_command` streams the chunks into a
-temp file, then renames it over the output path, so memory tracks the
-table and not the output text.  Outputs are all-or-nothing and
-byte-stable across runs: CSV uses 17-significant-digit floats (exact
-round trip for 64-bit values), bools as 1/0, '.' decimals and '\n' line
-endings; JSON uses the shortest round-trip float repr, NaN and Infinity
-as bare tokens and bools as true/false.  Each distinct value of a
-float, int, bool or string column is formatted once, and one call
-formats each column: one `json.dumps` in JSON, one `%` call for a CSV
-float, int or bool column, while a CSV string column is its own tokens.
-Object columns hold Python scalars and None of mixed types; in CSV they
+temp file through a `WRITE_BUFFER`-byte buffer, then renames it over the
+output path, so memory tracks the table and not the output text.
+Outputs are all-or-nothing and byte-stable across runs: CSV uses
+17-significant-digit floats (exact round trip for 64-bit values), bools
+as 1/0, '.' decimals and '\n' line endings; JSON uses the shortest
+round-trip float repr, NaN and Infinity as bare tokens and bools as
+true/false.  Each distinct value of a float, int, bool or string column
+is formatted once, and one call formats each column: one `json.dumps`
+in JSON, one `%` call for a CSV float, int or bool column, while a CSV
+string column is its own tokens.  A CSV float column's `%` call takes two
+exact shortcuts: an integral value below 1e17 in magnitude goes through
+"%d", and a negative value whose magnitude the column also holds is not
+formatted, but is that positive token with a "-".  Object columns hold Python scalars and None of mixed types; in CSV they
 alone are formatted value by value, under the same rules.
 
 Exit codes: 0 success, 1 validation failure or an output file that cannot
@@ -62,8 +65,13 @@ EXIT_VALIDATION_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 # rows per piece of a streamed output table: larger pieces gain no speed, and
-# 1024 raised the `tables` benchmark's peak RSS by 16 MB in some heap layouts
+# 1024 raised the `tables` benchmark's peak RSS by 16 MB in some heap layouts;
+# the pieces reach the file through a buffer of WRITE_BUFFER bytes, so a 7 MB
+# phase diagram is 29 writes and not one per piece
 CHUNK_ROWS = 512
+# bytes per write of an output file: at 1 MiB a 64 x 128 phase-diagram command
+# traced 1.27 MB, past its bound of one float per cell plus 1 MiB
+WRITE_BUFFER = 2**18
 
 
 class ConfigError(ValueError):
@@ -312,6 +320,8 @@ def _column_tokens(column: np.ndarray, fmt: str, prefix: str):
     else:
         keys = column.view(np.uint64) if kind == "f" else column
         distinct, inverse = np.unique(keys, return_inverse=True)
+        if kind == "f" and fmt == "csv":
+            return _float_tokens(distinct, prefix), inverse
         values = (distinct.view(np.float64) if kind == "f" else distinct).tolist()
     if fmt == "json":
         text = prefix + json.dumps(values, separators=("\0" + prefix, ":"))[1:-1]
@@ -319,10 +329,49 @@ def _column_tokens(column: np.ndarray, fmt: str, prefix: str):
         tokens = values if kind == "U" else [_format_value(v) for v in values]
         return prefix + np.array(tokens, dtype=object), inverse
     else:
-        # "%.17g" % v is format(v, ".17g") and "%d" % v is str(int(v))
-        spec = prefix.replace("%", "%%") + ("%.17g" if kind == "f" else "%d")
-        text = "\0".join([spec] * len(values)) % tuple(values)
+        # "%d" % v is str(int(v))
+        text = "\0".join([prefix.replace("%", "%%") + "%d"] * len(values)) % tuple(values)
     return np.array(text.split("\0"), dtype=object), inverse
+
+
+# bit patterns of a sorted float column run through the non-negatives by
+# magnitude, then the negatives by magnitude, each half's NaNs last
+_SIGN = np.uint64(1 << 63)
+_EDGES = np.array([1e17, -1e17, -0.0, -math.inf]).view(np.uint64)
+
+
+def _float_tokens(bits: np.ndarray, prefix: str) -> np.ndarray:
+    """CSV tokens of distinct float64 bit patterns, sorted as unsigned ints.
+
+    Every token is `prefix` and ``format(v, ".17g")``, from one `%` call
+    over the values and two exact shortcuts.  An integral v with
+    |v| < 1e17, other than -0.0, goes through "%d": ".17g" prints the same
+    digits there.  A negative v whose magnitude is also in `bits` is not
+    formatted: its token is a "-" before that positive token's digits.  A
+    NaN is never paired, as ".17g" drops its sign.
+    """
+    n, values = len(bits), bits.view(np.float64)
+    top, bottom, split = bits.searchsorted(_EDGES[:3]).tolist()
+    start, nan = bits.searchsorted(_EDGES[2:], side="right").tolist()
+    whole = np.zeros(n, dtype=bool)
+    for lo, hi in ((0, top), (start, bottom)):   # |v| < 1e17 but -0.0; no NaN
+        whole[lo:hi] = np.trunc(values[lo:hi]) == values[lo:hi]
+    mags = bits[split:nan] - _SIGN
+    partner = bits[:split].searchsorted(mags)
+    paired = np.flatnonzero(bits[partner] == mags)
+    spec = prefix.replace("%", "%%")
+    specs = np.array([spec + "%.17g", spec + "%d"], dtype=object)
+    own = np.ones(n, dtype=bool)
+    own[split + paired] = False
+    text = "\0".join(specs[whole[own].view(np.uint8)].tolist()) % tuple(values[own].tolist())
+    if not len(paired):
+        return np.array(text.split("\0"), dtype=object)
+    tokens = np.empty(n, dtype=object)
+    tokens[own] = text.split("\0")
+    # each paired positive token with a "-" after its prefix, in one replace
+    positives = "\0" + "\0".join(tokens[partner[paired]].tolist())
+    tokens[split + paired] = positives.replace("\0" + prefix, "\0" + prefix + "-").split("\0")[1:]
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -437,7 +486,7 @@ def _atomic_write(path: str, chunks: Iterable[bytes]):
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with os.fdopen(fd, "wb", buffering=WRITE_BUFFER) as handle:
             handle.writelines(chunks)
         try:
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))

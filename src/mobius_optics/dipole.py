@@ -47,6 +47,8 @@ from .ring import BANDS, Band, RingParams, require_mobius
 _EX = np.array([1.0, 0.0, 0.0])
 _EY = np.array([0.0, 1.0, 0.0])
 _EZ = np.array([0.0, 0.0, 1.0])
+_EXY_M, _EXY_P = _EX - 1j * _EY, _EX + 1j * _EY
+_M_XYZ = 1j * _EX + _EY - _EZ
 
 # Pauli matrices over the band pair, row/col ordered (up, down)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -69,7 +71,7 @@ def _electric_block(dl: int, r: float, w: float) -> np.ndarray:
         return -E_CHARGE * w / 4.0 * ((_EY + 2.0 * _EZ) * _SX[..., None] - _EX * _SY[..., None])
     s_pm = _SM if dl > 0 else _SP
     if dl in (1, -1):
-        exy = _EX - 1j * _EY if dl == 1 else _EX + 1j * _EY
+        exy = _EXY_M if dl == 1 else _EXY_P
         return -E_CHARGE / 4.0 * (
             exy * (2.0 * r * _I2 + w * _SY)[..., None] + 2.0 * w * _EZ * s_pm[..., None]
         )
@@ -77,58 +79,64 @@ def _electric_block(dl: int, r: float, w: float) -> np.ndarray:
     return -E_CHARGE * w / 4.0 * v * s_pm[..., None]
 
 
-def _magnetic_block(k: np.ndarray, dl: int, v: float, xi: float, r: float, w: float, delta: float) -> np.ndarray:
-    """(m, 2, 2, 3) blocks <k,s| m |k + dl*delta, s'> in A m^2 at m momenta k (v, xi in joules)."""
-    c, s = np.cos, np.sin
-    d = delta
-    k = k[:, None]   # trailing axis: every expression broadcasts against _EX, _EY, _EZ
-    out = np.zeros((k.shape[0], 2, 2, 3), dtype=complex)
+# the shifts s of every cos(k + s*delta) in a magnetic block
+_SHIFTS = (-2.0, -1.5, -1.25, -1.0, -0.5, 0.0, 0.5, 0.75, 1.0, 1.5)
+
+
+def _magnetic_block(c: dict, sin_k: np.ndarray, dl: int, v: float, xi: float, r: float,
+                    w: float, d: float) -> np.ndarray:
+    """(m, 2, 2, 3) blocks <k,s| m |k + dl*delta, s'> in A m^2 at m momenta k (v, xi in joules).
+
+    ``c[s]`` is the (m, 1) column cos(k + s*delta) for each s in `_SHIFTS`, and
+    `sin_k` the (m, 1) column sin(k); the trailing axes broadcast against _EX.
+    """
+    out = np.zeros((sin_k.shape[0], 2, 2, 3), dtype=complex)
     pre = E_CHARGE / HBAR
     if dl == 0:
         out[:, 0, 0] = -pre * xi / 8.0 * (
-            2.0 * w**2 * (c(k - d) - c(k)) * _EY
+            2.0 * w**2 * (c[-1] - c[0]) * _EY
             + (
-                w**2 * (c(k) - c(k - 2 * d) - c(k - d) + c(k + d))
-                + 4.0 * r**2 * (c(k + d / 2) - c(k - 1.5 * d))
+                w**2 * (c[0] - c[-2] - c[-1] + c[1])
+                + 4.0 * r**2 * (c[0.5] - c[-1.5])
             ) * _EZ
         )
-        inter = v + xi * (c(k - d) - c(k + d / 2))
-        zpart = 2j * xi * c(d / 4) * (c(k - 1.25 * d) - c(k + 0.75 * d))
-        out[:, 0, 1] = pre * r * w / 4.0 * (-inter * (_EX - 1j * _EY) - zpart * _EZ)
-        out[:, 1, 0] = pre * r * w / 4.0 * (-inter * (_EX + 1j * _EY) + zpart * _EZ)
-        out[:, 1, 1] = -pre * xi / 2.0 * s(k) * (
-            w**2 * s(d / 2) * _EY - (2.0 * r**2 + w**2 * c(d / 2)) * s(d) * _EZ
+        inter = v + xi * (c[-1] - c[0.5])
+        zpart = 2j * xi * np.cos(d / 4) * (c[-1.25] - c[0.75])
+        out[:, 0, 1] = pre * r * w / 4.0 * (-inter * _EXY_M - zpart * _EZ)
+        out[:, 1, 0] = pre * r * w / 4.0 * (-inter * _EXY_P + zpart * _EZ)
+        out[:, 1, 1] = -pre * xi / 2.0 * sin_k * (
+            w**2 * np.sin(d / 2) * _EY - (2.0 * r**2 + w**2 * np.cos(d / 2)) * np.sin(d) * _EZ
         )
     elif dl == 1:
         amp = w**2 * xi / 8.0
-        out[:, 0, 0] = pre * amp * (c(k - d) - c(k + d)) * (1j * _EX + _EY - _EZ)
+        out[:, 0, 0] = pre * amp * (c[-1] - c[1]) * _M_XYZ
         # the z component of this entry vanishes identically (Hermitian partner
         # of the dl=-1 down->up entry); confirmed by the numeric tables
-        out[:, 0, 1] = -pre * r * w / 4.0 * (v + xi * (c(k) - c(k + d / 2))) * (_EX - 1j * _EY)
+        out[:, 0, 1] = -pre * r * w / 4.0 * (v + xi * (c[0] - c[0.5])) * _EXY_M
         out[:, 1, 0] = pre * r * w / 4.0 * (
-            (v + xi * (c(k + d) - c(k - d / 2))) * (_EX - 1j * _EY)
-            - 1j * xi * (c(k - d) - c(k + d) - c(k + 1.5 * d) + c(k - d / 2)) * _EZ
+            (v + xi * (c[1] - c[-0.5])) * _EXY_M
+            - 1j * xi * (c[-1] - c[1] - c[1.5] + c[-0.5]) * _EZ
         )
-        out[:, 1, 1] = pre * amp * (c(k - d / 2) - c(k + 1.5 * d)) * (1j * _EX + _EY - _EZ)
+        out[:, 1, 1] = pre * amp * (c[-0.5] - c[1.5]) * _M_XYZ
     elif dl == -1:
         amp = w**2 * xi / 8.0
-        out[:, 0, 0] = -pre * amp * (c(k - 2 * d) - c(k)) * (1j * _EX - _EY + _EZ)
+        out[:, 0, 0] = -pre * amp * (c[-2] - c[0]) * (1j * _EX - _EY + _EZ)
         out[:, 0, 1] = pre * r * w / 4.0 * (
-            (v + xi * (c(k) - c(k - 1.5 * d))) * (_EX + 1j * _EY)
-            + 1j * xi * (c(k - 1.5 * d) + c(k - 2 * d) - c(k) - c(k + d / 2)) * _EZ
+            (v + xi * (c[0] - c[-1.5])) * _EXY_P
+            + 1j * xi * (c[-1.5] + c[-2] - c[0] - c[0.5]) * _EZ
         )
-        out[:, 1, 0] = -pre * r * w / 4.0 * (v + xi * (c(k - d) - c(k - d / 2))) * (_EX + 1j * _EY)
-        out[:, 1, 1] = pre * amp * (c(k - 1.5 * d) - c(k + d / 2)) * (-1j * _EX + _EY - _EZ)
+        out[:, 1, 0] = -pre * r * w / 4.0 * (v + xi * (c[-1] - c[-0.5])) * _EXY_P
+        out[:, 1, 1] = pre * amp * (c[-1.5] - c[0.5]) * (-1j * _EX + _EY - _EZ)
     elif dl == 2:
         amp = 1j * w**2 * xi / 8.0
-        out[:, 0, 0] = pre * amp * (c(k) - c(k + d)) * (_EX - 1j * _EY)
-        out[:, 1, 0] = pre * r * w / 4.0 * (v + xi * (c(k + d) - c(k + d / 2))) * (_EX - 1j * _EY)
-        out[:, 1, 1] = pre * amp * (c(k + d / 2) - c(k + 1.5 * d)) * (_EX - 1j * _EY)
+        out[:, 0, 0] = pre * amp * (c[0] - c[1]) * _EXY_M
+        out[:, 1, 0] = pre * r * w / 4.0 * (v + xi * (c[1] - c[0.5])) * _EXY_M
+        out[:, 1, 1] = pre * amp * (c[0.5] - c[1.5]) * _EXY_M
     elif dl == -2:
         amp = 1j * w**2 * xi / 8.0
-        out[:, 0, 0] = -pre * amp * (c(k - 2 * d) - c(k - d)) * (_EX + 1j * _EY)
-        out[:, 0, 1] = pre * r * w / 4.0 * (v + xi * (c(k - d) - c(k - 1.5 * d))) * (_EX + 1j * _EY)
-        out[:, 1, 1] = -pre * amp * (c(k - 1.5 * d) - c(k - d / 2)) * (_EX + 1j * _EY)
+        out[:, 0, 0] = -pre * amp * (c[-2] - c[-1]) * _EXY_P
+        out[:, 0, 1] = pre * r * w / 4.0 * (v + xi * (c[-1] - c[-1.5])) * _EXY_P
+        out[:, 1, 1] = -pre * amp * (c[-1.5] - c[-0.5]) * _EXY_P
     return out
 
 
@@ -150,6 +158,9 @@ def block_entries(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarra
     l_to = np.asarray(l_to)
     k = l_to * params.delta
     offsets = list(dict.fromkeys(dl % n for dl in _DLS))
+    if kind is DipoleKind.MAGNETIC:   # each cos(k + s*delta) once, for every block
+        cos = np.cos(k[:, None] + np.array(_SHIFTS) * params.delta)
+        c, sin_k = dict(zip(_SHIFTS, cos.T[:, :, None])), np.sin(k)[:, None]
     # [l_to, offset, s_to, s_from], bands ordered (up, down)
     blocks = np.zeros((l_to.size, len(offsets), 2, 2, 3), dtype=complex)
     for dl in _DLS:
@@ -157,7 +168,7 @@ def block_entries(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarra
             block = _electric_block(dl, params.radius, params.half_width)
         else:
             block = _magnetic_block(
-                k, dl, params.v_inter * EV, params.xi_intra * EV,
+                c, sin_k, dl, params.v_inter * EV, params.xi_intra * EV,
                 params.radius, params.half_width, params.delta,
             )
         blocks[:, offsets.index(dl % n)] += block

@@ -136,6 +136,40 @@ def test_long_float_columns_match_the_reference_value():
     assert _emit(table, "csv") == _reference_table(["x", "y"], rows, "csv")
 
 
+def _integral_edges(sign):
+    """Integral floats at and next to 2**53, 1e16 and 1e17 of one sign, none
+    paired with its negative: "%d" prints them below 1e17, ".17g" from 1e17
+    on; and -0.0 without 0.0, which "%d" would print as "0"."""
+    edges = np.array([2.0**53, 1e16, 1e17])
+    around = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, math.inf)])
+    return np.concatenate([sign * around, [-0.0, 1.0, -3.0]])
+
+
+def _mirrored():
+    """Random floats next to their negatives, with +-0.0, +-inf and NaNs with
+    and without the sign bit, among them a positive and a negative NaN of the
+    same payload, quiet and signalling, which must both print "nan"."""
+    rng = np.random.default_rng(53)
+    x = np.concatenate([np.frombuffer(rng.bytes(8 * 2_000), dtype=np.float64),
+                        (rng.integers(-2**60, 2**60, 500) >> rng.integers(0, 60, 500)).astype(float),
+                        rng.standard_normal(500)])
+    nans = np.array([0x7FF8000000000001, 0x7FF0000000000001], dtype=np.uint64)
+    nans = np.concatenate([nans, nans | np.uint64(1 << 63)]).view(np.float64)
+    return np.concatenate([x, -x, [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan], nans])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("values", [_integral_edges(1.0), _integral_edges(-1.0), _mirrored()],
+                         ids=["integral-edges", "negative-integral-edges", "mirrored"])
+def test_float_shortcuts_match_the_reference_value(values, fmt):
+    # each column holds the values once, as the first column (the row
+    # separator starts its tokens) and as a later one (","), under a name with a "%"
+    header = ["%d", "y%"]
+    table = np.rec.fromarrays([values, values[::-1]], names=header)
+    rows = [dict(zip(header, row)) for row in zip(values.tolist(), values[::-1].tolist())]
+    assert _emit(table, fmt) == _reference_table(header, rows, fmt)
+
+
 def test_negative_zero_keeps_its_sign():
     table = np.rec.fromarrays([np.array([0.0, -0.0, 0.0])], names=["x"])
     assert _emit(table, "csv") == b"x\n0\n-0\n0\n"
@@ -206,6 +240,36 @@ def test_failure_mid_stream_leaves_no_partial_file(existing, tmp_path):
         cli._atomic_write(str(path), _failing_chunks(RuntimeError("stop")))
     with pytest.raises(OSError, match="cannot write output file.*No space left"):
         cli._atomic_write(str(path), _failing_chunks(OSError(errno.ENOSPC, "No space left")))
+    assert not list(tmp_path.glob(".tmp-*.part"))
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+
+
+class _FullDisk(io.FileIO):
+    """A file whose every write fails as on a full disk."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+def test_failure_in_the_buffered_flush_leaves_no_partial_file(existing, tmp_path, monkeypatch):
+    # chunks smaller than the buffer reach the disk only when the file closes
+    opened = []
+
+    def fdopen(fd, mode, buffering):
+        opened.append(buffering)
+        return io.BufferedWriter(_FullDisk(fd, mode), buffering)
+
+    monkeypatch.setattr(cli.os, "fdopen", fdopen)
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(OSError, match="cannot write output file.*No space left"):
+        cli._atomic_write(str(path), [b"first chunk\n", b"second chunk\n"])
+    assert opened == [cli.WRITE_BUFFER]
     assert not list(tmp_path.glob(".tmp-*.part"))
     if existing is None:
         assert not path.exists()
