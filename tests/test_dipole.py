@@ -89,11 +89,14 @@ def test_magnetic_intra_band_diagonal_proportional_to_sin_k():
             assert abs(ratio_z.imag) < 1e-12 * M_SCALE
 
 
+@pytest.mark.parametrize("n", (3, 4, 5, 12, 64))
 @pytest.mark.parametrize("kind", ["electric", "magnetic"])
-def test_hermiticity_over_all_label_pairs(kind):
-    table, scale = (E12, EW) if kind == "electric" else (M12, M_SCALE)
-    for a, b in itertools.product(range(24), range(24)):
-        assert np.abs(table[a, b] - table[b, a].conj()).max() < 1e-12 * scale
+def test_hermiticity_over_all_label_pairs(n, kind):
+    # aliased small rings (N = 3, 4) included, where blocks add on one ket column
+    p = RingParams(n)
+    table = dp.electric_table(p) if kind == "electric" else dp.magnetic_table(p)
+    gap = np.abs(table - table.swapaxes(0, 1).conj()).max()
+    assert gap <= 4 * np.finfo(float).eps * np.abs(table).max()
 
 
 @pytest.mark.parametrize("n", [4, 6, 12, 24])
@@ -264,9 +267,129 @@ def test_block_entries_are_the_table_bit_for_bit(n, kind):
     assert not rest.any()
 
 
+# --- the hand-written dl < 0 blocks and mirrored rules, an independent check --
+# ``dipole`` writes the dl = 0, +1, +2 blocks and the dl >= 0 rules; the dl = -1
+# and -2 blocks below are written out by hand from the closed forms, as are the
+# mirrored rules, in the same IEEE order as the dl >= 0 code
+
+_EX, _EY, _EZ = np.eye(3)
+_EXY_P = _EX + 1j * _EY
+_I2 = np.eye(2, dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SP = np.array([[0, 1], [0, 0]], dtype=complex)   # raising: up row, down col
+
+
+def _hand_electric_block(dl, r, w):
+    """(2, 2, 3) block <k,s| d |k + dl*delta, s'> for dl = -1, -2."""
+    if dl == -1:
+        return -E_CHARGE / 4.0 * (
+            _EXY_P * (2.0 * r * _I2 + w * _SY)[..., None] + 2.0 * w * _EZ * _SP[..., None]
+        )
+    return -E_CHARGE * w / 4.0 * (1j * _EX - _EY) * _SP[..., None]
+
+
+def _hand_magnetic_block(c, dl, v, xi, r, w):
+    """(m, 2, 2, 3) blocks <k,s| m |k + dl*delta, s'> for dl = -1, -2 (v, xi in joules)."""
+    out = np.zeros((c[0.0].shape[0], 2, 2, 3), dtype=complex)
+    pre = E_CHARGE / HBAR
+    if dl == -1:
+        amp = w**2 * xi / 8.0
+        out[:, 0, 0] = -pre * amp * (c[-2] - c[0]) * (1j * _EX - _EY + _EZ)
+        out[:, 0, 1] = pre * r * w / 4.0 * (
+            (v + xi * (c[0] - c[-1.5])) * _EXY_P
+            + 1j * xi * (c[-1.5] + c[-2] - c[0] - c[0.5]) * _EZ
+        )
+        out[:, 1, 0] = -pre * r * w / 4.0 * (v + xi * (c[-1] - c[-0.5])) * _EXY_P
+        out[:, 1, 1] = pre * amp * (c[-1.5] - c[0.5]) * (-1j * _EX + _EY - _EZ)
+    else:
+        amp = 1j * w**2 * xi / 8.0
+        out[:, 0, 0] = -pre * amp * (c[-2] - c[-1]) * _EXY_P
+        out[:, 0, 1] = pre * r * w / 4.0 * (v + xi * (c[-1] - c[-1.5])) * _EXY_P
+        out[:, 1, 1] = -pre * amp * (c[-1.5] - c[-0.5]) * _EXY_P
+    return out
+
+
+def _hand_table(p, kind):
+    """(2N, 2N, 3) table of ``dipole``'s dl >= 0 blocks and the hand-written dl < 0 ones.
+
+    The blocks add on their ket columns in the order 0, +1, -1, +2, -2, as
+    ``block_entries`` sums aliased blocks.
+    """
+    n = p.n_per_ring
+    ell = np.arange(n)
+    k = ell * p.delta
+    cos = np.cos(k[:, None] + np.array(dp._SHIFTS) * p.delta)
+    c, sin_k = dict(zip(dp._SHIFTS, cos.T[:, :, None])), np.sin(k)[:, None]
+    v, xi, r, w = p.v_inter * EV, p.xi_intra * EV, p.radius, p.half_width
+    rows = np.array([1, 0])   # BANDS index of the block rows (up, down)
+    out = np.zeros((2 * n, 2 * n, 3), dtype=complex)
+    for dl in (0, 1, -1, 2, -2):
+        if kind is dp.DipoleKind.ELECTRIC:
+            block = (dp._electric_block(dl, r, w) if dl >= 0
+                     else _hand_electric_block(dl, r, w))
+        else:
+            block = (dp._magnetic_block(c, sin_k, dl, v, xi, r, w, p.delta) if dl >= 0
+                     else _hand_magnetic_block(c, dl, v, xi, r, w))
+        bra = rows[None, :, None] * n + ell[:, None, None]
+        ket = rows[None, None, :] * n + ((ell + dl) % n)[:, None, None]
+        out[bra, ket] += block
+    return out
+
+
+# (kind, dl = l_to - l_from, from band, to band) -> allowed components, each
+# dl != 0 rule next to its Hermitian mirror
+_E, _M = dp.DipoleKind.ELECTRIC, dp.DipoleKind.MAGNETIC
+_HAND_RULES = {
+    (_E, 0, DOWN, UP): "xyz", (_E, 0, UP, DOWN): "xyz",
+    (_E, 1, DOWN, DOWN): "xy", (_E, -1, DOWN, DOWN): "xy",
+    (_E, 1, UP, UP): "xy", (_E, -1, UP, UP): "xy",
+    (_E, 1, DOWN, UP): "xyz", (_E, -1, UP, DOWN): "xyz",
+    (_E, 1, UP, DOWN): "xy", (_E, -1, DOWN, UP): "xy",
+    (_E, 2, DOWN, UP): "xy", (_E, -2, UP, DOWN): "xy",
+    (_M, 0, DOWN, UP): "xyz", (_M, 0, UP, DOWN): "xyz",
+    (_M, 1, DOWN, UP): "xyz", (_M, -1, UP, DOWN): "xyz",
+    (_M, 1, UP, DOWN): "xy", (_M, -1, DOWN, UP): "xy",
+    (_M, 2, DOWN, UP): "xy", (_M, -2, UP, DOWN): "xy",
+}
+
+
+def _hand_selection_table(n):
+    table = np.zeros((len(dp.KINDS), 2, 2, n), dtype=np.uint8)
+    for (kind, dl, fb, tb), comps in _HAND_RULES.items():
+        mask = dp.COMPONENTS.tolist().index(comps)
+        table[dp.KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= mask
+    return table
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 12, 64))
+@pytest.mark.parametrize("ring", ["default", "off_default"])
+@pytest.mark.parametrize("kind", ["electric", "magnetic"])
+def test_tables_match_the_hand_written_negative_blocks(n, ring, kind):
+    # bit for bit, but for the magnetic Im z of each (up, down) entry of the dl = -1
+    # block: its four cosines cancel, and their order may differ by rounding
+    kw = {} if ring == "default" else {"v_inter": 2.1, "xi_intra": 4.7, "radius": 0.5e-9}
+    p = RingParams(n, **kw)
+    kind = dp.DipoleKind(kind)
+    table = dp.electric_table(p) if kind is dp.DipoleKind.ELECTRIC else dp.magnetic_table(p)
+    hand = _hand_table(p, kind)
+    differs = table.view(np.uint64) != hand.view(np.uint64)   # (2N, 2N, 6): re, im of x, y, z
+    if kind is dp.DipoleKind.MAGNETIC:
+        ell = np.arange(n)
+        up_down = _at(ell, UP, n), _at(ell - 1, DOWN, n)
+        gap = np.abs(table[up_down].imag - hand[up_down].imag)[:, 2]
+        assert gap.max() <= 4 * np.finfo(float).eps * np.abs(table).max()
+        differs[(*up_down, 5)] = False
+    assert not differs.any()
+
+
+def test_selection_table_matches_the_hand_written_mirrors():
+    for n in range(3, 65):
+        assert np.array_equal(dp.selection_table(n), _hand_selection_table(n)), n
+
 # --- the tables and the ground row of the Kubo sums, pinned bit for bit ------
-# SHA-256 of the array bytes; regenerate only when a change to the dipole values
-# is intended, and say why in the change log
+# SHA-256 of the array bytes; regenerate both tables with
+# ``PYTHONPATH=src python tests/test_dipole.py`` only when a change to the dipole
+# values is intended, and say why in the change log
 
 TABLE_DIGESTS = {   # N: (electric_table, magnetic_table) at the default molecule
     3: ("8eef1e80ad80ba48e04c3d61103ec63501d710f2576d1a2dc09eca5e9c308102",
@@ -305,15 +428,36 @@ def _digest(*arrays):
     return sha.hexdigest()
 
 
+def _table_digests(n):
+    p = RingParams(n)
+    return _digest(dp.electric_table(p)), _digest(dp.magnetic_table(p))
+
+
+def _ground_dyad_digests(n):
+    cfg = rs.MediumConfig(RingParams(n))
+    return tuple(_digest(*rs._ground_dyads(cfg, kind))
+                 for kind in (dp.DipoleKind.ELECTRIC, dp.DipoleKind.MAGNETIC))
+
+
 @pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
 def test_tables_keep_their_digests(n):
-    p = RingParams(n)
-    assert (_digest(dp.electric_table(p)), _digest(dp.magnetic_table(p))) == TABLE_DIGESTS[n]
+    assert _table_digests(n) == TABLE_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", sorted(GROUND_DYAD_DIGESTS))
 def test_ground_dyads_keep_their_digests(n):
-    cfg = rs.MediumConfig(RingParams(n))
-    got = tuple(_digest(*rs._ground_dyads(cfg, kind))
-                for kind in (dp.DipoleKind.ELECTRIC, dp.DipoleKind.MAGNETIC))
-    assert got == GROUND_DYAD_DIGESTS[n]
+    assert _ground_dyad_digests(n) == GROUND_DYAD_DIGESTS[n]
+
+
+if __name__ == "__main__":
+    for name, comment, digests in (
+        ("TABLE_DIGESTS", "N: (electric_table, magnetic_table) at the default molecule",
+         _table_digests),
+        ("GROUND_DYAD_DIGESTS", "N: (electric, magnetic) ``_ground_dyads``, frequencies then dyads",
+         _ground_dyad_digests),
+    ):
+        print(f"{name} = {{   # {comment}")
+        for n in sorted(globals()[name]):
+            electric, magnetic = digests(n)
+            print(f'    {n}: ("{electric}",\n{" " * (len(str(n)) + 7)}"{magnetic}"),')
+        print("}")
