@@ -4,14 +4,17 @@ Matrix elements between band eigenstates come in momentum-transfer blocks
 dl = l_ket - l_bra in {0, +/-1, +/-2}; every other momentum transfer is
 forbidden by the ring geometry.  Each block is a 2x2 matrix over the band
 pair (up, down) of 3-vectors, evaluated at the bra momentum k = l_bra *
-delta.  One function, ``block_entries``, evaluates them for an array of bra
-momenta and lists them entry by entry over the labels, as (from, to,
-vectors).  It sums them per ket-column offset dl mod N: for small rings the
-blocks alias (dl = +2 and -2 coincide for N = 4, +/-2 with -/+1 for N = 3)
-and the aliased contributions add there, in the order 0, +1, -1, +2, -2.
-Every other reader takes its entries from it: the ``elements`` command and
-the (2N, 2N) tables with every bra, the ground row of the Kubo sums in
-``response`` with the bra momentum 0 alone, O(N) work.
+delta.  The dl = 0, 1, 2 blocks are written out; each dl < 0 block is the
+conjugate transpose, over the band pair, of its Hermitian partner, the |dl|
+block at bra momentum k + dl*delta.  One function, ``block_entries``,
+evaluates them for an array of bra momenta and lists them entry by entry
+over the labels, as (from, to, vectors).  It sums them per ket-column
+offset dl mod N: for small rings the blocks alias (dl = +2 and -2 coincide
+for N = 4, +/-2 with -/+1 for N = 3) and the aliased contributions add
+there, in the order 0, +1, -1, +2, -2.  Every other reader takes its
+entries from it: the ``elements`` command and the (2N, 2N) tables with
+every bra, the ground row of the Kubo sums in ``response`` with the bra
+momentum 0 alone, O(N) work.
 
 Conventions frozen against the brute-force construction in ``bruteforce``
 (site-diagonal position operator, m = -i e r x [H, r] / 2 hbar, equal to the
@@ -24,15 +27,16 @@ bond-current form):
   factor is squared in the response dyads, where the single-resonance
   permeability tensor requires it to reproduce the full magnetization sum;
 * the z component of the dl=+1 (up -> down) magnetic entry is identically
-  zero; the numeric tables confirm this, as does Hermiticity against the
-  dl=-1 (down -> up) entry.
+  zero; the numeric tables confirm this.
 
 Table direction: ``table[a, b, c] = <a| O_c |b>`` for the transition from
 label b to label a, so Hermiticity reads table[b, a] = conj(table[a, b]).
 
 The selection rules are one table, ``_RULES``, over (kind, dl, from band,
-to band); ``selection_table(n)`` folds it to dl mod N as component masks,
-read by the ``elements`` command and validate.
+to band) with dl >= 0, counted as l_to - l_from, the opposite sign of the
+blocks' l_ket - l_bra; ``selection_table(n)`` adds each rule's Hermitian
+mirror and folds them to dl mod N as component masks, read by the
+``elements`` command and validate.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ _M_XYZ = 1j * _EX + _EY - _EZ
 # Pauli matrices over the band pair, row/col ordered (up, down)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SP = np.array([[0, 1], [0, 0]], dtype=complex)   # raising: up row, down col
-_SM = np.array([[0, 0], [1, 0]], dtype=complex)
+_SM = np.array([[0, 0], [1, 0]], dtype=complex)   # lowering: down row, up col
 _I2 = np.eye(2, dtype=complex)
 
 _ROW_BAND = np.array([1, 0])   # BANDS index of block rows (up, down)
@@ -66,17 +69,14 @@ class DipoleKind(enum.Enum):
 
 
 def _electric_block(dl: int, r: float, w: float) -> np.ndarray:
-    """(2, 2, 3) block <k,s| d |k + dl*delta, s'>, the same at every k."""
+    """(2, 2, 3) block <k,s| d |k + dl*delta, s'> for dl = 0, 1, 2, the same at every k."""
     if dl == 0:
         return -E_CHARGE * w / 4.0 * ((_EY + 2.0 * _EZ) * _SX[..., None] - _EX * _SY[..., None])
-    s_pm = _SM if dl > 0 else _SP
-    if dl in (1, -1):
-        exy = _EXY_M if dl == 1 else _EXY_P
+    if dl == 1:
         return -E_CHARGE / 4.0 * (
-            exy * (2.0 * r * _I2 + w * _SY)[..., None] + 2.0 * w * _EZ * s_pm[..., None]
+            _EXY_M * (2.0 * r * _I2 + w * _SY)[..., None] + 2.0 * w * _EZ * _SM[..., None]
         )
-    v = -1j * _EX - _EY if dl == 2 else 1j * _EX - _EY
-    return -E_CHARGE * w / 4.0 * v * s_pm[..., None]
+    return -E_CHARGE * w / 4.0 * (-1j * _EX - _EY) * _SM[..., None]
 
 
 # the shifts s of every cos(k + s*delta) in a magnetic block
@@ -85,10 +85,10 @@ _SHIFTS = (-2.0, -1.5, -1.25, -1.0, -0.5, 0.0, 0.5, 0.75, 1.0, 1.5)
 
 def _magnetic_block(c: dict, sin_k: np.ndarray, dl: int, v: float, xi: float, r: float,
                     w: float, d: float) -> np.ndarray:
-    """(m, 2, 2, 3) blocks <k,s| m |k + dl*delta, s'> in A m^2 at m momenta k (v, xi in joules).
+    """(m, 2, 2, 3) blocks <k,s| m |k + dl*delta, s'> in A m^2 at m momenta k, dl = 0, 1, 2.
 
-    ``c[s]`` is the (m, 1) column cos(k + s*delta) for each s in `_SHIFTS`, and
-    `sin_k` the (m, 1) column sin(k); the trailing axes broadcast against _EX.
+    v and xi are in joules, ``c[s]`` is the (m, 1) column cos(k + s*delta) for each s in
+    `_SHIFTS` and `sin_k` the (m, 1) column sin(k); the trailing axes broadcast against _EX.
     """
     out = np.zeros((sin_k.shape[0], 2, 2, 3), dtype=complex)
     pre = E_CHARGE / HBAR
@@ -110,33 +110,18 @@ def _magnetic_block(c: dict, sin_k: np.ndarray, dl: int, v: float, xi: float, r:
     elif dl == 1:
         amp = w**2 * xi / 8.0
         out[:, 0, 0] = pre * amp * (c[-1] - c[1]) * _M_XYZ
-        # the z component of this entry vanishes identically (Hermitian partner
-        # of the dl=-1 down->up entry); confirmed by the numeric tables
+        # the z component of this entry vanishes identically, as the numeric tables confirm
         out[:, 0, 1] = -pre * r * w / 4.0 * (v + xi * (c[0] - c[0.5])) * _EXY_M
         out[:, 1, 0] = pre * r * w / 4.0 * (
             (v + xi * (c[1] - c[-0.5])) * _EXY_M
             - 1j * xi * (c[-1] - c[1] - c[1.5] + c[-0.5]) * _EZ
         )
         out[:, 1, 1] = pre * amp * (c[-0.5] - c[1.5]) * _M_XYZ
-    elif dl == -1:
-        amp = w**2 * xi / 8.0
-        out[:, 0, 0] = -pre * amp * (c[-2] - c[0]) * (1j * _EX - _EY + _EZ)
-        out[:, 0, 1] = pre * r * w / 4.0 * (
-            (v + xi * (c[0] - c[-1.5])) * _EXY_P
-            + 1j * xi * (c[-1.5] + c[-2] - c[0] - c[0.5]) * _EZ
-        )
-        out[:, 1, 0] = -pre * r * w / 4.0 * (v + xi * (c[-1] - c[-0.5])) * _EXY_P
-        out[:, 1, 1] = pre * amp * (c[-1.5] - c[0.5]) * (-1j * _EX + _EY - _EZ)
-    elif dl == 2:
+    else:   # dl == 2
         amp = 1j * w**2 * xi / 8.0
         out[:, 0, 0] = pre * amp * (c[0] - c[1]) * _EXY_M
         out[:, 1, 0] = pre * r * w / 4.0 * (v + xi * (c[1] - c[0.5])) * _EXY_M
         out[:, 1, 1] = pre * amp * (c[0.5] - c[1.5]) * _EXY_M
-    elif dl == -2:
-        amp = 1j * w**2 * xi / 8.0
-        out[:, 0, 0] = -pre * amp * (c[-2] - c[-1]) * _EXY_P
-        out[:, 0, 1] = pre * r * w / 4.0 * (v + xi * (c[-1] - c[-1.5])) * _EXY_P
-        out[:, 1, 1] = -pre * amp * (c[-1.5] - c[-0.5]) * _EXY_P
     return out
 
 
@@ -164,13 +149,16 @@ def block_entries(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarra
     # [l_to, offset, s_to, s_from], bands ordered (up, down)
     blocks = np.zeros((l_to.size, len(offsets), 2, 2, 3), dtype=complex)
     for dl in _DLS:
+        lo = min(dl, 0)   # the |dl| block sits at bra momentum k + lo*delta
         if kind is DipoleKind.ELECTRIC:
-            block = _electric_block(dl, params.radius, params.half_width)
-        else:
+            block = _electric_block(abs(dl), params.radius, params.half_width)
+        else:   # so its c[s] is cos(k + (s + lo)*delta)
             block = _magnetic_block(
-                c, sin_k, dl, params.v_inter * EV, params.xi_intra * EV,
-                params.radius, params.half_width, params.delta,
+                {s - lo: cos_s for s, cos_s in c.items()}, sin_k, abs(dl), params.v_inter * EV,
+                params.xi_intra * EV, params.radius, params.half_width, params.delta,
             )
+        if dl < 0:   # <k,s| O |k + dl*delta,s'> = conj <k + dl*delta,s'| O |k,s>
+            block = block.swapaxes(-3, -2).conj()
         blocks[:, offsets.index(dl % n)] += block
     # label indices of each entry's ket (from) and bra (to)
     src_dst = np.empty((2, *blocks.shape[:-1]), dtype=int)
@@ -180,24 +168,18 @@ def block_entries(params: RingParams, kind: DipoleKind, l_to) -> tuple[np.ndarra
     return src, dst, blocks.reshape(-1, 3)
 
 
-# (kind, dl = l_to - l_from, from band, to band) -> allowed field components;
-# every pair not listed is forbidden.  Each dl != 0 entry sits next to its
-# Hermitian mirror; dl = +2 couples only down -> up, as the up -> down entry
-# of that block vanishes.  The magnetic entries are the electric inter-band
-# ones: the intra-band magnetic elements fall out of the single-resonance
-# response and are left out.
+# (kind, dl = l_to - l_from, from band, to band) -> allowed field components,
+# dl >= 0 only: ``selection_table`` adds each rule's Hermitian mirror (kind,
+# -dl, to band, from band).  Every pair in neither is forbidden.  dl = +2
+# couples only down -> up, as the up -> down entry of that block vanishes.
+# The magnetic entries are the electric inter-band ones: the intra-band
+# magnetic elements fall out of the single-resonance response and are left out.
 _E, _M, _D, _U = DipoleKind.ELECTRIC, DipoleKind.MAGNETIC, Band.DOWN, Band.UP
 _RULES = {
-    (_E, 0, _D, _U): "xyz", (_E, 0, _U, _D): "xyz",     # band flip
-    (_E, 1, _D, _D): "xy", (_E, -1, _D, _D): "xy",      # intra-band hops
-    (_E, 1, _U, _U): "xy", (_E, -1, _U, _U): "xy",
-    (_E, 1, _D, _U): "xyz", (_E, -1, _U, _D): "xyz",
-    (_E, 1, _U, _D): "xy", (_E, -1, _D, _U): "xy",
-    (_E, 2, _D, _U): "xy", (_E, -2, _U, _D): "xy",
-    (_M, 0, _D, _U): "xyz", (_M, 0, _U, _D): "xyz",
-    (_M, 1, _D, _U): "xyz", (_M, -1, _U, _D): "xyz",
-    (_M, 1, _U, _D): "xy", (_M, -1, _D, _U): "xy",
-    (_M, 2, _D, _U): "xy", (_M, -2, _U, _D): "xy",
+    (_E, 0, _D, _U): "xyz",                             # band flip
+    (_E, 1, _D, _D): "xy", (_E, 1, _U, _U): "xy",       # intra-band hops
+    (_E, 1, _D, _U): "xyz", (_E, 1, _U, _D): "xy", (_E, 2, _D, _U): "xy",
+    (_M, 0, _D, _U): "xyz", (_M, 1, _D, _U): "xyz", (_M, 1, _U, _D): "xy", (_M, 2, _D, _U): "xy",
 }
 KINDS = tuple(DipoleKind)           # kind axis of selection_table
 COMPONENT_BITS = np.array([1, 2, 4])   # mask bit of x, y, z
@@ -213,7 +195,9 @@ def selection_table(n: int) -> np.ndarray:
     table = np.zeros((len(KINDS), 2, 2, n), dtype=np.uint8)
     for (kind, dl, fb, tb), comps in _RULES.items():
         mask = COMPONENTS.tolist().index(comps)
-        table[KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= mask
+        kind, fb, tb = KINDS.index(kind), BANDS.index(fb), BANDS.index(tb)
+        table[kind, fb, tb, dl % n] |= mask
+        table[kind, tb, fb, -dl % n] |= mask
     return table
 
 

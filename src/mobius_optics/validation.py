@@ -62,7 +62,6 @@ from .ring import (
 SPECTRUM_NS = (3, 4, 6, 12, 24, 33, 64)
 TABLE_NS = (4, 6, 12, 24)
 DENSE_N = 12   # ring size of the remaining dense checks, one of TABLE_NS
-RTOL = 4.0 * sys.float_info.epsilon
 
 # reasons a check has no value, each the note of its failed row
 NO_ROOT = "no root found in the bracket"
@@ -135,12 +134,12 @@ CHECKS = DENSE_CHECKS + (
 )
 
 
-def _brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
+def _brentq(f, a, b, xtol):
     """Root of f in [a, b] by Brent's method, or None when there is none to find.
 
-    A line-for-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4): the same
-    steps in the same IEEE order, so it returns the same float bits.  None when
-    f(a) and f(b) are of one sign, f is NaN, or maxiter steps do not converge.
+    A line-for-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4) with its default
+    rtol (4 eps) and maxiter (100): the same steps in the same IEEE order, so the same
+    float bits.  None when f(a) and f(b) are of one sign, f is NaN, or it does not converge.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
@@ -151,14 +150,14 @@ def _brentq(f, a, b, xtol, rtol=RTOL, maxiter=100):
         return xcur
     if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
         return None
-    for _ in range(maxiter):
+    for _ in range(100):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + 4.0 * sys.float_info.epsilon * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

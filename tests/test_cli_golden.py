@@ -77,28 +77,28 @@ GOLDEN = {
         "fecc4451ec325f7bb1e96175586dd55d2a45c337c60e2c4c89d58a3defa8656a",
         "0778300d36fb0bff0c342fb9e1dd358dce40c69291a3273a898086a73b87cd3d"),
     ("elements", "csv"): (
-        "a5604f3e3b37a9d63b4c8d3ac66b321777e87181066141c1bce3673e7ee78720",
+        "59c0a73f0109e041d7673c4b4ad012e81c112ed79bd06bf86cc483f73503514d",
         "c1277cce4958f93e1b1e8c99701b10eaffdc9ff0e5947b679f9acb0067c6e2b8"),
     ("elements", "json"): (
-        "f3ede766507ca596e4a5c2cdc24af7b7243a7d5f954ece86d6611b1c10dc50d0",
+        "2c1029181d390f67af2230e641b84212d768f704e176a4a835e10fa2cf8bfd7e",
         "3f0cab8a863abb871af8bc6cd2869b270db53af08a7b5e0c29a537c6d7ec5105"),
     ("elements_n3", "csv"): (
-        "1766294708a253a3555dde95d88182e5c1c9ca3f9ceb25569472bb52bfc5427b",
+        "bb1f96d9d8ca0ef30aee6eae21b65b403b8feb7b6dc96bc82895c86e30f91299",
         "c1b2ada308bd4222e41f402028b48ca8b03f662220574066aa9569526b17e748"),
     ("elements_n3", "json"): (
-        "e2abda1c2ef9acd84c8da838c65800fb6b501c2b60524d49592c3f4d8b11152a",
+        "bf1f960a5dd994e7db1249ef47d106222d69ed85ff03ebef4cf46cacfc6ffa45",
         "333f097fee13c7812a95a874c3def6203bbf9bb56eb3ac47e67f963523954451"),
     ("elements_n4", "csv"): (
-        "ff8a685e3730b6a6e5b98dd6297a463f3e420c829806379e6b9b4f398ba08906",
+        "9d0962056807bc2d9f3a4ad5d00da8e50c635397ed382a97e0e5b128b938e802",
         "95407996f0b23cf12e7a640f284071066a78b833cec27e64c3ba09e61ea9a9da"),
     ("elements_n4", "json"): (
-        "9c8437b9cce39946b457a2076d431e180f2137dec58f4ec9b60cbcb43052b9aa",
+        "3085ae2eac3c890b4d7b92d71eae91a2eacb81ca0c72a128992a9a8c42ee6191",
         "929bfb67c8ab409b00532bcf310be341495fe637c67d3ff86bc272979770245e"),
     ("elements_n64", "csv"): (
-        "290f58fd29a77d880857c86e8c6c256ff155910c241816f961fcfc69b0fe64ea",
+        "b1d888fc97cc4b076d496f520ccd53671f577ac53636980414c2e2215b3b11db",
         "a57be0bcfa54ff365b21add80234e97a49c75fe9c38ff9e43a08a2bacdc68573"),
     ("elements_n64", "json"): (
-        "c515b65a10f565bd2417a3a2249a1923cd34f7d13d87153298d3063dbdfd1b1c",
+        "856dda93c8061df57e5f98ab929cf8b178b12d72de6e22138ff53ca4d9794bb9",
         "7eca6b9566472ad5842084b50b93a202de26b1cfaa1eb9cacf9a0a1b4bf3ccc6"),
     ("response", "csv"): (
         "8e843c2b526dcb8fc698a1e1daa7f976299f38b5511532809b51c1103cc804d1",

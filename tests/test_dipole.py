@@ -393,17 +393,17 @@ def test_selection_table_matches_the_hand_written_mirrors():
 
 TABLE_DIGESTS = {   # N: (electric_table, magnetic_table) at the default molecule
     3: ("8eef1e80ad80ba48e04c3d61103ec63501d710f2576d1a2dc09eca5e9c308102",
-        "feb045214405d459ae21889a1982c3d19cb49ea8911b26660b947d9c101538b1"),
+        "dbd944c3931159fc90c72558a53fc41328c27f89fb02abf82cd034664ad51e6c"),
     4: ("5e50ba5f492a41a17cb16f5cb1968b97ec9e056183b16e02105cc1fc2b71fb5f",
-        "75261611d7cd65dc6462926469dee02b82c2aebdb0555be7dbec3396e217dc0f"),
+        "2b07f6100a8a580b1b9099ec0780774dc69b64d0aedc33dcc00cc106ef55fcf0"),
     5: ("28c96a4210b0e1816b4a432bd97f34059d45ee826dd7916b27a8d1d71fe15b12",
-        "b9ae634d0e65ba408cb2e1991e12264712e07351f1e4ce5bb920adeb20618e04"),
+        "09c1037927580a227977fb3e56e7d35df7469426e14ad784a07af1b0da6308f0"),
     12: ("7b7d357791dcdfbc473d1382ba332f72519a1a950103ae520d248e88a895948e",
-         "c12f080aa7e4d52cfbb0995dd811797b56ed535b9c47a9c4770b0dcc692cd410"),
+         "cdfd3361aad8b2473cb65e13ac06a3a11e04f2784febea5c74e1e164b9c3ff78"),
     24: ("faae5baa265ed655617ed45e6c1137790a0f0bb7362a514689252fa68de72480",
-         "3d75bb4f2bdc446c3e13791748b3e297c8af559ee1cd99150c78c0f654bf5b90"),
+         "4319f04259c94d6f79b998a565367b546555b477b799596d99866ef3d5ff86ff"),
     64: ("2faca18b980d70d3244d96cead9870368610440cdfa7cef8a5ca544853ee5ee8",
-         "6f504116e554aaf90d815bc816edd9b30212544205c1ce90916d85fb3e7ae525"),
+         "78dada33f594fd78b47e7d25634d84c97d30c1df71dbb0e9691e38a380ea70a1"),
 }
 GROUND_DYAD_DIGESTS = {   # N: (electric, magnetic) ``_ground_dyads``, frequencies then dyads
     3: ("1c68aef698327e39f6d2aaf2d5a019b8dbba6929ee4a811e38f6597c1d93250d",

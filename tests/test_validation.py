@@ -274,8 +274,11 @@ def test_brent_port_returns_none_without_a_sign_change():
 def test_brent_port_returns_none_on_nan_inside_or_too_few_steps():
     # a sign change at the ends, NaN at every point inside
     assert _brentq(lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan, 0.0, 1.0, 1e-9) is None
+    # a sign step at 0 with xtol = 1e-300: 100 steps do not close the bracket
+    step = lambda x: -1.0 if x < 0.0 else 1.0
+    assert _brentq(step, -1.0, 1.0, 1e-300) is None
+    assert _scipy_root(step, -1.0, 1.0, 1e-300) is None
     f = _cubic([1.0, 0.0, 0.0, -0.3])   # one root, at 0.3 ** (1 / 3)
-    assert _brentq(f, 0.0, 1.0, 1e-9, maxiter=1) is None
     assert _brentq(f, 0.0, 1.0, 1e-9) == _scipy_root(f, 0.0, 1.0, 1e-9)
 
 
