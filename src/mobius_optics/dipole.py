@@ -178,7 +178,7 @@ _E, _M, _D, _U = DipoleKind.ELECTRIC, DipoleKind.MAGNETIC, Band.DOWN, Band.UP
 _RULES = {
     (_E, 0, _D, _U): "xyz",                             # band flip
     (_E, 1, _D, _D): "xy", (_E, 1, _U, _U): "xy",       # intra-band hops
-    (_E, 1, _D, _U): "xyz", (_E, 1, _U, _D): "xy", (_E, 2, _D, _U): "xy",
+    (_E, 1, _D, _U): "xyz", (_E, 1, _U, _D): "xy", (_E, 2, _D, _U): "xy",   # inter-band hops
     (_M, 0, _D, _U): "xyz", (_M, 1, _D, _U): "xyz", (_M, 1, _U, _D): "xy", (_M, 2, _D, _U): "xy",
 }
 KINDS = tuple(DipoleKind)           # kind axis of selection_table
@@ -195,9 +195,8 @@ def selection_table(n: int) -> np.ndarray:
     table = np.zeros((len(KINDS), 2, 2, n), dtype=np.uint8)
     for (kind, dl, fb, tb), comps in _RULES.items():
         mask = COMPONENTS.tolist().index(comps)
-        kind, fb, tb = KINDS.index(kind), BANDS.index(fb), BANDS.index(tb)
-        table[kind, fb, tb, dl % n] |= mask
-        table[kind, tb, fb, -dl % n] |= mask
+        for dl, fb, tb in ((dl, fb, tb), (-dl, tb, fb)):   # the rule and its Hermitian mirror
+            table[KINDS.index(kind), BANDS.index(fb), BANDS.index(tb), dl % n] |= mask
     return table
 
 
