@@ -268,9 +268,9 @@ def test_block_entries_are_the_table_bit_for_bit(n, kind):
 
 
 # --- the hand-written dl < 0 blocks and mirrored rules, an independent check --
-# ``dipole`` writes the dl = 0, +1, +2 blocks and the dl >= 0 rules; the dl = -1
-# and -2 blocks below are written out by hand from the closed forms, as are the
-# mirrored rules, in the same IEEE order as the dl >= 0 code
+# ``dipole`` writes the dl = 0, +1, +2 blocks and the dl >= 0 rules and derives the
+# rest from Hermiticity; the dl = -1 and -2 blocks below are written out by hand
+# from the closed forms, term by term, as are the mirrored rules
 
 _EX, _EY, _EZ = np.eye(3)
 _EXY_P = _EX + 1j * _EY
