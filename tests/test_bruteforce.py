@@ -363,3 +363,42 @@ def test_calibration_of_a_corrupted_or_subnormal_table_matches_the_block_masks()
     for ana, num in cases:
         residual = bf.calibrate_conventions(ana, num)
         assert _bits(residual) == _bits(_calibrate_by_masks(ana, num)) and residual > 1e-6
+
+
+# --- the site operators against dense matrix products with the diagonal r, byte for byte ---
+
+def _position_operators(params):
+    """(3, dim, dim) diagonal Cartesian position operators in meters, as dense matrices."""
+    pos = positions_array(params)
+    out = np.zeros((3, len(pos), len(pos)))
+    for c in range(3):
+        out[c] = np.diag(pos[:, c])
+    return out
+
+
+def _operators_by_matrix_products(ring):
+    """d = -e r, and m = -i e r x [H, r] / (2 hbar) with every product a matmul."""
+    r_ops = _position_operators(ring.params)
+    h_joule = ring.hamiltonian * EV
+    m = np.zeros((3, *h_joule.shape), dtype=complex)
+    for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        comm_k = h_joule @ r_ops[k] - r_ops[k] @ h_joule
+        comm_j = h_joule @ r_ops[j] - r_ops[j] @ h_joule
+        m[i] = (-1j * E_CHARGE / (2.0 * HBAR)) * (r_ops[j] @ comm_k - r_ops[k] @ comm_j)
+    return {"electric": -E_CHARGE * r_ops, "commutator": m}
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 12, 24, 33, 64))
+def test_site_operators_match_the_matrix_products(n, topology):
+    # every oracle ring at its canonical scale; only a Mobius ring has closed-form amplitudes
+    bases = bf.BASES if topology is Topology.MOBIUS else ("eigen",)
+    for ring in ORACLE_RINGS:
+        dense = bf.DenseRing(*_canonical(RingParams(n, **ring), n, topology))
+        for name, want in _operators_by_matrix_products(dense).items():
+            got = dense.operator(name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for basis in bases:
+                v = dense.amplitudes if basis == "momentum" else dense.eigensystem[1]
+                table = np.stack([v.conj().T @ want[c] @ v for c in range(3)], axis=-1)
+                assert dense.projection(name, basis).tobytes() == table.astype(complex).tobytes()
