@@ -1,9 +1,9 @@
 """Brute-force numerical ground truth for the closed-form model.
 
 Dense Huckel Hamiltonians of identical atoms for all three topologies, a
-dense Hermitian eigensolver, numeric dipole operators built directly from the
-site-diagonal position operator, and the regression checks that pin down why
-only the twisted ring responds magnetically:
+dense Hermitian eigensolver, numeric dipole operators built from the site
+positions without matrix products (r is site-diagonal), and the regression
+checks that pin down why only the twisted ring responds magnetically:
 
 * a perfect single ring has [m, H] = 0, so no magnetic transitions at all;
 * a periodic double ring has magnetic and electric transitions at disjoint
@@ -185,26 +185,21 @@ def numeric_eigensystem(h: np.ndarray):
     return w, v
 
 
-def position_operators(params: RingParams) -> np.ndarray:
-    """(3, dim, dim) diagonal Cartesian position operators in meters."""
-    pos = positions_array(params)
-    dim = pos.shape[0]
-    out = np.zeros((3, dim, dim))
-    for c in range(3):
-        out[c] = np.diag(pos[:, c])
-    return out
-
-
 def _electric_dipole_matrix(params: RingParams) -> np.ndarray:
     """(3, dim, dim) electric dipole operator d = -e r in the site basis (C m)."""
-    return -E_CHARGE * position_operators(params)
+    pos = positions_array(params)
+    site = np.arange(len(pos))
+    r = np.zeros((3, len(pos), len(pos)))
+    r[:, site, site] = pos.T   # r is site-diagonal
+    return -E_CHARGE * r
 
 
 def _magnetic_dipole_matrix(ring: DenseRing, definition: str) -> np.ndarray:
     """(3, dim, dim) magnetic dipole operator in the site basis (A m^2).
 
-    definition="commutator": m = -i e r x [H, r] / (2 hbar), built from
-    dense matrix products with the site-diagonal position operator.
+    definition="commutator": m = -i e r x [H, r] / (2 hbar).  The position
+    operator is site-diagonal, so [H, r_c] scales H's columns and rows by the
+    coordinates r_c, and r_j [H, r_k] scales its rows.
 
     definition="bond_current": m = sum over bonds of J_ij S_ij with bond
     current operator J_ij = (i e beta_ij / hbar) a_i^dag a_j + h.c. and
@@ -216,14 +211,10 @@ def _magnetic_dipole_matrix(ring: DenseRing, definition: str) -> np.ndarray:
     params = ring.params
     if definition == "commutator":
         h_joule = ring.hamiltonian * EV
-        r_ops = position_operators(params)
-        m = np.zeros((3, h_joule.shape[0], h_joule.shape[0]), dtype=complex)
-        for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
-            comm_k = h_joule @ r_ops[k] - r_ops[k] @ h_joule
-            comm_j = h_joule @ r_ops[j] - r_ops[j] @ h_joule
-            m[i] = (-1j * E_CHARGE / (2.0 * HBAR)) * (
-                r_ops[j] @ comm_k - r_ops[k] @ comm_j
-            )
+        r = positions_array(params).T   # r[c]: coordinate c of each site
+        comm = h_joule * r[:, None, :] - r[:, :, None] * h_joule   # [H, r_c]
+        j, k = [1, 2, 0], [2, 0, 1]   # m_i = r_j [H, r_k] - r_k [H, r_j]
+        m = (-1j * E_CHARGE / (2.0 * HBAR)) * (r[j, :, None] * comm[k] - r[k, :, None] * comm[j])
     else:   # "bond_current"
         pos = positions_array(params)
         i, j, beta = _bonds(params)
