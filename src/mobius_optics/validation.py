@@ -369,8 +369,10 @@ def response_checks(params: RingParams) -> dict:
         return float(np.linalg.eigvalsh(t[1:, 1:]).min())
 
     def eta_crossing(level):
-        return _brentq(lambda om: res.eta(om).real - level,
-                       delta0 + res.gamma, delta0 + 1e8 * res.gamma, xtol=1e-3)
+        top = delta0 + 1e8 * res.gamma
+        if res.eta(top).real > level:   # the root lies near delta0 + P / level; eta' there is ~level/2
+            top = delta0 + 2.0 * res.prefactor / level
+        return _brentq(lambda om: res.eta(om).real - level, delta0 + res.gamma, top, xtol=1e-3)
 
     def eps1(om):
         return rs.response_tensors(cfg, om).eps1

@@ -255,6 +255,23 @@ def test_brent_port_matches_scipy_on_the_validate_brackets(n, gamma_inv_ns):
         assert _brentq(f, a, b, xtol=1e-3) == _scipy_root(f, a, b, 1e-3)
 
 
+def test_zero_crossings_of_a_long_lived_ring_beyond_1e8_gamma():
+    # P / gamma = 6.4e7, so eta' falls to 0.2 and 0.3 only near P / level ~ 3e8 gamma
+    # above the line: the bracket's top moves out to 2 P / level, where eta' ~ level / 2
+    params = RingParams(6, v_inter=26.47, xi_intra=20.12, half_width=0.0421 * NM,
+                        decay_rate=1.0 / (83.2 * NS))
+    res = rs.MediumConfig(params).resonance
+    for level in (0.3, 0.2):
+        f = lambda om: res.eta(om).real - level
+        top = res.delta0 + 2.0 * res.prefactor / level
+        assert f(res.delta0 + 1e8 * res.gamma) > 0.0 > f(top)
+        assert _brentq(f, res.delta0 + res.gamma, top, 1e-3) == _scipy_root(
+            f, res.delta0 + res.gamma, top, 1e-3)
+    rows = {row["name"]: row for row in validation_report(params)["checks"]}
+    for name in ("local_field_zero_crossing", "uncorrected_zero_crossing"):
+        assert rows[name]["passed"] and rows[name]["value"] < 1e-15
+
+
 def test_brent_port_returns_an_exact_zero_endpoint():
     f = _cubic([1.0, 0.0, -1.0, 0.0])  # roots -1, 0 and 1
     for a, b in ((1.0, 3.0), (-3.0, -1.0), (0.0, 0.5), (-0.5, 0.0)):
