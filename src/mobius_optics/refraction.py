@@ -389,7 +389,7 @@ def wave_vector_surface(tensors: ResponseTensors,
         return SurfaceResult(conic, n_ty, n_tz, _unit(grad))
 
 
-FD_STEP = 1e-6   # n_ty step of the central-difference surface tangent
+FD_STEP = 6e-6   # relative n_ty step of the central-difference surface tangent, ~eps^(1/3)
 
 
 def surface_normal_check(tensors: ResponseTensors, pol: Polarization,
@@ -397,14 +397,15 @@ def surface_normal_check(tensors: ResponseTensors, pol: Polarization,
     """|S_hat . tangent_hat| at surface samples (exactly 0 for symmetric tensors).
 
     The tangent is a central difference along the causal branch with step
-    FD_STEP in n_ty; the Poynting direction comes from the same response
-    entries.  NaN where the stencil leaves the causal branch or the flow is
-    not finite.
+    FD_STEP max(1, |n_ty|) in n_ty, relative where the samples are large; the
+    Poynting direction comes from the same response entries.  NaN where the
+    stencil leaves the causal branch or the flow is not finite.
     """
     with np.errstate(all="ignore"):
-        left = _causal_n_tz(tensors, pol, n_ty - FD_STEP)
-        right = _causal_n_tz(tensors, pol, n_ty + FD_STEP)
-        tangent = _unit(np.stack([np.full_like(left, 2.0 * FD_STEP), right - left], axis=-1))
+        step = FD_STEP * np.maximum(1.0, np.abs(n_ty))
+        left = _causal_n_tz(tensors, pol, n_ty - step)
+        right = _causal_n_tz(tensors, pol, n_ty + step)
+        tangent = _unit(np.stack([2.0 * step, right - left], axis=-1))
         flow = _unit(np.stack(_poynting(tensors, pol, n_ty, n_tz), axis=-1))
         return np.abs(flow[:, None, :] @ tangent[:, :, None])[:, 0, 0]
 

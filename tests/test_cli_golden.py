@@ -191,11 +191,11 @@ GOLDEN = {
         "6cb8224ea3b16b625928b5cf0a8ced040e0bbd2e2ad8739e285d16f2e27071ce",
         "4bc76a162e6babb369166b569771393f552dffb16a88435dec47963270527d5b"),
     ("validate", "csv"): (
-        "0459f07c65f5bdd03559ddcb6e542a229addd52073add790b05f60a13be379c7",
-        "77169c05d938ae985c0e47e42c0c17a209c91f0c7e3fb3160f2ad10c8994a22c"),
+        "7624f61d3cd6b497c83ca3bf853348e454ec72f2d7c549c32dd488cf4123de1f",
+        "1815a824ef7dab7580f849fc6a89690e3228833280e532e48c08b643bb7876a1"),
     ("validate", "json"): (
-        "962d41c79770be2a61062d0e2ba49c93a6bc7b9d4b2ccd937b544724bfc26ba6",
-        "c41f74e4737522a6a2022b8ab3c20e1c93348d18278fc794f32bcb30160b27af"),
+        "12187cc94ae4382f994f745a67cb8a3e00ab2464692d25e2ed39e40fcf7daa22",
+        "bee70d0139b1d40018d723d670eab49c51da6973cb850be2ab3e4e5b5c4f0777"),
     ("validate_overdamped", "csv"): (
         "d3fa5f2296983d9a177e51444abbbfdf8dc6a206428862c72bbfd5e0067dda34",
         "8b1859a12180ea63a9597f06123120915def43802ba8379e417f04a575d4038d"),
@@ -203,59 +203,59 @@ GOLDEN = {
         "f9995d322d654f1671d45c58ea4a26cd30e6a778c95a9e24342f318658a4ad66",
         "6e8090185de39cc81fa0f178e254d03c1156219992861a46311bb0efdb5b58fc"),
     ("validate_n3", "csv"): (
-        "97b2d4007566eebc5490603e6c97ecc8aa2cf795d64c511f5c6cb4951666b946",
-        "952e91d4d15d69147aa16922f10b0950fb8f9539b8af54597b16b3b777611449"),
+        "9154228509d00e6232b302ab571a24ed80f77a1f46a8e0d0ac579c33b2d6d2d0",
+        "27490f4067445d3ebbe6a18d444655b21837859a54936b77ae520ed51f76b687"),
     ("validate_n3", "json"): (
-        "839f610256bb4e244fd406da47a83ae659d2c174647e11d752d6d8440811c6a2",
-        "7b797ed046c1eece88f6ead4848450484d16f5331fee284dd430777293ac5ca5"),
+        "57bc96780a20c8c38fd7a97058e8ae87d113706b63b0132517113e44122bf204",
+        "ee614346ebdd440d61f8e75e23673c81a2032308cd30bb54288f095a09a7f636"),
     ("validate_n4", "csv"): (
-        "fba77c3f3e194449b04156355f9d5dd195b2d2a6024a9336f89ce416c5e7b5ae",
-        "084a3c34b0d64e8772c6884c7381cebb0ca61c8f0e109728bc786c3e27b00843"),
+        "2b8b901e421054302f9c6f4d3c36343bd5b5849a2001f1bf1a209d1e05379e7d",
+        "5d87c238da706390202ecded57a3e7594e9f43fbdc3288299b34e2402b2921ec"),
     ("validate_n4", "json"): (
-        "78c88b5a910fc1730df51ad06694660ba09063fd2be6d15d7cb73c2ff57aa483",
-        "cbe8d84c50b039b9cbb5e45f83cc714404e7c4ce0c09f5e2bed8bb647e98ab30"),
+        "156912f4bdcad7829af0eb39addaa76963883731f68674287742e34b24c93e8f",
+        "8cbd81f0269da145ab8fb31f7ae2afa231fe53d0ba9b27148f15389b27efaa63"),
     ("validate_n3_v_ne_xi", "csv"): (
-        "4bde4ff5bd0c18c0d3417c0c9ab1cc333f4a1815bab9803e576469ae62261207",
-        "1d51c53498d9b7f6da14f3bed0d77c7cc33a6d5fb646daf09d8961ce66e4c737"),
+        "26e6d1ad108517fef2d315d1ef6e172b1c817de6c4c39f57e92b8b1b4962c151",
+        "2c7d5073db4677803effae1b8f22e712d9101aeca09848dfa3841a1dd59a6876"),
     ("validate_n3_v_ne_xi", "json"): (
-        "81e13e0f55676db1d2ca5393aa3617c17d9bbb553737fbf39321705ac1f1ca25",
-        "4040c8e01a2322afdc8633f125d38f5dbf83fe360c2be0ff025bf012362e008f"),
+        "1906beec64704a0bb324d4133a8920c84bc88054d8ab6e4585a1197f6db4b1fb",
+        "005fc817c9ce5bdd112cc2bba6fa27e651dee3cd3ec66e924e515471cd77be34"),
     ("validate_narrow_window", "csv"): (
-        "2b680616b7cd66b964a82b47ea478442876f422fe78e58ea49a88e523182e3cc",
-        "b9a2f3e93a1a97a71e45bfa4ede78928d1f7526940943cdbea95a33bf12caaaf"),
+        "a09ff70f9f2f94dc1cb12b3fe2428ca19e9a0562a97fcecb1b5cd722433a1906",
+        "a16449ad996cbfe774274a3678736176db7a76be44454b609eb8af5772cba74a"),
     ("validate_narrow_window", "json"): (
-        "24ad7a7505fc607184d1c4ab23cc4ad171a4aed6e0098fddf0c6b37d1f353ddd",
-        "05f08874251befd5b5fc9d9e69de742984dc2e42eef1ea36ac6dc39c9071b9b4"),
+        "297b576f46caa4f5f6175903f4fe7ecd6acedd096a582a58df54b411ad88817a",
+        "985cf44053e65472f38e1ac0bdf453be257918ee5de4a819d06775ca59d2472f"),
     ("validate_half_width_1e5", "csv"): (
-        "007a8c9f63b864387ac482ebc957165422295f1663fd17c7c0a04fbdc48be77f",
-        "6a7cc8deb1d34033a9cc64086ac98c7496b32dd3a1e468bba518bda902ca4906"),
+        "443bfb665776664a7fe4bf52ce177f00320de4e0a5bd2887028b8a984ec26f40",
+        "84056ca3e531fd991ed881e04e2f6b75aee5ee72c3ef5723180ef9693ebc79f5"),
     ("validate_half_width_1e5", "json"): (
-        "d6d98f83c8e03bd1f6a740a1cc847f2ad3ca4bd5240aa3e7eddcc85db8eb07ce",
-        "9eb31528be5fb99558f363cca299f0c34a64b427e4a6e94a0f18e0ca57d6fd44"),
+        "3cc432c0dbc12de20b7eecf27700b4cdcff8ddf8756ccb08c92f2abe73b41ce0",
+        "71af948c3f5eef05d79db9316d3d518977fbc7945c7823c1168160c29b759aef"),
     ("validate_half_width_1e26", "csv"): (
-        "142adeba602d7a315cf71d1d78f11e27f20985a310de6a11296151127016e2ef",
-        "994e47941c94bb1bf1eab7c5fd39a06954a21e02a50e6a6b79c76eb8533f188d"),
+        "6a57ea8ad1beb44f87060a6cf2804cd9d28eb7f1934ca70688f0247e82d37627",
+        "5b43758a942320612c3ddfce3a316711e05845bd377e13b9f64f643942be3071"),
     ("validate_half_width_1e26", "json"): (
-        "3bfbd7f77c941502aa19d253139c89f51d62fd50eaedb6b94b768c65561057fe",
-        "07951fbbe7d7a81ee9149903143fcd39c7259bf170b62153a0dfc8a0bd6c24e0"),
+        "ab2a683f30b4c5e610556e5770b363aa6f0067198a92c3b430d088fa84d3eb55",
+        "edaf01dfc8dc9663b6e9019c8057c130b89b7672e372210ef07d9ac0aa9f888a"),
     ("validate_xi_1e-6", "csv"): (
-        "707bd3317c2353fedb77aade2a28e3f7af20401fbc75a5151d942f3a6c9fb8e2",
-        "96e441a8ed621743260065ae22e564c2aa164d7de4b07c6277376b97ee6ab9a4"),
+        "e9694b29b8aff3134178540cc7b3a81756248a0569ec132120b728390045cee8",
+        "e1b93479c280574dad727b38eb95e785cf38e5ed51e449735ce494d83c8eef82"),
     ("validate_xi_1e-6", "json"): (
-        "9748cf776a1a06fd3fc8489421db97260752be2e5c2f6ca53dabcef9fb092dd9",
-        "af888f28d6fb76061d3942d37c3e675d4bb7bb11e093338a999ab79a2c61da16"),
+        "25cf2b443d65160c10fe33a086d2f3bed3e51c17234329d96ab30308edeb987a",
+        "1ed134e071ac865fa39e63ad15c866bc51d0c77b0b9f3b6aa4adbaa3579ecfbc"),
     ("validate_half_width_0.01", "csv"): (
-        "0ca432c152d9c164b0a870335f853b14c95b0d70579fd22408eca149d75ffbdf",
-        "11e7a665a6d08cdb0e89c9b60f2857726b028d8c955c67450e4eca2d8485d816"),
+        "634d789317a15834042c464195162988e892ae6c346d955415142d48d882ad26",
+        "3238e7be25f56a2a1b8f4727d693c01b2b3eacf4ded338adf924d92f491b8440"),
     ("validate_half_width_0.01", "json"): (
-        "db3c97ba25d8f8ff9a4e702c9e1e1c78c20b0f2ba8627d1f0d093d2eb8d55a24",
-        "4a19854213bfaa2c5846dae89a51a8a731aaf7441411f60c739baead36715d15"),
+        "04ccccb716aab2b077350465bc2bb7143103502641f23ab2ca92a14577923c95",
+        "cec7971150c2f168a42caba3185101489b9c3fb3dbabc22263985e15ce52cbc1"),
     ("validate_half_width_0.00998", "csv"): (
-        "9f02babcf7d2aac5111bc687a791f91e08d049c2a5a6efb8bfe013bc20ef1503",
-        "c34c720dceb8f2f9fef1fe8b7b435b6546901df0fe634851e6f9816c0b5d851e"),
+        "e40bf7fb7324ca60f14e693cda8ce78bacb771c7f56bb18a22d486588e40b5d9",
+        "62e8fc92d4917c0ba6c25d11780841b865df6e4f1eb1d8c9c5db500b3f433671"),
     ("validate_half_width_0.00998", "json"): (
-        "2ba3583c49a5bdbb45b29f65ed5d9594182f09478f18494682edb00f6a2208b9",
-        "00695eaf6ec8dba97896e184a346fbd91de3632811fdfd12a16a89329bd03a00"),
+        "55bab97624e772bab5d47ac615e825e4023a866eddf306d33d813d617141f078",
+        "ac59f5bc2eb6795bb93ac0a19d0c9a0cd51ec0278181c6ec1e1c4fe82e32d7e3"),
 }
 
 

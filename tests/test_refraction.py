@@ -776,11 +776,12 @@ def _ref_surface(t, pol, n_samples):
         n_ty = float(n_ty)
         nt, nz = n_ty * c + n_tz * s, -n_ty * s + n_tz * c
         residual = abs((lam1 * nt**2 + lam2 * nz**2) / rhs - 1.0)
-        left = _ref_causal_n_tz(t, pol, n_ty - 1e-6)
-        right = _ref_causal_n_tz(t, pol, n_ty + 1e-6)
+        step = 6e-6 * max(1.0, abs(n_ty))   # relative to the sample beyond |n_ty| = 1
+        left = _ref_causal_n_tz(t, pol, n_ty - step)
+        right = _ref_causal_n_tz(t, pol, n_ty + step)
         check = NAN
         if left is not None and right is not None:
-            tangent = np.array([2e-6, right - left])
+            tangent = np.array([2.0 * step, right - left])
             tangent /= np.linalg.norm(tangent)
             flow = np.array(rf._poynting(t, pol, n_ty, n_tz))
             flow /= np.linalg.norm(flow)
