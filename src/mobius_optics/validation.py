@@ -102,8 +102,8 @@ DENSE_CHECKS = (   # the rows of the dense groups, each run at a canonical ring
     Check("electric_dyads_vs_dense_eigenvectors", 1e-8, "ground-state dyads summed over degenerate levels"),
     Check("magnetic_table_vs_numeric", 1e-9, f"momentum basis, N in {TABLE_NS}"),
     Check("magnetic_dyads_vs_dense_eigenvectors", 1e-8, "ground-state dyads summed over degenerate levels"),
-    Check("electric_block_calibration", 1e-9, "fitted block phases are all +1"),
-    Check("magnetic_block_calibration", 1e-9, "fitted block phases are all +1"),
+    Check("electric_block_calibration", 1e-9, "residual after one fitted unit phase per dl and band-pair block"),
+    Check("magnetic_block_calibration", 1e-9, "residual after one fitted unit phase per dl and band-pair block"),
     Check("selection_rule_sparsity", 1e-12, "magnitudes outside the allowed blocks / natural scale"),
     Check("commutator_vs_bond_current", 1e-10),
     Check("perfect_ring_commutator", 1e-12),

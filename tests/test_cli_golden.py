@@ -191,70 +191,70 @@ GOLDEN = {
         "6cb8224ea3b16b625928b5cf0a8ced040e0bbd2e2ad8739e285d16f2e27071ce",
         "4bc76a162e6babb369166b569771393f552dffb16a88435dec47963270527d5b"),
     ("validate", "csv"): (
-        "7624f61d3cd6b497c83ca3bf853348e454ec72f2d7c549c32dd488cf4123de1f",
+        "2fceb22b7bc9957b0c3ec80f300ee99d9865a740f546cfa242c98fd16815095b",
         "1815a824ef7dab7580f849fc6a89690e3228833280e532e48c08b643bb7876a1"),
     ("validate", "json"): (
-        "12187cc94ae4382f994f745a67cb8a3e00ab2464692d25e2ed39e40fcf7daa22",
+        "884b7ca0933be961d5aee2f31d14046ad560f3d58ea07597510bade0015d5084",
         "bee70d0139b1d40018d723d670eab49c51da6973cb850be2ab3e4e5b5c4f0777"),
     ("validate_overdamped", "csv"): (
-        "d3fa5f2296983d9a177e51444abbbfdf8dc6a206428862c72bbfd5e0067dda34",
+        "c5818823d34d63df29f3c780d8f1121969e2328c3b1d8d81444f7693383da222",
         "8b1859a12180ea63a9597f06123120915def43802ba8379e417f04a575d4038d"),
     ("validate_overdamped", "json"): (
-        "f9995d322d654f1671d45c58ea4a26cd30e6a778c95a9e24342f318658a4ad66",
+        "542f325d1b531fc80165515d946c0952508785ab09634735a578c47785fcf51f",
         "6e8090185de39cc81fa0f178e254d03c1156219992861a46311bb0efdb5b58fc"),
     ("validate_n3", "csv"): (
-        "9154228509d00e6232b302ab571a24ed80f77a1f46a8e0d0ac579c33b2d6d2d0",
+        "61a3eb74d509530370255661d17cd157c1c21ad72ea20f0ba6fa36d78564ea30",
         "27490f4067445d3ebbe6a18d444655b21837859a54936b77ae520ed51f76b687"),
     ("validate_n3", "json"): (
-        "57bc96780a20c8c38fd7a97058e8ae87d113706b63b0132517113e44122bf204",
+        "89e5486fa80595f2a4b1b36cb8fa73ea5cc6ace8689dada123c2929b179bbe76",
         "ee614346ebdd440d61f8e75e23673c81a2032308cd30bb54288f095a09a7f636"),
     ("validate_n4", "csv"): (
-        "2b8b901e421054302f9c6f4d3c36343bd5b5849a2001f1bf1a209d1e05379e7d",
+        "144f196719f1effe6877ec288ca9f951ce646dfda239224ff4091eef9a15c04b",
         "5d87c238da706390202ecded57a3e7594e9f43fbdc3288299b34e2402b2921ec"),
     ("validate_n4", "json"): (
-        "156912f4bdcad7829af0eb39addaa76963883731f68674287742e34b24c93e8f",
+        "c67bb5e8ba1600a77724cb281f697862deb9975bacd8607edb6b0f39493e7cec",
         "8cbd81f0269da145ab8fb31f7ae2afa231fe53d0ba9b27148f15389b27efaa63"),
     ("validate_n3_v_ne_xi", "csv"): (
-        "26e6d1ad108517fef2d315d1ef6e172b1c817de6c4c39f57e92b8b1b4962c151",
+        "81d5695433c310e6ffcb170aec480cf436a50306da7805862d2e97d91983ef6f",
         "2c7d5073db4677803effae1b8f22e712d9101aeca09848dfa3841a1dd59a6876"),
     ("validate_n3_v_ne_xi", "json"): (
-        "1906beec64704a0bb324d4133a8920c84bc88054d8ab6e4585a1197f6db4b1fb",
+        "5e944577a1f1f9c335bad78589180acab9fb68a3d59248b657fbfe40d61683fb",
         "005fc817c9ce5bdd112cc2bba6fa27e651dee3cd3ec66e924e515471cd77be34"),
     ("validate_narrow_window", "csv"): (
-        "a09ff70f9f2f94dc1cb12b3fe2428ca19e9a0562a97fcecb1b5cd722433a1906",
+        "4527f8a1aa9bede6b3cec8746f0ecd37738a95ff37052de111b95e39afca51d7",
         "a16449ad996cbfe774274a3678736176db7a76be44454b609eb8af5772cba74a"),
     ("validate_narrow_window", "json"): (
-        "297b576f46caa4f5f6175903f4fe7ecd6acedd096a582a58df54b411ad88817a",
+        "0585fd1be8d6273894bbbbea3226057dfcfff47f13d8191d17500c3945d51749",
         "985cf44053e65472f38e1ac0bdf453be257918ee5de4a819d06775ca59d2472f"),
     ("validate_half_width_1e5", "csv"): (
-        "443bfb665776664a7fe4bf52ce177f00320de4e0a5bd2887028b8a984ec26f40",
+        "55a875542f03db621fc7239e11c395426e9970ac319fa88a69e5d2b0a9d98961",
         "84056ca3e531fd991ed881e04e2f6b75aee5ee72c3ef5723180ef9693ebc79f5"),
     ("validate_half_width_1e5", "json"): (
-        "3cc432c0dbc12de20b7eecf27700b4cdcff8ddf8756ccb08c92f2abe73b41ce0",
+        "b8e58ad1829fc12618a5865117c8fbad674075956c80e52e85d895b6212485cf",
         "71af948c3f5eef05d79db9316d3d518977fbc7945c7823c1168160c29b759aef"),
     ("validate_half_width_1e26", "csv"): (
-        "6a57ea8ad1beb44f87060a6cf2804cd9d28eb7f1934ca70688f0247e82d37627",
+        "2671ec092652b08d2d49631997f6542780e80ca62a9f576ed3a76b199965ac49",
         "5b43758a942320612c3ddfce3a316711e05845bd377e13b9f64f643942be3071"),
     ("validate_half_width_1e26", "json"): (
-        "ab2a683f30b4c5e610556e5770b363aa6f0067198a92c3b430d088fa84d3eb55",
+        "ff344379fc30d59e340d14107ace7e3c7db39988aa4e3504dcb35497712b1c03",
         "edaf01dfc8dc9663b6e9019c8057c130b89b7672e372210ef07d9ac0aa9f888a"),
     ("validate_xi_1e-6", "csv"): (
-        "e9694b29b8aff3134178540cc7b3a81756248a0569ec132120b728390045cee8",
+        "57da36d3574b605a352f3f8b4812fc85d41d1e1d98ee453c36fa9dfacb9a88f3",
         "e1b93479c280574dad727b38eb95e785cf38e5ed51e449735ce494d83c8eef82"),
     ("validate_xi_1e-6", "json"): (
-        "25cf2b443d65160c10fe33a086d2f3bed3e51c17234329d96ab30308edeb987a",
+        "be26a5ea1075ece67d05ef6aee129d6631dca77908bb9a3c2c37aad8c67331fa",
         "1ed134e071ac865fa39e63ad15c866bc51d0c77b0b9f3b6aa4adbaa3579ecfbc"),
     ("validate_half_width_0.01", "csv"): (
-        "634d789317a15834042c464195162988e892ae6c346d955415142d48d882ad26",
+        "10c58d0957786a0f1e9fb15a0ba44628f9f922905c11a86da8bac51c7a4cb74a",
         "3238e7be25f56a2a1b8f4727d693c01b2b3eacf4ded338adf924d92f491b8440"),
     ("validate_half_width_0.01", "json"): (
-        "04ccccb716aab2b077350465bc2bb7143103502641f23ab2ca92a14577923c95",
+        "f862bd02d700da6e98ce0de40d07ecd2ea6309ab85972dd5ca6efe9649482367",
         "cec7971150c2f168a42caba3185101489b9c3fb3dbabc22263985e15ce52cbc1"),
     ("validate_half_width_0.00998", "csv"): (
-        "e40bf7fb7324ca60f14e693cda8ce78bacb771c7f56bb18a22d486588e40b5d9",
+        "1a770426216194f49f4f05a98db408f4aa45734beed73266195a4d4e968bb251",
         "62e8fc92d4917c0ba6c25d11780841b865df6e4f1eb1d8c9c5db500b3f433671"),
     ("validate_half_width_0.00998", "json"): (
-        "55bab97624e772bab5d47ac615e825e4023a866eddf306d33d813d617141f078",
+        "306147a9eb370e16c3c9c859b371a2c433b1d4be40fe32138b2f3829963cc7ff",
         "ac59f5bc2eb6795bb93ac0a19d0c9a0cd51ec0278181c6ec1e1c4fe82e32d7e3"),
 }
 
