@@ -566,6 +566,7 @@ _LOSSLESS_NOTE = {False: "", True: "; lossy ignored: the lossless response was u
 
 
 def _cmd_spectrum(config: RunConfig):
+    """band energies of all 2N states"""
     band, ell = label_axes(config.ring.n_per_ring)
     table = _table(l=ell, band=_BAND_NAMES[band], energy_ev=band_energies(config.ring))
     summary = (f"spectrum: {len(table)} states, ground energy "
@@ -574,6 +575,7 @@ def _cmd_spectrum(config: RunConfig):
 
 
 def _cmd_elements(config: RunConfig):
+    """nonzero electric and magnetic dipole elements"""
     n = config.ring.n_per_ring
     band, ell = label_axes(n)
     # [kind, entry] = <to| O |from> over the allowed blocks, the only nonzero
@@ -605,6 +607,7 @@ def _cmd_elements(config: RunConfig):
 
 
 def _cmd_response(config: RunConfig):
+    """eta, permittivity and permeability over a frequency sweep"""
     medium = MediumConfig(config.ring, lossy=config.lossy)
     res = medium.resonance
     omegas = _omega_grid(config, res)
@@ -627,6 +630,7 @@ def _cmd_response(config: RunConfig):
 
 
 def _cmd_phase_diagram(config: RunConfig):
+    """LH/RH/TR classification over a (theta, omega) grid"""
     medium = MediumConfig(config.ring, lossy=False)
     thetas = _theta_grid(config)
     omegas = _omega_grid(config, medium.resonance)
@@ -659,6 +663,7 @@ def _default_surface_detunings(res: Resonance) -> list[float]:
 
 
 def _cmd_surface(config: RunConfig):
+    """wave-vector surface samples and conic class"""
     medium = MediumConfig(config.ring, lossy=False)
     res = medium.resonance
     detunings = (config.surface_detunings_ev
@@ -689,6 +694,7 @@ def _cmd_surface(config: RunConfig):
 
 
 def _cmd_bandwidth(config: RunConfig):
+    """negative-permeability bandwidth and critical lifetime"""
     conventions = (VolumeConvention.CYLINDER_4W, VolumeConvention.CYLINDER_2W)
     res = [MediumConfig(replace(config.ring, volume_convention=c)).resonance
            for c in conventions]
@@ -709,6 +715,7 @@ def _cmd_bandwidth(config: RunConfig):
 
 
 def _cmd_validate(config: RunConfig):
+    """cross-check closed forms against the dense numerics"""
     from .validation import validation_report   # no other command loads the dense oracle
     report = validation_report(config.ring)
     checks = report["checks"]
@@ -786,17 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "spectrum": "band energies of all 2N states",
-        "elements": "nonzero electric and magnetic dipole elements",
-        "response": "eta, permittivity and permeability over a frequency sweep",
-        "phase-diagram": "LH/RH/TR classification over a (theta, omega) grid",
-        "surface": "wave-vector surface samples and conic class",
-        "bandwidth": "negative-permeability bandwidth and critical lifetime",
-        "validate": "cross-check closed forms against the dense numerics",
-    }
-    for name, desc in descriptions.items():
-        cmd = sub.add_parser(name, help=desc)
+    for name, fn in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=fn.__doc__)
         cmd.add_argument(
             "config", nargs="?", default=None,
             help="JSON config path, or '-' for stdin (omit for defaults)")
