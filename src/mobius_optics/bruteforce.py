@@ -208,16 +208,15 @@ def _magnetic_dipole_matrix(ring: DenseRing, definition: str) -> np.ndarray:
     The two constructions coincide for a tight-binding Hamiltonian with
     on-site position operators; both are kept as independent codings.
     """
-    params = ring.params
+    pos = positions_array(ring.params)
     if definition == "commutator":
         h_joule = ring.hamiltonian * EV
-        r = positions_array(params).T   # r[c]: coordinate c of each site
+        r = pos.T   # r[c]: coordinate c of each site
         comm = h_joule * r[:, None, :] - r[:, :, None] * h_joule   # [H, r_c]
         j, k = [1, 2, 0], [2, 0, 1]   # m_i = r_j [H, r_k] - r_k [H, r_j]
         m = (-1j * E_CHARGE / (2.0 * HBAR)) * (r[j, :, None] * comm[k] - r[k, :, None] * comm[j])
     else:   # "bond_current"
-        pos = positions_array(params)
-        i, j, beta = _bonds(params)
+        i, j, beta = _bonds(ring.params)
         amp = 1j * (E_CHARGE * (beta * EV) / HBAR)
         moment = amp * (0.5 * np.cross(pos[i], pos[j])).T
         m = np.zeros((3, pos.shape[0], pos.shape[0]), dtype=complex)
